@@ -80,6 +80,55 @@ WORKLOADS = {
 }
 
 
+def schedule_digest(cluster, service=None) -> str:
+    """sha256 of what a run *did*, blind to how many kernel events it took.
+
+    Covers the broker event log (every shard's, for a federation), every
+    recorded span (name, trace/span/parent ids, start, end, attrs) and the
+    metrics snapshot — grant times, reclaim timelines, report cadence and
+    counters all land in one of the three.  Nothing derived from
+    ``env.heap_stats()`` enters: two kernels that dispatch a different
+    number of events for the same simulated behaviour (event fusion) agree
+    on this digest, while any shift in *when* or *in which order* something
+    observable happened changes it.  ``service`` defaults to whatever broker
+    or federation the cluster booted; a broker-less cluster hashes its spans
+    and metrics alone.
+    """
+    if cluster.federation is not None:
+        services = list(cluster.federation.services)
+    else:
+        service = service if service is not None else cluster.broker
+        services = [] if service is None else [service]
+    sha = hashlib.sha256()
+
+    def feed(record: Any) -> None:
+        sha.update(
+            json.dumps(
+                record, sort_keys=True, separators=(",", ":")
+            ).encode()
+        )
+        sha.update(b"\n")
+
+    for index, shard in enumerate(services):
+        for entry in shard.events:
+            feed(["event", index, entry])
+    for span in cluster.network.tracer.spans:
+        feed(
+            [
+                "span",
+                span.name,
+                span.trace_id,
+                span.span_id,
+                span.parent_id,
+                span.started_at,
+                span.ended_at,
+                span._attrs or {},
+            ]
+        )
+    feed(["metrics", cluster.network.metrics.snapshot()])
+    return sha.hexdigest()
+
+
 def run_cell(
     workload: str,
     machines: int,
@@ -142,6 +191,9 @@ def run_cell(
         # between the indexed and full-scan schedulers (which agree on every
         # decision, not on how much work finding it took).
         "broker": {"machines_scanned": service.state.machines_scanned},
+        # Behaviour only, no kernel event counts: equal across event-fusing
+        # kernel changes, where "heap" above legitimately moves.
+        "schedule_digest": schedule_digest(cluster, service),
     }
     if monitor is not None:
         result["health"] = monitor.report().to_dict()
