@@ -51,6 +51,7 @@ from repro.broker.state import (
     PendingRequest,
 )
 from repro.cluster import ports
+from repro.cluster.network import EXPIRED
 from repro.obs.timeseries import windowed_rate
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
 from repro.os.retry import connect_forever
@@ -658,14 +659,10 @@ class _BrokerControl:
             # Hold until the sibling closes (its handler is done) so the
             # notice is never torn down in flight; the timer bounds a peer
             # partitioned mid-session.
-            timer = self.proc.sleep(self.cal.federation_rpc_timeout)
-            recv_ev = conn.recv()
             try:
-                yield self.proc.env.any_of([timer, recv_ev])
+                yield conn.recv_or_deadline(self.cal.federation_rpc_timeout)
             except ConnectionClosed:
                 pass
-            finally:
-                timer.cancel()
         conn.close()
 
     def _maybe_borrow(self, job, request, hint=None) -> None:
@@ -800,16 +797,14 @@ class _BrokerControl:
                 request.reqid,
             ),
         ):
-            timer = self.proc.sleep(self.cal.federation_rpc_timeout)
-            recv_ev = conn.recv()
             try:
-                yield self.proc.env.any_of([timer, recv_ev])
-                if recv_ev.processed:
-                    reply = recv_ev.value
+                answer = yield conn.recv_or_deadline(
+                    self.cal.federation_rpc_timeout
+                )
+                if answer is not EXPIRED:
+                    reply = answer
             except ConnectionClosed:
                 pass
-            finally:
-                timer.cancel()
         conn.close()
         if reply is not None and reply.get("type") != "borrow_reply":
             return None

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 
 from repro.cluster import ports
+from repro.cluster.network import EXPIRED
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
 from repro.os.retry import connect_any_forever, connect_any_with_backoff
 from repro.broker import protocol
@@ -200,10 +201,10 @@ def rbdaemon_main(proc):
     cycles_since_full = 0
     while True:
         try:
-            # The broker never speaks on this connection; the pending recv
-            # exists to surface EOF — the only signal of broker death a
-            # send-mostly peer gets on a drop-silently LAN.
-            recv_ev = conn.recv()
+            # The broker never speaks on this connection unless a standby is
+            # configured; the receive side of each wait exists to surface
+            # EOF — the only signal of broker death a send-mostly peer gets
+            # on a drop-silently LAN.
             while True:
                 probe = _change_probe(proc)
                 if probe == last_probe and cycles_since_full < full_every:
@@ -224,27 +225,17 @@ def rbdaemon_main(proc):
                 # Broker chatter (epoch stamps, with a standby configured) is
                 # handled without resetting the report *deadline* — the
                 # cadence the broker's liveness deadline counts on must not
-                # stretch or compress under fencing traffic.  Each wait arms
-                # a fresh timer for the remaining interval: a triggered
-                # any_of cancels its losing timeout, so a woken-by-recv pass
-                # cannot reuse the old one.
+                # stretch or compress under fencing traffic.  A wait woken
+                # by a message is followed by one for the remaining interval.
                 due = proc.env.now + cal.daemon_report_interval
                 while True:
                     remaining = due - proc.env.now
                     if remaining <= 0.0:
                         break
-                    timer = proc.sleep(remaining)
-                    try:
-                        yield proc.env.any_of([timer, recv_ev])
-                    finally:
-                        timer.cancel()
-                    if recv_ev.processed:
-                        _handle_broker_message(
-                            proc, conn, recv_ev.value, metrics
-                        )
-                        recv_ev = conn.recv()
-                    if timer.processed:
+                    received = yield conn.recv_or_deadline(remaining)
+                    if received is EXPIRED:
                         break
+                    _handle_broker_message(proc, conn, received, metrics)
         except ConnectionClosed:
             conn.close()
             last_probe = None  # the next incarnation starts with a full report

@@ -37,6 +37,7 @@ from repro.broker.journal import (
 )
 from repro.broker.state import BrokerState
 from repro.cluster import ports
+from repro.cluster.network import EXPIRED
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
 
 #: The standby's local persistence (its machine's filesystem, so it
@@ -278,22 +279,15 @@ def make_standby_main(service):
             # -- stream until silence, desync, or EOF ------------------------
             resync = False
             try:
-                recv_ev = conn.recv()
                 while True:
-                    timer = proc.sleep(deadline)
-                    try:
-                        yield proc.env.any_of([timer, recv_ev])
-                    finally:
-                        timer.cancel()
-                    if not recv_ev.processed:
+                    msg = yield conn.recv_or_deadline(deadline)
+                    if msg is EXPIRED:
                         # Deadline of silence on an open connection: a
                         # partition blackholes sends without an EOF, and a
                         # dead primary can leave the endpoint dangling.
                         # Either way: promote.
                         conn.close()
                         return promote()
-                    msg = recv_ev.value
-                    recv_ev = conn.recv()
                     last_heard = proc.env.now
                     kind = msg.get("type")
                     if kind == "ship_snapshot":

@@ -40,6 +40,16 @@ class _EOF:
 EOF = _EOF()
 
 
+class _Expired:
+    """What :meth:`Connection.recv_or_deadline` yields when time runs out."""
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return "<EXPIRED>"
+
+
+EXPIRED = _Expired()
+
+
 class _Inbox(Store):
     """A connection's receive queue.
 
@@ -87,6 +97,8 @@ class Connection:
         "peer",
         "closed_local",
         "closed_remote",
+        "_pending_recv",
+        "_deadline",
     )
 
     def __init__(
@@ -106,6 +118,10 @@ class Connection:
         self.peer: Optional["Connection"] = None
         self.closed_local = False
         self.closed_remote = False
+        #: The receive a timed-out :meth:`recv_or_deadline` left pending
+        #: (reused by the next one), and the timer its waiter is parked on.
+        self._pending_recv: Optional[Event] = None
+        self._deadline: Optional[Timeout] = None
 
     # -- data transfer -----------------------------------------------------
 
@@ -168,6 +184,46 @@ class Connection:
         get = self._inbox.get()
         get.defuse()  # an orphaned reader is not a simulation error
         return get
+
+    def recv_or_deadline(self, delay: float) -> Event:
+        """Event for "the next message, or ``delay`` seconds of silence".
+
+        The yielding process resumes with the message, with :data:`EXPIRED`
+        once the deadline passes, or with :class:`ConnectionClosed` thrown
+        at EOF — the periodic wait of every heartbeat and RPC loop, at the
+        cost of its timer alone.  The process parks on a plain timeout; the
+        pending receive holds one callback that, when a message wins the
+        race, cancels the orphaned timer and resumes the timer's waiters
+        inside the receive's own dispatch.  When the timer wins, the same
+        receive stays pending for the next call, so silence costs nothing
+        on the receive side.  On a same-instant tie the lower sequence
+        number wins and a message that lost is returned by the next call.
+
+        One reader per connection: do not mix with :meth:`recv` on the same
+        endpoint.
+        """
+        get = self._pending_recv
+        if get is None:
+            get = self._pending_recv = self.recv()
+            get.callbacks.append(self._recv_won)
+        if get._processed:
+            # Dispatched while nobody was parked (it lost a tie, or the
+            # reader was busy elsewhere): hand it over, no deadline needed.
+            self._pending_recv = None
+            return get
+        timer = self._deadline = Timeout(self.env, delay, EXPIRED)
+        return timer
+
+    def _recv_won(self, get: Event) -> None:
+        timer = self._deadline
+        if timer is not None and timer.callbacks:
+            # Someone is parked on the deadline: it is orphaned now, and
+            # they resume with the receive's outcome instead.
+            self._pending_recv = None
+            self._deadline = None
+            timer.cancel()
+            for waiter in timer.callbacks:
+                waiter(get)
 
     def close(self) -> None:
         """Half-close from this side; the peer sees EOF after latency."""

@@ -162,6 +162,31 @@ class Event:
                 self.env._note_cancelled()
         return True
 
+    def dispatch_now(self) -> None:
+        """Process this triggered event *now*, inside the current dispatch.
+
+        Event fusion: a kernel callback that knows an event occurs at this
+        very instant — a timer completing a CPU burst, a message delivery
+        reaching a parked receiver — runs the event's callbacks in place
+        instead of queueing a second kernel event for them.  The caller
+        must have set ``_ok``/``_value``.  Only legal from an event's own
+        dispatch, never from inside a running process: a waiter resumed
+        here would clobber the environment's active process.  The event is
+        not counted in ``heap_stats()["processed"]`` — it never was a
+        kernel event of its own.
+        """
+        env = self.env
+        assert env._active_process is None, "dispatch_now inside a process"
+        if self._cancelled:
+            env._skipped += 1
+            return
+        callbacks, self.callbacks = self.callbacks, None
+        self._processed = True
+        for callback in callbacks:
+            callback(self)
+        if not self._ok and not self._defused:
+            raise self._value
+
     def defuse(self) -> None:
         """Mark a failed event as handled so it does not crash the run.
 
@@ -249,19 +274,25 @@ class _Condition(Event):
         self._defused = True
         self.events: List[Event] = list(events)
         self._count = 0
-        for event in self.events:
-            if event.env is not env:
-                raise ValueError("cannot mix events from different environments")
         if not self.events:
             self.succeed(self._collect())
             return
+        # One pass, slot access: conditions guard every racing wait in the
+        # system, and a sub-event of another environment must be rejected
+        # before anything is subscribed.
+        check = self._check
         for event in self.events:
-            if self.triggered:
-                break  # satisfied by an earlier sub-event; don't subscribe
-            if event.processed:
-                self._check(event)
+            if event.env is not env:
+                for sub in self.events:
+                    sub.remove_callback(check)
+                self.cancel()
+                raise ValueError("cannot mix events from different environments")
+            if self._value is not PENDING:
+                continue  # satisfied by an earlier sub-event; don't subscribe
+            if event._processed:
+                check(event)
             else:
-                event.add_callback(self._check)
+                event.callbacks.append(check)
 
     def _collect(self) -> dict:
         # Only events that have actually been *processed* count as having

@@ -14,6 +14,16 @@ depends on:
 The model is event-driven: task membership changes trigger a re-computation of
 each task's completion horizon, so the cost is O(tasks) per change rather than
 per tick.
+
+A burst costs **one** kernel event: the queue's wake-up timer.  The task that
+finishes at a wake-up has its completion event dispatched *inside* the
+timer's own dispatch (:meth:`~repro.sim.events.Event.dispatch_now`) instead
+of riding the immediate queue as a second event, and the timer object itself
+is recycled from one wake-up to the next — the queue is its only holder — so
+a burst on an otherwise idle CPU (all but a handful, in the scale workloads)
+allocates nothing but its completion event and one heap entry.  Arming,
+keeping, cancelling and firing happen at exactly the instants and in exactly
+the heap order they always did, shared CPU or not.
 """
 
 from __future__ import annotations
@@ -21,7 +31,9 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.sim.events import Event, Timeout
+from heapq import heappush
+
+from repro.sim.events import NORMAL, Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.environment import Environment
@@ -79,6 +91,8 @@ class ProcessorSharingQueue:
         "_last_update",
         "_timer",
         "_timer_deadline",
+        "_spare_timer",
+        "_timer_callbacks",
         "_drain_order",
         "_busy_integral",
         "_accounting_start",
@@ -100,6 +114,14 @@ class ProcessorSharingQueue:
         #: it obsolete, so churn does not flood the event heap.
         self._timer: Optional[Timeout] = None
         self._timer_deadline = 0.0
+        #: The wake-up that fired last, free to be armed again: the timer
+        #: never leaves this queue, so once processed it can be rescheduled
+        #: in place of a fresh allocation.  (A *cancelled* timer cannot — its
+        #: dead heap entry may still be pending.)
+        self._spare_timer: Optional[Timeout] = None
+        #: Callback list shared by every arming of the timer (the dispatch
+        #: loop reads it and never mutates it).
+        self._timer_callbacks = [self._on_timer]
         #: Tasks ordered by remaining work; valid between membership changes
         #: (equal PS rates preserve the order as work drains uniformly).
         self._drain_order: Optional[List[PSTask]] = None
@@ -164,13 +186,21 @@ class ProcessorSharingQueue:
 
     # -- engine -----------------------------------------------------------
 
-    def _advance(self) -> None:
-        """Progress all tasks from the last update instant to ``now``."""
+    def _advance(self, hold_first: bool = False) -> Optional[Event]:
+        """Progress all tasks from the last update instant to ``now``.
+
+        Completions known to occur *now* skip the heap: they are queued on
+        the environment's immediate queue, in remaining-work order.  With
+        ``hold_first`` (the wake-up timer's own dispatch) the first of them
+        is returned instead, for the caller to dispatch in place; only the
+        rare simultaneous finishers behind it are queued.
+        """
         now = self.env._now
         dt = now - self._last_update
+        first = None
         if dt <= 0:
             self._last_update = now
-            return
+            return first
         tasks = self._tasks
         n = len(tasks)
         if n:
@@ -196,17 +226,17 @@ class ProcessorSharingQueue:
                 for task in finished:
                     del tasks[task.tid]
                     task.remaining = 0.0
-                    # succeed() inlined onto the immediate queue: the
-                    # completion is known to occur *now*, so it skips the
-                    # heap round-trip (the hottest completion in the system
-                    # — one per CPU burst).
                     done = task.done
                     done._ok = True
                     done._value = None
-                    immediate.append(done)
+                    if hold_first and first is None:
+                        first = done
+                    else:
+                        immediate.append(done)
                 self._drain_order = None
             self._busy_integral += dt if n >= cpus else dt * n / cpus
         self._last_update = now
+        return first
 
     def _reschedule(self) -> None:
         """Arm a wake-up for the next task completion.
@@ -243,16 +273,35 @@ class ProcessorSharingQueue:
             if self._timer_deadline <= deadline:
                 return  # armed timer fires no later than needed: keep it
             self._timer.cancel()
-        timer = Timeout(self.env, horizon)
+        timer = self._spare_timer
+        if timer is None:
+            timer = Timeout(self.env, horizon)
+        else:
+            # Re-arm the spent timer: Timeout.__init__'s schedule, on an
+            # object that already exists.  Mirror changes there.
+            self._spare_timer = None
+            timer._processed = False
+            timer.delay = horizon
+            env = self.env
+            env._eid += 1
+            heappush(env._queue, (deadline, NORMAL, env._eid, timer))
+            pending = env._pending + 1
+            env._pending = pending
+            if pending > env._heap_high_water:
+                env._heap_high_water = pending
+        timer.callbacks = self._timer_callbacks
         self._timer = timer
         self._timer_deadline = deadline
-        # Fresh timer: callbacks is a list; skip add_callback's guard.
-        timer.callbacks.append(self._on_timer)
 
-    def _on_timer(self, _event: Event) -> None:
+    def _on_timer(self, timer: Event) -> None:
         self._timer = None
-        self._advance()
+        self._spare_timer = timer
+        done = self._advance(hold_first=True)
         self._reschedule()
+        if done is not None:
+            # The burst's one kernel event is this wake-up: its waiter
+            # resumes here, after the queue has re-armed for whoever is left.
+            done.dispatch_now()
 
     def drain_estimate(self) -> float:
         """Simulated seconds until all current tasks finish (no arrivals).
