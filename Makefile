@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: test lint check chaos chaos-smoke bench-smoke bench-broker bench-obs bench-lanes bench-federation soak-smoke failover-smoke slo
+.PHONY: test lint check chaos chaos-smoke bench-smoke bench-broker bench-obs bench-lanes bench-federation soak-smoke failover-smoke rbbench-smoke slo
 
 test:  ## tier-1 test suite
 	python -m pytest -q tests
@@ -44,6 +44,9 @@ failover-smoke:  ## warm-standby failover gate vs the pinned BENCH_failover.json
 
 bench-federation:  ## federated control-plane gate vs the pinned BENCH_federation.json
 	python benchmarks/bench_federation.py
+
+rbbench-smoke:  ## self-test of the rbbench harness (outside tier-1 testpaths), about a minute
+	python -m pytest -q benchmarks/rbbench
 
 slo:  ## churn workload under a health monitor; fails on any violated SLO
 	python -m repro slo

@@ -31,34 +31,33 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from heapq import heappush
-
-from repro.sim.events import NORMAL, Event, Timeout
+from repro.sim.events import PENDING, Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.environment import Environment
 
 
-class PSDone(Event):
-    """Completion event of a PS task (carries a backref for cancellation)."""
+class PSTask(Event):
+    """One unit of CPU-bound work on a :class:`ProcessorSharingQueue`.
 
-    __slots__ = ("_pstask",)
+    The task *is* its completion event: ``execute`` returns it, waiters
+    yield it, and ``cancel`` takes it back.
+    """
 
-    def __init__(self, env: "Environment") -> None:
-        super().__init__(env)
-        self._pstask: Optional["PSTask"] = None
+    __slots__ = ("tid", "work", "remaining", "tag")
 
-
-class PSTask:
-    """One unit of CPU-bound work enqueued on a :class:`ProcessorSharingQueue`."""
-
-    __slots__ = ("tid", "work", "remaining", "done", "tag")
-
-    def __init__(self, tid: int, work: float, done: Event, tag: Any) -> None:
+    def __init__(self, env: "Environment", tid: int, work: float, tag: Any) -> None:
+        # Event.__init__ inlined: one task per CPU burst.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._processed = False
+        self._defused = False
+        self._cancelled = False
         self.tid = tid
         self.work = work
         self.remaining = work
-        self.done = done
         self.tag = tag
 
     def __repr__(self) -> str:
@@ -143,29 +142,29 @@ class ProcessorSharingQueue:
             return 0.0
         return self.speed * min(1.0, self.cpus / n)
 
-    def execute(self, work: float, tag: Any = None) -> Event:
+    def execute(self, work: float, tag: Any = None) -> PSTask:
         """Enqueue ``work`` CPU-seconds; the returned event fires when done."""
         if work < 0:
             raise ValueError(f"negative work {work!r}")
-        done = PSDone(self.env)
         if work == 0:
-            done.succeed()
-            return done
+            task = PSTask(self.env, 0, 0.0, tag)
+            task.succeed()
+            return task
         self._advance()
-        task = PSTask(next(self._tids), float(work), done, tag)
+        task = PSTask(self.env, next(self._tids), float(work), tag)
         self._tasks[task.tid] = task
         self._drain_order = None
-        done._pstask = task
         self._reschedule()
-        return done
+        return task
 
-    def cancel(self, done_event: Event) -> bool:
-        """Abort the task behind ``done_event``; returns False if finished."""
-        task: Optional[PSTask] = getattr(done_event, "_pstask", None)
-        if task is None or task.tid not in self._tasks:
+    def cancel(self, task: Event) -> bool:
+        """Abort ``task`` (what :meth:`execute` returned); False if it is
+        not running here any more."""
+        tid = getattr(task, "tid", None)
+        if self._tasks.get(tid) is not task:
             return False
         self._advance()
-        del self._tasks[task.tid]
+        del self._tasks[tid]
         self._drain_order = None
         self._reschedule()
         return True
@@ -226,13 +225,12 @@ class ProcessorSharingQueue:
                 for task in finished:
                     del tasks[task.tid]
                     task.remaining = 0.0
-                    done = task.done
-                    done._ok = True
-                    done._value = None
+                    task._ok = True
+                    task._value = None
                     if hold_first and first is None:
-                        first = done
+                        first = task
                     else:
-                        immediate.append(done)
+                        immediate.append(task)
                 self._drain_order = None
             self._busy_integral += dt if n >= cpus else dt * n / cpus
         self._last_update = now
@@ -277,18 +275,11 @@ class ProcessorSharingQueue:
         if timer is None:
             timer = Timeout(self.env, horizon)
         else:
-            # Re-arm the spent timer: Timeout.__init__'s schedule, on an
-            # object that already exists.  Mirror changes there.
+            # Re-arm the spent timer in place of allocating a fresh one.
             self._spare_timer = None
             timer._processed = False
             timer.delay = horizon
-            env = self.env
-            env._eid += 1
-            heappush(env._queue, (deadline, NORMAL, env._eid, timer))
-            pending = env._pending + 1
-            env._pending = pending
-            if pending > env._heap_high_water:
-                env._heap_high_water = pending
+            self.env.schedule(timer, horizon)
         timer.callbacks = self._timer_callbacks
         self._timer = timer
         self._timer_deadline = deadline

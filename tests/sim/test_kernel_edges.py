@@ -173,6 +173,62 @@ def test_mixing_environments_rejected():
         env1.all_of([env1.event(), env2.event()])
 
 
+def test_rejected_condition_leaves_nothing_behind():
+    """The single construction pass subscribes as it validates; a foreign
+    sub-event found late must not leave earlier ones holding the rejected
+    condition's callback, nor a live heap entry if it already triggered."""
+    env1, env2 = Environment(), Environment()
+    pending, timer = env1.event(), env1.timeout(5.0)
+    with pytest.raises(ValueError):
+        env1.all_of([pending, timer, env2.event()])
+    assert pending.callbacks == [] and timer.callbacks == []
+    done = env1.event()
+    done.succeed("v")
+    env1.run(until=1.0)
+    with pytest.raises(ValueError):
+        env1.any_of([done, env2.event()])  # triggered by `done`, then rejected
+    env1.run()
+    assert env1.heap_stats()["skipped_cancelled"] == 1
+
+
+def test_dispatch_now_runs_an_event_inside_the_current_dispatch():
+    env = Environment()
+    order = []
+    fused = env.event()
+    fused.add_callback(lambda ev: order.append(("fused", ev.value, env.now)))
+
+    def fire(_timer):
+        fused._ok, fused._value = True, "payload"
+        fused.dispatch_now()
+        order.append("timer done")
+
+    env.timeout(2.0).add_callback(fire)
+    env.timeout(2.0).add_callback(lambda _ev: order.append("next event"))
+    env.run()
+    assert order == [("fused", "payload", 2.0), "timer done", "next event"]
+    assert fused.processed and fused.ok
+    # The fused event never was a kernel event of its own.
+    assert env.heap_stats()["processed"] == 2
+    with pytest.raises(RuntimeError):
+        fused.add_callback(lambda ev: None)
+
+
+def test_dispatch_now_skips_a_cancelled_event():
+    env = Environment()
+    fused = env.event()
+    fused.add_callback(lambda ev: pytest.fail("cancelled events never run"))
+    fused.cancel()
+
+    def fire(_timer):
+        fused._ok, fused._value = True, None
+        fused.dispatch_now()
+
+    env.timeout(1.0).add_callback(fire)
+    env.run()
+    assert not fused.processed
+    assert env.heap_stats()["skipped_cancelled"] == 1
+
+
 def test_callback_after_processed_rejected():
     env = Environment()
     ev = env.event()

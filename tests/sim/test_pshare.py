@@ -99,9 +99,9 @@ def test_cancel_removes_task(env):
 
     def killer():
         yield env.timeout(2.0)
-        # Find the victim's completion event via the queue's internals.
+        # Find the victim's task via the queue's internals.
         victim_task = [t for t in cpu._tasks.values() if t.tag == "victim"][0]
-        assert cpu.cancel(victim_task.done)
+        assert cpu.cancel(victim_task)
 
     env.process(killer())
     env.run(until=100.0)
