@@ -102,12 +102,8 @@ def schedule_digest(cluster, service=None) -> str:
     sha = hashlib.sha256()
 
     def feed(record: Any) -> None:
-        sha.update(
-            json.dumps(
-                record, sort_keys=True, separators=(",", ":")
-            ).encode()
-        )
-        sha.update(b"\n")
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        sha.update(line.encode() + b"\n")
 
     for index, shard in enumerate(services):
         for entry in shard.events:

@@ -166,9 +166,9 @@ class Event:
         """Process this triggered event *now*, inside the current dispatch.
 
         Event fusion: a kernel callback that knows an event occurs at this
-        very instant — a timer completing a CPU burst, a message delivery
-        reaching a parked receiver — runs the event's callbacks in place
-        instead of queueing a second kernel event for them.  The caller
+        very instant — the processor-sharing wake-up completing a CPU burst
+        — runs the event's callbacks in place instead of queueing a second
+        kernel event for them.  The caller
         must have set ``_ok``/``_value``.  Only legal from an event's own
         dispatch, never from inside a running process: a waiter resumed
         here would clobber the environment's active process.  The event is
@@ -277,9 +277,9 @@ class _Condition(Event):
         if not self.events:
             self.succeed(self._collect())
             return
-        # One pass, slot access: conditions guard every racing wait in the
-        # system, and a sub-event of another environment must be rejected
-        # before anything is subscribed.
+        # One pass, slot access (conditions guard every racing wait in the
+        # system).  Subscribing as it validates means a foreign sub-event
+        # found late must undo what the pass already did.
         check = self._check
         for event in self.events:
             if event.env is not env:

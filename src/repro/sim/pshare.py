@@ -196,10 +196,10 @@ class ProcessorSharingQueue:
         """
         now = self.env._now
         dt = now - self._last_update
-        first = None
         if dt <= 0:
             self._last_update = now
-            return first
+            return None
+        first = None
         tasks = self._tasks
         n = len(tasks)
         if n:

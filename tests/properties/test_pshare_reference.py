@@ -104,7 +104,7 @@ def simulate(cpus, speed, arrivals, cancels, kills):
     env.run(until=HORIZON)
     assert not resumed_after_kill
     assert cpu.load == 0
-    return env, cpu, completions
+    return cpu, completions
 
 
 def scenario(seed):
@@ -130,7 +130,7 @@ def scenario(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_queue_matches_fluid_reference(seed):
     cpus, speed, arrivals, cancels, kills = scenario(seed)
-    env, cpu, got = simulate(cpus, speed, arrivals, cancels, kills)
+    cpu, got = simulate(cpus, speed, arrivals, cancels, kills)
     want, busy = reference(cpus, speed, arrivals, cancels)
     assert [key for key, _ in got] == [key for key, _ in want]
     for (key, t_got), (_, t_want) in zip(got, want):
