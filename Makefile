@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: test lint check chaos chaos-smoke bench-smoke bench-broker bench-obs bench-lanes bench-federation soak-smoke failover-smoke rbbench-smoke slo
+.PHONY: test lint check chaos chaos-smoke bench-smoke bench-broker bench-obs bench-lanes bench-federation soak-smoke failover-smoke rbbench-smoke bench-pairs slo
 
 test:  ## tier-1 test suite
 	python -m pytest -q tests
@@ -47,6 +47,9 @@ bench-federation:  ## federated control-plane gate vs the pinned BENCH_federatio
 
 rbbench-smoke:  ## self-test of the rbbench harness (outside tier-1 testpaths), about a minute
 	python -m pytest -q benchmarks/rbbench
+
+bench-pairs:  ## W=<workload> BASE=<rev> [N=10]: paired rbbench runs of BASE and this checkout, claim-rule verdict per metric
+	python benchmarks/pairs.py --workload $(W) --base $(BASE) --pairs $(or $(N),10)
 
 slo:  ## churn workload under a health monitor; fails on any violated SLO
 	python -m repro slo

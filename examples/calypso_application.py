@@ -8,11 +8,36 @@ results — and *zero* resource management in the application.  Mid-run, a
 sequential job preempts one of its machines; the phase still completes with
 every result intact (eager scheduling + just-in-time reacquisition).
 
+Phase 1 hands ``run_phase`` a lazy sequence: the runtime reads ``blocks[i]``
+when it assigns step ``i`` and holds only the steps in flight, so the same
+program could declare a million blocks at the cost of twelve.  Phase 2
+hands it a plain list; both are "a sized, indexable sequence of steps".
+
 Run:  python examples/calypso_application.py
 """
 
+from collections.abc import Sequence
+
 from repro.cluster import Cluster, ClusterSpec
 from repro.systems.calypso import CalypsoRuntime, ParallelStep
+
+
+class Blocks(Sequence):
+    """``n`` steps, each squaring-and-summing one ``[lo, hi)`` range of
+    ``width`` numbers; a step exists only while somebody asks for it."""
+
+    def __init__(self, n, width, work):
+        self.n, self.width, self.work = n, width, work
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        return ParallelStep(
+            work=self.work, payload=(i * self.width, (i + 1) * self.width)
+        )
 
 
 def install_square_worker(cluster):
@@ -55,11 +80,9 @@ def main() -> None:
             proc, target_workers=4, worker_program="squareworker"
         )
         runtime.start()
-        # Phase 1: 12 blocks of [lo, hi) ranges, ~2 CPU-seconds each.
-        blocks = [(i * 1000, (i + 1) * 1000) for i in range(12)]
-        partials = yield from runtime.run_phase(
-            [ParallelStep(work=2.0, payload=b) for b in blocks]
-        )
+        # Phase 1: 12 blocks of [lo, hi) ranges, ~2 CPU-seconds each,
+        # made one at a time as workers ask for them.
+        partials = yield from runtime.run_phase(Blocks(12, 1000, work=2.0))
         outcome["partials"] = partials
         # Sequential section: combine.
         total = sum(partials)

@@ -13,7 +13,9 @@ The registry runs in one of three modes (``RB_METRICS_MODE`` or the ``mode``
 argument), trading recall for memory:
 
 * ``exact`` (default) — every sample and observation is kept forever, which
-  preserves byte-identical determinism gates and full post-hoc replay;
+  preserves byte-identical determinism gates and full post-hoc replay; a
+  series is two float columns (:class:`~repro.obs.timeseries.SampleColumns`)
+  that read like a list of ``(time, value)`` tuples;
 * ``bounded`` — sample series are interval-aggregated into ring buffers
   (:class:`~repro.obs.timeseries.SeriesBuffer`) and histograms fold into
   fixed-bin digests (:class:`~repro.obs.timeseries.HistogramDigest`), so
@@ -29,9 +31,9 @@ retained series.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .timeseries import HistogramDigest, SeriesBuffer
+from .timeseries import HistogramDigest, SampleColumns, SeriesBuffer
 
 #: One time-stamped sample: ``(simulated time, value)``.
 Sample = Tuple[float, float]
@@ -41,24 +43,6 @@ METRICS_MODE_ENVIRON_KEY = "RB_METRICS_MODE"
 
 #: The recognised registry modes.
 METRICS_MODES = ("exact", "bounded", "off")
-
-
-class _ExactSeries:
-    """Unbounded sample list — the original, replay-everything behaviour."""
-
-    __slots__ = ("points",)
-
-    def __init__(self) -> None:
-        self.points: List[Sample] = []
-
-    def add(self, t: float, value: float) -> None:
-        self.points.append((t, value))
-
-    def samples(self) -> List[Sample]:
-        return self.points
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 class _BoundedSeries:
@@ -111,11 +95,11 @@ class Counter:
         self.help = help
         self.value = 0.0
         self._registry = registry
-        self._series = registry._make_series() if registry else _ExactSeries()
+        self._series = registry._make_series() if registry else SampleColumns()
         self._record = self._series.add
 
     @property
-    def samples(self) -> List[Sample]:
+    def samples(self) -> Sequence[Sample]:
         """The retained ``(time, value)`` series (mode-dependent recall)."""
         return self._series.samples()
 
@@ -149,11 +133,11 @@ class Gauge:
         self.help = help
         self.value = 0.0
         self._registry = registry
-        self._series = registry._make_series() if registry else _ExactSeries()
+        self._series = registry._make_series() if registry else SampleColumns()
         self._record = self._series.add
 
     @property
-    def samples(self) -> List[Sample]:
+    def samples(self) -> Sequence[Sample]:
         """The retained ``(time, value)`` series (mode-dependent recall)."""
         return self._series.samples()
 
@@ -200,7 +184,9 @@ class Histogram:
         self.help = help
         self._registry = registry
         self._mode = registry.mode if registry else "exact"
-        self.observations: List[Sample] = []
+        #: ``(time, value)`` of every observation (``exact`` mode; stays
+        #: empty in the others).
+        self.observations = SampleColumns()
         self.digest: Optional[HistogramDigest] = (
             HistogramDigest() if self._mode == "bounded" else None
         )
@@ -213,7 +199,7 @@ class Histogram:
         self._count += 1
         self._sum += value
         if self._mode == "exact":
-            self.observations.append((self.env.now, value))
+            self.observations.add(self.env.now, value)
         elif self.digest is not None:
             self.digest.observe(value)
         if self._registry is not None:
@@ -241,7 +227,7 @@ class Histogram:
         if self._mode == "exact":
             if not self.observations:
                 return 0.0
-            ordered = sorted(v for _, v in self.observations)
+            ordered = sorted(self.observations.values)
             rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
             return ordered[rank]
         if self.digest is not None:
@@ -285,7 +271,7 @@ class MetricsRegistry:
 
     def _make_series(self):
         if self.mode == "exact":
-            return _ExactSeries()
+            return SampleColumns()
         if self.mode == "bounded":
             return _BoundedSeries(self.series_resolution, self.series_capacity)
         return _NullSeries()

@@ -13,6 +13,9 @@ provides the bounded building blocks:
 * :class:`SeriesBuffer` — an interval-aggregated sample series with a
   ring-buffer cap: one retained point per ``resolution`` seconds, newest
   ``capacity`` intervals kept.
+* :class:`SampleColumns` — the keep-everything series of ``exact`` mode,
+  held as two ``array('d')`` columns: 16 bytes and no collector-tracked
+  object per sample.
 * :func:`windowed_rate` — a trailing-window rate view over a cumulative
   counter's sample series.
 * :class:`SpanPhaseFolder` — folds finished spans' durations into
@@ -27,8 +30,19 @@ views never perturbs simulation determinism.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 #: Bound method caches for the per-sample hot paths (Histogram.observe and
 #: SeriesBuffer.add run once per metric update; attribute lookups add up).
@@ -232,8 +246,63 @@ class SeriesBuffer:
         )
 
 
+class SampleColumns:
+    """An unbounded ``(time, value)`` series held as two float columns.
+
+    Reads like the list of ``(t, v)`` tuples it replaces — length, index,
+    slice, iteration, ``reversed`` and ``==`` against any sequence of pairs
+    — but a sample is two doubles in ``times`` and ``values``: no tuple, no
+    boxed float, nothing for the host's cyclic collector to walk.  Readers
+    that only need one column (:func:`windowed_rate`, percentiles) take it
+    directly.
+    """
+
+    __slots__ = ("times", "values")
+
+    def __init__(self) -> None:
+        self.times = array("d")
+        self.values = array("d")
+
+    def add(self, t: float, value: float) -> None:
+        """Record ``value`` at simulated time ``t``."""
+        self.times.append(t)
+        self.values.append(value)
+
+    def samples(self) -> "SampleColumns":
+        """The series itself (the instruments' common series interface)."""
+        return self
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(self.times[index], self.values[index]))
+        return (self.times[index], self.values[index])
+
+    def __iter__(self) -> Iterator[Sample]:
+        return zip(self.times, self.values)
+
+    def __reversed__(self) -> Iterator[Sample]:
+        return zip(reversed(self.times), reversed(self.values))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SampleColumns):
+            return self.times == other.times and self.values == other.values
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 def windowed_rate(
-    samples: Sequence[Sample], now: float, window: float = 60.0
+    samples: Union[Sequence[Sample], SampleColumns],
+    now: float,
+    window: float = 60.0,
 ) -> float:
     """Average increase per second of a cumulative series over the window.
 
@@ -247,12 +316,20 @@ def windowed_rate(
     if not samples:
         return 0.0
     cutoff = now - window
-    latest = samples[-1][1]
     baseline = 0.0
-    for t, value in reversed(samples):
-        if t <= cutoff:
-            baseline = value
-            break
+    if isinstance(samples, SampleColumns):
+        times, values = samples.times, samples.values
+        latest = values[-1]
+        for i in range(len(times) - 1, -1, -1):
+            if times[i] <= cutoff:
+                baseline = values[i]
+                break
+    else:
+        latest = samples[-1][1]
+        for t, value in reversed(samples):
+            if t <= cutoff:
+                baseline = value
+                break
     return max(0.0, (latest - baseline) / window)
 
 

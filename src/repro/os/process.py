@@ -201,8 +201,11 @@ class OSProcess:
     def _finalize(self, code: int) -> None:
         self.exit_code = code
         self.machine.unregister_process(self)
+        # A crashing thread finalizes the process from inside its own
+        # generator: it cannot be aborted and ends by itself right after.
+        running = self.env.active_process
         for thread in list(self._threads):
-            if thread.is_alive:
+            if thread.is_alive and thread is not running:
                 thread.abort()
         for compute in list(self._computes):
             self.machine.cpu.cancel(compute)

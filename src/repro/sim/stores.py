@@ -77,7 +77,9 @@ class Store:
         self.env = env
         self.capacity = capacity
         self.items: Deque[Any] = deque()
-        self._putters: Deque[StorePut] = deque()
+        #: Puts waiting for room; made by the first put that has to wait
+        #: (most stores are unbounded and never have one).
+        self._putters: Optional[Deque[StorePut]] = None
         self._getters: Deque[StoreGet] = deque()
 
     def __len__(self) -> int:
@@ -88,7 +90,14 @@ class Store:
     def put(self, item: Any) -> StorePut:
         """Event that succeeds once ``item`` has been stored."""
         event = StorePut(self, item)
-        self._putters.append(event)
+        putters = self._putters
+        if putters is None and len(self.items) < self.capacity:
+            self.items.append(item)
+            event.succeed()
+        else:
+            if putters is None:
+                putters = self._putters = deque()
+            putters.append(event)
         self._dispatch()
         return event
 
@@ -108,8 +117,9 @@ class Store:
 
     def cancel(self, event: Event) -> None:
         """Withdraw a pending put/get (no-op if already satisfied)."""
-        if isinstance(event, StorePut) and event in self._putters:
-            self._putters.remove(event)
+        putters = self._putters
+        if isinstance(event, StorePut) and putters and event in putters:
+            putters.remove(event)
         elif isinstance(event, StoreGet) and event in self._getters:
             self._getters.remove(event)
 
@@ -132,16 +142,11 @@ class Store:
 
     def _match_getters(self) -> bool:
         matched = False
-        remaining: Deque[StoreGet] = deque()
-        while self._getters:
-            get = self._getters.popleft()
-            if self.items:
-                item = self.items.popleft()
-                get.succeed(item)
-                matched = True
-            else:
-                remaining.append(get)
-        self._getters = remaining
+        getters = self._getters
+        items = self.items
+        while getters and items:
+            getters.popleft().succeed(items.popleft())
+            matched = True
         return matched
 
 
@@ -167,19 +172,21 @@ class FilterStore(Store):
 
     def _match_getters(self) -> bool:
         matched = False
-        remaining: Deque[StoreGet] = deque()
-        while self._getters:
-            get = self._getters.popleft()
+        getters = self._getters
+        items = self.items
+        # One pass over the getters in arrival order; one left unserved goes
+        # back on the right, so after a full pass the order is as it was.
+        for _ in range(len(getters)):
+            get = getters.popleft()
             assert isinstance(get, FilterStoreGet)
-            for idx, item in enumerate(self.items):
+            for idx, item in enumerate(items):
                 if get.predicate(item):
-                    del self.items[idx]
+                    del items[idx]
                     get.succeed(item)
                     matched = True
                     break
             else:
-                remaining.append(get)
-        self._getters = remaining
+                getters.append(get)
         return matched
 
 

@@ -17,18 +17,22 @@ Programs:
 
 * ``calypso <steps> <cpu_per_step> <workers>`` — a master running one
   parallel phase of ``steps`` tasks, each ``cpu_per_step`` CPU-seconds,
-  keeping up to ``workers`` machines acquired just-in-time.
+  keeping up to ``workers`` machines acquired just-in-time.  The phase is
+  declared as ``UniformSteps(steps, cpu_per_step)``: a step is made when a
+  worker is assigned it, so a million declared steps cost what a ``range``
+  costs (``CalypsoRuntime.run_phase`` takes any sized, indexable sequence).
 * ``calypso_worker <master_host> <port>`` — joins a master, computes
   assigned steps, shuts down gracefully on SIGTERM.
 """
 
-from repro.systems.calypso.api import CalypsoRuntime, ParallelStep
+from repro.systems.calypso.api import CalypsoRuntime, ParallelStep, UniformSteps
 from repro.systems.calypso.master import calypso_master_main
 from repro.systems.calypso.worker import calypso_worker_main
 
 __all__ = [
     "CalypsoRuntime",
     "ParallelStep",
+    "UniformSteps",
     "calypso_master_main",
     "calypso_worker_main",
     "install_calypso",

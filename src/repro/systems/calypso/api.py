@@ -13,8 +13,14 @@ programs the same shape::
             [ParallelStep(work=2.0, payload=i) for i in range(20)]
         )
         # ... sequential code ...
-        results2 = yield from runtime.run_phase([...])
+        # parallel phase 2: a million uniform steps, none of them built
+        # before a worker asks for it
+        results2 = yield from runtime.run_phase(UniformSteps(10**6, 30.0))
         runtime.shutdown()
+
+A phase takes any sized, indexable sequence of steps and reads ``steps[i]``
+when step ``i`` is assigned, so what the runtime holds grows with the steps
+in flight, not with the steps declared.
 
 Workers are acquired through ``rsh`` against the hostfile (symbolic
 ``anylinux`` under a broker), join anonymously, stay connected across
@@ -29,8 +35,9 @@ the payload back.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Deque, Dict, Iterable, List, Optional
 
 from repro.os.errors import ConnectionClosed
 from repro.systems.hostfile import read_hostfile
@@ -44,42 +51,100 @@ class ParallelStep:
     payload: Any = None
 
 
-class _Phase:
-    """Scheduling state of one running parallel phase."""
+class UniformSteps(Sequence):
+    """``n`` steps of equal ``work``, made when asked for, never stored.
 
-    def __init__(self, env, steps: List[ParallelStep]) -> None:
+    ``UniformSteps(n, work)[i]`` is ``ParallelStep(work, payload=i)`` — what
+    ``[ParallelStep(work, payload=i) for i in range(n)]`` holds, in the
+    memory of a ``range``.  A long-running adaptive job declares far more
+    steps than it will ever have in flight; this is how it does so for free.
+    """
+
+    __slots__ = ("n", "work")
+
+    def __init__(self, n: int, work: float) -> None:
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        self.n = n
+        self.work = work
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, index: int) -> ParallelStep:
+        if not 0 <= index < self.n:
+            raise IndexError(index)
+        return ParallelStep(self.work, payload=index)
+
+
+class _Phase:
+    """Scheduling state of one running parallel phase.
+
+    What is held grows with the steps handed out, not with the steps
+    declared: a frontier counter for the steps never yet assigned, a queue
+    of steps to hand out again, the assignment counts of the steps in
+    flight (assigned at least once, no result yet) and the results so far.
+
+    Dispatch order (eager scheduling, part of the simulated behaviour):
+    fresh indices ``0..n-1`` first, then backed-out steps in back-out
+    order, then — once everything is assigned — the steps still in flight
+    by ``(assignments, index)``, as often as needed.
+    """
+
+    def __init__(self, env, steps: Sequence) -> None:
         self.steps = steps
-        self.results: List[Any] = [None] * len(steps)
-        self.done = [False] * len(steps)
-        self.assignments = [0] * len(steps)
-        self.completed = 0
+        self.n = len(steps)
+        self.results: Dict[int, Any] = {}
         self.finished = env.event()
-        self._dispatch = deque(range(len(steps)))
-        if not steps:
+        self._fresh = 0
+        self._requeue: Deque[int] = deque()
+        self._in_flight: Dict[int, int] = {}
+        if not self.n:
             self.finished.succeed()
 
     def next_index(self) -> Optional[int]:
-        """Eager scheduling: fewest-assigned incomplete step (duplicates
-        allowed once everything is assigned)."""
+        """The step to assign next (counted as assigned), or None when
+        every step has a result.  Duplicates are handed out once everything
+        is assigned: the first result wins."""
+        in_flight = self._in_flight
+        while self._fresh < self.n:
+            index = self._fresh
+            self._fresh += 1
+            if index not in self.results:
+                in_flight[index] = 1
+                return index
+        requeue = self._requeue
         while True:
-            while self._dispatch:
-                index = self._dispatch.popleft()
-                if not self.done[index]:
+            while requeue:
+                index = requeue.popleft()
+                if index in in_flight:
+                    in_flight[index] += 1
                     return index
-            incomplete = [i for i in range(len(self.steps)) if not self.done[i]]
-            if not incomplete:
+            if not in_flight:
                 return None
-            incomplete.sort(key=lambda i: self.assignments[i])
-            self._dispatch = deque(incomplete)
+            requeue.extend(sorted(in_flight, key=lambda i: (in_flight[i], i)))
+
+    def back_out(self, index: int) -> None:
+        """The worker holding ``index`` was lost: hand the step out again."""
+        assignments = self._in_flight.get(index)
+        if assignments is not None:  # else a duplicate already delivered it
+            self._in_flight[index] = max(0, assignments - 1)
+            self._requeue.append(index)
 
     def complete(self, index: int, value: Any) -> None:
-        if self.done[index]:
+        if index in self.results:
             return  # duplicate from eager scheduling: first result won
-        self.done[index] = True
+        if not 0 <= index < self.n:
+            raise IndexError(f"no step {index} in a phase of {self.n}")
         self.results[index] = value
-        self.completed += 1
-        if self.completed >= len(self.steps) and not self.finished.triggered:
+        self._in_flight.pop(index, None)
+        if len(self.results) >= self.n and not self.finished.triggered:
             self.finished.succeed()
+
+    def ordered_results(self) -> List[Any]:
+        """Results by step index (of a finished phase)."""
+        results = self.results
+        return [results[index] for index in range(self.n)]
 
 
 class CalypsoRuntime:
@@ -119,14 +184,21 @@ class CalypsoRuntime:
             )
         proc.thread(self._accept_loop(), name="calypso-accept")
 
-    def run_phase(self, steps: List[ParallelStep]):
+    def run_phase(self, steps: Iterable[ParallelStep]):
         """Generator: run one parallel phase to completion, return results
-        (ordered by step index)."""
+        (ordered by step index).
+
+        ``steps`` is any sized, indexable sequence — a list, or a lazy one
+        such as :class:`UniformSteps` — read one ``steps[i]`` per assignment
+        and neither copied nor changed; it must stay as it is until the
+        phase ends.  A one-shot iterable is read into a list first."""
         if self.stopped:
             raise RuntimeError("runtime already shut down")
         if self.current is not None and not self.current.finished.triggered:
             raise RuntimeError("a phase is already running")
-        phase = _Phase(self.env, list(steps))
+        if not hasattr(steps, "__len__"):
+            steps = list(steps)
+        phase = _Phase(self.env, steps)
         self.current = phase
         # Wake the sessions idling between phases.
         opened, self._phase_opened = self._phase_opened, self.env.event()
@@ -134,7 +206,7 @@ class CalypsoRuntime:
             opened.succeed()
         yield phase.finished
         self.current = None
-        return list(phase.results)
+        return phase.ordered_results()
 
     def shutdown(self) -> None:
         """Dismiss the pool (workers see EOF and exit)."""
@@ -207,7 +279,6 @@ class CalypsoRuntime:
                 if index is None:
                     yield self._phase_opened
                     continue
-                phase.assignments[index] += 1
                 assigned = index
                 step = phase.steps[index]
                 conn.send(
@@ -229,10 +300,7 @@ class CalypsoRuntime:
             # Worker lost mid-step: back out the assignment; eager
             # scheduling re-runs the step on another worker.
             if assigned is not None and phase is not None:
-                phase.assignments[assigned] = max(
-                    0, phase.assignments[assigned] - 1
-                )
-                phase._dispatch.append(assigned)
+                phase.back_out(assigned)
             span.end(steps=steps_done, outcome="lost")
         if not span.finished:
             span.end(steps=steps_done, outcome="dismissed")

@@ -9,7 +9,7 @@ applications use directly (see ``examples/calypso_application.py``).
 
 from __future__ import annotations
 
-from repro.systems.calypso.api import CalypsoRuntime, ParallelStep
+from repro.systems.calypso.api import CalypsoRuntime, UniformSteps
 
 
 def calypso_master_main(proc):
@@ -24,8 +24,6 @@ def calypso_master_main(proc):
 
     runtime = CalypsoRuntime(proc, target_workers=target_workers)
     runtime.start()
-    yield from runtime.run_phase(
-        [ParallelStep(work=cpu_per_step, payload=i) for i in range(n_steps)]
-    )
+    yield from runtime.run_phase(UniformSteps(n_steps, cpu_per_step))
     runtime.shutdown()
     return 0

@@ -1,5 +1,8 @@
 """Unit tests for the bounded telemetry primitives and registry modes."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.obs import (
@@ -12,6 +15,7 @@ from repro.obs import (
     windowed_rate,
 )
 from repro.obs.metrics import METRICS_MODE_ENVIRON_KEY
+from repro.obs.timeseries import SampleColumns
 from repro.sim import Environment
 
 
@@ -236,3 +240,144 @@ def test_exact_mode_snapshot_unchanged_by_mode_machinery():
     assert counter.samples == [(0.0, 1), (1.0, 3)]
     assert registry.self_stats()["mode"] == "exact"
     assert registry.series_points() == 2
+
+
+# -- columnar exact-mode samples ---------------------------------------------
+
+#: Values whose every bit matters: not representable exactly, denormal,
+#: huge, negative zero.
+_AWKWARD = [0.1 + 0.2, 5e-324, 1.7976931348623157e308, -0.0, 1 / 3, 2.0**53 + 2]
+
+
+def _record_awkward_series(registry, env):
+    """Drive one instrument of each kind; returns what a list of tuples
+    would have held for each."""
+    counter = registry.counter("c")
+    gauge = registry.gauge("g")
+    hist = registry.histogram("h")
+    expect = {"c": [], "g": [], "h": []}
+    total = 0.0
+    for step, value in enumerate(_AWKWARD):
+        env.run(until=env.now + 0.1 * (step + 1))
+        gauge.set(value)
+        expect["g"].append((env.now, float(value)))
+        hist.observe(value)
+        expect["h"].append((env.now, float(value)))
+        counter.inc(abs(value) if value < 1e300 else 1.0)
+        total += abs(value) if value < 1e300 else 1.0
+        expect["c"].append((env.now, total))
+    return counter, gauge, hist, expect
+
+
+def _bits(pairs):
+    return [(float(t).hex(), float(v).hex()) for t, v in pairs]
+
+
+def test_columnar_samples_round_trip_every_bit():
+    env = Environment()
+    registry = MetricsRegistry(env)
+    counter, gauge, hist, expect = _record_awkward_series(registry, env)
+    assert _bits(counter.samples) == _bits(expect["c"])
+    assert _bits(gauge.samples) == _bits(expect["g"])
+    assert _bits(hist.observations) == _bits(expect["h"])
+    # Integers handed to inc/set/observe read back equal to themselves.
+    registry.counter("n").inc(3)
+    registry.gauge("m").set(7)
+    registry.histogram("k").observe(2)
+    assert registry.counter("n").samples == [(env.now, 3)]
+    assert registry.gauge("m").samples[-1] == (env.now, 7)
+    assert registry.histogram("k").observations == [(env.now, 2)]
+
+
+def test_columnar_samples_read_like_a_list_of_tuples():
+    env = Environment()
+    registry = MetricsRegistry(env)
+    _, gauge, hist, expect = _record_awkward_series(registry, env)
+    samples, reference = gauge.samples, expect["g"]
+    assert len(samples) == len(reference) == len(_AWKWARD)
+    assert samples[0] == reference[0] and samples[-1] == reference[-1]
+    assert isinstance(samples[-1], tuple)
+    assert list(samples) == reference
+    assert list(reversed(samples)) == reference[::-1]
+    assert samples[1:4] == reference[1:4]
+    assert samples[::-2] == reference[::-2]
+    assert samples == reference and reference == samples
+    assert samples == tuple(reference)
+    assert samples != reference[:-1] and samples != reference[::-1]
+    assert samples == hist.observations  # same instants, same values
+    assert samples != registry.counter("c").samples
+    assert samples != "not a series"
+    assert repr(samples) == repr(reference)
+    with pytest.raises(IndexError):
+        samples[len(reference)]
+    empty = registry.counter("untouched").samples
+    assert not empty and empty == [] and list(empty) == []
+    assert windowed_rate(empty, now=env.now) == 0.0
+
+
+def test_registry_views_of_a_recorded_series_are_what_the_tuples_gave():
+    env = Environment()
+    registry = MetricsRegistry(env)
+    counter = registry.counter("grants")
+    wait = registry.histogram("wait")
+    reference = []
+    waits = []
+    for i in range(200):
+        env.run(until=env.now + 0.7)
+        counter.inc(1 + i % 3)
+        reference.append((env.now, counter.value))
+        wait.observe((i * 37) % 11 + 0.5)
+        waits.append((i * 37) % 11 + 0.5)
+    assert registry.series_points() == 400
+    assert registry.self_stats() == {
+        "mode": "exact",
+        "instruments": 2,
+        "updates": 400,
+        "series_points": 400,
+    }
+    ordered = sorted(waits)
+    assert registry.snapshot() == {
+        "grants": {"kind": "counter", "value": counter.value},
+        "wait": {
+            "kind": "histogram",
+            "count": 200,
+            "total": sum(waits),
+            "mean": sum(waits) / 200,
+            "p50": ordered[round(0.5 * 199)],
+            "p95": ordered[round(0.95 * 199)],
+        },
+    }
+    for window in (1.0, 20.0, 60.0, 139.9, 140.0, 1000.0):
+        assert windowed_rate(
+            counter.samples, now=env.now, window=window
+        ) == windowed_rate(reference, now=env.now, window=window)
+    # A sample at exactly now - window is the baseline on both readings.
+    assert windowed_rate(counter.samples, now=env.now, window=0.7) == (
+        windowed_rate(reference, now=env.now, window=0.7)
+    )
+
+
+def test_a_sample_costs_two_doubles_and_nothing_the_collector_walks():
+    env = Environment()
+    counter = MetricsRegistry(env).counter("ticks")
+    counter.inc()  # the columns exist before measuring
+    n = 20_000
+    gc.collect()
+    gc.disable()  # an allocation-triggered pass would untrack float tuples
+    tracemalloc.start()
+    try:
+        tracked = len(gc.get_objects())
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(n):
+            counter.inc()
+        after, _ = tracemalloc.get_traced_memory()
+        tracked = len(gc.get_objects()) - tracked
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    samples = counter.samples
+    assert len(samples) == n + 1
+    assert isinstance(samples, SampleColumns)
+    # 16 bytes of payload; the rest is the arrays' growth headroom.
+    assert (after - before) / n < 20
+    assert tracked < 10

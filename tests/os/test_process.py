@@ -414,3 +414,42 @@ def test_machine_snapshot_fields(rig):
     assert snap["n_processes"] == 1
     assert snap["platform"] == "i686linux"
     assert snap["console_active"] is False
+
+
+def test_crashing_thread_crashes_the_process_with_its_own_exception(rig):
+    """The thread that raises finalizes the process from inside its own
+    generator; it must not try to abort itself, which used to replace the
+    fault by ``RuntimeError: a process cannot abort itself`` out of
+    ``env.run``."""
+    env, machine, directory = rig
+    log = []
+
+    @directory.register("twothreads")
+    def twothreads(proc):
+        def steady():
+            try:
+                yield proc.sleep(60.0)
+            finally:
+                log.append(("steady torn down", env.now))
+
+        def faulty():
+            yield proc.sleep(1.0)
+            log.append(("faulty raises", env.now))
+            raise KeyError("lost allocation")
+
+        proc.thread(steady(), name="steady")
+        proc.thread(faulty(), name="faulty")
+        yield proc.sleep(60.0)
+        return 0
+
+    proc = start(machine, ["twothreads"])
+    env.run()  # nothing escapes
+    assert proc.status is ProcessStatus.CRASHED
+    assert proc.exit_code == 1
+    assert isinstance(proc.exception, KeyError)
+    assert proc.exception.args == ("lost allocation",)
+    assert machine.network.crashed == [proc]
+    crashed_at = log[0][1]
+    assert log == [("faulty raises", crashed_at), ("steady torn down", crashed_at)]
+    assert proc.terminated.value == 1 and env.now == crashed_at
+    assert proc.pid not in machine.procs

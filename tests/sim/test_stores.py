@@ -128,6 +128,42 @@ def test_multiple_getters_fifo(env):
     assert order == [("first", "a"), ("second", "b")]
 
 
+def test_putter_queue_exists_only_after_a_put_had_to_wait(env):
+    unbounded = Store(env)
+    for item in range(5):
+        assert unbounded.put(item).triggered
+    unbounded.get()
+    unbounded.cancel(unbounded.put("x"))  # cancelling a stored put: no-op
+    assert unbounded._putters is None
+    assert list(unbounded.items) == [1, 2, 3, 4, "x"]
+
+    bounded = Store(env, capacity=1)
+    assert bounded.put("a").triggered
+    assert bounded._putters is None
+    second, third, fourth = bounded.put("b"), bounded.put("c"), bounded.put("d")
+    assert not second.triggered and len(bounded._putters) == 3
+    bounded.cancel(third)
+    got = [bounded.get() for _ in range(3)]
+    env.run()
+    # Blocked puts are admitted in arrival order, the cancelled one never.
+    assert [g.value for g in got] == ["a", "b", "d"]
+    assert second.triggered and fourth.triggered and not third.triggered
+    assert not bounded._putters
+    # Room again and nobody waiting: the next put is stored at once.
+    assert bounded.put("e").triggered and list(bounded.items) == ["e"]
+
+
+def test_matching_getters_keeps_the_getter_queue(env):
+    store = Store(env)
+    getters = store._getters
+    first, second, third = store.get(), store.get(), store.get()
+    store.put_nowait("a")
+    store.put_nowait("b")
+    assert store._getters is getters and list(getters) == [third]
+    env.run()
+    assert (first.value, second.value) == ("a", "b") and not third.triggered
+
+
 # -- FilterStore -----------------------------------------------------------
 
 
@@ -259,3 +295,21 @@ def test_release_pending_request_withdraws_it(env):
 def test_resource_capacity_validation(env):
     with pytest.raises(ValueError):
         Resource(env, capacity=0)
+
+
+def test_filter_store_unserved_getters_keep_their_order(env):
+    store = FilterStore(env)
+    getters = store._getters
+    want_a1 = store.get(lambda it: it == "a")
+    want_b = store.get(lambda it: it == "b")
+    want_a2 = store.get(lambda it: it == "a")
+    want_c = store.get(lambda it: it == "c")
+    store.put_nowait("b")
+    assert store._getters is getters
+    assert list(getters) == [want_a1, want_a2, want_c]
+    store.put_nowait("a")
+    store.put_nowait("a")
+    assert list(getters) == [want_c]
+    env.run()
+    assert (want_a1.value, want_a2.value, want_b.value) == ("a", "a", "b")
+    assert not want_c.triggered and not store.items

@@ -1,10 +1,21 @@
 """Tests for the CalypsoRuntime library API (multi-phase adaptive programs)."""
 
+import gc
+import random
+import tracemalloc
+from collections import deque
+from typing import Any, List, Optional
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterSpec
+from repro.experiments import run_utilization
 from repro.os.signals import SIGKILL
-from repro.systems.calypso import CalypsoRuntime, ParallelStep
+from repro.sim import Environment
+from repro.systems.calypso import CalypsoRuntime, ParallelStep, UniformSteps
+from repro.systems.calypso.api import _Phase
 
 
 @pytest.fixture
@@ -206,3 +217,198 @@ def test_invalid_worker_count():
     proc = cluster.run_command("n00", ["testapp"])
     cluster.env.run(until=proc.terminated)
     assert proc.exit_code == 0
+
+
+# -- the sparse phase against the dense one it replaced ----------------------
+
+
+class _DensePhase:
+    """The phase as it was before it became sparse, kept as the oracle: one
+    slot per declared step in four lists and a deque.  ``assign`` and
+    ``back_out`` are what ``CalypsoRuntime._session`` did to it inline."""
+
+    def __init__(self, env, steps: List[ParallelStep]) -> None:
+        self.steps = steps
+        self.results: List[Any] = [None] * len(steps)
+        self.done = [False] * len(steps)
+        self.assignments = [0] * len(steps)
+        self.completed = 0
+        self.finished = env.event()
+        self._dispatch = deque(range(len(steps)))
+        if not steps:
+            self.finished.succeed()
+
+    def next_index(self) -> Optional[int]:
+        while True:
+            while self._dispatch:
+                index = self._dispatch.popleft()
+                if not self.done[index]:
+                    return index
+            incomplete = [i for i in range(len(self.steps)) if not self.done[i]]
+            if not incomplete:
+                return None
+            incomplete.sort(key=lambda i: self.assignments[i])
+            self._dispatch = deque(incomplete)
+
+    def complete(self, index: int, value: Any) -> None:
+        if self.done[index]:
+            return
+        self.done[index] = True
+        self.results[index] = value
+        self.completed += 1
+        if self.completed >= len(self.steps) and not self.finished.triggered:
+            self.finished.succeed()
+
+    def assign(self) -> Optional[int]:
+        index = self.next_index()
+        if index is not None:
+            self.assignments[index] += 1
+        return index
+
+    def back_out(self, index: int) -> None:
+        self.assignments[index] = max(0, self.assignments[index] - 1)
+        self._dispatch.append(index)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([0, 1, 7, 60]),
+    workers=st.integers(1, 70),
+)
+def test_sparse_phase_dispatches_like_the_dense_one(seed, n, workers):
+    """Same index stream, same finishing operation, same ordered results,
+    under losses, silent departures, duplicates and late results, through
+    the eager tail (more workers than steps left)."""
+    rng = random.Random(seed)
+    env = Environment()
+    steps = [ParallelStep(1.0, payload=i) for i in range(n)]
+    dense, sparse = _DensePhase(env, steps), _Phase(env, steps)
+    holding: List[Optional[int]] = [None] * workers
+    delivered: List[int] = []
+
+    def both_complete(index, value):
+        dense.complete(index, value)
+        sparse.complete(index, value)
+        assert dense.finished.triggered == sparse.finished.triggered
+
+    for op in range(40 * (n + 1)):
+        worker = rng.randrange(workers)
+        index = holding[worker]
+        roll = rng.random()
+        if index is None:
+            index = dense.assign()
+            assert sparse.next_index() == index
+            holding[worker] = index
+        elif roll < 0.55:
+            both_complete(index, ("first", index, op))
+            delivered.append(index)
+            holding[worker] = None
+        elif roll < 0.80:  # the worker is lost mid-step
+            dense.back_out(index)
+            sparse.back_out(index)
+            holding[worker] = None
+        elif roll < 0.90:  # worker_bye: neither a result nor a back-out
+            holding[worker] = None
+        elif delivered:  # a late result for a step somebody else delivered
+            both_complete(rng.choice(delivered), ("late", op))
+    # Whatever is left is drained by one tireless worker.
+    while not dense.finished.triggered:
+        index = dense.assign()
+        assert index is not None and sparse.next_index() == index
+        both_complete(index, ("drain", index))
+    assert sparse.finished.triggered
+    assert sparse.next_index() is None and dense.next_index() is None
+    assert sparse.ordered_results() == dense.results
+    assert not sparse._in_flight
+
+
+def test_phase_state_does_not_grow_with_declared_steps():
+    env = Environment()
+    steps = UniformSteps(10**7, 1.0)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        phase = _Phase(env, steps)
+        first = [phase.next_index() for _ in range(8)]
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == list(range(8))
+    assert after - before < 64 * 1024
+
+
+def test_utilization_run_keeps_only_the_steps_in_flight():
+    """The 5-hour experiment declares a million steps; what is alive after
+    ten simulated minutes is at most one step per worker session."""
+    machines = 8
+    gc.collect()
+    gc.disable()  # keep the dead cluster: anything it held is counted
+    try:
+        run_utilization(horizon=600.0, machines=machines)
+        alive = sum(
+            isinstance(obj, ParallelStep) for obj in gc.get_objects()
+        )
+    finally:
+        gc.enable()
+    assert alive <= machines
+
+
+def test_uniform_steps_reads_like_the_list_it_stands_for():
+    steps = UniformSteps(5, 2.5)
+    assert len(steps) == 5
+    assert list(steps) == [ParallelStep(2.5, payload=i) for i in range(5)]
+    with pytest.raises(IndexError):
+        steps[5]
+    with pytest.raises(ValueError):
+        UniformSteps(-1, 1.0)
+
+
+class _SquaresOnDemand:
+    """A sized, indexable step source backed by a generator function."""
+
+    def __init__(self, n):
+        self.n = n
+        self.built = 0
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, index):
+        self.built += 1
+        return next(
+            ParallelStep(0.25, payload=i * i) for i in range(index, self.n)
+        )
+
+
+def test_lazy_sequence_generator_and_list_give_equal_results(cluster):
+    outcome = {}
+    lazy = _SquaresOnDemand(9)
+
+    def app(proc):
+        runtime = CalypsoRuntime(proc, target_workers=2)
+        runtime.start()
+        outcome["list"] = yield from runtime.run_phase(
+            [ParallelStep(0.25, payload=i * i) for i in range(9)]
+        )
+        outcome["lazy"] = yield from runtime.run_phase(lazy)
+        outcome["generator"] = yield from runtime.run_phase(
+            ParallelStep(0.25, payload=i * i) for i in range(9)
+        )
+        runtime.shutdown()
+        return 0
+
+    proc = run_app(cluster, app)
+    assert proc.exit_code == 0
+    assert outcome["list"] == [i * i for i in range(9)]
+    assert outcome["lazy"] == outcome["list"] == outcome["generator"]
+    # One read per assignment, nothing up front: the nine steps, and the
+    # duplicate an idle worker is given in the eager tail.
+    assert 9 <= lazy.built <= 9 + 2
+    cluster.assert_no_crashes()
+
+
+def test_result_for_a_step_that_does_not_exist_is_rejected():
+    phase = _Phase(Environment(), UniformSteps(3, 1.0))
+    with pytest.raises(IndexError):
+        phase.complete(3, "x")
