@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: test lint check chaos chaos-smoke bench-smoke bench-broker bench-obs bench-lanes bench-federation soak-smoke failover-smoke rbbench-smoke bench-pairs slo
+.PHONY: test lint check chaos chaos-smoke bench-smoke bench-broker bench-obs bench-lanes bench-federation soak-smoke failover-smoke rbbench-smoke bench-pairs gc-census slo
 
 test:  ## tier-1 test suite
 	python -m pytest -q tests
@@ -50,6 +50,9 @@ rbbench-smoke:  ## self-test of the rbbench harness (outside tier-1 testpaths), 
 
 bench-pairs:  ## W=<workload> BASE=<rev> [N=10]: paired rbbench runs of BASE and this checkout, claim-rule verdict per metric
 	python benchmarks/pairs.py --workload $(W) --base $(BASE) --pairs $(or $(N),10)
+
+gc-census:  ## [M=1024]: collector activity and the generation-0 census of the churn cell at M machines
+	python benchmarks/gc_census.py --machines $(or $(M),1024)
 
 slo:  ## churn workload under a health monitor; fails on any violated SLO
 	python -m repro slo

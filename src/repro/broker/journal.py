@@ -73,6 +73,10 @@ from repro.broker.state import (
 #: Frame header: 8 decimal digits of payload length + 8 hex digits of CRC32.
 _HEADER_CHARS = 16
 
+#: The one encoder behind every journal payload (``json.dumps`` with these
+#: options builds a fresh ``JSONEncoder`` per call).
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 def _frame(payload: str) -> str:
     """One framed journal record."""
@@ -523,6 +527,10 @@ class BrokerJournal:
             if self.fs.exists(self._wal_path(self.generation))
             else 0
         )
+        #: Running value of :meth:`total_bytes` for the ``journal.bytes``
+        #: gauge: every flush adds what it appended; compaction and ``tear``
+        #: — the only other writers — recount from disk.
+        self._disk_bytes = self.total_bytes()
         #: Framed records accepted but not yet on disk (the "page cache").
         self._buffer: List[str] = []
         #: Oldest instant anything has been waiting to reach disk; -1 = clean.
@@ -599,7 +607,7 @@ class BrokerJournal:
     def record(self, op: Dict[str, Any]) -> None:
         """Append one structural op, write-through (flushed immediately
         unless the disk is stalled)."""
-        self._buffer.append(_frame(json.dumps(op, sort_keys=True, separators=(",", ":"))))
+        self._buffer.append(_frame(_encode(op)))
         self.records_written += 1
         if self._oldest_pending < 0.0:
             self._oldest_pending = self.clock()
@@ -634,20 +642,13 @@ class BrokerJournal:
     def _drain_notes(self) -> None:
         if self._machine_dirty:
             for record in self._machine_dirty.values():
-                payload = json.dumps(
-                    _machine_op(record), sort_keys=True, separators=(",", ":")
-                )
-                self._buffer.append(_frame(payload))
+                self._buffer.append(_frame(_encode(_machine_op(record))))
                 self.records_written += 1
                 if self.metrics is not None:
                     self.metrics.counter("journal.records").inc()
             self._machine_dirty = {}
         if self._lease_dirty:
-            payload = json.dumps(
-                {"op": "leases", "leases": dict(self._lease_dirty)},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+            payload = _encode({"op": "leases", "leases": dict(self._lease_dirty)})
             self._buffer.append(_frame(payload))
             self.records_written += 1
             if self.metrics is not None:
@@ -676,6 +677,7 @@ class BrokerJournal:
         self._oldest_pending = -1.0
         self.fs.append(self._wal_path(self.generation), data)
         self._wal_bytes += len(data)
+        self._disk_bytes += len(data)
         self._ship_append(data)
         self.flushes += 1
         if self.metrics is not None:
@@ -685,7 +687,7 @@ class BrokerJournal:
         if self._state is not None and self._wal_bytes >= self.compact_bytes:
             self._compact()
         if self.metrics is not None:
-            self.metrics.gauge("journal.bytes").set(self.total_bytes())
+            self.metrics.gauge("journal.bytes").set(self._disk_bytes)
         return True
 
     def _update_lag(self, now: float) -> None:
@@ -707,7 +709,8 @@ class BrokerJournal:
         )
 
     def total_bytes(self) -> int:
-        """Total journal footprint on disk (all kept WALs + snapshots)."""
+        """Total journal footprint on disk (all kept WALs + snapshots),
+        counted from the files themselves."""
         prefix = self.directory + "/"
         return sum(
             len(self.fs.read(path))
@@ -808,11 +811,7 @@ class BrokerJournal:
         if self._state is None:
             return
         generation = self.generation + 1
-        payload = json.dumps(
-            {"op": "snapshot", "state": snapshot_state(self._state)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        payload = _encode({"op": "snapshot", "state": snapshot_state(self._state)})
         self.fs.write(self._snap_path(generation), _frame(payload))
         # The fresh WAL opens with the current epoch record: the snapshot
         # carries only state, and a recovery must never see a *lower* epoch
@@ -821,14 +820,12 @@ class BrokerJournal:
         opener = ""
         if self._epoch:
             opener = _frame(
-                json.dumps(
+                _encode(
                     {
                         "op": "epoch",
                         "epoch": self._epoch,
                         "first_jobid": self._state._next_jobid,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
+                    }
                 )
             )
         self.fs.write(self._wal_path(generation), opener)
@@ -840,6 +837,7 @@ class BrokerJournal:
             if old <= floor:
                 self.fs.unlink(self._wal_path(old))
                 self.fs.unlink(self._snap_path(old))
+        self._disk_bytes = self.total_bytes()
         self.compactions += 1
         if self.metrics is not None:
             self.metrics.counter("journal.compactions").inc()
@@ -857,6 +855,7 @@ class BrokerJournal:
         if dropped:
             self.fs.write(path, data[: len(data) - dropped])
             self._wal_bytes -= dropped
+            self._disk_bytes = self.total_bytes()
         if self.metrics is not None:
             self.metrics.counter("journal.torn_writes").inc()
         return dropped

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.calibration import DEFAULT, Calibration
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
-from repro.sim.events import Event, Timeout
+from repro.sim.events import NO_CALLBACKS, Event, Timeout
 from repro.sim.stores import Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -99,6 +99,7 @@ class Connection:
         "closed_remote",
         "_pending_recv",
         "_deadline",
+        "_deliver_callbacks",
     )
 
     def __init__(
@@ -122,6 +123,10 @@ class Connection:
         #: (reused by the next one), and the timer its waiter is parked on.
         self._pending_recv: Optional[Event] = None
         self._deadline: Optional[Timeout] = None
+        #: Callback list shared by the delivery timer of every message sent
+        #: *to* this endpoint (the dispatch loop reads it, nothing mutates
+        #: it), like ``ProcessorSharingQueue._timer_callbacks``.
+        self._deliver_callbacks = [self._deliver_cb]
 
     # -- data transfer -----------------------------------------------------
 
@@ -161,7 +166,7 @@ class Connection:
             env.lane_restore(token)
         else:
             timer = Timeout(env, latency, message)
-        timer.callbacks.append(peer._deliver_cb)
+        timer.callbacks = peer._deliver_callbacks
 
     def _deliver_cb(self, ev: Event) -> None:
         self._deliver(ev._value)
@@ -196,34 +201,53 @@ class Connection:
         race, cancels the orphaned timer and resumes the timer's waiters
         inside the receive's own dispatch.  When the timer wins, the same
         receive stays pending for the next call, so silence costs nothing
-        on the receive side.  On a same-instant tie the lower sequence
-        number wins and a message that lost is returned by the next call.
+        on the receive side — and the next call re-arms the spent timer in
+        place (this endpoint is its only holder; a *cancelled* one is never
+        reused, its dead heap entry may still be pending), so a silent
+        period costs one heap entry and no allocation at all.  On a
+        same-instant tie the lower sequence number wins and a message that
+        lost is returned by the next call.
 
         One reader per connection: do not mix with :meth:`recv` on the same
-        endpoint.
+        endpoint, and yield the returned event directly — do not keep it.
         """
         get = self._pending_recv
         if get is None:
             get = self._pending_recv = self.recv()
-            get.callbacks.append(self._recv_won)
+            get.add_callback(self._recv_won)
         if get._processed:
             # Dispatched while nobody was parked (it lost a tie, or the
             # reader was busy elsewhere): hand it over, no deadline needed.
             self._pending_recv = None
             return get
-        timer = self._deadline = Timeout(self.env, delay, EXPIRED)
+        timer = self._deadline
+        if timer is not None and timer._processed and not timer._cancelled:
+            # The last deadline expired and resumed its waiter: re-arm it in
+            # place of allocating a fresh one (same heap push either way).
+            timer._processed = False
+            timer.callbacks = NO_CALLBACKS
+            timer.delay = delay
+            self.env.schedule(timer, delay)
+        else:
+            timer = self._deadline = Timeout(self.env, delay, EXPIRED)
         return timer
 
     def _recv_won(self, get: Event) -> None:
         timer = self._deadline
-        if timer is not None and timer.callbacks:
+        if timer is None:
+            return
+        waiter = timer._waiter
+        if waiter is not None or timer.callbacks:
             # Someone is parked on the deadline: it is orphaned now, and
             # they resume with the receive's outcome instead.
             self._pending_recv = None
             self._deadline = None
             timer.cancel()
-            for waiter in timer.callbacks:
-                waiter(get)
+            if waiter is not None:
+                timer._waiter = None
+                waiter._resume(get)
+            for callback in timer.callbacks:
+                callback(get)
 
     def close(self) -> None:
         """Half-close from this side; the peer sees EOF after latency."""

@@ -196,6 +196,10 @@ class Tracer:
             sample = float(os.environ.get(TRACE_SAMPLE_ENVIRON_KEY, "1.0"))
         self.sample = min(1.0, max(0.0, sample))
         self._sample_seed = int(getattr(getattr(env, "rng", None), "seed", 0) or 0)
+        #: Trace ids sampled out, remembered so their child spans follow —
+        #: only at a fractional rate: at 0 every trace is out and at 1 none
+        #: is, so there is nothing to remember and the set stays empty
+        #: however long the run.
         self._unsampled_traces: set = set()
         self.spans: List[Span] = []
         self.spans_started = 0
@@ -220,10 +224,7 @@ class Tracer:
         self._observers.append(observer)
 
     def _keep_trace(self, trace_id: int) -> bool:
-        if self.sample >= 1.0:
-            return True
-        if self.sample <= 0.0:
-            return False
+        """The head-based keep/drop decision at a fractional rate."""
         digest = hashlib.sha256(
             f"{self._sample_seed}:{trace_id}".encode()
         ).digest()
@@ -241,7 +242,11 @@ class Tracer:
         else:
             trace_id, parent_id = next(self._trace_ids), None
         self.spans_started += 1
-        if parent_id is None:
+        if self.sample >= 1.0:
+            sampled = True
+        elif self.sample <= 0.0:
+            sampled = False
+        elif parent_id is None:
             sampled = self._keep_trace(trace_id)
             if not sampled:
                 self._unsampled_traces.add(trace_id)

@@ -255,13 +255,15 @@ class OSProcess:
         """
         done = self.machine.cpu.execute(cpu_seconds, tag=tag or self.name)
         computes = self._computes
-        if len(computes) > 8:
-            # Amortized pruning instead of a discard callback per burst:
-            # cancelling an already-finished compute at death is a no-op,
-            # so finished entries only cost memory until the next prune.
-            self._computes = computes = {
-                ev for ev in computes if not ev._processed
-            }
+        if computes:
+            # Pruning at the next burst instead of a discard callback per
+            # burst: cancelling an already-finished compute at death is a
+            # no-op, so a finished entry only costs memory until this
+            # process computes again.  In place, so the set itself stays
+            # in the collector's old generation.
+            computes.difference_update(
+                [ev for ev in computes if ev._processed]
+            )
         computes.add(done)
         return done
 

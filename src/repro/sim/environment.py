@@ -306,8 +306,12 @@ class Environment:
     def _dispatch(self, event: Event) -> None:
         """Run one popped event's callbacks (shared by step and run)."""
         self._processed += 1
+        waiter = event._waiter
         callbacks, event.callbacks = event.callbacks, None
         event._processed = True
+        if waiter is not None:
+            event._waiter = None
+            waiter._resume(event)
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:
@@ -418,8 +422,12 @@ class Environment:
                     event = entry[3]
                     self._now = entry[0]
                 self._processed += 1
+                waiter = event._waiter
                 callbacks, event.callbacks = event.callbacks, None
                 event._processed = True
+                if waiter is not None:
+                    event._waiter = None
+                    waiter._resume(event)
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
@@ -453,8 +461,12 @@ class Environment:
                     # ambient lane so per-lane counts sum to the global one.
                     self._lane.processed += 1
                     self._processed += 1
+                    waiter = event._waiter
                     callbacks, event.callbacks = event.callbacks, None
                     event._processed = True
+                    if waiter is not None:
+                        event._waiter = None
+                        waiter._resume(event)
                     for callback in callbacks:
                         callback(event)
                     if not event._ok and not event._defused:
@@ -509,8 +521,12 @@ class Environment:
                     best.processed += 1
                     event = entry[3]
                     self._processed += 1
+                    waiter = event._waiter
                     callbacks, event.callbacks = event.callbacks, None
                     event._processed = True
+                    if waiter is not None:
+                        event._waiter = None
+                        waiter._resume(event)
                     for callback in callbacks:
                         callback(event)
                     if not event._ok and not event._defused:
@@ -573,8 +589,12 @@ class Environment:
                 event = entry[3]
                 self._now = entry[0]
             self._processed += 1
+            waiter = event._waiter
             callbacks, event.callbacks = event.callbacks, None
             event._processed = True
+            if waiter is not None:
+                event._waiter = None
+                waiter._resume(event)
             for callback in callbacks:
                 callback(event)
             if not event._ok and not event._defused:

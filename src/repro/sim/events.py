@@ -21,15 +21,61 @@ O(n)).  This is the mechanism behind every re-armed timer in the system: the
 processor-sharing wake-up, retry backoffs, the broker's liveness sweep.  A
 cancelled event never delivers a value, so only cancel events nobody is (or
 will be) waiting on.
+
+Subscribers: the waiter slot
+----------------------------
+An event has two places for subscribers.  ``_waiter`` holds the one
+:class:`~repro.sim.process.Process` parked on it, when that process was the
+event's *first* subscriber — the overwhelmingly common ``yield event`` — and
+``callbacks`` holds everything else.  ``callbacks`` starts as the shared
+empty tuple :data:`NO_CALLBACKS` and becomes a list only when
+:meth:`Event.add_callback` first needs one, so a parked process costs the
+event it waits on and nothing more: no list, no bound method.  Every
+dispatch site resumes the waiter first and then walks the list.  That *is*
+registration order: the slot is taken only while both are empty, and a
+process arriving later falls back to the list.  Code outside the kernel
+subscribes with ``add_callback`` and never touches either directly.
+
+Re-arming
+---------
+A processed event can be scheduled again in place of allocating a fresh one
+(``_processed = False``, ``callbacks = NO_CALLBACKS``, ``env.schedule``) —
+but only a born-triggered :class:`Timeout` whose sole holder is the code
+re-arming it: the processor-sharing wake-up, the silence deadline of
+``Connection.recv_or_deadline``.  The rules, each learnt the hard way:
+
+* Never re-arm a *cancelled* timer: its dead heap entry may still be
+  pending, and reviving the object would revive that entry with it.
+* Never recycle a pending-type event (``PSTask``, ``StoreGet``, a bare
+  ``Event``).  Resetting one to pending inside its own dispatch trips the
+  run loop's post-callback ``_ok``/``_defused`` check (``_ok`` is ``None``
+  again, so the loop raises the value: ``TypeError: exceptions must derive
+  from BaseException``), and a burst's completion event may still be a key
+  in some ``AnyOf`` result.
+* Do not cache a process's bound resume method on the process to save the
+  allocation: process → method → process is a reference cycle, every dead
+  process then waits for the cyclic collector, and the short-lived
+  processes of the soak workload paid 2.5 % for it.  The waiter slot stores
+  the process itself and needs no method at all.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.environment import Environment
+    from repro.sim.process import Process
 
 #: Sentinel for "this event has not been triggered yet".
 PENDING = object()
@@ -40,6 +86,9 @@ URGENT = 0
 NORMAL = 1
 #: Processed after everything else at the same time (used for monitors).
 LOW = 2
+
+#: What ``Event.callbacks`` is until somebody adds one (shared, immutable).
+NO_CALLBACKS: Tuple[()] = ()
 
 
 class EventAborted(Exception):
@@ -59,12 +108,17 @@ class Event:
     The life cycle is ``pending -> triggered -> processed``.  Callbacks are
     plain callables invoked with the event as their only argument; once the
     event has been processed, adding a callback raises ``RuntimeError``
-    (late registration is almost always a bug in simulation code).
+    (late registration is almost always a bug in simulation code).  A
+    processed event is finished for good, with two exceptions — timers that
+    their only holder schedules again; the module docstring (*Re-arming*)
+    says which, and why nothing else may be: no pending-type event is ever
+    recycled, and no process caches its resume method.
     """
 
     __slots__ = (
         "env",
         "callbacks",
+        "_waiter",
         "_value",
         "_ok",
         "_processed",
@@ -74,7 +128,13 @@ class Event:
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
+        #: NO_CALLBACKS, then a list once add_callback needs one, then None
+        #: once processed.
+        self.callbacks: Optional[Sequence[Callable[["Event"], None]]] = (
+            NO_CALLBACKS
+        )
+        #: The process parked here as first subscriber (module docstring).
+        self._waiter: Optional["Process"] = None
         self._value: Any = PENDING
         self._ok: Optional[bool] = None
         self._processed = False
@@ -180,8 +240,12 @@ class Event:
         if self._cancelled:
             env._skipped += 1
             return
+        waiter = self._waiter
         callbacks, self.callbacks = self.callbacks, None
         self._processed = True
+        if waiter is not None:
+            self._waiter = None
+            waiter._resume(self)
         for callback in callbacks:
             callback(self)
         if not self._ok and not self._defused:
@@ -200,13 +264,17 @@ class Event:
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` when the event is processed."""
-        if self.callbacks is None:
+        callbacks = self.callbacks
+        if callbacks:
+            callbacks.append(callback)
+        elif callbacks is None:
             raise RuntimeError(f"{self!r} has already been processed")
-        self.callbacks.append(callback)
+        else:
+            self.callbacks = [callback]
 
     def remove_callback(self, callback: Callable[["Event"], None]) -> None:
         """Remove a previously-added callback (no-op if absent/processed)."""
-        if self.callbacks is not None:
+        if self.callbacks:
             try:
                 self.callbacks.remove(callback)
             except ValueError:
@@ -242,7 +310,8 @@ class Timeout(Event):
         # and they are born triggered, so the generic pending setup would be
         # overwritten immediately anyway.
         self.env = env
-        self.callbacks = []
+        self.callbacks = NO_CALLBACKS
+        self._waiter = None
         self._value = value
         self._ok = True
         self._processed = False
@@ -292,7 +361,7 @@ class _Condition(Event):
             if event._processed:
                 check(event)
             else:
-                event.callbacks.append(check)
+                event.add_callback(check)
 
     def _collect(self) -> dict:
         # Only events that have actually been *processed* count as having
@@ -324,7 +393,11 @@ class _Condition(Event):
             if ev is cause or ev.processed:
                 continue
             ev.remove_callback(self._check)
-            if not ev.callbacks and isinstance(ev, Timeout):
+            if (
+                ev._waiter is None
+                and not ev.callbacks
+                and isinstance(ev, Timeout)
+            ):
                 ev.cancel()
 
     def _satisfied(self) -> bool:  # pragma: no cover - abstract

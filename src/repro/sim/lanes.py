@@ -107,7 +107,7 @@ class LaneRuntime:
 
     def _schedule_delivery(self, when: float, payload: Any) -> None:
         timer = self.env.timeout(when - self.env.now, payload)
-        timer.callbacks.append(self._deliver)
+        timer.add_callback(self._deliver)
 
     def _deliver(self, event) -> None:
         self.received += 1

@@ -22,8 +22,8 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.sim.events import NORMAL, PENDING, URGENT, Event, Timeout
 
 
-def _detach_waiter(target: Event, callback: Any) -> None:
-    """Detach ``callback`` from ``target``; cancel a timer left orphaned.
+def _detach_waiter(target: Event, process: "Process") -> None:
+    """Detach ``process`` from ``target``; cancel a timer left orphaned.
 
     When a process is interrupted or aborted mid-sleep, the timeout it was
     waiting on stays scheduled with nobody listening.  Churning processes
@@ -32,8 +32,15 @@ def _detach_waiter(target: Event, callback: Any) -> None:
     entries.  Only plain timeouts are cancelled — any other event may have
     meaning to other waiters.
     """
-    target.remove_callback(callback)
-    if not target.callbacks and isinstance(target, Timeout):
+    if target._waiter is process:
+        target._waiter = None
+    else:
+        target.remove_callback(process._resume)
+    if (
+        target._waiter is None
+        and not target.callbacks
+        and isinstance(target, Timeout)
+    ):
         target.cancel()
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,7 +78,7 @@ class _Initialize(Event):
         super().__init__(env)
         self._ok = True
         self._value = None
-        self.callbacks.append(process._resume)
+        self._waiter = process
         env.schedule(self, delay=0.0, priority=URGENT)
 
 
@@ -86,7 +93,7 @@ class _Interruption(Event):
         self._ok = False
         self._value = Interrupt(cause)
         self._defused = True
-        self.callbacks.append(self._deliver)
+        self.callbacks = [self._deliver]
         self.env.schedule(self, delay=0.0, priority=URGENT)
 
     def _deliver(self, event: Event) -> None:
@@ -97,8 +104,7 @@ class _Interruption(Event):
         # event no longer resumes it, then resume with the Interrupt.
         target = process._target
         if target is not None:
-            _detach_waiter(target, process._unsuspend)
-        process._target = None
+            _detach_waiter(target, process)
         process._resume(self)
 
 
@@ -151,7 +157,7 @@ class Process(Event):
             raise RuntimeError("a process cannot abort itself")
         target = self._target
         if target is not None:
-            _detach_waiter(target, self._unsuspend)
+            _detach_waiter(target, self)
         self._target = None
         self.generator.close()
         self._ok = True
@@ -171,7 +177,14 @@ class Process(Event):
     # -- engine ------------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of ``event``."""
+        """Advance the generator with the outcome of ``event``.
+
+        Called by whatever dispatches the event this process is parked on
+        (as the event's ``_waiter``, or as a callback when it was not the
+        first subscriber), and by the kernel events that start and
+        interrupt it.
+        """
+        self._target = None
         if self._value is not PENDING:
             # Aborted (e.g. SIGKILL from a machine crash) after this wakeup
             # was scheduled but before it was delivered — the initialize
@@ -234,14 +247,14 @@ class Process(Event):
                 continue
 
             self._target = next_event
-            # Unprocessed => callbacks is a list; skip add_callback's guard.
-            next_event.callbacks.append(self._unsuspend)
+            if next_event._waiter is None and not next_event.callbacks:
+                # First subscriber: park in the waiter slot (no list, no
+                # bound method).  Unprocessed => callbacks is not None.
+                next_event._waiter = self
+            else:
+                next_event.add_callback(self._resume)
             break
         env._active_process = None
-
-    def _unsuspend(self, event: Event) -> None:
-        self._target = None
-        self._resume(event)
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "dead"

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.sim.events import PENDING, Event, Timeout
+from repro.sim.events import NO_CALLBACKS, PENDING, Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.environment import Environment
@@ -49,7 +49,8 @@ class PSTask(Event):
     def __init__(self, env: "Environment", tid: int, work: float, tag: Any) -> None:
         # Event.__init__ inlined: one task per CPU burst.
         self.env = env
-        self.callbacks = []
+        self.callbacks = NO_CALLBACKS
+        self._waiter = None
         self._value = PENDING
         self._ok = None
         self._processed = False

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
 
-from repro.sim.events import PENDING, Event
+from repro.sim.events import NO_CALLBACKS, PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.environment import Environment
@@ -39,7 +39,8 @@ class StoreGet(Event):
         # Event.__init__ inlined: one getter per received message makes this
         # the second-hottest event allocation after Timeout.
         self.env = store.env
-        self.callbacks = []
+        self.callbacks = NO_CALLBACKS
+        self._waiter = None
         self._value = PENDING
         self._ok = None
         self._processed = False

@@ -10,7 +10,9 @@ import pytest
 
 from repro.broker.journal import BrokerJournal, parse_frames, snapshot_state
 from repro.broker.state import BrokerState
+from repro.obs import MetricsRegistry
 from repro.os.filesystem import Filesystem
+from repro.sim import Environment
 
 
 class Clock:
@@ -176,6 +178,32 @@ def test_compaction_rolls_generations_and_prunes_old_ones():
     recovered, info = journal.load_state()
     assert info.snapshot_used
     assert snapshot_state(recovered) == snapshot_state(state)
+
+
+def test_bytes_gauge_tracks_the_disk_without_rescanning_it():
+    """``journal.bytes`` is a running total: flushes add to it, compaction,
+    pruning and ``tear`` recount — after each it equals the files' sizes."""
+    env = Environment()
+    journal = BrokerJournal(
+        Filesystem(), lambda: env.now, metrics=MetricsRegistry(env),
+        compact_bytes=256, keep_generations=2,
+    )
+    gauge = journal.metrics.gauge("journal.bytes")
+    state = attach_small_state(journal)
+    job = state.register_job("u", "n00", "", ["compute", "5"])
+    for i in range(40):
+        state.allocate("n01", job.jobid, firm=True, now=float(i), lease_expires_at=float(i) + 30.0)
+        assert gauge.value == journal.total_bytes()
+        state.release("n01")
+        assert gauge.value == journal.total_bytes()
+        if i % 7 == 3:
+            journal.tear(5)
+            journal.record({"op": "release", "host": "n02"})
+            assert gauge.value == journal.total_bytes()
+    assert journal.compactions >= 2
+    # A successor on the same disk starts from what is there.
+    successor = BrokerJournal(journal.fs, lambda: env.now)
+    assert successor._disk_bytes == journal.total_bytes() > 0
 
 
 def test_new_journal_resumes_the_highest_generation_on_disk():

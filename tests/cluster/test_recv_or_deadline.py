@@ -193,9 +193,9 @@ def test_waiter_killed_while_parked_detaches_from_both(wire):
     victim = env.process(reader())
     env.run(until=1.0)
     timer, pending = near._deadline, near._pending_recv
-    assert timer.callbacks and victim.target is timer
+    assert timer._waiter is victim and victim.target is timer
     victim.abort()
-    assert timer.cancelled and not timer.callbacks
+    assert timer.cancelled and timer._waiter is None and not timer.callbacks
     # The receive keeps only the connection's own hook, which finds nobody
     # parked when the message lands — and keeps it for the next reader.
     assert len(pending.callbacks) == 1

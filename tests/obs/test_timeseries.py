@@ -171,6 +171,34 @@ def test_span_phase_folder_never_sees_unsampled_spans():
     assert folder.spans_folded == 0
 
 
+def test_sampled_out_tracer_remembers_no_trace_ids():
+    """At rate 0 (what the soak forces) every trace is out, so there is
+    nothing to remember per trace: bounded however long the service runs.
+    Ids advance exactly as they do when everything is kept."""
+    dropped, kept = Tracer(Environment(), sample=0.0), Tracer(Environment(), sample=1.0)
+    for tracer in (dropped, kept):
+        for _ in range(10_000):
+            root = tracer.start("submit")
+            tracer.start("grant", parent=root).end()
+            root.end()
+    assert dropped._unsampled_traces == set() == kept._unsampled_traces
+    assert dropped.spans == [] and dropped.spans_sampled_out == 20_000
+    assert len(kept.spans) == 20_000
+    for tracer in (dropped, kept):
+        last = tracer.start("submit")
+        assert (last.trace_id, last.span_id) == (10_001, 20_001)
+    child = dropped.start("late", parent={"trace_id": 7, "span_id": 13})
+    assert not child.sampled
+    # A fractional rate still has to remember which traces it dropped.
+    half = Tracer(Environment(), sample=0.5)
+    roots = [half.start("submit") for _ in range(200)]
+    out = {root.trace_id for root in roots if not root.sampled}
+    assert half._unsampled_traces == out and 0 < len(out) < 200
+    assert all(
+        half.start("grant", parent=root).sampled == root.sampled for root in roots
+    )
+
+
 # -- registry modes ----------------------------------------------------------
 
 

@@ -181,7 +181,7 @@ def test_rejected_condition_leaves_nothing_behind():
     pending, timer = env1.event(), env1.timeout(5.0)
     with pytest.raises(ValueError):
         env1.all_of([pending, timer, env2.event()])
-    assert pending.callbacks == [] and timer.callbacks == []
+    assert not pending.callbacks and not timer.callbacks
     done = env1.event()
     done.succeed("v")
     env1.run(until=1.0)

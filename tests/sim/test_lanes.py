@@ -55,7 +55,7 @@ def test_cross_lane_timers_run_in_serial_order():
             ev = env.event()
             ev._ok = True
             ev._value = i
-            ev.callbacks.append(lambda e: order.append(e._value))
+            ev.add_callback(lambda e: order.append(e._value))
             # Deterministic but lane-interleaved placement and times.
             env.schedule_into(i % lanes, ev, delay=float((i * 7) % 10))
         env.run()
@@ -84,9 +84,9 @@ def test_run_window_is_half_open():
     env = Environment()
     fired = []
     t1 = env.timeout(1.0, "a")
-    t1.callbacks.append(lambda e: fired.append(e._value))
+    t1.add_callback(lambda e: fired.append(e._value))
     t2 = env.timeout(2.0, "b")
-    t2.callbacks.append(lambda e: fired.append(e._value))
+    t2.add_callback(lambda e: fired.append(e._value))
     env.run_window(2.0)
     # The event exactly at the window end is left for the next window...
     assert fired == ["a"]
@@ -150,12 +150,12 @@ def test_cancellation_across_lanes_is_skipped_not_run():
     victim = env.event()
     victim._ok = True
     victim._value = "victim"
-    victim.callbacks.append(lambda e: fired.append(e._value))
+    victim.add_callback(lambda e: fired.append(e._value))
     env.schedule_into(1, victim, delay=1.0)
     keeper = env.event()
     keeper._ok = True
     keeper._value = "keeper"
-    keeper.callbacks.append(lambda e: fired.append(e._value))
+    keeper.add_callback(lambda e: fired.append(e._value))
     env.schedule_into(0, keeper, delay=2.0)
     victim.cancel()
     env.run()
