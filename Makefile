@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: test lint check chaos chaos-smoke bench-smoke bench-broker bench-obs bench-lanes bench-federation soak-smoke failover-smoke rbbench-smoke bench-pairs gc-census slo
+.PHONY: test lint check chaos chaos-smoke bench-smoke bench-broker bench-obs bench-federation soak-smoke failover-smoke rbbench-smoke bench-pairs gc-census slo
 
 test:  ## tier-1 test suite
 	python -m pytest -q tests
@@ -32,9 +32,6 @@ bench-broker:  ## broker control-plane gate vs the pinned BENCH_broker.json
 
 bench-obs:  ## observability-overhead gate vs the pinned BENCH_obs.json
 	python benchmarks/bench_obs.py
-
-bench-lanes:  ## partitioned-kernel gate: lane determinism + overhead + mp speedup
-	python benchmarks/bench_lanes.py
 
 soak-smoke:  ## service-mode soak gate vs the pinned BENCH_soak.json
 	python benchmarks/bench_soak.py

@@ -179,7 +179,6 @@ def _cmd_sweep(args) -> int:
         sim_minutes=args.minutes,
         workers=args.workers,
         health=args.health,
-        lanes=args.lanes,
     )
     print(format_sweep(cells))
     merged = merge_results(cells, sim_minutes=args.minutes)
@@ -359,13 +358,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="attach a health monitor to every cell and embed its report "
         "(changes event counts; off for pinned benchmarks)",
-    )
-    sweep.add_argument(
-        "--lanes",
-        type=int,
-        default=0,
-        help="kernel event lanes per cell (0 reads RB_KERNEL_LANES; "
-        "results are byte-identical for any lane count)",
     )
     sweep.set_defaults(fn=_cmd_sweep)
 

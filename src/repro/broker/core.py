@@ -1225,17 +1225,9 @@ class _BrokerControl:
         else:
             federation = {"enabled": False}
         heap = self.proc.env.heap_stats()
-        lane_detail = heap["lanes"]
-        lane_clocks = [lane["clock"] for lane in lane_detail]
         kernel = {
-            "lanes": len(lane_detail),
-            # Spread of the per-lane dispatch clocks: how unevenly the
-            # partitions are progressing (0.0 when serial).
-            "lane_clock_skew": max(lane_clocks) - min(lane_clocks),
-            "window_stalls": sum(lane["window_stalls"] for lane in lane_detail),
             "events_processed": heap["processed"],
             "heap_high_water": heap["heap_high_water"],
-            "lane_detail": lane_detail,
         }
         return {
             "time": now,

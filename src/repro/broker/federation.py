@@ -1,14 +1,13 @@
 """Federated broker control plane (DESIGN.md §17).
 
 A federation partitions the managed machines across ``N`` broker shards —
-contiguous slices of the machine list, aligned with the kernel's event-lane
-partition (DESIGN.md §15) so one shard's whole control loop lives on one
-lane — and runs one full :class:`~repro.broker.service.BrokerService` per
-shard.  Each shard schedules only its own machines with flat per-shard
-decision cost; a shard that cannot satisfy a request *borrows* a machine
-from a sibling through the lease-migration protocol in
-:mod:`repro.broker.core` (``borrow_request`` / ``borrow_reply`` /
-``borrow_release`` / ``borrow_recall``).
+contiguous slices of the machine list — and runs one full
+:class:`~repro.broker.service.BrokerService` per shard.  Each shard
+schedules only its own machines with flat per-shard decision cost; a shard
+that cannot satisfy a request *borrows* a machine from a sibling through
+the lease-migration protocol in :mod:`repro.broker.core`
+(``borrow_request`` / ``borrow_reply`` / ``borrow_release`` /
+``borrow_recall``).
 
 Submissions route by **locality**: a job submitted from a machine goes to
 the shard that manages that machine (structurally guaranteed — each shard's
@@ -49,13 +48,8 @@ class ShardConfig:
 
 
 def shard_partitions(hosts: Sequence[str], shards: int) -> List[List[str]]:
-    """Split ``hosts`` into ``shards`` contiguous slices.
-
-    The split point formula (``index * shards // count``) is the same one
-    the parallel kernel uses to map machines to event lanes, so with
-    ``shards == lanes`` a shard's machines — and therefore its broker, its
-    daemons and its apps — all land on one lane and the shard's control
-    loop never crosses a lane boundary except to borrow."""
+    """Split ``hosts`` into ``shards`` contiguous slices: host ``i`` of
+    ``count`` goes to shard ``i * shards // count``."""
     if shards < 1:
         raise ValueError(f"shards must be >= 1, not {shards}")
     if shards > len(hosts):

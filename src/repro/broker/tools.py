@@ -159,23 +159,10 @@ def format_stats(stats: dict) -> str:
     ]
     kernel = stats.get("kernel", {})
     if kernel:
-        line = (
-            f"kernel: lanes={kernel.get('lanes', 1)} "
-            f"events={kernel.get('events_processed', 0)} "
+        lines.append(
+            f"kernel: events={kernel.get('events_processed', 0)} "
             f"heap hwm={kernel.get('heap_high_water', 0)}"
         )
-        if kernel.get("lanes", 1) > 1:
-            line += (
-                f" clock skew={kernel.get('lane_clock_skew', 0.0):.6f}s "
-                f"window stalls={kernel.get('window_stalls', 0)}"
-            )
-        lines.append(line)
-        for lane in kernel.get("lane_detail", []) if kernel.get("lanes", 1) > 1 else []:
-            lines.append(
-                f"  lane {lane['lane']}: processed={lane['processed']} "
-                f"pending={lane['pending']} hwm={lane['heap_high_water']} "
-                f"clock={lane['clock']:.3f} stalls={lane['window_stalls']}"
-            )
     journal = stats.get("journal", {})
     if journal.get("enabled"):
         lines.append(

@@ -16,7 +16,6 @@ its per-machine daemons.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -58,17 +57,6 @@ class ClusterSpec:
     machines: List[MachineSpec] = field(default_factory=list)
     seed: int = 0
     calibration: Calibration = DEFAULT
-    #: Event-lane count for the partitioned kernel (DESIGN.md §15).
-    #: 0 (the default) reads ``RB_KERNEL_LANES`` from the environment so
-    #: any experiment can be re-run partitioned without a signature change;
-    #: the result is byte-identical either way.
-    lanes: int = 0
-
-    def lane_count(self) -> int:
-        """Resolved lane count (spec value, else ``RB_KERNEL_LANES``, else 1)."""
-        if self.lanes:
-            return self.lanes
-        return int(os.environ.get("RB_KERNEL_LANES", "1") or 1)
 
     @classmethod
     def uniform(
@@ -77,7 +65,6 @@ class ClusterSpec:
         prefix: str = "n",
         seed: int = 0,
         calibration: Calibration = DEFAULT,
-        lanes: int = 0,
         **machine_kwargs,
     ) -> "ClusterSpec":
         """``count`` identical public machines named n00, n01, ..."""
@@ -85,9 +72,7 @@ class ClusterSpec:
             MachineSpec(name=f"{prefix}{i:02d}", **machine_kwargs)
             for i in range(count)
         ]
-        return cls(
-            machines=machines, seed=seed, calibration=calibration, lanes=lanes
-        )
+        return cls(machines=machines, seed=seed, calibration=calibration)
 
 
 class Cluster:
@@ -95,8 +80,7 @@ class Cluster:
 
     def __init__(self, spec: ClusterSpec) -> None:
         self.spec = spec
-        lanes = spec.lane_count()
-        self.env = Environment(seed=spec.seed, lanes=lanes)
+        self.env = Environment(seed=spec.seed)
         self.network = Network(self.env, calibration=spec.calibration)
         self.calibration = spec.calibration
         self.system_bin = ProgramDirectory("system")
@@ -107,8 +91,7 @@ class Cluster:
         self.machines: Dict[str, Machine] = {}
         self.rshds: Dict[str, OSProcess] = {}
         self.owner_activities: Dict[str, OwnerActivity] = {}
-        count = len(spec.machines)
-        for index, mspec in enumerate(spec.machines):
+        for mspec in spec.machines:
             machine = Machine(
                 self.env,
                 mspec.name,
@@ -119,9 +102,6 @@ class Cluster:
                 kind=mspec.kind,
                 owner=mspec.private_owner,
             )
-            # Contiguous partition of the machine list across lanes; the
-            # first machine (n00, the default broker host) anchors lane 0.
-            machine.lane = index * lanes // count
             machine.path = [self.system_bin]
             self.network.add_machine(machine)
             self.machines[machine.name] = machine
@@ -183,24 +163,15 @@ class Cluster:
         machine = self.machines[host]
         if not machine.up:
             return
-        env = self.env
-        # Crash fallout (process aborts, EOF timers) and the reboot timer
-        # belong in the victim's lane, not whichever lane the caller (the
-        # fault injector, a test) happened to be dispatched from.
-        token = env.lane_scope(machine.lane) if env._nlanes > 1 else None
-        try:
-            machine.crash()
-            if reboot_after is None:
-                return
+        machine.crash()
+        if reboot_after is None:
+            return
 
-            def reboot():
-                yield env.timeout(reboot_after)
-                self.boot_machine(host)
+        def reboot():
+            yield self.env.timeout(reboot_after)
+            self.boot_machine(host)
 
-            env.process(reboot(), name=f"reboot-{host}")
-        finally:
-            if token is not None:
-                env.lane_restore(token)
+        self.env.process(reboot(), name=f"reboot-{host}")
 
     def boot_machine(self, host: str) -> None:
         """Bring a crashed ``host`` back up with a fresh rshd."""
@@ -265,8 +236,7 @@ class Cluster:
         """Boot a federated broker control plane over this cluster; see
         :class:`repro.broker.federation.FederationService`.
 
-        The machines partition into ``shards`` contiguous slices (aligned
-        with the kernel's event lanes when ``shards == lanes``), each run
+        The machines partition into ``shards`` contiguous slices, each run
         by its own broker; shards borrow machines from each other through
         lease migration.  ``shards=1`` degenerates to a single broker with
         every federated behaviour switched off."""

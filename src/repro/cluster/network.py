@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.calibration import DEFAULT, Calibration
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
-from repro.sim.events import NO_CALLBACKS, Event, Timeout
+from repro.sim.events import NO_CALLBACKS, Event, Timeout, resume_subscribers
 from repro.sim.stores import Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -92,7 +92,6 @@ class Connection:
         "env",
         "label",
         "host",
-        "lane",
         "_inbox",
         "peer",
         "closed_local",
@@ -111,10 +110,6 @@ class Connection:
         #: Name of the machine this endpoint lives on (used by the fault
         #: model to decide whether a partition cuts this connection).
         self.host = host
-        #: Event lane of the hosting machine: messages *to* this endpoint
-        #: are scheduled into its lane (the cross-lane envelope of the
-        #: partitioned kernel; a no-op alias of lane 0 when serial).
-        self.lane = network.lane_of(host)
         self._inbox: Store = _Inbox(self.env, self)
         self.peer: Optional["Connection"] = None
         self.closed_local = False
@@ -155,17 +150,7 @@ class Connection:
                 return
             latency = faults.latency(latency)
         # The message rides the timeout as its value: no per-send closure.
-        # Under a partitioned kernel the delivery timer is scheduled into
-        # the *receiver's* lane — the in-flight message is the cross-lane
-        # envelope, and its dispatch (plus everything the receiver does in
-        # response) then batches with the receiver's other events.
-        env = self.env
-        if env._nlanes > 1:
-            token = env.lane_scope(peer.lane)
-            timer = Timeout(env, latency, message)
-            env.lane_restore(token)
-        else:
-            timer = Timeout(env, latency, message)
+        timer = Timeout(self.env, latency, message)
         timer.callbacks = peer._deliver_callbacks
 
     def _deliver_cb(self, ev: Event) -> None:
@@ -243,11 +228,8 @@ class Connection:
             self._pending_recv = None
             self._deadline = None
             timer.cancel()
-            if waiter is not None:
-                timer._waiter = None
-                waiter._resume(get)
-            for callback in timer.callbacks:
-                callback(get)
+            timer._waiter = None
+            resume_subscribers(waiter, timer.callbacks, get)
 
     def close(self) -> None:
         """Half-close from this side; the peer sees EOF after latency."""
@@ -256,13 +238,7 @@ class Connection:
         self.closed_local = True
         peer = self.peer
         if peer is not None:
-            env = self.env
-            if env._nlanes > 1:
-                token = env.lane_scope(peer.lane)
-                timer = env.timeout(self.network.latency)
-                env.lane_restore(token)
-            else:
-                timer = env.timeout(self.network.latency)
+            timer = self.env.timeout(self.network.latency)
             timer.add_callback(lambda _ev: peer._deliver_eof())
 
     def _deliver_eof(self) -> None:
@@ -396,11 +372,6 @@ class Network:
         except KeyError:
             raise NoSuchHost(host) from None
 
-    def lane_of(self, host: Optional[str]) -> int:
-        """Event lane of ``host``'s machine (lane 0 for unknown hosts)."""
-        machine = self.machines.get(host) if host is not None else None
-        return 0 if machine is None else machine.lane
-
     def record_crash(self, proc: "OSProcess") -> None:
         """Remember a process that died with an unhandled exception."""
         self.crashed.append(proc)
@@ -426,38 +397,24 @@ class Network:
         """Event yielding the client-side endpoint after one latency."""
         env = self.env
         result = Event(env)
-        client_lane = proc.machine.lane
-
-        def _trigger(trigger, *args) -> None:
-            # The connect outcome resumes the *client*; schedule it in the
-            # client's lane even though establishment runs in the target's.
-            if env._nlanes > 1:
-                token = env.lane_scope(client_lane)
-                trigger(*args)
-                env.lane_restore(token)
-            else:
-                trigger(*args)
 
         def _establish(_ev: Event) -> None:
             if host not in self.machines:
-                _trigger(result.fail, NoSuchHost(host))
+                result.fail(NoSuchHost(host))
                 return
             target = self.machines[host]
             if not target.up:
-                _trigger(result.fail, ConnectionRefused(f"{host} is down"))
+                result.fail(ConnectionRefused(f"{host} is down"))
                 return
             if self.faults is not None and self.faults.partitioned(
                 proc.machine.name, host
             ):
                 self.metrics.counter("net.partition_refused").inc()
-                _trigger(
-                    result.fail,
-                    ConnectionRefused(f"{host} unreachable (partition)"),
-                )
+                result.fail(ConnectionRefused(f"{host} unreachable (partition)"))
                 return
             listener = self._ports.get((host, port))
             if listener is None or listener.closed:
-                _trigger(result.fail, ConnectionRefused(f"{host}:{port}"))
+                result.fail(ConnectionRefused(f"{host}:{port}"))
                 return
             label = f"{proc.machine.name}:{proc.pid}->{host}:{port}"
             client = Connection(self, label, host=proc.machine.name)
@@ -471,18 +428,9 @@ class Network:
             listener._backlog.put_nowait(server)
             if self.trace is not None:
                 self.trace(f"connect {label} at {env.now:.6f}")
-            _trigger(result.succeed, client)
+            result.succeed(client)
 
-        # The connection request "travels" to the target host: establishment
-        # reads the target's listener/up state, so its timer lives in the
-        # target machine's lane.
-        if env._nlanes > 1:
-            token = env.lane_scope(self.lane_of(host))
-            timer = env.timeout(self.latency)
-            env.lane_restore(token)
-        else:
-            timer = env.timeout(self.latency)
-        timer.add_callback(_establish)
+        env.timeout(self.latency).add_callback(_establish)
         return result
 
     def _prune_connections(self) -> None:

@@ -32,8 +32,7 @@ Cell = Tuple[str, int, int]  # (workload, machines, seed)
 #: Cluster sizes the pinned kernel benchmark covers.  512 and 1024 are the
 #: control-plane scaling points: with the broker's indexed scheduler the
 #: per-event cost at 1024 should stay within a few percent of 256.  2048
-#: and 4096 are the partitioned-kernel points (DESIGN.md §15) — the sizes
-#: where per-lane heaps and window batching start to matter.
+#: and 4096 show how the kernel's one event heap scales beyond that.
 BENCH_SIZES = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
@@ -131,7 +130,6 @@ def run_cell(
     seed: int,
     sim_minutes: float,
     health: bool = False,
-    lanes: int = 0,
 ) -> Dict[str, Any]:
     """Run one simulation cell; returns deterministic results + measured perf.
 
@@ -143,15 +141,11 @@ def run_cell(
     periodic checks are simulation events: a ``health=True`` cell is still
     deterministic, but its event counts differ from a plain cell, so the
     pinned kernel benchmark always runs without it.
-
-    ``lanes`` partitions the kernel into that many event lanes (0 reads
-    ``RB_KERNEL_LANES``); the result block — and hence the merged digest —
-    is byte-identical for every lane count.
     """
     from repro.cluster import Cluster, ClusterSpec
 
     driver = WORKLOADS[workload]
-    cluster = Cluster(ClusterSpec.uniform(machines, seed=seed, lanes=lanes))
+    cluster = Cluster(ClusterSpec.uniform(machines, seed=seed))
     service = cluster.start_broker()
     service.wait_ready()
     monitor = None
@@ -166,10 +160,6 @@ def run_cell(
     cluster.assert_no_crashes()
 
     heap = cluster.env.heap_stats()
-    # Per-lane detail varies with the lane configuration by design (the
-    # environment-wide counters do not); keep it out of the merged document
-    # so N-lane and single-lane cells stay digest-identical.
-    lane_detail = heap.pop("lanes")
     tracer = cluster.network.tracer
     span_names: Dict[str, int] = {}
     for span in tracer.spans:
@@ -206,11 +196,6 @@ def run_cell(
             "heap_ops_per_second": heap_ops / max(wall, 1e-9),
             "spans_per_second": len(tracer.spans) / max(wall, 1e-9),
         },
-        # Lane-configuration-dependent detail, outside the determinism doc.
-        "kernel": {
-            "lanes": cluster.env.lane_count,
-            "lane_detail": lane_detail,
-        },
     }
 
 
@@ -238,7 +223,6 @@ def run_sweep(
     sim_minutes: float = 2.0,
     workers: int = 1,
     health: bool = False,
-    lanes: int = 0,
 ) -> List[Dict[str, Any]]:
     """Run the full grid, optionally fanning cells across worker processes.
 
@@ -254,7 +238,7 @@ def run_sweep(
                 f"choose from {sorted(WORKLOADS)}"
             )
     grid = expand_grid(workloads, sizes, seeds)
-    packed = [(w, n, s, sim_minutes, health, lanes) for (w, n, s) in grid]
+    packed = [(w, n, s, sim_minutes, health) for (w, n, s) in grid]
     if workers <= 1 or len(packed) <= 1:
         return [_run_cell_packed(cell) for cell in packed]
     with Pool(processes=min(workers, len(packed))) as pool:

@@ -1,7 +1,6 @@
 """Measurement helpers for the reproduced experiments."""
 
 from repro.metrics.utilization import UtilizationMeter
-from repro.metrics.timers import ElapsedTimer, grant_timeline
 from repro.metrics.timeline import (
     Interval,
     allocation_intervals,
@@ -10,11 +9,9 @@ from repro.metrics.timeline import (
 )
 
 __all__ = [
-    "ElapsedTimer",
     "Interval",
     "UtilizationMeter",
     "allocation_intervals",
-    "grant_timeline",
     "machine_busy_fraction",
     "render_gantt",
 ]

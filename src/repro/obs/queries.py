@@ -3,7 +3,7 @@
 The experiment harnesses used to reduce the broker's flat event list by
 hand; these helpers ask the same questions of the span tree instead, which
 also gives per-phase breakdowns (``phase_durations``) the event log never
-had.  ``metrics/timers.py`` keeps thin shims delegating here.
+had.
 
 Span names used by the instrumentation (the vocabulary these queries rely
 on):
@@ -53,9 +53,9 @@ def _tracer_of(source: Any) -> Tracer:
 def grant_times(source: Any, jobid: int, since: float = 0.0) -> List[float]:
     """Times at which ``jobid`` was granted machines, relative to ``since``.
 
-    Span-based successor of ``repro.metrics.timers.grant_timeline``: a grant
-    is a finished ``broker.request`` span carrying a ``host`` attribute, and
-    its end instant is exactly when the broker logged the grant.
+    A grant is a finished ``broker.request`` span carrying a ``host``
+    attribute, and its end instant is exactly when the broker logged the
+    grant.
     """
     tracer = _tracer_of(source)
     return sorted(

@@ -85,11 +85,6 @@ class Machine:
         self.procs: Dict[int, "OSProcess"] = {}
         self._pids = itertools.count(1)
         self.network: Optional["Network"] = None
-        #: Event-lane index this machine's activity is scheduled into when
-        #: the kernel runs partitioned (assigned by the cluster builder;
-        #: lane 0 anchors the broker's machine).  See
-        #: :class:`repro.sim.environment.Lane`.
-        self.lane: int = 0
         #: False while the machine is crashed/powered off; the network
         #: refuses connections to a down machine.
         self.up: bool = True

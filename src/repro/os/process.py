@@ -110,21 +110,9 @@ class OSProcess:
         machine.register_process(self)
         if parent is not None:
             parent.children.append(self)
-        # The process's kick-off event belongs in its machine's lane: every
-        # event it schedules afterwards (timeouts, CPU bursts, spawns) is
-        # pushed while one of its own events is being dispatched, so lane
-        # affinity propagates from this single placement.
-        env = self.env
-        if env._nlanes > 1:
-            token = env.lane_scope(machine.lane)
-            self._sim_process: Process = env.process(
-                self._run(body), name=f"{machine.name}:{self.argv[0]}#{self.pid}"
-            )
-            env.lane_restore(token)
-        else:
-            self._sim_process = env.process(
-                self._run(body), name=f"{machine.name}:{self.argv[0]}#{self.pid}"
-            )
+        self._sim_process: Process = self.env.process(
+            self._run(body), name=f"{machine.name}:{self.argv[0]}#{self.pid}"
+        )
         self._sim_process.add_callback(self._on_sim_exit)
 
     def _calibration(self):

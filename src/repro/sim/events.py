@@ -30,11 +30,12 @@ event's *first* subscriber — the overwhelmingly common ``yield event`` — and
 ``callbacks`` holds everything else.  ``callbacks`` starts as the shared
 empty tuple :data:`NO_CALLBACKS` and becomes a list only when
 :meth:`Event.add_callback` first needs one, so a parked process costs the
-event it waits on and nothing more: no list, no bound method.  Every
-dispatch site resumes the waiter first and then walks the list.  That *is*
-registration order: the slot is taken only while both are empty, and a
-process arriving later falls back to the list.  Code outside the kernel
-subscribes with ``add_callback`` and never touches either directly.
+event it waits on and nothing more: no list, no bound method.  Dispatch
+resumes the waiter first and then walks the list
+(:func:`resume_subscribers`).  That *is* registration order: the slot is
+taken only while both are empty, and a process arriving later falls back to
+the list.  Code outside the kernel subscribes with ``add_callback`` and
+never touches either directly.
 
 Re-arming
 ---------
@@ -93,6 +94,23 @@ NO_CALLBACKS: Tuple[()] = ()
 
 class EventAborted(Exception):
     """Raised into waiters when an event is cancelled before triggering."""
+
+
+def resume_subscribers(
+    waiter: Optional["Process"],
+    callbacks: Iterable[Callable[["Event"], None]],
+    outcome: "Event",
+) -> None:
+    """Hand ``outcome`` to an event's subscribers in registration order.
+
+    The parked waiter first, then the callback list (module docstring).
+    Shared by ``Environment._dispatch`` and by ``Connection._recv_won``,
+    which resumes a deadline's subscribers with the receive that beat it.
+    """
+    if waiter is not None:
+        waiter._resume(outcome)
+    for callback in callbacks:
+        callback(outcome)
 
 
 class Event:
@@ -179,17 +197,15 @@ class Event:
         self._ok = True
         self._value = value
         # Environment.schedule inlined (hot path: every store handoff and
-        # task completion lands here).  Mirror changes there.  env._queue is
-        # the ambient lane's heap; env._pending is the cross-lane entry count.
+        # task completion lands here).  Mirror changes there.
         env = self.env
         env._eid += 1
-        heappush(env._queue, (env._now, priority, env._eid, self))
+        queue = env._queue
+        heappush(queue, (env._now, priority, env._eid, self))
         if self._cancelled:
             env._dead += 1
-        pending = env._pending + 1
-        env._pending = pending
-        if pending > env._heap_high_water:
-            env._heap_high_water = pending
+        if len(queue) > env._heap_high_water:
+            env._heap_high_water = len(queue)
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -240,16 +256,7 @@ class Event:
         if self._cancelled:
             env._skipped += 1
             return
-        waiter = self._waiter
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        if waiter is not None:
-            self._waiter = None
-            waiter._resume(self)
-        for callback in callbacks:
-            callback(self)
-        if not self._ok and not self._defused:
-            raise self._value
+        env._dispatch(self)
 
     def defuse(self) -> None:
         """Mark a failed event as handled so it does not crash the run.
@@ -320,11 +327,10 @@ class Timeout(Event):
         self.delay = delay
         # Environment.schedule inlined (a fresh timeout is never born dead).
         env._eid += 1
-        heappush(env._queue, (env._now + delay, NORMAL, env._eid, self))
-        pending = env._pending + 1
-        env._pending = pending
-        if pending > env._heap_high_water:
-            env._heap_high_water = pending
+        queue = env._queue
+        heappush(queue, (env._now + delay, NORMAL, env._eid, self))
+        if len(queue) > env._heap_high_water:
+            env._heap_high_water = len(queue)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r} at {id(self):#x}>"

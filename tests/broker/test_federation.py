@@ -19,7 +19,6 @@ def test_shard_partitions_contiguous_and_validated():
     parts = shard_partitions(hosts, 4)
     assert [len(p) for p in parts] == [3, 2, 3, 2]
     assert [h for part in parts for h in part] == hosts
-    # The same split-point formula as the kernel's machine->lane map.
     assert shard_partitions(hosts, 1) == [hosts]
     with pytest.raises(ValueError):
         shard_partitions(hosts, 0)

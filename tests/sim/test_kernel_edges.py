@@ -1,8 +1,12 @@
-"""Edge-case tests for the kernel: abort, defuse, condition failures."""
+"""Edge-case tests for the kernel: abort, defuse, condition failures, and
+the guard that ``run()``'s inlined dispatch and ``step()`` cannot drift."""
 
 import pytest
 
-from repro.sim import Environment, EventAborted, Interrupt
+from repro.cluster.network import EXPIRED
+from repro.experiments import run_cell
+from repro.sim import Environment, Event, Interrupt, ProcessorSharingQueue
+from tests.cluster.test_recv_or_deadline import make_wire
 
 
 def test_abort_runs_finally_blocks():
@@ -263,3 +267,125 @@ def test_run_until_event_that_fails():
     gate.defuse()
     with pytest.raises(KeyError):
         env.run(until=gate)
+
+
+# -- step() and run() are one kernel -------------------------------------------
+
+
+def _run_by_steps(env, until):
+    """``env.run(until=...)`` spelled with ``peek()`` and ``step()``: every
+    event goes through ``_dispatch``, none through ``run()``'s inlined copy."""
+    if isinstance(until, Event):
+        while not until.processed:
+            env.step()
+        return until.value
+    while env.peek() <= until:
+        env.step()
+    env._now = float(until)  # run() leaves the clock on its horizon
+
+
+def _every_dispatch_shape():
+    """One short run through every way an event gets processed; returns the
+    environment and the log its subscribers write as they wake."""
+    env, near, far = make_wire()  # latency 0.25
+    log = []
+
+    def note(what):
+        log.append((env.now, what))
+
+    # A process parked in the waiter slot, then a callback and a second
+    # process in the list, all on one event: wake in registration order.
+    shared = env.event()
+
+    def parked(name):
+        note(f"{name} woke with {(yield shared)}")
+
+    def subscribe_more(_ev):
+        shared.add_callback(lambda _shared: note("callback ran"))
+        env.process(parked("list"))
+
+    env.process(parked("slot"))
+    env.timeout(0.5).add_callback(subscribe_more)
+    env.timeout(1.0).add_callback(lambda _ev: shared.succeed("go"))
+
+    # An immediate: processed ahead of the heap, at the instant it was queued.
+    def queue_immediate(_ev):
+        immediate = env.event()
+        immediate._ok, immediate._value = True, "now"
+        immediate.add_callback(lambda ev: note(f"immediate {ev.value}"))
+        env.deliver_now(immediate)
+        env.timeout(0.0).add_callback(lambda _t: note("heap, same instant"))
+
+    env.timeout(1.25).add_callback(queue_immediate)
+
+    # A cancelled timer at the head of the heap when it comes up.
+    dead = env.timeout(1.5)
+    dead.add_callback(lambda _ev: note("cancelled timer ran"))
+    dead.cancel()
+    env.timeout(1.75).add_callback(lambda _ev: note("past the dead head"))
+
+    # Two equal bursts sharing a CPU end at one wake-up: the first is
+    # dispatched inside the timer (dispatch_now), the second is an immediate.
+    cpu = ProcessorSharingQueue(env)
+
+    def burst(name):
+        yield cpu.execute(1.0)
+        note(f"burst {name} done")
+
+    env.process(burst("a"))
+    env.process(burst("b"))
+
+    # A silent deadline, then a message that beats the next one (_recv_won).
+    def reader():
+        for delay in (1.0, 5.0):
+            received = yield near.recv_or_deadline(delay)
+            note("expired" if received is EXPIRED else f"received {received}")
+
+    env.process(reader())
+    env.timeout(2.5).add_callback(lambda _ev: far.send("hello"))
+
+    # A failure nobody consumes aborts the run, however it is driven.
+    env.timeout(4.0).add_callback(
+        lambda _ev: env.event().fail(RuntimeError("nobody listens"))
+    )
+    env.timeout(4.5).add_callback(lambda _ev: note("after the failure"))
+    return env, log
+
+
+def test_step_and_run_dispatch_identically():
+    outcomes = []
+    for drive in (Environment.run, _run_by_steps):
+        env, log = _every_dispatch_shape()
+        drive(env, 3.0)
+        midway = (list(log), env.now, env.heap_stats())
+        with pytest.raises(RuntimeError, match="nobody listens"):
+            drive(env, 10.0)
+        assert env.now == 4.0
+        drive(env, 10.0)  # the kernel survives the abort
+        outcomes.append((midway, log, env.now, env.heap_stats()))
+    by_run, by_steps = outcomes
+    assert by_steps == by_run
+    assert by_run[1] == [
+        (1.0, "expired"),
+        (1.0, "slot woke with go"),
+        (1.0, "callback ran"),
+        (1.0, "list woke with go"),
+        (1.25, "immediate now"),
+        (1.25, "heap, same instant"),
+        (1.75, "past the dead head"),
+        (2.0, "burst a done"),
+        (2.0, "burst b done"),
+        (2.75, "received hello"),
+        (4.5, "after the failure"),
+    ]
+    stats = by_run[3]
+    assert stats["skipped_cancelled"] == 2  # the dead head, the beaten deadline
+    assert stats["pending"] == stats["dead_pending"] == 0
+
+
+def test_step_and_run_agree_on_a_churn_cell(monkeypatch):
+    by_run = run_cell("churn", 16, 1, 1.0)["result"]
+    monkeypatch.setattr(Environment, "run", _run_by_steps)
+    by_steps = run_cell("churn", 16, 1, 1.0)["result"]
+    assert by_steps["schedule_digest"] == by_run["schedule_digest"]
+    assert by_steps == by_run  # heap counters, spans and metrics too

@@ -67,9 +67,8 @@ def test_sole_waiter_parks_in_the_slot_and_allocates_no_list():
     assert event._waiter is None and event.callbacks is None
 
 
-@pytest.mark.parametrize("lanes", [1, 2])
-def test_waiter_then_callbacks_is_registration_order(lanes):
-    env = Environment(lanes=lanes)
+def test_waiter_then_callbacks_is_registration_order():
+    env = Environment()
     order = []
 
     def parked(event, name):

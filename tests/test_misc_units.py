@@ -13,7 +13,7 @@ from repro.broker.modules import (
 from repro.broker.tools import format_status
 from repro.calibration import DEFAULT, Calibration
 from repro.cluster import Cluster, ClusterSpec
-from repro.metrics import ElapsedTimer, UtilizationMeter
+from repro.metrics import UtilizationMeter
 from repro.os.programs import NoSuchProgram, ProgramDirectory, resolve
 from repro.sim import Environment
 from repro.workloads import periodic_sequential_jobs
@@ -119,24 +119,6 @@ def test_periodic_trace_validation():
 
 
 # -- metrics -----------------------------------------------------------------
-
-
-def test_elapsed_timer():
-    env = Environment()
-    timer = ElapsedTimer(env).start()
-
-    def waiter():
-        yield env.timeout(4.0)
-
-    env.run(env.process(waiter()))
-    assert timer.elapsed == pytest.approx(4.0)
-    assert timer.stop() == pytest.approx(4.0)
-
-
-def test_elapsed_timer_requires_start():
-    timer = ElapsedTimer(Environment())
-    with pytest.raises(RuntimeError):
-        _ = timer.elapsed
 
 
 def test_utilization_meter_all_idle():
