@@ -14,6 +14,8 @@ Run as a script (``make gc-census``, ``python benchmarks/gc_census.py
   born in the window and is still alive: the tracked objects a parked
   process holds until its next wake-up, which every young collection
   re-walks and never frees.  Counted by type; exact on any hardware.
+  Beside it, every live ``Connection`` and ``deque`` of the process at
+  that point: what the cluster's sockets keep in queue objects.
 
 The last line of stdout is one JSON object with both.  Drives only the
 public API of ``repro``, so it runs unchanged on any earlier commit
@@ -96,6 +98,7 @@ def census(machines: int, seed: int, window: float) -> Dict[str, Any]:
         young: List[Any] = gc.get_objects(generation=0)
         by_type = Counter(type(obj).__name__ for obj in young)
         del young
+        live = Counter(type(obj).__name__ for obj in gc.get_objects())
     finally:
         gc.enable()
     total = sum(by_type.values())
@@ -104,6 +107,8 @@ def census(machines: int, seed: int, window: float) -> Dict[str, Any]:
         "objects": total,
         "per_machine": round(total / machines, 2),
         "by_type": dict(by_type.most_common()),
+        "live_connections": live["Connection"],
+        "live_deques": live["deque"],
     }
 
 
@@ -137,6 +142,10 @@ def main(argv=None) -> int:
     )
     for name, count in list(born["by_type"].items())[:12]:
         print(f"  {count:>8}  {name}")
+    print(
+        f"gc-census: live in the process: {born['live_connections']} "
+        f"Connection, {born['live_deques']} deque"
+    )
     print(json.dumps(report, sort_keys=True))
     return 0
 

@@ -17,7 +17,8 @@ its peer, the way a broken TCP connection eventually surfaces as a reset.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.calibration import DEFAULT, Calibration
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
@@ -50,49 +51,34 @@ class _Expired:
 EXPIRED = _Expired()
 
 
-class _Inbox(Store):
-    """A connection's receive queue.
-
-    Getter matching translates a buffered :data:`EOF` sentinel into a
-    :class:`ConnectionClosed` failure in place (the sentinel stays buffered
-    so every later receive fails too).  That lets :meth:`Connection.recv`
-    hand out the store getter itself instead of wrapping it in a shim event
-    — one heap event per received message instead of two, on the hottest
-    message path in the system (daemon status reports).
-    """
-
-    __slots__ = ("_conn",)
-
-    def __init__(self, env: "Environment", conn: "Connection") -> None:
-        super().__init__(env)
-        self._conn = conn
-
-    def _match_getters(self) -> bool:
-        matched = False
-        conn = self._conn
-        items = self.items
-        getters = self._getters
-        while getters and items:
-            if isinstance(items[0], _EOF):
-                conn.closed_remote = True
-                getters.popleft().fail(
-                    ConnectionClosed(f"EOF on {conn.label}")
-                )
-            else:
-                getters.popleft().succeed(items.popleft())
-            matched = True
-        return matched
-
-
 class Connection:
-    """One endpoint of a bidirectional message connection."""
+    """One endpoint of a bidirectional message connection, and its mailbox.
+
+    The contract of the message path:
+
+    * **One reader.**  ``_reader`` holds the one pending receive; a second
+      :meth:`recv` while it is pending raises ``RuntimeError``.  No protocol
+      in the system shares a socket between readers.  A reader whose process
+      died stays in the slot and swallows the next message unseen.
+    * **Nothing on an idle socket.**  ``_buffer`` is ``None`` until a
+      message arrives with nobody receiving, and a deque from then on.  A
+      parked reader implies an empty buffer, so an arriving message never
+      has to look at both.
+    * **One allocation per message and side**: the delivery ``Timeout`` the
+      message rides as its value (:meth:`send`), and the one-shot event
+      :meth:`recv` returns.  No queue entry, getter or closure in between.
+    * **EOF is sticky.**  It queues behind whatever is still unread; once a
+      receive reaches it (or it arrives at an empty mailbox)
+      ``closed_remote`` is set and every receive fails from then on.
+    """
 
     __slots__ = (
         "network",
         "env",
         "label",
         "host",
-        "_inbox",
+        "_buffer",
+        "_reader",
         "peer",
         "closed_local",
         "closed_remote",
@@ -110,9 +96,14 @@ class Connection:
         #: Name of the machine this endpoint lives on (used by the fault
         #: model to decide whether a partition cuts this connection).
         self.host = host
-        self._inbox: Store = _Inbox(self.env, self)
+        #: Messages that arrived with nobody receiving, oldest first, and
+        #: EOF behind them if the peer closed before they were read.
+        self._buffer: Optional[Deque[object]] = None
+        #: The one pending receive, if any (class docstring).
+        self._reader: Optional[Event] = None
         self.peer: Optional["Connection"] = None
         self.closed_local = False
+        #: The peer closed and nothing it sent is left unread.
         self.closed_remote = False
         #: The receive a timed-out :meth:`recv_or_deadline` left pending
         #: (reused by the next one), and the timer its waiter is parked on.
@@ -121,7 +112,7 @@ class Connection:
         #: Callback list shared by the delivery timer of every message sent
         #: *to* this endpoint (the dispatch loop reads it, nothing mutates
         #: it), like ``ProcessorSharingQueue._timer_callbacks``.
-        self._deliver_callbacks = [self._deliver_cb]
+        self._deliver_callbacks = [self._deliver]
 
     # -- data transfer -----------------------------------------------------
 
@@ -153,27 +144,43 @@ class Connection:
         timer = Timeout(self.env, latency, message)
         timer.callbacks = peer._deliver_callbacks
 
-    def _deliver_cb(self, ev: Event) -> None:
-        self._deliver(ev._value)
-
-    def _deliver(self, message: object) -> None:
+    def _deliver(self, timer: Event) -> None:
+        """Dispatch of a delivery timer: its value arrives at this endpoint."""
         if self.closed_local:
             # The in-flight message raced the local close: it vanishes, as
             # with a TCP RST — but never invisibly.
             self.network.metrics.counter("net.dropped_sends").inc()
-        else:
-            self._inbox.put_nowait(message)
+            return
+        reader = self._reader
+        if reader is not None:
+            self._reader = None
+            reader.succeed(timer._value)
+            return
+        buffer = self._buffer
+        if buffer is None:
+            buffer = self._buffer = deque()
+        buffer.append(timer._value)
 
     def recv(self) -> Event:
         """Event yielding the next message; fails with ConnectionClosed on EOF.
 
-        The returned event is the inbox getter itself (see :class:`_Inbox`):
-        EOF translation happens at match time, so no shim event or closure
-        is allocated per message.
+        A fresh one-shot event per call (callers put it in ``any_of``).  A
+        buffered message or EOF triggers it here; otherwise it parks in the
+        reader slot until :meth:`_deliver` or :meth:`_deliver_eof` finds it.
         """
-        get = self._inbox.get()
-        get.defuse()  # an orphaned reader is not a simulation error
-        return get
+        if self._reader is not None:
+            raise RuntimeError(f"concurrent recv on {self.label}")
+        event = Event(self.env)
+        event._defused = True  # an orphaned reader is not a simulation error
+        buffer = self._buffer
+        if self.closed_remote or (buffer and buffer[0] is EOF):
+            self.closed_remote = True
+            event.fail(ConnectionClosed(f"EOF on {self.label}"))
+        elif buffer:
+            event.succeed(buffer.popleft())
+        else:
+            self._reader = event
+        return event
 
     def recv_or_deadline(self, delay: float) -> Event:
         """Event for "the next message, or ``delay`` seconds of silence".
@@ -242,7 +249,14 @@ class Connection:
             timer.add_callback(lambda _ev: peer._deliver_eof())
 
     def _deliver_eof(self) -> None:
-        self._inbox.put_nowait(EOF)
+        if self._buffer:
+            self._buffer.append(EOF)  # behind what is still unread
+            return
+        self.closed_remote = True
+        reader = self._reader
+        if reader is not None:
+            self._reader = None
+            reader.fail(ConnectionClosed(f"EOF on {self.label}"))
 
     def __repr__(self) -> str:
         state = "closed" if self.closed_local else "open"

@@ -331,7 +331,9 @@ class OSProcess:
     ) -> bool:
         """Deliver ``sig`` to this process.
 
-        Returns False (and delivers nothing) if the process is already dead.
+        Returns False (and delivers nothing) if the process is already dead
+        — or as good as: its body has returned and only the exit event is
+        still to be dispatched at this instant.
         Raises :class:`PermissionError_` if ``sender`` belongs to a different
         uid — the Unix rule the paper's two-layer design exists to respect.
         """
@@ -339,7 +341,7 @@ class OSProcess:
             raise PermissionError_(
                 f"{sender.uid!r} cannot signal {self.uid!r}'s pid {self.pid}"
             )
-        if not self.is_alive:
+        if not self.is_alive or not self._sim_process.is_alive:
             return False
         delivery = SignalDelivery(sig, sender)
         if sig is SIGKILL:

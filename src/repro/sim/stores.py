@@ -1,8 +1,11 @@
 """Waitable containers: stores, filtered stores and counted resources.
 
-These are the coordination primitives the simulated OS and network are built
-from: a socket is a pair of :class:`Store` queues, a CPU slot is a
-:class:`Resource`, a tuple space is a :class:`FilterStore`.
+These are the coordination primitives the simulated OS and the managed
+systems are built from: a listener's accept backlog and an app's inbox are
+:class:`Store` queues, a CPU slot is a :class:`Resource`, a tuple space is a
+:class:`FilterStore`.  A socket is *not* one: a connection endpoint is its
+own mailbox (:class:`repro.cluster.network.Connection`), because ten thousand
+mostly idle sockets cannot each afford a queue object.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
 
-from repro.sim.events import NO_CALLBACKS, PENDING, Event
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.environment import Environment
@@ -36,16 +39,7 @@ class StoreGet(Event):
     __slots__ = ()
 
     def __init__(self, store: "Store") -> None:
-        # Event.__init__ inlined: one getter per received message makes this
-        # the second-hottest event allocation after Timeout.
-        self.env = store.env
-        self.callbacks = NO_CALLBACKS
-        self._waiter = None
-        self._value = PENDING
-        self._ok = None
-        self._processed = False
-        self._defused = False
-        self._cancelled = False
+        super().__init__(store.env)
 
 
 class FilterStoreGet(StoreGet):

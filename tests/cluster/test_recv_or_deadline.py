@@ -51,8 +51,8 @@ def test_timer_wins_and_the_receive_stays_pending(wire):
     env.run(until=999.5)
     pending = near._pending_recv
     assert pending is not None and not pending.triggered
-    # One receive queued for a thousand waits, holding its one callback.
-    assert list(near._inbox._getters) == [pending]
+    # One receive parked for a thousand waits, holding its one callback.
+    assert near._reader is pending
     assert len(pending.callbacks) == 1
     at(env, 1.0, lambda: far.send({"n": 1}))  # sent at 1000.5
     env.run()

@@ -453,3 +453,37 @@ def test_crashing_thread_crashes_the_process_with_its_own_exception(rig):
     assert log == [("faulty raises", crashed_at), ("steady torn down", crashed_at)]
     assert proc.terminated.value == 1 and env.now == crashed_at
     assert proc.pid not in machine.procs
+
+
+@pytest.mark.parametrize("sig", [SIGTERM, SIGKILL])
+def test_signal_between_body_return_and_exit_dispatch_finds_it_dead(rig, sig):
+    """The victim's body returns at t=1.0; its exit event is queued behind
+    the killer's wake-up at the same instant, so the killer signals a
+    process still marked RUNNING whose generator is gone.  That used to
+    raise ``RuntimeError: ... has already terminated`` in the sender."""
+    env, machine, directory = rig
+    seen = {}
+
+    @directory.register("victim")
+    def victim(proc):
+        yield proc.sleep(1.0)
+        return 7
+
+    @directory.register("killer")
+    def killer(proc):
+        yield proc.sleep(1.0)
+        target = seen["victim"]
+        seen["status"] = target.status
+        seen["body_alive"] = target._sim_process.is_alive
+        seen["delivered"] = target.signal(sig, sender=proc)
+        return 0
+
+    seen["victim"] = start(machine, ["victim"], startup_delay=0.0)
+    sender = start(machine, ["killer"], startup_delay=0.0)
+    env.run()
+    assert seen["status"] is ProcessStatus.RUNNING and not seen["body_alive"]
+    assert seen["delivered"] is False
+    assert sender.status is ProcessStatus.EXITED and sender.exit_code == 0
+    assert seen["victim"].status is ProcessStatus.EXITED
+    assert seen["victim"].exit_code == 7
+    assert machine.network.crashed == []

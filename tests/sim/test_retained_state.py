@@ -9,16 +9,18 @@ callbacks, equals registration order.
 """
 
 import gc
+from collections import deque
 
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
-from repro.cluster.network import EXPIRED
+from repro.cluster.network import EXPIRED, Connection
 from repro.experiments.sweep import WORKLOADS
 from repro.os.signals import SIGKILL
 from repro.sim import Environment
 from repro.sim.events import NO_CALLBACKS
 from repro.sim.process import Interrupt
+from repro.sim.stores import Store
 from tests.cluster.test_recv_or_deadline import make_wire
 
 
@@ -46,6 +48,37 @@ def test_steady_state_churn_cell_retains_few_objects_per_machine():
             gc.enable()
     cluster.assert_no_crashes()
     assert born / machines <= 6.5
+
+
+def test_idle_sockets_own_no_queue_objects():
+    """A connection pays for a deque only once a message has had to wait
+    (here: each daemon's hello, in before the broker's handler was up).
+    The hundreds of rsh sockets the churn opens and closes never do, and
+    neither does EOF arriving at a drained endpoint."""
+
+    def count_deques():
+        return sum(isinstance(obj, deque) for obj in gc.get_objects())
+
+    machines = 64
+    gc.collect()
+    foreign = count_deques()  # the test runner's own
+    cluster = Cluster(ClusterSpec.uniform(machines, seed=5))
+    service = cluster.start_broker()
+    service.wait_ready()
+    WORKLOADS["churn"](cluster, service, 10.0)
+    cluster.assert_no_crashes()
+    gc.collect()
+    live = gc.get_objects()
+    connections = [obj for obj in live if isinstance(obj, Connection)]
+    stores = sum(isinstance(obj, Store) for obj in live)
+    del live
+    buffered = sum(conn._buffer is not None for conn in connections)
+    assert len(connections) >= 8 * machines
+    assert buffered <= machines + 1
+    assert buffered * 8 <= len(connections)
+    # A store owns two deques (items and getters; putters are lazy) and
+    # the kernel one, its immediates.
+    assert count_deques() - foreign <= 2 * stores + buffered + 1
 
 
 # -- the waiter slot ----------------------------------------------------------
