@@ -13,6 +13,10 @@ latency can spike; fault-induced losses are always visible in the metrics
 registry (``net.partition_drops``, ``net.fault_drops``), never silent.  EOF
 delivery is exempt from fault drops — a closed endpoint always surfaces to
 its peer, the way a broken TCP connection eventually surfaces as a reset.
+
+The message path is two objects long: ``send`` makes the delivery timer the
+message rides on, ``recv`` the event its reader waits on, and the timer's
+dispatch triggers the one with the other (contract: :class:`Connection`).
 """
 
 from __future__ import annotations
@@ -54,19 +58,22 @@ EXPIRED = _Expired()
 class Connection:
     """One endpoint of a bidirectional message connection, and its mailbox.
 
-    The contract of the message path:
-
     * **One reader.**  ``_reader`` holds the one pending receive; a second
-      :meth:`recv` while it is pending raises ``RuntimeError``.  No protocol
-      in the system shares a socket between readers.  A reader whose process
-      died stays in the slot and swallows the next message unseen.
+      :meth:`recv` while it is pending raises ``RuntimeError``.  A reader
+      whose process died stays in the slot and swallows the next message.
     * **Nothing on an idle socket.**  ``_buffer`` is ``None`` until a
       message arrives with nobody receiving, and a deque from then on.  A
-      parked reader implies an empty buffer, so an arriving message never
-      has to look at both.
+      parked reader implies an empty buffer.
     * **One allocation per message and side**: the delivery ``Timeout`` the
-      message rides as its value (:meth:`send`), and the one-shot event
-      :meth:`recv` returns.  No queue entry, getter or closure in between.
+      message rides as its value, and the one-shot event ``recv`` returns.
+    * **The reader is queued, not run.**  A message or EOF that finds a
+      reader parked triggers it (``succeed``/``fail``): the receiver runs as
+      a kernel event of its own, behind everything already due that instant.
+      Dispatching it inside the delivery timer (``Event.dispatch_now``)
+      would make a heartbeat two kernel events instead of three, but runs
+      the receiver *ahead* of its same-instant neighbours, and that changes
+      what fault scenarios do after a broker restart — measured and dropped
+      twice (CHANGES.md PR 12, PR 19; DESIGN.md §10).
     * **EOF is sticky.**  It queues behind whatever is still unread; once a
       receive reaches it (or it arrives at an empty mailbox)
       ``closed_remote`` is set and every receive fails from then on.
@@ -99,7 +106,6 @@ class Connection:
         #: Messages that arrived with nobody receiving, oldest first, and
         #: EOF behind them if the peer closed before they were read.
         self._buffer: Optional[Deque[object]] = None
-        #: The one pending receive, if any (class docstring).
         self._reader: Optional[Event] = None
         self.peer: Optional["Connection"] = None
         self.closed_local = False
@@ -150,23 +156,19 @@ class Connection:
             # The in-flight message raced the local close: it vanishes, as
             # with a TCP RST — but never invisibly.
             self.network.metrics.counter("net.dropped_sends").inc()
-            return
-        reader = self._reader
-        if reader is not None:
-            self._reader = None
+        elif self._reader is not None:
+            reader, self._reader = self._reader, None
             reader.succeed(timer._value)
-            return
-        buffer = self._buffer
-        if buffer is None:
-            buffer = self._buffer = deque()
-        buffer.append(timer._value)
+        elif self._buffer is None:
+            self._buffer = deque((timer._value,))
+        else:
+            self._buffer.append(timer._value)
 
     def recv(self) -> Event:
         """Event yielding the next message; fails with ConnectionClosed on EOF.
 
-        A fresh one-shot event per call (callers put it in ``any_of``).  A
-        buffered message or EOF triggers it here; otherwise it parks in the
-        reader slot until :meth:`_deliver` or :meth:`_deliver_eof` finds it.
+        A fresh one-shot event per call (callers put it in ``any_of``): a
+        buffered message or EOF triggers it, otherwise it parks as reader.
         """
         if self._reader is not None:
             raise RuntimeError(f"concurrent recv on {self.label}")
@@ -253,9 +255,8 @@ class Connection:
             self._buffer.append(EOF)  # behind what is still unread
             return
         self.closed_remote = True
-        reader = self._reader
-        if reader is not None:
-            self._reader = None
+        if self._reader is not None:
+            reader, self._reader = self._reader, None
             reader.fail(ConnectionClosed(f"EOF on {self.label}"))
 
     def __repr__(self) -> str:

@@ -250,6 +250,12 @@ class Event:
         here would clobber the environment's active process.  The event is
         not counted in ``heap_stats()["processed"]`` — it never was a
         kernel event of its own.
+
+        The fused event runs *ahead of* everything else due this instant,
+        where queued it would run behind.  A burst's completion is fine
+        with that; a message receiver is not, which is why
+        :class:`~repro.cluster.network.Connection` triggers its reader
+        with ``succeed`` and pays a third kernel event per heartbeat.
         """
         env = self.env
         assert env._active_process is None, "dispatch_now inside a process"

@@ -3,8 +3,9 @@ the guard that ``run()``'s inlined dispatch and ``step()`` cannot drift."""
 
 import pytest
 
-from repro.cluster.network import EXPIRED
+from repro.cluster.network import EXPIRED, Connection
 from repro.experiments import run_cell
+from repro.os import ConnectionClosed
 from repro.sim import Environment, Event, Interrupt, ProcessorSharingQueue
 from tests.cluster.test_recv_or_deadline import make_wire
 
@@ -336,13 +337,34 @@ def _every_dispatch_shape():
     env.process(burst("b"))
 
     # A silent deadline, then a message that beats the next one (_recv_won).
+    # Then a tie: the third deadline and a message fall on t=3.25, the
+    # deadline first; the wait that follows is armed and beaten within the
+    # same instant.
     def reader():
-        for delay in (1.0, 5.0):
+        for delay in (1.0, 5.0, 0.5, 0.5):
             received = yield near.recv_or_deadline(delay)
             note("expired" if received is EXPIRED else f"received {received}")
 
     env.process(reader())
     env.timeout(2.5).add_callback(lambda _ev: far.send("hello"))
+    env.timeout(3.0).add_callback(lambda _ev: far.send("tied"))
+
+    # A process parked on a plain recv(): a message, then EOF, each handed
+    # from the timer that carried it to the parked reader.
+    left = Connection(near.network, "left")
+    right = Connection(near.network, "right")
+    left.peer, right.peer = right, left
+
+    def plain_reader():
+        try:
+            while True:
+                note(f"handed {(yield left.recv())}")
+        except ConnectionClosed as closed:
+            note(f"handed {closed}")
+
+    env.process(plain_reader())
+    env.timeout(3.25).add_callback(lambda _ev: right.send("over"))
+    env.timeout(3.5).add_callback(lambda _ev: right.close())
 
     # A failure nobody consumes aborts the run, however it is driven.
     env.timeout(4.0).add_callback(
@@ -376,10 +398,15 @@ def test_step_and_run_dispatch_identically():
         (2.0, "burst a done"),
         (2.0, "burst b done"),
         (2.75, "received hello"),
+        (3.25, "expired"),
+        (3.25, "received tied"),
+        (3.5, "handed over"),
+        (3.75, "handed EOF on left"),
         (4.5, "after the failure"),
     ]
     stats = by_run[3]
-    assert stats["skipped_cancelled"] == 2  # the dead head, the beaten deadline
+    # The dead head and the two beaten deadlines.
+    assert stats["skipped_cancelled"] == 3
     assert stats["pending"] == stats["dead_pending"] == 0
 
 

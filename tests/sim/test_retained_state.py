@@ -29,9 +29,9 @@ from tests.cluster.test_recv_or_deadline import make_wire
 
 def test_steady_state_churn_cell_retains_few_objects_per_machine():
     """Objects born in 1.9 sim-s of steady state and still alive are what
-    the cyclic collector re-walks for nothing; per machine there are about
-    five (burst, receive, three heap entries), where the four objects per
-    parked wait used to make it 12.8."""
+    the cyclic collector re-walks for nothing; per machine there are five
+    (burst, receive, three heap entries) and three more for the whole cell,
+    where the four objects per parked wait used to make it 12.8."""
     machines = 64
     cluster = Cluster(ClusterSpec.uniform(machines, seed=5))
     service = cluster.start_broker()
@@ -47,7 +47,7 @@ def test_steady_state_churn_cell_retains_few_objects_per_machine():
         if was_enabled:
             gc.enable()
     cluster.assert_no_crashes()
-    assert born / machines <= 6.5
+    assert born / machines <= 5.1
 
 
 def test_idle_sockets_own_no_queue_objects():
@@ -73,7 +73,6 @@ def test_idle_sockets_own_no_queue_objects():
     stores = sum(isinstance(obj, Store) for obj in live)
     del live
     buffered = sum(conn._buffer is not None for conn in connections)
-    assert len(connections) >= 8 * machines
     assert buffered <= machines + 1
     assert buffered * 8 <= len(connections)
     # A store owns two deques (items and getters; putters are lazy) and
