@@ -45,8 +45,8 @@ bench-federation:  ## federated control-plane gate vs the pinned BENCH_federatio
 rbbench-smoke:  ## self-test of the rbbench harness (outside tier-1 testpaths), about a minute
 	python -m pytest -q benchmarks/rbbench
 
-bench-pairs:  ## W=<workload> BASE=<rev> [N=10]: paired rbbench runs of BASE and this checkout, claim-rule verdict per metric
-	python benchmarks/pairs.py --workload $(W) --base $(BASE) --pairs $(or $(N),10)
+bench-pairs:  ## W=<workload> BASE=<rev> [N=10]: paired rbbench runs of BASE and this checkout, claim-rule verdict per metric; FACTS=1 [SEED=n]: one traced run per side, the exact facts that differ
+	python benchmarks/pairs.py --workload $(W) --base $(BASE) $(if $(FACTS),--facts $(if $(SEED),--seed $(SEED)),--pairs $(or $(N),10))
 
 gc-census:  ## [M=1024]: collector activity and the generation-0 census of the churn cell at M machines
 	python benchmarks/gc_census.py --machines $(or $(M),1024)

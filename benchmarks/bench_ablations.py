@@ -16,6 +16,8 @@ and measures what it buys.
    the cost of network chatter.
 """
 
+import math
+
 from repro.calibration import Calibration
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
 from repro.policy import DefaultPolicy, FifoPolicy
@@ -109,9 +111,10 @@ def bench_ablation_grace_period(run_once):
 
             @cluster.system_bin.register(f"stubborn{grace}")
             def stubborn(proc):
+                burst = proc.compute(math.inf)
                 while True:
                     try:
-                        yield proc.compute(1.0)
+                        yield burst  # the same burst: load stays 1
                     except Interrupt:
                         pass  # ignores SIGTERM; only SIGKILL removes it
 

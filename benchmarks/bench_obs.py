@@ -40,7 +40,10 @@ GATE_SIZE = 256
 GATE_SEED = 2
 
 #: Best-of-N wall measurements per config (walls are noisy; mins are not).
-REPEATS = 3
+#: Seven since the cell takes about a second (it took three while every
+#: worker ticked once a simulated second): the same ~15 s of gate, and a
+#: minimum that host noise — now a larger share of each run — moves less.
+REPEATS = 7
 
 #: Observability configurations, applied via the public environment knobs.
 CONFIGS = {

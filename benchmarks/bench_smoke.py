@@ -6,8 +6,9 @@ Run as a script (``make bench-smoke``).  Two checks:
   processed, heap high-water) must match the committed baseline exactly;
   these are hardware-independent, so any mismatch means kernel behaviour
   changed and the baseline must be regenerated deliberately
-  (``python -m repro sweep --sizes 8,16,32,64,128,256,512,1024 --seeds 2
-  --minutes 10 --bench BENCH_kernel.json``).
+  (``python -m repro sweep --sizes 8,16,32,64,128,256,512,1024,2048,4096
+  --seeds 2 --minutes 10 --bench BENCH_kernel.json``, about 90 s; every
+  size the file holds, or the rows left out go stale).
 * **Performance** — wall-clock per simulated minute must stay within
   ``REPRO_BENCH_TOLERANCE`` (default 2.0x) of the baseline.  Wall-clock is
   machine-dependent; the generous tolerance absorbs hardware and CI-runner

@@ -10,7 +10,7 @@ Run as a script (``make gc-census``, ``python benchmarks/gc_census.py
   time.  Host-dependent: a measurement, not a gate.
 * **Census** — a second cell runs to steady state, then ``gc.collect();
   gc.disable()`` and one more ``--window`` simulated seconds (1.9: just
-  under one heartbeat/burst period).  Whatever is then in generation 0 was
+  under one heartbeat period).  Whatever is then in generation 0 was
   born in the window and is still alive: the tracked objects a parked
   process holds until its next wake-up, which every young collection
   re-walks and never frees.  Counted by type; exact on any hardware.

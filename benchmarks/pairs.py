@@ -26,6 +26,18 @@ the claim rule in ``benchmarks/rbbench/README.md``:
 
 Exit status: 0, or 1 when a metric is ``worse``, a run fails or is not
 ``correct``, or more operations fail on the change; 2 when it refuses.
+
+    python3 benchmarks/pairs.py --workload churn-1024 --base HEAD~1 --facts [--seed N]
+    make bench-pairs W=churn-1024 BASE=HEAD~1 FACTS=1 [SEED=N]
+
+``--facts`` answers "what did the change do to the simulation" instead of
+"what did it do to the host": one ``--trace 1`` run per side at the same
+seed, then both ``sim_digest``s and every exact fact — a metric whose unit
+is ``count``, ``bytes`` or ``sim_s``, the same on any hardware — that
+differs, parent -> change: the simulation's own counters first, then the
+profiler's per-layer call counts.  Equal digests mean the change is
+invisible to the simulation on that workload.  Exit status 1 only when a
+run fails or is not ``correct``.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ import filecmp
 import hashlib
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -45,6 +58,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 MIN_PAIRS = 10
+#: Units of metrics that are functions of the simulation (or, for the
+#: profiler's call counts, of the program) alone: equal on any host.
+FACT_UNITS = ("count", "bytes", "sim_s")
 
 
 def git(*args: str) -> bytes:
@@ -89,17 +105,21 @@ def benchmark_differences(base: Path, paths: Sequence[str]) -> List[str]:
 
 
 def run_once(root: Path, command: Sequence[str], workload: str, seed: int,
-             seconds: float) -> Dict[str, Any]:
-    """One ``--trace 0`` run in ``root``; the JSON object of its last line."""
+             seconds: float, trace: int = 0) -> Dict[str, Any]:
+    """One run in ``root``: the JSON object of its last line, plus the
+    ``sim_digest`` it printed on the way."""
     done = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True,
     )
     if done.returncode != 0:
         sys.stderr.write(done.stdout + done.stderr)
         raise SystemExit(f"run failed in {root} (exit {done.returncode})")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    digest = re.search(r"^\s*sim_digest (\w+)", done.stdout, re.MULTILINE)
+    result["sim_digest"] = digest.group(1) if digest else None
+    return result
 
 
 def verdict(parent: Sequence[float], change: Sequence[float], lower: bool,
@@ -119,6 +139,30 @@ def verdict(parent: Sequence[float], change: Sequence[float], lower: bool,
     return "same", wins, ties
 
 
+def facts(parent: Dict[str, Any], change: Dict[str, Any]) -> int:
+    """Print both digests and every exact fact that differs; exit status."""
+    same = parent["sim_digest"] == change["sim_digest"]
+    print(f"  sim_digest parent={parent['sim_digest']} "
+          f"change={change['sim_digest']} {'equal' if same else 'DIFFER'}")
+    # The benchmark is the same files on both sides, so are the names.
+    before, after = parent["metrics"], change["metrics"]
+    exact = [name for name, m in before.items() if m["unit"] in FACT_UNITS]
+    moved = [name for name in exact if before[name] != after[name]]
+    # The simulation's own counters first, the profiler's call counts after.
+    moved.sort(key=lambda name: name.endswith(".calls"))
+    for name in moved:
+        old, new = (format(side[name]["value"], ".10g") for side in (before, after))
+        print(f"  {name:34s} {old:>12s} -> {new:<12s} {before[name]['unit']}")
+    print(f"  {len(moved)} of {len(exact)} exact facts differ")
+    status = 0
+    for side, run in (("parent", parent), ("change", change)):
+        print(f"{side}: failed {run['failed']} of {run['attempted']} operations, "
+              f"{'correct' if run['correct'] else 'NOT correct'}")
+        if not run["correct"]:
+            status = 1
+    return status
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -127,9 +171,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--base", required=True, help="parent revision")
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    parser.add_argument(
+        "--facts", action="store_true",
+        help="one --trace 1 run per side: digests and the exact facts that differ",
+    )
+    parser.add_argument(
+        "--seed", type=int, help="seed of the --facts runs (default: pair 1's)"
+    )
     args = parser.parse_args(argv)
     if args.pairs < MIN_PAIRS:
         parser.error(f"the claim rule needs at least {MIN_PAIRS} pairs")
+    if args.seed is not None and not args.facts:
+        parser.error("--seed goes with --facts; pairs draw their own seeds")
 
     base_sha = git("rev-parse", args.base).decode().strip()
     with tempfile.TemporaryDirectory(prefix="rbbench-base-") as tmp:
@@ -148,6 +201,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ).hexdigest()[:8], 16)
             for i in range(args.pairs)
         ]
+        if args.facts:
+            seed = seeds[0] if args.seed is None else args.seed
+            print(f"facts workload={args.workload} base={base_sha[:7]} "
+                  f"change={ROOT} seed={seed}")
+            return facts(*(
+                run_once(root, spec["command"], args.workload, seed,
+                         spec["run_seconds"], trace=1)
+                for root in (base, ROOT)
+            ))
         print(
             f"pairs workload={args.workload} base={base_sha[:7]} "
             f"change={ROOT} pairs={args.pairs} seconds={spec['run_seconds']}"

@@ -239,7 +239,22 @@ class OSProcess:
 
         The burst contends with every other runnable task on this machine
         (processor sharing) and is cancelled automatically if the process
-        dies first.
+        dies first.  ``cpu_seconds`` may be ``math.inf``: an open-ended
+        burst that holds its CPU share, never fires and costs no kernel
+        event — a job that computes until a signal stops it.
+
+        An :class:`~repro.sim.process.Interrupt` takes the waiter off the
+        event, not the burst off the CPU: it runs on until it completes or
+        the process dies.  A program that *ignores* a signal therefore
+        re-yields the same event; calling ``compute`` again would run a
+        second burst beside the first::
+
+            burst = proc.compute(math.inf)
+            while True:
+                try:
+                    yield burst
+                except Interrupt:
+                    pass  # signal swallowed, still one task on the CPU
         """
         done = self.machine.cpu.execute(cpu_seconds, tag=tag or self.name)
         computes = self._computes

@@ -15,6 +15,14 @@ The model is event-driven: task membership changes trigger a re-computation of
 each task's completion horizon, so the cost is O(tasks) per change rather than
 per tick.
 
+Work may be ``math.inf``: an **open-ended task** holds its share until it is
+cancelled and never completes — a job that computes until it is told to stop.
+It slows its neighbours and counts as busy CPU like any other task, and it
+costs no kernel event while it runs: a wake-up is armed only for a completion
+that can happen, so a queue whose shortest task is open-ended has no timer
+(one armed for a task that has since left is cancelled, never left in the
+heap), and utilization is integrated whenever somebody asks.
+
 A burst costs **one** kernel event: the queue's wake-up timer.  The task that
 finishes at a wake-up has its completion event dispatched *inside* the
 timer's own dispatch (:meth:`~repro.sim.events.Event.dispatch_now`) instead
@@ -29,6 +37,7 @@ the heap order they always did, shared CPU or not.
 from __future__ import annotations
 
 import itertools
+from math import inf
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.sim.events import NO_CALLBACKS, PENDING, Event, Timeout
@@ -144,8 +153,12 @@ class ProcessorSharingQueue:
         return self.speed * min(1.0, self.cpus / n)
 
     def execute(self, work: float, tag: Any = None) -> PSTask:
-        """Enqueue ``work`` CPU-seconds; the returned event fires when done."""
-        if work < 0:
+        """Enqueue ``work`` CPU-seconds; the returned event fires when done.
+
+        ``math.inf`` is an open-ended task: it never fires, and holds its
+        share until :meth:`cancel` takes it off.
+        """
+        if not work >= 0:  # negative, or nan
             raise ValueError(f"negative work {work!r}")
         if work == 0:
             task = PSTask(self.env, 0, 0.0, tag)
@@ -245,20 +258,23 @@ class ProcessorSharingQueue:
         completes nothing and we re-arm), and keeping it avoids a cancel +
         re-arm per task arrival — arrivals slow everyone down, so the common
         case pushes the horizon later.  A timer that would fire too *late*
-        is cancelled and replaced, never abandoned.
+        is cancelled and replaced, never abandoned; when nothing can complete
+        (no tasks, or only open-ended ones) it is cancelled and not replaced.
         """
         tasks = self._tasks
-        if not tasks:
+        shortest = inf
+        if tasks:
+            n = len(tasks)
+            if n == 1:
+                shortest = next(iter(tasks.values())).remaining
+            else:
+                shortest = min(task.remaining for task in tasks.values())
+        if shortest == inf:
             if self._timer is not None:
                 self._timer.cancel()
                 self._timer = None
             return
-        n = len(tasks)
         rate = self.speed if n <= self.cpus else self.speed * self.cpus / n
-        if n == 1:
-            shortest = next(iter(tasks.values())).remaining
-        else:
-            shortest = min(task.remaining for task in tasks.values())
         horizon = shortest / rate
         # Guard against float dust: at large clock values a sub-epsilon
         # horizon would schedule the wake-up at *exactly* the current time
@@ -299,7 +315,8 @@ class ProcessorSharingQueue:
         """Simulated seconds until all current tasks finish (no arrivals).
 
         PS with equal rates completes tasks in remaining-work order; this is
-        used by policies to predict machine availability.  The remaining-work
+        used by policies to predict machine availability (``math.inf`` while
+        an open-ended task is running).  The remaining-work
         ordering is cached between membership changes (uniform drain keeps it
         sorted), so polling policies pay O(tasks), not O(tasks log tasks).
         """
@@ -311,6 +328,8 @@ class ProcessorSharingQueue:
             )
         if not order:
             return 0.0
+        if order[-1].remaining == inf:
+            return inf  # an open-ended task never drains
         t = 0.0
         prev = 0.0
         n = len(order)

@@ -5,7 +5,7 @@
 * ``loop`` — "a C program with a tight loop"; a fixed CPU burst whose nominal
   duration comes from :class:`~repro.calibration.Calibration.loop_work`.
 * ``compute <cpu_seconds>`` — parameterized CPU burst for workload traces.
-* ``spin`` — runs forever in 1-second bursts; killed by revocation tests.
+* ``spin`` — one open-ended CPU burst; killed by revocation tests.
 * ``retrywork <cpu_seconds>`` — a fault-tolerant sequential job: runs
   ``compute`` on a brokered machine via ``rsh anylinux`` and simply resubmits
   on failure, the classic retry-until-success wrapper script.  Used by the
@@ -13,6 +13,10 @@
 """
 
 from __future__ import annotations
+
+import math
+
+from repro.sim.process import Interrupt
 
 
 def null_main(proc):
@@ -41,9 +45,8 @@ def compute_main(proc):
 
 
 def spin_main(proc):
-    """CPU hog that runs until signalled."""
-    while True:
-        yield proc.compute(1.0, tag="spin")
+    """CPU hog: one open-ended burst, until a signal kills it."""
+    yield proc.compute(math.inf, tag="spin")
 
 
 def retrywork_main(proc):
@@ -68,20 +71,17 @@ def retrywork_main(proc):
 
 
 def gracespin_main(proc):
-    """Adaptive worker: endless 1-second bursts, graceful SIGTERM shutdown.
+    """Adaptive worker: one open-ended burst, graceful SIGTERM shutdown.
 
     On interruption (revocation) it takes the calibrated adaptive-shutdown
-    time before exiting — the dominant term of the paper's ~1 s reallocation.
+    time before exiting — the dominant term of the paper's ~1 s reallocation
+    — still on the CPU until it exits, like a Calypso worker.
     """
-    from repro.sim.process import Interrupt
-
-    cal = proc.machine.network.calibration
-    while True:
-        try:
-            yield proc.compute(1.0, tag="gracespin")
-        except Interrupt:
-            yield proc.sleep(cal.adaptive_shutdown)
-            return 0
+    try:
+        yield proc.compute(math.inf, tag="gracespin")
+    except Interrupt:
+        yield proc.sleep(proc.machine.network.calibration.adaptive_shutdown)
+        return 0
 
 
 def greedy_main(proc):

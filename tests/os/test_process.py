@@ -1,5 +1,7 @@
 """Unit tests for simulated OS processes: lifecycle, signals, environment."""
 
+import math
+
 import pytest
 
 from repro.cluster.network import Network
@@ -14,6 +16,7 @@ from repro.os import (
 from repro.os.process import PermissionError_
 from repro.os.programs import ProgramDirectory
 from repro.sim import Environment, Interrupt
+from repro.workloads import install_churn
 
 
 @pytest.fixture
@@ -487,3 +490,85 @@ def test_signal_between_body_return_and_exit_dispatch_finds_it_dead(rig, sig):
     assert seen["victim"].status is ProcessStatus.EXITED
     assert seen["victim"].exit_code == 7
     assert machine.network.crashed == []
+
+
+# -- open-ended bursts: compute(math.inf) -------------------------------------
+
+
+def test_open_ended_burst_leaves_the_cpu_on_sigkill_and_on_normal_exit(rig):
+    env, machine, directory = rig
+
+    @directory.register("hog")
+    def hog(proc):
+        yield proc.compute(math.inf)
+
+    @directory.register("leaver")
+    def leaver(proc):
+        proc.compute(math.inf)  # started, never waited for
+        yield proc.sleep(2.0)
+        return 0
+
+    killed = start(machine, ["hog"], startup_delay=0.0)
+    left = start(machine, ["leaver"], startup_delay=0.0)
+    env.run(until=1.0)
+    assert machine.cpu.load == 2
+    killed.signal(SIGKILL)
+    assert machine.cpu.load == 1
+    env.run()  # nothing keeps the clock running once ``leaver`` is gone
+    assert (killed.exit_code, left.exit_code) == (-9, 0)
+    assert machine.cpu.load == 0
+    assert env.now == 2.0
+    assert env.heap_stats()["pending"] == 0
+
+
+def test_gracespin_holds_the_cpu_through_its_adaptive_shutdown(rig):
+    env, machine, directory = rig
+    install_churn(directory)
+    proc = start(machine, ["gracespin"])
+    env.run(until=10.0)
+    assert machine.cpu.load == 1
+    assert machine.cpu.utilization() > 0.99
+    proc.signal(SIGTERM)
+    shutdown = machine.network.calibration.adaptive_shutdown
+    env.run(until=10.0 + 0.99 * shutdown)
+    assert proc.is_alive and machine.cpu.load == 1
+    env.run()
+    assert proc.status is ProcessStatus.EXITED and proc.exit_code == 0
+    assert env.now == pytest.approx(10.0 + shutdown)
+    assert machine.cpu.load == 0
+
+
+def test_ignoring_signals_re_yields_the_same_burst_at_load_one(rig):
+    """The idiom of ``OSProcess.compute``'s docstring: an Interrupt takes
+    the waiter off the burst, not the burst off the CPU, so a program that
+    swallows the signal waits for the *same* event again."""
+    env, machine, directory = rig
+    swallowed = []
+    loads = []
+
+    @directory.register("stubborn")
+    def stubborn(proc):
+        burst = proc.compute(math.inf)
+        while True:
+            try:
+                yield burst
+            except Interrupt:
+                swallowed.append(env.now)
+
+    proc = start(machine, ["stubborn"])
+
+    def pester():
+        for _ in range(3):
+            yield env.timeout(1.0)
+            proc.signal(SIGTERM)
+            loads.append(machine.cpu.load)
+            yield env.timeout(0.25)
+            loads.append(machine.cpu.load)
+
+    env.process(pester())
+    env.run(until=10.0)
+    assert len(swallowed) == 3 and proc.is_alive
+    assert loads == [1] * 6
+    assert machine.cpu.utilization() > 0.99
+    proc.signal(SIGKILL)
+    assert machine.cpu.load == 0

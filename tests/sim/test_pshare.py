@@ -1,5 +1,7 @@
 """Unit tests for the processor-sharing CPU model."""
 
+import math
+
 import pytest
 
 from repro.sim import Environment, ProcessorSharingQueue
@@ -80,6 +82,9 @@ def test_negative_work_rejected(env):
     cpu = ProcessorSharingQueue(env, cpus=1)
     with pytest.raises(ValueError):
         cpu.execute(-1.0)
+    with pytest.raises(ValueError):
+        cpu.execute(math.nan)
+    assert cpu.load == 0
 
 
 def test_cancel_removes_task(env):
@@ -228,3 +233,96 @@ def test_drain_estimate_cache_stays_correct_across_changes(env):
     assert cpu.drain_estimate() == pytest.approx(fresh_estimate())
     env.run()
     assert cpu.drain_estimate() == 0.0
+
+
+# -- open-ended tasks (work = inf) ------------------------------------------
+
+
+def no_heap_entry_at_inf(env):
+    """Nothing, live or cancelled, sits in the event heap at ``inf``."""
+    return all(when < math.inf for when, *_ in env._queue)
+
+
+def test_open_ended_tasks_alone_arm_no_timer(env):
+    cpu = ProcessorSharingQueue(env, cpus=1)
+    first = cpu.execute(math.inf)
+    second = cpu.execute(math.inf)
+    assert cpu.load == 2 and cpu.rate() == 0.5
+    assert cpu._timer is None
+    assert env.peek() == math.inf  # an empty heap, not an entry at inf
+    env.run()  # returns: nothing is scheduled
+    assert env.heap_stats()["pending"] == 0
+    assert env.now == 0.0
+    assert not first.triggered and not second.triggered
+    assert cpu.cancel(first) and cpu.cancel(second)
+    assert cpu.load == 0 and cpu._timer is None
+
+
+def test_finite_task_beside_open_ended_takes_twice_its_work(env):
+    cpu = ProcessorSharingQueue(env, cpus=1)
+    hog = cpu.execute(math.inf, tag="hog")
+    done = run_and_record(env, cpu, [(0.0, 3.0, "job")])
+    assert done["job"] == pytest.approx(6.0)
+    # The hog is alone again: no wake-up left behind, the run ended by itself.
+    assert cpu.load == 1 and cpu._timer is None
+    assert env.heap_stats()["pending"] == 0
+    assert not hog.triggered and hog.remaining == math.inf
+
+
+def test_cancelling_the_last_finite_task_cancels_the_armed_timer(env):
+    cpu = ProcessorSharingQueue(env, cpus=1)
+    cpu.execute(math.inf)
+    job = cpu.execute(3.0)
+    timer = cpu._timer
+    assert timer is not None and cpu._timer_deadline == pytest.approx(6.0)
+    env.run(until=1.0)
+    assert cpu.cancel(job)
+    # Cancelled, not kept to fire early and not re-armed at now + inf.
+    assert cpu._timer is None and timer._cancelled
+    stats = env.heap_stats()
+    assert (stats["pending"], stats["dead_pending"]) == (1, 1)
+    assert no_heap_entry_at_inf(env)
+    env.run()
+    stats = env.heap_stats()
+    assert (stats["pending"], stats["skipped_cancelled"]) == (0, 1)
+    assert env.now == 1.0
+
+
+def test_open_ended_arrival_keeps_a_timer_that_is_still_needed(env):
+    cpu = ProcessorSharingQueue(env, cpus=1)
+    job = cpu.execute(2.0)
+    env.run(until=1.0)
+    cpu.execute(math.inf)  # halves the job's rate: 1.0 left takes 2.0
+    assert cpu._timer is not None
+    env.run()
+    assert job.processed and env.now == pytest.approx(3.0)
+    assert cpu._timer is None and no_heap_entry_at_inf(env)
+
+
+@pytest.mark.parametrize("cpus, expected", [(1, 1.0), (2, 0.5)])
+def test_utilization_of_an_open_ended_task_is_exact_and_costs_no_events(
+    env, cpus, expected
+):
+    cpu = ProcessorSharingQueue(env, cpus=cpus)
+    cpu.execute(math.inf)
+    processed = env.heap_stats()["processed"]
+    env.run(until=10_000.0)
+    assert env.heap_stats()["processed"] == processed
+    assert cpu.utilization() == expected  # exact: one dt, no tick dust
+    env.run(until=20_000.0)
+    assert cpu.utilization() == expected
+    assert env.heap_stats()["processed"] == processed
+
+
+def test_drain_estimate_is_inf_while_an_open_ended_task_runs(env):
+    cpu = ProcessorSharingQueue(env, cpus=1)
+    cpu.execute(2.0)
+    hog = cpu.execute(math.inf)
+    assert cpu.drain_estimate() == math.inf
+    cpu.execute(math.inf)  # inf - inf between two of them must not be nan
+    assert cpu.drain_estimate() == math.inf
+    env.run(until=100.0)
+    assert cpu.load == 2 and cpu.drain_estimate() == math.inf
+    for task in list(cpu._tasks.values()):
+        cpu.cancel(task)
+    assert cpu.drain_estimate() == 0.0 and not hog.triggered

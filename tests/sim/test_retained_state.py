@@ -29,9 +29,11 @@ from tests.cluster.test_recv_or_deadline import make_wire
 
 def test_steady_state_churn_cell_retains_few_objects_per_machine():
     """Objects born in 1.9 sim-s of steady state and still alive are what
-    the cyclic collector re-walks for nothing; per machine there are five
-    (burst, receive, three heap entries) and three more for the whole cell,
-    where the four objects per parked wait used to make it 12.8."""
+    the cyclic collector re-walks for nothing; per machine there are three
+    (receive, two heap entries) and five more for the whole cell, where the
+    four objects per parked wait used to make it 12.8 and a worker's
+    one-second burst (task, heap entry) 5.02: an open-ended burst is as old
+    as its worker."""
     machines = 64
     cluster = Cluster(ClusterSpec.uniform(machines, seed=5))
     service = cluster.start_broker()
@@ -47,7 +49,7 @@ def test_steady_state_churn_cell_retains_few_objects_per_machine():
         if was_enabled:
             gc.enable()
     cluster.assert_no_crashes()
-    assert born / machines <= 5.1
+    assert born / machines <= 3.2
 
 
 def test_idle_sockets_own_no_queue_objects():
