@@ -30,7 +30,7 @@ bench-smoke:  ## kernel perf gate vs the pinned BENCH_kernel.json baseline
 bench-broker:  ## broker control-plane gate vs the pinned BENCH_broker.json
 	python benchmarks/bench_broker.py
 
-bench-obs:  ## observability-overhead gate vs the pinned BENCH_obs.json
+bench-obs:  ## observability-cost gate (exact counts) vs the pinned BENCH_obs.json
 	python benchmarks/bench_obs.py
 
 soak-smoke:  ## service-mode soak gate vs the pinned BENCH_soak.json

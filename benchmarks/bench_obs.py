@@ -1,25 +1,27 @@
-"""Observability-overhead gate against the pinned ``BENCH_obs.json``.
+"""Observability-cost gate against the pinned ``BENCH_obs.json``.
 
 Run as a script (``make bench-obs``).  Two modes:
 
-* **Gate** (default) — replay the pinned 256-machine churn cell with full
-  observability (exact metrics, every span kept) and with observability
-  floored (``off`` metrics, all spans sampled out), then check:
+* **Gate** (default) — replay the pinned 256-machine churn cell once per
+  config — ``full`` (exact metrics, every span kept), ``bounded`` (ring
+  buffers and digests, every span kept) and ``off`` (running values only,
+  all spans sampled out) — and check statements that are exact on any
+  hardware:
 
-  - *Isolation*: ``events_processed`` must be identical in both runs and
-    equal to the pin.  The telemetry layer is bookkeeping on the side of
-    the simulation — if turning it off changes the event count, it leaked
-    into simulated behaviour and the determinism story is broken.
-  - *Overhead*: full-observability wall-clock may exceed the obs-off floor
-    by at most ``REPRO_OBS_TOLERANCE`` (default 0.10, i.e. tracing plus
-    metrics together must cost under 10%).  Both sides are best-of-N on
-    this machine, so the ratio is hardware-independent enough to gate on.
+  - *Isolation*: ``events_processed`` must be identical in every config
+    and equal to the pin.  The telemetry layer is bookkeeping on the side
+    of the simulation — if turning it down changes the event count, it
+    leaked into simulated behaviour and the determinism story is broken.
+  - *Cost*: the registry's ``updates`` and retained ``series_points`` per
+    config must equal the pin, and are printed per kernel event.  Updates
+    are what every metric write costs and do not depend on the mode;
+    series points are what the mode keeps (exact mode: one point per
+    distinct instant per counter/gauge, plus every histogram observation).
   - *Bounded memory*: a ``bounded``-mode registry fed 10k churning updates
     must retain no more than ``instruments x capacity`` series points
     (flat memory for any run length), while ``exact`` mode retains all.
 
-* **Pin** (``--pin``) — measure every config (full, bounded, sampled, off)
-  and rewrite ``BENCH_obs.json`` with walls and overhead ratios.
+* **Pin** (``--pin``) — run every config and rewrite ``BENCH_obs.json``.
 
 Configs are applied through the same environment variables users have
 (``RB_METRICS_MODE``, ``RB_TRACE_SAMPLE``), set around an in-process
@@ -39,19 +41,15 @@ from pathlib import Path
 GATE_SIZE = 256
 GATE_SEED = 2
 
-#: Best-of-N wall measurements per config (walls are noisy; mins are not).
-#: Seven since the cell takes about a second (it took three while every
-#: worker ticked once a simulated second): the same ~15 s of gate, and a
-#: minimum that host noise — now a larger share of each run — moves less.
-REPEATS = 7
-
 #: Observability configurations, applied via the public environment knobs.
 CONFIGS = {
     "full": {"RB_METRICS_MODE": "exact", "RB_TRACE_SAMPLE": "1.0"},
     "bounded": {"RB_METRICS_MODE": "bounded", "RB_TRACE_SAMPLE": "1.0"},
-    "sampled": {"RB_METRICS_MODE": "bounded", "RB_TRACE_SAMPLE": "0.1"},
     "off": {"RB_METRICS_MODE": "off", "RB_TRACE_SAMPLE": "0.0"},
 }
+
+#: The pinned fields of each config; every one is a deterministic integer.
+PINNED = ("events_processed", "spans", "grants", "updates", "series_points")
 
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "BENCH_obs.json"
@@ -72,31 +70,27 @@ def run_config(config: str, size: int, seed: int, sim_minutes: float) -> dict:
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
+    result = cell["result"]
     return {
-        "events_processed": cell["result"]["heap"]["processed"],
-        "spans": cell["result"]["spans"],
-        "grants": cell["result"]["grants"],
-        "events_per_second": round(cell["perf"]["events_per_second"]),
-        "wall_seconds": round(cell["perf"]["wall_seconds"], 4),
+        "events_processed": result["heap"]["processed"],
+        "spans": result["spans"],
+        "grants": result["grants"],
+        "updates": result["obs"]["updates"],
+        "series_points": result["obs"]["series_points"],
     }
 
 
-def measure_all(names, size: int, seed: int, sim_minutes: float) -> dict:
-    """Best-of-``REPEATS`` walls per config, with configs *interleaved*.
-
-    Round-robin rather than block-per-config: machine noise drifts over
-    seconds, and the gate is a ratio between configs, so both sides must
-    sample the same noise regime.  Deterministic fields are identical
-    across repeats; only the wall/throughput of the fastest run is kept.
-    """
-    best: dict = {}
-    for _ in range(REPEATS):
-        for name in names:
-            entry = run_config(name, size, seed, sim_minutes)
-            kept = best.get(name)
-            if kept is None or entry["wall_seconds"] < kept["wall_seconds"]:
-                best[name] = entry
-    return best
+def run_all(size: int, seed: int, sim_minutes: float) -> dict:
+    configs = {name: run_config(name, size, seed, sim_minutes) for name in CONFIGS}
+    for name, entry in configs.items():
+        events = entry["events_processed"]
+        print(
+            f"obs: {name:>8}: events={events} spans={entry['spans']} "
+            f"updates={entry['updates']} ({entry['updates'] / events:.4f}/event) "
+            f"series_points={entry['series_points']} "
+            f"({entry['series_points'] / events:.4f}/event)"
+        )
+    return configs
 
 
 def check_bounded_memory() -> list:
@@ -124,7 +118,8 @@ def check_bounded_memory() -> list:
             f"bounded registry retained {retained} series points after "
             f"{updates} updates; ceiling is instruments x capacity = {ceiling}"
         )
-    if exact.series_points() < updates:
+    # One write per instrument per instant: exact mode keeps every one.
+    if exact.series_points() != 3 * updates:
         failures.append(
             "exact registry lost samples; the bounded check is not "
             "measuring what it thinks it is"
@@ -142,28 +137,12 @@ def check_bounded_memory() -> list:
 
 
 def pin(sim_minutes: float) -> int:
-    configs = measure_all(tuple(CONFIGS), GATE_SIZE, GATE_SEED, sim_minutes)
-    for name, entry in configs.items():
-        print(
-            f"pin: {name:>8}: wall={entry['wall_seconds']:.3f}s "
-            f"events={entry['events_processed']} spans={entry['spans']} "
-            f"({entry['events_per_second']} ev/s)"
-        )
-    floor = configs["off"]["wall_seconds"]
-    overhead = {
-        name: round(entry["wall_seconds"] / max(floor, 1e-9) - 1.0, 4)
-        for name, entry in configs.items()
-        if name != "off"
-    }
-    for name, ratio in overhead.items():
-        print(f"pin: {name} overhead vs off: {ratio:+.1%}")
     document = {
         "workload": "churn",
         "machines": GATE_SIZE,
         "seed": GATE_SEED,
         "sim_minutes": sim_minutes,
-        "configs": configs,
-        "overhead_vs_off": overhead,
+        "configs": run_all(GATE_SIZE, GATE_SEED, sim_minutes),
     }
     BASELINE.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(f"pin: wrote {BASELINE}")
@@ -172,37 +151,22 @@ def pin(sim_minutes: float) -> int:
 
 def gate() -> int:
     baseline = json.loads(BASELINE.read_text())
-    tolerance = float(os.environ.get("REPRO_OBS_TOLERANCE", "0.10"))
-    minutes = baseline["sim_minutes"]
-
-    best = measure_all(("full", "off"), GATE_SIZE, baseline["seed"], minutes)
-    full, off = best["full"], best["off"]
-    overhead = full["wall_seconds"] / max(off["wall_seconds"], 1e-9) - 1.0
-    print(
-        f"obs: {GATE_SIZE} machines x {minutes:g} sim-min: "
-        f"full={full['wall_seconds']:.3f}s off={off['wall_seconds']:.3f}s "
-        f"overhead {overhead:+.1%} (tolerance {tolerance:.0%})"
-    )
+    configs = run_all(GATE_SIZE, baseline["seed"], baseline["sim_minutes"])
 
     failures = []
-    pinned_events = baseline["configs"]["off"]["events_processed"]
-    if full["events_processed"] != off["events_processed"]:
+    events = {name: entry["events_processed"] for name, entry in configs.items()}
+    if len(set(events.values())) != 1:
         failures.append(
-            f"observability leaked into the simulation: "
-            f"{full['events_processed']} events with obs on vs "
-            f"{off['events_processed']} with obs off"
+            f"observability leaked into the simulation: events_processed {events}"
         )
-    if off["events_processed"] != pinned_events:
-        failures.append(
-            f"events_processed drifted: {off['events_processed']} != "
-            f"baseline {pinned_events} (simulation behaviour changed; "
-            f"rerun with --pin if intentional)"
-        )
-    if overhead > tolerance:
-        failures.append(
-            f"obs overhead regression: full observability costs "
-            f"{overhead:+.1%} over the obs-off floor (budget {tolerance:.0%})"
-        )
+    for name, entry in configs.items():
+        pinned = baseline["configs"][name]
+        for field in PINNED:
+            if entry[field] != pinned[field]:
+                failures.append(
+                    f"{name}: {field} {entry[field]} != baseline "
+                    f"{pinned[field]} (rerun with --pin if intentional)"
+                )
     failures.extend(check_bounded_memory())
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

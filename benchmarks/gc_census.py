@@ -15,7 +15,9 @@ Run as a script (``make gc-census``, ``python benchmarks/gc_census.py
   process holds until its next wake-up, which every young collection
   re-walks and never frees.  Counted by type; exact on any hardware.
   Beside it, every live ``Connection`` and ``deque`` of the process at
-  that point: what the cluster's sockets keep in queue objects.
+  that point: what the cluster's sockets keep in queue objects; and the
+  metrics registry's ``updates`` against its retained ``series_points``:
+  how many writes the per-instant series coalesced.
 
 The last line of stdout is one JSON object with both.  Drives only the
 public API of ``repro``, so it runs unchanged on any earlier commit
@@ -102,6 +104,7 @@ def census(machines: int, seed: int, window: float) -> Dict[str, Any]:
     finally:
         gc.enable()
     total = sum(by_type.values())
+    stats = cluster.network.metrics.self_stats()
     return {
         "window_sim_s": window,
         "objects": total,
@@ -109,6 +112,8 @@ def census(machines: int, seed: int, window: float) -> Dict[str, Any]:
         "by_type": dict(by_type.most_common()),
         "live_connections": live["Connection"],
         "live_deques": live["deque"],
+        "metrics_updates": stats["updates"],
+        "series_points": stats["series_points"],
     }
 
 
@@ -144,7 +149,9 @@ def main(argv=None) -> int:
         print(f"  {count:>8}  {name}")
     print(
         f"gc-census: live in the process: {born['live_connections']} "
-        f"Connection, {born['live_deques']} deque"
+        f"Connection, {born['live_deques']} deque; metrics: "
+        f"{born['metrics_updates']} updates kept as "
+        f"{born['series_points']} series points"
     )
     print(json.dumps(report, sort_keys=True))
     return 0

@@ -172,6 +172,8 @@ def run_cell(
         "grants": len(service.events_of("grant")),
         "revokes": len(service.events_of("revoke")),
         "metrics": cluster.network.metrics.snapshot(),
+        # The registry's self-metering: updates and retained series points.
+        "obs": cluster.network.metrics.self_stats(),
         # Broker control-plane cost: machine records examined by eligibility
         # scans.  Deterministic for a given scheduler mode, but *different*
         # between the indexed and full-scan schedulers (which agree on every

@@ -12,14 +12,17 @@ to coordinate declaration order.
 The registry runs in one of three modes (``RB_METRICS_MODE`` or the ``mode``
 argument), trading recall for memory:
 
-* ``exact`` (default) — every sample and observation is kept forever, which
+* ``exact`` (default) — a counter or gauge keeps one point per distinct
+  simulated instant (a second write at the same ``env.now`` overwrites the
+  last point) and a histogram keeps every observation, with no cap, which
   preserves byte-identical determinism gates and full post-hoc replay; a
   series is two float columns (:class:`~repro.obs.timeseries.SampleColumns`)
   that read like a list of ``(time, value)`` tuples;
-* ``bounded`` — sample series are interval-aggregated into ring buffers
-  (:class:`~repro.obs.timeseries.SeriesBuffer`) and histograms fold into
-  fixed-bin digests (:class:`~repro.obs.timeseries.HistogramDigest`), so
-  registry memory is flat for any run length;
+* ``bounded`` — the same last-write-wins rule per ``series_resolution``
+  interval, in a ring buffer (:class:`~repro.obs.timeseries.SeriesBuffer`),
+  and histograms fold into fixed-bin digests
+  (:class:`~repro.obs.timeseries.HistogramDigest`), so registry memory is
+  flat for any run length;
 * ``off`` — only current values and running count/sum are maintained; no
   series at all (the obs-overhead benchmark's floor).
 
@@ -45,24 +48,6 @@ METRICS_MODE_ENVIRON_KEY = "RB_METRICS_MODE"
 METRICS_MODES = ("exact", "bounded", "off")
 
 
-class _BoundedSeries:
-    """Interval-aggregated ring buffer (see :class:`SeriesBuffer`)."""
-
-    __slots__ = ("buffer",)
-
-    def __init__(self, resolution: float, capacity: int) -> None:
-        self.buffer = SeriesBuffer(resolution=resolution, capacity=capacity)
-
-    def add(self, t: float, value: float) -> None:
-        self.buffer.add(t, value)
-
-    def samples(self) -> List[Sample]:
-        return self.buffer.samples()
-
-    def __len__(self) -> int:
-        return len(self.buffer)
-
-
 class _NullSeries:
     """No retained samples at all (``off`` mode)."""
 
@@ -83,19 +68,13 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(
-        self,
-        name: str,
-        env: Any,
-        help: str = "",
-        registry: Optional["MetricsRegistry"] = None,
-    ) -> None:
+    def __init__(self, name: str, registry: "MetricsRegistry", help: str = "") -> None:
         self.name = name
-        self.env = env
+        self.env = registry.env
         self.help = help
         self.value = 0.0
         self._registry = registry
-        self._series = registry._make_series() if registry else SampleColumns()
+        self._series = registry._make_series()
         self._record = self._series.add
 
     @property
@@ -109,8 +88,7 @@ class Counter:
             raise ValueError(f"counter {self.name} cannot decrease")
         self.value += amount
         self._record(self.env.now, self.value)
-        if self._registry is not None:
-            self._registry.updates += 1
+        self._registry.updates += 1
 
     def __repr__(self) -> str:
         return f"<Counter {self.name}={self.value}>"
@@ -121,19 +99,13 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(
-        self,
-        name: str,
-        env: Any,
-        help: str = "",
-        registry: Optional["MetricsRegistry"] = None,
-    ) -> None:
+    def __init__(self, name: str, registry: "MetricsRegistry", help: str = "") -> None:
         self.name = name
-        self.env = env
+        self.env = registry.env
         self.help = help
         self.value = 0.0
         self._registry = registry
-        self._series = registry._make_series() if registry else SampleColumns()
+        self._series = registry._make_series()
         self._record = self._series.add
 
     @property
@@ -145,8 +117,7 @@ class Gauge:
         """Set the gauge at the current simulated instant."""
         self.value = float(value)
         self._record(self.env.now, self.value)
-        if self._registry is not None:
-            self._registry.updates += 1
+        self._registry.updates += 1
 
     def inc(self, amount: float = 1.0) -> None:
         """Adjust the gauge upward."""
@@ -172,18 +143,12 @@ class Histogram:
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        env: Any,
-        help: str = "",
-        registry: Optional["MetricsRegistry"] = None,
-    ) -> None:
+    def __init__(self, name: str, registry: "MetricsRegistry", help: str = "") -> None:
         self.name = name
-        self.env = env
+        self.env = registry.env
         self.help = help
         self._registry = registry
-        self._mode = registry.mode if registry else "exact"
+        self._mode = registry.mode
         #: ``(time, value)`` of every observation (``exact`` mode; stays
         #: empty in the others).
         self.observations = SampleColumns()
@@ -199,11 +164,10 @@ class Histogram:
         self._count += 1
         self._sum += value
         if self._mode == "exact":
-            self.observations.add(self.env.now, value)
+            self.observations.append(self.env.now, value)
         elif self.digest is not None:
             self.digest.observe(value)
-        if self._registry is not None:
-            self._registry.updates += 1
+        self._registry.updates += 1
 
     @property
     def count(self) -> int:
@@ -273,31 +237,39 @@ class MetricsRegistry:
         if self.mode == "exact":
             return SampleColumns()
         if self.mode == "bounded":
-            return _BoundedSeries(self.series_resolution, self.series_capacity)
+            return SeriesBuffer(self.series_resolution, self.series_capacity)
         return _NullSeries()
 
-    def _get(self, cls, name: str, help: str):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name, self.env, help=help, registry=self)
-            self._metrics[name] = metric
-        elif not isinstance(metric, cls):
+    def _create(self, cls, name: str, help: str):
+        # The miss path of counter()/gauge()/histogram(), which return a hit
+        # themselves after one lookup and a class check.
+        if name in self._metrics:
             raise ValueError(
-                f"metric {name!r} already registered as {metric.kind}"
+                f"metric {name!r} already registered as {self._metrics[name].kind}"
             )
+        metric = self._metrics[name] = cls(name, self, help)
         return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
         """The counter called ``name`` (created on first use)."""
-        return self._get(Counter, name, help)
+        metric = self._metrics.get(name)
+        if metric.__class__ is Counter:
+            return metric
+        return self._create(Counter, name, help)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         """The gauge called ``name`` (created on first use)."""
-        return self._get(Gauge, name, help)
+        metric = self._metrics.get(name)
+        if metric.__class__ is Gauge:
+            return metric
+        return self._create(Gauge, name, help)
 
     def histogram(self, name: str, help: str = "") -> Histogram:
         """The histogram called ``name`` (created on first use)."""
-        return self._get(Histogram, name, help)
+        metric = self._metrics.get(name)
+        if metric.__class__ is Histogram:
+            return metric
+        return self._create(Histogram, name, help)
 
     def all_metrics(self) -> List[Any]:
         """Every registered instrument, sorted by name."""
@@ -308,7 +280,8 @@ class MetricsRegistry:
 
         The bounded-memory acceptance check: in ``bounded`` mode this is
         capped by ``instruments * series_capacity`` no matter how long the
-        run, while ``exact`` mode grows with every update.
+        run, while ``exact`` mode grows by one point per distinct instant
+        a counter or gauge is written at, plus one per observation.
         """
         points = 0
         for metric in self._metrics.values():

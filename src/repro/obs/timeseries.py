@@ -1,7 +1,7 @@
 """Bounded, mergeable telemetry primitives for continuous observation.
 
-The original ``repro.obs`` instruments keep every sample forever, which is
-fine for the paper's short table runs but structurally incompatible with
+The ``exact``-mode instruments keep one point per simulated instant with
+no cap, which is fine for the paper's short table runs but incompatible with
 soak-length experiments ("flat memory over 100k submissions") and with
 feeding *online* consumers such as a malleability scheduler.  This module
 provides the bounded building blocks:
@@ -13,9 +13,13 @@ provides the bounded building blocks:
 * :class:`SeriesBuffer` — an interval-aggregated sample series with a
   ring-buffer cap: one retained point per ``resolution`` seconds, newest
   ``capacity`` intervals kept.
-* :class:`SampleColumns` — the keep-everything series of ``exact`` mode,
-  held as two ``array('d')`` columns: 16 bytes and no collector-tracked
-  object per sample.
+* :class:`SampleColumns` — the unbounded series of ``exact`` mode, held
+  as two ``array('d')`` columns: 16 bytes and no collector-tracked object
+  per point.  An instrument series keeps one point per distinct simulated
+  instant (the last write at that instant wins, the rule
+  :class:`SeriesBuffer` applies per ``resolution`` interval), so the two
+  modes differ only in bucket width and cap; a histogram's observations
+  keep every point.
 * :func:`windowed_rate` — a trailing-window rate view over a cumulative
   counter's sample series.
 * :class:`SpanPhaseFolder` — folds finished spans' durations into
@@ -254,7 +258,8 @@ class SampleColumns:
     — but a sample is two doubles in ``times`` and ``values``: no tuple, no
     boxed float, nothing for the host's cyclic collector to walk.  Readers
     that only need one column (:func:`windowed_rate`, percentiles) take it
-    directly.
+    directly.  :meth:`add` keeps the series a function of simulated time
+    (strictly increasing ``times``); :meth:`append` keeps every point.
     """
 
     __slots__ = ("times", "values")
@@ -264,7 +269,18 @@ class SampleColumns:
         self.values = array("d")
 
     def add(self, t: float, value: float) -> None:
-        """Record ``value`` at simulated time ``t``."""
+        """Record ``value`` at simulated time ``t`` (non-decreasing ``t``);
+        a second write at the same instant overwrites the last point."""
+        times = self.times
+        if times and times[-1] == t:
+            self.values[-1] = value
+        else:
+            times.append(t)
+            self.values.append(value)
+
+    def append(self, t: float, value: float) -> None:
+        """Keep ``(t, value)`` as a point of its own, even at a repeated
+        instant: a histogram's observations are a multiset."""
         self.times.append(t)
         self.values.append(value)
 

@@ -125,6 +125,10 @@ def test_rbtop_polls_the_live_broker(cluster4):
     # both inter-poll sleeps), not the first one.
     stamp = float(report.split("t=", 1)[1].split("s", 1)[0])
     assert stamp >= started + 4.0
+    # The obs line shows the coalescing: writes kept one point per instant.
+    (line,) = [row for row in report.splitlines() if row.startswith("metrics: mode=")]
+    fields = dict(field.split("=") for field in line.split()[1:])
+    assert 0 < int(fields["series_points"]) < int(fields["updates"])
 
 
 def test_rbtop_ambient_fallback_without_a_broker(cluster4):

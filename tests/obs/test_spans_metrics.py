@@ -117,6 +117,36 @@ def test_gauge_moves_both_ways():
     assert pending.value == 5
 
 
+def test_same_instant_writes_keep_one_point_carrying_the_last_value():
+    env = Environment()
+    registry = MetricsRegistry(env)
+    grants, pending = registry.counter("grants"), registry.gauge("pending")
+    for _ in range(3):
+        grants.inc()
+        pending.inc()
+    pending.dec()
+    env.run(until=1.0)
+    grants.inc(2)
+    pending.set(7)
+    pending.set(4)
+    assert (grants.value, pending.value) == (5, 4)
+    assert grants.samples == [(0.0, 3), (1.0, 5)]
+    assert pending.samples == [(0.0, 2), (1.0, 4)]
+    assert registry.updates == 10 and registry.series_points() == 4
+
+
+def test_histogram_keeps_every_same_instant_observation():
+    registry = MetricsRegistry(Environment())
+    wait = registry.histogram("wait")
+    values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
+    for value in values:
+        wait.observe(value)
+    assert wait.observations == [(0.0, value) for value in values]
+    ordered = sorted(values)
+    assert wait.percentile(0.5) == ordered[round(0.5 * 7)]
+    assert wait.percentile(0.95) == ordered[round(0.95 * 7)]
+
+
 def test_histogram_statistics():
     registry = MetricsRegistry(Environment())
     wait = registry.histogram("wait")

@@ -2,9 +2,14 @@
 
 import gc
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.cluster
+from repro.experiments import run_cell
 from repro.obs import (
     HistogramDigest,
     MetricsRegistry,
@@ -14,6 +19,7 @@ from repro.obs import (
     phase_of_span,
     windowed_rate,
 )
+from repro.obs.export import _US, to_chrome
 from repro.obs.metrics import METRICS_MODE_ENVIRON_KEY
 from repro.obs.timeseries import SampleColumns
 from repro.sim import Environment
@@ -386,8 +392,8 @@ def test_registry_views_of_a_recorded_series_are_what_the_tuples_gave():
 
 
 def test_a_sample_costs_two_doubles_and_nothing_the_collector_walks():
-    env = Environment()
-    counter = MetricsRegistry(env).counter("ticks")
+    clock = SimpleNamespace(now=0.0)  # a bare clock: each write a new instant
+    counter = MetricsRegistry(clock).counter("ticks")
     counter.inc()  # the columns exist before measuring
     n = 20_000
     gc.collect()
@@ -396,7 +402,8 @@ def test_a_sample_costs_two_doubles_and_nothing_the_collector_walks():
     try:
         tracked = len(gc.get_objects())
         before, _ = tracemalloc.get_traced_memory()
-        for _ in range(n):
+        for i in range(n):
+            clock.now = i + 1.0
             counter.inc()
         after, _ = tracemalloc.get_traced_memory()
         tracked = len(gc.get_objects()) - tracked
@@ -409,3 +416,106 @@ def test_a_sample_costs_two_doubles_and_nothing_the_collector_walks():
     # 16 bytes of payload; the rest is the arrays' growth headroom.
     assert (after - before) / n < 20
     assert tracked < 10
+
+
+# -- one point per instant ---------------------------------------------------
+
+
+def _value_at(series, t):
+    """What a series says at ``t``: its last point at or before ``t``."""
+    value = 0.0
+    for when, v in series:
+        if when <= t:
+            value = v
+    return value
+
+
+def _track(events, name):
+    """The Chrome counter track of ``name`` as the viewer draws it: the
+    last value at each timestamp."""
+    return {
+        e["ts"]: e["args"]["value"]
+        for e in events
+        if e["ph"] == "C" and e["name"] == name
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0, 7.5]),
+            st.booleans(),
+            st.integers(min_value=0, max_value=4),
+        ),
+        max_size=60,
+    )
+)
+def test_per_instant_series_read_like_every_write(stream):
+    """Against a reference that keeps every write: the same value at every
+    instant, the same windowed rate for every window, the same exported
+    counter track."""
+    env = Environment()
+    registry = MetricsRegistry(env)
+    instruments = {"c": registry.counter("c"), "g": registry.gauge("g")}
+    writes = {"c": [], "g": []}
+    for dt, to_counter, x in stream:
+        if dt:
+            env.run(until=env.now + dt)
+        if to_counter:
+            instruments["c"].inc(x)
+            writes["c"].append((env.now, instruments["c"].value))
+        else:
+            instruments["g"].set(x - 2)
+            writes["g"].append((env.now, instruments["g"].value))
+    events = to_chrome([], metrics=registry)["traceEvents"]
+    now = env.now
+    for name, reference in writes.items():
+        series = instruments[name].samples
+        times = [t for t, _ in series]
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert len(series) == len({t for t, _ in reference})
+        instants = sorted({t for t, _ in reference} | {0.0, now + 1.0})
+        probes = instants + [(a + b) / 2 for a, b in zip(instants, instants[1:])]
+        for t in probes:
+            assert _value_at(series, t) == _value_at(reference, t)
+        assert _track(events, name) == {t * _US: v for t, v in reference}
+    counter, reference = instruments["c"].samples, writes["c"]
+    windows = {0.1, 0.25, 100.0} | {now - t for t, _ in reference if t < now}
+    for window in sorted(windows):
+        for w in (window, window + 0.125):
+            assert windowed_rate(counter, now, w) == windowed_rate(reference, now, w)
+
+
+def test_a_churn_cell_keeps_one_point_per_instrument_per_instant(monkeypatch):
+    clusters = []
+
+    class Recorded(repro.cluster.Cluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            clusters.append(self)
+
+    written = {}
+    plain_add = SampleColumns.add
+
+    def add(series, t, value):
+        written.setdefault(id(series), set()).add(t)
+        plain_add(series, t, value)
+
+    monkeypatch.setattr(repro.cluster, "Cluster", Recorded)
+    monkeypatch.setattr(SampleColumns, "add", add)
+    cell = run_cell("churn", 64, seed=3, sim_minutes=1.0)
+    (cluster,) = clusters
+    registry = cluster.network.metrics
+    observations = distinct = 0
+    for metric in registry.all_metrics():
+        if metric.kind == "histogram":
+            observations += len(metric.observations)
+            continue
+        times = list(metric.samples.times)
+        assert all(a < b for a, b in zip(times, times[1:])), metric.name
+        assert len(times) == len(written.get(id(metric.samples), ())), metric.name
+        distinct += len(times)
+    assert registry.series_points() == distinct + observations
+    assert registry.series_points() < registry.updates
+    assert cell["result"]["obs"] == registry.self_stats()
