@@ -15,9 +15,12 @@ Run as a script (``make gc-census``, ``python benchmarks/gc_census.py
   process holds until its next wake-up, which every young collection
   re-walks and never frees.  Counted by type; exact on any hardware.
   Beside it, every live ``Connection`` and ``deque`` of the process at
-  that point: what the cluster's sockets keep in queue objects; and the
+  that point: what the cluster's sockets keep in queue objects; the
   metrics registry's ``updates`` against its retained ``series_points``:
-  how many writes the per-instant series coalesced.
+  how many writes the per-instant series coalesced; and every live
+  ``OSProcess`` and ``Store``, counted with the mean bytes each retains:
+  its shallow size plus the containers it owns (its instance ``__dict__``
+  and each list, set, dict and deque it references directly).
 
 The last line of stdout is one JSON object with both.  Drives only the
 public API of ``repro``, so it runs unchanged on any earlier commit
@@ -31,7 +34,7 @@ import gc
 import json
 import sys
 import time
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 from typing import Any, Dict, List
 
@@ -42,10 +45,42 @@ except ImportError:
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.sweep import WORKLOADS
+from repro.os.process import OSProcess
+from repro.sim.stores import Store
 
 #: Simulated seconds a churn cell needs before every machine is granted and
 #: the first arrival has been placed: from here on each period looks alike.
 STEADY_SIM_S = 40.0
+
+
+#: What "the containers an object owns" are, for :func:`retained_bytes`.
+OWNED_CONTAINERS = (list, set, dict, deque)
+
+
+def retained_bytes(obj: Any) -> int:
+    """Shallow size of ``obj`` plus that of the containers it owns."""
+    size = sys.getsizeof(obj)
+    values = []
+    if hasattr(obj, "__dict__"):
+        size += sys.getsizeof(obj.__dict__)
+        values.extend(vars(obj).values())
+    for cls in type(obj).__mro__:
+        for name in getattr(cls, "__slots__", ()):
+            if not name.startswith("__") and hasattr(obj, name):
+                values.append(getattr(obj, name))
+    return size + sum(
+        sys.getsizeof(value) for value in values
+        if isinstance(value, OWNED_CONTAINERS)
+    )
+
+
+def holdings(objects: List[Any]) -> Dict[str, Any]:
+    """Count and mean retained bytes of ``objects``."""
+    total = sum(retained_bytes(obj) for obj in objects)
+    return {
+        "count": len(objects),
+        "mean_bytes": round(total / len(objects), 1) if objects else 0.0,
+    }
 
 
 def _cell(machines: int, seed: int):
@@ -100,7 +135,11 @@ def census(machines: int, seed: int, window: float) -> Dict[str, Any]:
         young: List[Any] = gc.get_objects(generation=0)
         by_type = Counter(type(obj).__name__ for obj in young)
         del young
-        live = Counter(type(obj).__name__ for obj in gc.get_objects())
+        everything = gc.get_objects()
+        live = Counter(type(obj).__name__ for obj in everything)
+        processes = holdings([o for o in everything if isinstance(o, OSProcess)])
+        stores = holdings([o for o in everything if isinstance(o, Store)])
+        del everything
     finally:
         gc.enable()
     total = sum(by_type.values())
@@ -114,6 +153,8 @@ def census(machines: int, seed: int, window: float) -> Dict[str, Any]:
         "live_deques": live["deque"],
         "metrics_updates": stats["updates"],
         "series_points": stats["series_points"],
+        "processes": processes,
+        "stores": stores,
     }
 
 
@@ -152,6 +193,13 @@ def main(argv=None) -> int:
         f"Connection, {born['live_deques']} deque; metrics: "
         f"{born['metrics_updates']} updates kept as "
         f"{born['series_points']} series points"
+    )
+    print(
+        "gc-census: retained at steady state: "
+        + ", ".join(
+            f"{born[key]['count']} {name} x {born[key]['mean_bytes']:.0f} B"
+            for key, name in (("processes", "OSProcess"), ("stores", "Store"))
+        )
     )
     print(json.dumps(report, sort_keys=True))
     return 0

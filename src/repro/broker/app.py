@@ -124,6 +124,9 @@ class _AppState:
     #: Observability: the run-wide tracer and this app's ``app.run`` span.
     tracer: Any = None
     span: Any = None
+    #: The ``actor`` attribute of this app's spans (a sampled-out span keeps
+    #: no attributes to read it back from).
+    actor: str = ""
 
 
 def app_main(proc):
@@ -143,10 +146,11 @@ def app_main(proc):
     cal = proc.machine.network.calibration
     rsl = parse_rsl(rsl_text)
     tracer = tracer_of(proc)
+    actor = f"app:{proc.machine.name}"
     app_span = tracer.start(
         "app.run",
         parent=context_from_environ(proc.environ),
-        actor=f"app:{proc.machine.name}",
+        actor=actor,
         host=proc.machine.name,
         argv=list(command),
     )
@@ -154,7 +158,7 @@ def app_main(proc):
         lambda ev: app_span.end(code=ev.value) if not app_span.finished else None
     )
     register_span = tracer.start(
-        "app.register", parent=app_span, actor=app_span.attrs["actor"]
+        "app.register", parent=app_span, actor=actor
     )
 
     # One-time submission cost (app startup + registration bookkeeping).
@@ -217,6 +221,7 @@ def app_main(proc):
         module_queue=Store(proc.env),
         tracer=tracer,
         span=app_span,
+        actor=actor,
     )
 
     # The paper's start_script RSL extension: a user-supplied setup program
@@ -330,7 +335,7 @@ def _resume_broker_session(proc, st):
     span = st.tracer.start(
         "app.resume",
         parent=st.span,
-        actor=st.span.attrs["actor"],
+        actor=st.actor,
         jobid=st.jobid,
         epoch=st.epoch,
     )
@@ -480,7 +485,7 @@ def _handle_rsh_request(proc, st, conn, msg):
     span = st.tracer.start(
         "app.rsh_request",
         parent=protocol.trace_of(msg) or st.span,
-        actor=st.span.attrs["actor"],
+        actor=st.actor,
         host=host,
     )
 
@@ -507,7 +512,7 @@ def _handle_rsh_request(proc, st, conn, msg):
     st.waiters[reqid] = waiter
     st.outstanding[reqid] = {"symbolic": host, "firm": st.firm}
     wait_span = st.tracer.start(
-        "app.machine_wait", parent=span, actor=span.attrs["actor"], reqid=reqid
+        "app.machine_wait", parent=span, actor=st.actor, reqid=reqid
     )
     if not _send_broker(
         st,
@@ -604,7 +609,7 @@ def _module_runner(proc, st):
         span = st.tracer.start(
             f"module.{program}",
             parent=ctx or st.span,
-            actor=st.span.attrs["actor"],
+            actor=st.actor,
             host=host,
         )
         missing = False
@@ -686,7 +691,7 @@ def _handle_revoke(proc, st, msg, cal):
     span = st.tracer.start(
         "app.revoke",
         parent=protocol.trace_of(msg) or st.span,
-        actor=st.span.attrs["actor"],
+        actor=st.actor,
         host=host,
     )
     record = st.subapps.get(host)

@@ -42,6 +42,7 @@ evaluate-everything scheduler as the reference that
 from __future__ import annotations
 
 import zlib
+from functools import cached_property
 
 from repro.broker import protocol
 from repro.broker.journal import snapshot_state
@@ -204,6 +205,35 @@ class _BrokerControl:
         self._borrowing = set()
         #: Loaned-out hosts whose borrower already got a recall notice.
         self._recalled = set()
+
+    # -- instruments of the per-request and per-pass paths -------------------
+    # Bound on first use rather than resolved by name at every write; first
+    # use is still what creates each one, so the registry holds exactly what
+    # by-name lookups would have made.
+
+    @cached_property
+    def _submits(self):
+        return self.metrics.counter("broker.submits")
+
+    @cached_property
+    def _grants(self):
+        return self.metrics.counter("broker.grants")
+
+    @cached_property
+    def _grant_wait(self):
+        return self.metrics.histogram("broker.grant_wait")
+
+    @cached_property
+    def _pending_requests(self):
+        return self.metrics.gauge("broker.pending_requests")
+
+    @cached_property
+    def _sched_passes(self):
+        return self.metrics.counter("broker.sched_passes")
+
+    @cached_property
+    def _policy_decisions(self):
+        return self.metrics.counter("broker.policy_decisions")
 
     # -- daemon management ----------------------------------------------------
 
@@ -853,11 +883,11 @@ class _BrokerControl:
                 waited=waited,
                 borrowed_from=record.borrowed_from,
             )
-        self.metrics.counter("broker.grants").inc()
+        self._grants.inc()
         self.metrics.counter("federation.cross_shard_grants").inc()
         self.service.federation_counters["cross_shard_grants"] += 1
-        self.metrics.histogram("broker.grant_wait").observe(waited)
-        self.metrics.gauge("broker.pending_requests").dec()
+        self._grant_wait.observe(waited)
+        self._pending_requests.dec()
         self.service.log(
             event="grant",
             jobid=request.jobid,
@@ -1518,7 +1548,7 @@ class _BrokerControl:
             jobid=job.jobid,
             user=job.user,
         )
-        self.metrics.counter("broker.submits").inc()
+        self._submits.inc()
         self.service.log(
             event="submit",
             jobid=job.jobid,
@@ -1680,7 +1710,7 @@ class _BrokerControl:
                 firm=request.firm,
                 resubmitted=True,
             )
-            self.metrics.gauge("broker.pending_requests").inc()
+            self._pending_requests.inc()
             self.service.log(
                 event="machine_request",
                 jobid=jobid,
@@ -1736,7 +1766,7 @@ class _BrokerControl:
                 symbolic=request.symbolic,
                 firm=request.firm,
             )
-            self.metrics.gauge("broker.pending_requests").inc()
+            self._pending_requests.inc()
             self.service.log(
                 event="machine_request",
                 jobid=job.jobid,
@@ -1782,7 +1812,7 @@ class _BrokerControl:
         if span is not None:
             span.end(outcome="denied")
         self.metrics.counter("broker.denials").inc()
-        self.metrics.gauge("broker.pending_requests").dec()
+        self._pending_requests.dec()
         self.service.log(
             event="denied",
             jobid=job.jobid,
@@ -1826,14 +1856,14 @@ class _BrokerControl:
         passes; any grant or preemption re-dirties the whole queue, which
         reproduces the reference loop's evaluate-until-no-progress fixed
         point decision for decision."""
-        decisions = self.metrics.counter("broker.policy_decisions")
+        decisions = self._policy_decisions
         if not self.state.use_indexes:
             # Reference scheduler: evaluate every pending request, repeat
             # until a full pass makes no progress.
             progress = True
             while progress:
                 progress = False
-                self.metrics.counter("broker.sched_passes").inc()
+                self._sched_passes.inc()
                 for request in self.state.pending_sorted():
                     if request not in self.state.pending:
                         continue  # satisfied earlier in this very pass
@@ -1860,7 +1890,7 @@ class _BrokerControl:
             batch = self.state.take_dirty_pending()
             if not batch:
                 break
-            self.metrics.counter("broker.sched_passes").inc()
+            self._sched_passes.inc()
             for request in batch:
                 if request not in self.state.pending:
                     continue  # satisfied earlier in this very pass
@@ -1902,9 +1932,9 @@ class _BrokerControl:
         span = self._request_spans.pop((request.jobid, request.reqid), None)
         if span is not None:
             span.end(outcome="granted", host=host, waited=waited)
-        self.metrics.counter("broker.grants").inc()
-        self.metrics.histogram("broker.grant_wait").observe(waited)
-        self.metrics.gauge("broker.pending_requests").dec()
+        self._grants.inc()
+        self._grant_wait.observe(waited)
+        self._pending_requests.dec()
         self.service.log(
             event="grant",
             jobid=request.jobid,
@@ -2035,7 +2065,7 @@ class _BrokerControl:
         self.state.drop_job_requests(job.jobid)
         for key in [k for k in self._request_spans if k[0] == job.jobid]:
             self._request_spans.pop(key).end(outcome="dropped")
-            self.metrics.gauge("broker.pending_requests").dec()
+            self._pending_requests.dec()
         for key in [k for k in self._reqids if k[0] == job.jobid]:
             self._reqids.pop(key, None)
         for allocation in self.state.allocations_of(job.jobid):

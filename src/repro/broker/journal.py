@@ -516,6 +516,15 @@ class BrokerJournal:
         self.fs = fs
         self.clock = clock
         self.metrics = metrics
+        if metrics is not None:
+            # Bound once: these are written on every record and flush, and
+            # a service attaches (record + flush) right after construction,
+            # so binding here creates nothing the first write would not.
+            self._records_counter = metrics.counter("journal.records")
+            self._flushes_counter = metrics.counter("journal.flushes")
+            self._flushed_bytes_counter = metrics.counter("journal.flushed_bytes")
+            self._bytes_gauge = metrics.gauge("journal.bytes")
+            self._lag_gauge = metrics.gauge("journal.flush_lag")
         self.directory = directory.rstrip("/")
         self.compact_bytes = compact_bytes
         self.keep_generations = max(2, keep_generations)
@@ -612,7 +621,7 @@ class BrokerJournal:
         if self._oldest_pending < 0.0:
             self._oldest_pending = self.clock()
         if self.metrics is not None:
-            self.metrics.counter("journal.records").inc()
+            self._records_counter.inc()
         self.flush()
 
     def note_machine(self, record: MachineRecord) -> None:
@@ -645,14 +654,14 @@ class BrokerJournal:
                 self._buffer.append(_frame(_encode(_machine_op(record))))
                 self.records_written += 1
                 if self.metrics is not None:
-                    self.metrics.counter("journal.records").inc()
+                    self._records_counter.inc()
             self._machine_dirty = {}
         if self._lease_dirty:
             payload = _encode({"op": "leases", "leases": dict(self._lease_dirty)})
             self._buffer.append(_frame(payload))
             self.records_written += 1
             if self.metrics is not None:
-                self.metrics.counter("journal.records").inc()
+                self._records_counter.inc()
             self._lease_dirty = {}
 
     def flush(self, force: bool = False) -> bool:
@@ -681,18 +690,18 @@ class BrokerJournal:
         self._ship_append(data)
         self.flushes += 1
         if self.metrics is not None:
-            self.metrics.counter("journal.flushes").inc()
-            self.metrics.counter("journal.flushed_bytes").inc(len(data))
+            self._flushes_counter.inc()
+            self._flushed_bytes_counter.inc(len(data))
         self._update_lag(now)
         if self._state is not None and self._wal_bytes >= self.compact_bytes:
             self._compact()
         if self.metrics is not None:
-            self.metrics.gauge("journal.bytes").set(self._disk_bytes)
+            self._bytes_gauge.set(self._disk_bytes)
         return True
 
     def _update_lag(self, now: float) -> None:
         if self.metrics is not None:
-            self.metrics.gauge("journal.flush_lag").set(self.flush_lag(now))
+            self._lag_gauge.set(self.flush_lag(now))
 
     def flush_lag(self, now: float) -> float:
         """How long the oldest unflushed op has been waiting (0 = clean)."""

@@ -138,14 +138,15 @@ class Span:
     # -- mutation ------------------------------------------------------------
 
     def set(self, **attrs: Any) -> "Span":
-        """Merge attributes into the span; returns self for chaining."""
-        if attrs:
+        """Merge attributes into the span; returns self for chaining.  A
+        sampled-out span is never recorded and keeps none."""
+        if attrs and self.sampled:
             self.attrs.update(attrs)
         return self
 
     def end(self, **attrs: Any) -> "Span":
         """Close the span at the current simulated instant (idempotent)."""
-        if attrs:
+        if attrs and self.sampled:
             self.attrs.update(attrs)
         if self.ended_at is None:
             self.ended_at = self.tracer.env.now
@@ -186,8 +187,8 @@ class Tracer:
     deterministic for a given seed, every trace tree is kept or dropped
     whole, and identical seeds still give identical exports at any rate.
     Unsampled spans are created (ids advance identically — determinism does
-    not depend on the rate) but are not recorded or indexed, and span-end
-    observers never see them.
+    not depend on the rate) but are not recorded or indexed, keep no
+    attributes, and span-end observers never see them.
     """
 
     def __init__(self, env: Any, sample: Optional[float] = None) -> None:
@@ -259,7 +260,7 @@ class Tracer:
             span_id=next(self._span_ids),
             parent_id=parent_id,
             started_at=self.env.now,
-            attrs=attrs,
+            attrs=attrs if sampled else None,
             sampled=sampled,
         )
         if not sampled:

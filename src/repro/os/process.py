@@ -22,7 +22,7 @@ Unix details that matter to the paper and are modelled faithfully:
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 from repro.os.errors import SimOSError
 from repro.os.signals import SIGKILL, Signal, SignalDelivery
@@ -32,6 +32,18 @@ from repro.sim.process import Interrupt, Process
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.network import Connection, Listener
     from repro.os.machine import Machine
+
+#: What a process's container slots (``children``, bursts, listeners,
+#: connections, threads) hold until the first one is needed and again once
+#: the process has let go of them: shared and immutable, yet iterable, sized
+#: and false like an empty list.
+EMPTY: Tuple[()] = ()
+
+#: A connection or thread list is first pruned of finished entries when it
+#: reaches this length, and after each prune when it reaches twice what the
+#: prune kept: amortised O(1) per entry, and never more than twice what was
+#: live at the last prune.
+PRUNE_AT = 32
 
 
 class ProcessStatus(enum.Enum):
@@ -67,7 +79,38 @@ class OSProcess:
     startup_delay:
         Exec overhead before the body starts running (defaults to the
         network's calibration ``proc_startup``).
+
+    A process owns only what it uses.  Most of a cluster's processes never
+    spawn, listen, compute or run a thread, so ``children`` and the CPU
+    burst, listener, connection and thread containers are the shared
+    :data:`EMPTY` until first needed, and :attr:`daemonized` is made on
+    first access; at exit the process drops everything but ``children``,
+    which ``kill_tree`` still walks.
     """
+
+    __slots__ = (
+        "machine",
+        "env",
+        "argv",
+        "uid",
+        "environ",
+        "parent",
+        "pid",
+        "children",
+        "status",
+        "exit_code",
+        "exception",
+        "terminated",
+        "_daemonized",
+        "_computes",
+        "_listeners",
+        "_connections",
+        "_prune_connections_at",
+        "_threads",
+        "_prune_threads_at",
+        "_startup_delay",
+        "_sim_process",
+    )
 
     def __init__(
         self,
@@ -87,21 +130,19 @@ class OSProcess:
         self.environ: Dict[str, str] = dict(environ or {})
         self.parent = parent
         self.pid = machine.next_pid()
-        self.children: List["OSProcess"] = []
+        self.children = EMPTY
         self.status = ProcessStatus.RUNNING
         self.exit_code: Optional[int] = None
         self.exception: Optional[BaseException] = None
         #: Event that fires with the exit code when the process terminates.
         self.terminated: Event = Event(self.env)
-        #: Event that fires if the process detaches into the background
-        #: (``pvmd``-style daemonization); an rshd waiting on the remote
-        #: command returns control to the rsh client when this fires.
-        self.daemonized: Event = Event(self.env)
-        self._computes: Set[Event] = set()
-        self._listeners: List["Listener"] = []
-        self._connections: List["Connection"] = []
-        self._threads: List[Process] = []
-        self._pending_signals: List[SignalDelivery] = []
+        self._daemonized: Optional[Event] = None
+        self._computes = EMPTY
+        self._listeners = EMPTY
+        self._connections = EMPTY
+        self._prune_connections_at = PRUNE_AT
+        self._threads = EMPTY
+        self._prune_threads_at = PRUNE_AT
 
         body = machine.resolve_program(self.argv[0])
         if startup_delay is None:
@@ -109,7 +150,10 @@ class OSProcess:
         self._startup_delay = startup_delay
         machine.register_process(self)
         if parent is not None:
-            parent.children.append(self)
+            if parent.children:
+                parent.children.append(self)
+            else:
+                parent.children = [self]
         self._sim_process: Process = self.env.process(
             self._run(body), name=f"{machine.name}:{self.argv[0]}#{self.pid}"
         )
@@ -192,15 +236,18 @@ class OSProcess:
         # A crashing thread finalizes the process from inside its own
         # generator: it cannot be aborted and ends by itself right after.
         running = self.env.active_process
-        for thread in list(self._threads):
+        threads, self._threads = self._threads, EMPTY
+        for thread in threads:
             if thread.is_alive and thread is not running:
                 thread.abort()
-        for compute in list(self._computes):
+        computes, self._computes = self._computes, EMPTY
+        for compute in computes:
             self.machine.cpu.cancel(compute)
-        self._computes.clear()
-        for listener in list(self._listeners):
+        listeners, self._listeners = self._listeners, EMPTY
+        for listener in listeners:
             listener.close()
-        for conn in list(self._connections):
+        connections, self._connections = self._connections, EMPTY
+        for conn in connections:
             conn.close()
         self.terminated.succeed(code)
         self._reap()
@@ -221,10 +268,11 @@ class OSProcess:
             and not node.children
         ):
             parent = node.parent
-            try:
-                parent.children.remove(node)
-            except ValueError:
-                pass
+            siblings = parent.children
+            if node in siblings:
+                siblings.remove(node)
+                if not siblings:
+                    parent.children = EMPTY
             node.parent = None
             node = parent
 
@@ -267,7 +315,9 @@ class OSProcess:
             computes.difference_update(
                 [ev for ev in computes if ev._processed]
             )
-        computes.add(done)
+            computes.add(done)
+        else:
+            self._computes = {done}
         return done
 
     def spawn(
@@ -300,10 +350,22 @@ class OSProcess:
         """Event that fires with ``child``'s exit code (waitpid)."""
         return child.terminated
 
+    @property
+    def daemonized(self) -> Event:
+        """Event that fires if the process detaches into the background
+        (``pvmd``-style daemonization); an rshd waiting on the remote
+        command returns control to the rsh client when this fires.  Made
+        on first access: only rsh-started commands are ever waited on."""
+        event = self._daemonized
+        if event is None:
+            event = self._daemonized = Event(self.env)
+        return event
+
     def daemonize(self) -> None:
         """Detach into the background (see :attr:`daemonized`)."""
-        if not self.daemonized.triggered:
-            self.daemonized.succeed()
+        event = self.daemonized
+        if not event.triggered:
+            event.succeed()
 
     def thread(self, generator, name: Optional[str] = None) -> Process:
         """Run ``generator`` concurrently *inside* this process.
@@ -316,8 +378,17 @@ class OSProcess:
         """
         label = f"{self.machine.name}:{self.argv[0]}#{self.pid}/{name or 'thread'}"
         thread = self.env.process(self._thread_body(generator), name=label)
-        self._threads.append(thread)
-        thread.add_callback(lambda _ev: self._threads.remove(thread))
+        threads = self._threads
+        if not threads:
+            self._threads = [thread]
+            return thread
+        threads.append(thread)
+        if len(threads) >= self._prune_threads_at:
+            # Finished threads leave at the next prune instead of through a
+            # callback each: aborting a finished thread at death is a no-op.
+            live = [t for t in threads if t.is_alive]
+            self._threads = live
+            self._prune_threads_at = max(PRUNE_AT, 2 * len(live))
         return thread
 
     def _thread_body(self, generator):
@@ -388,7 +459,10 @@ class OSProcess:
     def listen(self, port: int) -> "Listener":
         """Open a listening socket on ``port`` of this machine."""
         listener = self._network().listen(self, port)
-        self._listeners.append(listener)
+        if self._listeners:
+            self._listeners.append(listener)
+        else:
+            self._listeners = [listener]
         return listener
 
     def connect(self, host: str, port: int) -> Event:
@@ -399,15 +473,19 @@ class OSProcess:
         """Track a connection for closing when this process dies.
 
         Already-closed sockets are dropped amortizedly as new ones are
-        adopted: a long-lived acceptor (rshd, the broker, the daemons)
-        would otherwise pin every connection it ever served until death,
-        growing a service-mode run's memory with its whole history."""
+        adopted (:data:`PRUNE_AT`): a long-lived acceptor (rshd, the
+        broker, the daemons) would otherwise pin every connection it ever
+        served until death, growing a service-mode run's memory with its
+        whole history."""
         connections = self._connections
+        if not connections:
+            self._connections = [conn]
+            return
         connections.append(conn)
-        if len(connections) >= 32:
+        if len(connections) >= self._prune_connections_at:
             live = [c for c in connections if not c.closed_local]
-            if 2 * len(live) <= len(connections):
-                self._connections = live
+            self._connections = live
+            self._prune_connections_at = max(PRUNE_AT, 2 * len(live))
 
     # -- files -------------------------------------------------------------
 

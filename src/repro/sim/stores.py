@@ -11,12 +11,15 @@ mostly idle sockets cannot each afford a queue object.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple, Union
 
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.environment import Environment
+
+#: What ``Store.items`` is while nothing is buffered (shared, immutable).
+NO_ITEMS: Tuple[()] = ()
 
 
 class StoreFull(Exception):
@@ -71,11 +74,15 @@ class Store:
             raise ValueError("capacity must be positive")
         self.env = env
         self.capacity = capacity
-        self.items: Deque[Any] = deque()
+        #: Buffered items: :data:`NO_ITEMS` until an item has to wait for
+        #: a getter, and again once the buffer drains.  A listener's
+        #: backlog with its accept parked never makes one.
+        self.items: Union[Deque[Any], Tuple[()]] = NO_ITEMS
         #: Puts waiting for room; made by the first put that has to wait
         #: (most stores are unbounded and never have one).
         self._putters: Optional[Deque[StorePut]] = None
-        self._getters: Deque[StoreGet] = deque()
+        #: Pending gets in arrival order; nearly always zero or one.
+        self._getters: List[StoreGet] = []
 
     def __len__(self) -> int:
         return len(self.items)
@@ -87,21 +94,20 @@ class Store:
         event = StorePut(self, item)
         putters = self._putters
         if putters is None and len(self.items) < self.capacity:
-            self.items.append(item)
             event.succeed()
+            self._store(item)
         else:
             if putters is None:
                 putters = self._putters = deque()
             putters.append(event)
-        self._dispatch()
+            self._dispatch()
         return event
 
     def put_nowait(self, item: Any) -> None:
         """Store ``item`` immediately or raise :class:`StoreFull`."""
         if len(self.items) >= self.capacity:
             raise StoreFull(f"store at capacity {self.capacity}")
-        self.items.append(item)
-        self._dispatch()
+        self._store(item)
 
     def get(self) -> StoreGet:
         """Event that succeeds with the oldest available item."""
@@ -120,13 +126,32 @@ class Store:
 
     # -- engine ---------------------------------------------------------------
 
+    def _store(self, item: Any) -> None:
+        """Accept ``item`` (room already checked): straight to the getter
+        that takes it when nothing is buffered, else into the buffer."""
+        items = self.items
+        if not items and self._getters and self._hand_over(item):
+            return
+        if items is NO_ITEMS:
+            items = self.items = deque()
+        items.append(item)
+        self._dispatch()
+
+    def _hand_over(self, item: Any) -> bool:
+        """Give ``item`` to the oldest getter that takes it, if one does."""
+        self._getters.pop(0).succeed(item)
+        return True
+
     def _dispatch(self) -> None:
         progress = True
         while progress:
             progress = False
             # Move buffered puts in while there is room.
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.popleft()
+            putters = self._putters
+            while putters and len(self.items) < self.capacity:
+                put = putters.popleft()
+                if self.items is NO_ITEMS:
+                    self.items = deque()
                 self.items.append(put.item)
                 put.succeed()
                 progress = True
@@ -134,15 +159,17 @@ class Store:
             if self._getters and self.items:
                 if self._match_getters():
                     progress = True
+                if not self.items:
+                    self.items = NO_ITEMS
 
     def _match_getters(self) -> bool:
-        matched = False
         getters = self._getters
         items = self.items
-        while getters and items:
-            getters.popleft().succeed(items.popleft())
-            matched = True
-        return matched
+        served = min(len(getters), len(items))
+        for get in getters[:served]:
+            get.succeed(items.popleft())
+        del getters[:served]
+        return served > 0
 
 
 class FilterStore(Store):
@@ -165,23 +192,33 @@ class FilterStore(Store):
         """Snapshot of currently-buffered items matching ``predicate``."""
         return [item for item in self.items if predicate(item)]
 
+    def _hand_over(self, item: Any) -> bool:
+        getters = self._getters
+        for idx, get in enumerate(getters):
+            assert isinstance(get, FilterStoreGet)
+            if get.predicate(item):
+                del getters[idx]
+                get.succeed(item)
+                return True
+        return False
+
     def _match_getters(self) -> bool:
-        matched = False
         getters = self._getters
         items = self.items
-        # One pass over the getters in arrival order; one left unserved goes
-        # back on the right, so after a full pass the order is as it was.
-        for _ in range(len(getters)):
-            get = getters.popleft()
+        # One pass over the getters in arrival order; the unserved keep
+        # their order.
+        unserved = []
+        for get in getters:
             assert isinstance(get, FilterStoreGet)
             for idx, item in enumerate(items):
                 if get.predicate(item):
                     del items[idx]
                     get.succeed(item)
-                    matched = True
                     break
             else:
-                getters.append(get)
+                unserved.append(get)
+        matched = len(unserved) < len(getters)
+        getters[:] = unserved
         return matched
 
 

@@ -2,25 +2,31 @@
 
 A process parked on an event holds the event and nothing else: no callback
 list, no bound method, no fresh deadline timer per silent period, no
-finished CPU bursts.  These tests pin that bookkeeping — every number here
-is a count of Python objects or an identity check, exact on any hardware —
+finished CPU bursts.  A simulated OS process owns only the containers it
+has used, lets go of them at exit, and prunes its socket and thread lists
+amortisedly.  These tests pin that bookkeeping — every number here is a
+count of Python objects or an identity check, exact on any hardware —
 together with the ordering contract the waiter slot must keep: waiter, then
 callbacks, equals registration order.
 """
 
 import gc
+import math
 from collections import deque
+from types import FunctionType
 
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
-from repro.cluster.network import EXPIRED, Connection
+from repro.cluster.network import EXPIRED, Connection, Listener
 from repro.experiments.sweep import WORKLOADS
+from repro.os.process import EMPTY, PRUNE_AT
 from repro.os.signals import SIGKILL
 from repro.sim import Environment
 from repro.sim.events import NO_CALLBACKS
-from repro.sim.process import Interrupt
-from repro.sim.stores import Store
+from repro.sim.process import Interrupt, Process
+from repro.sim.pshare import PSTask
+from repro.sim.stores import NO_ITEMS, Store
 from tests.cluster.test_recv_or_deadline import make_wire
 
 
@@ -77,8 +83,8 @@ def test_idle_sockets_own_no_queue_objects():
     buffered = sum(conn._buffer is not None for conn in connections)
     assert buffered <= machines + 1
     assert buffered * 8 <= len(connections)
-    # A store owns two deques (items and getters; putters are lazy) and
-    # the kernel one, its immediates.
+    # A store owns at most two deques (items and putters, both made on
+    # demand) and the kernel one, its immediates.
     assert count_deques() - foreign <= 2 * stores + buffered + 1
 
 
@@ -292,3 +298,165 @@ def test_overlapping_bursts_are_all_cancelled_at_death():
     assert len(proc._computes) == 3 and cpu.load == 3
     proc.signal(SIGKILL)
     assert cpu.load == 0
+
+
+# -- what a process owns --------------------------------------------------------
+
+
+def _sleeper(proc):
+    yield proc.sleep(1000.0)
+
+
+class _Socket:
+    """Stands in for a connection: counts how often a prune looks at it."""
+
+    def __init__(self):
+        self.open = True
+        self.looks = 0
+
+    @property
+    def closed_local(self):
+        self.looks += 1
+        return not self.open
+
+    def close(self):
+        self.open = False
+
+
+def _idle_process():
+    cluster = Cluster(ClusterSpec.uniform(1))
+    cluster.system_bin.register("sleeper", _sleeper)
+    proc = cluster.run_command("n00", ["sleeper"])
+    cluster.env.run(until=cluster.now + 1.0)
+    return cluster, proc
+
+
+def test_a_process_that_uses_nothing_owns_nothing():
+    _cluster, proc = _idle_process()
+    assert not hasattr(proc, "__dict__")
+    for slot in ("children", "_computes", "_listeners", "_connections", "_threads"):
+        assert getattr(proc, slot) is EMPTY, slot
+    assert proc._daemonized is None
+
+
+def test_daemonized_is_made_on_first_access_and_still_fires():
+    cluster, proc = _idle_process()
+    proc.daemonize()
+    assert proc._daemonized is proc.daemonized and proc.daemonized.triggered
+    cluster.env.run(until=cluster.now + 1.0)
+    assert proc.daemonized.processed
+
+
+def test_after_exit_a_process_references_no_socket_thread_or_burst():
+    cluster = Cluster(ClusterSpec.uniform(2))
+    ready = cluster.env.event()
+
+    def server(proc):
+        listener = proc.listen(7000)
+        ready.succeed()
+        conn = yield listener.accept()
+        proc.thread(_sleeper(proc), name="idle")
+        proc.compute(50.0)
+        yield conn.recv()
+
+    def client(proc):
+        yield ready
+        yield proc.connect("n00", 7000)
+        yield proc.sleep(1000.0)
+
+    cluster.system_bin.register("server", server)
+    cluster.system_bin.register("client", client)
+    proc = cluster.run_command("n00", ["server"])
+    cluster.run_command("n01", ["client"])
+    cluster.env.run(until=cluster.now + 2.0)
+    assert proc._connections and proc._listeners and proc._threads
+    assert proc._computes
+    proc.signal(SIGKILL)
+    assert proc.exit_code is not None
+    for slot in ("_computes", "_listeners", "_connections", "_threads"):
+        assert getattr(proc, slot) is EMPTY, slot
+    held = gc.get_referents(proc)
+    assert not [r for r in held if isinstance(r, (Connection, Listener, PSTask))]
+    assert [r for r in held if isinstance(r, Process)] == [proc._sim_process]
+
+
+def test_adopting_connections_that_stay_open_scans_logarithmically():
+    _cluster, proc = _idle_process()
+    first = _Socket()
+    proc.adopt_connection(first)
+    total = 4096
+    sockets = [first] + [_Socket() for _ in range(total - 1)]
+    for sock in sockets[1:]:
+        proc.adopt_connection(sock)
+    assert len(proc._connections) == total
+    assert first.looks <= math.log2(total / PRUNE_AT) + 1
+    assert sum(sock.looks for sock in sockets) <= 2 * total
+
+
+def test_closing_each_connection_after_use_keeps_the_list_short():
+    _cluster, proc = _idle_process()
+    held = []
+    for _ in range(5000):
+        sock = _Socket()
+        proc.adopt_connection(sock)
+        held.append(len(proc._connections))
+        sock.close()
+    assert max(held) <= 64
+
+
+def test_an_acceptor_of_short_threads_holds_at_most_twice_its_live_ones():
+    cluster = Cluster(ClusterSpec.uniform(1))
+    held, live = [], []
+
+    def session(proc):
+        yield proc.sleep(30.0)
+
+    def acceptor(proc):
+        for _ in range(10_000):
+            proc.thread(session(proc), name="session")
+            held.append(len(proc._threads))
+            live.append(sum(thread.is_alive for thread in proc._threads))
+            yield proc.sleep(1.0)
+
+    cluster.system_bin.register("acceptor", acceptor)
+    proc = cluster.run_command("n00", ["acceptor"])
+    cluster.env.run(until=proc.terminated)
+    assert proc.exit_code == 0 and len(held) == 10_000
+    assert max(held) <= 2 * max(live)
+    assert proc._threads is EMPTY
+
+
+def _churn_cell(machines, seconds):
+    cluster = Cluster(ClusterSpec.uniform(machines, seed=5))
+    service = cluster.start_broker()
+    service.wait_ready()
+    WORKLOADS["churn"](cluster, service, seconds)
+    cluster.assert_no_crashes()
+    return cluster
+
+
+def test_a_churn_cell_holds_no_thread_bookkeeping_closure():
+    cluster = _churn_cell(64, 40.0)
+    gc.collect()
+    closures = [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, FunctionType)
+        and obj.__qualname__.startswith("OSProcess.thread.")
+    ]
+    assert cluster.env.now > 40.0 and closures == []
+
+
+def test_an_idle_rshd_backlog_owns_no_deque():
+    cluster = _churn_cell(64, 40.0)
+    backlogs = [
+        listener._backlog
+        for machine in cluster.machines.values()
+        for proc in machine.procs.values()
+        if proc.name == "rshd"
+        for listener in proc._listeners
+    ]
+    assert len(backlogs) == 64
+    for backlog in backlogs:
+        assert len(backlog) == 0 and backlog.items is NO_ITEMS
+        assert type(backlog._getters) is list and len(backlog._getters) == 1
