@@ -8,22 +8,17 @@ jobs end up sharing whatever is left.
 
 import pytest
 
+from repro.broker.invariants import Oracle
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
 from repro.os.signals import SIGKILL
 from tests.broker.conftest import install_greedy
 
 
-def _holdings_invariants(svc):
-    hosts_seen = []
-    for record in svc.state.machines.values():
-        allocation = record.allocation
-        if allocation is None:
-            continue
-        hosts_seen.append(record.host)
-        job = svc.state.jobs.get(allocation.jobid)
-        assert job is not None, f"allocation for unknown job on {record.host}"
-        assert not job.done, f"allocation for finished job on {record.host}"
-    assert len(hosts_seen) == len(set(hosts_seen))
+def _holdings_invariants(cluster):
+    """The oracle's book-keeping properties: every allocation belongs to a
+    live job and no host is booked twice."""
+    violation = Oracle(cluster).check_books()
+    assert violation is None, violation
 
 
 def test_mixed_workload_soak():
@@ -50,14 +45,14 @@ def test_mixed_workload_soak():
             )
         )
         cluster.env.run(until=cluster.now + float(rng.uniform(1.0, 8.0)))
-        _holdings_invariants(svc)
+        _holdings_invariants(cluster)
 
     cluster.env.run(
         until=cluster.env.all_of([h.proc.terminated for h in handles])
     )
     assert all(h.exit_code == 0 for h in handles)
     cluster.env.run(until=cluster.now + 15.0)
-    _holdings_invariants(svc)
+    _holdings_invariants(cluster)
 
     # With the rigid stream drained, the two adaptive jobs share the
     # available machines roughly evenly.
@@ -91,7 +86,7 @@ def test_machine_crash_recovery():
         if p.argv[0] == "rbdaemon"
     ]
     assert len(daemons) == 1
-    _holdings_invariants(svc)
+    _holdings_invariants(cluster)
     cluster.assert_no_crashes()
 
 
@@ -120,5 +115,5 @@ def test_crash_during_revocation_does_not_wedge_the_queue():
     code = seq.wait()
     assert code == 0
     cluster.env.run(until=cluster.now + 20.0)
-    _holdings_invariants(svc)
+    _holdings_invariants(cluster)
     cluster.assert_no_crashes()

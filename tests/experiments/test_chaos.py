@@ -3,7 +3,7 @@
 from repro.experiments import run_chaos
 
 
-def test_small_chaos_run_completes_every_job():
+def test_small_chaos_run_completes_every_job(checked):
     table = run_chaos(
         seed=1, machines=3, sequential_jobs=1, horizon=240.0, crashes=2
     )
@@ -12,9 +12,10 @@ def test_small_chaos_run_completes_every_job():
     rendered = str(table)
     assert "machine crashes injected" in rendered
     assert "jobs completed" in rendered
+    assert checked.settled() is None
 
 
-def test_chaos_with_broker_crash_completes_every_job():
+def test_chaos_with_broker_crash_completes_every_job(checked):
     """The full acceptance scenario: machine crashes, a partition, *and* a
     broker SIGKILL + restart — every job still completes, and no machine is
     left allocated (every lease was re-adopted or reclaimed)."""
@@ -28,6 +29,7 @@ def test_chaos_with_broker_crash_completes_every_job():
     assert rows["broker crashes injected"] == 1
     assert rows["broker restarts"] >= 1
     assert rows["daemon re-registrations"] >= 1
+    assert checked.settled() is None
 
 
 def test_chaos_detects_and_recovers():

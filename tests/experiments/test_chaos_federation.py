@@ -12,7 +12,7 @@ import pytest
 from repro.experiments import run_chaos
 
 
-def test_federated_chaos_every_job_completes():
+def test_federated_chaos_every_job_completes(checked):
     table = run_chaos(seed=1, shards=2)
     assert table.meta["completed"] == table.meta["jobs"]
     assert table.meta["double_grants"] == 0
@@ -28,13 +28,15 @@ def test_federated_chaos_every_job_completes():
     # Every shard reports its own federation block.
     assert len(table.meta["shard_stats"]) == 2
     assert table.meta["stuck_allocations"] == 0
+    assert checked.settled() is None
 
 
-def test_federated_chaos_three_shards():
+def test_federated_chaos_three_shards(checked):
     table = run_chaos(seed=2, shards=3)
     assert table.meta["completed"] == table.meta["jobs"]
     assert table.meta["double_grants"] == 0
     assert len(table.meta["shard_stats"]) == 3
+    assert checked.settled() is None
 
 
 def test_federated_chaos_same_seed_byte_identical():

@@ -12,7 +12,7 @@ def _rows(table):
     return {row.label: row.values[0] for row in table.rows}
 
 
-def test_journaled_chaos_completes_and_recovers_from_disk():
+def test_journaled_chaos_completes_and_recovers_from_disk(checked):
     table = run_chaos(seed=1, journal=True)
     assert table.meta["completed"] == table.meta["jobs"]
     assert table.meta["stuck_allocations"] == 0
@@ -27,6 +27,7 @@ def test_journaled_chaos_completes_and_recovers_from_disk():
     rendered = str(table)
     assert "recoveries from journal" in rendered
     assert table.meta["recovery"]["from_journal"] >= 1
+    assert checked.settled() is None
 
 
 def test_unjournaled_chaos_has_no_journal_rows():
@@ -42,7 +43,7 @@ def test_journaled_chaos_same_seed_is_byte_identical():
     assert a == b
 
 
-def test_journal_faults_change_nothing_about_job_outcomes():
+def test_journal_faults_change_nothing_about_job_outcomes(checked):
     """Durability faults are broker-side only: every job still completes."""
     table = run_chaos(seed=9, journal=True, broker_crashes=2)
     assert table.meta["completed"] == table.meta["jobs"]
@@ -50,3 +51,4 @@ def test_journal_faults_change_nothing_about_job_outcomes():
     rows = _rows(table)
     assert rows["broker crashes injected"] == 2
     assert rows["recoveries from journal"] == 2
+    assert checked.settled() is None

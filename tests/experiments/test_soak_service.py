@@ -22,7 +22,7 @@ def _deterministic_fields(report):
     )
 
 
-def test_small_soak_drains_with_a_mid_trace_restart():
+def test_small_soak_drains_with_a_mid_trace_restart(checked):
     report = run_soak(seed=3, machines=8, submissions=120, restarts=1)
     assert report.drained
     assert report.completed == 120
@@ -33,6 +33,7 @@ def test_small_soak_drains_with_a_mid_trace_restart():
     rendered = report.render()
     assert "120 submissions" in rendered
     assert "journal" in rendered
+    assert checked.settled() is None
 
 
 def test_soak_is_deterministic_across_runs():
