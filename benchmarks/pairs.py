@@ -35,7 +35,8 @@ Exit status: 0, or 1 when a metric is ``worse``, a run fails or is not
 seed, then both ``sim_digest``s and every exact fact — a metric whose unit
 is ``count``, ``bytes`` or ``sim_s``, the same on any hardware — that
 differs, parent -> change: the simulation's own counters first, then the
-profiler's per-layer call counts.  Equal digests mean the change is
+profiler's per-layer call counts, then the broker's four layers' calls
+summed.  Equal digests mean the change is
 invisible to the simulation on that workload.  Exit status 1 only when a
 run fails or is not ``correct``.
 """
@@ -154,6 +155,12 @@ def facts(parent: Dict[str, Any], change: Dict[str, Any]) -> int:
         old, new = (format(side[name]["value"], ".10g") for side in (before, after))
         print(f"  {name:34s} {old:>12s} -> {new:<12s} {before[name]['unit']}")
     print(f"  {len(moved)} of {len(exact)} exact facts differ")
+    # The broker's own layers summed, so moving code between broker files
+    # (a new file lands in broker.other) compares at a glance.
+    split = [f"broker.{part}.calls" for part in ("core", "other", "journal", "replica")]
+    old, new = (sum(side[name]["value"] for name in split) for side in (before, after))
+    print(f"  {'broker.{core,other,journal,replica}.calls':42s} {old:.10g} -> "
+          f"{new:.10g} ({(new - old) / old:+.2%})")
     status = 0
     for side, run in (("parent", parent), ("change", change)):
         print(f"{side}: failed {run['failed']} of {run['attempted']} operations, "

@@ -3,7 +3,11 @@
 Layout mirrors the paper's architecture (§3):
 
 * :mod:`repro.broker.core` — the single network-wide **broker process**
-  (resource-management layer, upper half).
+  (resource-management layer, upper half): boot and the scheduler, composed
+  with :mod:`~repro.broker.leases` (daemons, liveness, leases),
+  :mod:`~repro.broker.sessions` (app sessions),
+  :mod:`~repro.broker.replica` (WAL shipping, fencing, the warm standby)
+  and :mod:`~repro.broker.federation` (shards and the borrow protocol).
 * :mod:`repro.broker.daemon` — the per-machine **monitoring daemon**
   (resource-management layer, lower half).
 * :mod:`repro.broker.app` — the **app / subapp** processes (application
@@ -19,10 +23,14 @@ Layout mirrors the paper's architecture (§3):
   onto a :class:`~repro.cluster.builder.Cluster` and offers a typed
   submission API.
 * :mod:`repro.broker.journal` — the durable broker's write-ahead journal
-  and snapshot/replay recovery (DESIGN.md §14).
+  (DESIGN.md §14); :mod:`repro.broker.recovery` — snapshot/replay and the
+  one recovery pipeline every restart and promotion runs through.
+* :mod:`repro.broker.invariants` — the safety properties, checked from
+  outside the simulation.
 """
 
-from repro.broker.journal import BrokerJournal, RecoveryInfo, state_fingerprint
+from repro.broker.journal import BrokerJournal
+from repro.broker.recovery import RecoveryInfo, state_fingerprint
 from repro.broker.service import BrokerService, JobHandle
 from repro.broker.state import (
     AllocationState,

@@ -47,17 +47,6 @@ from repro.rsl import is_symbolic_hostname, parse_rsl
 from repro.sim.stores import Store
 
 
-def _safe_send(conn, message) -> bool:
-    """Send unless the connection is locally closed (e.g. severed by a
-    fault); True if the message went out.  Peers that matter notice loss
-    through EOF, never through our crash."""
-    try:
-        conn.send(message)
-        return True
-    except ConnectionClosed:
-        return False
-
-
 def _send_broker(st, message) -> bool:
     """Send to the broker unless the management link is gone; True if sent.
 
@@ -67,7 +56,7 @@ def _send_broker(st, message) -> bool:
     """
     if st.broker_lost:
         return False
-    if _safe_send(st.broker, message):
+    if protocol.try_send(st.broker, message):
         return True
     st.broker_lost = True
     return False
@@ -178,7 +167,7 @@ def app_main(proc):
     except (ConnectionRefused, NoSuchHost):
         register_span.end(error="broker unreachable")
         return 1
-    sent = _safe_send(
+    sent = protocol.try_send(
         broker,
         protocol.attach_trace(
             protocol.submit(
@@ -303,7 +292,7 @@ def app_main(proc):
     code = child.exit_code
     _send_broker(st, protocol.job_done(st.jobid, code))
     for record in list(st.subapps.values()):
-        _safe_send(record.conn, protocol.subapp_revoke())
+        protocol.try_send(record.conn, protocol.subapp_revoke())
     return code
 
 
@@ -363,7 +352,7 @@ def _resume_broker_session(proc, st):
         {"reqid": reqid, "symbolic": info["symbolic"], "firm": info["firm"]}
         for reqid, info in sorted(st.outstanding.items())
     ]
-    sent = _safe_send(
+    sent = protocol.try_send(
         conn,
         protocol.attach_trace(
             protocol.resume(
@@ -495,14 +484,14 @@ def _handle_rsh_request(proc, st, conn, msg):
             st.pending_add.discard(host)
             proc.unlink_file(expect_marker_path(host))
             token = _make_token(proc, st, argv, host)
-            _safe_send(
+            protocol.try_send(
                 conn,
                 protocol.rsh_exec(host, wrap=True, token=token, jobid=st.jobid),
             )
             span.end(path="expected")
         else:
             # A host the user named explicitly: let it proceed untouched.
-            _safe_send(conn, protocol.rsh_exec(host, wrap=False))
+            protocol.try_send(conn, protocol.rsh_exec(host, wrap=False))
             span.end(path="passthrough")
         return
 
@@ -526,7 +515,7 @@ def _handle_rsh_request(proc, st, conn, msg):
         st.waiters.pop(reqid, None)
         st.outstanding.pop(reqid, None)
         wait_span.end(outcome="broker_lost")
-        _safe_send(conn, protocol.rsh_fail("broker unreachable"))
+        protocol.try_send(conn, protocol.rsh_fail("broker unreachable"))
         span.end(path="broker_lost")
         return
     if st.module is not None:
@@ -539,13 +528,13 @@ def _handle_rsh_request(proc, st, conn, msg):
         if waiter in outcome and waiter.value is not None:
             target = waiter.value
             wait_span.end(outcome="granted", host=target)
-            _safe_send(conn, protocol.rsh_fail("deferred to module grow"))
+            protocol.try_send(conn, protocol.rsh_fail("deferred to module grow"))
             _begin_module_add(proc, st, target, wait_span.context)
             span.end(path="module")
         else:
             st.waiters.pop(reqid, None)  # future grant -> async path
             wait_span.end(outcome="queued")
-            _safe_send(conn, protocol.rsh_fail("request queued"))
+            protocol.try_send(conn, protocol.rsh_fail("request queued"))
             span.end(path="module")
         return
 
@@ -554,12 +543,12 @@ def _handle_rsh_request(proc, st, conn, msg):
     target = yield waiter
     if target is None:
         wait_span.end(outcome="denied")
-        _safe_send(conn, protocol.rsh_fail("request denied"))
+        protocol.try_send(conn, protocol.rsh_fail("request denied"))
         span.end(path="denied")
         return
     wait_span.end(outcome="granted", host=target)
     token = _make_token(proc, st, argv, target)
-    _safe_send(
+    protocol.try_send(
         conn, protocol.rsh_exec(target, wrap=True, token=token, jobid=st.jobid)
     )
     span.end(path="redirected", target=target)
@@ -585,7 +574,7 @@ def _module_fallback(proc, st, verb, host):
     else:
         record = st.subapps.get(host)
         if record is not None:
-            _safe_send(record.conn, protocol.subapp_revoke())
+            protocol.try_send(record.conn, protocol.subapp_revoke())
 
 
 def _module_runner(proc, st):
@@ -657,13 +646,13 @@ def _handle_subapp(proc, st, conn, hello):
     token = hello.get("token")
     info = st.tokens.pop(token, None)
     if info is None:
-        _safe_send(conn, {"type": "subapp_abort"})
+        protocol.try_send(conn, {"type": "subapp_abort"})
         conn.close()
         return
     host = hello["host"]
     record = _SubappRecord(host=host, conn=conn, exited=proc.env.event())
     st.subapps[host] = record
-    _safe_send(conn, protocol.subapp_run(info["argv"]))
+    protocol.try_send(conn, protocol.subapp_run(info["argv"]))
     code = None
     try:
         while True:
@@ -710,7 +699,7 @@ def _handle_revoke(proc, st, msg, cal):
         # remote process makes the subapp's child exit, which we await below.
         st.module_queue.put_nowait(("shrink", host, span.context))
     else:
-        _safe_send(record.conn, protocol.subapp_revoke())
+        protocol.try_send(record.conn, protocol.subapp_revoke())
     yield record.exited
     _send_broker(st, protocol.released(st.jobid, host))
     span.end(path="module" if st.module is not None else "subapp")
@@ -745,7 +734,7 @@ def subapp_main(proc):
         conn = yield proc.connect(app_host, app_port)
     except (ConnectionRefused, NoSuchHost):
         return 1
-    if not _safe_send(
+    if not protocol.try_send(
         conn, protocol.subapp_hello(token, proc.machine.name, proc.pid)
     ):
         return 1
@@ -758,7 +747,7 @@ def subapp_main(proc):
         return 1
 
     child = proc.spawn(msg["argv"])
-    _safe_send(conn, protocol.subapp_started(child.pid))
+    protocol.try_send(conn, protocol.subapp_started(child.pid))
     # Stay attached: the rsh chain that started us returns when the command
     # finishes — or as soon as the command itself daemonizes (a pvmd-style
     # runtime daemon), in which case we detach with it.
@@ -780,7 +769,7 @@ def subapp_main(proc):
             proc.daemonize()
             daemon_ev = None
         if child.terminated.processed:
-            _safe_send(
+            protocol.try_send(
                 conn, protocol.subapp_exit(proc.machine.name, child.exit_code)
             )
             conn.close()

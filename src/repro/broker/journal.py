@@ -46,6 +46,10 @@ drained by the broker's periodic flusher thread.  A :class:`~repro.faults
 health watchdog fires); ops buffered when the broker dies are discarded,
 exactly like a page cache.
 
+Replay — rebuilding a state from a snapshot and the WAL — is
+:mod:`repro.broker.recovery`'s; :meth:`BrokerJournal.load_state` reads the
+files and hands their records to it.
+
 Shipping
 --------
 With a warm standby configured, every character that reaches a WAL (flushes
@@ -60,15 +64,16 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.broker.state import (
-    AllocationState,
-    BrokerState,
-    MachineRecord,
-    PendingRequest,
+from repro.broker.recovery import (
+    RecoveryInfo,
+    _machine_op,
+    apply_payloads,
+    apply_snapshot,
+    snapshot_state,
 )
+from repro.broker.state import BrokerState, MachineRecord
 
 #: Frame header: 8 decimal digits of payload length + 8 hex digits of CRC32.
 _HEADER_CHARS = 16
@@ -118,381 +123,6 @@ def parse_frames(data: str) -> Tuple[List[str], int, int]:
         payloads.append(payload)
         pos += _HEADER_CHARS + length
     return payloads, torn, corrupt
-
-
-def _machine_op(record: MachineRecord) -> Dict[str, Any]:
-    """The coalesced durable view of one machine record."""
-    return {
-        "op": "machine",
-        "host": record.host,
-        "platform": record.platform,
-        "mkind": record.kind,
-        "owner": record.owner,
-        "console": record.console_active,
-        "load": record.cpu_load,
-        "nproc": record.n_processes,
-        "reported": record.last_report >= 0.0,
-        "seen": record.last_seen,
-        "dead": record.dead,
-        "leases": list(record.leases),
-        "borrowed": record.borrowed_from,
-    }
-
-
-def snapshot_state(state: BrokerState) -> Dict[str, Any]:
-    """Serialise the durable contract of ``state`` for a snapshot record."""
-    allocations = []
-    for host in state.machines:
-        allocation = state.machines[host].allocation
-        if allocation is None:
-            continue
-        claim = None
-        if allocation.claimed_by is not None:
-            claim = [allocation.claimed_by.jobid, allocation.claimed_by.reqid]
-        allocations.append(
-            {
-                "host": allocation.host,
-                "jobid": allocation.jobid,
-                "firm": allocation.firm,
-                "astate": allocation.state.value,
-                "granted": allocation.granted_at,
-                "expires": allocation.lease_expires_at,
-                "since": allocation.reclaiming_since,
-                "claim": claim,
-                "loan": allocation.loaned_to,
-            }
-        )
-    return {
-        "next_jobid": state._next_jobid,
-        "machines": [_machine_op(r) for r in state.machines.values()],
-        "jobs": [
-            {
-                "jobid": job.jobid,
-                "user": job.user,
-                "home": job.home_host,
-                "rsl": job.rsl.source,
-                "argv": list(job.argv),
-                "adaptive": job.adaptive,
-                "done": job.done,
-            }
-            for job in state.jobs.values()
-        ],
-        "pending": [
-            {
-                "reqid": r.reqid,
-                "jobid": r.jobid,
-                "symbolic": r.symbolic,
-                "firm": r.firm,
-                "arrived": r.arrived_at,
-                "reserved": r.reserved_host,
-            }
-            for r in state.pending
-        ],
-        "allocations": allocations,
-    }
-
-
-def state_fingerprint(state: BrokerState) -> Dict[str, Any]:
-    """Canonical projection of the durable contract, for equivalence tests.
-
-    Two states with equal fingerprints agree on everything the journal
-    promises to preserve: machines (view, liveness, lease inventory), jobs,
-    allocations (including reclaim progress and claims), the pending queue
-    in order, and the jobid counter.  Volatile details — connections, index
-    internals, exact ``last_report`` instants — are deliberately outside
-    the contract.
-    """
-    return {
-        "next_jobid": state._next_jobid,
-        "machines": {
-            host: _machine_op(record)
-            for host, record in state.machines.items()
-        },
-        "jobs": {
-            job.jobid: {
-                "user": job.user,
-                "home": job.home_host,
-                "rsl": job.rsl.source,
-                "argv": list(job.argv),
-                "adaptive": job.adaptive,
-                "done": job.done,
-            }
-            for job in state.jobs.values()
-        },
-        "allocations": {
-            record.host: {
-                "jobid": record.allocation.jobid,
-                "firm": record.allocation.firm,
-                "astate": record.allocation.state.value,
-                "granted": record.allocation.granted_at,
-                "expires": record.allocation.lease_expires_at,
-                "since": record.allocation.reclaiming_since,
-                "claim": (
-                    None
-                    if record.allocation.claimed_by is None
-                    else [
-                        record.allocation.claimed_by.jobid,
-                        record.allocation.claimed_by.reqid,
-                    ]
-                ),
-                "loan": record.allocation.loaned_to,
-            }
-            for record in state.machines.values()
-            if record.allocation is not None
-        },
-        "pending": [
-            {
-                "reqid": r.reqid,
-                "jobid": r.jobid,
-                "symbolic": r.symbolic,
-                "firm": r.firm,
-                "arrived": r.arrived_at,
-                "reserved": r.reserved_host,
-            }
-            for r in state.pending
-        ],
-    }
-
-
-def restamp_recovered(state: BrokerState, now: float, lease_ttl: float) -> None:
-    """Restart-time recovery policy over a rebuilt state (shared by journal
-    recovery and standby promotion).
-
-    Recovered machines keep their durable view but lose their *report* (no
-    grants until the daemon proves liveness again) and get a fresh silence
-    deadline; recovered leases are re-stamped at least one TTL out and marked
-    ``recovered`` so re-registration can confirm them or flag a
-    ``recovery.conflict``.
-    """
-    for record in state.machines.values():
-        if record.last_report >= 0.0:
-            record.last_report = -1.0
-        if record.last_seen >= 0.0 and not record.dead:
-            record.last_seen = now
-        allocation = record.allocation
-        if allocation is not None:
-            allocation.recovered = True
-            allocation.lease_expires_at = max(
-                allocation.lease_expires_at, now + lease_ttl
-            )
-    state.mark_all_pending_dirty()
-
-
-@dataclass
-class RecoveryInfo:
-    """What one snapshot+replay recovery saw and produced."""
-
-    base_generation: int = 0
-    top_generation: int = 0
-    snapshot_used: bool = False
-    records: int = 0
-    epoch: int = 0
-    torn_tails: int = 0
-    corrupt_records: int = 0
-    snapshot_fallbacks: int = 0
-    skipped_ops: int = 0
-    wal_files: List[int] = field(default_factory=list)
-
-
-# -- replay (module-level: shared by recovery and the warm standby's shadow
-# state, which applies shipped frames without owning a journal) --------------
-
-
-def _apply_machine_op(state: BrokerState, op: Dict[str, Any]) -> None:
-    record = state.add_machine(op["host"])
-    if record.platform != op["platform"]:
-        record.platform = op["platform"]
-    if record.kind != op["mkind"]:
-        record.kind = op["mkind"]
-    if record.owner != op["owner"]:
-        record.owner = op["owner"]
-    if record.console_active != op["console"]:
-        record.console_active = bool(op["console"])
-    if record.cpu_load != op["load"]:
-        record.cpu_load = int(op["load"])
-    record.n_processes = int(op["nproc"])
-    if op["reported"]:
-        record.last_report = float(op["seen"])
-    elif record.last_report >= 0.0:
-        record.last_report = -1.0
-    record.last_seen = float(op["seen"])
-    if record.dead != bool(op["dead"]):
-        record.dead = bool(op["dead"])
-    record.leases = tuple(int(j) for j in op.get("leases", ()))
-    record.borrowed_from = op.get("borrowed")
-
-
-def _link_claim(state: BrokerState, allocation: Any, jobid: int, reqid: int) -> None:
-    for request in state.pending:
-        if request.jobid == jobid and request.reqid == reqid:
-            allocation.claimed_by = request
-            request.reserved_host = allocation.host
-            return
-    # The claimant is no longer pending (satisfied elsewhere, or its
-    # job's requests were dropped) while the reclaim it demanded is
-    # still in flight.  The live state keeps that dangling reference,
-    # so replay carries the claim on a detached request rather than
-    # silently forgetting who asked.
-    allocation.claimed_by = PendingRequest(
-        reqid=reqid,
-        jobid=jobid,
-        symbolic="",
-        firm=False,
-        arrived_at=-1.0,
-        reserved_host=allocation.host,
-    )
-
-
-def apply_snapshot(
-    state: BrokerState, doc: Dict[str, Any], info: RecoveryInfo
-) -> None:
-    """Rebuild ``state`` from one snapshot document (the replay baseline)."""
-    state._next_jobid = max(state._next_jobid, int(doc.get("next_jobid", 1)))
-    for op in doc.get("machines", ()):
-        _apply_machine_op(state, op)
-    for job in doc.get("jobs", ()):
-        record = state.adopt_job(
-            int(job["jobid"]),
-            job["user"],
-            job["home"],
-            job.get("rsl", ""),
-            list(job.get("argv", ())),
-            adaptive_hint=bool(job.get("adaptive")),
-        )
-        if job.get("done"):
-            record.done = True
-    for entry in doc.get("pending", ()):
-        request = PendingRequest(
-            reqid=int(entry["reqid"]),
-            jobid=int(entry["jobid"]),
-            symbolic=entry["symbolic"],
-            firm=bool(entry["firm"]),
-            arrived_at=float(entry["arrived"]),
-            reserved_host=entry.get("reserved"),
-        )
-        state.pending.append(request)
-    for entry in doc.get("allocations", ()):
-        host = entry["host"]
-        state.add_machine(host)
-        allocation = state.allocate(
-            host,
-            int(entry["jobid"]),
-            bool(entry["firm"]),
-            now=float(entry["granted"]),
-            lease_expires_at=float(entry["expires"]),
-        )
-        if entry.get("astate") == AllocationState.RECLAIMING.value:
-            allocation.state = AllocationState.RECLAIMING
-            allocation.reclaiming_since = float(entry.get("since", -1.0))
-        elif entry.get("astate") == AllocationState.MIGRATING.value:
-            allocation.state = AllocationState.MIGRATING
-            allocation.loaned_to = entry.get("loan")
-        claim = entry.get("claim")
-        if claim:
-            _link_claim(state, allocation, claim[0], claim[1])
-
-
-def apply_op(state: BrokerState, op: Dict[str, Any], info: RecoveryInfo) -> None:
-    """Apply one replayed journal op to ``state``."""
-    kind = op["op"]
-    if kind == "epoch":
-        info.epoch = max(info.epoch, int(op["epoch"]))
-        state._next_jobid = max(state._next_jobid, int(op["first_jobid"]))
-    elif kind == "machine":
-        _apply_machine_op(state, op)
-    elif kind == "job":
-        state.adopt_job(
-            int(op["jobid"]),
-            op["user"],
-            op["home"],
-            op.get("rsl", ""),
-            list(op.get("argv", ())),
-            adaptive_hint=bool(op.get("adaptive")),
-        )
-    elif kind == "job_done":
-        if op.get("prune"):
-            state.jobs.pop(int(op["jobid"]), None)
-        else:
-            job = state.jobs.get(int(op["jobid"]))
-            if job is not None:
-                job.done = True
-    elif kind == "alloc":
-        state.add_machine(op["host"])
-        state.allocate(
-            op["host"],
-            int(op["jobid"]),
-            bool(op["firm"]),
-            now=float(op["granted"]),
-            lease_expires_at=float(op["expires"]),
-        )
-    elif kind == "release":
-        record = state.machines.get(op["host"])
-        if record is not None:
-            released = record.allocation
-            record.allocation = None
-            if released is not None and released.claimed_by is not None:
-                released.claimed_by.reserved_host = None
-    elif kind == "reclaim":
-        record = state.machines.get(op["host"])
-        allocation = record.allocation if record is not None else None
-        if allocation is not None:
-            allocation.state = AllocationState.RECLAIMING
-            allocation.reclaiming_since = float(op["since"])
-            claim = op.get("claim")
-            if claim:
-                _link_claim(state, allocation, claim[0], claim[1])
-    elif kind == "pend+":
-        state.pending.append(
-            PendingRequest(
-                reqid=int(op["reqid"]),
-                jobid=int(op["jobid"]),
-                symbolic=op["symbolic"],
-                firm=bool(op["firm"]),
-                arrived_at=float(op["arrived"]),
-            )
-        )
-    elif kind == "pend-":
-        for request in state.pending:
-            if request.reqid == op["reqid"] and request.jobid == op["jobid"]:
-                state.pending.remove(request)
-                break
-    elif kind == "leases":
-        for host, expires in op["leases"].items():
-            record = state.machines.get(host)
-            if record is not None and record.allocation is not None:
-                record.allocation.lease_expires_at = float(expires)
-    elif kind == "loan":
-        # Donor side of a cross-shard borrow: the machine stays allocated
-        # (to the borrower's jobid, leased as usual) but is marked out on
-        # loan so the recovered donor excludes it from its own scheduling.
-        record = state.machines.get(op["host"])
-        allocation = record.allocation if record is not None else None
-        if allocation is not None:
-            allocation.state = AllocationState.MIGRATING
-            allocation.loaned_to = op.get("to")
-    elif kind == "forget":
-        # Borrower side of a loan ending: the borrowed record vanishes.
-        state.forget_machine(op["host"])
-    # Unknown ops (a newer writer) are ignored: forward-compatible replay.
-
-
-def apply_payloads(
-    state: BrokerState, payloads: List[str], info: RecoveryInfo
-) -> None:
-    """Apply a run of framed payloads (shipped or replayed) to ``state``,
-    with the same skip-on-inconsistency policy as WAL replay."""
-    for payload in payloads:
-        try:
-            op = json.loads(payload)
-        except ValueError:
-            info.corrupt_records += 1
-            break
-        try:
-            apply_op(state, op, info)
-        except Exception:
-            info.skipped_ops += 1
-            continue
-        info.records += 1
 
 
 class BrokerJournal:
@@ -893,9 +523,7 @@ class BrokerJournal:
         state = doc.get("state")
         return state if isinstance(state, dict) else None
 
-    def load_state(
-        self, first_jobid: int = 1, use_indexes: bool = True
-    ) -> Optional[Tuple[BrokerState, RecoveryInfo]]:
+    def load_state(self) -> Optional[Tuple[BrokerState, RecoveryInfo]]:
         """Pure snapshot+replay: rebuild a state from disk, or None when
         nothing recoverable exists.
 
@@ -927,8 +555,7 @@ class BrokerJournal:
         if base_generation < 0:
             return None
         info.base_generation = base_generation
-        state = BrokerState(first_jobid=first_jobid)
-        state.use_indexes = use_indexes
+        state = BrokerState()
         if base_state is not None:
             apply_snapshot(state, base_state, info)
         for generation in range(base_generation, top + 1):
@@ -943,29 +570,6 @@ class BrokerJournal:
             # a torn/corrupt prefix) are skipped inside; reconciliation
             # settles the difference.
             apply_payloads(state, payloads, info)
-        return state, info
-
-    def recover(
-        self,
-        first_jobid: int,
-        use_indexes: bool,
-        now: float,
-        lease_ttl: float,
-    ) -> Optional[Tuple[BrokerState, RecoveryInfo]]:
-        """:meth:`load_state` plus the restart-time recovery policy.
-
-        Recovered machines keep their durable view but lose their *report*
-        (no grants until the daemon proves liveness again) and get a fresh
-        silence deadline; recovered leases are re-stamped at least one TTL
-        out and marked ``recovered`` so re-registration can confirm them or
-        flag a ``recovery.conflict`` — surviving the case where the daemon
-        died with the broker (the lease simply expires).
-        """
-        loaded = self.load_state(first_jobid=first_jobid, use_indexes=use_indexes)
-        if loaded is None:
-            return None
-        state, info = loaded
-        restamp_recovered(state, now, lease_ttl)
         return state, info
 
     # -- introspection -------------------------------------------------------

@@ -44,7 +44,20 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.os.errors import ConnectionClosed
+
 Message = Dict[str, Any]
+
+
+def try_send(conn, message: Message) -> bool:
+    """Send unless the connection died under us; True if the message went
+    out.  The broker serves many sessions from one process — one dead peer
+    must never take the scheduler down with it."""
+    try:
+        conn.send(message)
+        return True
+    except ConnectionClosed:
+        return False
 
 
 # -- trace context propagation -----------------------------------------------

@@ -1,7 +1,14 @@
-"""``rbstandby`` — the warm-standby broker replica (DESIGN.md §16).
+"""Warm-standby replication and fencing (DESIGN.md §16).
 
-Started on the configured standby machine by the primary broker's keeper
-(via plain rsh, unprivileged, exactly like ``rbdaemon``).  It dials the
+The primary broker's side is two components: :class:`Shipper` serves the
+WAL ship stream to the standby (and keeps the standby process alive), and
+:class:`Fence` stops a broker incarnation the moment it learns that a
+higher epoch exists — built whenever grants carry epoch stamps (with a
+standby, and in any multi-shard federation).
+
+``rbstandby``, the replica itself, is started on the configured standby
+machine by the shipper's keeper (via plain rsh, unprivileged, exactly like
+``rbdaemon``).  It dials the
 primary's ship port, subscribes to the WAL stream with the offset it has
 durably applied, and maintains a **shadow** :class:`BrokerState` by applying
 shipped frames with the same replay code journal recovery uses.  Everything
@@ -28,23 +35,249 @@ import json
 from typing import Any, Dict
 
 from repro.broker import protocol
-from repro.broker.journal import (
+from repro.broker.journal import _frame, parse_frames
+from repro.broker.recovery import (
     RecoveryInfo,
-    _frame,
     apply_payloads,
     apply_snapshot,
-    parse_frames,
+    snapshot_state,
 )
 from repro.broker.state import BrokerState
 from repro.cluster import ports
 from repro.cluster.network import EXPIRED
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
+from repro.os.retry import connect_forever
+from repro.os.signals import SIGKILL
 
 #: The standby's local persistence (its machine's filesystem, so it
 #: survives process death): the stream id it holds, the stream offset of
 #: its snapshot baseline, the framed baseline snapshot, and every shipped
 #: frame accepted since.
 _DIR = "/var/rbstandby"
+
+
+class Fence:
+    """Epoch fencing of one broker incarnation."""
+
+    def __init__(self, core) -> None:
+        self.proc = core.proc
+        self.metrics = core.metrics
+        self.service = core.service
+        self.epoch = core.epoch
+        #: Set once this incarnation is fenced; all grants stop.
+        self.demoted = False
+
+    def demote(self, witnessed, source, host=None) -> None:
+        """Fenced: a higher epoch exists, so this incarnation must stop
+        granting *now*.  Process death is the simplest correct way — every
+        session, sweeper and keeper dies with it, and grants already sent
+        are bounded by their leases."""
+        if self.demoted:
+            return
+        self.demoted = True
+        self.metrics.counter("broker.demotions").inc()
+        self.service.log(
+            event="broker_demoted",
+            epoch=self.epoch,
+            witnessed=witnessed,
+            source=source,
+            host=host,
+        )
+        self.proc.signal(SIGKILL)
+
+    def fencer(self, target):
+        """Chase the ex-primary with a fence notice (promoted incarnations
+        only).  Daemons fence a reachable ex-primary through its own
+        sessions; this covers the one nobody else can reach — an ex-primary
+        isolated with zero daemons, still believing it is the broker."""
+        conn = yield from connect_forever(
+            self.proc,
+            target,
+            ports.SHIP,
+            counter=self.metrics.counter("fencing.notice_retries"),
+        )
+        protocol.try_send(conn, protocol.fence_notice(self.epoch))
+        try:
+            # Hold the session open until the peer acts on the notice (its
+            # demotion closes the connection).
+            yield conn.recv()
+        except ConnectionClosed:
+            pass
+        conn.close()
+
+
+class Shipper:
+    """The primary's end of WAL shipping: one ship session at a time."""
+
+    def __init__(self, core) -> None:
+        self.proc = core.proc
+        self.state = core.state
+        self.cal = core.cal
+        self.metrics = core.metrics
+        self.service = core.service
+        self.epoch = core.epoch
+        self.journal = core.journal
+        self.fence = core.fence
+        #: The live ship session to the standby (None when disconnected).
+        self._ship_conn = None
+        #: Stream offset shipped on the current session.
+        self._ship_sent = 0
+        #: Triggered when the ship session drops (wakes the standby keeper).
+        self._standby_down = None
+
+    def standby_keeper(self, host):
+        """Spawn the warm standby on ``host`` and respawn it whenever its
+        ship session drops (the same keeper discipline as daemons: the
+        *connection* is the liveness signal, never the process)."""
+        while True:
+            down = self.proc.env.event()
+            self._standby_down = down
+            rsh = self.proc.spawn(
+                ["system:rsh", host, "rbstandby", self.proc.machine.name],
+            )
+            code = yield self.proc.wait(rsh)
+            if code != 0:
+                # Standby machine unreachable; back off and retry.
+                yield self.proc.sleep(self.cal.daemon_report_interval)
+                continue
+            yield down  # triggered when the ship session drops
+            self.metrics.counter("broker.standby_restarts").inc()
+            self.service.log(event="standby_restart", host=host)
+
+    def acceptor(self, listener):
+        """Accept ship-port sessions (the standby's hello, or a promoted
+        peer's fence notice)."""
+        while True:
+            try:
+                conn = yield listener.accept()
+            except ConnectionClosed:
+                return
+            self.proc.thread(self._serve(conn), name="ship-session")
+
+    def _serve(self, conn):
+        """Serve one ship session: resume or re-baseline the stream, then
+        drain frames as the journal flushes and trim on acks."""
+        journal = self.journal
+        try:
+            first = yield conn.recv()
+        except ConnectionClosed:
+            conn.close()
+            return
+        kind = first.get("type")
+        if kind == "fence_notice":
+            # A peer broker announcing a higher epoch over the ship port:
+            # the fencing path for an ex-primary whose daemons are all on
+            # the far side of a partition.
+            witnessed = int(first.get("epoch", 0))
+            conn.close()
+            if witnessed > self.epoch:
+                self.fence.demote(witnessed=witnessed, source="fence_notice")
+            return
+        if kind != "ship_hello" or journal is None or not journal.ship_enabled:
+            conn.close()
+            return
+        self._ship_conn = conn
+        self.metrics.counter("ship.sessions").inc()
+        acked = int(first.get("acked", 0))
+        resumable = (
+            int(first.get("stream", -1)) == journal.ship_stream
+            and acked <= journal.flushed_offset
+            and journal.ship_pending(acked) is not None
+        )
+        if resumable:
+            # The standby holds a prefix of this very stream: trim to its
+            # ack and resend whatever it missed.
+            journal.note_ship_ack(acked)
+            self._ship_sent = acked
+            if journal.flushed_offset > acked:
+                self.metrics.counter("ship.resends").inc()
+        else:
+            # Different stream (a new incarnation) or a gap past the
+            # retained window: re-baseline with a full-state snapshot at
+            # the current flushed offset.
+            journal.flush(force=True)
+            self._ship_sent = journal.flushed_offset
+            journal.note_ship_ack(self._ship_sent)
+            self.metrics.counter("ship.snapshots").inc()
+            protocol.try_send(
+                conn,
+                protocol.ship_snapshot(
+                    journal.ship_stream,
+                    self._ship_sent,
+                    snapshot_state(self.state),
+                    self.epoch,
+                ),
+            )
+        journal.set_ship_kick(self._drain)
+        self._drain()
+        try:
+            while True:
+                msg = yield conn.recv()
+                mtype = msg.get("type")
+                if self._ship_conn is not conn:
+                    return  # superseded by a fresh session
+                if mtype == "ship_ack":
+                    if int(msg.get("stream", -1)) == journal.ship_stream:
+                        journal.note_ship_ack(int(msg.get("acked", 0)))
+                        self._drain()
+                elif mtype == "fence_notice":
+                    witnessed = int(msg.get("epoch", 0))
+                    if witnessed > self.epoch:
+                        self.fence.demote(
+                            witnessed=witnessed, source="fence_notice"
+                        )
+                        return
+        except ConnectionClosed:
+            pass
+        conn.close()
+        if self._ship_conn is conn:
+            self._ship_conn = None
+            journal.set_ship_kick(None)
+            # Wake the standby keeper so it respawns the replica (which
+            # resumes from its locally persisted offset).
+            down = self._standby_down
+            if down is not None and not down.triggered:
+                down.succeed()
+
+    def _drain(self):
+        """Push flushed-but-unshipped journal chars down the live ship
+        session, whole retained chunks at a time (chunks are whole frames —
+        the standby parses each one independently), bounded by the in-flight
+        window."""
+        conn = self._ship_conn
+        journal = self.journal
+        if conn is None or journal is None:
+            return
+        while self._ship_sent < journal.flushed_offset:
+            if (
+                self._ship_sent - journal.acked_offset
+                >= self.cal.ship_window_chars
+            ):
+                self.metrics.counter("ship.window_stalls").inc()
+                return  # window full: the next ack re-kicks the drain
+            pending = journal.ship_pending(self._ship_sent)
+            if not pending:
+                return
+            start, data = pending[0]
+            if not protocol.try_send(
+                conn, protocol.ship_frame(journal.ship_stream, start, data)
+            ):
+                return
+            self._ship_sent = start + len(data)
+            self.metrics.counter("ship.frames").inc()
+            self.metrics.counter("ship.shipped_chars").inc(len(data))
+
+    def heartbeater(self):
+        """Beat the ship session every ``standby_heartbeat_interval`` so the
+        standby's silence clock only runs when the primary (or the path to
+        it) is actually gone."""
+        while True:
+            yield self.proc.sleep(self.cal.standby_heartbeat_interval)
+            if self._ship_conn is not None:
+                protocol.try_send(
+                    self._ship_conn,
+                    protocol.ship_heartbeat(self.epoch, self.proc.env.now),
+                )
 
 
 def _broker_running_here(proc, service) -> bool:
@@ -78,10 +311,9 @@ def _another_standby_running(proc) -> bool:
 class _Replica:
     """The shadow state plus its local persistence."""
 
-    def __init__(self, proc, service) -> None:
+    def __init__(self, proc) -> None:
         self.proc = proc
         self.fs = proc.machine.fs
-        self.service = service
         from repro.obs import metrics_of
 
         self.metrics = metrics_of(proc)
@@ -94,13 +326,8 @@ class _Replica:
         #: heartbeats, epoch records in the stream itself).
         self.witnessed = 0
         self.info = RecoveryInfo()
-        self.state = self._blank_state()
+        self.state = BrokerState()
         self._load()
-
-    def _blank_state(self) -> BrokerState:
-        state = BrokerState()
-        state.use_indexes = self.service.scheduler_mode == "indexed"
-        return state
 
     # -- local persistence ---------------------------------------------------
 
@@ -153,7 +380,7 @@ class _Replica:
         epoch = int(msg.get("epoch", 0))
         self.witnessed = max(self.witnessed, epoch, self.stream)
         self.info = RecoveryInfo()
-        self.state = self._blank_state()
+        self.state = BrokerState()
         doc = msg.get("state")
         if isinstance(doc, dict):
             apply_snapshot(self.state, doc, self.info)
@@ -220,7 +447,7 @@ def make_standby_main(service):
         if _broker_running_here(proc, service):
             boot.end(outcome="broker_here")
             return 0
-        replica = _Replica(proc, service)
+        replica = _Replica(proc)
         boot.end(resumed_at=replica.acked, stream=replica.stream)
         # Detach so the keeper's rsh invocation returns while we run on.
         proc.daemonize()

@@ -10,7 +10,6 @@ an event log.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
@@ -18,7 +17,8 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.broker.app import app_main, subapp_main
 from repro.broker.core import make_broker_main
 from repro.broker.daemon import rbdaemon_main
-from repro.broker.journal import BrokerJournal, restamp_recovered
+from repro.broker.journal import BrokerJournal
+from repro.broker.recovery import recover
 from repro.broker.replica import make_standby_main
 from repro.broker.rshprime import rshprime_main
 from repro.broker.tools import rbctl_main, rbstat_main, rbtop_main, rbtrace_main
@@ -122,8 +122,7 @@ class BrokerService:
         policy=None,
         managed_hosts: Optional[Sequence[str]] = None,
         broker_host: Optional[str] = None,
-        scheduler_mode: Optional[str] = None,
-        journal: Optional[bool] = None,
+        journal: bool = False,
         standby_host: Optional[str] = None,
         event_log_cap: Optional[int] = None,
         retain_done_jobs: bool = True,
@@ -141,19 +140,6 @@ class BrokerService:
             managed_hosts if managed_hosts is not None else cluster.machines
         )
         self.broker_host = broker_host or self.managed_hosts[0]
-        #: ``"indexed"`` (default) schedules dirty-driven over the state's
-        #: incremental indexes; ``"fullscan"`` keeps the original
-        #: evaluate-everything scheduler as a reference (DESIGN.md §12).
-        #: The ``RB_SCHED_MODE`` environment variable overrides the default
-        #: so whole experiment runs can be flipped without code changes.
-        if scheduler_mode is None:
-            scheduler_mode = os.environ.get("RB_SCHED_MODE", "indexed")
-        if scheduler_mode not in ("indexed", "fullscan"):
-            raise ValueError(
-                f"scheduler_mode must be 'indexed' or 'fullscan', "
-                f"not {scheduler_mode!r}"
-            )
-        self.scheduler_mode = scheduler_mode
         #: First jobid this broker may issue.  Federated shards stride their
         #: jobid spaces a million apart so ids are globally unique without
         #: coordination (a daemon inventory or borrowed lease names its shard
@@ -162,7 +148,6 @@ class BrokerService:
         if shard is not None and shard.count > 1:
             self._first_jobid = 1 + shard.index * 1_000_000
         self.state = BrokerState(first_jobid=self._first_jobid)
-        self.state.use_indexes = scheduler_mode == "indexed"
         #: ``event_log_cap`` bounds the event log for service-mode runs (a
         #: soak would otherwise grow it without limit); ``None`` keeps the
         #: unbounded lists every existing test and experiment expects.
@@ -183,7 +168,8 @@ class BrokerService:
         #: ``stats`` RPC reports.
         self.phase_stats = SpanPhaseFolder(self.tracer)
         self.ready = self.env.event()
-        #: The live ``_BrokerControl`` once the broker program boots.
+        #: The live broker incarnation (``core._BrokerControl``) once the
+        #: broker program boots.
         self.control = None
         self._daemon_down: Dict[str, Any] = {}
         #: Broker incarnation number; bumped by :meth:`restart_broker` and
@@ -259,19 +245,10 @@ class BrokerService:
                 )
 
         #: Durable write-ahead journal (DESIGN.md §14), off by default so
-        #: the seed's in-memory-only behaviour is untouched; opt in per
-        #: service or cluster-wide via ``RB_JOURNAL=1``.
-        if journal is None:
-            journal = os.environ.get("RB_JOURNAL", "") not in ("", "0")
+        #: the seed's in-memory-only behaviour is untouched.
         self.journal: Optional[BrokerJournal] = None
         if journal:
-            calibration = cluster.network.calibration
-            self.journal = BrokerJournal(
-                fs=broker_machine.fs,
-                clock=lambda: self.env.now,
-                metrics=self.metrics,
-                compact_bytes=calibration.journal_compact_bytes,
-            )
+            self.journal = self._new_journal()
             self.journal.attach(self.state, epoch=self.epoch)
             if self.replicated:
                 self.journal.enable_shipping(stream=self.epoch)
@@ -281,12 +258,7 @@ class BrokerService:
                 "journal=True"
             )
 
-        self.broker_proc = OSProcess(
-            broker_machine,
-            ["rbroker"],
-            uid=BROKER_UID,
-            environ={"HOME": f"/home/{BROKER_UID}"},
-        )
+        self.boot()
 
     # -- logging -----------------------------------------------------------
 
@@ -341,6 +313,26 @@ class BrokerService:
             # only what reached the simulated disk survives.
             self.journal.discard_unflushed()
 
+    def boot(self) -> OSProcess:
+        """Start the current incarnation's broker process on
+        ``broker_host`` (the first boot, and every recovery's last step)."""
+        self.broker_proc = OSProcess(
+            self.cluster.machines[self.broker_host],
+            ["rbroker"],
+            uid=BROKER_UID,
+            environ={"HOME": f"/home/{BROKER_UID}"},
+        )
+        return self.broker_proc
+
+    def _new_journal(self) -> BrokerJournal:
+        """A journal on the broker machine's filesystem."""
+        return BrokerJournal(
+            fs=self.cluster.machines[self.broker_host].fs,
+            clock=lambda: self.env.now,
+            metrics=self.metrics,
+            compact_bytes=self.cluster.network.calibration.journal_compact_bytes,
+        )
+
     def restart_broker(self) -> OSProcess:
         """Boot a fresh broker incarnation, recovering state if possible.
 
@@ -352,51 +344,27 @@ class BrokerService:
         Without one (or when nothing on disk is readable), it starts from a
         blank :class:`BrokerState` — only the managed-host list survives —
         and reconstructs everything from daemon re-registration inventories
-        and app session resumptions (core.py's recovery window).  Either
-        way the jobid counter starts past every id the dead incarnation
-        could have issued, so resumed jobs keep their ids without colliding
-        with fresh submissions.
+        and app session resumptions (the recovery window of
+        :mod:`repro.broker.leases`).  Either way the jobid counter starts
+        past every id the dead incarnation could have issued, so resumed
+        jobs keep their ids without colliding with fresh submissions.  Both
+        are entry points of :func:`~repro.broker.recovery.recover`.
         """
         if self.broker_proc.is_alive:
             self.broker_proc.signal(SIGKILL)
             if self.journal is not None:
                 self.journal.discard_unflushed()
-        self.epoch += 1
         restarted_at = self.env.now
-        next_jobid = max(
-            max(self.state.jobs, default=0) + 1, self._first_jobid
-        )
-        recovered = None
+        floor = max(max(self.state.jobs, default=0) + 1, self._first_jobid)
+        loaded = None
         if self.journal is not None:
             self.journal.discard_unflushed()
-            recovered = self.journal.recover(
-                first_jobid=next_jobid,
-                use_indexes=self.scheduler_mode == "indexed",
-                now=restarted_at,
-                lease_ttl=self.cluster.network.calibration.lease_ttl,
-            )
-        if recovered is not None:
-            state, info = recovered
-            self.state = state
-            self.epoch = max(self.epoch, info.epoch + 1)
-            for host in self.managed_hosts:
-                self.state.add_machine(host)
-            # Recovered borrowed records (federation loans held from a
-            # sibling shard) never re-report here — their daemons report to
-            # the donor — so re-mark them reported immediately; one without
-            # an allocation lost its release-side forget to the crash and
-            # is dropped outright (the pre-attach forget never journals,
-            # and the compacting snapshot below excludes it).
-            for borrowed_host in sorted(
-                host
-                for host, rec in state.machines.items()
-                if rec.borrowed_from is not None
-            ):
-                rec = state.machines[borrowed_host]
-                if rec.allocation is not None:
-                    rec.touch(restarted_at)
-                else:
-                    state.forget_machine(borrowed_host)
+            loaded = self.journal.load_state()
+        state, info = loaded if loaded is not None else (BrokerState(), None)
+        recover(
+            self, state, witnessed=info.epoch if info is not None else 0, floor=floor
+        )
+        if info is not None:
             self.metrics.counter("recovery.from_journal").inc()
             self.metrics.counter("recovery.replayed_records").inc(info.records)
             if info.torn_tails:
@@ -428,14 +396,8 @@ class BrokerService:
                 pending=len(state.pending),
             )
         else:
-            self.state = BrokerState(first_jobid=next_jobid)
-            self.state.use_indexes = self.scheduler_mode == "indexed"
-            for host in self.managed_hosts:
-                self.state.add_machine(host)
             self.metrics.counter("recovery.from_reregistration").inc()
             self.log(event="recovery", source="reregistration", epoch=self.epoch)
-        self.ready = self.env.event()
-        if recovered is None:
             # Blind until the periphery re-reports: recovery latency is the
             # restart-to-ready gap.
             self.ready.add_callback(
@@ -443,24 +405,13 @@ class BrokerService:
                     self.env.now - restarted_at
                 )
             )
-        if self.journal is not None:
-            self.journal.attach(self.state, epoch=self.epoch, compact=True)
-            if self.replicated:
-                # A restarted incarnation is a new ship stream; a standby
-                # holding the old one re-baselines from a snapshot.
-                self.journal.enable_shipping(stream=self.epoch)
-        self.control = None
-        self._daemon_down = {}
+        if self.journal is not None and self.replicated:
+            # A restarted incarnation is a new ship stream; a standby holding
+            # the old one re-baselines from a snapshot.
+            self.journal.enable_shipping(stream=self.epoch)
         self.metrics.counter("broker.restarts").inc()
         self.log(event="broker_restart", epoch=self.epoch)
-        broker_machine = self.cluster.machines[self.broker_host]
-        self.broker_proc = OSProcess(
-            broker_machine,
-            ["rbroker"],
-            uid=BROKER_UID,
-            environ={"HOME": f"/home/{BROKER_UID}"},
-        )
-        return self.broker_proc
+        return self.boot()
 
     def promote_standby(
         self,
@@ -473,43 +424,23 @@ class BrokerService:
         primary goes silent past the promotion deadline, DESIGN.md §16).
 
         The shipped shadow ``state`` becomes the service's live state under
-        a strictly higher epoch than any the standby witnessed, with the
-        same restart-time recovery policy as journal recovery (leases
-        re-stamped and marked recovered, reports cleared so nothing is
-        granted until daemons re-prove liveness).  A fresh broker
-        incarnation then boots *on the standby machine* — the well-known
-        secondary address every daemon and app alternates toward — with a
-        fresh journal there, and fences the ex-primary by epoch: daemons
-        reject its stale-stamped grants and renewals, and the promoted
-        broker sends it a ``fence_notice`` for the case where no daemon is
-        left to do the rejecting.
+        a strictly higher epoch than any the standby witnessed, through the
+        same recovery pipeline as a restart (leases re-stamped and marked
+        recovered, reports cleared so nothing is granted until daemons
+        re-prove liveness).  The fresh broker incarnation boots *on the
+        standby machine* — the well-known secondary address every daemon
+        and app alternates toward — with a fresh journal there, and fences
+        the ex-primary by epoch: daemons reject its stale-stamped grants and
+        renewals, and the promoted broker sends it a ``fence_notice`` for
+        the case where no daemon is left to do the rejecting.
         """
         if self.standby_host is None:
             raise ValueError("promote_standby needs a configured standby")
-        now = self.env.now
-        calibration = self.cluster.network.calibration
         old_primary = self.broker_host
-        self.epoch = max(self.epoch, witnessed) + 1
-        state._next_jobid = max(
-            state._next_jobid, max(state.jobs, default=0) + 1
-        )
-        restamp_recovered(state, now, calibration.lease_ttl)
-        self.state = state
-        for host in self.managed_hosts:
-            self.state.add_machine(host)
         self.broker_host = self.standby_host
         self.fence_target = old_primary
-        standby_machine = self.cluster.machines[self.broker_host]
-        self.journal = BrokerJournal(
-            fs=standby_machine.fs,
-            clock=lambda: self.env.now,
-            metrics=self.metrics,
-            compact_bytes=calibration.journal_compact_bytes,
-        )
-        self.journal.attach(self.state, epoch=self.epoch, compact=True)
-        self.ready = self.env.event()
-        self.control = None
-        self._daemon_down = {}
+        self.journal = self._new_journal()
+        recover(self, state, witnessed=witnessed, floor=self._first_jobid)
         self.metrics.counter("broker.promotions").inc()
         self.metrics.counter("recovery.from_standby").inc()
         self.metrics.gauge("recovery.latency_seconds").set(0.0)
@@ -525,13 +456,7 @@ class BrokerService:
             leases=len(state.leased_records()),
             pending=len(state.pending),
         )
-        self.broker_proc = OSProcess(
-            standby_machine,
-            ["rbroker"],
-            uid=BROKER_UID,
-            environ={"HOME": f"/home/{BROKER_UID}"},
-        )
-        return self.broker_proc
+        return self.boot()
 
     def _app_environ(self) -> Dict[str, str]:
         """Broker-address environment for app processes."""

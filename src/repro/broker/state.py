@@ -25,9 +25,8 @@ independent of cluster size:
 Indexes are maintained through a ``__setattr__`` hook on
 :class:`MachineRecord`, so code (and tests) that mutate record fields
 directly — ``record.console_active = True`` — keep working unchanged.  The
-seed's full-scan query implementations are preserved behind
-``use_indexes = False`` as the reference the equivalence tests compare
-against (``tests/broker/test_sched_equivalence.py``).
+seed's full-scan queries live on as the test oracle the equivalence tests
+install in their place (``tests/broker/reference.py``).
 """
 
 from __future__ import annotations
@@ -311,10 +310,6 @@ class BrokerState:
         #: keep their original jobid, see :meth:`adopt_job`) never collide
         #: with fresh submissions.
         self._next_jobid = first_jobid
-        #: False switches every derived query back to the seed's full-scan
-        #: implementation — the reference the equivalence tests compare the
-        #: indexed scheduler against.
-        self.use_indexes: bool = True
         #: Machine records examined by eligibility/deny queries (coarse
         #: telemetry; the bench derives "policy scans per grant" from it).
         self.machines_scanned: int = 0
@@ -541,18 +536,10 @@ class BrokerState:
     def tracked_records(self) -> List[MachineRecord]:
         """Machines the liveness sweeper must examine: heard from at least
         once and not already declared dead."""
-        if not self.use_indexes:
-            return [
-                m
-                for m in self.machines.values()
-                if m.last_seen >= 0.0 and not m.dead
-            ]
         return list(self._tracked.values())
 
     def leased_records(self) -> List[MachineRecord]:
         """Machines the lease sweeper must examine: holding any allocation."""
-        if not self.use_indexes:
-            return [m for m in self.machines.values() if m.allocation is not None]
         return list(self._leased.values())
 
     # -- dirty-driven scheduling --------------------------------------------
@@ -619,12 +606,6 @@ class BrokerState:
     def all_reported(self, hosts) -> bool:
         """Whether every machine in ``hosts`` has a current daemon report
         (the knowledge-completeness guard behind denial decisions)."""
-        if not self.use_indexes:
-            return all(
-                self.machines[h].reported
-                for h in hosts
-                if h in self.machines
-            )
         # Every known machine is a managed one (records are only created for
         # the managed set), so the counter answers for any hosts subset.
         return self._unreported_count == 0
@@ -703,12 +684,6 @@ class BrokerState:
 
         Indexed O(holdings); returned in the seed's machine-table order so
         downstream message sequences stay byte-identical."""
-        if not self.use_indexes:
-            return [
-                m.allocation
-                for m in self.machines.values()
-                if m.allocation is not None and m.allocation.jobid == jobid
-            ]
         held = self._allocations_by_jobid.get(jobid)
         if not held:
             return []
@@ -719,14 +694,6 @@ class BrokerState:
 
     def holding_count(self, jobid: int) -> int:
         """How many machines ``jobid`` holds right now (O(1))."""
-        if not self.use_indexes:
-            return len(
-                [
-                    m
-                    for m in self.machines.values()
-                    if m.allocation is not None and m.allocation.jobid == jobid
-                ]
-            )
         return len(self._allocations_by_jobid.get(jobid, ()))
 
     def allocate(
@@ -860,8 +827,6 @@ class BrokerState:
     ) -> List[MachineRecord]:
         """Machines satisfying the symbolic name, reported and usable."""
         job = self.jobs[request.jobid]
-        if not self.use_indexes:
-            return self._eligible_machines_fullscan(job, request)
         result = []
         for bucket in self._matching_buckets(
             self._usable_by_platform, request.symbolic
@@ -872,43 +837,11 @@ class BrokerState:
                     result.append(record)
         return result
 
-    def _eligible_machines_fullscan(
-        self, job: JobRecord, request: PendingRequest
-    ) -> List[MachineRecord]:
-        """The seed's O(machines) eligibility scan (reference semantics)."""
-        result = []
-        self.machines_scanned += len(self.machines)
-        for record in self.machines.values():
-            if not record.reported:
-                continue
-            if record.borrowed_from is not None:
-                continue
-            if record.host == job.home_host:
-                continue
-            if not symbolic_matches(request.symbolic, record.snapshot_view()):
-                continue
-            if not job.rsl.matches_machine(record.snapshot_view()):
-                continue
-            if record.console_active:
-                continue  # the owner is at the console: hands off
-            if record.kind == "private" and not job.adaptive:
-                continue
-            result.append(record)
-        return result
-
     def idle_machines(self, request: PendingRequest) -> List[MachineRecord]:
         """Eligible machines with no current allocation, public first.
 
         Indexed: only the idle partition is examined, so a fully-allocated
         cluster answers in O(1) however large it is."""
-        if not self.use_indexes:
-            free = [
-                m
-                for m in self.eligible_machines(request)
-                if m.allocation is None
-            ]
-            free.sort(key=lambda m: (m.kind != "public", m.cpu_load, m.host))
-            return free
         job = self.jobs[request.jobid]
         free = []
         for bucket in self._matching_buckets(
@@ -1057,12 +990,6 @@ class BrokerState:
     def held_eligible(self, request: PendingRequest) -> List[MachineRecord]:
         """Eligible machines that currently hold an allocation — the victim
         universe for preemption decisions."""
-        if not self.use_indexes:
-            return [
-                m
-                for m in self.eligible_machines(request)
-                if m.allocation is not None
-            ]
         job = self.jobs[request.jobid]
         result = []
         for bucket in self._matching_buckets(
@@ -1085,19 +1012,6 @@ class BrokerState:
         console activity and allocation state, exactly like the seed's scan
         in ``_deny_if_unsatisfiable`` (core memoizes the result against
         :attr:`capability_version`)."""
-        if not self.use_indexes:
-            self.machines_scanned += len(self.machines)
-            for record in self.machines.values():
-                if not record.reported or record.host == job.home_host:
-                    continue
-                if record.borrowed_from is not None:
-                    continue
-                view = record.snapshot_view()
-                if symbolic_matches(symbolic, view) and job.rsl.matches_machine(
-                    view
-                ):
-                    return True
-            return False
         for bucket in self._matching_buckets(
             self._reported_by_platform, symbolic
         ):
@@ -1118,18 +1032,6 @@ class BrokerState:
         The order is cached and only rebuilt when queue membership or a
         holding count changes (Python's stable sort keeps arrival-order
         ties exactly as the seed did)."""
-        if not self.use_indexes:
-            firm = [r for r in self.pending if r.firm]
-            elastic = [r for r in self.pending if not r.firm]
-            firm.sort(key=lambda r: (r.arrived_at, r.reqid))
-            elastic.sort(
-                key=lambda r: (
-                    self.holding_count(r.jobid),
-                    r.arrived_at,
-                    r.reqid,
-                )
-            )
-            return firm + elastic
         order = self._order_cache
         if order is None:
             firm = []
@@ -1157,8 +1059,6 @@ class BrokerState:
 
     def reported_count(self) -> int:
         """How many managed machines currently have a daemon report."""
-        if not self.use_indexes:
-            return sum(1 for m in self.machines.values() if m.reported)
         return len(self.machines) - self._unreported_count
 
     def drop_job_requests(self, jobid: int) -> None:

@@ -194,8 +194,7 @@ class Cluster:
         policy=None,
         managed_hosts=None,
         broker_host=None,
-        scheduler_mode=None,
-        journal=None,
+        journal=False,
         standby_host=None,
         event_log_cap=None,
         retain_done_jobs=True,
@@ -203,8 +202,8 @@ class Cluster:
         """Boot ResourceBroker over this cluster; see
         :class:`repro.broker.service.BrokerService`.
 
-        ``journal`` turns on the durable write-ahead journal (None reads
-        ``RB_JOURNAL``); ``standby_host`` places a warm standby there (WAL
+        ``journal`` turns on the durable write-ahead journal;
+        ``standby_host`` places a warm standby there (WAL
         shipping + fenced failover, requires the journal); ``event_log_cap``
         and ``retain_done_jobs=False`` bound the service's memory for
         service-mode soaks."""
@@ -215,7 +214,6 @@ class Cluster:
             policy=policy,
             managed_hosts=managed_hosts,
             broker_host=broker_host,
-            scheduler_mode=scheduler_mode,
             journal=journal,
             standby_host=standby_host,
             event_log_cap=event_log_cap,
@@ -228,8 +226,7 @@ class Cluster:
         shards: int,
         policy_factory=None,
         managed_hosts=None,
-        scheduler_mode=None,
-        journal=None,
+        journal=False,
         event_log_cap=None,
         retain_done_jobs=True,
     ):
@@ -247,7 +244,6 @@ class Cluster:
             shards=shards,
             policy_factory=policy_factory,
             managed_hosts=managed_hosts,
-            scheduler_mode=scheduler_mode,
             journal=journal,
             event_log_cap=event_log_cap,
             retain_done_jobs=retain_done_jobs,

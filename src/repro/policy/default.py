@@ -42,28 +42,16 @@ class DefaultPolicy(Policy):
 
     def decide(self, state: "BrokerState", request: "PendingRequest") -> Decision:
         """Grant an idle machine, preempt an elastic holder, or wait."""
-        if state.use_indexes:
-            # Query the state's partitioned indexes: the idle search walks
-            # the idle heaps in grant-preference order (O(log n) per grant,
-            # O(1) on a fully-allocated cluster however large it is), and
-            # the victim search touches only the held machines whose
-            # platform can match.  Both searches order by total-order keys,
-            # so index iteration order never shows through in the decision.
-            best = state.best_idle(request)
-            if best is not None:
-                return Decision.grant(best.host)
-            eligible = state.held_eligible(request)
-        else:
-            # Reference path: one full eligibility scan serves both the idle
-            # search and the victim search.
-            eligible = state.eligible_machines(request)
-            idle = [m for m in eligible if m.allocation is None]
-            if idle:
-                idle.sort(
-                    key=lambda m: (m.kind != "public", m.cpu_load, m.host)
-                )
-                return Decision.grant(idle[0].host)
-
+        # Query the state's partitioned indexes: the idle search walks the
+        # idle heaps in grant-preference order (O(log n) per grant, O(1) on
+        # a fully-allocated cluster however large it is), and the victim
+        # search touches only the held machines whose platform can match.
+        # Both searches order by total-order keys, so index iteration order
+        # never shows through in the decision.
+        best = state.best_idle(request)
+        if best is not None:
+            return Decision.grant(best.host)
+        eligible = state.held_eligible(request)
         victim = self._pick_victim(state, request, eligible)
         if victim is not None:
             machine, allocation = victim

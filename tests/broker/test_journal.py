@@ -8,7 +8,8 @@ Cluster-level recovery lives in ``test_journal_recovery.py``.
 
 import pytest
 
-from repro.broker.journal import BrokerJournal, parse_frames, snapshot_state
+from repro.broker.journal import BrokerJournal, parse_frames
+from repro.broker.recovery import snapshot_state
 from repro.broker.state import BrokerState
 from repro.obs import MetricsRegistry
 from repro.os.filesystem import Filesystem

@@ -133,7 +133,7 @@ def test_broker_death_cancels_the_armed_lease_timer(cluster4):
     continuation."""
     svc = cluster4.broker
     cluster4.env.run(until=cluster4.now + 5.0)
-    timer = svc.control._lease_timer
+    timer = svc.control.leases._lease_timer
     assert timer is not None and not timer.cancelled
     svc.broker_proc.signal(SIGKILL)
     assert timer.cancelled

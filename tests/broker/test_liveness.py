@@ -169,7 +169,7 @@ def test_broker_death_cancels_the_armed_sweep_timer(cluster4):
     dead continuation — when the broker goes down mid-wait."""
     svc = cluster4.broker
     cluster4.env.run(until=cluster4.now + 5.0)  # daemons reporting; sweep armed
-    timer = svc.control._sweep_timer
+    timer = svc.control.leases._sweep_timer
     assert timer is not None and not timer.cancelled
     svc.broker_proc.signal(SIGKILL)
     assert timer.cancelled  # the sweeper's finally ran on the way out
@@ -185,11 +185,11 @@ def test_sweeper_holds_at_most_one_live_timer(cluster4):
     deadline = cluster4.now + 60.0
     while cluster4.now < deadline:
         cluster4.env.step()
-        timer = svc.control._sweep_timer
+        timer = svc.control.leases._sweep_timer
         if timer is not None and (not seen or seen[-1] is not timer):
             seen.append(timer)
     assert len(seen) > 1  # the sweeper really did re-arm over this window
-    current = svc.control._sweep_timer
+    current = svc.control.leases._sweep_timer
     for timer in seen:
         if timer is current:
             continue

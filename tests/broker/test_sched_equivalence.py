@@ -1,8 +1,9 @@
 """The indexed scheduler is an optimisation, never a policy change.
 
-Every test here runs the same seeded scenario under both scheduler modes
-(``indexed`` — dirty-driven over incremental indexes, the default — and
-``fullscan`` — the original scan-everything reference loop) and demands
+Every test here runs the same seeded scenario twice — ``indexed``, the
+shipped dirty-driven scheduler over incremental indexes, and ``fullscan``,
+the original scan-everything reference loop of ``tests/broker/reference.py``
+installed in its place — and demands
 byte-identical *decisions*: the broker event log (grants, revocations,
 denials, releases, with timestamps) and the exported span trace may not
 differ in a single byte.  Only the *cost* counters (machine records
@@ -18,8 +19,18 @@ import json
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
+from tests.broker import reference
 
 MODES = ("indexed", "fullscan")
+
+
+def _in_mode(monkeypatch, mode, run):
+    """``run()`` with the shipped scheduler, or with the reference one."""
+    if mode == "indexed":
+        return run()
+    with monkeypatch.context() as patch:
+        reference.install(patch)
+        return run()
 
 
 def _timeline(svc) -> str:
@@ -35,13 +46,13 @@ def _trace_digest(cluster) -> str:
     return hashlib.sha256(collector.jsonl().encode()).hexdigest()
 
 
-def _churn_run(mode: str, machines: int, seed: int, sim_seconds: float):
+def _churn_run(machines: int, seed: int, sim_seconds: float):
     """The scale benchmarks' churn cell: one greedy adaptive job plus a
     stream of firm sequential arrivals forcing preemptions."""
     from repro.workloads import install_churn
 
     cluster = Cluster(ClusterSpec.uniform(machines, seed=seed))
-    svc = cluster.start_broker(scheduler_mode=mode)
+    svc = cluster.start_broker()
     svc.wait_ready()
     install_churn(cluster.system_bin)
     svc.submit("n00", ["greedy", str(machines - 1)], rsl="+(adaptive)")
@@ -59,8 +70,11 @@ def _churn_run(mode: str, machines: int, seed: int, sim_seconds: float):
 
 
 @pytest.mark.parametrize("seed", (1, 2))
-def test_churn_decision_timeline_identical(seed):
-    runs = {m: _churn_run(m, machines=12, seed=seed, sim_seconds=150.0) for m in MODES}
+def test_churn_decision_timeline_identical(monkeypatch, seed):
+    def run():
+        return _churn_run(machines=12, seed=seed, sim_seconds=150.0)
+
+    runs = {m: _in_mode(monkeypatch, m, run) for m in MODES}
     (c_idx, s_idx), (c_full, s_full) = runs["indexed"], runs["fullscan"]
 
     assert s_idx.events_of("grant"), "scenario must actually exercise grants"
@@ -74,7 +88,7 @@ def test_churn_decision_timeline_identical(seed):
     assert s_idx.state.machines_scanned < s_full.state.machines_scanned
 
 
-def test_owner_reclaim_and_denial_timeline_identical():
+def test_owner_reclaim_and_denial_timeline_identical(monkeypatch):
     """Private-machine reclaim (console login mid-run) and an unsatisfiable
     request (denial path) decide identically under both schedulers."""
     spec = ClusterSpec(
@@ -86,9 +100,10 @@ def test_owner_reclaim_and_denial_timeline_identical():
         ]
     )
     results = {}
-    for mode in MODES:
+
+    def run():
         cluster = Cluster(spec)
-        svc = cluster.start_broker(scheduler_mode=mode)
+        svc = cluster.start_broker()
         svc.wait_ready()
         from repro.workloads import install_churn
 
@@ -106,7 +121,10 @@ def test_owner_reclaim_and_denial_timeline_identical():
         cluster.assert_no_crashes()
         assert svc.events_of("owner_reclaim")
         assert svc.events_of("denied")
-        results[mode] = (_timeline(svc), _trace_digest(cluster))
+        return _timeline(svc), _trace_digest(cluster)
+
+    for mode in MODES:
+        results[mode] = _in_mode(monkeypatch, mode, run)
     assert results["indexed"] == results["fullscan"]
 
 
@@ -118,11 +136,14 @@ def test_chaos_trace_identical(monkeypatch):
     from repro.obs import TraceCollector
 
     results = {}
-    for mode in MODES:
-        monkeypatch.setenv("RB_SCHED_MODE", mode)
+
+    def run():
         collector = TraceCollector()
         table = run_chaos(seed=1, broker_crashes=1, trace=collector)
         digest = hashlib.sha256(collector.jsonl().encode()).hexdigest()
-        results[mode] = (str(table), digest)
         assert table.meta["completed"] == table.meta["jobs"]
+        return str(table), digest
+
+    for mode in MODES:
+        results[mode] = _in_mode(monkeypatch, mode, run)
     assert results["indexed"] == results["fullscan"]

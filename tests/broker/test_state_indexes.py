@@ -1,9 +1,9 @@
 """The incremental indexes agree with the full-scan reference queries.
 
-``BrokerState`` keeps every derived query in two implementations: the
-seed's O(machines) scans (``use_indexes = False``) and the incremental
-indexes maintained through the record ``__setattr__`` hook.  These tests
-drive *both* through identical mutation sequences — including the nasty
+``BrokerState`` answers every derived query from incremental indexes
+maintained through the record ``__setattr__`` hook; the seed's O(machines)
+scans live on in ``tests/broker/reference.py``.  These tests drive a state
+of each kind through identical mutation sequences — including the nasty
 paths: console toggles, report loss, death and rejoin, platform changes —
 and require identical answers, plus the dirty-scheduling safety invariant
 (a clean pending request's decision is always "wait").
@@ -17,6 +17,7 @@ import pytest
 
 from repro.broker.state import BrokerState, PendingRequest
 from repro.policy.default import DefaultPolicy
+from tests.broker.reference import reference_state
 
 PLATFORMS = ("i686linux", "sparcsolaris")
 
@@ -34,8 +35,7 @@ def _snapshot(platform, kind="public", owner=None, console=False, load=0, t=1.0)
 
 
 def _build(use_indexes: bool, n: int = 12) -> BrokerState:
-    state = BrokerState()
-    state.use_indexes = use_indexes
+    state = BrokerState() if use_indexes else reference_state(BrokerState())
     for i in range(n):
         state.add_machine(f"h{i:02d}")
     # Jobs: an adaptive one (may take private machines) and a rigid one.

@@ -5,14 +5,14 @@ the federation listener, borrow threads, hash hints, epoch fencing — is
 gated on ``shard.count > 1``, so booting the same cluster through
 ``start_federation(shards=1)`` instead of ``start_broker()`` must change
 *nothing*: byte-identical broker event logs, exported span traces and
-final :func:`~repro.broker.journal.state_fingerprint` documents, across
+final :func:`~repro.broker.recovery.state_fingerprint` documents, across
 churn, owner-reclaim and fault-schedule (chaos) scenarios.  Any future
 federation change observable at one shard fails here.
 """
 
 import json
 
-from repro.broker.journal import state_fingerprint
+from repro.broker.recovery import state_fingerprint
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
 from repro.experiments.sweep import _drive_churn
 from repro.faults import FaultInjector, FaultPlan

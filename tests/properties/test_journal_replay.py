@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from repro.broker.journal import BrokerJournal, state_fingerprint
+from repro.broker.journal import BrokerJournal
+from repro.broker.recovery import state_fingerprint
 from repro.broker.state import AllocationState, BrokerState, PendingRequest
 from repro.os.filesystem import Filesystem
 

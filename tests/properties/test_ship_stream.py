@@ -18,13 +18,11 @@ import random
 
 import pytest
 
-from repro.broker.journal import (
-    BrokerJournal,
+from repro.broker.journal import BrokerJournal, _frame, parse_frames
+from repro.broker.recovery import (
     RecoveryInfo,
-    _frame,
     apply_payloads,
     apply_snapshot,
-    parse_frames,
     snapshot_state,
     state_fingerprint,
 )
