@@ -68,9 +68,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.broker.recovery import (
     RecoveryInfo,
-    _machine_op,
     apply_payloads,
     apply_snapshot,
+    machine_op,
     snapshot_state,
 )
 from repro.broker.state import BrokerState, MachineRecord
@@ -281,7 +281,7 @@ class BrokerJournal:
     def _drain_notes(self) -> None:
         if self._machine_dirty:
             for record in self._machine_dirty.values():
-                self._buffer.append(_frame(_encode(_machine_op(record))))
+                self._buffer.append(_frame(_encode(machine_op(record))))
                 self.records_written += 1
                 if self.metrics is not None:
                     self._records_counter.inc()

@@ -28,7 +28,7 @@ from repro.broker.state import (
 )
 
 
-def _machine_op(record: MachineRecord) -> Dict[str, Any]:
+def machine_op(record: MachineRecord) -> Dict[str, Any]:
     """The coalesced durable view of one machine record."""
     return {
         "op": "machine",
@@ -72,7 +72,7 @@ def snapshot_state(state: BrokerState) -> Dict[str, Any]:
         )
     return {
         "next_jobid": state._next_jobid,
-        "machines": [_machine_op(r) for r in state.machines.values()],
+        "machines": [machine_op(r) for r in state.machines.values()],
         "jobs": [
             {
                 "jobid": job.jobid,
@@ -113,7 +113,7 @@ def state_fingerprint(state: BrokerState) -> Dict[str, Any]:
     return {
         "next_jobid": state._next_jobid,
         "machines": {
-            host: _machine_op(record)
+            host: machine_op(record)
             for host, record in state.machines.items()
         },
         "jobs": {

@@ -258,7 +258,7 @@ class BrokerService:
                 "journal=True"
             )
 
-        self.boot()
+        self._boot()
 
     # -- logging -----------------------------------------------------------
 
@@ -313,7 +313,7 @@ class BrokerService:
             # only what reached the simulated disk survives.
             self.journal.discard_unflushed()
 
-    def boot(self) -> OSProcess:
+    def _boot(self) -> OSProcess:
         """Start the current incarnation's broker process on
         ``broker_host`` (the first boot, and every recovery's last step)."""
         self.broker_proc = OSProcess(
@@ -411,7 +411,7 @@ class BrokerService:
             self.journal.enable_shipping(stream=self.epoch)
         self.metrics.counter("broker.restarts").inc()
         self.log(event="broker_restart", epoch=self.epoch)
-        return self.boot()
+        return self._boot()
 
     def promote_standby(
         self,
@@ -456,7 +456,7 @@ class BrokerService:
             leases=len(state.leased_records()),
             pending=len(state.pending),
         )
-        return self.boot()
+        return self._boot()
 
     def _app_environ(self) -> Dict[str, str]:
         """Broker-address environment for app processes."""
