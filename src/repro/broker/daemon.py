@@ -17,7 +17,10 @@ liveness and leases without shipping a snapshot.  The probe covers every
 field the broker's :meth:`MachineRecord.update` consumes — a lease change
 always changes the process table, so a beacon never hides one — and the
 message cadence is unchanged, so heartbeat timing (and with it every grant
-timeline) is byte-identical to always-full reporting.
+timeline) is byte-identical to always-full reporting.  What the loop
+remembers between reports is derived state, rebuilt from the machine on
+demand: the last probe, the lease inventory per process-table version and
+the report size per report shape (:class:`ReportSizer`).
 
 Two additions beyond the paper support broker crash recovery:
 
@@ -74,7 +77,11 @@ def leased_jobids(proc):
 
     Wrapped execs put the jobid in the subapp's argv (``subapp app_host
     app_port token jobid``) precisely so this scan needs nothing but the
-    process table — the daemon keeps no state of its own to lose.
+    process table — the daemon keeps no state of its own to lose.  Its
+    report loop caches the result per process-table version, which is
+    derived state: recomputed from the table, never the source of truth.
+    This function itself always scans (the invariant oracle and the
+    ``grant_install`` audit read it).
     """
     jobids = set()
     for p in proc.machine.procs.values():
@@ -104,21 +111,34 @@ def _another_daemon_running(proc) -> bool:
     return False
 
 
-def _change_probe(proc):
-    """The machine facts whose change forces a full report.
+class ReportSizer:
+    """The wire size of a daemon's full reports, serialised once per shape.
 
-    Everything :meth:`MachineRecord.update` consumes is covered: cpu load
-    and process/login counts directly, console state directly, and the
-    lease inventory transitively (a subapp starting or exiting bumps the
-    process-table version).  Platform/kind/owner are static per machine.
+    A report's *shape* is everything in it but the snapshot's timestamp.
+    JSON writes an int or a finite float exactly as ``repr`` does, so two
+    reports of one shape differ in size only by their timestamps' reprs:
+    the first of a shape is measured with ``json.dumps`` and the rest are
+    ``base + len(repr(time))``.  The caller names the shape with any
+    ``==``-comparable key other than None that changes whenever anything
+    but the timestamp does.
     """
-    machine = proc.machine
-    return (
-        machine.cpu.load,
-        machine.proc_table_version,
-        machine.console_active,
-        len(machine.logged_in),
-    )
+
+    __slots__ = ("_shape", "_base")
+
+    def __init__(self) -> None:
+        self._shape = None
+        self._base = 0
+
+    def size(self, shape, message) -> int:
+        """``len(json.dumps(message))`` for a :func:`protocol.daemon_report`
+        whose shape is ``shape``."""
+        stamp = len(repr(message["snapshot"]["time"]))
+        if shape != self._shape:
+            self._base = len(json.dumps(message)) - stamp
+        # Keep the newest of equal shapes: it shares its parts with the
+        # caller's live state, so the older one is freed.
+        self._shape = shape
+        return self._base + stamp
 
 
 def _handle_broker_message(proc, conn, msg, metrics) -> None:
@@ -160,6 +180,7 @@ def rbdaemon_main(proc):
 
     if len(proc.argv) < 2:
         return 1
+    machine = proc.machine
     broker_hosts = list(dict.fromkeys(proc.argv[1:]))
     cal = proc.machine.network.calibration
     boot = tracer_of(proc).start(
@@ -194,8 +215,18 @@ def rbdaemon_main(proc):
     report_bytes = metrics.counter("rbdaemon.report_bytes")
     reregistrations = metrics.counter("rbdaemon.reregistrations")
     full_every = max(1, cal.daemon_full_report_every)
+    interval = cal.daemon_report_interval
+    env = proc.env
     # Beacons differ only in their timestamp; size one once and reuse it.
+    # A known undercount the pinned byte counts rest on: a real timestamp's
+    # repr is up to 15 chars longer than "0.0" (DESIGN.md §12).
     beacon_bytes = len(json.dumps(protocol.daemon_beacon(0.0)))
+    sizer = ReportSizer()
+    # The lease inventory as of process-table version ``inventory_version``
+    # (a process's status changes only as it leaves the table, which bumps
+    # the version; DESIGN.md §12).
+    inventory_version = -1
+    inventory = []
     # None forces the first report after (re)connecting to be a full one.
     last_probe = None
     cycles_since_full = 0
@@ -206,19 +237,35 @@ def rbdaemon_main(proc):
             # EOF — the only signal of broker death a send-mostly peer gets
             # on a drop-silently LAN.
             while True:
-                probe = _change_probe(proc)
+                now = env.now
+                # The change probe covers every fact MachineRecord.update
+                # reads, plus the login count: load and console directly,
+                # process count and lease inventory through the version;
+                # platform/kind/owner are static.
+                probe = (
+                    machine.cpu.load,
+                    machine.proc_table_version,
+                    machine.console_active,
+                    len(machine.logged_in),
+                )
                 if probe == last_probe and cycles_since_full < full_every:
-                    conn.send(protocol.daemon_beacon(proc.env.now))
+                    conn.send(protocol.daemon_beacon(now))
                     beacons.inc()
                     report_bytes.inc(beacon_bytes)
                     cycles_since_full += 1
                 else:
-                    message = protocol.daemon_report(
-                        proc.machine.snapshot(), leases=leased_jobids(proc)
-                    )
+                    if probe[1] != inventory_version:
+                        inventory = leased_jobids(proc)
+                        inventory_version = probe[1]
+                    snapshot = machine.snapshot()
+                    message = protocol.daemon_report(snapshot, leases=inventory)
                     conn.send(message)
                     full_reports.inc()
-                    report_bytes.inc(len(json.dumps(message)))
+                    # The probe fixes every field but the login names and
+                    # the timestamp.
+                    report_bytes.inc(
+                        sizer.size((probe, snapshot["logged_in"]), message)
+                    )
                     last_probe = probe
                     cycles_since_full = 1
                 reports.inc()
@@ -227,15 +274,14 @@ def rbdaemon_main(proc):
                 # cadence the broker's liveness deadline counts on must not
                 # stretch or compress under fencing traffic.  A wait woken
                 # by a message is followed by one for the remaining interval.
-                due = proc.env.now + cal.daemon_report_interval
-                while True:
-                    remaining = due - proc.env.now
-                    if remaining <= 0.0:
-                        break
+                due = now + interval
+                remaining = due - now  # not ``interval``: float rounding
+                while remaining > 0.0:
                     received = yield conn.recv_or_deadline(remaining)
                     if received is EXPIRED:
                         break
                     _handle_broker_message(proc, conn, received, metrics)
+                    remaining = due - env.now
         except ConnectionClosed:
             conn.close()
             last_probe = None  # the next incarnation starts with a full report

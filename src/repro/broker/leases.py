@@ -111,30 +111,52 @@ class Leases:
             # has witnessed a higher one answers with fence_reject, which
             # demotes us (DESIGN.md §16).
             protocol.try_send(conn, protocol.daemon_welcome(self.epoch))
+        ready = self._ready
         try:
             while True:
                 msg = yield conn.recv()
-                if msg.get("type") == "fence_reject":
-                    fence.demote(
-                        witnessed=int(msg.get("witnessed", 0)),
-                        source="fence_reject",
-                        host=msg.get("host"),
-                    )
-                    return
-                if msg.get("type") != "daemon_report":
+                kind = msg["type"]
+                if kind != "daemon_report":
+                    if kind == "fence_reject":
+                        fence.demote(
+                            witnessed=int(msg.get("witnessed", 0)),
+                            source="fence_reject",
+                            host=msg.get("host"),
+                        )
+                        return
+                    continue
+                delta = msg.get("delta")
+                if delta and record.last_report >= 0.0 and not record.dead:
+                    # The steady-state beacon: the record has reported and
+                    # is alive, so moving its clocks touches no index, no
+                    # console state and no scheduling trigger — only the
+                    # lease bookkeeping below can act.  Equivalent to the
+                    # general path under the same conditions.
+                    record.touch(msg["time"])
+                    allocation = record.allocation
+                    if allocation is None:
+                        if record.leases:
+                            self._adopt_from_inventory(record, record.leases)
+                    elif allocation.jobid in record.leases:
+                        self._renew_lease(record, allocation)
+                    if not ready.triggered:
+                        self._note_ready(host)
+                    if record.console_active:
+                        core._owner_priority(record)
                     continue
                 was_reported = record.reported
                 was_active = record.console_active
                 was_dead = record.dead
-                if msg.get("delta"):
-                    # Delta beacon: nothing monitorable changed since the
-                    # machine's last full report, so the retained record
-                    # fields are exact — only the liveness clocks move and
-                    # the stored lease inventory renews.  A record with no
-                    # retained snapshot at all (its full report was lost in
-                    # transit) cannot be reconstructed from a beacon; it
-                    # waits for the next full report, which the daemon's
-                    # full-every-N cadence bounds.
+                if delta:
+                    # Delta beacon for a dead or unreported record (the fast
+                    # path above takes the rest): nothing monitorable
+                    # changed since the machine's last full report, so the
+                    # retained record fields are exact — only the liveness
+                    # clocks move and the stored lease inventory renews.  A
+                    # record with no retained snapshot at all (its full
+                    # report was lost in transit) cannot be reconstructed
+                    # from a beacon; it waits for the next full report,
+                    # which the daemon's full-every-N cadence bounds.
                     if record.last_seen < 0.0:
                         continue
                     record.touch(msg["time"])
@@ -153,7 +175,8 @@ class Leases:
                     self.service.log(event="machine_rejoin", host=host)
                 if leases or record.allocation is not None:
                     self._ingest_leases(record, leases)
-                self._note_ready(host)
+                if not ready.triggered:
+                    self._note_ready(host)
                 core._owner_priority(record)
                 # Scheduling is event-driven: most reports change nothing a
                 # policy can act on, so only a machine appearing for the
@@ -181,24 +204,27 @@ class Leases:
         incarnation's recovery window (see :meth:`_adopt_from_inventory`)."""
         allocation = record.allocation
         if allocation is not None and allocation.jobid in leases:
-            allocation.lease_expires_at = (
-                self.proc.env.now + self.cal.lease_ttl
-            )
-            allocation.recovered = False  # a live inventory confirms it
-            journal = self.state.journal
-            if journal is not None:
-                journal.note_lease(record.host, allocation.lease_expires_at)
-            if self.core.fence is not None:
-                # Echo the renewal with our epoch stamp: a daemon holding a
-                # higher witness fences us before the stale lease can matter.
-                daemon = self._daemon_conns.get(record.host)
-                if daemon is not None:
-                    protocol.try_send(
-                        daemon,
-                        protocol.lease_renew(self.epoch, [allocation.jobid]),
-                    )
+            self._renew_lease(record, allocation)
         elif allocation is None:
             self._adopt_from_inventory(record, leases)
+
+    def _renew_lease(self, record, allocation) -> None:
+        """Push the allocation's lease one TTL out: the machine's inventory
+        lists its job."""
+        allocation.lease_expires_at = self.proc.env.now + self.cal.lease_ttl
+        allocation.recovered = False  # a live inventory confirms it
+        journal = self.state.journal
+        if journal is not None:
+            journal.note_lease(record.host, allocation.lease_expires_at)
+        if self.core.fence is not None:
+            # Echo the renewal with our epoch stamp: a daemon holding a
+            # higher witness fences us before the stale lease can matter.
+            daemon = self._daemon_conns.get(record.host)
+            if daemon is not None:
+                protocol.try_send(
+                    daemon,
+                    protocol.lease_renew(self.epoch, [allocation.jobid]),
+                )
 
     def _reconcile_recovered(self, record, leases) -> None:
         """Cross-check a journal-recovered allocation against a live daemon
@@ -280,8 +306,8 @@ class Leases:
             )
 
     def _note_ready(self, host) -> None:
-        if self._ready.triggered:
-            return
+        """Count ``host`` as reported; called only until ``ready`` has
+        triggered."""
         self._reports_seen.add(host)
         if self._reports_seen >= self._managed_set:
             self._ready.succeed()
