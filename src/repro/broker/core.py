@@ -533,6 +533,32 @@ class _BrokerControl:
             # Owner back on a loaned machine (donor side).
             self.federation.recall(record)
 
+    def free(self, host: str, outcome=None):
+        """Return ``host``, which must hold an allocation, to the pool: the
+        one transition behind every release path (DESIGN.md §11, "Freeing
+        a machine").  Releases the allocation, ends the host's reclaim span
+        (bare and timed when ``outcome`` is None, the victim's graceful
+        release), un-reserves its claim and finishes the federation half.
+        Returns the released allocation."""
+        donor = self.state.machines[host].borrowed_from
+        allocation = self.state.release(host)
+        reclaim = self.reclaim_spans.pop(host, None)
+        if reclaim is not None:
+            if outcome is None:
+                reclaim.end()
+                self.metrics.histogram("broker.reclaim_seconds").observe(
+                    reclaim.duration
+                )
+            else:
+                reclaim.end(outcome=outcome)
+        if allocation.claimed_by is not None:
+            allocation.claimed_by.reserved_host = None
+        if donor is not None:
+            self.federation.forget_loan(host, allocation.jobid, donor)
+        elif allocation.state is AllocationState.MIGRATING:
+            self.federation._recalled.discard(host)
+        return allocation
+
     def _on_released(self, job, host: str):
         record = self.state.machines.get(host)
         if record is None or record.allocation is None:
@@ -542,35 +568,25 @@ class _BrokerControl:
         if record.borrowed_from is not None:
             # Returning a loan: the record leaves this shard's table
             # entirely (the donor resumes scheduling over the machine).
-            self.state.release(host)
-            self.federation.forget_loan(host, job.jobid, record.borrowed_from)
+            self.free(host)
             yield from self._schedule()
             return
-        allocation = self.state.release(host)
-        reclaim = self.reclaim_spans.pop(host, None)
-        if reclaim is not None:
-            reclaim.end()
-            self.metrics.histogram("broker.reclaim_seconds").observe(
-                reclaim.duration
-            )
+        claim = self.free(host).claimed_by
         self.service.log(event="released", host=host, jobid=job.jobid)
-        claim = allocation.claimed_by
-        if claim is not None:
-            claim.reserved_host = None
-            if claim in self.state.pending:
-                claimer = self.state.jobs.get(claim.jobid)
-                if (
-                    claimer is not None
-                    and not claimer.done
-                    and claimer.conn is not None
-                    # The machine may have died between the revoke and the
-                    # release (its daemon connection dropped): only hand it
-                    # over if it is still known-good, otherwise leave the
-                    # request queued for the scheduler pass below.
-                    and record.reported
-                    and not record.console_active
-                ):
-                    self._grant(claim, host)
+        claimer = None if claim is None else self.state.jobs.get(claim.jobid)
+        if (
+            claimer is not None
+            and claim in self.state.pending
+            and not claimer.done
+            and claimer.conn is not None
+            # The machine may have died between the revoke and the release
+            # (its daemon connection dropped): only hand it over if it is
+            # still known-good, otherwise leave the request queued for the
+            # scheduler pass below.
+            and record.reported
+            and not record.console_active
+        ):
+            self._grant(claim, host)
         yield from self._schedule()
 
     def _finish_job(self, job, code):
@@ -582,18 +598,7 @@ class _BrokerControl:
         for key in [k for k in self.reqids if k[0] == job.jobid]:
             self.reqids.pop(key, None)
         for allocation in self.state.allocations_of(job.jobid):
-            record = self.state.machines.get(allocation.host)
-            released = self.state.release(allocation.host)
-            reclaim = self.reclaim_spans.pop(allocation.host, None)
-            if reclaim is not None:
-                reclaim.end(outcome="job_done")
-            claim = released.claimed_by if released else None
-            if claim is not None:
-                claim.reserved_host = None
-            if record is not None and record.borrowed_from is not None:
-                self.federation.forget_loan(
-                    allocation.host, job.jobid, record.borrowed_from
-                )
+            self.free(allocation.host, outcome="job_done")
         span = self.job_spans.pop(job.jobid, None)
         if span is not None:
             span.end(code=code)

@@ -351,8 +351,7 @@ class Borrowing:
             or allocation.jobid != jobid
         ):
             return
-        self.state.release(host)
-        self._recalled.discard(host)
+        self.core.free(host)
         self.metrics.counter("federation.loan_returns").inc()
         self.service.log(
             event="loan_release",
@@ -393,8 +392,7 @@ class Borrowing:
         best-effort recall so it drops its side too."""
         borrower = allocation.loaned_to
         jobid = allocation.jobid
-        self.state.release(host)
-        self._recalled.discard(host)
+        self.core.free(host, outcome=outcome)
         self.metrics.counter("federation.loans_reclaimed").inc()
         self.service.log(
             event="loan_reclaimed",
@@ -442,10 +440,8 @@ class Borrowing:
             )
             protocol.try_send(job.conn, protocol.revoke(host))
             return
-        donor = record.borrowed_from
         if allocation is not None:
-            self.state.release(host)
-            self.forget_loan(host, jobid, donor)
+            self.core.free(host, outcome="loan_recalled")
         else:
             self.state.forget_machine(host)
         yield from self.core._schedule()

@@ -257,21 +257,14 @@ class Leases:
 
     def drop_recovered(self, record, trusted) -> None:
         """Release a recovered allocation the live side disagrees with."""
-        allocation = record.allocation
         self.metrics.counter("recovery.conflicts").inc()
         self.service.log(
             event="recovery_conflict",
             host=record.host,
-            jobid=allocation.jobid,
+            jobid=record.allocation.jobid,
             trusted=trusted,
         )
-        released = self.state.release(record.host)
-        reclaim = self.core.reclaim_spans.pop(record.host, None)
-        if reclaim is not None:
-            reclaim.end(outcome="recovery_conflict")
-        claim = released.claimed_by if released else None
-        if claim is not None:
-            claim.reserved_host = None
+        self.core.free(record.host, outcome="recovery_conflict")
 
     def _adopt_from_inventory(self, record, leases) -> None:
         """Adopt a pre-crash allocation a daemon inventory testifies to.
@@ -424,7 +417,7 @@ class Leases:
                 # as soon as it processes the revoke.
                 self.core._start_reclaim(record.host, claimed_by=None)
             else:
-                self.state.release(record.host)
+                self.core.free(record.host, outcome="machine_dead")
         # RECLAIMING allocations need nothing extra: a revoke is already in
         # flight and the release arrives once the victim notices the severed
         # subapp connection.
@@ -539,15 +532,8 @@ class Leases:
             # revocation path so its substrate adapts gracefully.
             core._start_reclaim(record.host, claimed_by=None)
         else:
-            # Holder unknown or unreachable: nobody can release, free it.
-            released = self.state.release(record.host)
-            reclaim = core.reclaim_spans.pop(record.host, None)
-            if reclaim is not None:
-                reclaim.end(outcome="lease_expired")
-            claim = released.claimed_by if released else None
-            if claim is not None:
-                # Un-reserve the claiming request so the scheduler pass
-                # below can satisfy it (with this very machine, usually).
-                claim.reserved_host = None
+            # Holder unknown or unreachable: nobody can release, free it;
+            # the pass below serves its claim (with this machine, usually).
+            core.free(record.host, outcome="lease_expired")
         span.end()
         yield from core._schedule()

@@ -161,7 +161,7 @@ class Sessions:
             ):
                 # Granted by a previous incarnation (or into a severed
                 # link) and never consumed by the app: take it back.
-                self.state.release(allocation.host)
+                core.free(allocation.host, outcome="stale_allocation_dropped")
                 self.service.log(
                     event="stale_allocation_dropped",
                     host=allocation.host,

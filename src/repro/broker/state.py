@@ -757,26 +757,9 @@ class BrokerState:
             if self.journal is not None:
                 self.journal.note_lease(host, existing.lease_expires_at)
             return existing
-        allocation = Allocation(
-            host=host,
-            jobid=jobid,
-            firm=False,
-            granted_at=now,
-            lease_expires_at=lease_expires_at,
+        return self.allocate(
+            host, jobid, firm=False, now=now, lease_expires_at=lease_expires_at
         )
-        record.allocation = allocation
-        if self.journal is not None:
-            self.journal.record(
-                {
-                    "op": "alloc",
-                    "host": host,
-                    "jobid": jobid,
-                    "firm": False,
-                    "granted": now,
-                    "expires": lease_expires_at,
-                }
-            )
-        return allocation
 
     def release(self, host: str) -> Optional[Allocation]:
         """Unbind ``host``; returns the allocation it held, if any."""

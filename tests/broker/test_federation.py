@@ -78,7 +78,7 @@ def test_cross_shard_borrow_grant_and_return():
     assert borrower["double_grants"] == 0 and donor["double_grants"] == 0
 
 
-def test_loan_recall_on_owner_return():
+def test_loan_recall_on_owner_return(frees):
     spec = ClusterSpec(
         machines=[
             MachineSpec(name="n00"),
@@ -90,7 +90,7 @@ def test_loan_recall_on_owner_return():
         seed=2,
     )
     cluster = Cluster(spec)
-    federation = cluster.start_federation(shards=2)
+    federation = cluster.start_federation(shards=2, journal=True)
     assert federation.partitions == [["n00", "n01", "n02"], ["n03", "p00"]]
     federation.wait_ready()
     # Two local candidates for a 4-wide job: both of shard 1's machines —
@@ -113,6 +113,14 @@ def test_loan_recall_on_owner_return():
     assert stats[1]["recalls"] >= 1
     assert "p00" not in federation.services[0].state.machines
     assert donor.state.machine("p00").allocation is None
+    # The loan came back through the ordinary return path: the borrower's
+    # app released the machine, and each shard freed it exactly once.
+    returned = [f for f in frees if f.host == "p00"]
+    assert [f.control.service for f in returned] == federation.services
+    for freed in returned:
+        assert freed.outcome is None
+        freed.assert_clean(spanned=False)
+    assert "p00" not in donor.control.federation._recalled
     cluster.env.run(until=600.0)
     assert handle.exit_code == 0
     cluster.assert_no_crashes()

@@ -7,19 +7,7 @@ must — and that daemon re-registration then reconciles rather than rebuilds.
 An empty journal directory degrades to exactly the PR-4 behaviour.
 """
 
-import pytest
-
-from repro.cluster import Cluster, ClusterSpec
 from tests.broker.conftest import install_greedy
-
-
-@pytest.fixture
-def jcluster4():
-    """4 public machines, broker on n00, journal enabled."""
-    cluster = Cluster(ClusterSpec.uniform(4))
-    cluster.start_broker(journal=True)
-    cluster.broker.wait_ready()
-    return cluster
 
 
 def _running_greedy(cluster, width=2):
@@ -155,11 +143,14 @@ def test_empty_journal_directory_degrades_to_reregistration(jcluster4):
     jcluster4.assert_no_crashes()
 
 
-def test_daemon_death_in_the_same_fault_window_leaves_nothing_stuck(jcluster4):
+def test_daemon_death_in_the_same_fault_window_leaves_nothing_stuck(
+    jcluster4, frees
+):
     """A worker machine dies in the same window as the broker: the journal
-    re-animates a lease whose daemon will never confirm it.  The re-stamped
-    lease simply expires, the adaptive job replaces the machine, and no
-    allocation is left pointing anywhere stale."""
+    re-animates a lease whose daemon will never confirm it.  The resuming
+    app no longer claims the machine, so the allocation is dropped as
+    stale, the adaptive job replaces the machine, and no allocation is
+    left pointing anywhere stale."""
     svc, handle, job = _running_greedy(jcluster4, width=2)
     victim = svc.holdings()[job.jobid][-1]
     jcluster4.crash_machine(victim, reboot_after=40.0)
@@ -183,6 +174,11 @@ def test_daemon_death_in_the_same_fault_window_leaves_nothing_stuck(jcluster4):
         assert svc.state.machines[host].reported
     assert handle.proc.is_alive
     assert svc.metrics.counter("recovery.from_journal").value == 1
+    dropped = svc.events_of("stale_allocation_dropped")
+    assert [(e["host"], e["jobid"]) for e in dropped] == [(victim, job.jobid)]
+    (freed,) = [f for f in frees if f.host == victim]
+    assert freed.outcome == "stale_allocation_dropped"
+    freed.assert_clean(spanned=False)
     jcluster4.assert_no_crashes()
 
 

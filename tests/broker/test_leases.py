@@ -53,26 +53,29 @@ def test_heartbeats_renew_leases_past_the_ttl(cluster4):
     cluster4.assert_no_crashes()
 
 
-def test_unrenewed_lease_expires_and_frees_the_machine(cluster4):
+def test_unrenewed_lease_expires_and_frees_the_machine(jcluster4, frees):
     """An allocation nobody renews (its job has no live session and no
     subapp on the host) is swept once its TTL runs out."""
-    svc = cluster4.broker
-    ttl = cluster4.network.calibration.lease_ttl
+    svc = jcluster4.broker
+    ttl = jcluster4.network.calibration.lease_ttl
     # Plant an allocation for a job the broker has no session for — the
     # shape left behind when session state dies with a broker incarnation
     # and the app never resumes.
     svc.state.adopt_job(99, "ghost", "n00", "", ["ghost"])
     svc.state.allocate(
-        "n02", 99, firm=False, now=cluster4.now,
-        lease_expires_at=cluster4.now + 1.0,
+        "n02", 99, firm=False, now=jcluster4.now,
+        lease_expires_at=jcluster4.now + 1.0,
     )
-    cluster4.env.run(until=cluster4.now + 2.0 * ttl)
+    jcluster4.env.run(until=jcluster4.now + 2.0 * ttl)
 
     assert svc.state.machines["n02"].allocation is None
     assert svc.metrics.counter("leases.expired").value == 1
     expiries = svc.events_of("lease_expired")
     assert [(e["host"], e["jobid"]) for e in expiries] == [("n02", 99)]
-    cluster4.assert_no_crashes()
+    (freed,) = frees
+    assert (freed.host, freed.outcome) == ("n02", "lease_expired")
+    freed.assert_clean(spanned=False)  # never revoked: no reclaim span
+    jcluster4.assert_no_crashes()
 
 
 def test_expired_lease_machine_is_grantable_again(cluster4):

@@ -15,24 +15,31 @@ def grow_greedy(cluster, k, uid="user"):
     return handle
 
 
-def test_firm_job_preempts_elastic_holder(cluster4):
-    svc = cluster4.broker
+def test_firm_job_preempts_elastic_holder(jcluster4, frees):
+    svc = jcluster4.broker
     # The adaptive job soaks every machine except its own home host (n00).
-    greedy = grow_greedy(cluster4, 4)
+    greedy = grow_greedy(jcluster4, 4)
     gjob = greedy.job_record()
     assert len(svc.holdings()[gjob.jobid]) == 3
 
-    t0 = cluster4.now
+    t0 = jcluster4.now
     seq = svc.submit("n00", ["rsh", "anylinux", "null"])
     assert seq.wait() == 0
-    elapsed = cluster4.now - t0
+    elapsed = jcluster4.now - t0
     # Paper Table 2: a reallocation completes in ~1 s, so the whole
     # submission lands near 1.3 s.
     assert 0.9 <= elapsed <= 2.0
     revokes = svc.events_of("revoke")
     assert len(revokes) == 1
     assert revokes[0]["victim"] == gjob.jobid
-    cluster4.assert_no_crashes()
+    # The victim released gracefully: the machine was freed once, its
+    # reclaim span ended bare and timed, and handed to the claim.
+    host = revokes[0]["host"]
+    released = [f for f in frees if f.host == host]
+    released[0].assert_clean(outcome=None)
+    assert svc.metrics.histogram("broker.reclaim_seconds").count == 1
+    assert svc.events_of("grant")[-1]["host"] == host
+    jcluster4.assert_no_crashes()
 
 
 def test_adaptive_job_reacquires_after_preemption(cluster4):

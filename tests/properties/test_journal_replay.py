@@ -67,8 +67,8 @@ def _random_ops(state, journal, clock, rng, steps, reqid=None):
                 lease_expires_at=clock.now + rng.uniform(10.0, 60.0),
             )
         elif choice < 0.55 and held:
-            # Release drops any claim on the machine (core.py's _finish_job,
-            # mirrored — bare state.release leaves that to the caller).
+            # Release drops any claim on the machine (core.py's free,
+            # mirrored — bare state.release leaves that to its caller).
             released = state.release(rng.choice(held))
             if released is not None and released.claimed_by is not None:
                 released.claimed_by.reserved_host = None
