@@ -8,7 +8,10 @@ After every event (:meth:`Oracle.check`):
 * **no double booking** — no host is allocated on two shards (a loan's
   donor and borrower halves are one allocation);
 * **owner priority** — a private machine whose owner is at the console
-  holds no ACTIVE allocation past the reclaim bound.
+  holds no ACTIVE allocation past the reclaim bound;
+* **reservation** — a pending request reserved on a host is the claim of
+  that host's reclaim in flight (a RECLAIMING allocation whose
+  ``claimed_by`` is the request itself).
 
 On the books (:meth:`Oracle.check_books`), whenever no fault is being
 recovered from: every allocation's job is known and not finished.  Once a
@@ -43,7 +46,8 @@ class Violation:
     """The first event after which a property failed."""
 
     #: ``double_run``, ``unknown_job``, ``done_job``, ``double_allocation``,
-    #: ``owner_ignored``, ``lease_overdue`` or ``job_unfinished``.
+    #: ``owner_ignored``, ``reservation``, ``lease_overdue`` or
+    #: ``job_unfinished``.
     rule: str
     detail: str
     time: float  # simulated time of the violating event
@@ -103,6 +107,7 @@ class Oracle:
             self._double_run(services)
             or self._double_allocation(services)
             or self._owner_priority(services)
+            or self._reservation(services)
         )
 
     def check_books(self) -> Optional[Violation]:
@@ -245,6 +250,28 @@ class Oracle:
                         host=machine.name,
                         jobid=allocation.jobid,
                     )
+        return None
+
+    def _reservation(self, services) -> Optional[Violation]:
+        for service in services:
+            for request in service.state.pending:
+                host = request.reserved_host
+                record = service.state.machines.get(host) if host else None
+                allocation = record.allocation if record else None
+                if host is None or (
+                    allocation is not None
+                    and allocation.state is AllocationState.RECLAIMING
+                    and allocation.claimed_by is request
+                ):
+                    continue
+                return self._violation(
+                    services,
+                    "reservation",
+                    f"request {request.reqid} of job {request.jobid} reserved "
+                    f"on {host}, which is not being reclaimed for it",
+                    host=host,
+                    jobid=request.jobid,
+                )
         return None
 
     def _stranded_leases(self, services) -> Optional[Violation]:

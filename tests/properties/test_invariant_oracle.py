@@ -16,6 +16,7 @@ import hashlib
 import pytest
 
 from repro.broker.invariants import Oracle
+from repro.broker.state import AllocationState, PendingRequest
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
 from repro.experiments import run_chaos
 from repro.policy.default import DefaultPolicy
@@ -150,6 +151,27 @@ def test_allocation_for_a_finished_job_breaks_the_books():
     assert Oracle(cluster).check_books() is None
     job.done = True
     assert Oracle(cluster).check_books().rule == "done_job"
+
+
+def test_reservation_on_a_host_not_reclaimed_for_it_is_flagged():
+    cluster, svc = _broker(ClusterSpec.uniform(3))
+    state = svc.state
+    victim = state.register_job("u", "n00", "", ["x"])
+    claimer = state.register_job("v", "n00", "", ["y"])
+    allocation = state.allocate("n01", victim.jobid, firm=False, now=cluster.now)
+    request = PendingRequest(
+        reqid=1, jobid=claimer.jobid, symbolic="anylinux", firm=True,
+        arrived_at=cluster.now, reserved_host="n01",
+    )
+    state.pending.append(request)
+    oracle = Oracle(cluster)
+    assert oracle.check().rule == "reservation"  # n01 is still ACTIVE
+    allocation.state = AllocationState.RECLAIMING
+    allocation.claimed_by = request
+    assert oracle.check() is None
+    state.release("n01")  # freed without un-reserving the claim
+    violation = oracle.check()
+    assert violation.rule == "reservation" and "n01" in violation.detail
 
 
 class _IgnoresOwners(DefaultPolicy):
