@@ -17,8 +17,9 @@ Layout mirrors the paper's architecture (§3):
   turns symbolic host names into just-in-time allocation requests.
 * :mod:`repro.broker.modules` — the **external module** mechanism
   (``<module>_grow`` / ``_shrink`` / ``_halt`` scripts).
-* :mod:`repro.broker.state` — broker-side bookkeeping (machines, jobs,
-  allocations, pending requests).
+* :mod:`repro.broker.state` — broker-side bookkeeping: the tables of
+  machines, jobs, allocations and pending requests, and their indexes;
+  :mod:`repro.broker.records` — the records those tables hold.
 * :mod:`repro.broker.service` — host-side harness that installs the broker
   onto a :class:`~repro.cluster.builder.Cluster` and offers a typed
   submission API.
@@ -30,15 +31,15 @@ Layout mirrors the paper's architecture (§3):
 """
 
 from repro.broker.journal import BrokerJournal
-from repro.broker.recovery import RecoveryInfo, state_fingerprint
-from repro.broker.service import BrokerService, JobHandle
-from repro.broker.state import (
+from repro.broker.records import (
     AllocationState,
-    BrokerState,
     JobRecord,
     MachineRecord,
     PendingRequest,
 )
+from repro.broker.recovery import RecoveryInfo, state_fingerprint
+from repro.broker.service import BrokerService, JobHandle
+from repro.broker.state import BrokerState
 
 __all__ = [
     "AllocationState",

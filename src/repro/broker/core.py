@@ -48,7 +48,7 @@ from repro.broker.federation import Borrowing
 from repro.broker.leases import Leases
 from repro.broker.replica import Fence, Shipper
 from repro.broker.sessions import Sessions
-from repro.broker.state import AllocationState, PendingRequest
+from repro.broker.records import AllocationState, PendingRequest
 from repro.cluster import ports
 from repro.obs.timeseries import windowed_rate
 from repro.os.errors import ConnectionClosed

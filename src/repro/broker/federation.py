@@ -39,7 +39,7 @@ from typing import (
 )
 
 from repro.broker import protocol
-from repro.broker.state import AllocationState
+from repro.broker.records import AllocationState
 from repro.cluster import ports
 from repro.cluster.network import EXPIRED
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
@@ -648,10 +648,8 @@ class Borrowing:
         now = self.proc.env.now
         record = self.state.add_machine(host)
         record.borrowed_from = int(reply.get("shard", -1))
-        if record.platform != reply.get("platform", ""):
-            record.platform = reply["platform"]
-        if record.kind != reply.get("kind", "public"):
-            record.kind = reply["kind"]
+        record.platform = reply.get("platform", "")
+        record.kind = reply.get("kind", "public")
         self.state.allocate(host, request.jobid, firm=request.firm, now=now)
         record.touch(now)
         self.state.pending.remove(request)

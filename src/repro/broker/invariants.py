@@ -36,7 +36,7 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.broker.daemon import leased_jobids
-from repro.broker.state import AllocationState
+from repro.broker.records import AllocationState
 from repro.obs.spans import TRACE_ENVIRON_KEY, parse_context
 from repro.os.machine import MachineKind
 

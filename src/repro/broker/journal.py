@@ -73,7 +73,8 @@ from repro.broker.recovery import (
     machine_op,
     snapshot_state,
 )
-from repro.broker.state import BrokerState, MachineRecord
+from repro.broker.records import MachineRecord
+from repro.broker.state import BrokerState
 
 #: Frame header: 8 decimal digits of payload length + 8 hex digits of CRC32.
 _HEADER_CHARS = 16

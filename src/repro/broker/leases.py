@@ -18,7 +18,7 @@ incarnation's recovery window they seed adoptions.
 from __future__ import annotations
 
 from repro.broker import protocol
-from repro.broker.state import AllocationState
+from repro.broker.records import AllocationState
 from repro.os.errors import ConnectionClosed
 
 

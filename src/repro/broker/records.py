@@ -1,0 +1,234 @@
+"""The broker's records: one machine, one job, one allocation, one request.
+
+Plain dataclasses that :class:`~repro.broker.state.BrokerState` files into
+its tables and indexes.  The one piece of behaviour here is the
+:class:`MachineRecord` ``__setattr__`` hook, which reports every change of a
+tracked field to the owning state, so code (and tests) that mutate record
+fields directly — ``record.console_active = True`` — keep its indexes
+fresh.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+from repro.rsl import RSLRequest
+
+if TYPE_CHECKING:
+    from repro.broker.state import BrokerState
+
+
+class AllocationState(enum.Enum):
+    """Lifecycle of one machine-to-job binding."""
+
+    ACTIVE = "active"  # granted; the job may occupy it
+    RECLAIMING = "reclaiming"  # revoke sent, waiting for release
+    MIGRATING = "migrating"  # loaned to a sibling broker shard (donor side)
+
+
+@dataclass
+class Allocation:
+    """One machine currently bound to one job."""
+
+    host: str
+    jobid: int
+    firm: bool
+    state: AllocationState = AllocationState.ACTIVE
+    granted_at: float = 0.0
+    #: Every grant is a lease: the daemon on ``host`` renews it on each
+    #: heartbeat while a subapp of ``jobid`` lives there; past this instant
+    #: the lease sweeper reclaims the machine even if the holder's app
+    #: connection never signalled loss.  ``inf`` = unleased (hand-built
+    #: states, tests).
+    lease_expires_at: float = float("inf")
+    #: When RECLAIMING: the pending request that will receive this machine.
+    claimed_by: Optional["PendingRequest"] = None
+    #: Instant the reclaim began (revoke sent); -1.0 while ACTIVE.  The
+    #: health monitor's stuck-allocation watchdog measures against this.
+    reclaiming_since: float = -1.0
+    #: True while this allocation was rebuilt from the journal and no live
+    #: daemon inventory has confirmed it yet.  Confirmation (the jobid in
+    #: the daemon's lease list) clears it; a disagreeing inventory resolves
+    #: toward the live side and counts a ``recovery.conflicts``.
+    recovered: bool = field(default=False, compare=False)
+    #: When MIGRATING: index of the sibling broker shard this machine has
+    #: been loaned to.  ``None`` for ordinary allocations.  The donor keeps
+    #: the machine leased (daemon heartbeats renew against the borrower's
+    #: jobid) but excludes it from its own scheduling until the loan ends.
+    loaned_to: Optional[int] = field(default=None, compare=False)
+
+
+#: MachineRecord fields that feed the RSL / symbolic matching view (and so
+#: invalidate the cached ``snapshot_view`` dict when they change).
+_VIEW_FIELDS = frozenset(
+    {"host", "platform", "kind", "owner", "console_active", "cpu_load"}
+)
+
+#: MachineRecord fields whose changes the owning BrokerState must observe to
+#: keep its indexes fresh.
+_TRACKED_FIELDS = _VIEW_FIELDS | {"last_report", "last_seen", "dead", "allocation"}
+
+_UNSET = object()
+
+
+@dataclass
+class MachineRecord:
+    """What the broker knows about one machine (from daemon reports)."""
+
+    host: str
+    platform: str = ""
+    kind: str = "public"
+    owner: Optional[str] = None
+    console_active: bool = False
+    cpu_load: int = 0
+    n_processes: int = 0
+    last_report: float = -1.0
+    #: Last instant *any* daemon report arrived — unlike ``last_report`` it
+    #: is never reset on connection loss, so the liveness sweeper can measure
+    #: true silence.  -1.0 until the machine has reported at least once.
+    last_seen: float = -1.0
+    #: Set by the liveness sweeper once the machine has been silent past the
+    #: deadline; cleared by the next daemon report (a rejoin).
+    dead: bool = False
+    allocation: Optional[Allocation] = None
+    #: Lease inventory (jobids) from the machine's last *full* daemon report.
+    #: Delta heartbeats (beacons) renew against this list — a lease change on
+    #: the machine always changes its process table, which forces the daemon
+    #: to send a full report, so the stored list is never stale.
+    leases: Tuple[int, ...] = field(default=(), compare=False)
+    #: Index of the sibling broker shard this record was borrowed from, or
+    #: ``None`` for a machine this broker owns.  Deliberately *not* a tracked
+    #: field: a borrowed record is created fully formed (allocated before it
+    #: could ever enter an idle bucket) and is excluded from every
+    #: eligibility query, so no index needs to observe the flag.
+    borrowed_from: Optional[int] = field(default=None, compare=False)
+    #: Cached :meth:`snapshot_view` dict; invalidated whenever a view field
+    #: changes (so eligibility checks stop rebuilding it per candidate).
+    _view: Optional[Dict[str, Any]] = field(default=None, repr=False, compare=False)
+    #: Owning :class:`BrokerState`, for index maintenance.  ``None`` for
+    #: free-standing records (hand-built tests).
+    _state: Optional["BrokerState"] = field(default=None, repr=False, compare=False)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name in _TRACKED_FIELDS:
+            old = getattr(self, name, _UNSET)
+            object.__setattr__(self, name, value)
+            if old is not _UNSET and old != value:
+                if name in _VIEW_FIELDS:
+                    object.__setattr__(self, "_view", None)
+                state = getattr(self, "_state", None)
+                if state is not None:
+                    state._machine_field_changed(self, name, old, value)
+        else:
+            object.__setattr__(self, name, value)
+
+    @property
+    def reported(self) -> bool:
+        """True once at least one daemon report has arrived."""
+        return self.last_report >= 0.0
+
+    @property
+    def allocated(self) -> bool:
+        return self.allocation is not None
+
+    def snapshot_view(self) -> Dict[str, Any]:
+        """Dict view used for RSL / symbolic-name matching (cached)."""
+        view = self._view
+        if view is None:
+            view = {
+                "host": self.host,
+                "platform": self.platform,
+                "kind": self.kind,
+                "owner": self.owner,
+                "console_active": self.console_active,
+                "cpu_load": self.cpu_load,
+            }
+            object.__setattr__(self, "_view", view)
+        return view
+
+    def update(self, snapshot: Dict[str, Any]) -> None:
+        """Fold one full daemon report into this record.
+
+        Values are compared before assignment, so a report that changes
+        nothing monitorable costs a handful of comparisons and never runs
+        the index hook, invalidates the cached view, or bumps the
+        capability version."""
+        platform = snapshot.get("platform", self.platform)
+        if platform != self.platform:
+            self.platform = platform
+        kind = snapshot.get("kind", self.kind)
+        if kind != self.kind:
+            self.kind = kind
+        owner = snapshot.get("owner", self.owner)
+        if owner != self.owner:
+            self.owner = owner
+        console_active = bool(snapshot.get("console_active", False))
+        if console_active != self.console_active:
+            self.console_active = console_active
+        cpu_load = int(snapshot.get("cpu_load", 0))
+        if cpu_load != self.cpu_load:
+            self.cpu_load = cpu_load
+        self.n_processes = int(snapshot.get("n_processes", 0))
+        self.touch(float(snapshot.get("time", 0.0)))
+        if self.dead:
+            self.dead = False
+
+    def touch(self, now: float) -> None:
+        """Advance the liveness clocks (every report flavour does this).
+
+        The common case — an already-reported record — bypasses the
+        ``__setattr__`` hook: a clock move without a sign flip affects no
+        index.  A record whose report was reset (connection loss, marked
+        dead) takes the hooked path so the reported-set indexes refresh."""
+        if self.last_report >= 0.0:
+            object.__setattr__(self, "last_report", now)
+        else:
+            self.last_report = now
+        if self.last_seen >= 0.0:
+            object.__setattr__(self, "last_seen", now)
+        else:
+            self.last_seen = now
+
+
+@dataclass
+class JobRecord:
+    """One submitted job."""
+
+    jobid: int
+    user: str
+    home_host: str
+    rsl: RSLRequest
+    argv: List[str]
+    adaptive: bool
+    conn: Any = None  # broker<->app connection
+    done: bool = False
+
+    @property
+    def module(self) -> Optional[str]:
+        return self.rsl.module
+
+
+@dataclass
+class PendingRequest:
+    """A machine request not yet satisfied."""
+
+    reqid: int
+    jobid: int
+    symbolic: str
+    firm: bool
+    arrived_at: float
+    #: Set once a machine has been picked and is being reclaimed for us.
+    reserved_host: Optional[str] = None
+    #: True while the request's candidate set may have changed since its
+    #: last policy evaluation; new requests start dirty.  ``compare=False``
+    #: keeps the seed's equality semantics (queue membership tests).
+    dirty: bool = field(default=True, compare=False)
+    #: Maintained by the state's pending queue; True while queued.
+    queued: bool = field(default=False, compare=False)
+    #: Federated routing hint: the shard index ``rshprime`` hashed the
+    #: symbolic name to, used to pick which sibling to try first when
+    #: borrowing.  ``None`` outside federation (and on resumed sessions —
+    #: the borrower recomputes the same hash from ``symbolic``).
+    shard_hint: Optional[int] = field(default=None, compare=False)

@@ -20,12 +20,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from repro.broker.state import (
-    AllocationState,
-    BrokerState,
-    MachineRecord,
-    PendingRequest,
-)
+from repro.broker.records import AllocationState, MachineRecord, PendingRequest
+from repro.broker.state import BrokerState
 
 
 def machine_op(record: MachineRecord) -> Dict[str, Any]:
@@ -207,24 +203,20 @@ class RecoveryInfo:
 
 def _apply_machine_op(state: BrokerState, op: Dict[str, Any]) -> None:
     record = state.add_machine(op["host"])
-    if record.platform != op["platform"]:
-        record.platform = op["platform"]
-    if record.kind != op["mkind"]:
-        record.kind = op["mkind"]
-    if record.owner != op["owner"]:
-        record.owner = op["owner"]
-    if record.console_active != op["console"]:
-        record.console_active = bool(op["console"])
-    if record.cpu_load != op["load"]:
-        record.cpu_load = int(op["load"])
+    # The record hook ignores writes of an equal value, so unchanged fields
+    # cost no refile, bump or dirty mark.
+    record.platform = op["platform"]
+    record.kind = op["mkind"]
+    record.owner = op["owner"]
+    record.console_active = bool(op["console"])
+    record.cpu_load = int(op["load"])
     record.n_processes = int(op["nproc"])
     if op["reported"]:
         record.last_report = float(op["seen"])
     elif record.last_report >= 0.0:
         record.last_report = -1.0
     record.last_seen = float(op["seen"])
-    if record.dead != bool(op["dead"]):
-        record.dead = bool(op["dead"])
+    record.dead = bool(op["dead"])
     record.leases = tuple(int(j) for j in op.get("leases", ()))
     record.borrowed_from = op.get("borrowed")
 

@@ -22,7 +22,8 @@ from repro.broker.recovery import recover
 from repro.broker.replica import make_standby_main
 from repro.broker.rshprime import rshprime_main
 from repro.broker.tools import rbctl_main, rbstat_main, rbtop_main, rbtrace_main
-from repro.broker.state import BrokerState, JobRecord
+from repro.broker.records import JobRecord
+from repro.broker.state import BrokerState
 from repro.obs.timeseries import SpanPhaseFolder
 from repro.os.process import OSProcess
 from repro.os.programs import ProgramDirectory

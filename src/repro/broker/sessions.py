@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from repro.broker import protocol
-from repro.broker.state import AllocationState, PendingRequest
+from repro.broker.records import AllocationState, PendingRequest
 from repro.os.errors import ConnectionClosed
 
 

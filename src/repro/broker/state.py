@@ -1,4 +1,5 @@
-"""Broker-side bookkeeping: machines, jobs, allocations, pending requests.
+"""Broker-side bookkeeping: the tables of machines, jobs, allocations and
+pending requests (the records themselves live in :mod:`repro.broker.records`).
 
 :class:`BrokerState` is deliberately a passive data structure — all decisions
 live in :mod:`repro.policy` (the paper's mechanism/policy separation, design
@@ -22,239 +23,32 @@ independent of cluster size:
   requests may have a changed candidate set (see
   :meth:`take_dirty_pending`).
 
-Indexes are maintained through a ``__setattr__`` hook on
-:class:`MachineRecord`, so code (and tests) that mutate record fields
-directly — ``record.console_active = True`` — keep working unchanged.  The
-seed's full-scan queries live on as the test oracle the equivalence tests
-install in their place (``tests/broker/reference.py``).
+One method, :meth:`BrokerState._refile`, writes the six membership indexes;
+the :class:`~repro.broker.records.MachineRecord` ``__setattr__`` hook,
+:meth:`add_machine` and :meth:`forget_machine` call it.  The seed's
+full-scan queries live on as the test oracle the equivalence tests install
+in their place (``tests/broker/reference.py``).
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
-from dataclasses import dataclass, field
+import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.rsl import RSLRequest, parse_rsl, symbolic_matches
-
-
-class AllocationState(enum.Enum):
-    """Lifecycle of one machine-to-job binding."""
-
-    ACTIVE = "active"  # granted; the job may occupy it
-    RECLAIMING = "reclaiming"  # revoke sent, waiting for release
-    MIGRATING = "migrating"  # loaned to a sibling broker shard (donor side)
-
-
-@dataclass
-class Allocation:
-    """One machine currently bound to one job."""
-
-    host: str
-    jobid: int
-    firm: bool
-    state: AllocationState = AllocationState.ACTIVE
-    granted_at: float = 0.0
-    #: Every grant is a lease: the daemon on ``host`` renews it on each
-    #: heartbeat while a subapp of ``jobid`` lives there; past this instant
-    #: the lease sweeper reclaims the machine even if the holder's app
-    #: connection never signalled loss.  ``inf`` = unleased (hand-built
-    #: states, tests).
-    lease_expires_at: float = float("inf")
-    #: When RECLAIMING: the pending request that will receive this machine.
-    claimed_by: Optional["PendingRequest"] = None
-    #: Instant the reclaim began (revoke sent); -1.0 while ACTIVE.  The
-    #: health monitor's stuck-allocation watchdog measures against this.
-    reclaiming_since: float = -1.0
-    #: True while this allocation was rebuilt from the journal and no live
-    #: daemon inventory has confirmed it yet.  Confirmation (the jobid in
-    #: the daemon's lease list) clears it; a disagreeing inventory resolves
-    #: toward the live side and counts a ``recovery.conflicts``.
-    recovered: bool = field(default=False, compare=False)
-    #: When MIGRATING: index of the sibling broker shard this machine has
-    #: been loaned to.  ``None`` for ordinary allocations.  The donor keeps
-    #: the machine leased (daemon heartbeats renew against the borrower's
-    #: jobid) but excludes it from its own scheduling until the loan ends.
-    loaned_to: Optional[int] = field(default=None, compare=False)
-
-
-#: MachineRecord fields that feed the RSL / symbolic matching view (and so
-#: invalidate the cached ``snapshot_view`` dict when they change).
-_VIEW_FIELDS = frozenset(
-    {"host", "platform", "kind", "owner", "console_active", "cpu_load"}
+from repro.broker.records import (
+    Allocation,
+    JobRecord,
+    MachineRecord,
+    PendingRequest,
 )
+from repro.rsl import parse_rsl, symbolic_matches
 
-#: MachineRecord fields whose changes the owning BrokerState must observe to
-#: keep its indexes fresh.
-_TRACKED_FIELDS = _VIEW_FIELDS | {"last_report", "last_seen", "dead", "allocation"}
-
-_UNSET = object()
-
-
-@dataclass
-class MachineRecord:
-    """What the broker knows about one machine (from daemon reports)."""
-
-    host: str
-    platform: str = ""
-    kind: str = "public"
-    owner: Optional[str] = None
-    console_active: bool = False
-    cpu_load: int = 0
-    n_processes: int = 0
-    last_report: float = -1.0
-    #: Last instant *any* daemon report arrived — unlike ``last_report`` it
-    #: is never reset on connection loss, so the liveness sweeper can measure
-    #: true silence.  -1.0 until the machine has reported at least once.
-    last_seen: float = -1.0
-    #: Set by the liveness sweeper once the machine has been silent past the
-    #: deadline; cleared by the next daemon report (a rejoin).
-    dead: bool = False
-    allocation: Optional[Allocation] = None
-    #: Lease inventory (jobids) from the machine's last *full* daemon report.
-    #: Delta heartbeats (beacons) renew against this list — a lease change on
-    #: the machine always changes its process table, which forces the daemon
-    #: to send a full report, so the stored list is never stale.
-    leases: Tuple[int, ...] = field(default=(), compare=False)
-    #: Index of the sibling broker shard this record was borrowed from, or
-    #: ``None`` for a machine this broker owns.  Deliberately *not* a tracked
-    #: field: a borrowed record is created fully formed (allocated before it
-    #: could ever enter an idle bucket) and is excluded from every
-    #: eligibility query, so no index needs to observe the flag.
-    borrowed_from: Optional[int] = field(default=None, compare=False)
-    #: Cached :meth:`snapshot_view` dict; invalidated whenever a view field
-    #: changes (so eligibility checks stop rebuilding it per candidate).
-    _view: Optional[Dict[str, Any]] = field(
-        default=None, repr=False, compare=False
-    )
-    #: Owning :class:`BrokerState`, for index maintenance.  ``None`` for
-    #: free-standing records (hand-built tests).
-    _state: Optional["BrokerState"] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name in _TRACKED_FIELDS:
-            old = getattr(self, name, _UNSET)
-            object.__setattr__(self, name, value)
-            if old is not _UNSET and old != value:
-                if name in _VIEW_FIELDS:
-                    object.__setattr__(self, "_view", None)
-                state = getattr(self, "_state", None)
-                if state is not None:
-                    state._machine_field_changed(self, name, old, value)
-        else:
-            object.__setattr__(self, name, value)
-
-    @property
-    def reported(self) -> bool:
-        """True once at least one daemon report has arrived."""
-        return self.last_report >= 0.0
-
-    @property
-    def allocated(self) -> bool:
-        return self.allocation is not None
-
-    def snapshot_view(self) -> Dict[str, Any]:
-        """Dict view used for RSL / symbolic-name matching (cached)."""
-        view = self._view
-        if view is None:
-            view = {
-                "host": self.host,
-                "platform": self.platform,
-                "kind": self.kind,
-                "owner": self.owner,
-                "console_active": self.console_active,
-                "cpu_load": self.cpu_load,
-            }
-            object.__setattr__(self, "_view", view)
-        return view
-
-    def update(self, snapshot: Dict[str, Any]) -> None:
-        """Fold one full daemon report into this record.
-
-        Values are compared before assignment, so a report that changes
-        nothing monitorable costs a handful of comparisons and never runs
-        the index hook, invalidates the cached view, or bumps the
-        capability version."""
-        platform = snapshot.get("platform", self.platform)
-        if platform != self.platform:
-            self.platform = platform
-        kind = snapshot.get("kind", self.kind)
-        if kind != self.kind:
-            self.kind = kind
-        owner = snapshot.get("owner", self.owner)
-        if owner != self.owner:
-            self.owner = owner
-        console_active = bool(snapshot.get("console_active", False))
-        if console_active != self.console_active:
-            self.console_active = console_active
-        cpu_load = int(snapshot.get("cpu_load", 0))
-        if cpu_load != self.cpu_load:
-            self.cpu_load = cpu_load
-        self.n_processes = int(snapshot.get("n_processes", 0))
-        self.touch(float(snapshot.get("time", 0.0)))
-        if self.dead:
-            self.dead = False
-
-    def touch(self, now: float) -> None:
-        """Advance the liveness clocks (every report flavour does this).
-
-        The common case — an already-reported record — bypasses the
-        ``__setattr__`` hook: a clock move without a sign flip affects no
-        index.  A record whose report was reset (connection loss, marked
-        dead) takes the hooked path so the reported-set indexes refresh."""
-        if self.last_report >= 0.0:
-            object.__setattr__(self, "last_report", now)
-        else:
-            self.last_report = now
-        if self.last_seen >= 0.0:
-            object.__setattr__(self, "last_seen", now)
-        else:
-            self.last_seen = now
-
-
-@dataclass
-class JobRecord:
-    """One submitted job."""
-
-    jobid: int
-    user: str
-    home_host: str
-    rsl: RSLRequest
-    argv: List[str]
-    adaptive: bool
-    conn: Any = None  # broker<->app connection
-    done: bool = False
-
-    @property
-    def module(self) -> Optional[str]:
-        return self.rsl.module
-
-
-@dataclass
-class PendingRequest:
-    """A machine request not yet satisfied."""
-
-    reqid: int
-    jobid: int
-    symbolic: str
-    firm: bool
-    arrived_at: float
-    #: Set once a machine has been picked and is being reclaimed for us.
-    reserved_host: Optional[str] = None
-    #: True while the request's candidate set may have changed since its
-    #: last policy evaluation; new requests start dirty.  ``compare=False``
-    #: keeps the seed's equality semantics (queue membership tests).
-    dirty: bool = field(default=True, compare=False)
-    #: Maintained by :class:`_PendingQueue`; True while queued.
-    queued: bool = field(default=False, compare=False)
-    #: Federated routing hint: the shard index ``rshprime`` hashed the
-    #: symbolic name to, used to pick which sibling to try first when
-    #: borrowing.  ``None`` outside federation (and on resumed sessions —
-    #: the borrower recomputes the same hash from ``symbolic``).
-    shard_hint: Optional[int] = field(default=None, compare=False)
+#: MachineRecord fields that decide index membership: a change refiles the
+#: record (``last_report`` / ``last_seen`` only when their sign flips).
+_MEMBERSHIP_FIELDS = frozenset(
+    {"platform", "console_active", "dead", "allocation", "last_report", "last_seen"}
+)
 
 
 class _PendingQueue(list):
@@ -317,9 +111,12 @@ class BrokerState:
         #: broker runs durable; ``None`` keeps every mutation hook inert.
         self.journal: Optional[Any] = None
 
-        # -- incremental indexes (maintained through the record hook) -------
-        #: host -> insertion rank, for seed-identical iteration order.
+        # -- incremental indexes (written only by _refile) ------------------
+        #: host -> insertion rank, for seed-identical iteration order.  Ranks
+        #: come from a counter, so a machine re-added after a forget ranks
+        #: after every machine already in the table, as it iterates.
         self._machine_rank: Dict[str, int] = {}
+        self._ranks = itertools.count()
         #: platform -> {host: record} over *reported* machines (deny checks).
         self._reported_by_platform: Dict[str, Dict[str, MachineRecord]] = {}
         #: platform -> {host: record} over reported, console-free machines.
@@ -342,9 +139,6 @@ class BrokerState:
         self._tracked: Dict[str, MachineRecord] = {}
         #: (symbolic, platform) -> bool; a pure function, never invalidated.
         self._symbolic_hits: Dict[Tuple[str, str], bool] = {}
-        #: Known machines that have never reported (or lost their report),
-        #: so "has every managed machine reported?" is O(1).
-        self._unreported_count: int = 0
         #: Bumped whenever the matching-relevant capability universe changes
         #: (membership of the reported set, or any reported machine's view
         #: field).  Version-stamps the unsatisfiability memo in core.
@@ -360,7 +154,9 @@ class BrokerState:
     def _machine_field_changed(
         self, record: MachineRecord, name: str, old: Any, new: Any
     ) -> None:
-        """Observe one record-field change and refresh affected indexes.
+        """Observe one record-field change: refile the record if the field
+        decides index membership, then apply the field's capability bump and
+        dirty marks.
 
         Dirty discipline: the scheduler's correctness invariant is that a
         *clean* pending request's decision is always "wait", so any change
@@ -376,121 +172,104 @@ class BrokerState:
             # mutators; everything else coalesces into the machine's dirty
             # durable view, written at the next flush.
             self.journal.note_machine(record)
-        if name == "last_seen":
-            if (old >= 0.0) != (new >= 0.0):
-                self._refresh_tracked(record)
-            return
-        if name == "dead":
-            self._refresh_tracked(record)
-            return
+        if name in ("last_report", "last_seen") and (old >= 0.0) == (new >= 0.0):
+            return  # a clock move without a sign flip changes no membership
+        if name in _MEMBERSHIP_FIELDS:
+            self._refile(
+                record.host,
+                record,
+                old if name == "platform" else record.platform,
+                old if name == "allocation" else record.allocation,
+            )
         if name == "allocation":
-            self._allocation_changed(record, old, new)
+            # Holding counts changed, so both the elastic service order and
+            # every pending decision (idle sets, victim richness, requester
+            # thresholds) may have: re-sort lazily and re-evaluate
+            # everything.  Allocation flips happen at churn rate, not
+            # heartbeat rate, so the conservative mark-all costs one flag
+            # write.
+            self._order_cache = None
+            self._all_pending_dirty = True
             return
-        if name == "last_report":
-            if (old >= 0.0) != (new >= 0.0):
-                self._refresh_eligibility(record, record.platform)
-                self.capability_version += 1
-                if new >= 0.0:
-                    self._unreported_count -= 1
-                    self.mark_pending_dirty_for_platform(record.platform)
-                else:
-                    self._unreported_count += 1
+        if name in ("last_seen", "dead"):
             return
-        if name == "platform":
-            self._refresh_eligibility(record, old_platform=old)
-            self.capability_version += 1
-            if record.reported and not record.console_active:
-                self.mark_pending_dirty_for_platform(record.platform)
-            return
-        if name == "console_active":
-            self._refresh_eligibility(record, record.platform)
-            self.capability_version += 1
-            if not new and record.reported:
-                # Machine became grantable again: requests it could satisfy
-                # must be re-evaluated.
-                self.mark_pending_dirty_for_platform(record.platform)
-            return
-        # kind / owner / cpu_load: the matching view changed in place.
         self.capability_version += 1
-        if name != "owner":
-            # kind and cpu_load are idle-heap key fields: refresh the entry
-            # of a machine currently in the idle partition.
+        if name == "last_report":
+            if new >= 0.0:
+                self.mark_pending_dirty_for_platform(record.platform)
+            return
+        if name in ("kind", "cpu_load"):
+            # Idle-heap key fields changed in place: refresh the entry of a
+            # machine currently in the idle partition.
             bucket = self._idle_by_platform.get(record.platform)
             if bucket is not None and record.host in bucket:
                 self._push_idle(record)
         if record.reported and not record.console_active:
             self.mark_pending_dirty_for_platform(record.platform)
 
-    def _refresh_eligibility(
-        self, record: MachineRecord, old_platform: str
+    def _refile(
+        self,
+        host: str,
+        record: Optional[MachineRecord],
+        was_platform: str,
+        was_allocation: Optional[Allocation],
     ) -> None:
-        """Recompute the record's reported/usable/idle bucket membership."""
-        host = record.host
-        for buckets in (
-            self._reported_by_platform,
-            self._usable_by_platform,
-            self._idle_by_platform,
+        """The one writer of the six membership indexes: make the reported /
+        usable / idle buckets, ``_allocations_by_jobid``, ``_leased`` and
+        ``_tracked`` agree with ``record``'s current fields (``record=None``:
+        the machine is forgotten).  ``was_platform`` and ``was_allocation``
+        locate what was filed under the previous values.
+
+        Membership that does not change keeps its dict position (the
+        sweepers scan ``_tracked`` and ``_leased`` in join order), and only
+        a machine *entering* a platform's idle bucket gets an idle-heap
+        entry."""
+        if record is None:
+            platform, allocation = was_platform, None
+            reported = usable = idle = tracked = False
+        else:
+            platform, allocation = record.platform, record.allocation
+            reported = record.last_report >= 0.0
+            usable = reported and not record.console_active
+            idle = usable and allocation is None
+            tracked = record.last_seen >= 0.0 and not record.dead
+        entered = False
+        for buckets, member in (
+            (self._reported_by_platform, reported),
+            (self._usable_by_platform, usable),
+            (self._idle_by_platform, idle),
         ):
-            bucket = buckets.get(old_platform)
-            if bucket is not None:
-                bucket.pop(host, None)
-            if old_platform != record.platform:
-                bucket = buckets.get(record.platform)
+            if was_platform != platform:
+                bucket = buckets.get(was_platform)
                 if bucket is not None:
                     bucket.pop(host, None)
-        if not record.reported:
-            return
-        platform = record.platform
-        self._reported_by_platform.setdefault(platform, {})[host] = record
-        if record.console_active:
-            return
-        self._usable_by_platform.setdefault(platform, {})[host] = record
-        if record.allocation is None:
-            self._idle_by_platform.setdefault(platform, {})[host] = record
+            if member:
+                bucket = buckets.setdefault(platform, {})
+                entered = host not in bucket
+                bucket[host] = record
+            else:
+                bucket = buckets.get(platform)
+                if bucket is not None:
+                    bucket.pop(host, None)
+        if idle and entered:  # the loop's last pass was the idle bucket
             self._push_idle(record)
-
-    def _allocation_changed(
-        self,
-        record: MachineRecord,
-        old: Optional[Allocation],
-        new: Optional[Allocation],
-    ) -> None:
-        host = record.host
-        if old is not None:
-            held = self._allocations_by_jobid.get(old.jobid)
+        if was_allocation is not None and was_allocation is not allocation:
+            held = self._allocations_by_jobid.get(was_allocation.jobid)
             if held is not None:
                 held.pop(host, None)
                 if not held:
-                    del self._allocations_by_jobid[old.jobid]
-        if new is not None:
-            self._allocations_by_jobid.setdefault(new.jobid, {})[host] = new
+                    del self._allocations_by_jobid[was_allocation.jobid]
+        if allocation is not None:
+            self._allocations_by_jobid.setdefault(allocation.jobid, {})[
+                host
+            ] = allocation
             self._leased[host] = record
-            bucket = self._idle_by_platform.get(record.platform)
-            if bucket is not None:
-                bucket.pop(host, None)
         else:
             self._leased.pop(host, None)
-            if (
-                record.reported
-                and not record.console_active
-            ):
-                self._idle_by_platform.setdefault(record.platform, {})[
-                    host
-                ] = record
-                self._push_idle(record)
-        # Holding counts changed, so both the elastic service order and every
-        # pending decision (idle sets, victim richness, requester thresholds)
-        # may have: re-sort lazily and re-evaluate everything.  Allocation
-        # flips happen at churn rate, not heartbeat rate, so the conservative
-        # mark-all costs one flag write.
-        self._order_cache = None
-        self._all_pending_dirty = True
-
-    def _refresh_tracked(self, record: MachineRecord) -> None:
-        if record.last_seen >= 0.0 and not record.dead:
-            self._tracked[record.host] = record
+        if tracked:
+            self._tracked[host] = record
         else:
-            self._tracked.pop(record.host, None)
+            self._tracked.pop(host, None)
 
     def _push_idle(self, record: MachineRecord) -> None:
         """Mirror an idle-set entry (or key change) into the idle heap."""
@@ -579,9 +358,7 @@ class BrokerState:
             return order
         if not self._dirty_list:
             return []
-        flagged = {
-            id(r) for r in self._dirty_list if r.dirty and r.queued
-        }
+        flagged = {id(r) for r in self._dirty_list if r.dirty and r.queued}
         self._dirty_list = []
         if not flagged:
             return []
@@ -599,16 +376,16 @@ class BrokerState:
             record = MachineRecord(host=host)
             record._state = self
             self.machines[host] = record
-            self._machine_rank[host] = len(self._machine_rank)
-            self._unreported_count += 1
+            self._machine_rank[host] = next(self._ranks)
+            self._refile(host, record, record.platform, None)
         return record
 
     def all_reported(self, hosts) -> bool:
         """Whether every machine in ``hosts`` has a current daemon report
         (the knowledge-completeness guard behind denial decisions)."""
         # Every known machine is a managed one (records are only created for
-        # the managed set), so the counter answers for any hosts subset.
-        return self._unreported_count == 0
+        # the managed set), so the whole table answers for any hosts subset.
+        return self.reported_count() == len(self.machines)
 
     def machine(self, host: str) -> MachineRecord:
         """The record for ``host`` (KeyError if unknown)."""
@@ -621,19 +398,9 @@ class BrokerState:
         adaptive_hint: bool = False,
     ) -> JobRecord:
         """Create a JobRecord for a submission, parsing its RSL."""
-        rsl = parse_rsl(rsl_text or "")
-        job = JobRecord(
-            jobid=self._next_jobid,
-            user=user,
-            home_host=home_host,
-            rsl=rsl,
-            argv=list(argv),
-            adaptive=rsl.adaptive or adaptive_hint,
+        return self.adopt_job(
+            self._next_jobid, user, home_host, rsl_text, argv, adaptive_hint
         )
-        self._next_jobid += 1
-        self.jobs[job.jobid] = job
-        self._journal_job(job)
-        return job
 
     def adopt_job(
         self, jobid: int, user: str, home_host: str, rsl_text: str,
@@ -644,7 +411,8 @@ class BrokerState:
         Used when an app resumes a session registered with a previous broker
         incarnation: the job keeps its original ``jobid`` (its subapps carry
         it in their argv, and daemon lease inventories key on it), and the
-        jobid counter is bumped past it defensively."""
+        jobid counter is bumped past it defensively.  A fresh submission
+        (:meth:`register_job`) is the same construction at the counter."""
         rsl = parse_rsl(rsl_text or "")
         job = JobRecord(
             jobid=jobid,
@@ -656,22 +424,19 @@ class BrokerState:
         )
         self._next_jobid = max(self._next_jobid, jobid + 1)
         self.jobs[jobid] = job
-        self._journal_job(job)
-        return job
-
-    def _journal_job(self, job: JobRecord) -> None:
         if self.journal is not None:
             self.journal.record(
                 {
                     "op": "job",
-                    "jobid": job.jobid,
-                    "user": job.user,
-                    "home": job.home_host,
-                    "rsl": job.rsl.source,
+                    "jobid": jobid,
+                    "user": user,
+                    "home": home_host,
+                    "rsl": rsl.source,
                     "argv": list(job.argv),
                     "adaptive": job.adaptive,
                 }
             )
+        return job
 
     def job(self, jobid: int) -> JobRecord:
         """The record for ``jobid`` (KeyError if unknown)."""
@@ -711,10 +476,7 @@ class BrokerState:
                 f"{host} already allocated to job {record.allocation.jobid}"
             )
         allocation = Allocation(
-            host=host,
-            jobid=jobid,
-            firm=firm,
-            granted_at=now,
+            host=host, jobid=jobid, firm=firm, granted_at=now,
             lease_expires_at=lease_expires_at,
         )
         record.allocation = allocation
@@ -797,28 +559,13 @@ class BrokerState:
         self,
         buckets: Dict[str, Dict[str, MachineRecord]],
         symbolic: str,
-    ) -> List[Dict[str, MachineRecord]]:
-        """The platform buckets whose machines satisfy ``symbolic``."""
-        result = []
-        for platform, bucket in buckets.items():
-            if bucket and self._symbolic_platform_match(symbolic, platform):
-                result.append(bucket)
-        return result
-
-    def eligible_machines(
-        self, request: PendingRequest
-    ) -> List[MachineRecord]:
-        """Machines satisfying the symbolic name, reported and usable."""
-        job = self.jobs[request.jobid]
-        result = []
-        for bucket in self._matching_buckets(
-            self._usable_by_platform, request.symbolic
-        ):
-            self.machines_scanned += len(bucket)
-            for record in bucket.values():
-                if self._request_filter_ok(record, job, request):
-                    result.append(record)
-        return result
+    ) -> List[Tuple[str, Dict[str, MachineRecord]]]:
+        """The (platform, bucket) pairs whose machines satisfy ``symbolic``."""
+        return [
+            (platform, bucket)
+            for platform, bucket in buckets.items()
+            if bucket and self._symbolic_platform_match(symbolic, platform)
+        ]
 
     def idle_machines(self, request: PendingRequest) -> List[MachineRecord]:
         """Eligible machines with no current allocation, public first.
@@ -827,7 +574,7 @@ class BrokerState:
         cluster answers in O(1) however large it is."""
         job = self.jobs[request.jobid]
         free = []
-        for bucket in self._matching_buckets(
+        for _, bucket in self._matching_buckets(
             self._idle_by_platform, request.symbolic
         ):
             self.machines_scanned += len(bucket)
@@ -837,9 +584,7 @@ class BrokerState:
         free.sort(key=lambda m: (m.kind != "public", m.cpu_load, m.host))
         return free
 
-    def best_idle(
-        self, request: PendingRequest
-    ) -> Optional[MachineRecord]:
+    def best_idle(self, request: PendingRequest) -> Optional[MachineRecord]:
         """The machine :meth:`idle_machines` would rank first, found without
         scanning: walk the matching platforms' idle heaps in key order —
         (public first, least loaded, host) — and return the first machine
@@ -856,11 +601,7 @@ class BrokerState:
         """Heap-walk behind :meth:`best_idle`, shared with the federation
         donor path (which evaluates a *foreign* job that has no entry in
         :attr:`jobs`)."""
-        pairs = [
-            (platform, bucket)
-            for platform, bucket in self._idle_by_platform.items()
-            if bucket and self._symbolic_platform_match(request.symbolic, platform)
-        ]
+        pairs = self._matching_buckets(self._idle_by_platform, request.symbolic)
         if not pairs:
             return None
         tops: Dict[str, Tuple[bool, int, str]] = {}
@@ -900,19 +641,11 @@ class BrokerState:
         and adaptivity carried over verbatim.  Never registered in
         :attr:`jobs` or :attr:`pending`."""
         job = JobRecord(
-            jobid=-1,
-            user="federation",
-            home_host="",
-            rsl=parse_rsl(rsl_text or ""),
-            argv=[],
-            adaptive=bool(adaptive),
+            jobid=-1, user="federation", home_host="",
+            rsl=parse_rsl(rsl_text or ""), argv=[], adaptive=bool(adaptive),
         )
         request = PendingRequest(
-            reqid=-1,
-            jobid=-1,
-            symbolic=symbolic,
-            firm=False,
-            arrived_at=0.0,
+            reqid=-1, jobid=-1, symbolic=symbolic, firm=False, arrived_at=0.0
         )
         return job, request
 
@@ -926,9 +659,7 @@ class BrokerState:
         job, request = self._loan_probe(symbolic, rsl_text, adaptive)
         return self._best_idle_for(job, request)
 
-    def loan_satisfiable(
-        self, symbolic: str, rsl_text: str, adaptive: bool
-    ) -> bool:
+    def loan_satisfiable(self, symbolic: str, rsl_text: str, adaptive: bool) -> bool:
         """Could any reported machine here *ever* satisfy a sibling's
         ``(symbolic, rsl)``?  Drives the borrower's deny decision: a request
         is hopeless only once every shard answers False."""
@@ -938,34 +669,15 @@ class BrokerState:
     def forget_machine(self, host: str) -> None:
         """Remove a *borrowed* record entirely (the loan ended).
 
-        Detaches the record from index maintenance first, then evicts it
-        from every index by hand: borrowed records never enter idle buckets
-        (allocated at creation), so the idle heap needs no repair beyond its
-        usual lazy deletion."""
+        Detaches the record from the hook, then refiles it as gone: borrowed
+        records never enter idle buckets (allocated at creation), so the
+        idle heap needs no repair beyond its usual lazy deletion."""
         record = self.machines.pop(host, None)
         if record is None:
             return
         record._state = None
         self._machine_rank.pop(host, None)
-        for buckets in (
-            self._reported_by_platform,
-            self._usable_by_platform,
-            self._idle_by_platform,
-        ):
-            bucket = buckets.get(record.platform)
-            if bucket is not None:
-                bucket.pop(host, None)
-        allocation = record.allocation
-        if allocation is not None:
-            held = self._allocations_by_jobid.get(allocation.jobid)
-            if held is not None:
-                held.pop(host, None)
-                if not held:
-                    del self._allocations_by_jobid[allocation.jobid]
-        self._leased.pop(host, None)
-        self._tracked.pop(host, None)
-        if not record.reported:
-            self._unreported_count -= 1
+        self._refile(host, None, record.platform, record.allocation)
         self.capability_version += 1
         if self.journal is not None:
             self.journal.note_forget(host)
@@ -975,7 +687,7 @@ class BrokerState:
         universe for preemption decisions."""
         job = self.jobs[request.jobid]
         result = []
-        for bucket in self._matching_buckets(
+        for _, bucket in self._matching_buckets(
             self._usable_by_platform, request.symbolic
         ):
             self.machines_scanned += len(bucket)
@@ -986,16 +698,14 @@ class BrokerState:
                     result.append(record)
         return result
 
-    def satisfiable_somewhere(
-        self, symbolic: str, job: JobRecord
-    ) -> bool:
+    def satisfiable_somewhere(self, symbolic: str, job: JobRecord) -> bool:
         """Could any *reported* machine ever satisfy (symbolic, job RSL)?
 
         The best-case feasibility check behind denial decisions: ignores
         console activity and allocation state, exactly like the seed's scan
         in ``_deny_if_unsatisfiable`` (core memoizes the result against
         :attr:`capability_version`)."""
-        for bucket in self._matching_buckets(
+        for _, bucket in self._matching_buckets(
             self._reported_by_platform, symbolic
         ):
             self.machines_scanned += len(bucket)
@@ -1023,11 +733,7 @@ class BrokerState:
                 (firm if request.firm else elastic).append(request)
             firm.sort(key=lambda r: (r.arrived_at, r.reqid))
             elastic.sort(
-                key=lambda r: (
-                    self.holding_count(r.jobid),
-                    r.arrived_at,
-                    r.reqid,
-                )
+                key=lambda r: (self.holding_count(r.jobid), r.arrived_at, r.reqid)
             )
             order = firm + elastic
             self._order_cache = order
@@ -1042,7 +748,7 @@ class BrokerState:
 
     def reported_count(self) -> int:
         """How many managed machines currently have a daemon report."""
-        return len(self.machines) - self._unreported_count
+        return sum(map(len, self._reported_by_platform.values()))
 
     def drop_job_requests(self, jobid: int) -> None:
         """Forget every pending request of ``jobid`` (job finished)."""
@@ -1054,12 +760,8 @@ class BrokerState:
         return {
             "machines": {
                 h: {
-                    "allocated_to": (
-                        m.allocation.jobid if m.allocation else None
-                    ),
-                    "state": (
-                        m.allocation.state.value if m.allocation else "free"
-                    ),
+                    "allocated_to": m.allocation.jobid if m.allocation else None,
+                    "state": m.allocation.state.value if m.allocation else "free",
                     "console_active": m.console_active,
                     "load": m.cpu_load,
                 }

@@ -221,7 +221,7 @@ class HealthMonitor:
         and logs once when it appears on a host, and re-arms only after
         the host recovers — a machine stuck for ten intervals is one
         event, not ten."""
-        from repro.broker.state import AllocationState
+        from repro.broker.records import AllocationState
 
         self.checks += 1
         now = self.env.now

@@ -8,7 +8,8 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle:
     # repro.broker's package init pulls in the default policy)
-    from repro.broker.state import BrokerState, MachineRecord, PendingRequest
+    from repro.broker.records import MachineRecord, PendingRequest
+    from repro.broker.state import BrokerState
 
 
 class DecisionKind(enum.Enum):

@@ -27,12 +27,8 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.policy.base import Decision, Policy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.broker.state import (
-        Allocation,
-        BrokerState,
-        MachineRecord,
-        PendingRequest,
-    )
+    from repro.broker.records import Allocation, MachineRecord, PendingRequest
+    from repro.broker.state import BrokerState
 
 
 class DefaultPolicy(Policy):

@@ -8,7 +8,9 @@ the reference ``test_sched_equivalence.py`` and ``test_state_indexes.py``
 check it against — decision for decision, byte for byte.
 
 :func:`install` swaps them in for every broker a test builds;
-:func:`reference_state` binds the queries to one hand-built state only.
+:func:`reference_state` binds the queries to one hand-built state only;
+:func:`assert_indexes_coherent` rebuilds a live state's indexes from its
+machine table and compares.
 """
 
 from __future__ import annotations
@@ -72,13 +74,13 @@ def eligible_machines(self, request):
 
 
 def idle_machines(self, request):
-    free = [m for m in self.eligible_machines(request) if m.allocation is None]
+    free = [m for m in eligible_machines(self, request) if m.allocation is None]
     free.sort(key=lambda m: (m.kind != "public", m.cpu_load, m.host))
     return free
 
 
 def held_eligible(self, request):
-    return [m for m in self.eligible_machines(request) if m.allocation is not None]
+    return [m for m in eligible_machines(self, request) if m.allocation is not None]
 
 
 def satisfiable_somewhere(self, symbolic, job):
@@ -114,7 +116,6 @@ QUERIES = {
         all_reported,
         allocations_of,
         holding_count,
-        eligible_machines,
         idle_machines,
         held_eligible,
         satisfiable_somewhere,
@@ -131,13 +132,56 @@ def reference_state(state: BrokerState) -> BrokerState:
     return state
 
 
+def assert_indexes_coherent(state: BrokerState) -> None:
+    """Every membership index of ``state``, and its reported count, equals
+    one rebuilt from ``state.machines``; every idle machine has a live
+    idle-heap entry."""
+    machines = state.machines
+    reported, usable, idle, held = {}, {}, {}, {}
+    for host, m in machines.items():
+        if m.reported:
+            reported.setdefault(m.platform, {})[host] = id(m)
+            if not m.console_active:
+                usable.setdefault(m.platform, {})[host] = id(m)
+                if m.allocation is None:
+                    idle.setdefault(m.platform, {})[host] = id(m)
+        if m.allocation is not None:
+            held.setdefault(m.allocation.jobid, {})[host] = id(m.allocation)
+
+    def ids(index):
+        # Platform buckets outlive their last member; a jobid's entry must not.
+        return {
+            key: {host: id(value) for host, value in members.items()}
+            for key, members in index.items()
+            if members or index is state._allocations_by_jobid
+        }
+
+    assert ids(state._reported_by_platform) == reported
+    assert ids(state._usable_by_platform) == usable
+    assert ids(state._idle_by_platform) == idle
+    assert ids(state._allocations_by_jobid) == held
+    assert {h: id(m) for h, m in state._leased.items()} == {
+        h: id(m) for h, m in machines.items() if m.allocation is not None
+    }
+    assert {h: id(m) for h, m in state._tracked.items()} == {
+        h: id(m) for h, m in machines.items() if m.last_seen >= 0.0 and not m.dead
+    }
+    assert state.reported_count() == sum(len(b) for b in reported.values())
+    assert state.all_reported(machines) == all(m.reported for m in machines.values())
+    for platform, members in idle.items():
+        heap = set(state._idle_heap.get(platform, ()))
+        for host in members:
+            m = machines[host]
+            assert (m.kind != "public", m.cpu_load, host) in heap, host
+
+
 # -- the reference policy path and scheduler loop ------------------------------
 
 
 def decide(self, state, request):
     """:meth:`DefaultPolicy.decide` over one full eligibility scan, which
     serves both the idle search and the victim search."""
-    eligible = state.eligible_machines(request)
+    eligible = eligible_machines(state, request)
     idle = [m for m in eligible if m.allocation is None]
     if idle:
         idle.sort(key=lambda m: (m.kind != "public", m.cpu_load, m.host))

@@ -12,7 +12,7 @@ the same assertions there: app release after a revoke
 (``test_federation.py``).
 """
 
-from repro.broker.state import AllocationState
+from repro.broker.records import AllocationState
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
 from repro.os.signals import SIGKILL
 from tests.broker.conftest import install_greedy

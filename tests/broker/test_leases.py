@@ -10,7 +10,7 @@ again instead of leaking forever.
 
 import pytest
 
-from repro.broker.state import AllocationState
+from repro.broker.records import AllocationState
 from repro.os.signals import SIGKILL
 from tests.broker.conftest import install_greedy
 

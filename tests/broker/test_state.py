@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.broker.state import AllocationState, BrokerState, PendingRequest
+from repro.broker.records import AllocationState, PendingRequest
+from repro.broker.state import BrokerState
 
 
 @pytest.fixture
@@ -67,7 +68,7 @@ def test_eligible_excludes_unreported(state):
     state.add_machine("fresh")  # no report yet
     job = state.register_job("u", "h9", "", ["x"])
     request = _request(state, job.jobid)
-    hosts = [m.host for m in state.eligible_machines(request)]
+    hosts = [m.host for m in state.idle_machines(request)]
     assert "fresh" not in hosts
     assert set(hosts) == {"h0", "h1", "h2"}
 
@@ -75,7 +76,7 @@ def test_eligible_excludes_unreported(state):
 def test_eligible_excludes_home_host(state):
     job = state.register_job("u", "h1", "", ["x"])
     request = _request(state, job.jobid)
-    hosts = [m.host for m in state.eligible_machines(request)]
+    hosts = [m.host for m in state.idle_machines(request)]
     assert "h1" not in hosts
 
 
@@ -83,7 +84,7 @@ def test_eligible_respects_console_activity(state):
     state.machine("h0").console_active = True
     job = state.register_job("u", "h9", "", ["x"])
     request = _request(state, job.jobid)
-    hosts = [m.host for m in state.eligible_machines(request)]
+    hosts = [m.host for m in state.idle_machines(request)]
     assert "h0" not in hosts
 
 
@@ -93,15 +94,15 @@ def test_eligible_private_only_for_adaptive(state):
     adaptive = state.register_job("u", "h9", "+(adaptive)", ["x"])
     r1 = _request(state, rigid.jobid, reqid=1)
     r2 = _request(state, adaptive.jobid, reqid=2)
-    assert "h0" not in [m.host for m in state.eligible_machines(r1)]
-    assert "h0" in [m.host for m in state.eligible_machines(r2)]
+    assert "h0" not in [m.host for m in state.idle_machines(r1)]
+    assert "h0" in [m.host for m in state.idle_machines(r2)]
 
 
 def test_eligible_respects_rsl_machine_constraints(state):
     state.machine("h2").platform = "sparcsolaris"
     job = state.register_job("u", "h9", '+(arch="i686linux")', ["x"])
     request = _request(state, job.jobid, symbolic="anyhost")
-    hosts = [m.host for m in state.eligible_machines(request)]
+    hosts = [m.host for m in state.idle_machines(request)]
     assert hosts and "h2" not in hosts
 
 

@@ -4,9 +4,10 @@
 maintained through the record ``__setattr__`` hook; the seed's O(machines)
 scans live on in ``tests/broker/reference.py``.  These tests drive a state
 of each kind through identical mutation sequences — including the nasty
-paths: console toggles, report loss, death and rejoin, platform changes —
-and require identical answers, plus the dirty-scheduling safety invariant
-(a clean pending request's decision is always "wait").
+paths: console toggles, report loss, death and rejoin, platform changes,
+forgetting and re-adding a machine — and require identical answers, the
+dirty-scheduling safety invariant (a clean pending request's decision is
+always "wait"), and indexes that equal ones rebuilt from the machine table.
 """
 
 from __future__ import annotations
@@ -15,9 +16,17 @@ import random
 
 import pytest
 
-from repro.broker.state import BrokerState, PendingRequest
+from repro.broker.invariants import Oracle
+from repro.broker.records import PendingRequest
+from repro.broker.state import BrokerState
+from repro.experiments import run_chaos
 from repro.policy.default import DefaultPolicy
-from tests.broker.reference import reference_state
+from tests.broker.reference import (
+    assert_indexes_coherent,
+    eligible_machines,
+    reference_state,
+)
+from tests.checked import watch
 
 PLATFORMS = ("i686linux", "sparcsolaris")
 
@@ -73,9 +82,11 @@ def _queries_agree(indexed: BrokerState, fullscan: BrokerState) -> None:
         job = indexed.jobs[request.jobid]
         # Unordered agreement for the raw candidate sets (policies sort with
         # total-order keys), exact agreement for the pre-sorted idle list.
-        assert {m.host for m in indexed.eligible_machines(request)} == {
-            m.host for m in fullscan.eligible_machines(reference)
-        }
+        # The idle and held candidates together are the seed's eligible set.
+        assert {
+            m.host
+            for m in indexed.idle_machines(request) + indexed.held_eligible(request)
+        } == {m.host for m in eligible_machines(fullscan, reference)}
         reference_idle = fullscan.idle_machines(reference)
         assert [m.host for m in indexed.idle_machines(request)] == [
             m.host for m in reference_idle
@@ -150,6 +161,25 @@ def test_randomized_mutations_agree_with_fullscan():
 
         return apply
 
+    def op_forget_and_readd(host):
+        def apply(state):
+            state.forget_machine(host)
+            state.add_machine(host)
+
+        return apply
+
+    def op_toggle_dead_if_idle(host):
+        def apply(state):
+            record = state.machines[host]
+            if (
+                record.reported
+                and not record.console_active
+                and record.allocation is None
+            ):
+                record.dead = not record.dead
+
+        return apply
+
     def op_allocate(host, jobid, firm):
         t = tick()
 
@@ -195,7 +225,7 @@ def test_randomized_mutations_agree_with_fullscan():
         host = rng.choice(hosts)
         jobid = rng.choice(sorted(indexed.jobs))
         roll = rng.random()
-        if roll < 0.45:
+        if roll < 0.41:
             op = op_report(
                 host,
                 rng.choice(PLATFORMS),
@@ -204,10 +234,14 @@ def test_randomized_mutations_agree_with_fullscan():
                 rng.random() < 0.2,
                 rng.randrange(3),
             )
-        elif roll < 0.55:
+        elif roll < 0.50:
             op = op_lose_report(host)
-        elif roll < 0.62:
+        elif roll < 0.56:
             op = op_mark_dead(host)
+        elif roll < 0.59:
+            op = op_forget_and_readd(host)
+        elif roll < 0.62:
+            op = op_toggle_dead_if_idle(host)
         elif roll < 0.78:
             op = op_allocate(host, jobid, rng.random() < 0.5)
         elif roll < 0.88:
@@ -223,6 +257,8 @@ def test_randomized_mutations_agree_with_fullscan():
         else:
             op = op_drop_request()
         _mirror(states, op)
+        for state in states:
+            assert_indexes_coherent(state)
         if step % 10 == 0:
             _queries_agree(indexed, fullscan)
             _clean_requests_would_wait(indexed)
@@ -302,3 +338,29 @@ def test_removed_request_never_resurfaces_from_dirty_list(state):
     assert state.take_dirty_pending() == []
     state.machines["h01"].cpu_load = 1
     assert state.take_dirty_pending() == []
+
+
+def test_indexes_coherent_after_every_event_of_federated_chaos(monkeypatch):
+    """Two durable shards under chaos: loans end (the borrower forgets the
+    machine) and shard 1 restarts from its journal, and after every event
+    each shard's indexes still equal ones rebuilt from its machine table."""
+    forgotten = []
+    forget = BrokerState.forget_machine
+    check = Oracle.check
+
+    def counted_forget(state, host):
+        forgotten.append(host)
+        forget(state, host)
+
+    def check_indexes_too(oracle):
+        for service in oracle.services():
+            assert_indexes_coherent(service.state)
+        return check(oracle)
+
+    monkeypatch.setattr(BrokerState, "forget_machine", counted_forget)
+    monkeypatch.setattr(Oracle, "check", check_indexes_too)
+    with watch(monkeypatch) as checked:
+        table = run_chaos(seed=1, shards=2)
+    assert forgotten
+    assert table.meta["recovery"]["from_journal"] >= 1
+    assert checked.settled() is None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.broker.state import AllocationState
+from repro.broker.records import AllocationState
 from repro.cluster import Cluster, ClusterSpec
 from repro.obs import (
     HealthMonitor,

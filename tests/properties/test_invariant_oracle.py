@@ -16,7 +16,7 @@ import hashlib
 import pytest
 
 from repro.broker.invariants import Oracle
-from repro.broker.state import AllocationState, PendingRequest
+from repro.broker.records import AllocationState, PendingRequest
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
 from repro.experiments import run_chaos
 from repro.policy.default import DefaultPolicy

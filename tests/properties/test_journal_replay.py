@@ -14,7 +14,8 @@ import pytest
 
 from repro.broker.journal import BrokerJournal
 from repro.broker.recovery import state_fingerprint
-from repro.broker.state import AllocationState, BrokerState, PendingRequest
+from repro.broker.records import AllocationState, PendingRequest
+from repro.broker.state import BrokerState
 from repro.os.filesystem import Filesystem
 
 

@@ -15,7 +15,8 @@ mechanisms rely on, for every policy:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broker.state import AllocationState, BrokerState, PendingRequest
+from repro.broker.records import AllocationState, PendingRequest
+from repro.broker.state import BrokerState
 from repro.policy import DefaultPolicy, FifoPolicy, RandomIdlePolicy
 from repro.policy.base import DecisionKind
 
