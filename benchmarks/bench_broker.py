@@ -82,8 +82,6 @@ def measure(size: int, seed: int, sim_minutes: float) -> dict:
         "daemon_beacons": _counter(cell, "rbdaemon.beacons"),
         "daemon_report_bytes": _counter(cell, "rbdaemon.report_bytes"),
         "decisions_per_second": round(decisions / max(wall, 1e-9)),
-        "events_per_second": round(cell["perf"]["events_per_second"]),
-        "wall_seconds": round(wall, 4),
     }
 
 
@@ -95,8 +93,7 @@ def pin(sim_minutes: float) -> int:
         print(
             f"pin: {size:4d} machines: {entry['policy_decisions']} decisions, "
             f"{entry['scans_per_grant']:.2f} scans/grant, "
-            f"{entry['decisions_per_second']} decisions/s, "
-            f"{entry['events_per_second']} ev/s"
+            f"{entry['decisions_per_second']} decisions/s"
         )
     document = {
         "workload": "churn",
