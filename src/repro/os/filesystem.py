@@ -21,25 +21,33 @@ class FileNotFound(KeyError):
 
 
 class Filesystem:
-    """String-keyed text files on one machine."""
+    """String-keyed text files on one machine.
+
+    A file is the list of chunks appended to it since it was last read, so
+    an append costs the chunk, not the file: a journal's WAL takes one
+    append per flush and is read back only at recovery.
+    """
 
     def __init__(self) -> None:
-        self._files: Dict[str, str] = {}
+        self._files: Dict[str, List[str]] = {}
 
     def write(self, path: str, content: str) -> None:
         """Create or truncate ``path`` with ``content``."""
-        self._files[path] = content
+        self._files[path] = [content]
 
     def append(self, path: str, content: str) -> None:
         """Append to ``path`` (creating it if absent)."""
-        self._files[path] = self._files.get(path, "") + content
+        self._files.setdefault(path, []).append(content)
 
     def read(self, path: str) -> str:
         """Contents of ``path`` (raises :class:`FileNotFound`)."""
         try:
-            return self._files[path]
+            chunks = self._files[path]
         except KeyError:
             raise FileNotFound(path) from None
+        if len(chunks) > 1:
+            chunks[:] = ["".join(chunks)]
+        return chunks[0]
 
     def read_lines(self, path: str) -> List[str]:
         """Non-empty stripped lines of ``path``."""

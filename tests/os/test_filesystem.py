@@ -1,5 +1,7 @@
 """Unit tests for the per-machine filesystem."""
 
+import random
+
 import pytest
 
 from repro.os.filesystem import FileNotFound, Filesystem
@@ -48,6 +50,37 @@ def test_listdir_sorted(fs):
     fs.write("/b", "")
     fs.write("/a", "")
     assert fs.listdir() == ["/a", "/b"]
+
+
+def test_interleaved_operations_match_a_plain_string_model(fs):
+    """Appends keep chunks until a read joins them; every operation must
+    still see exactly what string concatenation would have produced."""
+    rng = random.Random(7)
+    model = {}
+    for step in range(2000):
+        path = rng.choice(["/wal", "/snap", "/other"])
+        op = rng.choice(["append", "append", "append", "read", "write",
+                         "unlink", "listdir", "exists"])
+        text = f"{step};" * rng.randint(0, 3)
+        if op == "append":
+            fs.append(path, text)
+            model[path] = model.get(path, "") + text
+        elif op == "write":
+            fs.write(path, text)
+            model[path] = text
+        elif op == "unlink":
+            fs.unlink(path)
+            model.pop(path, None)
+        elif op == "read" and path in model:
+            assert fs.read(path) == model[path]
+        elif op == "read":
+            with pytest.raises(FileNotFound):
+                fs.read(path)
+        assert fs.listdir() == sorted(model)
+        assert fs.exists(path) == (path in model)
+    for path, text in model.items():
+        assert fs.read(path) == text
+        assert fs.read(path) == text  # a second read of a joined file
 
 
 def test_home_expansion_via_process():
