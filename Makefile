@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: test lint check chaos chaos-smoke bench-smoke bench-broker bench-obs bench-federation soak-smoke failover-smoke rbbench-smoke bench-pairs gc-census slo
+.PHONY: test lint check chaos gates rbbench-smoke bench-pairs slo
 
 test:  ## tier-1 test suite
 	python -m pytest -q tests
@@ -21,35 +21,14 @@ check: lint test
 chaos:  ## robustness capstone: mixed workload under a seeded fault schedule
 	python -m repro chaos --seed 1 --verbose
 
-chaos-smoke:  ## broker-crash recovery gate: completion + determinism digest
-	python benchmarks/chaos_smoke.py
-
-bench-smoke:  ## kernel perf gate vs the pinned BENCH_kernel.json baseline
-	python benchmarks/bench_smoke.py
-
-bench-broker:  ## broker control-plane gate vs the pinned BENCH_broker.json
-	python benchmarks/bench_broker.py
-
-bench-obs:  ## observability-cost gate (exact counts) vs the pinned BENCH_obs.json
-	python benchmarks/bench_obs.py
-
-soak-smoke:  ## service-mode soak gate vs the pinned BENCH_soak.json
-	python benchmarks/bench_soak.py
-
-failover-smoke:  ## warm-standby failover gate vs the pinned BENCH_failover.json
-	python benchmarks/bench_failover.py
-
-bench-federation:  ## federated control-plane gate vs the pinned BENCH_federation.json
-	python benchmarks/bench_federation.py
+gates:  ## [G=name]: every exact-fact gate (or one) against BENCH_gates.json, one verdict line each; `python benchmarks/gates.py NAME --update` re-pins
+	python benchmarks/gates.py $(G)
 
 rbbench-smoke:  ## self-test of the rbbench harness (outside tier-1 testpaths), about a minute
 	python -m pytest -q benchmarks/rbbench
 
-bench-pairs:  ## W=<workload> BASE=<rev> [N=10]: paired rbbench runs of BASE and this checkout, claim-rule verdict per metric; FACTS=1 [SEED=n]: one traced run per side, the exact facts that differ
-	python benchmarks/pairs.py --workload $(W) --base $(BASE) $(if $(FACTS),--facts $(if $(SEED),--seed $(SEED)),--pairs $(or $(N),10))
-
-gc-census:  ## [M=1024]: collector activity and the generation-0 census of the churn cell at M machines
-	python benchmarks/gc_census.py --machines $(or $(M),1024)
+bench-pairs:  ## W=<workload> BASE=<rev> [N=10]: paired rbbench runs of BASE and this checkout, claim-rule verdict per metric; FACTS=1 [SEED=n]: one traced run per side, the exact facts that differ; CENSUS=1 [SEED=n] (W=churn-1024): the host's cyclic collector on the churn cell, per side
+	python benchmarks/pairs.py --workload $(W) --base $(BASE) $(if $(FACTS),--facts $(if $(SEED),--seed $(SEED)),$(if $(CENSUS),--census $(if $(SEED),--seed $(SEED)),--pairs $(or $(N),10)))
 
 slo:  ## churn workload under a health monitor; fails on any violated SLO
 	python -m repro slo

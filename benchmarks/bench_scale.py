@@ -1,70 +1,29 @@
-"""Simulator scalability: wall-clock cost per simulated cluster size.
+"""Simulator scalability: what each simulated cluster size costs.
 
-Not a paper artefact — this pins the *engineering* property that makes the
-reproduction usable: the event-driven simulator handles clusters well beyond
-the paper's 16 machines at interactive speeds, and its cost grows roughly
-linearly with cluster size (the broker's event-driven scheduling avoids the
-quadratic daemon-report x pending-request blow-up).
-
-The workload cell is shared with the sweep runner
-(:mod:`repro.experiments.sweep`); ``python -m repro sweep --bench`` pins the
-same numbers to ``BENCH_kernel.json``.
+Not a paper artefact: it prints the wall cost of 10 simulated minutes of the
+churning cell (:mod:`repro.experiments.sweep`) from 8 to 4096 machines, and
+asserts only what is exact — the lazy-deletion heap's high-water mark tracks
+the live population, not total event churn.  Wall time is printed, never
+gated: a performance claim is ``make bench-pairs`` (rbbench).
 """
 
 from repro.experiments.sweep import run_cell
 
-
-def _run_cluster_minutes(n_machines: int, sim_minutes: float) -> float:
-    """Wall seconds for the churn workload (compatibility shim for docs)."""
-    return _run_cell_minutes(n_machines, sim_minutes)["perf"]["wall_seconds"]
-
-
-def _run_cell_minutes(n_machines: int, sim_minutes: float) -> dict:
-    return run_cell("churn", n_machines, seed=2, sim_minutes=sim_minutes)
+SIZES = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def bench_simulator_scalability(run_once):
-    def experiment():
-        return {
-            n: _run_cell_minutes(n, sim_minutes=10.0)
-            for n in (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-        }
-
-    cells = run_once(experiment)
+    cells = run_once(
+        lambda: {n: run_cell("churn", n, seed=2, sim_minutes=10.0) for n in SIZES}
+    )
     print("\n10 simulated minutes of churning cluster:")
     for n, cell in cells.items():
         perf, heap = cell["perf"], cell["result"]["heap"]
-        wall = perf["wall_seconds"]
         print(
-            f"  {n:3d} machines -> {wall:6.2f}s wall "
-            f"({600.0 / wall:7.1f}x real time) "
+            f"  {n:4d} machines -> {perf['wall_seconds']:6.2f}s wall "
             f"{perf['events_per_second']:8.0f} ev/s "
-            f"{perf['spans_per_second']:7.1f} spans/s "
+            f"{heap['processed']:8d} events, "
             f"heap high-water {heap['heap_high_water']:5d}"
         )
-    walls = {n: cell["perf"]["wall_seconds"] for n, cell in cells.items()}
-    # Interactive even at 64x the paper's testbed...
-    assert walls[64] < 60.0
-    assert walls[256] < 240.0
-    assert walls[1024] < 600.0
-    # ...usable at the partitioned-kernel sizes (relaxed: these runs move
-    # millions of events; the point is they finish, not that they are fast)...
-    assert walls[2048] < 1800.0
-    assert walls[4096] < 3600.0
-    # ...and no quadratic blow-up: 8x the machines < ~20x the cost.
-    assert walls[64] < 20.0 * max(walls[8], 0.05)
-    assert walls[256] < 20.0 * max(walls[32], 0.05)
-    assert walls[1024] < 20.0 * max(walls[128], 0.05)
-    assert walls[4096] < 20.0 * max(walls[512], 0.05)
-    # Flat per-event cost: the broker's indexed scheduler keeps decision
-    # cost independent of cluster size, so events/sec at 1024 machines
-    # should hold near the 256-machine rate (1.5x bound absorbs wall-clock
-    # noise; the interesting comparison prints above).
-    per_event_256 = walls[256] / cells[256]["result"]["heap"]["processed"]
-    per_event_1024 = walls[1024] / cells[1024]["result"]["heap"]["processed"]
-    assert per_event_1024 < 1.5 * per_event_256
-    # The lazy-deletion heap stays bounded: the high-water mark tracks the
-    # live population (machines x a small constant), not total event churn.
-    assert cells[256]["result"]["heap"]["heap_high_water"] < 50 * 256
-    assert cells[1024]["result"]["heap"]["heap_high_water"] < 50 * 1024
-    assert cells[4096]["result"]["heap"]["heap_high_water"] < 50 * 4096
+    for n in (256, 1024, 4096):
+        assert cells[n]["result"]["heap"]["heap_high_water"] < 50 * n

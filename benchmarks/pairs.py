@@ -40,21 +40,38 @@ the four control layers, and the heartbeat path (``broker.daemon`` plus
 ``broker.other``, where the lease ingest lives).  Equal digests mean the
 change is invisible to the simulation on that workload.  Exit status 1
 only when a run fails or is not ``correct``.
+
+    python3 benchmarks/pairs.py --workload churn-1024 --base HEAD~1 --census [--seed N]
+    make bench-pairs W=churn-1024 BASE=HEAD~1 CENSUS=1 [SEED=N]
+
+``--census`` asks what the churn cell (1024 machines, as in ``churn-1024``)
+makes the host's cyclic collector do, in a fresh process per side: the
+collections, full collections and seconds in the collector over 3 simulated
+minutes, against the cell's wall time (host measurements); then, exact on any
+host, what generation 0 holds after 1.9 simulated seconds of steady state with
+the collector off (born in that window, still alive, re-walked by every young
+collection), the live ``Connection`` and ``deque`` objects, the registry's
+updates against its series points, and the live ``OSProcess`` and ``Store``
+objects with the mean bytes each retains (itself plus the containers it owns).
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import gc
 import hashlib
 import io
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
+from collections import Counter, deque
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -175,6 +192,103 @@ def facts(parent: Dict[str, Any], change: Dict[str, Any]) -> int:
     return status
 
 
+#: Simulated seconds the churn cell needs before every machine is granted and
+#: the first arrival placed: from here on each period looks alike.
+STEADY_SIM_S = 40.0
+#: What "the containers an object owns" are, for :func:`retained_bytes`.
+OWNED_CONTAINERS = (list, set, dict, deque)
+
+
+def retained_bytes(obj: Any) -> int:
+    """Shallow size of ``obj`` plus that of the containers it owns."""
+    size, values = sys.getsizeof(obj), []
+    if hasattr(obj, "__dict__"):
+        size += sys.getsizeof(obj.__dict__)
+        values.extend(vars(obj).values())
+    for cls in type(obj).__mro__:
+        for name in getattr(cls, "__slots__", ()):
+            if not name.startswith("__") and hasattr(obj, name):
+                values.append(getattr(obj, name))
+    return size + sum(
+        sys.getsizeof(v) for v in values if isinstance(v, OWNED_CONTAINERS)
+    )
+
+
+def census(side: str, seed: int, machines: int = 1024, window: float = 1.9) -> None:
+    """Print what the churn cell makes the collector do (see the module
+    docstring), each line led by ``side``.  The ``repro`` it measures is
+    whichever ``PYTHONPATH`` names: :func:`census_side` runs it per side."""
+    from repro.cluster import Cluster, ClusterSpec
+    from repro.experiments.sweep import WORKLOADS
+    from repro.os.process import OSProcess
+    from repro.sim.stores import Store
+
+    def cell():
+        cluster = Cluster(ClusterSpec.uniform(machines, seed=seed))
+        service = cluster.start_broker()
+        service.wait_ready()
+        return cluster, service
+
+    spent = Counter()
+
+    def hook(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            spent["started"] = time.perf_counter()
+        else:
+            spent["gc_s"] += time.perf_counter() - spent["started"]
+            spent["collections"] += 1
+            spent["full"] += info["generation"] == 2
+
+    cluster, service = cell()
+    gc.collect()
+    gc.callbacks.append(hook)
+    begin = time.perf_counter()
+    WORKLOADS["churn"](cluster, service, 180.0)
+    wall = time.perf_counter() - begin
+    gc.callbacks.remove(hook)
+    print(f"{side}: 3 sim-min cell {wall:.2f} s wall, "
+          f"{spent['collections']} collections ({spent['full']} full), "
+          f"{spent['gc_s']:.2f} s in the collector ({spent['gc_s'] / wall:.1%})")
+
+    cluster, service = cell()
+    WORKLOADS["churn"](cluster, service, STEADY_SIM_S)
+    gc.collect()
+    gc.disable()
+    cluster.env.run(until=cluster.now + window)
+    born = gc.get_objects(generation=0)
+    young = Counter(type(o).__name__ for o in born)
+    del born
+    everything = gc.get_objects()
+    gc.enable()
+    print(f"{side}: {sum(young.values())} tracked objects born in {window:g} "
+          f"sim-s and still alive ({sum(young.values()) / machines:.2f} per "
+          f"machine): " + ", ".join(f"{n} {t}" for t, n in young.most_common(8)))
+    live = Counter(type(o).__name__ for o in everything)
+    stats = cluster.network.metrics.self_stats()
+    held = []
+    for kind in (OSProcess, Store):
+        objs = [o for o in everything if isinstance(o, kind)]
+        mean = sum(map(retained_bytes, objs)) / max(len(objs), 1)
+        held.append(f"{len(objs)} {kind.__name__} x {mean:.0f} B")
+    print(f"{side}: live {live['Connection']} Connection, {live['deque']} deque; "
+          f"{stats['updates']} metrics updates kept as {stats['series_points']} "
+          f"series points; retained {', '.join(held)}")
+
+
+def census_side(side: str, root: Path, seed: int) -> None:
+    """:func:`census` in a fresh process on ``root``'s ``repro``."""
+    path = os.pathsep.join((str(root / "src"), str(ROOT / "benchmarks")))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import pairs; pairs.census({side!r}, {seed})"],
+        cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    sys.stdout.write(done.stdout)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"census failed in {root} (exit {done.returncode})")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -188,13 +302,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="one --trace 1 run per side: digests and the exact facts that differ",
     )
     parser.add_argument(
-        "--seed", type=int, help="seed of the --facts runs (default: pair 1's)"
+        "--census", action="store_true",
+        help="the host's cyclic collector on the churn cell, one run per side "
+             "(--workload churn-1024)",
+    )
+    parser.add_argument(
+        "--seed", type=int,
+        help="seed of the --facts or --census runs (default: pair 1's)",
     )
     args = parser.parse_args(argv)
     if args.pairs < MIN_PAIRS:
         parser.error(f"the claim rule needs at least {MIN_PAIRS} pairs")
-    if args.seed is not None and not args.facts:
-        parser.error("--seed goes with --facts; pairs draw their own seeds")
+    if args.seed is not None and not (args.facts or args.census):
+        parser.error("--seed goes with --facts or --census; pairs draw their own")
+    if args.census and args.workload != "churn-1024":
+        parser.error("--census measures the churn cell: --workload churn-1024")
 
     base_sha = git("rev-parse", args.base).decode().strip()
     with tempfile.TemporaryDirectory(prefix="rbbench-base-") as tmp:
@@ -213,8 +335,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ).hexdigest()[:8], 16)
             for i in range(args.pairs)
         ]
+        seed = seeds[0] if args.seed is None else args.seed
+        if args.census:
+            print(f"census workload={args.workload} base={base_sha[:7]} "
+                  f"change={ROOT} seed={seed}")
+            for side, root in (("parent", base), ("change", ROOT)):
+                census_side(side, root, seed)
+            return 0
         if args.facts:
-            seed = seeds[0] if args.seed is None else args.seed
             print(f"facts workload={args.workload} base={base_sha[:7]} "
                   f"change={ROOT} seed={seed}")
             return facts(*(

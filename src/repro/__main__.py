@@ -34,7 +34,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 #: Shared help text for every subcommand's ``--trace`` option.
@@ -162,7 +161,6 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.experiments.sweep import (
-        bench_report,
         canonical_json,
         format_sweep,
         merge_results,
@@ -187,14 +185,6 @@ def _cmd_sweep(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(canonical_json(merged))
         print(f"merged results written to {args.out}")
-    if args.bench:
-        report = bench_report(
-            cells, sim_minutes=args.minutes, workload=workloads[0]
-        )
-        with open(args.bench, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"kernel benchmark written to {args.bench}")
     return 0
 
 
@@ -347,11 +337,6 @@ def main(argv=None) -> int:
     )
     sweep.add_argument(
         "--out", metavar="PATH", help="write canonical merged results JSON"
-    )
-    sweep.add_argument(
-        "--bench",
-        metavar="PATH",
-        help="write the BENCH_kernel.json performance envelope",
     )
     sweep.add_argument(
         "--health",

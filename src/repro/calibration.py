@@ -198,7 +198,7 @@ class Calibration:
     #: warm standby declares the primary dead and promotes itself.  Strictly
     #: below the restart+recover path (crash detection plus the fault plan's
     #: ~4 s restart delay plus replay) — that gap is the point of the warm
-    #: standby, and ``bench_failover`` pins it.
+    #: standby, and the ``failover`` gate of ``benchmarks/gates.py`` pins it.
     standby_promotion_deadline: float = 2.5
 
     #: Bound (characters) on shipped-but-unacknowledged WAL data in flight to

@@ -25,7 +25,6 @@ a bounded journal (see :mod:`repro.experiments.soak`).
 
 from repro.experiments.results import ExperimentTable, Row, format_table
 from repro.experiments.sweep import (
-    bench_report,
     canonical_json,
     format_sweep,
     merge_results,
@@ -44,7 +43,6 @@ __all__ = [
     "SoakReport",
     "ExperimentTable",
     "Row",
-    "bench_report",
     "canonical_json",
     "format_sweep",
     "format_table",

@@ -12,8 +12,9 @@ mid-run, and insists that at the end:
 * the journal stayed bounded (compaction kept the WAL near its ceiling
   instead of growing with the trace),
 * the service's memory stayed flat (bounded metrics, capped event log,
-  pruned finished jobs — asserted by ``benchmarks/bench_soak.py``, which
-  meters the second half of the run against a per-submission budget).
+  pruned finished jobs — asserted by the ``soak`` gate of
+  ``benchmarks/gates.py``, which meters the second half of the run against
+  a per-submission budget).
 
 Everything that lands in the :class:`SoakReport`'s deterministic part is a
 pure function of the seed; wall-clock and memory numbers live in separate

@@ -2,8 +2,7 @@
 
 The scale-out harness behind ``python -m repro sweep``: it fans a grid of
 independent simulations across ``multiprocessing`` workers, merges the
-per-run metrics and trace summaries into one canonical JSON document, and
-can pin the kernel's performance envelope to ``BENCH_kernel.json``.
+per-run metrics and trace summaries into one canonical JSON document.
 
 Determinism contract
 --------------------
@@ -15,7 +14,7 @@ any order.  The *merged* document contains only simulation-derived facts
 serialized canonically (sorted keys, fixed run order), so a serial run and
 a ``--workers N`` run of the same grid produce byte-identical output.
 Measured performance (wall seconds, events/sec) travels separately, in the
-per-cell ``perf`` block and in the ``BENCH_kernel.json`` report.
+per-cell ``perf`` block, which only the printed summary reads.
 """
 
 from __future__ import annotations
@@ -28,13 +27,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Cell key order used everywhere: grid expansion, merge order, reports.
 Cell = Tuple[str, int, int]  # (workload, machines, seed)
-
-#: Cluster sizes the pinned kernel benchmark covers.  512 and 1024 are the
-#: control-plane scaling points: with the broker's indexed scheduler the
-#: per-event cost at 1024 should stay within a few percent of 256.  2048
-#: and 4096 show how the kernel's one event heap scales beyond that.
-BENCH_SIZES = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-
 
 def _drive_churn(cluster, service, sim_seconds: float) -> None:
     """The churning workload of the scale benchmarks: one greedy master
@@ -140,7 +132,7 @@ def run_cell(
     adds its end-of-run report to the result.  Opt-in because the monitor's
     periodic checks are simulation events: a ``health=True`` cell is still
     deterministic, but its event counts differ from a plain cell, so the
-    pinned kernel benchmark always runs without it.
+    gates in ``benchmarks/gates.py`` always run without it.
     """
     from repro.cluster import Cluster, ClusterSpec
 
@@ -283,45 +275,6 @@ def merge_results(
 def canonical_json(document: Dict[str, Any]) -> str:
     """The byte-stable serialization the determinism contract is stated in."""
     return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def bench_report(
-    cells: Iterable[Dict[str, Any]],
-    sim_minutes: float,
-    workload: str = "churn",
-) -> Dict[str, Any]:
-    """The ``BENCH_kernel.json`` performance envelope from sweep cells.
-
-    Keeps one entry per cluster size (the first seed seen) for ``workload``;
-    wall-clock here is measurement, not simulation, so the file is pinned
-    on one machine and compared with a generous tolerance (see
-    ``benchmarks/bench_smoke.py``).
-    """
-    sizes: Dict[str, Any] = {}
-    for cell in sorted(
-        cells, key=lambda c: (c["machines"], c["seed"])
-    ):
-        if cell["workload"] != workload:
-            continue
-        key = str(cell["machines"])
-        if key in sizes:
-            continue
-        heap = cell["result"]["heap"]
-        perf = cell["perf"]
-        sizes[key] = {
-            "wall_seconds": round(perf["wall_seconds"], 4),
-            "wall_per_sim_minute": round(perf["wall_per_sim_minute"], 4),
-            "events_processed": heap["processed"],
-            "heap_high_water": heap["heap_high_water"],
-            "heap_ops_per_second": round(perf["heap_ops_per_second"]),
-            "events_per_second": round(perf["events_per_second"]),
-            "spans_per_second": round(perf["spans_per_second"], 1),
-        }
-    return {
-        "workload": workload,
-        "sim_minutes": sim_minutes,
-        "sizes": sizes,
-    }
 
 
 def format_sweep(cells: Sequence[Dict[str, Any]]) -> str:

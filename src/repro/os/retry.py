@@ -78,7 +78,7 @@ def connect_any_with_backoff(
     that can fail over to a warm standby must not burn whole backoff
     rounds on a dead primary while the promoted secondary is already
     listening; that delay is directly client-visible failover disruption
-    (bench_failover measures it).  With a single host this is
+    (the ``failover`` gate measures it).  With a single host this is
     byte-identical to :func:`connect_with_backoff`.
     """
     cal = proc.machine.network.calibration

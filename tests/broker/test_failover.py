@@ -63,7 +63,7 @@ def test_primary_machine_death_promotes_standby(standby_cluster):
     assert svc.broker_host == STANDBY
     assert svc.broker_alive
     # Promotion beats the restart path's fixed 4-second respawn delay
-    # before it even starts recovering (bench_failover pins the full gap).
+    # before it even starts recovering (the failover gate pins the full gap).
     deadline = cluster.network.calibration.standby_promotion_deadline
     assert promoted[0]["time"] - crashed_at < deadline + 1.0
 

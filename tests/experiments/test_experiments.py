@@ -1,4 +1,4 @@
-"""Smoke tests for the experiment harnesses (full runs live in benchmarks/).
+"""Smoke tests for the experiment harnesses (full runs: rbbench ``paper-tables``).
 
 These verify the harness plumbing — fresh clusters per measurement, result
 table shapes, metadata — at reduced scale so the main suite stays fast.

@@ -1,7 +1,8 @@
 """The service-mode soak harness (``repro.experiments.soak``).
 
-Small traces here; the 100k-submission run lives in
-``benchmarks/bench_soak.py`` and is gated by ``make soak-smoke``.
+Small traces here; the 3,000-submission run is the ``soak`` gate of
+``benchmarks/gates.py`` (``make gates G=soak``), and rbbench's ``soak-12``
+drives 6,000.
 """
 
 from repro.experiments import run_soak

@@ -4,8 +4,6 @@ import json
 
 import pytest
 
-# `bench_report` is aliased: this suite collects `bench_*` names as tests.
-from repro.experiments.sweep import bench_report as make_bench_report
 from repro.experiments.sweep import (
     canonical_json,
     expand_grid,
@@ -66,17 +64,6 @@ def test_merge_strips_measured_perf():
     }
     assert len(merged["runs"]) == 1
     assert merged["runs"][0]["result"]["heap"]["processed"] > 0
-
-
-def test_bench_report_keeps_first_seed_per_size():
-    cells = run_sweep(
-        workloads=["sequential"], sizes=[4], seeds=[1, 2], sim_minutes=0.2
-    )
-    report = make_bench_report(cells, 0.2, workload="sequential")
-    assert list(report["sizes"]) == ["4"]
-    entry = report["sizes"]["4"]
-    assert entry["events_processed"] == cells[0]["result"]["heap"]["processed"]
-    assert entry["wall_seconds"] >= 0
 
 
 def test_sweep_cli_writes_canonical_output(tmp_path, capsys):

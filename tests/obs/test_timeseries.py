@@ -240,6 +240,25 @@ def test_bounded_registry_memory_is_flat():
     assert registry.self_stats()["updates"] == 1000
 
 
+def test_bounded_registry_stays_flat_where_exact_keeps_every_point():
+    """10k churning writes to each kind of instrument: a bounded registry
+    keeps at most instruments x capacity points and its histogram keeps its
+    running aggregates, while an exact one keeps one point per write."""
+    env = Environment()
+    bounded = MetricsRegistry(env, mode="bounded", series_capacity=128)
+    exact = MetricsRegistry(env, mode="exact")
+    for i in range(10_000):
+        env.run(until=float(i))
+        for registry in (bounded, exact):
+            registry.counter("churn.submits").inc()
+            registry.gauge("churn.queue").set(i % 7)
+            registry.histogram("churn.wait").observe(0.001 + (i % 100) / 10.0)
+    assert bounded.series_points() <= len(bounded.all_metrics()) * 128
+    assert exact.series_points() == 3 * 10_000
+    wait = bounded.histogram("churn.wait")
+    assert wait.count == 10_000 and wait.percentile(0.95) > 0.0
+
+
 def test_off_registry_keeps_values_only():
     registry = MetricsRegistry(Environment(), mode="off")
     grants = registry.counter("grants")
