@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 from unittest.mock import patch
@@ -39,6 +40,12 @@ GATES: Dict[str, Gate] = {}
 def gate(fn: Gate) -> Gate:
     GATES[fn.__name__] = fn
     return fn
+
+
+def require(ok: bool, what: str) -> None:
+    """A scenario's precondition; unlike ``assert``, it holds under ``-O``."""
+    if not ok:
+        raise AssertionError(what)
 
 
 @gate
@@ -201,7 +208,7 @@ def _failover(standby: bool) -> Facts:
     handle = svc.submit("n01", ["greedy", "2"], rsl="+(adaptive)")
     cluster.env.run(until=10.0)
     job = handle.job_record()
-    assert len(svc.holdings()[job.jobid]) == 2, "not at strength before crash"
+    require(len(svc.holdings()[job.jobid]) == 2, "not at strength before crash")
 
     crash_at = cluster.now
     svc.crash_broker()
@@ -209,7 +216,7 @@ def _failover(standby: bool) -> Facts:
         # svc.ready is replaced only at the promotion instant: step to it.
         while not svc.events_of("broker_promoted"):
             cluster.env.run(until=cluster.now + 0.25)
-            assert cluster.now < crash_at + 30.0, "standby never promoted"
+            require(cluster.now < crash_at + 30.0, "standby never promoted")
         detected_at = svc.events_of("broker_promoted")[0]["time"]
     else:
         cluster.env.run(until=crash_at + 4.0)
@@ -218,7 +225,7 @@ def _failover(standby: bool) -> Facts:
     svc.wait_ready()
     ready_at = cluster.now
     cluster.env.run(until=ready_at + 10.0)
-    assert handle.proc.is_alive, "app died across the failover"
+    require(handle.proc.is_alive, "app died across the failover")
     cluster.assert_no_crashes()
     counter = svc.metrics.counter
     return {
@@ -267,11 +274,11 @@ def _flatness(shards: int) -> Facts:
         for k in range(4)
     ]
     cluster.env.run(until=cluster.env.now + 60.0)
-    assert all(h.exit_code == 0 for h in handles), "a flatness job failed"
+    require(all(h.exit_code == 0 for h in handles), "a flatness job failed")
     cluster.assert_no_crashes()
     # The registry is cluster-global: each shard's scans come from its state.
     grants = [len(s.events_of("grant")) for s in federation.services]
-    assert all(grants), "a shard granted nothing"
+    require(all(grants), "a shard granted nothing")
     ratios = [
         s.state.machines_scanned / g for s, g in zip(federation.services, grants)
     ]
@@ -301,7 +308,7 @@ def _borrow() -> Facts:
         federation.submit("n04", ["retrywork", "10"], uid="seq1"),
     ]
     cluster.env.run(until=300.0)
-    assert all(h.exit_code == 0 for h in handles), "a borrow job failed"
+    require(all(h.exit_code == 0 for h in handles), "a borrow job failed")
     cluster.assert_no_crashes()
     stats = federation.federation_stats()
     facts = {
@@ -408,8 +415,8 @@ def main(argv=None) -> int:
     for name in args.names or GATES:
         try:
             facts, problems = GATES[name]()
-        except Exception as exc:  # a gate's own asserts, or the program's
-            facts, problems = {}, [f"{type(exc).__name__}: {exc}"]
+        except Exception:  # a gate's own require(), or the program's error
+            facts, problems = {}, [traceback.format_exc().rstrip()]
         else:
             if not args.update:
                 problems += drift(facts, pins.get(name, {}))
@@ -423,7 +430,7 @@ def main(argv=None) -> int:
             failed.append(name)
     if args.update:
         PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
-    print(f"gates: {len(failed)} of {len(args.names or GATES)} failed {failed or ''}")
+    print(f"gates: {len(failed)} of {len(args.names or GATES)} failed", *failed)
     return 1 if failed else 0
 
 

@@ -192,9 +192,13 @@ def facts(parent: Dict[str, Any], change: Dict[str, Any]) -> int:
     return status
 
 
+#: The census cell: ``churn-1024``'s cluster size.
+CENSUS_MACHINES = 1024
 #: Simulated seconds the churn cell needs before every machine is granted and
 #: the first arrival placed: from here on each period looks alike.
 STEADY_SIM_S = 40.0
+#: The census window: just under one heartbeat period.
+WINDOW_SIM_S = 1.9
 #: What "the containers an object owns" are, for :func:`retained_bytes`.
 OWNED_CONTAINERS = (list, set, dict, deque)
 
@@ -214,7 +218,7 @@ def retained_bytes(obj: Any) -> int:
     )
 
 
-def census(side: str, seed: int, machines: int = 1024, window: float = 1.9) -> None:
+def census(side: str, seed: int) -> None:
     """Print what the churn cell makes the collector do (see the module
     docstring), each line led by ``side``.  The ``repro`` it measures is
     whichever ``PYTHONPATH`` names: :func:`census_side` runs it per side."""
@@ -224,7 +228,7 @@ def census(side: str, seed: int, machines: int = 1024, window: float = 1.9) -> N
     from repro.sim.stores import Store
 
     def cell():
-        cluster = Cluster(ClusterSpec.uniform(machines, seed=seed))
+        cluster = Cluster(ClusterSpec.uniform(CENSUS_MACHINES, seed=seed))
         service = cluster.start_broker()
         service.wait_ready()
         return cluster, service
@@ -254,15 +258,16 @@ def census(side: str, seed: int, machines: int = 1024, window: float = 1.9) -> N
     WORKLOADS["churn"](cluster, service, STEADY_SIM_S)
     gc.collect()
     gc.disable()
-    cluster.env.run(until=cluster.now + window)
+    cluster.env.run(until=cluster.now + WINDOW_SIM_S)
     born = gc.get_objects(generation=0)
     young = Counter(type(o).__name__ for o in born)
     del born
     everything = gc.get_objects()
     gc.enable()
-    print(f"{side}: {sum(young.values())} tracked objects born in {window:g} "
-          f"sim-s and still alive ({sum(young.values()) / machines:.2f} per "
-          f"machine): " + ", ".join(f"{n} {t}" for t, n in young.most_common(8)))
+    total = sum(young.values())
+    print(f"{side}: {total} tracked objects born in {WINDOW_SIM_S:g} sim-s and "
+          f"still alive ({total / CENSUS_MACHINES:.2f} per machine): "
+          + ", ".join(f"{n} {t}" for t, n in young.most_common(8)))
     live = Counter(type(o).__name__ for o in everything)
     stats = cluster.network.metrics.self_stats()
     held = []
