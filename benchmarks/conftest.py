@@ -1,11 +1,12 @@
 """Benchmark-suite configuration.
 
-The ``bench_*`` modules are our ablations and the simulator scalability
-sweep; the paper's tables are ``python -m repro reproduce`` and rbbench's
-``paper-tables``.  The pytest-benchmark timer measures each experiment once
-(the simulation is deterministic, so a single round suffices); results are
-printed to stdout and asserted only where they are exact or simulated —
-run with ``pytest benchmarks/ --benchmark-only -s`` to see them.
+``bench_scale.py`` is the simulator scalability sweep; the paper's tables
+are ``python -m repro reproduce`` and rbbench's ``paper-tables``, and our
+ablations are the tier-1 ``tests/experiments/test_ablations.py``.  The
+pytest-benchmark timer measures each experiment once (the simulation is
+deterministic, so a single round suffices); results are printed to stdout
+and asserted only where they are exact or simulated — run with ``pytest
+benchmarks/ --benchmark-only -s`` to see them.
 """
 
 import pytest

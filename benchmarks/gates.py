@@ -20,12 +20,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
-from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS = ROOT / "BENCH_gates.json"
@@ -74,13 +72,13 @@ def chaos() -> Tuple[Facts, List[str]]:
     return {**facts, "trace_digest": digest}, broken
 
 
-def _churn(machines: int, **env: str) -> Dict[str, Any]:
-    """The churn cell at ``machines`` (seed 2, 10 simulated minutes), with
-    ``env`` set around it: the observability knobs users have."""
+def _churn(machines: int, bounded: bool = False) -> Dict[str, Any]:
+    """The churn cell at ``machines`` (seed 2, 10 simulated minutes), on a
+    default or a ``ClusterSpec.bounded`` cluster."""
     from repro.experiments.sweep import run_cell
 
-    with patch.dict(os.environ, env):
-        return run_cell("churn", machines, seed=2, sim_minutes=10.0)["result"]
+    cell = run_cell("churn", machines, seed=2, sim_minutes=10.0, bounded=bounded)
+    return cell["result"]
 
 
 @gate
@@ -115,22 +113,15 @@ def broker() -> Tuple[Facts, List[str]]:
     }, []
 
 
-#: Observability configurations, applied through the public knobs.
-OBS_CONFIGS = {
-    "full": {"RB_METRICS_MODE": "exact", "RB_TRACE_SAMPLE": "1.0"},
-    "bounded": {"RB_METRICS_MODE": "bounded", "RB_TRACE_SAMPLE": "1.0"},
-    "off": {"RB_METRICS_MODE": "off", "RB_TRACE_SAMPLE": "0.0"},
-}
-
-
 @gate
 def obs() -> Tuple[Facts, List[str]]:
-    """What observing costs on the 256-machine churn cell per config, and
-    that it never changes the simulation.  (That a bounded registry stays
-    flat is a tier-1 test, ``tests/obs/test_timeseries.py``.)"""
+    """What observing keeps on the 256-machine churn cell in the default
+    (``full``) and the ``bounded`` profile, and that the profile never
+    changes the simulation.  (That a bounded registry stays flat is a
+    tier-1 test, ``tests/obs/test_timeseries.py``.)"""
     facts = {}
-    for name, env in OBS_CONFIGS.items():
-        result = _churn(256, **env)
+    for name, bounded in (("full", False), ("bounded", True)):
+        result = _churn(256, bounded)
         facts[name] = {
             "events_processed": result["heap"]["processed"],
             "spans": result["spans"],

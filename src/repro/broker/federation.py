@@ -96,8 +96,6 @@ class FederationService:
         policy_factory: Optional[Callable[[], Any]] = None,
         managed_hosts: Optional[Sequence[str]] = None,
         journal: bool = False,
-        event_log_cap: Optional[int] = None,
-        retain_done_jobs: bool = True,
     ) -> None:
         self.cluster = cluster
         self.env = cluster.env
@@ -127,8 +125,6 @@ class FederationService:
                     managed_hosts=part,
                     broker_host=part[0],
                     journal=journal,
-                    event_log_cap=event_log_cap,
-                    retain_done_jobs=retain_done_jobs,
                     shard=config,
                 )
             )

@@ -73,6 +73,9 @@ class Leases:
                 ["system:rsh", host, "rbdaemon", *self._addresses],
             )
             code = yield self.proc.wait(rsh)
+            # The finished rsh would otherwise stay referenced from this
+            # frame for the daemon's whole life.
+            del rsh
             if code != 0:
                 # Machine unreachable; back off and retry.
                 yield self.proc.sleep(self.cal.daemon_report_interval)

@@ -35,6 +35,10 @@ from repro.policy.default import DefaultPolicy
 #: users' processes exactly as real Unix would.
 BROKER_UID = "rbroker"
 
+#: Entries a bounded cluster's broker event log keeps (the newest), in
+#: total and per event kind.
+BOUNDED_EVENT_LOG = 256
+
 
 class BrokerUnavailable(RuntimeError):
     """The broker process is down (or mid-restart): the requested control
@@ -125,8 +129,6 @@ class BrokerService:
         broker_host: Optional[str] = None,
         journal: bool = False,
         standby_host: Optional[str] = None,
-        event_log_cap: Optional[int] = None,
-        retain_done_jobs: bool = True,
         shard: Optional[Any] = None,
     ) -> None:
         self.cluster = cluster
@@ -149,18 +151,16 @@ class BrokerService:
         if shard is not None and shard.count > 1:
             self._first_jobid = 1 + shard.index * 1_000_000
         self.state = BrokerState(first_jobid=self._first_jobid)
-        #: ``event_log_cap`` bounds the event log for service-mode runs (a
-        #: soak would otherwise grow it without limit); ``None`` keeps the
-        #: unbounded lists every existing test and experiment expects.
-        self.event_log_cap = event_log_cap
-        self.events: Any = (
-            [] if event_log_cap is None else deque(maxlen=event_log_cap)
-        )
+        #: A bounded cluster (``ClusterSpec.bounded``) caps the event log
+        #: and drops finished jobs from the state tables
+        #: (:func:`core._finish_job`), so a service left running does not
+        #: grow with its trace.  Otherwise the log is an unbounded list and
+        #: finished jobs stay, as ``rbstat`` and the experiments expect.
+        bounded = cluster.spec.bounded
+        self.event_log_cap = BOUNDED_EVENT_LOG if bounded else None
+        self.events: Any = deque(maxlen=BOUNDED_EVENT_LOG) if bounded else []
         self._events_by_kind: Dict[str, Any] = {}
-        #: False makes :func:`core._finish_job` drop finished jobs from the
-        #: state tables (service mode: the job set must not grow forever).
-        #: The default keeps them, as ``rbstat`` and the experiments expect.
-        self.retain_done_jobs = retain_done_jobs
+        self.retain_done_jobs = not bounded
         #: Run-wide observability, shared with everything on this network.
         self.tracer = cluster.network.tracer
         self.metrics = cluster.network.metrics

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.calibration import DEFAULT, Calibration
 from repro.cluster.network import Network
 from repro.cluster.users import OwnerActivity
+from repro.obs import MetricsRegistry, Tracer
 from repro.os.machine import Machine, MachineKind
 from repro.os.process import OSProcess
 from repro.os.programs import ProgramDirectory
@@ -52,11 +53,19 @@ class MachineSpec:
 
 @dataclass
 class ClusterSpec:
-    """Declarative description of a whole cluster."""
+    """Declarative description of a whole cluster.
+
+    ``bounded`` is the profile of a run left going indefinitely: bounded
+    metric series and histogram digests, no span recording, a capped broker
+    event log and finished jobs pruned from the broker's tables, so memory
+    stays flat however long it runs.  Counters, the simulation and its
+    event count are the same either way.
+    """
 
     machines: List[MachineSpec] = field(default_factory=list)
     seed: int = 0
     calibration: Calibration = DEFAULT
+    bounded: bool = False
 
     @classmethod
     def uniform(
@@ -65,6 +74,7 @@ class ClusterSpec:
         prefix: str = "n",
         seed: int = 0,
         calibration: Calibration = DEFAULT,
+        bounded: bool = False,
         **machine_kwargs,
     ) -> "ClusterSpec":
         """``count`` identical public machines named n00, n01, ..."""
@@ -72,7 +82,9 @@ class ClusterSpec:
             MachineSpec(name=f"{prefix}{i:02d}", **machine_kwargs)
             for i in range(count)
         ]
-        return cls(machines=machines, seed=seed, calibration=calibration)
+        return cls(
+            machines=machines, seed=seed, calibration=calibration, bounded=bounded
+        )
 
 
 class Cluster:
@@ -82,6 +94,11 @@ class Cluster:
         self.spec = spec
         self.env = Environment(seed=spec.seed)
         self.network = Network(self.env, calibration=spec.calibration)
+        if spec.bounded:
+            # Swapped before the first machine joins, so no instrument or
+            # span exists yet on the network's exact registry and tracer.
+            self.network.metrics = MetricsRegistry(self.env, mode="bounded")
+            self.network.tracer = Tracer(self.env, record=False)
         self.calibration = spec.calibration
         self.system_bin = ProgramDirectory("system")
         install_rsh(self.system_bin)
@@ -196,17 +213,13 @@ class Cluster:
         broker_host=None,
         journal=False,
         standby_host=None,
-        event_log_cap=None,
-        retain_done_jobs=True,
     ):
         """Boot ResourceBroker over this cluster; see
         :class:`repro.broker.service.BrokerService`.
 
         ``journal`` turns on the durable write-ahead journal;
         ``standby_host`` places a warm standby there (WAL
-        shipping + fenced failover, requires the journal); ``event_log_cap``
-        and ``retain_done_jobs=False`` bound the service's memory for
-        service-mode soaks."""
+        shipping + fenced failover, requires the journal)."""
         from repro.broker.service import BrokerService
 
         self.broker = BrokerService(
@@ -216,8 +229,6 @@ class Cluster:
             broker_host=broker_host,
             journal=journal,
             standby_host=standby_host,
-            event_log_cap=event_log_cap,
-            retain_done_jobs=retain_done_jobs,
         )
         return self.broker
 
@@ -227,8 +238,6 @@ class Cluster:
         policy_factory=None,
         managed_hosts=None,
         journal=False,
-        event_log_cap=None,
-        retain_done_jobs=True,
     ):
         """Boot a federated broker control plane over this cluster; see
         :class:`repro.broker.federation.FederationService`.
@@ -245,8 +254,6 @@ class Cluster:
             policy_factory=policy_factory,
             managed_hosts=managed_hosts,
             journal=journal,
-            event_log_cap=event_log_cap,
-            retain_done_jobs=retain_done_jobs,
         )
         if shards == 1:
             # The degenerate federation *is* a broker; keep the standalone

@@ -11,10 +11,10 @@ mid-run, and insists that at the end:
 * no machine is left allocated (zero stuck allocations after settle),
 * the journal stayed bounded (compaction kept the WAL near its ceiling
   instead of growing with the trace),
-* the service's memory stayed flat (bounded metrics, capped event log,
-  pruned finished jobs — asserted by the ``soak`` gate of
-  ``benchmarks/gates.py``, which meters the second half of the run against
-  a per-submission budget).
+* the service's memory stayed flat (a ``ClusterSpec.bounded`` cluster:
+  bounded metrics, no span recording, a capped event log, pruned finished
+  jobs — asserted by the ``soak`` gate of ``benchmarks/gates.py``, which
+  meters the second half of the run against a per-submission budget).
 
 Everything that lands in the :class:`SoakReport`'s deterministic part is a
 pure function of the seed; wall-clock and memory numbers live in separate
@@ -23,18 +23,11 @@ fields that pinned artifacts must ignore.
 
 from __future__ import annotations
 
-import os
-
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
 from repro.obs import HealthMonitor
-
-#: Environment the soak forces around cluster construction: bounded metrics
-#: (fixed-size reservoirs) and a fully sampled-out tracer, so observability
-#: itself cannot grow with the trace.
-_SOAK_ENV = {"RB_METRICS_MODE": "bounded", "RB_TRACE_SAMPLE": "0"}
 
 
 @dataclass
@@ -145,25 +138,9 @@ def run_soak(
         for i in range(n_private)
     ]
 
-    # Bounded observability must be decided when the Network builds its
-    # registry/tracer, hence the env dance around construction.
-    saved = {key: os.environ.get(key) for key in _SOAK_ENV}
-    os.environ.update(_SOAK_ENV)
-    try:
-        cluster = Cluster(ClusterSpec(machines=specs, seed=seed))
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
+    cluster = Cluster(ClusterSpec(machines=specs, seed=seed, bounded=True))
     env = cluster.env
-    svc = cluster.start_broker(
-        journal=journal,
-        event_log_cap=256,
-        retain_done_jobs=False,
-    )
+    svc = cluster.start_broker(journal=journal)
     svc.wait_ready()
     monitor = HealthMonitor(svc).start()
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from multiprocessing import Pool
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Cell key order used everywhere: grid expansion, merge order, reports.
@@ -122,6 +121,7 @@ def run_cell(
     seed: int,
     sim_minutes: float,
     health: bool = False,
+    bounded: bool = False,
 ) -> Dict[str, Any]:
     """Run one simulation cell; returns deterministic results + measured perf.
 
@@ -133,11 +133,13 @@ def run_cell(
     periodic checks are simulation events: a ``health=True`` cell is still
     deterministic, but its event counts differ from a plain cell, so the
     gates in ``benchmarks/gates.py`` always run without it.
+
+    ``bounded`` runs the cell on a ``ClusterSpec.bounded`` cluster.
     """
     from repro.cluster import Cluster, ClusterSpec
 
     driver = WORKLOADS[workload]
-    cluster = Cluster(ClusterSpec.uniform(machines, seed=seed))
+    cluster = Cluster(ClusterSpec.uniform(machines, seed=seed, bounded=bounded))
     service = cluster.start_broker()
     service.wait_ready()
     monitor = None
@@ -153,6 +155,12 @@ def run_cell(
 
     heap = cluster.env.heap_stats()
     tracer = cluster.network.tracer
+    metrics = cluster.network.metrics.snapshot()
+
+    def count(name: str) -> int:
+        # Counters, not events_of(): a bounded cluster caps the event log.
+        return int(metrics.get(name, {}).get("value", 0))
+
     span_names: Dict[str, int] = {}
     for span in tracer.spans:
         span_names[span.name] = span_names.get(span.name, 0) + 1
@@ -161,15 +169,15 @@ def run_cell(
         "heap": heap,
         "spans": len(tracer.spans),
         "span_names": span_names,
-        "grants": len(service.events_of("grant")),
-        "revokes": len(service.events_of("revoke")),
-        "metrics": cluster.network.metrics.snapshot(),
+        "grants": count("broker.grants"),
+        "revokes": count("broker.revokes"),
+        "metrics": metrics,
         # The registry's self-metering: updates and retained series points.
         "obs": cluster.network.metrics.self_stats(),
         # Broker control-plane cost: machine records examined by eligibility
-        # scans.  Deterministic for a given scheduler mode, but *different*
-        # between the indexed and full-scan schedulers (which agree on every
-        # decision, not on how much work finding it took).
+        # scans.  Deterministic, but a count of work rather than of
+        # decisions: a scheduler change that keeps every decision may move
+        # it.
         "broker": {"machines_scanned": service.state.machines_scanned},
         # Behaviour only, no kernel event counts: equal across event-fusing
         # kernel changes, where "heap" above legitimately moves.
@@ -235,6 +243,9 @@ def run_sweep(
     packed = [(w, n, s, sim_minutes, health) for (w, n, s) in grid]
     if workers <= 1 or len(packed) <= 1:
         return [_run_cell_packed(cell) for cell in packed]
+    # Imported here: only this path needs it, and it is a dozen modules.
+    from multiprocessing import Pool
+
     with Pool(processes=min(workers, len(packed))) as pool:
         return pool.map(_run_cell_packed, packed)
 

@@ -19,6 +19,9 @@ arithmetic.  It provides:
 
 Every :class:`~repro.cluster.network.Network` owns a tracer and a registry;
 program bodies reach them through :func:`tracer_of` / :func:`metrics_of`.
+Which pair a run gets is its cluster's choice alone: an exact registry and a
+recording tracer by default, a ``bounded`` registry and a non-recording
+tracer for a ``ClusterSpec.bounded`` run.
 """
 
 from repro.obs.export import (
@@ -36,7 +39,6 @@ from repro.obs.health import (
     evaluate_slos,
 )
 from repro.obs.metrics import (
-    METRICS_MODE_ENVIRON_KEY,
     Counter,
     Gauge,
     Histogram,
@@ -51,7 +53,6 @@ from repro.obs.queries import (
 )
 from repro.obs.spans import (
     TRACE_ENVIRON_KEY,
-    TRACE_SAMPLE_ENVIRON_KEY,
     Span,
     Tracer,
     context_from_environ,
@@ -67,9 +68,7 @@ from repro.obs.timeseries import (
 )
 
 __all__ = [
-    "METRICS_MODE_ENVIRON_KEY",
     "TRACE_ENVIRON_KEY",
-    "TRACE_SAMPLE_ENVIRON_KEY",
     "Counter",
     "Gauge",
     "HealthMonitor",

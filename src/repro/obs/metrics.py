@@ -9,8 +9,9 @@ All instruments are get-or-create through :class:`MetricsRegistry` (one per
 simulated cluster, next to the tracer), so instrumentation sites never need
 to coordinate declaration order.
 
-The registry runs in one of three modes (``RB_METRICS_MODE`` or the ``mode``
-argument), trading recall for memory:
+The registry keeps its series in one of two modes (the ``mode`` argument;
+a cluster picks one through ``ClusterSpec.bounded``), trading recall for
+memory:
 
 * ``exact`` (default) — a counter or gauge keeps one point per distinct
   simulated instant (a second write at the same ``env.now`` overwrites the
@@ -22,18 +23,15 @@ argument), trading recall for memory:
   interval, in a ring buffer (:class:`~repro.obs.timeseries.SeriesBuffer`),
   and histograms fold into fixed-bin digests
   (:class:`~repro.obs.timeseries.HistogramDigest`), so registry memory is
-  flat for any run length;
-* ``off`` — only current values and running count/sum are maintained; no
-  series at all (the obs-overhead benchmark's floor).
+  flat for any run length.
 
-Aggregates (``value``, ``count``, ``total``, ``mean``) are identical in all
+Aggregates (``value``, ``count``, ``total``, ``mean``) are identical in both
 modes: they are maintained as running scalars, never recomputed from the
 retained series.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .timeseries import HistogramDigest, SampleColumns, SeriesBuffer
@@ -41,26 +39,8 @@ from .timeseries import HistogramDigest, SampleColumns, SeriesBuffer
 #: One time-stamped sample: ``(simulated time, value)``.
 Sample = Tuple[float, float]
 
-#: Environment variable selecting the default registry mode.
-METRICS_MODE_ENVIRON_KEY = "RB_METRICS_MODE"
-
 #: The recognised registry modes.
-METRICS_MODES = ("exact", "bounded", "off")
-
-
-class _NullSeries:
-    """No retained samples at all (``off`` mode)."""
-
-    __slots__ = ()
-
-    def add(self, t: float, value: float) -> None:
-        pass
-
-    def samples(self) -> List[Sample]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
+METRICS_MODES = ("exact", "bounded")
 
 
 class Counter:
@@ -134,11 +114,10 @@ class Gauge:
 class Histogram:
     """A distribution of observations, each stamped with simulated time.
 
-    Count and sum are running scalars (O(1) reads in every mode).  In
+    Count and sum are running scalars (O(1) reads in both modes).  In
     ``exact`` mode the full observation list is kept and quantiles are
     nearest-rank exact; in ``bounded`` mode observations fold into a
-    fixed-bin :class:`HistogramDigest` and quantiles are estimates; in
-    ``off`` mode only count/sum/min/max survive.
+    fixed-bin :class:`HistogramDigest` and quantiles are estimates.
     """
 
     kind = "histogram"
@@ -148,12 +127,11 @@ class Histogram:
         self.env = registry.env
         self.help = help
         self._registry = registry
-        self._mode = registry.mode
         #: ``(time, value)`` of every observation (``exact`` mode; stays
-        #: empty in the others).
+        #: empty in ``bounded`` mode).
         self.observations = SampleColumns()
         self.digest: Optional[HistogramDigest] = (
-            HistogramDigest() if self._mode == "bounded" else None
+            HistogramDigest() if registry.mode == "bounded" else None
         )
         self._count = 0
         self._sum = 0.0
@@ -163,9 +141,9 @@ class Histogram:
         value = float(value)
         self._count += 1
         self._sum += value
-        if self._mode == "exact":
+        if self.digest is None:
             self.observations.append(self.env.now, value)
-        elif self.digest is not None:
+        else:
             self.digest.observe(value)
         self._registry.updates += 1
 
@@ -185,18 +163,16 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """The ``q``-quantile (0..1); exact by nearest rank in ``exact``
-        mode, digest-estimated in ``bounded`` mode, 0.0 in ``off`` mode."""
+        mode, digest-estimated in ``bounded`` mode."""
         if not (0.0 <= q <= 1.0):
             raise ValueError(f"quantile {q} outside [0, 1]")
-        if self._mode == "exact":
-            if not self.observations:
-                return 0.0
-            ordered = sorted(self.observations.values)
-            rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-            return ordered[rank]
         if self.digest is not None:
             return self.digest.quantile(q)
-        return 0.0
+        if not self.observations:
+            return 0.0
+        ordered = sorted(self.observations.values)
+        rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
+        return ordered[rank]
 
     def __repr__(self) -> str:
         return f"<Histogram {self.name} n={self.count} mean={self.mean():.4f}>"
@@ -205,8 +181,7 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create home for every instrument of one simulation.
 
-    ``mode`` selects the memory model (see the module docstring); when
-    omitted it is read from ``RB_METRICS_MODE`` and defaults to ``exact``.
+    ``mode`` selects the memory model (see the module docstring).
     ``series_resolution``/``series_capacity`` size the bounded-mode ring
     buffers.  The registry self-meters with plain integers (``updates``)
     rather than instruments, so observing observability costs nothing and
@@ -216,12 +191,10 @@ class MetricsRegistry:
     def __init__(
         self,
         env: Any,
-        mode: Optional[str] = None,
+        mode: str = "exact",
         series_resolution: float = 1.0,
         series_capacity: int = 512,
     ) -> None:
-        if mode is None:
-            mode = os.environ.get(METRICS_MODE_ENVIRON_KEY, "exact")
         if mode not in METRICS_MODES:
             raise ValueError(
                 f"unknown metrics mode {mode!r} (expected one of {METRICS_MODES})"
@@ -236,9 +209,7 @@ class MetricsRegistry:
     def _make_series(self):
         if self.mode == "exact":
             return SampleColumns()
-        if self.mode == "bounded":
-            return SeriesBuffer(self.series_resolution, self.series_capacity)
-        return _NullSeries()
+        return SeriesBuffer(self.series_resolution, self.series_capacity)
 
     def _create(self, cls, name: str, help: str):
         # The miss path of counter()/gauge()/histogram(), which return a hit

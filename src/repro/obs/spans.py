@@ -26,17 +26,12 @@ byte-identical exports (see ``tests/obs/test_trace_determinism.py``).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import os
 from typing import Any, Callable, Dict, List, Optional, Union
 
 #: Environment variable carrying the active span context down the simulated
 #: process tree (``"<trace_id>:<span_id>"``).
 TRACE_ENVIRON_KEY = "RB_TRACE"
-
-#: Environment variable selecting the default trace sampling rate (0..1).
-TRACE_SAMPLE_ENVIRON_KEY = "RB_TRACE_SAMPLE"
 
 #: Wire/dict form of a span context: ``{"trace_id": int, "span_id": int}``.
 Context = Dict[str, int]
@@ -139,7 +134,7 @@ class Span:
 
     def set(self, **attrs: Any) -> "Span":
         """Merge attributes into the span; returns self for chaining.  A
-        sampled-out span is never recorded and keeps none."""
+        sampled-out span (from a non-recording tracer) keeps none."""
         if attrs and self.sampled:
             self.attrs.update(attrs)
         return self
@@ -181,27 +176,16 @@ class Tracer:
     always-on tracer is what makes every experiment's run inspectable after
     the fact without re-running it.
 
-    ``sample`` (default from ``RB_TRACE_SAMPLE``, 1.0 when unset) is a
-    head-based trace sampling rate: the keep/drop decision is made once per
-    *trace*, at root creation, by hashing ``"<seed>:<trace_id>"`` — so it is
-    deterministic for a given seed, every trace tree is kept or dropped
-    whole, and identical seeds still give identical exports at any rate.
-    Unsampled spans are created (ids advance identically — determinism does
-    not depend on the rate) but are not recorded or indexed, keep no
-    attributes, and span-end observers never see them.
+    ``record=False`` is a bounded run's tracer (``ClusterSpec.bounded``):
+    every span is sampled out.  Spans are still created (ids advance
+    identically — determinism does not depend on recording) but are not
+    recorded or indexed, keep no attributes, and span-end observers never
+    see them.
     """
 
-    def __init__(self, env: Any, sample: Optional[float] = None) -> None:
+    def __init__(self, env: Any, record: bool = True) -> None:
         self.env = env
-        if sample is None:
-            sample = float(os.environ.get(TRACE_SAMPLE_ENVIRON_KEY, "1.0"))
-        self.sample = min(1.0, max(0.0, sample))
-        self._sample_seed = int(getattr(getattr(env, "rng", None), "seed", 0) or 0)
-        #: Trace ids sampled out, remembered so their child spans follow —
-        #: only at a fractional rate: at 0 every trace is out and at 1 none
-        #: is, so there is nothing to remember and the set stays empty
-        #: however long the run.
-        self._unsampled_traces: set = set()
+        self.record = record
         self.spans: List[Span] = []
         self.spans_started = 0
         self.spans_sampled_out = 0
@@ -224,13 +208,6 @@ class Tracer:
         """Register a callback invoked with each sampled span as it ends."""
         self._observers.append(observer)
 
-    def _keep_trace(self, trace_id: int) -> bool:
-        """The head-based keep/drop decision at a fractional rate."""
-        digest = hashlib.sha256(
-            f"{self._sample_seed}:{trace_id}".encode()
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / 2.0**64 < self.sample
-
     def start(self, name: str, parent: ParentLike = None, **attrs: Any) -> Span:
         """Open a span; ``parent`` may be a Span, a context dict, the
         ``trace:span`` string form, or None (which roots a new trace)."""
@@ -243,16 +220,7 @@ class Tracer:
         else:
             trace_id, parent_id = next(self._trace_ids), None
         self.spans_started += 1
-        if self.sample >= 1.0:
-            sampled = True
-        elif self.sample <= 0.0:
-            sampled = False
-        elif parent_id is None:
-            sampled = self._keep_trace(trace_id)
-            if not sampled:
-                self._unsampled_traces.add(trace_id)
-        else:
-            sampled = trace_id not in self._unsampled_traces
+        sampled = self.record
         span = Span(
             tracer=self,
             name=name,
@@ -299,9 +267,10 @@ class Tracer:
         return list(self._by_parent.get(span.span_id, ()))
 
     def self_stats(self) -> Dict[str, Any]:
-        """Obs self-metering: sampling rate, spans started/kept/dropped."""
+        """Obs self-metering: sampling rate (1 or 0), spans
+        started/kept/dropped."""
         return {
-            "sample": self.sample,
+            "sample": 1.0 if self.record else 0.0,
             "spans_started": self.spans_started,
             "spans_kept": len(self.spans),
             "spans_sampled_out": self.spans_sampled_out,

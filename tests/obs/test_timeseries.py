@@ -20,7 +20,6 @@ from repro.obs import (
     windowed_rate,
 )
 from repro.obs.export import _US, to_chrome
-from repro.obs.metrics import METRICS_MODE_ENVIRON_KEY
 from repro.obs.timeseries import SampleColumns
 from repro.sim import Environment
 
@@ -171,38 +170,30 @@ def test_span_phase_folder_folds_online():
 
 def test_span_phase_folder_never_sees_unsampled_spans():
     env = Environment()
-    tracer = Tracer(env, sample=0.0)
+    tracer = Tracer(env, record=False)
     folder = SpanPhaseFolder(tracer)
     tracer.start("broker.request").end()
     assert folder.spans_folded == 0
 
 
 def test_sampled_out_tracer_remembers_no_trace_ids():
-    """At rate 0 (what the soak forces) every trace is out, so there is
-    nothing to remember per trace: bounded however long the service runs.
-    Ids advance exactly as they do when everything is kept."""
-    dropped, kept = Tracer(Environment(), sample=0.0), Tracer(Environment(), sample=1.0)
+    """A non-recording tracer (a bounded cluster's) keeps no span and no
+    per-trace index, so it is bounded however long the service runs.  Ids
+    advance exactly as they do when everything is kept."""
+    dropped, kept = Tracer(Environment(), record=False), Tracer(Environment())
     for tracer in (dropped, kept):
         for _ in range(10_000):
             root = tracer.start("submit")
             tracer.start("grant", parent=root).end()
             root.end()
-    assert dropped._unsampled_traces == set() == kept._unsampled_traces
     assert dropped.spans == [] and dropped.spans_sampled_out == 20_000
+    assert dropped._by_id == {} and dropped._by_trace == {}
     assert len(kept.spans) == 20_000
     for tracer in (dropped, kept):
         last = tracer.start("submit")
         assert (last.trace_id, last.span_id) == (10_001, 20_001)
     child = dropped.start("late", parent={"trace_id": 7, "span_id": 13})
     assert not child.sampled
-    # A fractional rate still has to remember which traces it dropped.
-    half = Tracer(Environment(), sample=0.5)
-    roots = [half.start("submit") for _ in range(200)]
-    out = {root.trace_id for root in roots if not root.sampled}
-    assert half._unsampled_traces == out and 0 < len(out) < 200
-    assert all(
-        half.start("grant", parent=root).sampled == root.sampled for root in roots
-    )
 
 
 # -- registry modes ----------------------------------------------------------
@@ -259,28 +250,6 @@ def test_bounded_registry_stays_flat_where_exact_keeps_every_point():
     assert wait.count == 10_000 and wait.percentile(0.95) > 0.0
 
 
-def test_off_registry_keeps_values_only():
-    registry = MetricsRegistry(Environment(), mode="off")
-    grants = registry.counter("grants")
-    grants.inc(3)
-    assert grants.value == 3
-    assert grants.samples == []
-    wait = registry.histogram("wait")
-    wait.observe(2.0)
-    assert wait.count == 1 and wait.total == 2.0
-    assert wait.percentile(0.95) == 0.0
-    assert registry.series_points() == 0
-
-
-def test_registry_mode_from_environment(monkeypatch):
-    monkeypatch.setenv(METRICS_MODE_ENVIRON_KEY, "bounded")
-    assert MetricsRegistry(Environment()).mode == "bounded"
-    monkeypatch.delenv(METRICS_MODE_ENVIRON_KEY)
-    assert MetricsRegistry(Environment()).mode == "exact"
-    with pytest.raises(ValueError):
-        MetricsRegistry(Environment(), mode="sometimes")
-
-
 def test_exact_mode_snapshot_unchanged_by_mode_machinery():
     # The exact-mode registry is the determinism-gated default: samples are
     # plain (time, value) lists and percentiles are nearest-rank exact.
@@ -293,6 +262,8 @@ def test_exact_mode_snapshot_unchanged_by_mode_machinery():
     assert counter.samples == [(0.0, 1), (1.0, 3)]
     assert registry.self_stats()["mode"] == "exact"
     assert registry.series_points() == 2
+    with pytest.raises(ValueError):
+        MetricsRegistry(env, mode="off")
 
 
 # -- columnar exact-mode samples ---------------------------------------------

@@ -1,20 +1,18 @@
-"""Trace queries on damaged trees, and trace-sampling determinism.
+"""Trace queries on damaged trees, and runs that record no trace.
 
 A broker crash leaves spans open forever (crash-truncated traces); a
 context that points at a span the tracer never recorded leaves orphans
 (disconnected traces).  ``phase_durations`` and ``grant_times`` must stay
 well-defined on both — post-mortems run on exactly these traces.
 
-Sampling is head-based per trace and seeded: the keep/drop decision must
-never change simulated behaviour, and the kept subset must be the same on
-every run of the same seed.
+A bounded cluster records no span at all; that must never change simulated
+behaviour.
 """
 
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.obs import (
-    TRACE_SAMPLE_ENVIRON_KEY,
     Tracer,
     format_trace,
     grant_times,
@@ -124,12 +122,12 @@ def test_connected_trace_stays_connected():
     assert is_connected(tracer, root.trace_id)
 
 
-# -- sampling determinism ----------------------------------------------------
+# -- runs that record no trace ------------------------------------------------
 
 
-def _traced_run(seed):
+def _traced_run(seed, bounded=False):
     """A small brokered workload; returns (cluster, JSONL trace export)."""
-    cluster = Cluster(ClusterSpec.uniform(4, seed=seed))
+    cluster = Cluster(ClusterSpec.uniform(4, seed=seed, bounded=bounded))
     svc = cluster.start_broker()
     svc.wait_ready()
     svc.submit("n00", ["rsh", "anylinux", "compute", "2.0"], uid="seq")
@@ -139,50 +137,16 @@ def _traced_run(seed):
     return cluster, to_jsonl(cluster.network.tracer.spans, now=cluster.now)
 
 
-def test_sampling_disabled_matches_unset_byte_for_byte(monkeypatch):
-    _, baseline = _traced_run(seed=5)
-    monkeypatch.setenv(TRACE_SAMPLE_ENVIRON_KEY, "1.0")
-    _, explicit = _traced_run(seed=5)
-    assert explicit.encode() == baseline.encode()
-
-
-def test_sampled_out_run_keeps_simulation_identical(monkeypatch):
+def test_sampled_out_run_keeps_simulation_identical():
     full, _ = _traced_run(seed=5)
-    monkeypatch.setenv(TRACE_SAMPLE_ENVIRON_KEY, "0.0")
-    dark, export = _traced_run(seed=5)
+    dark, export = _traced_run(seed=5, bounded=True)
     # Zero spans kept, but every span id was still drawn...
     tracer = dark.network.tracer
     assert export == ""
     assert tracer.spans == []
-    assert tracer.spans_started > 0
+    assert tracer.spans_started == full.network.tracer.spans_started > 0
     assert tracer.spans_sampled_out == tracer.spans_started
-    # ...and the simulation itself did not notice: the metrics plane (which
-    # sampling never touches) recorded the identical grant history.
-    grants = "broker.grants"
-    assert (
-        dark.broker.metrics.counter(grants).samples
-        == full.broker.metrics.counter(grants).samples
-    )
-
-
-def test_partial_sampling_is_a_deterministic_subset(monkeypatch):
-    def keyset(cluster):
-        return {
-            (s.trace_id, s.span_id, s.name)
-            for s in cluster.network.tracer.spans
-        }
-
-    full_cluster, _ = _traced_run(seed=5)
-    everything = keyset(full_cluster)
-    monkeypatch.setenv(TRACE_SAMPLE_ENVIRON_KEY, "0.5")
-    first_cluster, first = _traced_run(seed=5)
-    _, second = _traced_run(seed=5)
-    assert first.encode() == second.encode()
-    kept = keyset(first_cluster)
-    assert kept <= everything
-    assert kept != everything  # some trace was actually dropped
-    assert kept  # ...and some trace was actually kept
-    # Whole trees are kept or dropped: no kept span has a dropped ancestor.
-    kept_traces = {trace_id for trace_id, _sid, _name in kept}
-    for trace_id in kept_traces:
-        assert is_connected(first_cluster.network.tracer, trace_id)
+    # ...and the simulation itself did not notice: the same events in the
+    # same order, and the same broker history.
+    assert dark.env.heap_stats() == full.env.heap_stats()
+    assert list(dark.broker.events) == full.broker.events

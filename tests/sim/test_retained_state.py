@@ -20,7 +20,7 @@ import pytest
 from repro.cluster import Cluster, ClusterSpec
 from repro.cluster.network import EXPIRED, Connection, Listener
 from repro.experiments.sweep import WORKLOADS
-from repro.os.process import EMPTY, PRUNE_AT
+from repro.os.process import EMPTY, PRUNE_AT, OSProcess
 from repro.os.signals import SIGKILL
 from repro.sim import Environment
 from repro.sim.events import NO_CALLBACKS
@@ -445,6 +445,18 @@ def test_a_churn_cell_holds_no_thread_bookkeeping_closure():
         and obj.__qualname__.startswith("OSProcess.thread.")
     ]
     assert cluster.env.now > 40.0 and closures == []
+
+
+def test_a_churn_cell_references_no_dead_process():
+    """Every finished process is garbage once its parent has waited for it:
+    the broker's daemon keeper, parked on the daemon's link for the
+    daemon's whole life, must not keep the ``rsh`` that started it."""
+    cluster = _churn_cell(64, 40.0)
+    gc.collect()
+    processes = [obj for obj in gc.get_objects() if isinstance(obj, OSProcess)]
+    dead = [proc.argv for proc in processes if not proc.is_alive]
+    assert cluster.env.now > 40.0 and len(processes) > 64
+    assert dead == []
 
 
 def test_an_idle_rshd_backlog_owns_no_deque():
