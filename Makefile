@@ -21,7 +21,7 @@ check: lint test
 chaos:  ## robustness capstone: mixed workload under a seeded fault schedule
 	python -m repro chaos --seed 1 --verbose
 
-gates:  ## [G=name]: every exact-fact gate (or one) against BENCH_gates.json, one verdict line each; `python benchmarks/gates.py NAME --update` re-pins
+gates:  ## [G=name]: every exact-fact gate (or one) against BENCH_gates.json, one verdict line each; chaos, soak, failover and federation run under the invariant oracle; `python benchmarks/gates.py NAME --update` re-pins
 	python benchmarks/gates.py $(G)
 
 rbbench-smoke:  ## self-test of the rbbench harness (outside tier-1 testpaths), about a minute

@@ -11,6 +11,13 @@ facts with the gate's block of the pin file, runs every gate even after one
 has failed, prints one verdict line per gate and exits 1 if any failed.
 ``--update`` rewrites a gate's block only when its invariants hold.
 
+Safety has one judge, the invariant oracle (``repro.broker.invariants``):
+the checked gates (``chaos``, ``soak``, ``failover``, ``federation``) run
+their scenarios under ``checked()``, every violation is a broken
+invariant, and a checked gate whose blocks built no cluster fails.  The
+broker's self-reports (``fencing.double_grants``, ``stuck_allocations``)
+stay pinned facts, not verdicts.
+
 No gate reads the host clock: wall time is rbbench's (``benchmarks/rbbench``,
 ``benchmarks/pairs.py``).
 """
@@ -18,6 +25,7 @@ No gate reads the host clock: wall time is rbbench's (``benchmarks/rbbench``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -29,15 +37,43 @@ ROOT = Path(__file__).resolve().parent.parent
 PINS = ROOT / "BENCH_gates.json"
 
 Facts = Dict[str, Any]
-Gate = Callable[[], Tuple[Facts, List[str]]]
+Gate = Callable[..., Tuple[Facts, List[str]]]
 
 #: Gate name -> gate, in the order ``make gates`` runs them.
 GATES: Dict[str, Gate] = {}
+#: The gates judged by the oracle: each is called with a :class:`Judge`.
+CHECKED = set()
 
 
 def gate(fn: Gate) -> Gate:
     GATES[fn.__name__] = fn
     return fn
+
+
+def checked_gate(fn: Gate) -> Gate:
+    CHECKED.add(fn.__name__)
+    return gate(fn)
+
+
+class Judge:
+    """The invariant oracle's verdict over a checked gate's scenarios."""
+
+    def __init__(self) -> None:
+        self.clusters = 0
+        self.broken: List[str] = []
+
+    @contextlib.contextmanager
+    def checked(self, settle: bool = True):
+        """Check every cluster built inside the block after every event and,
+        if ``settle``, the settle-time properties once the block ends."""
+        from repro.broker.invariants import checked
+
+        with checked() as watch:
+            yield
+        if settle:
+            watch.settled()
+        self.clusters += len(watch.oracles)
+        self.broken += [str(o.first) for o in watch.oracles if o.first is not None]
 
 
 def require(ok: bool, what: str) -> None:
@@ -46,10 +82,10 @@ def require(ok: bool, what: str) -> None:
         raise AssertionError(what)
 
 
-@gate
-def chaos() -> Tuple[Facts, List[str]]:
+@checked_gate
+def chaos(judge: Judge) -> Tuple[Facts, List[str]]:
     """Machine crashes, a partition, a daemon kill and a broker SIGKILL plus
-    restart (seed 1): every job completes, no lease leaks, and a same-seed
+    restart (seed 1): every job completes, the oracle holds, and a same-seed
     replay renders the same table and the same span trace."""
     from repro.experiments import run_chaos
     from repro.obs import TraceCollector
@@ -59,13 +95,12 @@ def chaos() -> Tuple[Facts, List[str]]:
         table = run_chaos(seed=1, broker_crashes=1, trace=collector)
         return table, hashlib.sha256(collector.jsonl().encode()).hexdigest()
 
-    (table, digest), (replay, replay_digest) = run(), run()
+    with judge.checked():
+        (table, digest), (replay, replay_digest) = run(), run()
     meta = table.meta
     broken = []
     if meta["completed"] != meta["jobs"]:
         broken.append(f"only {meta['completed']}/{meta['jobs']} jobs completed")
-    if meta["stuck_allocations"]:
-        broken.append(f"{meta['stuck_allocations']} allocation(s) leaked")
     if str(replay) != str(table) or replay_digest != digest:
         broken.append("a same-seed replay differs: recovery is nondeterministic")
     facts = {key: meta[key] for key in ("jobs", "completed", "stuck_allocations")}
@@ -144,16 +179,17 @@ JOURNAL_CEILING = 262_144
 SOAK_SUBMISSIONS = 3_000
 
 
-@gate
-def soak() -> Tuple[Facts, List[str]]:
+@checked_gate
+def soak(judge: Judge) -> Tuple[Facts, List[str]]:
     """3,000 submissions through a durable 12-machine broker with two
-    restarts: full drain, nothing stuck, flat memory, a bounded journal."""
+    restarts: full drain, the oracle holds, flat memory, a bounded journal."""
     from repro.experiments import run_soak
 
-    report = run_soak(
-        seed=1, machines=12, submissions=SOAK_SUBMISSIONS, restarts=2,
-        memory_checkpoints=20,
-    )
+    with judge.checked():
+        report = run_soak(
+            seed=1, machines=12, submissions=SOAK_SUBMISSIONS, restarts=2,
+            memory_checkpoints=20,
+        )
     facts = {
         key: getattr(report, key)
         for key in (
@@ -174,8 +210,6 @@ def soak() -> Tuple[Facts, List[str]]:
             f"not drained: {report.completed}/{SOAK_SUBMISSIONS} completed, "
             f"{report.failed} failed"
         )
-    if report.stuck_allocations:
-        broken.append(f"{report.stuck_allocations} allocation(s) stuck")
     if per_submission > BYTES_PER_SUBMISSION_BUDGET:
         broken.append(f"memory not flat: {per_submission:.1f} B per submission")
     if report.journal_bytes > JOURNAL_CEILING:
@@ -230,20 +264,20 @@ def _failover(standby: bool) -> Facts:
     }
 
 
-@gate
-def failover() -> Tuple[Facts, List[str]]:
+@checked_gate
+def failover(judge: Judge) -> Tuple[Facts, List[str]]:
     """Warm-standby promotion against restart-and-recover: promotion's
-    client-visible disruption must be strictly shorter, neither path may
-    grant a machine twice, and the job must be back at full strength."""
-    facts = {"promotion": _failover(True), "restart": _failover(False)}
+    client-visible disruption must be strictly shorter, the oracle holds on
+    both paths after every event, and the job must be back at full strength.
+    The scenario ends with the job still running, so nothing settles."""
+    with judge.checked(settle=False):
+        facts = {"promotion": _failover(True), "restart": _failover(False)}
     broken = []
     promotion = facts["promotion"]["disruption_seconds"]
     restart = facts["restart"]["disruption_seconds"]
     if promotion >= restart:
         broken.append(f"promotion {promotion} s is not faster than restart {restart} s")
     for path, entry in facts.items():
-        if entry["double_grants"]:
-            broken.append(f"{path}: {entry['double_grants']:g} double grant(s)")
         if entry["holdings_after"] != 2:
             broken.append(f"{path}: the job holds {entry['holdings_after']}, not 2")
     return facts, broken
@@ -339,14 +373,19 @@ def _identity(fed: bool) -> Facts:
     }
 
 
-@gate
-def federation() -> Tuple[Facts, List[str]]:
+@checked_gate
+def federation(judge: Judge) -> Tuple[Facts, List[str]]:
     """Per-shard scans per grant stay a flat small constant from 4 to 16
-    shards; borrowing happens but stays the escape valve, with no double
-    grant; a federation of one is the standalone broker, byte for byte."""
+    shards; borrowing happens but stays the escape valve; a federation of one
+    is the standalone broker, byte for byte.  The oracle checks the borrow
+    and identity cells.  The 4096-machine flatness cells run unchecked: the
+    oracle walks every machine after every event, so checking them costs
+    over 100x (until it checks only what an event changed)."""
     flat = {str(shards): _flatness(shards) for shards in (4, 16)}
-    borrow = _borrow()
-    identity = _identity(fed=False)
+    with judge.checked():
+        borrow = _borrow()
+        identity = _identity(fed=False)
+        fed_identity = _identity(fed=True)
     broken = []
     four, sixteen = (flat[k]["max_scans_per_grant"] for k in ("4", "16"))
     if sixteen > 1.5 * four + 1.0:
@@ -361,9 +400,7 @@ def federation() -> Tuple[Facts, List[str]]:
         broken.append("the borrow scenario never crossed a shard boundary")
     if borrow["borrow_fraction"] > 0.5:
         broken.append(f"borrowing is the common path: {borrow['borrow_fraction']:.0%}")
-    if borrow["double_grants"]:
-        broken.append(f"{borrow['double_grants']:g} double grant(s) in the borrow run")
-    if _identity(fed=True) != identity:
+    if fed_identity != identity:
         broken.append("the one-shard federation diverged from the standalone broker")
     return {"flatness": flat, "borrow": borrow, "identity": identity}, broken
 
@@ -404,11 +441,16 @@ def main(argv=None) -> int:
     pins = json.loads(PINS.read_text())
     failed = []
     for name in args.names or GATES:
+        judge = Judge() if name in CHECKED else None
         try:
-            facts, problems = GATES[name]()
+            facts, problems = GATES[name](judge) if judge else GATES[name]()
         except Exception:  # a gate's own require(), or the program's error
             facts, problems = {}, [traceback.format_exc().rstrip()]
         else:
+            if judge is not None:
+                problems += judge.broken
+                if not judge.clusters:
+                    problems.append("the oracle checked no cluster")
             if not args.update:
                 problems += drift(facts, pins.get(name, {}))
             elif not problems:
@@ -416,7 +458,8 @@ def main(argv=None) -> int:
         for problem in problems:
             print(f"  {name}: {problem}")
         verdict = "FAIL" if problems else ("pinned" if args.update else "ok")
-        print(f"{name:10s} {verdict:6s} {len(flatten(facts))} facts")
+        oracle = f", oracle: {judge.clusters} clusters" if judge else ""
+        print(f"{name:10s} {verdict:6s} {len(flatten(facts))} facts{oracle}")
         if problems:
             failed.append(name)
     if args.update:

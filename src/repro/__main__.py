@@ -11,10 +11,12 @@ Commands
     finished off with the allocation Gantt chart.
 ``chaos [--seed N]``
     Robustness capstone: a mixed workload under a seeded fault schedule
-    (crashes, partitions, lost heartbeats); exits non-zero unless every job
-    completes.  ``--standby`` swaps the crash/restart recovery path for
-    warm-standby failover (WAL shipping, fenced promotion, zero double
-    grants).  ``--shards N`` runs the federated control plane instead:
+    (crashes, partitions, lost heartbeats), checked after every event by the
+    invariant oracle (:mod:`repro.broker.invariants`); exits non-zero
+    unless every job completes and no safety property ever failed.
+    ``--standby`` swaps the crash/restart recovery path for warm-standby
+    failover (WAL shipping, fenced promotion).  ``--shards N`` runs the
+    federated control plane instead:
     N durable broker shards with cross-shard lease borrowing under a
     shard-broker crash and an inter-shard link partition.
 ``sweep [--workers N]``
@@ -134,28 +136,30 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
+    from repro.broker.invariants import checked
     from repro.experiments import run_chaos
 
     collector = _collector(args)
-    table = run_chaos(
-        seed=args.seed,
-        broker_crashes=1 if args.broker_crash else 0,
-        journal=args.journal,
-        standby=args.standby,
-        shards=args.shards,
-        trace=collector,
-    )
+    with checked() as watch:
+        table = run_chaos(
+            seed=args.seed,
+            broker_crashes=1 if args.broker_crash else 0,
+            journal=args.journal,
+            standby=args.standby,
+            shards=args.shards,
+            trace=collector,
+        )
+    violation = watch.settled()
     print(table)
     if args.verbose:
         print("\nfault plan:")
         print(table.meta["plan"])
     _write_collected(args, collector)
-    # The whole point: every job survives the faults — and with a warm
-    # standby or a federation, fencing must have kept the machine from
-    # ever being granted twice.
-    ok = table.meta["completed"] == table.meta["jobs"]
-    if args.standby or args.shards >= 2:
-        ok = ok and table.meta["double_grants"] == 0
+    # The whole point: every job survives the faults, and the oracle saw
+    # every safety property hold after every event.
+    if violation is not None:
+        print(f"\ninvariant violated: {violation}")
+    ok = table.meta["completed"] == table.meta["jobs"] and violation is None
     return 0 if ok else 1
 
 
@@ -289,7 +293,7 @@ def main(argv=None) -> int:
         help="run with a warm-standby replica (WAL shipping) and the "
         "failover schedule: a standby kill, a ship-link partition, and a "
         "primary SIGKILL mid-ship with no restart — recovery must come "
-        "from fenced promotion, with zero double grants",
+        "from fenced promotion",
     )
     chaos.add_argument(
         "--shards",
@@ -298,7 +302,7 @@ def main(argv=None) -> int:
         help="run the federated scenario: partition the machines across "
         "this many durable broker shards, force cross-shard borrowing, "
         "and add a shard-broker SIGKILL plus an inter-shard link "
-        "partition — every job must complete with zero double grants",
+        "partition",
     )
     chaos.add_argument(
         "--verbose", action="store_true", help="also print the fault plan"

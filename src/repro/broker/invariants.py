@@ -24,21 +24,26 @@ rule reads each process table through the daemon's own lease scan
 (:func:`~repro.broker.daemon.leased_jobids`), so a plain broker — whose
 daemons never audit a grant — is covered too.  An :class:`Oracle` only
 reads: it schedules no event, sends no message and creates no instrument,
-so a run checked after every event (from a ``step()`` loop, the same kernel
-as ``run()``) is the unchecked run.  It never feeds a run's own results
-(``double_grants``, ``stuck_allocations``, ``completed``).
+so a run :func:`checked` after every event is the unchecked run.  It never
+feeds a run's own results (``double_grants``, ``stuck_allocations``,
+``completed``); it is the safety verdict of the tests, the exact-fact gates
+and ``python -m repro chaos``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.broker.daemon import leased_jobids
 from repro.broker.records import AllocationState
+from repro.cluster.builder import Cluster
 from repro.obs.spans import TRACE_ENVIRON_KEY, parse_context
 from repro.os.machine import MachineKind
+from repro.sim.events import Event
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,7 @@ class Violation:
     detail: str
     time: float  # simulated time of the violating event
     #: The shard whose broker event log ``log_index`` indexes (its last
-    #: entry at the violation), and the trace of the job involved.
+    #: entry at the violation, from the run's first), and the job's trace.
     shard: int
     log_index: int
     trace_id: Optional[int]
@@ -140,11 +145,11 @@ class Oracle:
             if host in service.managed_hosts:
                 shard = index
                 break
-        events = services[shard].events if services else ()
+        logged = services[shard].logged if services else 0
         if trace_id is None and jobid is not None:
             trace_id = self._trace_of_job(jobid)
         return Violation(
-            rule, detail, self.cluster.env.now, shard, len(events) - 1, trace_id
+            rule, detail, self.cluster.env.now, shard, logged - 1, trace_id
         )
 
     def _trace_of_job(self, jobid: int) -> Optional[int]:
@@ -323,3 +328,67 @@ def _is_loan_pair(held) -> bool:
             (b, second, a, a_from),
         )
     )
+
+
+class Watch:
+    """The oracles of every cluster built inside a :func:`checked` block."""
+
+    def __init__(self) -> None:
+        self.oracles: List[Oracle] = []
+
+    @property
+    def first(self) -> Optional[Violation]:
+        """The earliest per-event violation of any watched cluster."""
+        found = [o.first for o in self.oracles if o.first is not None]
+        return min(found, key=lambda v: v.time, default=None)
+
+    def settled(self) -> Optional[Violation]:
+        """The first violation of the run, settle-time properties included:
+        call once the scenario has settled."""
+        for oracle in self.oracles:
+            oracle.check_settled()
+        return self.first
+
+
+def run_by_steps(env, until=None, check: Callable[[], object] = lambda: None):
+    """``Environment.run`` as a ``step()`` loop calling ``check()`` after
+    every event (``tests/sim/test_kernel_edges.py`` proves it ``run()``)."""
+    if isinstance(until, Event):
+        while not until.processed:
+            env.step()
+            check()
+        if until.ok:
+            return until.value
+        raise until.value
+    horizon = float("inf" if until is None else until)
+    if horizon < env.now:
+        raise ValueError(f"until={horizon!r} is in the past (now={env.now!r})")
+    while (next_at := env.peek()) <= horizon and next_at != float("inf"):
+        env.step()
+        check()
+    if until is not None:
+        env._now = horizon  # run() leaves the clock on its horizon
+    return None
+
+
+@contextlib.contextmanager
+def checked() -> Iterator[Watch]:
+    """Check every cluster built inside the block after every event: its
+    ``env.run`` becomes :func:`run_by_steps` over its own :class:`Oracle`,
+    which stops checking at its first violation."""
+    watch = Watch()
+    build = Cluster.__init__
+
+    def init(cluster, spec) -> None:
+        build(cluster, spec)
+        oracle = Oracle(cluster)
+        watch.oracles.append(oracle)
+        cluster.env.run = functools.partial(
+            run_by_steps, cluster.env, check=lambda: oracle.first or oracle.check()
+        )
+
+    Cluster.__init__ = init
+    try:
+        yield watch
+    finally:
+        Cluster.__init__ = build

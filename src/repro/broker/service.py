@@ -160,6 +160,7 @@ class BrokerService:
         self.event_log_cap = BOUNDED_EVENT_LOG if bounded else None
         self.events: Any = deque(maxlen=BOUNDED_EVENT_LOG) if bounded else []
         self._events_by_kind: Dict[str, Any] = {}
+        self.logged = 0  # entries ever logged, however few a bounded log keeps
         self.retain_done_jobs = not bounded
         #: Run-wide observability, shared with everything on this network.
         self.tracer = cluster.network.tracer
@@ -267,6 +268,7 @@ class BrokerService:
         """Append a timestamped entry to the broker event log."""
         entry.setdefault("time", self.env.now)
         self.events.append(entry)
+        self.logged += 1
         kind = entry.get("event")
         if kind is not None:
             # Index at append time so events_of() is O(matches), not a full

@@ -61,7 +61,7 @@ def run_chaos(
     resume), then a ship-link partition, then a primary SIGKILL *mid-ship*,
     one second into the partition and before the promotion deadline, so
     recovery can only come from promotion (there is no restart).  The table
-    grows promotion/fencing rows, and ``double grants`` must be zero.
+    grows promotion/fencing rows.
 
     ``shards >= 2`` runs the federated scenario (DESIGN.md §17): the
     machines partition across that many durable broker shards (the journal
@@ -69,9 +69,9 @@ def run_chaos(
     hosts on different shards so saturation forces cross-shard borrowing,
     and the schedule adds a SIGKILL/restart of shard 1's broker plus a
     :class:`~repro.faults.plan.ShardLinkPartition` between shards 0 and 1.
-    Every job must still complete and ``double grants`` must stay zero —
-    a loan the partition cuts off self-heals through lease expiry, never
-    by the machine being grantable on two shards at once.
+    Every job must still complete — a loan the partition cuts off
+    self-heals through lease expiry, never by the machine being grantable
+    on two shards at once.
     """
     fed = shards >= 2
     if fed and standby:

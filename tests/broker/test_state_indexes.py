@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.broker.invariants import Oracle
+from repro.broker.invariants import Oracle, checked
 from repro.broker.records import PendingRequest
 from repro.broker.state import BrokerState
 from repro.experiments import run_chaos
@@ -26,7 +26,6 @@ from tests.broker.reference import (
     eligible_machines,
     reference_state,
 )
-from tests.checked import watch
 
 PLATFORMS = ("i686linux", "sparcsolaris")
 
@@ -359,8 +358,8 @@ def test_indexes_coherent_after_every_event_of_federated_chaos(monkeypatch):
 
     monkeypatch.setattr(BrokerState, "forget_machine", counted_forget)
     monkeypatch.setattr(Oracle, "check", check_indexes_too)
-    with watch(monkeypatch) as checked:
+    with checked() as watch:
         table = run_chaos(seed=1, shards=2)
     assert forgotten
     assert table.meta["recovery"]["from_journal"] >= 1
-    assert checked.settled() is None
+    assert watch.settled() is None

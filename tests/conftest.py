@@ -2,12 +2,12 @@
 
 import pytest
 
-from tests.checked import watch
+from repro.broker import invariants
 
 
 @pytest.fixture
-def checked(monkeypatch):
+def checked():
     """Every cluster the test builds runs under the invariant oracle,
-    checked after every event (see :mod:`tests.checked`)."""
-    with watch(monkeypatch) as oracles:
-        yield oracles
+    checked after every event (see :func:`repro.broker.invariants.checked`)."""
+    with invariants.checked() as watch:
+        yield watch

@@ -1,12 +1,12 @@
 """The invariant oracle (``repro.broker.invariants``) over the chaos scenarios.
 
 Seeds 0-39 of each chaos scenario were run under the oracle, checked after
-every event.  :data:`KNOWN_RED` is every scenario it finds red; each runs
-here as a strict xfail, so fixing one (ROADMAP item 1b) turns its xfail into
-an XPASS failure that asks for the entry to be removed, and nothing already
-red can silently go green or vice versa.  The green ones spot-check that the
-oracle holds where it should, and the unit tests below show each property
-really is checked.
+every event.  :data:`KNOWN_RED` is every scenario it finds red, with its
+class (ROADMAP item 1); each runs here as a strict xfail, so fixing one
+turns its xfail into an XPASS failure that asks for the entry to be
+removed, and nothing already red can silently go green or vice versa.  The
+green ones spot-check that the oracle holds where it should, and the unit
+tests below show each property really is checked.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ import hashlib
 
 import pytest
 
-from repro.broker.invariants import Oracle
+from repro.broker.invariants import Oracle, checked
 from repro.broker.records import AllocationState, PendingRequest
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
 from repro.experiments import run_chaos
 from repro.policy.default import DefaultPolicy
 from tests.broker.conftest import install_greedy
-from tests.checked import watch
 
 VARIANTS = {
     "plain": {},
@@ -30,20 +29,20 @@ VARIANTS = {
     "shards": {"shards": 2},
 }
 
-#: (scenario, seed) pairs of seeds 0-39 on which the oracle is red.  All
-#: double runs except journal 19 and shards 19 (a ``lease_adopted``
-#: allocation for a job already done when the run settles).
-KNOWN_RED = [
-    ("plain", 4), ("plain", 7), ("plain", 27), ("plain", 37),
-    ("journal", 7), ("journal", 19), ("journal", 27), ("journal", 31),
-    ("standby", 3), ("standby", 4), ("standby", 7), ("standby", 22),
-    ("standby", 27), ("standby", 35), ("standby", 37),
-    ("shards", 19), ("shards", 28),
-]
+CLASS_A = "A: a revoke races a redirection in flight"
 
-
-def _run(variant, seed):
-    return run_chaos(seed=seed, **VARIANTS[variant])
+#: The (scenario, seed) pairs of seeds 0-39 on which the oracle is red, by
+#: their class in ROADMAP item 1.
+KNOWN_RED = {
+    CLASS_A: [
+        ("plain", 4), ("plain", 7), ("plain", 27), ("plain", 37), ("journal", 7),
+        ("journal", 27), ("journal", 31), ("standby", 3), ("standby", 4),
+        ("standby", 7), ("standby", 22), ("standby", 27), ("standby", 35),
+        ("standby", 37),
+    ],
+    "B: loan returned before vacate": [("shards", 28)],
+    "C: lease adopted for a finished job": [("journal", 19), ("shards", 19)],
+}
 
 
 @pytest.mark.parametrize(
@@ -52,26 +51,29 @@ def _run(variant, seed):
         pytest.param(
             variant,
             seed,
-            marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1b"),
+            marks=pytest.mark.xfail(
+                strict=True, reason=f"ROADMAP item 1, class {klass}"
+            ),
             id=f"{variant}-{seed}",
         )
-        for variant, seed in KNOWN_RED
+        for klass, pairs in KNOWN_RED.items()
+        for variant, seed in pairs
     ],
 )
 def test_known_red_scenario(checked, variant, seed):
-    _run(variant, seed)
+    run_chaos(seed=seed, **VARIANTS[variant])
     violation = checked.settled()
     assert violation is None, str(violation)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_oracle_holds_on_a_green_seed(checked, variant):
-    table = _run(variant, 1)
+    table = run_chaos(seed=1, **VARIANTS[variant])
     assert checked.settled() is None
     assert table.meta["completed"] == table.meta["jobs"]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1b: release before vacate")
+@pytest.mark.xfail(strict=True, reason=f"ROADMAP item 1, class {CLASS_A}")
 def test_mixed_workload_soak_never_runs_two_jobs_on_a_machine(checked):
     """``tests/broker/test_soak.py``'s fault-free mixed soak: a grant is
     revoked before its subapp starts, the app releases at once, and the
@@ -91,7 +93,7 @@ def test_mixed_workload_soak_never_runs_two_jobs_on_a_machine(checked):
     assert checked.first is None, str(checked.first)
 
 
-def test_checked_run_is_the_unchecked_run(monkeypatch):
+def test_checked_run_is_the_unchecked_run():
     """The oracle only reads: a run checked after every event exports the
     same table and the same trace as the plain ``run()``."""
     from repro.obs import TraceCollector
@@ -102,9 +104,19 @@ def test_checked_run_is_the_unchecked_run(monkeypatch):
         return str(table), hashlib.sha256(collector.jsonl().encode()).hexdigest()
 
     plain = once()
-    with watch(monkeypatch) as checked:
+    with checked() as watch:
         assert once() == plain
-    assert len(checked.oracles) == 1
+    assert len(watch.oracles) == 1
+
+
+def test_checked_restores_the_cluster_constructor_even_on_error():
+    build = Cluster.__init__
+    with pytest.raises(RuntimeError, match="scenario failed"), checked() as watch:
+        inside = Cluster(ClusterSpec.uniform(2))
+        raise RuntimeError("scenario failed")
+    assert "run" in vars(inside.env) and len(watch.oracles) == 1
+    assert Cluster.__init__ is build
+    assert "run" not in vars(Cluster(ClusterSpec.uniform(2)).env)
 
 
 # -- each property is really checked ----------------------------------------
@@ -129,6 +141,18 @@ def test_two_jobs_on_one_machine_is_a_double_run():
     violation = oracle.check()
     assert violation.rule == "double_run"
     assert "n01" in violation.detail and violation.time == cluster.now
+
+
+def test_violation_indexes_the_whole_event_log_of_a_bounded_cluster():
+    cluster, svc = _broker(ClusterSpec.uniform(3, bounded=True))
+    procs = [cluster.run_command("n01", ["compute", "100"]) for _ in range(2)]
+    cluster.env.run(until=cluster.now + 0.5)
+    logged = len(svc.events) + 400
+    for i in range(400):  # the log keeps the newest 256 entries
+        svc.log(event="filler", i=i)
+    for jobid, proc in enumerate(procs, start=1):
+        proc.argv = ["subapp", "n00", "40000", "tok", str(jobid)]
+    assert Oracle(cluster).check().log_index == logged - 1 > len(svc.events)
 
 
 def test_one_host_booked_on_two_shards_is_a_double_allocation():

@@ -3,10 +3,11 @@ the guard that ``run()``'s inlined dispatch and ``step()`` cannot drift."""
 
 import pytest
 
+from repro.broker.invariants import run_by_steps
 from repro.cluster.network import EXPIRED, Connection
 from repro.experiments import run_cell
 from repro.os import ConnectionClosed
-from repro.sim import Environment, Event, Interrupt, ProcessorSharingQueue
+from repro.sim import Environment, Interrupt, ProcessorSharingQueue
 from tests.cluster.test_recv_or_deadline import make_wire
 
 
@@ -270,19 +271,7 @@ def test_run_until_event_that_fails():
         env.run(until=gate)
 
 
-# -- step() and run() are one kernel -------------------------------------------
-
-
-def _run_by_steps(env, until):
-    """``env.run(until=...)`` spelled with ``peek()`` and ``step()``: every
-    event goes through ``_dispatch``, none through ``run()``'s inlined copy."""
-    if isinstance(until, Event):
-        while not until.processed:
-            env.step()
-        return until.value
-    while env.peek() <= until:
-        env.step()
-    env._now = float(until)  # run() leaves the clock on its horizon
+# -- step() and run() (the oracle's ``run_by_steps``) are one kernel -----------
 
 
 def _every_dispatch_shape():
@@ -376,7 +365,7 @@ def _every_dispatch_shape():
 
 def test_step_and_run_dispatch_identically():
     outcomes = []
-    for drive in (Environment.run, _run_by_steps):
+    for drive in (Environment.run, run_by_steps):
         env, log = _every_dispatch_shape()
         drive(env, 3.0)
         midway = (list(log), env.now, env.heap_stats())
@@ -412,7 +401,7 @@ def test_step_and_run_dispatch_identically():
 
 def test_step_and_run_agree_on_a_churn_cell(monkeypatch):
     by_run = run_cell("churn", 16, 1, 1.0)["result"]
-    monkeypatch.setattr(Environment, "run", _run_by_steps)
+    monkeypatch.setattr(Environment, "run", run_by_steps)
     by_steps = run_cell("churn", 16, 1, 1.0)["result"]
     assert by_steps["schedule_digest"] == by_run["schedule_digest"]
     assert by_steps == by_run  # heap counters, spans and metrics too

@@ -34,6 +34,12 @@ def test_chaos_command(capsys, tmp_path):
     assert trace.exists() and trace.stat().st_size > 0
 
 
+def test_chaos_verdict_is_the_oracles(capsys):
+    """Seed 4 completes every job, with a double run on n01."""
+    assert main(["chaos", "--seed", "4"]) == 1
+    assert "double_run at t=40.688300" in capsys.readouterr().out
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["no-such-command"])
@@ -42,3 +48,4 @@ def test_unknown_command_rejected():
 def test_no_command_rejected():
     with pytest.raises(SystemExit):
         main([])
+

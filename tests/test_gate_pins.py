@@ -2,6 +2,7 @@
 
 Cheap: nothing is simulated.  Every gate has pins, every pinned block has a
 gate, and no pinned key names a host measurement — wall time is rbbench's.
+The oracle judges the four safety gates.
 """
 
 import importlib.util
@@ -24,6 +25,7 @@ def test_every_gate_has_pins_and_every_pin_a_gate():
     gates = _gates()
     pins = json.loads(gates.PINS.read_text())
     assert set(gates.GATES) == set(pins)
+    assert gates.CHECKED == {"chaos", "soak", "failover", "federation"}
     assert all(gates.flatten(block) for block in pins.values())
 
 
