@@ -180,7 +180,6 @@ def _cmd_sweep(args) -> int:
         seeds=seeds,
         sim_minutes=args.minutes,
         workers=args.workers,
-        health=args.health,
     )
     print(format_sweep(cells))
     merged = merge_results(cells, sim_minutes=args.minutes)
@@ -259,7 +258,12 @@ def main(argv=None) -> int:
 
     for name in ("table1", "table2", "table3", "fig7", "utilization"):
         single = sub.add_parser(name, help=f"regenerate {name} only")
-        single.add_argument("--quick", action="store_true")
+        if name == "utilization":
+            single.add_argument(
+                "--quick",
+                action="store_true",
+                help="shorten the five-hour run to 30 minutes",
+            )
         single.add_argument("--trace", metavar="PATH", help=_TRACE_HELP)
         single.set_defaults(fn=_cmd_single(name))
 
@@ -341,12 +345,6 @@ def main(argv=None) -> int:
     )
     sweep.add_argument(
         "--out", metavar="PATH", help="write canonical merged results JSON"
-    )
-    sweep.add_argument(
-        "--health",
-        action="store_true",
-        help="attach a health monitor to every cell and embed its report "
-        "(changes event counts; off for pinned benchmarks)",
     )
     sweep.set_defaults(fn=_cmd_sweep)
 

@@ -41,7 +41,7 @@ from repro.os.errors import (
     NoSuchHost,
     NoSuchProgram,
 )
-from repro.os.retry import connect_any_with_backoff, connect_with_backoff
+from repro.os.retry import connect_with_backoff
 from repro.os.signals import SIGKILL, SIGTERM
 from repro.rsl import is_symbolic_hostname, parse_rsl
 from repro.sim.stores import Store
@@ -160,7 +160,7 @@ def app_main(proc):
 
         broker = yield from connect_with_backoff(
             proc,
-            broker_host,
+            [broker_host],
             ports.BROKER,
             counter=metrics_of(proc).counter("app.connect_retries"),
         )
@@ -332,7 +332,7 @@ def _resume_broker_session(proc, st):
     try:
         # Alternate across the well-known addresses: after a failover the
         # live broker answers at the standby's address, not the primary's.
-        conn = yield from connect_any_with_backoff(
+        conn = yield from connect_with_backoff(
             proc,
             st.broker_hosts or [st.broker_host],
             ports.BROKER,

@@ -39,11 +39,12 @@ Two additions beyond the paper support broker crash recovery:
 from __future__ import annotations
 
 import json
+import math
 
 from repro.cluster import ports
 from repro.cluster.network import EXPIRED
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
-from repro.os.retry import connect_any_forever, connect_any_with_backoff
+from repro.os.retry import connect_with_backoff
 from repro.broker import protocol
 
 #: Per-machine fencing token: the highest broker epoch any process on this
@@ -195,7 +196,7 @@ def rbdaemon_main(proc):
     try:
         # The daemon may boot while the broker is still starting (or while
         # the LAN is partitioned); retry with backoff before giving up.
-        conn = yield from connect_any_with_backoff(
+        conn = yield from connect_with_backoff(
             proc,
             broker_hosts,
             ports.BROKER,
@@ -289,10 +290,11 @@ def rbdaemon_main(proc):
         # Broker (or the path to it) is gone: re-register.  Redial forever —
         # the keeper of a live broker respawns daemons on *connection* loss,
         # so a daemon that exited here would never be replaced.
-        conn = yield from connect_any_forever(
+        conn = yield from connect_with_backoff(
             proc,
             broker_hosts,
             ports.BROKER,
+            attempts=math.inf,
             counter=metrics_of(proc).counter("rbdaemon.connect_retries"),
         )
         reregistrations.inc()

@@ -191,15 +191,6 @@ class FederationService:
                 blocks.append(service.control.stats()["federation"])
         return blocks
 
-    def total_jobs_done(self) -> int:
-        """Finished jobs across every shard (retained-jobs mode only)."""
-        return sum(
-            1
-            for service in self.services
-            for job in service.state.jobs.values()
-            if job.done
-        )
-
 
 class Borrowing:
     """Cross-shard lease borrowing (DESIGN.md §17), both sides of a loan.

@@ -32,6 +32,7 @@ promoted broker's ``fence_notice``) is what keeps it safe.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict
 
 from repro.broker import protocol
@@ -46,7 +47,7 @@ from repro.broker.state import BrokerState
 from repro.cluster import ports
 from repro.cluster.network import EXPIRED
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
-from repro.os.retry import connect_forever
+from repro.os.retry import connect_with_backoff
 from repro.os.signals import SIGKILL
 
 #: The standby's local persistence (its machine's filesystem, so it
@@ -90,10 +91,11 @@ class Fence:
         only).  Daemons fence a reachable ex-primary through its own
         sessions; this covers the one nobody else can reach — an ex-primary
         isolated with zero daemons, still believing it is the broker."""
-        conn = yield from connect_forever(
+        conn = yield from connect_with_backoff(
             self.proc,
-            target,
+            [target],
             ports.SHIP,
+            attempts=math.inf,
             counter=self.metrics.counter("fencing.notice_retries"),
         )
         protocol.try_send(conn, protocol.fence_notice(self.epoch))
@@ -136,6 +138,9 @@ class Shipper:
                 ["system:rsh", host, "rbstandby", self.proc.machine.name],
             )
             code = yield self.proc.wait(rsh)
+            # The finished rsh would otherwise stay referenced from this
+            # frame for the standby's whole life.
+            del rsh
             if code != 0:
                 # Standby machine unreachable; back off and retry.
                 yield self.proc.sleep(self.cal.daemon_report_interval)

@@ -145,10 +145,6 @@ class Cluster:
         """The machine named ``name``."""
         return self.machines[name]
 
-    def machine_names(self) -> List[str]:
-        """Machine names in specification order."""
-        return [m.name for m in self.spec.machines]
-
     def run_command(
         self,
         host: str,

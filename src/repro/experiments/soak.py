@@ -24,10 +24,17 @@ fields that pinned artifacts must ignore.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
 from repro.obs import HealthMonitor
+
+#: One simulated "day" of the diurnal arrival and owner-activity curves.
+DAY = 600.0
+#: Job lengths are uniform over this range (seconds of compute).
+MIN_SECONDS, MAX_SECONDS = 0.5, 6.0
+#: Share of the worker machines that are private (the last ones).
+PRIVATE_FRACTION = 0.25
 
 
 @dataclass
@@ -102,19 +109,15 @@ def run_soak(
     submissions: int = 2000,
     journal: bool = True,
     restarts: int = 1,
-    day: float = 600.0,
     base_rate: float = 0.3,
     peak_rate: float = 1.5,
-    min_seconds: float = 0.5,
-    max_seconds: float = 6.0,
-    private_fraction: float = 0.25,
     memory_checkpoints: int = 0,
     progress=None,
 ) -> SoakReport:
     """Run the service-mode soak; see the module docstring.
 
     ``machines`` counts worker machines (the broker/submit host n00 is
-    extra); the last ``private_fraction`` of them are private, with owners
+    extra); the last :data:`PRIVATE_FRACTION` of them are private, with owners
     replaying diurnal office-hour windows.  ``restarts`` broker
     crash+restart pairs are spread evenly across the trace.
 
@@ -129,7 +132,7 @@ def run_soak(
         trace_arrivals,
     )
 
-    n_private = int(machines * private_fraction)
+    n_private = int(machines * PRIVATE_FRACTION)
     n_public = machines - n_private
     specs = [MachineSpec(name="n00")]
     specs += [MachineSpec(name=f"n{i:02d}") for i in range(1, n_public + 1)]
@@ -149,15 +152,15 @@ def run_soak(
     # short trace spent entirely in the diurnal trough — because max_jobs
     # is what actually ends the trace: a larger horizon never changes the
     # first ``submissions`` arrivals, it only guarantees they exist.
-    horizon = day + 4.0 * submissions / base_rate
+    horizon = DAY + 4.0 * submissions / base_rate
     trace = trace_arrivals(
         env,
         horizon=horizon,
         base_rate=base_rate,
         peak_rate=peak_rate,
-        day=day,
-        min_seconds=min_seconds,
-        max_seconds=max_seconds,
+        day=DAY,
+        min_seconds=MIN_SECONDS,
+        max_seconds=MAX_SECONDS,
         max_jobs=submissions,
     )
     if len(trace) < submissions:
@@ -171,7 +174,7 @@ def run_soak(
         env,
         [spec.name for spec in specs if spec.private_owner],
         horizon=last_arrival,
-        day=day,
+        day=DAY,
     ):
         env.process(
             replay_owner_windows(env, cluster.machine(host), windows),

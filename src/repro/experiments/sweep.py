@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 #: Cell key order used everywhere: grid expansion, merge order, reports.
 Cell = Tuple[str, int, int]  # (workload, machines, seed)
@@ -120,19 +120,12 @@ def run_cell(
     machines: int,
     seed: int,
     sim_minutes: float,
-    health: bool = False,
     bounded: bool = False,
 ) -> Dict[str, Any]:
     """Run one simulation cell; returns deterministic results + measured perf.
 
     The ``result`` block is a pure function of the parameters; ``perf`` is
     wall-clock measurement and must never enter a merged document.
-
-    ``health`` attaches a :class:`repro.obs.HealthMonitor` to the broker and
-    adds its end-of-run report to the result.  Opt-in because the monitor's
-    periodic checks are simulation events: a ``health=True`` cell is still
-    deterministic, but its event counts differ from a plain cell, so the
-    gates in ``benchmarks/gates.py`` always run without it.
 
     ``bounded`` runs the cell on a ``ClusterSpec.bounded`` cluster.
     """
@@ -142,11 +135,6 @@ def run_cell(
     cluster = Cluster(ClusterSpec.uniform(machines, seed=seed, bounded=bounded))
     service = cluster.start_broker()
     service.wait_ready()
-    monitor = None
-    if health:
-        from repro.obs import HealthMonitor
-
-        monitor = HealthMonitor(service).start()
     sim_start = cluster.now
     wall_start = time.perf_counter()
     driver(cluster, service, sim_minutes * 60.0)
@@ -183,8 +171,6 @@ def run_cell(
         # kernel changes, where "heap" above legitimately moves.
         "schedule_digest": schedule_digest(cluster, service),
     }
-    if monitor is not None:
-        result["health"] = monitor.report().to_dict()
     heap_ops = heap["pushes"] + heap["processed"] + heap["skipped_cancelled"]
     return {
         "workload": workload,
@@ -224,7 +210,6 @@ def run_sweep(
     seeds: Sequence[int] = (1,),
     sim_minutes: float = 2.0,
     workers: int = 1,
-    health: bool = False,
 ) -> List[Dict[str, Any]]:
     """Run the full grid, optionally fanning cells across worker processes.
 
@@ -240,7 +225,7 @@ def run_sweep(
                 f"choose from {sorted(WORKLOADS)}"
             )
     grid = expand_grid(workloads, sizes, seeds)
-    packed = [(w, n, s, sim_minutes, health) for (w, n, s) in grid]
+    packed = [(w, n, s, sim_minutes) for (w, n, s) in grid]
     if workers <= 1 or len(packed) <= 1:
         return [_run_cell_packed(cell) for cell in packed]
     # Imported here: only this path needs it, and it is a dozen modules.

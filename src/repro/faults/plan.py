@@ -275,26 +275,12 @@ class FaultPlan:
         partitions: int = 1,
         drop_windows: int = 1,
         latency_spikes: int = 1,
-        reboot_after: float = 8.0,
-        partition_duration: float = 12.0,
-        drop_duration: float = 10.0,
-        drop_probability: float = 0.7,
-        drop_types: Optional[Tuple[str, ...]] = ("daemon_report",),
-        spike_duration: float = 8.0,
-        spike_factor: float = 25.0,
         broker_crashes: int = 0,
         broker_restart_after: float = 4.0,
-        broker_restarts: bool = True,
         torn_writes: int = 0,
         disk_stalls: int = 0,
-        stall_duration: float = 6.0,
-        standby_crashes: int = 0,
-        ship_partitions: int = 0,
-        ship_partition_duration: float = 12.0,
         broker_crash_shard: int = 0,
         shard_link_partitions: int = 0,
-        shard_link_duration: float = 12.0,
-        shard_link_pair: Tuple[int, int] = (0, 1),
     ) -> "FaultPlan":
         """Draw a random plan over ``hosts`` from ``rng`` (a numpy Generator,
         typically ``env.rng.stream("faults.plan")`` so the schedule is a pure
@@ -305,7 +291,9 @@ class FaultPlan:
         random third of ``hosts`` (at least one).  Each broker crash is
         paired with a restart ``broker_restart_after`` seconds later (the
         broker-draw block comes last so plans with ``broker_crashes=0``
-        reproduce pre-broker-fault schedules byte-for-byte).
+        reproduce pre-broker-fault schedules byte-for-byte).  Durations and
+        magnitudes are fixed.  Standby faults are never drawn: ``run_chaos``
+        places them by hand with :meth:`add`, timed against each other.
         """
         hosts = list(hosts)
         if not hosts:
@@ -319,32 +307,26 @@ class FaultPlan:
             return hosts[int(rng.integers(0, len(hosts)))]
 
         for _ in range(crashes):
-            plan.add(MachineCrash(at=when(), host=victim(), reboot_after=reboot_after))
+            plan.add(MachineCrash(at=when(), host=victim(), reboot_after=8.0))
         for _ in range(daemon_kills):
             plan.add(DaemonKill(at=when(), host=victim()))
         for _ in range(partitions):
             size = max(1, len(hosts) // 3)
             picked = [hosts[i] for i in rng.permutation(len(hosts))[:size]]
             plan.add(
-                Partition(
-                    at=when(),
-                    duration=partition_duration,
-                    hosts=tuple(sorted(picked)),
-                )
+                Partition(at=when(), duration=12.0, hosts=tuple(sorted(picked)))
             )
         for _ in range(drop_windows):
             plan.add(
                 MessageDrop(
                     at=when(),
-                    duration=drop_duration,
-                    probability=drop_probability,
-                    only_types=drop_types,
+                    duration=10.0,
+                    probability=0.7,
+                    only_types=("daemon_report",),
                 )
             )
         for _ in range(latency_spikes):
-            plan.add(
-                LatencySpike(at=when(), duration=spike_duration, factor=spike_factor)
-            )
+            plan.add(LatencySpike(at=when(), duration=8.0, factor=25.0))
         # Broker faults draw last: adding them must not reshuffle the draws
         # (and so the schedule) of every other fault kind under a fixed seed.
         crash_times = []
@@ -352,16 +334,11 @@ class FaultPlan:
             crash_at = when()
             crash_times.append(crash_at)
             plan.add(BrokerCrash(at=crash_at, shard=broker_crash_shard))
-            # ``broker_restarts=False`` (warm-standby runs: recovery comes
-            # from promotion, not restart) consumes no draw, so flipping it
-            # leaves every other fault's schedule untouched.
-            if broker_restarts:
-                plan.add(
-                    BrokerRestart(
-                        at=crash_at + broker_restart_after,
-                        shard=broker_crash_shard,
-                    )
+            plan.add(
+                BrokerRestart(
+                    at=crash_at + broker_restart_after, shard=broker_crash_shard
                 )
+            )
         # Journal faults draw after the broker block for the same reason.
         # A torn write pairs with a broker crash when one is scheduled (the
         # tear fires at the same instant; sorted() is stable, so the crash —
@@ -375,25 +352,11 @@ class FaultPlan:
                 )
             )
         for _ in range(disk_stalls):
-            plan.add(DiskStall(at=when(), duration=stall_duration))
-        # Warm-standby faults draw last of all (same schedule-stability rule:
-        # zero-count plans reproduce pre-standby schedules byte-for-byte).
-        for _ in range(standby_crashes):
-            plan.add(StandbyCrash(at=when()))
-        for _ in range(ship_partitions):
-            plan.add(
-                ShipLinkPartition(at=when(), duration=ship_partition_duration)
-            )
+            plan.add(DiskStall(at=when(), duration=6.0))
         # Federation faults draw last of all (the same stability rule again:
         # zero-count plans reproduce pre-federation schedules byte-for-byte).
         for _ in range(shard_link_partitions):
-            plan.add(
-                ShardLinkPartition(
-                    at=when(),
-                    duration=shard_link_duration,
-                    shards=tuple(shard_link_pair),
-                )
-            )
+            plan.add(ShardLinkPartition(at=when(), duration=12.0, shards=(0, 1)))
         return plan
 
     def __len__(self) -> int:

@@ -128,14 +128,6 @@ class Machine:
         if self.procs.pop(proc.pid, None) is not None:
             self.proc_table_version += 1
 
-    def processes_of(self, uid: str) -> List["OSProcess"]:
-        """Live processes belonging to ``uid``, in pid order."""
-        return [p for pid, p in sorted(self.procs.items()) if p.uid == uid]
-
-    def job_count(self, exclude_uids: Set[str] = frozenset()) -> int:
-        """Number of live processes not belonging to ``exclude_uids``."""
-        return sum(1 for p in self.procs.values() if p.uid not in exclude_uids)
-
     # -- failure --------------------------------------------------------------
 
     def crash(self) -> int:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
+from repro.os.errors import ConnectionClosed
+from repro.os.retry import connect_advertised
 from repro.systems.lam.daemon import LAMD_FILE, LAMD_LOCK
 
 
@@ -10,18 +11,12 @@ class LamError(Exception):
     """No origin daemon or protocol failure."""
 
 
-def _connect_origin(proc, retries: int = 40, retry_delay: float = 0.05):
+def _connect_origin(proc):
     """Connect to the origin lamd advertised in ``~/.lamd``."""
-    for _ in range(retries):
-        if proc.file_exists(LAMD_FILE):
-            host, port = proc.read_file(LAMD_FILE).split()
-            try:
-                conn = yield proc.connect(host, int(port))
-                return conn
-            except (ConnectionRefused, NoSuchHost):
-                pass
-        yield proc.sleep(retry_delay)
-    raise LamError("no lamd running (missing ~/.lamd)")
+    conn = yield from connect_advertised(proc, LAMD_FILE)
+    if conn is None:
+        raise LamError("no lamd running (missing ~/.lamd)")
+    return conn
 
 
 def _tool(conn, payload, ctx=None):

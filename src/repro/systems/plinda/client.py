@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
+from repro.os.retry import connect_advertised
 from repro.sim.process import Interrupt
 from repro.systems.hostfile import read_hostfile
 from repro.systems.plinda.server import PLINDA_FILE
@@ -12,18 +13,12 @@ class PlindaError(Exception):
     """Server unavailable or protocol failure."""
 
 
-def plinda_connect(proc, retries: int = 40, retry_delay: float = 0.05):
+def plinda_connect(proc):
     """Connect to the tuple-space server advertised in ``~/.plinda``."""
-    for _ in range(retries):
-        if proc.file_exists(PLINDA_FILE):
-            host, port = proc.read_file(PLINDA_FILE).split()
-            try:
-                conn = yield proc.connect(host, int(port))
-                return conn
-            except (ConnectionRefused, NoSuchHost):
-                pass
-        yield proc.sleep(retry_delay)
-    raise PlindaError("no plinda_server running")
+    conn = yield from connect_advertised(proc, PLINDA_FILE)
+    if conn is None:
+        raise PlindaError("no plinda_server running")
+    return conn
 
 
 def _call(conn, payload):

@@ -8,7 +8,8 @@ deletion, spawning and halting.
 
 from __future__ import annotations
 
-from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
+from repro.os.errors import ConnectionClosed
+from repro.os.retry import connect_advertised
 from repro.systems.pvm.daemon import PVMD_FILE
 
 
@@ -16,22 +17,16 @@ class PvmError(Exception):
     """No master daemon, protocol failure, or command error."""
 
 
-def pvm_connect(proc, retries: int = 40, retry_delay: float = 0.05):
+def pvm_connect(proc):
     """Connect to the local master pvmd (waiting briefly for it to boot).
 
     Returns the console connection; raises :class:`PvmError` if no daemon
     advertisement appears.
     """
-    for _ in range(retries):
-        if proc.file_exists(PVMD_FILE):
-            host, port = proc.read_file(PVMD_FILE).split()
-            try:
-                conn = yield proc.connect(host, int(port))
-                return conn
-            except (ConnectionRefused, NoSuchHost):
-                pass  # stale advertisement; keep waiting
-        yield proc.sleep(retry_delay)
-    raise PvmError("no pvmd running (missing ~/.pvmd)")
+    conn = yield from connect_advertised(proc, PVMD_FILE)
+    if conn is None:
+        raise PvmError("no pvmd running (missing ~/.pvmd)")
+    return conn
 
 
 def _command(conn, payload):

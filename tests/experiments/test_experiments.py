@@ -6,7 +6,7 @@ table shapes, metadata — at reduced scale so the main suite stays fast.
 
 import pytest
 
-from repro.experiments import run_table1, run_table2, run_utilization
+from repro.experiments import run_table1, run_table2, run_table3, run_utilization
 from repro.experiments.fig7 import measure_reallocation, run_fig7
 from repro.experiments.results import ExperimentTable
 
@@ -45,6 +45,25 @@ def test_table2_crossover():
     table = run_table2()
     assert table.meta["loop_crossover"] is True
     assert table.value("rsh' anylinux null") > table.value("rsh n01 null")
+
+
+def test_table3_shape():
+    """The paper's path through the PVM and LAM advertised-daemon dial, in
+    the ranges the ``paper-tables`` benchmark checks."""
+    table = run_table3()
+    host = (
+        table.meta["pvm_host_overhead_per_machine"]
+        + table.meta["lam_host_overhead_per_machine"]
+    )
+    any_pvm = table.meta["pvm_anylinux_overhead_per_machine"]
+    any_lam = table.meta["lam_anylinux_overhead_per_machine"]
+    assert host and all(0.0 <= o < 0.0003 for o in host)
+    assert any_pvm and all(0.9 <= o <= 1.5 for o in any_pvm)
+    assert any_lam and all(1.1 <= o <= 1.7 for o in any_lam)
+    assert all(lam > pvm for lam, pvm in zip(any_lam, any_pvm))
+    pvm_rsh = [table.value("pvm w/ rsh", c) for c in table.columns[1:]]
+    steps = [b - a for a, b in zip(pvm_rsh, pvm_rsh[1:])]
+    assert steps and max(steps) - min(steps) < 0.1
 
 
 def test_fig7_single_point():

@@ -1,5 +1,7 @@
 """connect_with_backoff: boot-time connects survive a slow-starting server."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.network import Network
@@ -19,6 +21,12 @@ def rig():
         machine.path = [directory]
         network.add_machine(machine)
     return env, network, directory
+
+
+def set_backoff(network, base, cap):
+    network.calibration = replace(
+        network.calibration, connect_retry_base=base, connect_retry_cap=cap
+    )
 
 
 def boot(network, host, argv):
@@ -41,7 +49,7 @@ def test_retries_until_server_listens(rig):
     @directory.register("client")
     def client(proc):
         counter = network.metrics.counter("test.retries")
-        conn = yield from connect_with_backoff(proc, "a", 7000, counter=counter)
+        conn = yield from connect_with_backoff(proc, ["a"], 7000, counter=counter)
         outcome["connected_at"] = env.now
         outcome["retries"] = counter.value
         conn.close()
@@ -60,12 +68,11 @@ def test_gives_up_after_bounded_attempts(rig):
     @directory.register("client")
     def client(proc):
         try:
-            yield from connect_with_backoff(
-                proc, "a", 7000, attempts=3, base=0.1, cap=10.0
-            )
+            yield from connect_with_backoff(proc, ["a"], 7000, attempts=3)
         except ConnectionRefused:
             outcome["gave_up_at"] = env.now
 
+    set_backoff(network, base=0.1, cap=10.0)
     boot(network, "b", ["client"])
     env.run()
     # Two sleeps between three attempts: 0.1 + 0.2, plus connect latencies.
@@ -85,7 +92,7 @@ def test_clean_first_connect_counts_no_retries(rig):
     @directory.register("client")
     def client(proc):
         counter = network.metrics.counter("test.retries")
-        conn = yield from connect_with_backoff(proc, "a", 7000, counter=counter)
+        conn = yield from connect_with_backoff(proc, ["a"], 7000, counter=counter)
         outcome["retries"] = counter.value
         conn.close()
 
@@ -93,6 +100,42 @@ def test_clean_first_connect_counts_no_retries(rig):
     boot(network, "b", ["client"])
     env.run()
     assert outcome["retries"] == 0
+
+
+def test_a_round_dials_every_host_before_sleeping(rig):
+    """Both candidates are dialled before the first backoff, and the
+    counter counts rounds slept, not hosts dialled."""
+    env, network, directory = rig
+    dials, outcome = [], {}
+
+    real_connect = network.connect
+
+    def connect(proc, host, port):
+        dials.append((host, env.now))
+        return real_connect(proc, host, port)
+
+    network.connect = connect
+
+    @directory.register("client")
+    def client(proc):
+        counter = network.metrics.counter("test.retries")
+        try:
+            yield from connect_with_backoff(
+                proc, ["a", "b"], 7000, attempts=3, counter=counter
+            )
+        except ConnectionRefused:
+            outcome["retries"] = counter.value
+
+    set_backoff(network, base=1.0, cap=10.0)
+    boot(network, "b", ["client"])
+    env.run()
+    assert [host for host, _at in dials] == ["a", "b"] * 3
+    # Each round's two dials land before that round's sleep: rounds start
+    # at 0, 1 and 3 (sleeps of 1 then 2), plus connect latencies.
+    times = [at for _host, at in dials]
+    for start, first, second in zip((0.0, 1.0, 3.0), times[::2], times[1::2]):
+        assert start <= first <= second < start + 0.5
+    assert outcome["retries"] == 2
 
 
 def test_kill_mid_backoff_cancels_the_armed_timer(rig):
@@ -103,12 +146,11 @@ def test_kill_mid_backoff_cancels_the_armed_timer(rig):
 
     @directory.register("client")
     def client(proc):
-        yield from connect_with_backoff(
-            proc, "a", 7000, attempts=5, base=100.0, cap=100.0
-        )
+        yield from connect_with_backoff(proc, ["a"], 7000, attempts=5)
 
     from repro.os.signals import SIGKILL
 
+    set_backoff(network, base=100.0, cap=100.0)
     proc = boot(network, "b", ["client"])
     env.run(until=1.0)  # first connect refused; now deep in a 100s backoff
     assert proc.is_alive

@@ -426,9 +426,9 @@ def test_an_acceptor_of_short_threads_holds_at_most_twice_its_live_ones():
     assert proc._threads is EMPTY
 
 
-def _churn_cell(machines, seconds):
+def _churn_cell(machines, seconds, **broker):
     cluster = Cluster(ClusterSpec.uniform(machines, seed=5))
-    service = cluster.start_broker()
+    service = cluster.start_broker(**broker)
     service.wait_ready()
     WORKLOADS["churn"](cluster, service, seconds)
     cluster.assert_no_crashes()
@@ -447,15 +447,21 @@ def test_a_churn_cell_holds_no_thread_bookkeeping_closure():
     assert cluster.env.now > 40.0 and closures == []
 
 
-def test_a_churn_cell_references_no_dead_process():
+@pytest.mark.parametrize(
+    "machines, broker",
+    [(64, {}), (6, {"journal": True, "standby_host": "n05"})],
+    ids=["plain", "standby"],
+)
+def test_a_churn_cell_references_no_dead_process(machines, broker):
     """Every finished process is garbage once its parent has waited for it:
-    the broker's daemon keeper, parked on the daemon's link for the
-    daemon's whole life, must not keep the ``rsh`` that started it."""
-    cluster = _churn_cell(64, 40.0)
+    the broker's keepers, parked on a daemon's link or the standby's ship
+    session for that child's whole life, must not keep the ``rsh`` that
+    started it."""
+    cluster = _churn_cell(machines, 40.0, **broker)
     gc.collect()
     processes = [obj for obj in gc.get_objects() if isinstance(obj, OSProcess)]
     dead = [proc.argv for proc in processes if not proc.is_alive]
-    assert cluster.env.now > 40.0 and len(processes) > 64
+    assert cluster.env.now > 40.0 and len(processes) > machines
     assert dead == []
 
 
