@@ -87,12 +87,12 @@ def chaos(judge: Judge) -> Tuple[Facts, List[str]]:
     """Machine crashes, a partition, a daemon kill and a broker SIGKILL plus
     restart (seed 1): every job completes, the oracle holds, and a same-seed
     replay renders the same table and the same span trace."""
-    from repro.experiments import run_chaos
+    from repro.experiments.chaos import SCENARIOS, run_chaos
     from repro.obs import TraceCollector
 
     def run():
         collector = TraceCollector()
-        table = run_chaos(seed=1, broker_crashes=1, trace=collector)
+        table = run_chaos(seed=1, **SCENARIOS["restart"], trace=collector)
         return table, hashlib.sha256(collector.jsonl().encode()).hexdigest()
 
     with judge.checked():

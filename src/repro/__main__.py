@@ -9,16 +9,15 @@ Commands
 ``demo``
     A 90-second tour: an adaptive job breathing around sequential arrivals,
     finished off with the allocation Gantt chart.
-``chaos [--seed N]``
+``chaos [--seed N|A-B] [--scenario NAME|all]``
     Robustness capstone: a mixed workload under a seeded fault schedule
     (crashes, partitions, lost heartbeats), checked after every event by the
     invariant oracle (:mod:`repro.broker.invariants`); exits non-zero
-    unless every job completes and no safety property ever failed.
-    ``--standby`` swaps the crash/restart recovery path for warm-standby
-    failover (WAL shipping, fenced promotion).  ``--shards N`` runs the
-    federated control plane instead:
-    N durable broker shards with cross-shard lease borrowing under a
-    shard-broker crash and an inter-shard link partition.
+    unless every job completes and no safety property ever failed.  The
+    scenario (:data:`repro.experiments.chaos.SCENARIOS`) adds a broker
+    restart, a durable journal, a warm standby or federated shards.  A seed
+    range or ``all`` sweeps: one JSONL line per red run, then the red rate
+    per scenario and per rule.
 ``sweep [--workers N]``
     Fan a deterministic (seed x cluster-size x workload) simulation grid
     across worker processes; merged results are byte-identical for any
@@ -36,6 +35,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 #: Shared help text for every subcommand's ``--trace`` option.
@@ -136,31 +136,76 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.broker.invariants import checked
-    from repro.experiments import run_chaos
+    from repro.experiments.chaos import SCENARIOS, check_scenario
 
-    collector = _collector(args)
-    with checked() as watch:
-        table = run_chaos(
-            seed=args.seed,
-            broker_crashes=1 if args.broker_crash else 0,
-            journal=args.journal,
-            standby=args.standby,
-            shards=args.shards,
-            trace=collector,
-        )
-    violation = watch.settled()
-    print(table)
-    if args.verbose:
-        print("\nfault plan:")
-        print(table.meta["plan"])
-    _write_collected(args, collector)
-    # The whole point: every job survives the faults, and the oracle saw
-    # every safety property hold after every event.
-    if violation is not None:
-        print(f"\ninvariant violated: {violation}")
-    ok = table.meta["completed"] == table.meta["jobs"] and violation is None
-    return 0 if ok else 1
+    names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
+    if len(names) == 1 and len(args.seed) == 1:
+        collector = _collector(args)
+        table, verdict = check_scenario(names[0], args.seed[0], trace=collector)
+        if table is not None:
+            print(table)
+            if args.verbose:
+                print("\nfault plan:")
+                print(table.meta["plan"])
+        _write_collected(args, collector)
+        # The whole point: every job survives the faults, and the oracle saw
+        # every safety property hold after every event.
+        if verdict is not None:
+            print(f"\ninvariant violated: {verdict}")
+        return 0 if verdict is None else 1
+    if args.trace is not None or args.verbose:
+        args.error("--trace and --verbose take one seed of one scenario")
+    return _chaos_sweep(names, args.seed)
+
+
+def _chaos_sweep(names, seeds) -> int:
+    """One JSONL line per red run, then the red rate per scenario and per
+    rule with its 95 % Wilson interval; 1 if any run was red."""
+    import json
+    from collections import Counter
+
+    from repro.experiments.chaos import check_scenario
+
+    red = []
+    for name in names:
+        for seed in seeds:
+            verdict = check_scenario(name, seed)[1]
+            if verdict is not None:
+                red.append((name, verdict.rule))
+                print(json.dumps({
+                    "scenario": name, "seed": seed, "rule": verdict.rule,
+                    "t": verdict.time, "shard": verdict.shard,
+                    "log_index": verdict.log_index,
+                    "trace_id": verdict.trace_id, "detail": verdict.detail,
+                }))
+    by_scenario, by_rule = Counter(n for n, _ in red), Counter(r for _, r in red)
+    runs = len(names) * len(seeds)
+    print(f"\nred runs of seeds {seeds[0]}-{seeds[-1]}, 95 % Wilson interval:")
+    rows = [(f"scenario {name}", by_scenario[name], len(seeds)) for name in names]
+    rows += [(f"rule {rule}", by_rule[rule], runs) for rule in sorted(by_rule)]
+    for label, count, of in rows + [("all", len(red), runs)]:
+        low, high = _wilson(count, of)
+        print(f"  {label:<24} {count:>4}/{of:<5} {count / of:6.1%}  "
+              f"[{low:5.1%}, {high:5.1%}]")
+    return 1 if red else 0
+
+
+def _wilson(count: int, runs: int):
+    """The 95 % Wilson score interval of ``count`` red runs in ``runs``."""
+    share, z2 = count / runs, 1.96**2
+    centre = (share + z2 / (2 * runs)) / (1 + z2 / runs)
+    spread = (z2 * share * (1 - share) / runs + z2 * z2 / (4 * runs**2)) ** 0.5
+    half = spread / (1 + z2 / runs)
+    return max(centre - half, 0.0), min(centre + half, 1.0)
+
+
+def _seed_range(text: str) -> range:
+    """``N`` or ``A-B`` (inclusive) as a range of seeds."""
+    match = re.fullmatch(r"(\d+)(?:-(\d+))?", text)
+    seeds = range(int(match[1]), int(match[2] or match[1]) + 1) if match else ()
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"not a seed N or a range A-B: {text!r}")
+    return seeds
 
 
 def _cmd_sweep(args) -> int:
@@ -271,48 +316,29 @@ def main(argv=None) -> int:
     demo.add_argument("--trace", metavar="PATH", help=_TRACE_HELP)
     demo.set_defaults(fn=_cmd_demo)
 
+    from repro.experiments.chaos import SCENARIOS
+
     chaos = sub.add_parser(
         "chaos", help="mixed workload under a seeded fault schedule"
     )
     chaos.add_argument(
-        "--seed", type=int, default=1, help="fault-schedule seed (default 1)"
+        "--seed",
+        type=_seed_range,
+        default=range(1, 2),
+        metavar="N|A-B",
+        help="fault-schedule seed, or an inclusive range to sweep (default 1)",
     )
     chaos.add_argument(
-        "--broker-crash",
-        action="store_true",
-        dest="broker_crash",
-        help="also SIGKILL and restart the broker mid-run "
-        "(exercises leases, re-registration and session resumption)",
-    )
-    chaos.add_argument(
-        "--journal",
-        action="store_true",
-        help="run the broker durable (write-ahead journal + snapshot "
-        "recovery) and add journal faults: a guaranteed broker crash, a "
-        "torn journal tail at the crash instant, and a disk-stall window",
-    )
-    chaos.add_argument(
-        "--standby",
-        action="store_true",
-        help="run with a warm-standby replica (WAL shipping) and the "
-        "failover schedule: a standby kill, a ship-link partition, and a "
-        "primary SIGKILL mid-ship with no restart — recovery must come "
-        "from fenced promotion",
-    )
-    chaos.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="run the federated scenario: partition the machines across "
-        "this many durable broker shards, force cross-shard borrowing, "
-        "and add a shard-broker SIGKILL plus an inter-shard link "
-        "partition",
+        "--scenario",
+        choices=[*SCENARIOS, "all"],
+        default="plain",
+        help="the named scenario (default plain), or all of them",
     )
     chaos.add_argument(
         "--verbose", action="store_true", help="also print the fault plan"
     )
     chaos.add_argument("--trace", metavar="PATH", help=_TRACE_HELP)
-    chaos.set_defaults(fn=_cmd_chaos)
+    chaos.set_defaults(fn=_cmd_chaos, error=chaos.error)
 
     sweep = sub.add_parser(
         "sweep",

@@ -15,9 +15,15 @@ job still runs to completion:
 The fault schedule is drawn from the simulation RNG stream ``faults.plan``,
 so the whole run — faults, detections, recoveries, the exported trace — is a
 pure function of the seed; two runs with the same seed are byte-identical.
+
+:data:`SCENARIOS` names the scenarios, and :func:`check_scenario` runs one
+seed of one under the invariant oracle (:mod:`repro.broker.invariants`) and
+gives its verdict: ``python -m repro chaos`` and the tests judge by it.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.results import ExperimentTable
@@ -25,14 +31,30 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.faults.plan import BrokerCrash, ShipLinkPartition, StandbyCrash
 from repro.obs import HealthMonitor
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.broker.invariants import Violation
+
+#: Every run's shape: worker machines (the broker host n00 is extra), the
+#: sequential jobs beside the adaptive one, the simulated seconds a job has
+#: to complete, and the machine crashes and partitions drawn into the plan.
+MACHINES = 6
+SEQUENTIAL_JOBS = 3
+HORIZON = 600.0
+CRASHES = 3
+PARTITIONS = 1
+
+#: The chaos scenarios by name: the :func:`run_chaos` arguments of each.
+SCENARIOS: Dict[str, Dict[str, Any]] = {
+    "plain": {},
+    "restart": {"broker_crashes": 1},
+    "journal": {"journal": True, "broker_crashes": 1},
+    "standby": {"standby": True},
+    "shards": {"shards": 2},
+}
+
 
 def run_chaos(
     seed: int = 1,
-    machines: int = 6,
-    sequential_jobs: int = 3,
-    horizon: float = 600.0,
-    crashes: int = 3,
-    partitions: int = 1,
     broker_crashes: int = 0,
     journal: bool = False,
     standby: bool = False,
@@ -41,10 +63,8 @@ def run_chaos(
 ) -> ExperimentTable:
     """Run the chaos experiment; see the module docstring.
 
-    ``horizon`` bounds the run: a job still unfinished then counts as not
-    completed (``meta["completed"]`` vs ``meta["jobs"]``).  With
-    ``broker_crashes`` > 0 the schedule SIGKILLs the broker that many times
-    (each followed by a restart), exercising lease re-adoption, daemon
+    With ``broker_crashes`` > 0 the schedule SIGKILLs the broker that many
+    times (each followed by a restart), exercising lease re-adoption, daemon
     re-registration and app session resumption.
 
     ``journal=True`` runs the broker durable (write-ahead journal +
@@ -81,9 +101,9 @@ def run_chaos(
         # so a crashed shard recovers its side of every in-flight migration
         # instead of rebuilding from re-registration and dropping it.
         journal = True
-    standby_host = f"n{machines + 1:02d}" if standby else None
+    standby_host = f"n{MACHINES + 1:02d}" if standby else None
     cluster = Cluster(
-        ClusterSpec.uniform(machines + (2 if standby else 1), seed=seed)
+        ClusterSpec.uniform(MACHINES + (2 if standby else 1), seed=seed)
     )
     if fed:
         federation = cluster.start_federation(shards=shards, journal=True)
@@ -99,7 +119,7 @@ def run_chaos(
             journal=journal or standby,
             standby_host=standby_host,
             managed_hosts=(
-                [f"n{i:02d}" for i in range(machines + 1)] if standby else None
+                [f"n{i:02d}" for i in range(MACHINES + 1)] if standby else None
             ),
         )
         services = [svc]
@@ -109,7 +129,7 @@ def run_chaos(
     broker_hosts = {service.broker_host for service in services}
     worker_hosts = [
         f"n{i:02d}"
-        for i in range(1, machines + 1)
+        for i in range(1, MACHINES + 1)
         if f"n{i:02d}" not in broker_hosts
     ]
 
@@ -129,8 +149,8 @@ def run_chaos(
         worker_hosts,
         start=5.0,
         window=45.0,
-        crashes=crashes,
-        partitions=partitions,
+        crashes=CRASHES,
+        partitions=PARTITIONS,
         # The standby scenario adds its own broker kill below, placed
         # relative to the ship-link partition; a drawn crash (and its
         # paired restart) would race the promotion.
@@ -172,7 +192,7 @@ def run_chaos(
             uid="cal",
         )
     ]
-    for i in range(sequential_jobs):
+    for i in range(SEQUENTIAL_JOBS):
         handles.append(
             submit(
                 submit_hosts[(i + 1) % len(submit_hosts)],
@@ -181,9 +201,11 @@ def run_chaos(
             )
         )
 
-    deadline = cluster.now + horizon
+    deadline = cluster.now + HORIZON
     while cluster.now < deadline:
-        if all(h.terminated.triggered for h in handles):
+        # A process that died of an exception fails the run below, whatever
+        # follows it: stop waiting for jobs it may have stranded.
+        if cluster.network.crashed or all(h.terminated.triggered for h in handles):
             break
         cluster.env.run(until=min(cluster.now + 1.0, deadline))
     finished_at = cluster.now
@@ -205,7 +227,7 @@ def run_chaos(
         columns=["Metric", "Value"],
     )
     table.add("seed", seed)
-    table.add("worker machines", machines)
+    table.add("worker machines", MACHINES)
     table.add("jobs submitted", len(handles))
     table.add("jobs completed", completed)
     table.add("machine crashes injected", plan.count("machine_crash"))
@@ -239,14 +261,6 @@ def run_chaos(
             f"{counters.counter('federation.returns').value:g} / "
             f"{counters.counter('federation.loans_reclaimed').value:g}",
         )
-        table.add(
-            "fencing rejections",
-            counters.counter("fencing.rejections").value,
-        )
-        table.add(
-            "double grants (must be 0)",
-            counters.counter("fencing.double_grants").value,
-        )
     if standby:
         table.add("standby kills injected", plan.count("standby_crash"))
         table.add(
@@ -263,14 +277,13 @@ def run_chaos(
         )
         table.add("promotions", counters.counter("broker.promotions").value)
         table.add("demotions", counters.counter("broker.demotions").value)
+    if fed or standby:
         table.add(
             "fencing rejections",
             counters.counter("fencing.rejections").value,
         )
-        table.add(
-            "double grants (must be 0)",
-            counters.counter("fencing.double_grants").value,
-        )
+        table.meta["double_grants"] = counters.counter("fencing.double_grants").value
+        table.add("double grants (must be 0)", table.meta["double_grants"])
     if journal:
         table.add("journal torn writes injected", plan.count("journal_torn_write"))
         table.add("disk stalls injected", plan.count("disk_stall"))
@@ -354,54 +367,11 @@ def run_chaos(
     table.meta["jobs"] = len(handles)
     table.meta["completed"] = completed
     table.meta["stuck_allocations"] = stuck_allocations
-    table.meta["health"] = reports[0].to_dict()
-    if fed:
-        table.meta["shard_health"] = [r.to_dict() for r in reports]
     table.meta["plan"] = plan.summary()
     table.meta["faults_injected"] = len(injector.injected)
     table.meta["journal"] = journal
-    table.meta["standby"] = standby
-    table.meta["shards"] = shards if fed else 0
     if fed:
-        table.meta["federation"] = {
-            "shards": shards,
-            "forwards": counters.counter("federation.forwards").value,
-            "cross_shard_grants": counters.counter(
-                "federation.cross_shard_grants"
-            ).value,
-            "loans_out": counters.counter("federation.loans_out").value,
-            "loan_refusals": counters.counter(
-                "federation.loan_refusals"
-            ).value,
-            "recalls": counters.counter("federation.recalls").value,
-            "returns": counters.counter("federation.returns").value,
-            "reclaims": counters.counter("federation.loans_reclaimed").value,
-        }
         table.meta["shard_stats"] = federation.federation_stats()
-        table.meta["double_grants"] = counters.counter(
-            "fencing.double_grants"
-        ).value
-    if standby:
-        table.meta["fencing"] = {
-            "promotions": counters.counter("broker.promotions").value,
-            "demotions": counters.counter("broker.demotions").value,
-            "rejections": counters.counter("fencing.rejections").value,
-            "double_grants": counters.counter("fencing.double_grants").value,
-        }
-        table.meta["double_grants"] = counters.counter(
-            "fencing.double_grants"
-        ).value
-    if journal:
-        table.meta["recovery"] = {
-            "from_journal": counters.counter("recovery.from_journal").value,
-            "from_reregistration": counters.counter(
-                "recovery.from_reregistration"
-            ).value,
-            "replayed_records": counters.counter(
-                "recovery.replayed_records"
-            ).value,
-            "conflicts": counters.counter("recovery.conflicts").value,
-        }
     table.notes.append(
         "every job must complete despite crashes, partitions and lost "
         "heartbeats; same seed => byte-identical trace"
@@ -409,5 +379,32 @@ def run_chaos(
     return table
 
 
-if __name__ == "__main__":  # pragma: no cover - manual run
-    print(run_chaos())
+
+def check_scenario(
+    name: str, seed: int, trace=None
+) -> Tuple[Optional[ExperimentTable], Optional[Violation]]:
+    """Run seed ``seed`` of scenario ``name`` checked after every event, and
+    return its table and its verdict, None when it is green.
+
+    The verdict is the oracle's first violation once the run has settled;
+    else ``incomplete`` when a job did not complete.  An exception out of
+    :func:`run_chaos` (a simulated process that died of one included) is
+    recorded as ``crashed``, with no table, never raised."""
+    # Imported here, so importing the experiments does not import the broker.
+    from repro.broker.invariants import Violation, checked
+
+    with checked() as watch:
+        try:
+            table = run_chaos(seed, **SCENARIOS[name], trace=trace)
+        except Exception as exc:  # the program's, whatever it is
+            table = None
+            rule, detail = "crashed", " ".join(f"{type(exc).__name__}: {exc}".split())
+    if table is not None:
+        verdict, meta = watch.settled(), table.meta
+        if verdict is not None or meta["completed"] == meta["jobs"]:
+            return table, verdict
+        rule, detail = "incomplete", "{completed}/{jobs} jobs completed".format(**meta)
+    # A verdict on the run as a whole, stamped at its end on shard 0.
+    oracle = watch.oracles[0]
+    logged = oracle.services()[0].logged
+    return table, Violation(rule, detail, oracle.cluster.now, 0, logged - 1, None)

@@ -132,14 +132,14 @@ def test_chaos_trace_identical(monkeypatch):
     """The full robustness capstone — machine crashes, partition, daemon
     kill, broker SIGKILL + restart — replays byte-identically across
     scheduler modes (the restarted incarnation keeps its mode)."""
-    from repro.experiments import run_chaos
+    from repro.experiments.chaos import SCENARIOS, run_chaos
     from repro.obs import TraceCollector
 
     results = {}
 
     def run():
         collector = TraceCollector()
-        table = run_chaos(seed=1, broker_crashes=1, trace=collector)
+        table = run_chaos(seed=1, **SCENARIOS["restart"], trace=collector)
         digest = hashlib.sha256(collector.jsonl().encode()).hexdigest()
         assert table.meta["completed"] == table.meta["jobs"]
         return str(table), digest

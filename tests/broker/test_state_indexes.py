@@ -361,5 +361,5 @@ def test_indexes_coherent_after_every_event_of_federated_chaos(monkeypatch):
     with checked() as watch:
         table = run_chaos(seed=1, shards=2)
     assert forgotten
-    assert table.meta["recovery"]["from_journal"] >= 1
+    assert table.value("recoveries from journal") >= 1
     assert watch.settled() is None

@@ -1,4 +1,5 @@
-"""Federated chaos: ``run_chaos(shards=N)`` / ``python -m repro chaos --shards``.
+"""Federated chaos: ``run_chaos(shards=N)``, the ``shards`` scenario of
+``python -m repro chaos``.
 
 The acceptance gate for the federated control plane under fire: shard 1's
 broker is SIGKILLed and restarted, the shard 0 <-> shard 1 control link
@@ -12,23 +13,21 @@ import pytest
 from repro.experiments import run_chaos
 
 
-def test_federated_chaos_every_job_completes(checked):
+def test_federated_chaos_every_job_completes():
     table = run_chaos(seed=1, shards=2)
     assert table.meta["completed"] == table.meta["jobs"]
     assert table.meta["double_grants"] == 0
-    assert table.meta["shards"] == 2
+    assert table.value("broker shards") == 2
     # The schedule really exercised the federation: a shard-broker crash,
     # an inter-shard link partition, and actual cross-shard borrowing.
     plan = table.meta["plan"]
     assert "shard_link_partition" in plan
     assert "broker_crash" in plan
-    fed = table.meta["federation"]
-    assert fed["cross_shard_grants"] >= 1
-    assert fed["loans_out"] >= 1
+    assert table.value("cross-shard grants") >= 1
+    assert int(table.value("loans out / refusals").split(" / ")[0]) >= 1
     # Every shard reports its own federation block.
     assert len(table.meta["shard_stats"]) == 2
     assert table.meta["stuck_allocations"] == 0
-    assert checked.settled() is None
 
 
 def test_federated_chaos_three_shards(checked):

@@ -1,4 +1,5 @@
-"""Journaled chaos: ``run_chaos(journal=True)`` / ``python -m repro chaos --journal``.
+"""Journaled chaos: ``run_chaos(journal=True)``, the ``journal`` scenario of
+``python -m repro chaos``.
 
 The chaos experiment with the durable broker adds journal-specific faults
 (torn writes, disk stalls) and recovery rows to the table; same seed must
@@ -12,7 +13,7 @@ def _rows(table):
     return {row.label: row.values[0] for row in table.rows}
 
 
-def test_journaled_chaos_completes_and_recovers_from_disk(checked):
+def test_journaled_chaos_completes_and_recovers_from_disk():
     table = run_chaos(seed=1, journal=True)
     assert table.meta["completed"] == table.meta["jobs"]
     assert table.meta["stuck_allocations"] == 0
@@ -26,13 +27,10 @@ def test_journaled_chaos_completes_and_recovers_from_disk(checked):
     assert rows["journal records replayed"] > 0
     rendered = str(table)
     assert "recoveries from journal" in rendered
-    assert table.meta["recovery"]["from_journal"] >= 1
-    assert checked.settled() is None
 
 
 def test_unjournaled_chaos_has_no_journal_rows():
-    table = run_chaos(seed=1, machines=3, sequential_jobs=1, horizon=240.0,
-                      crashes=1)
+    table = run_chaos(seed=1)
     assert table.meta.get("journal") is False
     assert "recoveries from journal" not in str(table)
 

@@ -12,25 +12,17 @@ from repro.experiments import run_chaos
 from repro.obs import TraceCollector
 
 
-def _small_run(seed, tmp_path, tag):
+def _run(seed, tmp_path, tag):
     collector = TraceCollector()
-    table = run_chaos(
-        seed=seed,
-        machines=3,
-        sequential_jobs=1,
-        horizon=240.0,
-        crashes=2,
-        partitions=1,
-        trace=collector,
-    )
+    table = run_chaos(seed=seed, trace=collector)
     path = tmp_path / f"chaos-{tag}.jsonl"
     collector.write(str(path))
     return table, path.read_bytes()
 
 
 def test_same_seed_same_fault_plan_byte_identical_trace(tmp_path):
-    table_a, trace_a = _small_run(3, tmp_path, "a")
-    table_b, trace_b = _small_run(3, tmp_path, "b")
+    table_a, trace_a = _run(3, tmp_path, "a")
+    table_b, trace_b = _run(3, tmp_path, "b")
 
     assert table_a.meta["plan"] == table_b.meta["plan"]
     assert table_a.meta["completed"] == table_b.meta["completed"]
@@ -39,7 +31,7 @@ def test_same_seed_same_fault_plan_byte_identical_trace(tmp_path):
 
 
 def test_different_seeds_diverge(tmp_path):
-    table_a, trace_a = _small_run(3, tmp_path, "a2")
-    table_b, trace_b = _small_run(4, tmp_path, "b2")
+    table_a, trace_a = _run(3, tmp_path, "a2")
+    table_b, trace_b = _run(4, tmp_path, "b2")
     assert table_a.meta["plan"] != table_b.meta["plan"]
     assert trace_a != trace_b

@@ -1,12 +1,11 @@
 """The invariant oracle (``repro.broker.invariants``) over the chaos scenarios.
 
-Seeds 0-39 of each chaos scenario were run under the oracle, checked after
-every event.  :data:`KNOWN_RED` is every scenario it finds red, with its
-class (ROADMAP item 1); each runs here as a strict xfail, so fixing one
-turns its xfail into an XPASS failure that asks for the entry to be
-removed, and nothing already red can silently go green or vice versa.  The
-green ones spot-check that the oracle holds where it should, and the unit
-tests below show each property really is checked.
+Seeds 0-39 of every scenario of :data:`~repro.experiments.chaos.SCENARIOS`
+run here through :func:`~repro.experiments.chaos.check_scenario`, checked
+after every event.  :data:`KNOWN_RED` is every one found red, with its class
+(ROADMAP item 1), and each scenario's red set must equal it exactly: fixing
+one, or a green seed turning red, fails the sweep until the entry moves.
+The unit tests below show each property really is checked.
 """
 
 from __future__ import annotations
@@ -19,15 +18,9 @@ from repro.broker.invariants import Oracle, checked
 from repro.broker.records import AllocationState, PendingRequest
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
 from repro.experiments import run_chaos
+from repro.experiments.chaos import SCENARIOS, check_scenario
 from repro.policy.default import DefaultPolicy
 from tests.broker.conftest import install_greedy
-
-VARIANTS = {
-    "plain": {},
-    "journal": {"journal": True, "broker_crashes": 1},
-    "standby": {"standby": True},
-    "shards": {"shards": 2},
-}
 
 CLASS_A = "A: a revoke races a redirection in flight"
 
@@ -35,42 +28,29 @@ CLASS_A = "A: a revoke races a redirection in flight"
 #: their class in ROADMAP item 1.
 KNOWN_RED = {
     CLASS_A: [
-        ("plain", 4), ("plain", 7), ("plain", 27), ("plain", 37), ("journal", 7),
-        ("journal", 27), ("journal", 31), ("standby", 3), ("standby", 4),
-        ("standby", 7), ("standby", 22), ("standby", 27), ("standby", 35),
-        ("standby", 37),
+        ("plain", 4), ("plain", 7), ("plain", 27), ("plain", 37), ("restart", 7),
+        ("restart", 27), ("journal", 7), ("journal", 27), ("journal", 31),
+        ("standby", 3), ("standby", 4), ("standby", 7), ("standby", 22),
+        ("standby", 27), ("standby", 35), ("standby", 37),
     ],
     "B: loan returned before vacate": [("shards", 28)],
     "C: lease adopted for a finished job": [("journal", 19), ("shards", 19)],
+    "D: reclaim of a lease adopted for a job not yet resumed": [("restart", 2)],
 }
 
 
-@pytest.mark.parametrize(
-    "variant, seed",
-    [
-        pytest.param(
-            variant,
-            seed,
-            marks=pytest.mark.xfail(
-                strict=True, reason=f"ROADMAP item 1, class {klass}"
-            ),
-            id=f"{variant}-{seed}",
-        )
-        for klass, pairs in KNOWN_RED.items()
-        for variant, seed in pairs
-    ],
-)
-def test_known_red_scenario(checked, variant, seed):
-    run_chaos(seed=seed, **VARIANTS[variant])
-    violation = checked.settled()
-    assert violation is None, str(violation)
-
-
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_oracle_holds_on_a_green_seed(checked, variant):
-    table = run_chaos(seed=1, **VARIANTS[variant])
-    assert checked.settled() is None
-    assert table.meta["completed"] == table.meta["jobs"]
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_red_set_of_seeds_0_to_39_is_known(scenario):
+    red = {}
+    for seed in range(40):
+        table, verdict = check_scenario(scenario, seed)
+        if verdict is None:
+            assert table.meta["completed"] == table.meta["jobs"]
+        else:
+            red[seed] = str(verdict)
+    known = [seed for pairs in KNOWN_RED.values() for name, seed in pairs
+             if name == scenario]
+    assert sorted(red) == sorted(known), red
 
 
 @pytest.mark.xfail(strict=True, reason=f"ROADMAP item 1, class {CLASS_A}")

@@ -70,16 +70,7 @@ def test_conflicting_adoption_does_not_overwrite():
 
 def _crash_run(seed, tmp_path, tag):
     collector = TraceCollector()
-    table = run_chaos(
-        seed=seed,
-        machines=3,
-        sequential_jobs=1,
-        horizon=240.0,
-        crashes=1,
-        partitions=1,
-        broker_crashes=1,
-        trace=collector,
-    )
+    table = run_chaos(seed=seed, broker_crashes=1, trace=collector)
     path = tmp_path / f"brokerchaos-{tag}.jsonl"
     collector.write(str(path))
     return table, path.read_bytes()

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -38,6 +40,23 @@ def test_chaos_verdict_is_the_oracles(capsys):
     """Seed 4 completes every job, with a double run on n01."""
     assert main(["chaos", "--seed", "4"]) == 1
     assert "double_run at t=40.688300" in capsys.readouterr().out
+
+
+def test_chaos_sweep_prints_each_red_run(capsys):
+    assert main(["chaos", "--seed", "3-4", "--scenario", "standby"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["rule"] for line in lines[:2]] == ["double_run"] * 2
+    assert lines[2] == ""
+    assert lines[-1].split() == ["all", "2/2", "100.0%", "[34.2%,", "100.0%]"]
+
+
+def test_chaos_sweep_of_green_runs_exits_zero():
+    assert main(["chaos", "--seed", "1", "--scenario", "all"]) == 0
+
+
+def test_chaos_sweep_rejects_a_trace(tmp_path):
+    with pytest.raises(SystemExit, match="2"):
+        main(["chaos", "--seed", "1-2", "--trace", str(tmp_path / "t.json")])
 
 
 def test_unknown_command_rejected():
