@@ -39,7 +39,7 @@ profiler's per-layer call counts, then two sums of broker layers' calls:
 the four control layers, and the heartbeat path (``broker.daemon`` plus
 ``broker.other``, where the lease ingest lives).  Equal digests mean the
 change is invisible to the simulation on that workload.  Exit status 1
-only when a run fails or is not ``correct``.
+when the two ``sim_digest``s differ, or a run fails or is not ``correct``.
 
     python3 benchmarks/pairs.py --workload churn-1024 --base HEAD~1 --census [--seed N]
     make bench-pairs W=churn-1024 BASE=HEAD~1 CENSUS=1 [SEED=N]
@@ -183,7 +183,7 @@ def facts(parent: Dict[str, Any], change: Dict[str, Any]) -> int:
         )
         label = f"broker.{{{','.join(parts)}}}.calls"
         print(f"  {label:42s} {old:.10g} -> {new:.10g} ({(new - old) / old:+.2%})")
-    status = 0
+    status = 0 if same else 1
     for side, run in (("parent", parent), ("change", change)):
         print(f"{side}: failed {run['failed']} of {run['attempted']} operations, "
               f"{'correct' if run['correct'] else 'NOT correct'}")

@@ -22,6 +22,35 @@ from repro.broker.records import AllocationState
 from repro.os.errors import ConnectionClosed
 
 
+def keep_respawned(owner, host, argv, arm, restarts, event):
+    """The keeper discipline of daemons and the warm standby: rsh-spawn
+    ``argv`` on ``host`` and respawn it whenever its session drops.
+
+    ``arm(host, down)`` files each incarnation's down event where the
+    session serving its connection triggers it: the *connection* is the
+    liveness signal, never the process.  An unreachable host is retried
+    after one report interval; each respawn counts ``restarts`` and logs
+    ``event``.  ``owner`` is the broker component keeping it (its ``proc``,
+    ``cal``, ``metrics`` and ``service``).
+    """
+    proc = owner.proc
+    while True:
+        down = proc.env.event()
+        arm(host, down)
+        rsh = proc.spawn(["system:rsh", host, *argv])
+        code = yield proc.wait(rsh)
+        # The finished rsh would otherwise stay referenced from this frame
+        # for the spawned program's whole life.
+        del rsh
+        if code != 0:
+            # Machine unreachable; back off and retry.
+            yield proc.sleep(owner.cal.daemon_report_interval)
+            continue
+        yield down  # triggered when the session drops
+        owner.metrics.counter(restarts).inc()
+        owner.service.log(event=event, host=host)
+
+
 class Leases:
     """Daemon sessions, machine liveness and grant leases."""
 
@@ -66,23 +95,11 @@ class Leases:
         plus standby, when one is configured) so a daemon spawned before a
         failover finds whichever incarnation is alive afterwards.
         """
-        while True:
-            down = self.proc.env.event()
-            self._daemon_down[host] = down
-            rsh = self.proc.spawn(
-                ["system:rsh", host, "rbdaemon", *self._addresses],
-            )
-            code = yield self.proc.wait(rsh)
-            # The finished rsh would otherwise stay referenced from this
-            # frame for the daemon's whole life.
-            del rsh
-            if code != 0:
-                # Machine unreachable; back off and retry.
-                yield self.proc.sleep(self.cal.daemon_report_interval)
-                continue
-            yield down  # triggered when the daemon's connection drops
-            self.metrics.counter("broker.daemon_restarts").inc()
-            self.service.log(event="daemon_restart", host=host)
+        return keep_respawned(
+            self, host, ("rbdaemon", *self._addresses),
+            self._daemon_down.__setitem__,
+            "broker.daemon_restarts", "daemon_restart",
+        )
 
     def install(self, host, jobid, reqid) -> None:
         """Install a grant on the hosting daemon, stamped with this

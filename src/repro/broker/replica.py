@@ -37,6 +37,7 @@ from typing import Any, Dict
 
 from repro.broker import protocol
 from repro.broker.journal import _frame, parse_frames
+from repro.broker.leases import keep_respawned
 from repro.broker.recovery import (
     RecoveryInfo,
     apply_payloads,
@@ -129,25 +130,15 @@ class Shipper:
 
     def standby_keeper(self, host):
         """Spawn the warm standby on ``host`` and respawn it whenever its
-        ship session drops (the same keeper discipline as daemons: the
-        *connection* is the liveness signal, never the process)."""
-        while True:
-            down = self.proc.env.event()
+        ship session drops (the same keeper discipline as daemons)."""
+
+        def arm(_host, down):
             self._standby_down = down
-            rsh = self.proc.spawn(
-                ["system:rsh", host, "rbstandby", self.proc.machine.name],
-            )
-            code = yield self.proc.wait(rsh)
-            # The finished rsh would otherwise stay referenced from this
-            # frame for the standby's whole life.
-            del rsh
-            if code != 0:
-                # Standby machine unreachable; back off and retry.
-                yield self.proc.sleep(self.cal.daemon_report_interval)
-                continue
-            yield down  # triggered when the ship session drops
-            self.metrics.counter("broker.standby_restarts").inc()
-            self.service.log(event="standby_restart", host=host)
+
+        return keep_respawned(
+            self, host, ("rbstandby", self.proc.machine.name), arm,
+            "broker.standby_restarts", "standby_restart",
+        )
 
     def acceptor(self, listener):
         """Accept ship-port sessions (the standby's hello, or a promoted

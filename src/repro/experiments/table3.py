@@ -77,27 +77,6 @@ def _pvm_measure(cluster, hosts: List[str], uid="user") -> float:
     return cluster.now - t0
 
 
-def _row_pvm(seed: int, mode: str, trace=None) -> List[float]:
-    times = []
-    for k in _SIZES:
-        if mode == "rsh":
-            cluster = _fresh(seed, broker=False)
-            _pvm_boot_plain(cluster)
-            hosts = [f"n{i:02d}" for i in range(1, k + 1)]
-        elif mode == "host":
-            cluster = _fresh(seed, broker=True)
-            _pvm_boot_brokered(cluster)
-            hosts = [f"n{i:02d}" for i in range(1, k + 1)]
-        else:  # anylinux
-            cluster = _fresh(seed, broker=True)
-            _pvm_boot_brokered(cluster)
-            hosts = ["anylinux"] * k
-        times.append(_pvm_measure(cluster, hosts))
-        if trace is not None:
-            trace.add_cluster(cluster, label=f"pvm w/ {mode} k={k}")
-    return times
-
-
 # -- LAM --------------------------------------------------------------
 
 
@@ -129,25 +108,35 @@ def _lam_measure(cluster, hosts: List[str], uid="user") -> float:
     return cluster.now - t0
 
 
-def _row_lam(seed: int, mode: str, trace=None) -> List[float]:
+# -- one row -----------------------------------------------------------
+
+
+def _row(label, boot_plain, boot_brokered, measure, seed: int, mode: str,
+         trace=None) -> List[float]:
+    """Row ``<label> w/ <mode>``: per size k, a fresh cluster booted the
+    way ``mode`` needs, then ``measure`` of growing it by k hosts."""
     times = []
     for k in _SIZES:
         if mode == "rsh":
             cluster = _fresh(seed, broker=False)
-            _lam_boot_plain(cluster)
-            hosts = [f"n{i:02d}" for i in range(1, k + 1)]
-        elif mode == "host":
-            cluster = _fresh(seed, broker=True)
-            _lam_boot_brokered(cluster)
-            hosts = [f"n{i:02d}" for i in range(1, k + 1)]
+            boot_plain(cluster)
         else:
             cluster = _fresh(seed, broker=True)
-            _lam_boot_brokered(cluster)
+            boot_brokered(cluster)
+        if mode == "anylinux":
             hosts = ["anylinux"] * k
-        times.append(_lam_measure(cluster, hosts))
+        else:
+            hosts = [f"n{i:02d}" for i in range(1, k + 1)]
+        times.append(measure(cluster, hosts))
         if trace is not None:
-            trace.add_cluster(cluster, label=f"lam w/ {mode} k={k}")
+            trace.add_cluster(cluster, label=f"{label} w/ {mode} k={k}")
     return times
+
+
+_SYSTEMS = {
+    "pvm": (_pvm_boot_plain, _pvm_boot_brokered, _pvm_measure),
+    "lam": (_lam_boot_plain, _lam_boot_brokered, _lam_measure),
+}
 
 
 def run_table3(seed: int = 0, trace=None) -> ExperimentTable:
@@ -163,30 +152,20 @@ def run_table3(seed: int = 0, trace=None) -> ExperimentTable:
         ),
         columns=["Operation"] + [f"{k} machine(s)" for k in _SIZES],
     )
-    pvm_rsh = _row_pvm(seed, "rsh", trace)
-    pvm_host = _row_pvm(seed, "host", trace)
-    pvm_any = _row_pvm(seed, "anylinux", trace)
-    lam_rsh = _row_lam(seed, "rsh", trace)
-    lam_host = _row_lam(seed, "host", trace)
-    lam_any = _row_lam(seed, "anylinux", trace)
-    table.add("pvm w/ rsh", *pvm_rsh)
-    table.add("pvm w/ host", *pvm_host)
-    table.add("pvm w/ anylinux", *pvm_any)
-    table.add("lam w/ rsh", *lam_rsh)
-    table.add("lam w/ host", *lam_host)
-    table.add("lam w/ anylinux", *lam_any)
-    table.meta["pvm_host_overhead_per_machine"] = [
-        (h - r) / k for h, r, k in zip(pvm_host, pvm_rsh, _SIZES)
-    ]
-    table.meta["pvm_anylinux_overhead_per_machine"] = [
-        (a - h) / k for a, h, k in zip(pvm_any, pvm_host, _SIZES)
-    ]
-    table.meta["lam_host_overhead_per_machine"] = [
-        (h - r) / k for h, r, k in zip(lam_host, lam_rsh, _SIZES)
-    ]
-    table.meta["lam_anylinux_overhead_per_machine"] = [
-        (a - h) / k for a, h, k in zip(lam_any, lam_host, _SIZES)
-    ]
+    for label, system in _SYSTEMS.items():
+        rsh, host, anylinux = (
+            _row(label, *system, seed, mode, trace)
+            for mode in ("rsh", "host", "anylinux")
+        )
+        table.add(f"{label} w/ rsh", *rsh)
+        table.add(f"{label} w/ host", *host)
+        table.add(f"{label} w/ anylinux", *anylinux)
+        table.meta[f"{label}_host_overhead_per_machine"] = [
+            (h - r) / k for h, r, k in zip(host, rsh, _SIZES)
+        ]
+        table.meta[f"{label}_anylinux_overhead_per_machine"] = [
+            (a - h) / k for a, h, k in zip(anylinux, host, _SIZES)
+        ]
     table.notes.append(
         "paper: explicit names add <0.3 ms/machine; anylinux adds ~1.2 s "
         "(PVM) / ~1.4 s (LAM) per machine, once, at startup"

@@ -3,11 +3,13 @@
 Each subpackage models one of the commodity systems the paper manages
 *unmodified*:
 
-* :mod:`repro.systems.pvm` — PVM-style virtual machine (master/slave daemons,
-  console, ``pvm_addhosts``); **rejects** slave daemons from hosts it did not
-  ask for, which is what forces the broker's external-module path.
+* :mod:`repro.systems.pvm` — PVM-style virtual machine (console,
+  ``pvm_addhosts``); its master daemon **rejects** slave daemons from hosts
+  it did not ask for, which is what forces the broker's external-module path.
 * :mod:`repro.systems.lam` — LAM/MPI-style runtime (``lamboot``/``lamgrow``);
   also rejects unexpected hosts, with heavier per-host startup.
+* :mod:`repro.systems.vmd` — the one master/slave daemon both of them run,
+  each as a dialect.
 * :mod:`repro.systems.calypso` — adaptive master/worker runtime with eager
   scheduling; workers join anonymously and may be killed at any time, so it
   exercises the broker's *default* (redirection) path.

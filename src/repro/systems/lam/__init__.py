@@ -18,6 +18,12 @@ console:
 
 Per-host startup is deliberately heavier than PVM's (paper Table 3: ~1.4 s
 vs ~1.2 s of per-host ``anylinux`` overhead).
+
+The daemons, their handshake and the client protocol are
+:mod:`repro.systems.vmd`, shared with PVM.  What stays LAM's own is the
+``lamd`` dialect (:data:`repro.systems.lam.daemon.LAM`: argv, home files,
+the heavier slave startup, span, fencing counter, ``LamError``), the tools
+with their startup cost and exit codes, and the module scripts.
 """
 
 from repro.systems.lam.daemon import lamd_main

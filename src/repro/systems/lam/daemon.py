@@ -1,296 +1,35 @@
-"""``lamd`` — the LAM daemon (origin and remote modes).
+"""``lamd`` — LAM's dialect of the shared virtual-machine daemon.
 
-The origin lamd is the universe's coordinator: it owns the node table,
-boots remote lamds via rsh, and serves the command-line tools.  Remote lamds
-register back with the origin and are **rejected if the origin did not boot
-them** — like PVM, LAM does not let unexpected machines join.
+The origin/remote daemon itself is :mod:`repro.systems.vmd`.  What stays
+LAM's own is what an observer can see: the program ``lamd`` and its remote
+form ``lamd -remote <origin> <port>``, the home files ``~/.lamd`` (cf. LAM's
+kill file), ``~/.lam_nodes`` and ``~/.lamd.lock``, the heavier
+``lamd_slave_startup`` calibration, the ``lam.boot_node`` span, the
+``lam.slaves_fenced`` counter and :class:`LamError`.
 """
 
 from __future__ import annotations
 
-from repro.os.errors import (
-    ConnectionClosed,
-    ConnectionRefused,
-    NoSuchHost,
-    NoSuchProgram,
+from repro.systems.vmd import Dialect, daemon_main
+
+
+class LamError(Exception):
+    """No origin daemon or protocol failure."""
+
+
+LAM = Dialect(
+    daemon="lamd",
+    slave_flag="-remote",
+    advert="~/.lamd",
+    members="~/.lam_nodes",
+    lock="~/.lamd.lock",
+    slave_startup="lamd_slave_startup",
+    add_span="lam.boot_node",
+    fenced="lam.slaves_fenced",
+    error=LamError,
 )
-from repro.os.signals import SIGKILL
-
-#: Home-relative path of the origin advertisement (cf. LAM's kill file).
-LAMD_FILE = "~/.lamd"
-
-#: Home-relative status file listing universe membership (for harnesses).
-LAM_NODES_FILE = "~/.lam_nodes"
-
-#: Startup lock closing the double-boot window (see PVM's equivalent).
-LAMD_LOCK = "~/.lamd.lock"
 
 
 def lamd_main(proc):
     """Program body: origin mode, or ``lamd -remote <origin> <port>``."""
-    if len(proc.argv) >= 2 and proc.argv[1] == "-remote":
-        return (yield from _remote_main(proc))
-    return (yield from _origin_main(proc))
-
-
-# ---------------------------------------------------------------------------
-# origin
-# ---------------------------------------------------------------------------
-
-
-class _Universe:
-    def __init__(self, proc, port):
-        self.proc = proc
-        self.origin = proc.machine.name
-        self.port = port
-        self.nodes = {self.origin: None}  # host -> remote lamd conn
-        self.expected = set()
-        #: reply routing for in-flight remote task spawns: host -> Event
-        self.spawn_waiters = {}
-        self.halted = proc.env.event()
-
-    def publish_nodes(self) -> None:
-        self.proc.write_file(
-            LAM_NODES_FILE, "".join(h + "\n" for h in sorted(self.nodes))
-        )
-
-
-def _origin_main(proc):
-    port = proc.machine.network.ephemeral_port(proc.machine)
-    listener = proc.listen(port)
-    universe = _Universe(proc, port)
-    proc.write_file(LAMD_FILE, f"{universe.origin} {port}\n")
-    proc.unlink_file(LAMD_LOCK)
-    universe.publish_nodes()
-    while True:
-        accept_ev = listener.accept()
-        outcome = yield proc.env.any_of([accept_ev, universe.halted])
-        if universe.halted in outcome:
-            break
-        proc.thread(
-            _origin_serve(proc, universe, accept_ev.value),
-            name="lamd-session",
-        )
-    proc.unlink_file(LAMD_FILE)
-    proc.unlink_file(LAM_NODES_FILE)
-    proc.unlink_file(LAMD_LOCK)
-    return 0
-
-
-def _origin_serve(proc, universe, conn):
-    try:
-        first = yield conn.recv()
-    except ConnectionClosed:
-        conn.close()
-        return
-    kind = first.get("type")
-    if kind == "lamd_hello":
-        yield from _remote_session(proc, universe, conn, first)
-    elif kind == "lam_tool":
-        yield from _tool_session(proc, universe, conn, first)
-    else:
-        conn.close()
-
-
-def _remote_session(proc, universe, conn, hello):
-    host = hello.get("host")
-    if host not in universe.expected:
-        conn.send({"type": "lamd_reject", "reason": "not booted by origin"})
-        conn.close()
-        return
-    universe.expected.discard(host)
-    universe.nodes[host] = conn
-    universe.publish_nodes()
-    conn.send({"type": "lamd_ack"})
-    try:
-        while True:
-            msg = yield conn.recv()
-            if msg.get("type") == "lamd_spawned":
-                waiter = universe.spawn_waiters.pop(host, None)
-                if waiter is not None:
-                    waiter.succeed(msg.get("pid"))
-    except ConnectionClosed:
-        pass
-    if universe.nodes.get(host) is conn:
-        del universe.nodes[host]
-        universe.publish_nodes()
-    conn.close()
-
-
-def _tool_session(proc, universe, conn, first):
-    msg = first
-    while True:
-        reply = yield from _tool_command(proc, universe, msg)
-        try:
-            conn.send(reply)
-        except ConnectionClosed:
-            pass
-        if msg.get("cmd") == "halt":
-            conn.close()
-            if not universe.halted.triggered:
-                universe.halted.succeed()
-            return
-        try:
-            msg = yield conn.recv()
-        except ConnectionClosed:
-            conn.close()
-            return
-
-
-def _tool_command(proc, universe, msg):
-    cmd = msg.get("cmd")
-    if cmd == "nodes":
-        return {"type": "lam_reply", "nodes": sorted(universe.nodes)}
-    if cmd == "grow":
-        host = msg.get("host")
-        outcome = yield from _boot_node(
-            proc, universe, host, ctx=msg.get("trace")
-        )
-        return {"type": "lam_reply", "result": outcome}
-    if cmd == "shrink":
-        host = msg.get("host")
-        outcome = yield from _drop_node(proc, universe, host)
-        return {"type": "lam_reply", "result": outcome}
-    if cmd == "spawn":
-        placed = yield from _spawn_tasks(
-            proc, universe, msg.get("argv", []), int(msg.get("count", 1))
-        )
-        return {"type": "lam_reply", "tasks": placed}
-    if cmd == "halt":
-        for host in [h for h in list(universe.nodes) if h != universe.origin]:
-            yield from _drop_node(proc, universe, host)
-        return {"type": "lam_reply", "halted": True}
-    return {"type": "lam_reply", "error": f"unknown command {cmd!r}"}
-
-
-def _spawn_tasks(proc, universe, argv, count):
-    """Round-robin ``count`` MPI task processes across the universe."""
-    if not argv:
-        return []
-    placed = []
-    nodes = sorted(universe.nodes)
-    for index in range(count):
-        host = nodes[index % len(nodes)]
-        if host == universe.origin:
-            try:
-                task = proc.spawn(list(argv))
-                placed.append({"host": host, "pid": task.pid})
-            except NoSuchProgram:
-                placed.append({"host": host, "pid": None})
-            continue
-        conn = universe.nodes[host]
-        waiter = proc.env.event()
-        universe.spawn_waiters[host] = waiter
-        try:
-            conn.send({"type": "lamd_spawn", "argv": list(argv)})
-        except ConnectionClosed:
-            universe.spawn_waiters.pop(host, None)
-            placed.append({"host": host, "pid": None})
-            continue
-        outcome = yield proc.env.any_of([waiter, proc.env.timeout(5.0)])
-        if waiter in outcome:
-            placed.append({"host": host, "pid": waiter.value})
-        else:
-            universe.spawn_waiters.pop(host, None)
-            placed.append({"host": host, "pid": None})
-    return placed
-
-
-def _boot_node(proc, universe, host, ctx=None):
-    from repro.obs import context_from_environ, tracer_of
-
-    if host in universe.nodes:
-        return "already"
-    span = tracer_of(proc).start(
-        "lam.boot_node",
-        parent=ctx or context_from_environ(proc.environ),
-        actor=f"lamd:{universe.origin}",
-        host=host,
-    )
-    universe.expected.add(host)
-    rsh = proc.spawn(
-        ["rsh", host, "lamd", "-remote", universe.origin, str(universe.port)],
-        environ=span.environ(),
-    )
-    code = yield proc.wait(rsh)
-    if code != 0:
-        universe.expected.discard(host)
-        span.end(result="failed")
-        return "failed"
-    result = "ok" if host in universe.nodes else "failed"
-    span.end(result=result)
-    return result
-
-
-def _drop_node(proc, universe, host):
-    conn = universe.nodes.get(host)
-    if host not in universe.nodes or conn is None:
-        return "no-such-node"
-    try:
-        conn.send({"type": "lamd_halt"})
-    except ConnectionClosed:
-        pass
-    deadline = proc.env.timeout(5.0)
-    while host in universe.nodes and not deadline.processed:
-        yield proc.env.any_of([proc.env.timeout(0.01), deadline])
-    return "ok" if host not in universe.nodes else "timeout"
-
-
-# ---------------------------------------------------------------------------
-# remote
-# ---------------------------------------------------------------------------
-
-
-def _remote_main(proc):
-    if len(proc.argv) < 4:
-        return 1
-    origin_host, origin_port = proc.argv[2], int(proc.argv[3])
-    cal = proc.machine.network.calibration
-    yield proc.sleep(cal.lamd_slave_startup)
-    try:
-        conn = yield proc.connect(origin_host, origin_port)
-    except (ConnectionRefused, NoSuchHost):
-        return 1
-    conn.send({"type": "lamd_hello", "host": proc.machine.name})
-    try:
-        ack = yield conn.recv()
-    except ConnectionClosed:
-        return 1
-    if ack.get("type") != "lamd_ack":
-        return 1
-    proc.daemonize()
-
-    # Fencing (DESIGN.md §16): same rule as the PVM slave — if this
-    # machine's witnessed broker epoch rises past the one we joined under,
-    # the universe holding us is stale; stop taking work and drop out.
-    # Inert (witness 0) outside warm-standby runs.
-    from repro.broker.daemon import witnessed_epoch
-
-    session_epoch = witnessed_epoch(proc.machine)
-
-    tasks = []
-    try:
-        while True:
-            msg = yield conn.recv()
-            kind = msg.get("type")
-            if session_epoch and witnessed_epoch(proc.machine) > session_epoch:
-                from repro.obs import metrics_of
-
-                metrics_of(proc).counter("lam.slaves_fenced").inc()
-                break
-            if kind == "lamd_spawn":
-                try:
-                    task = proc.spawn(list(msg["argv"]))
-                    tasks.append(task)
-                    conn.send({"type": "lamd_spawned", "pid": task.pid})
-                except NoSuchProgram:
-                    conn.send({"type": "lamd_spawned", "pid": None})
-            elif kind == "lamd_halt":
-                break
-    except ConnectionClosed:
-        pass
-    for task in tasks:
-        if task.is_alive:
-            task.kill_tree(SIGKILL, sender=proc)
-    conn.close()
-    return 0
+    return (yield from daemon_main(proc, LAM))

@@ -1,35 +1,15 @@
-"""LAM command-line tools: lamboot, lamgrow, lamshrink, lamhalt, lamnodes, lam."""
+"""LAM command-line tools: lamboot, lamgrow, lamshrink, lamhalt, lamnodes, lam.
+
+Each pays LAM's (heavier-than-PVM) tool startup, dials the origin lamd and
+sends it commands through the shared daemon client (:mod:`repro.systems.vmd`).
+"""
 
 from __future__ import annotations
 
+from repro.obs import context_from_environ
 from repro.os.errors import ConnectionClosed
-from repro.os.retry import connect_advertised
-from repro.systems.lam.daemon import LAMD_FILE, LAMD_LOCK
-
-
-class LamError(Exception):
-    """No origin daemon or protocol failure."""
-
-
-def _connect_origin(proc):
-    """Connect to the origin lamd advertised in ``~/.lamd``."""
-    conn = yield from connect_advertised(proc, LAMD_FILE)
-    if conn is None:
-        raise LamError("no lamd running (missing ~/.lamd)")
-    return conn
-
-
-def _tool(conn, payload, ctx=None):
-    if ctx:
-        payload = {**payload, "trace": dict(ctx)}
-    conn.send({"type": "lam_tool", **payload})
-    try:
-        reply = yield conn.recv()
-    except ConnectionClosed:
-        raise LamError("lamd connection lost") from None
-    if reply.get("type") != "lam_reply":
-        raise LamError(f"unexpected reply {reply!r}")
-    return reply
+from repro.systems import vmd
+from repro.systems.lam.daemon import LAM, LamError
 
 
 def _tool_startup(proc):
@@ -38,84 +18,66 @@ def _tool_startup(proc):
     yield proc.sleep(cal.lam_console)
 
 
+def _one_command(proc, cmd, **args):
+    """Tool startup, dial the origin, send one command: its reply, or
+    ``None`` when no origin answers."""
+    yield from _tool_startup(proc)
+    try:
+        conn = yield from vmd.connect(proc, LAM)
+        reply = yield from vmd.command(conn, LAM, cmd, **args)
+    except LamError:
+        return None
+    conn.close()
+    return reply
+
+
 def lamboot_main(proc):
     """``lamboot [host...]``: start the origin lamd, boot listed hosts."""
-    from repro.obs import context_from_environ
-
     yield from _tool_startup(proc)
-    if not proc.file_exists(LAMD_FILE) and not proc.file_exists(LAMD_LOCK):
-        proc.write_file(LAMD_LOCK, "starting\n")
-        proc.spawn(["lamd"])
+    ctx = context_from_environ(proc.environ)
+    status = 0
     try:
-        conn = yield from _connect_origin(proc)
+        conn = yield from vmd.boot(proc, LAM)
+        for host in proc.argv[1:]:
+            reply = yield from vmd.command(conn, LAM, "add", ctx=ctx, hosts=[host])
+            if reply["results"][host] == "failed":
+                status = 1
     except LamError:
         return 1
-    status = 0
-    ctx = context_from_environ(proc.environ)
-    for host in proc.argv[1:]:
-        reply = yield from _tool(conn, {"cmd": "grow", "host": host}, ctx=ctx)
-        if reply.get("result") == "failed":
-            status = 1
     conn.close()
     return status
 
 
 def lamgrow_main(proc):
     """``lamgrow <host>``: add one node to the running universe."""
-    from repro.obs import context_from_environ
-
     if len(proc.argv) < 2:
         return 1
-    yield from _tool_startup(proc)
-    try:
-        conn = yield from _connect_origin(proc)
-        reply = yield from _tool(
-            conn,
-            {"cmd": "grow", "host": proc.argv[1]},
-            ctx=context_from_environ(proc.environ),
-        )
-    except LamError:
-        return 1
-    conn.close()
-    return 0 if reply.get("result") in ("ok", "already") else 1
+    host = proc.argv[1]
+    reply = yield from _one_command(
+        proc, "add", ctx=context_from_environ(proc.environ), hosts=[host]
+    )
+    return 0 if reply and reply["results"][host] in ("ok", "already") else 1
 
 
 def lamshrink_main(proc):
     """``lamshrink <host>``: gracefully remove one node."""
     if len(proc.argv) < 2:
         return 1
-    yield from _tool_startup(proc)
-    try:
-        conn = yield from _connect_origin(proc)
-        reply = yield from _tool(conn, {"cmd": "shrink", "host": proc.argv[1]})
-    except LamError:
-        return 1
-    conn.close()
-    return 0 if reply.get("result") == "ok" else 1
+    host = proc.argv[1]
+    reply = yield from _one_command(proc, "delete", hosts=[host])
+    return 0 if reply and reply["results"][host] == "ok" else 1
 
 
 def lamhalt_main(proc):
     """``lamhalt``: tear the universe down."""
-    yield from _tool_startup(proc)
-    try:
-        conn = yield from _connect_origin(proc)
-        yield from _tool(conn, {"cmd": "halt"})
-    except LamError:
-        return 1
-    conn.close()
-    return 0
+    reply = yield from _one_command(proc, "halt")
+    return 0 if reply else 1
 
 
 def lamnodes_main(proc):
     """``lamnodes``: exit 0 and report the node list (via exit status only)."""
-    yield from _tool_startup(proc)
-    try:
-        conn = yield from _connect_origin(proc)
-        reply = yield from _tool(conn, {"cmd": "nodes"})
-    except LamError:
-        return 1
-    conn.close()
-    return 0 if reply.get("nodes") else 1
+    reply = yield from _one_command(proc, "conf")
+    return 0 if reply and reply["hosts"] else 1
 
 
 def lam_attach_main(proc):
@@ -125,11 +87,8 @@ def lam_attach_main(proc):
     long-running MPI application and keeps the job alive.
     """
     yield from _tool_startup(proc)
-    if not proc.file_exists(LAMD_FILE) and not proc.file_exists(LAMD_LOCK):
-        proc.write_file(LAMD_LOCK, "starting\n")
-        proc.spawn(["lamd"])
     try:
-        conn = yield from _connect_origin(proc)
+        conn = yield from vmd.boot(proc, LAM)
     except LamError:
         return 1
     try:

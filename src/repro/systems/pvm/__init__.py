@@ -14,12 +14,17 @@ Models the PVM 3 behaviours the paper's mechanisms interact with:
   five-line ``pvm_grow`` module script drives it (paper Figure 4);
 * a task layer (``spawn``) good enough for self-scheduling master/worker
   demo applications.
+
+The daemons, their handshake and the client protocol are
+:mod:`repro.systems.vmd`, shared with LAM.  What stays PVM's own is the
+``pvmd`` dialect (:data:`repro.systems.pvm.daemon.PVM`: argv, home files,
+slave startup, span, fencing counter, :class:`PvmError`), the console and
+its ``~/.pvmrc``, the ``pvm_*`` library calls and the module scripts.
 """
 
-from repro.systems.pvm.daemon import pvmd_main
+from repro.systems.pvm.daemon import PvmError, pvmd_main
 from repro.systems.pvm.console import pvm_console_main
 from repro.systems.pvm.lib import (
-    PvmError,
     pvm_addhosts,
     pvm_conf,
     pvm_connect,

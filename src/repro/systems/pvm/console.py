@@ -15,12 +15,11 @@ Usage patterns (all exercised by the paper):
 from __future__ import annotations
 
 from repro.os.errors import ConnectionClosed
-from repro.systems.pvm.daemon import PVMD_FILE, PVMD_LOCK
+from repro.systems import vmd
+from repro.systems.pvm.daemon import PVM, PvmError
 from repro.systems.pvm.lib import (
-    PvmError,
     pvm_addhosts,
     pvm_conf,
-    pvm_connect,
     pvm_delhosts,
     pvm_halt,
     pvm_spawn,
@@ -49,13 +48,9 @@ def pvm_console_main(proc):
     yield proc.sleep(cal.pvm_console)
 
     # Start the master daemon if there is none (paper: the console
-    # "in turn starts the master PVM daemon").  The lock file closes the
-    # window in which two concurrent consoles would both boot a master.
-    if not proc.file_exists(PVMD_FILE) and not proc.file_exists(PVMD_LOCK):
-        proc.write_file(PVMD_LOCK, "starting\n")
-        proc.spawn(["pvmd"])
+    # "in turn starts the master PVM daemon").
     try:
-        conn = yield from pvm_connect(proc)
+        conn = yield from vmd.boot(proc, PVM)
     except PvmError:
         return 1
 

@@ -1,330 +1,36 @@
-"""``pvmd`` — the PVM daemon (master and slave modes).
+"""``pvmd`` — PVM's dialect of the shared virtual-machine daemon.
 
-Master mode (``pvmd``)
-    Listens on an ephemeral port, advertises ``"<host> <port>"`` in
-    ``~/.pvmd`` (the simulated analogue of ``/tmp/pvmd.<uid>``), and serves
-    console commands and slave registrations.  **A slave daemon connecting
-    from a host the master did not explicitly ask for is rejected** — the
-    behaviour that makes redirecting PVM's rsh insufficient and forces the
-    broker's external-module protocol.
-
-Slave mode (``pvmd -slave <master_host> <master_port>``)
-    Started on a remote machine via rsh (by the master during an ``add``).
-    Registers with the master, then daemonizes so the rsh returns.  Runs
-    tasks on request; halts on master order or master loss.
+The master/slave daemon itself is :mod:`repro.systems.vmd`.  What stays PVM's
+own is what an observer can see: the program ``pvmd`` and its slave form
+``pvmd -slave <master_host> <master_port>``, the home files ``~/.pvmd`` (the
+simulated analogue of ``/tmp/pvmd.<uid>``), ``~/.pvm_hosts`` and
+``~/.pvmd.lock``, the ``pvmd_slave_startup`` calibration, the
+``pvm.add_host`` span, the ``pvm.slaves_fenced`` counter and
+:class:`PvmError`.
 """
 
 from __future__ import annotations
 
-from repro.os.errors import (
-    ConnectionClosed,
-    ConnectionRefused,
-    NoSuchHost,
-    NoSuchProgram,
+from repro.systems.vmd import Dialect, daemon_main
+
+
+class PvmError(Exception):
+    """No master daemon, protocol failure, or command error."""
+
+
+PVM = Dialect(
+    daemon="pvmd",
+    slave_flag="-slave",
+    advert="~/.pvmd",
+    members="~/.pvm_hosts",
+    lock="~/.pvmd.lock",
+    slave_startup="pvmd_slave_startup",
+    add_span="pvm.add_host",
+    fenced="pvm.slaves_fenced",
+    error=PvmError,
 )
-from repro.os.signals import SIGKILL
-
-#: Home-relative path of the master advertisement file.
-PVMD_FILE = "~/.pvmd"
-
-#: Home-relative status file: current virtual-machine membership, one host
-#: per line (observable without a console round trip; experiment harnesses
-#: poll it to time asynchronous growth).
-PVM_HOSTS_FILE = "~/.pvm_hosts"
-
-#: Startup lock: a console that decides to boot the master writes this, the
-#: master removes it once its advertisement is up (or on exit).
-PVMD_LOCK = "~/.pvmd.lock"
 
 
 def pvmd_main(proc):
     """Program body: master mode, or ``pvmd -slave <master> <port>``."""
-    if len(proc.argv) >= 2 and proc.argv[1] == "-slave":
-        return (yield from _slave_main(proc))
-    return (yield from _master_main(proc))
-
-
-# ---------------------------------------------------------------------------
-# master
-# ---------------------------------------------------------------------------
-
-
-class _MasterState:
-    def __init__(self, proc):
-        self.proc = proc
-        self.myhost = proc.machine.name
-        self.port = 0
-        #: hostname -> slave connection (None for the master host itself).
-        self.hosts = {self.myhost: None}
-        #: hosts we have asked rshd to start a slave on and not yet heard from.
-        self.expected = set()
-        #: reply routing for in-flight slave spawn requests: host -> Event
-        self.spawn_waiters = {}
-        self.halted = proc.env.event()
-
-    def publish_hosts(self) -> None:
-        self.proc.write_file(
-            PVM_HOSTS_FILE, "".join(h + "\n" for h in sorted(self.hosts))
-        )
-
-
-def _master_main(proc):
-    state = _MasterState(proc)
-    port = proc.machine.network.ephemeral_port(proc.machine)
-    listener = proc.listen(port)
-    proc.write_file(PVMD_FILE, f"{state.myhost} {port}\n")
-    proc.unlink_file(PVMD_LOCK)
-    state.port = port
-    state.publish_hosts()
-    while True:
-        accept_ev = listener.accept()
-        outcome = yield proc.env.any_of([accept_ev, state.halted])
-        if state.halted in outcome:
-            break
-        conn = accept_ev.value
-        proc.thread(_master_serve(proc, state, conn), name="pvmd-session")
-    proc.unlink_file(PVMD_FILE)
-    proc.unlink_file(PVM_HOSTS_FILE)
-    proc.unlink_file(PVMD_LOCK)
-    return 0
-
-
-def _master_serve(proc, state, conn):
-    """Dispatch one incoming connection: console or slave."""
-    try:
-        first = yield conn.recv()
-    except ConnectionClosed:
-        conn.close()
-        return
-    kind = first.get("type")
-    if kind == "pvmd_hello":
-        yield from _master_slave_session(proc, state, conn, first)
-    elif kind == "console":
-        yield from _master_console_session(proc, state, conn, first)
-    else:
-        conn.close()
-
-
-def _master_slave_session(proc, state, conn, hello):
-    host = hello.get("host")
-    if host not in state.expected:
-        # PVM semantics: an unexpected machine may not join the virtual
-        # machine.  (Paper: "PVM and LAM programs will refuse to accept
-        # processes from machines other than those they attempted to spawn.")
-        conn.send({"type": "pvmd_reject", "reason": "unexpected host"})
-        conn.close()
-        return
-    state.expected.discard(host)
-    state.hosts[host] = conn
-    state.publish_hosts()
-    conn.send({"type": "pvmd_ack"})
-    try:
-        while True:
-            msg = yield conn.recv()
-            kind = msg.get("type")
-            if kind == "pvmd_spawned":
-                waiter = state.spawn_waiters.pop(host, None)
-                if waiter is not None:
-                    waiter.succeed(msg.get("pids", []))
-    except ConnectionClosed:
-        pass
-    # Slave lost (machine revoked, daemon killed, network gone): PVM drops
-    # the host from the virtual machine and carries on.
-    if state.hosts.get(host) is conn:
-        del state.hosts[host]
-        state.publish_hosts()
-    conn.close()
-
-
-def _master_console_session(proc, state, conn, first):
-    msg = first
-    while True:
-        if msg.get("type") == "console":
-            reply = yield from _console_command(proc, state, msg)
-            try:
-                conn.send(reply)
-            except ConnectionClosed:
-                pass
-            if msg.get("cmd") == "halt":
-                conn.close()
-                if not state.halted.triggered:
-                    state.halted.succeed()
-                return
-        try:
-            msg = yield conn.recv()
-        except ConnectionClosed:
-            conn.close()
-            return
-
-
-def _console_command(proc, state, msg):
-    cmd = msg.get("cmd")
-    if cmd == "conf":
-        return {"type": "console_reply", "hosts": sorted(state.hosts)}
-    if cmd == "add":
-        results = {}
-        for host in msg.get("hosts", []):
-            results[host] = yield from _add_host(
-                proc, state, host, ctx=msg.get("trace")
-            )
-        return {"type": "console_reply", "results": results}
-    if cmd == "delete":
-        results = {}
-        for host in msg.get("hosts", []):
-            results[host] = yield from _delete_host(proc, state, host)
-        return {"type": "console_reply", "results": results}
-    if cmd == "spawn":
-        placed = yield from _spawn_tasks(
-            proc, state, msg.get("argv", []), int(msg.get("count", 1))
-        )
-        return {"type": "console_reply", "tasks": placed}
-    if cmd == "halt":
-        for host in [h for h in list(state.hosts) if h != state.myhost]:
-            yield from _delete_host(proc, state, host)
-        return {"type": "console_reply", "halted": True}
-    return {"type": "console_reply", "error": f"unknown command {cmd!r}"}
-
-
-def _add_host(proc, state, host, ctx=None):
-    """One ``add <host>``: rsh a slave pvmd onto the target."""
-    from repro.obs import context_from_environ, tracer_of
-
-    if host in state.hosts:
-        return "already"
-    span = tracer_of(proc).start(
-        "pvm.add_host",
-        parent=ctx or context_from_environ(proc.environ),
-        actor=f"pvmd:{state.myhost}",
-        host=host,
-    )
-    state.expected.add(host)
-    rsh = proc.spawn(
-        ["rsh", host, "pvmd", "-slave", state.myhost, str(state.port)],
-        environ=span.environ(),
-    )
-    code = yield proc.wait(rsh)
-    if code != 0:
-        state.expected.discard(host)
-        span.end(result="failed")
-        return "failed"
-    # The slave registered (it daemonizes only after our ack).
-    result = "ok" if host in state.hosts else "failed"
-    span.end(result=result)
-    return result
-
-
-def _delete_host(proc, state, host):
-    conn = state.hosts.get(host)
-    if host not in state.hosts or conn is None:
-        return "no-such-host"
-    try:
-        conn.send({"type": "pvmd_halt"})
-    except ConnectionClosed:
-        pass
-    # The slave session thread removes the host when the connection drops;
-    # wait for that so deletes are observable when we reply.
-    deadline = proc.env.timeout(5.0)
-    while host in state.hosts and not deadline.processed:
-        yield proc.env.any_of([proc.env.timeout(0.01), deadline])
-    return "ok" if host not in state.hosts else "timeout"
-
-
-def _spawn_tasks(proc, state, argv, count):
-    """Round-robin ``count`` task processes across the virtual machine."""
-    if not argv:
-        return []
-    placed = []
-    hosts = sorted(state.hosts)
-    for index in range(count):
-        host = hosts[index % len(hosts)]
-        if host == state.myhost:
-            try:
-                task = proc.spawn(list(argv))
-                placed.append({"host": host, "pid": task.pid})
-            except NoSuchProgram:
-                placed.append({"host": host, "pid": None})
-            continue
-        conn = state.hosts[host]
-        waiter = proc.env.event()
-        state.spawn_waiters[host] = waiter
-        try:
-            conn.send({"type": "pvmd_spawn", "argv": list(argv), "count": 1})
-        except ConnectionClosed:
-            state.spawn_waiters.pop(host, None)
-            placed.append({"host": host, "pid": None})
-            continue
-        outcome = yield proc.env.any_of([waiter, proc.env.timeout(5.0)])
-        if waiter in outcome:
-            for pid in waiter.value:
-                placed.append({"host": host, "pid": pid})
-        else:
-            state.spawn_waiters.pop(host, None)
-            placed.append({"host": host, "pid": None})
-    return placed
-
-
-# ---------------------------------------------------------------------------
-# slave
-# ---------------------------------------------------------------------------
-
-
-def _slave_main(proc):
-    if len(proc.argv) < 4:
-        return 1
-    master_host, master_port = proc.argv[2], int(proc.argv[3])
-    cal = proc.machine.network.calibration
-    yield proc.sleep(cal.pvmd_slave_startup)
-    try:
-        conn = yield proc.connect(master_host, master_port)
-    except (ConnectionRefused, NoSuchHost):
-        return 1
-    conn.send({"type": "pvmd_hello", "host": proc.machine.name})
-    try:
-        ack = yield conn.recv()
-    except ConnectionClosed:
-        return 1
-    if ack.get("type") != "pvmd_ack":
-        return 1  # rejected: we were not expected
-    # Registered; detach so the master's rsh invocation returns.
-    proc.daemonize()
-
-    # Fencing (DESIGN.md §16): on a broker-managed machine the slave joins
-    # under whatever broker epoch the machine has witnessed.  If the witness
-    # rises while we serve — the machine was re-granted under a *newer*
-    # broker — this universe's claim on the host is stale: stop accepting
-    # work and drop out, exactly as the broker's own daemons fence stale
-    # grants.  Zero when no epoch was ever witnessed (no warm standby
-    # configured), so the check is inert outside fencing runs.
-    from repro.broker.daemon import witnessed_epoch
-
-    session_epoch = witnessed_epoch(proc.machine)
-
-    tasks = []
-    try:
-        while True:
-            msg = yield conn.recv()
-            kind = msg.get("type")
-            if session_epoch and witnessed_epoch(proc.machine) > session_epoch:
-                from repro.obs import metrics_of
-
-                metrics_of(proc).counter("pvm.slaves_fenced").inc()
-                break
-            if kind == "pvmd_spawn":
-                pids = []
-                for _ in range(int(msg.get("count", 1))):
-                    try:
-                        task = proc.spawn(list(msg["argv"]))
-                        tasks.append(task)
-                        pids.append(task.pid)
-                    except NoSuchProgram:
-                        pids.append(None)
-                conn.send({"type": "pvmd_spawned", "pids": pids})
-            elif kind == "pvmd_halt":
-                break
-    except ConnectionClosed:
-        pass
-    for task in tasks:
-        if task.is_alive:
-            task.kill_tree(SIGKILL, sender=proc)
-    conn.close()
-    return 0
+    return (yield from daemon_main(proc, PVM))

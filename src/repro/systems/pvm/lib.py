@@ -3,41 +3,24 @@
 These are generator helpers (``yield from`` them inside a program body); they
 model the subset of the PVM library the paper mentions: ``pvm_addhosts()``
 (the call that "ultimately results in a rsh command"), plus configuration,
-deletion, spawning and halting.
+deletion, spawning and halting.  Each is one command of the shared daemon
+client (:func:`repro.systems.vmd.command`).
 """
 
 from __future__ import annotations
 
-from repro.os.errors import ConnectionClosed
-from repro.os.retry import connect_advertised
-from repro.systems.pvm.daemon import PVMD_FILE
-
-
-class PvmError(Exception):
-    """No master daemon, protocol failure, or command error."""
+from repro.systems import vmd
+from repro.systems.pvm.daemon import PVM
 
 
 def pvm_connect(proc):
     """Connect to the local master pvmd (waiting briefly for it to boot).
 
-    Returns the console connection; raises :class:`PvmError` if no daemon
+    Returns the console connection; raises
+    :class:`~repro.systems.pvm.daemon.PvmError` if no daemon
     advertisement appears.
     """
-    conn = yield from connect_advertised(proc, PVMD_FILE)
-    if conn is None:
-        raise PvmError("no pvmd running (missing ~/.pvmd)")
-    return conn
-
-
-def _command(conn, payload):
-    conn.send({"type": "console", **payload})
-    try:
-        reply = yield conn.recv()
-    except ConnectionClosed:
-        raise PvmError("pvmd connection lost") from None
-    if reply.get("type") != "console_reply":
-        raise PvmError(f"unexpected reply {reply!r}")
-    return reply
+    return (yield from vmd.connect(proc, PVM))
 
 
 def pvm_addhosts(conn, hosts, ctx=None):
@@ -47,34 +30,29 @@ def pvm_addhosts(conn, hosts, ctx=None):
     rides the console command so the daemon's per-host add spans stay in the
     caller's trace.
     """
-    payload = {"cmd": "add", "hosts": list(hosts)}
-    if ctx:
-        payload["trace"] = dict(ctx)
-    reply = yield from _command(conn, payload)
+    reply = yield from vmd.command(conn, PVM, "add", ctx=ctx, hosts=list(hosts))
     return reply.get("results", {})
 
 
 def pvm_delhosts(conn, hosts):
     """``pvm_delhosts()``: gracefully remove hosts from the VM."""
-    reply = yield from _command(conn, {"cmd": "delete", "hosts": list(hosts)})
+    reply = yield from vmd.command(conn, PVM, "delete", hosts=list(hosts))
     return reply.get("results", {})
 
 
 def pvm_conf(conn):
     """Current virtual-machine host list."""
-    reply = yield from _command(conn, {"cmd": "conf"})
+    reply = yield from vmd.command(conn, PVM, "conf")
     return reply.get("hosts", [])
 
 
 def pvm_spawn(conn, argv, count):
     """Start ``count`` task processes round-robin across the VM."""
-    reply = yield from _command(
-        conn, {"cmd": "spawn", "argv": list(argv), "count": count}
-    )
+    reply = yield from vmd.command(conn, PVM, "spawn", argv=list(argv), count=count)
     return reply.get("tasks", [])
 
 
 def pvm_halt(conn):
     """Stop the whole virtual machine."""
-    reply = yield from _command(conn, {"cmd": "halt"})
+    reply = yield from vmd.command(conn, PVM, "halt")
     return bool(reply.get("halted"))

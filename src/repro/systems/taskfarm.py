@@ -25,7 +25,9 @@ from collections import deque
 
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
 from repro.sim.process import Interrupt
-from repro.systems.pvm.lib import PvmError, pvm_conf, pvm_connect, pvm_spawn
+from repro.systems import vmd
+from repro.systems.lam.daemon import LAM
+from repro.systems.pvm.daemon import PVM
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +56,8 @@ class _Farm:
             self.bag.append(task)
 
 
-def _farm_master(proc, spawner):
-    """Common master body; ``spawner(proc, worker_argv)`` places workers."""
+def _farm_master(proc, dialect):
+    """Common master body: one worker per host of ``dialect``'s machine."""
     if len(proc.argv) < 3:
         return 1
     n_tasks = int(proc.argv[1])
@@ -69,8 +71,8 @@ def _farm_master(proc, spawner):
     listener = proc.listen(port)
 
     worker_argv = ["farmworker", proc.machine.name, str(port)]
-    placed = yield from spawner(proc, worker_argv)
-    if placed <= 0:
+    placed = yield from _place(proc, dialect, worker_argv)
+    if not any(p["pid"] is not None for p in placed or ()):
         return 1
 
     def accept_loop():
@@ -145,40 +147,40 @@ def farmworker_main(proc):
 
 
 # ---------------------------------------------------------------------------
-# PVM flavour
+# placing tasks through the virtual-machine daemon
 # ---------------------------------------------------------------------------
 
 
-def _pvm_spawner(proc, worker_argv):
-    """One worker task per current virtual-machine host."""
+def _place(proc, dialect, argv, count=None):
+    """Spawn ``count`` tasks (default: one per host) round-robin over the
+    running virtual machine: the placements, or ``None`` when no daemon
+    answers."""
     try:
-        conn = yield from pvm_connect(proc)
-        hosts = yield from pvm_conf(conn)
-        placed = yield from pvm_spawn(conn, worker_argv, count=len(hosts))
-    except PvmError:
-        return 0
+        conn = yield from vmd.connect(proc, dialect)
+        hosts = (yield from vmd.command(conn, dialect, "conf"))["hosts"]
+        reply = yield from vmd.command(
+            conn,
+            dialect,
+            "spawn",
+            argv=list(argv),
+            count=len(hosts) if count is None else count,
+        )
+    except dialect.error:
+        return None
     conn.close()
-    return sum(1 for p in placed if p.get("pid") is not None)
+    return reply["tasks"]
 
 
 def pvm_farm_main(proc):
     """``pvm_farm <tasks> <cpu_per_task>`` over the running PVM."""
-    code = yield from _farm_master(proc, _pvm_spawner)
+    code = yield from _farm_master(proc, PVM)
     return code
 
 
-# ---------------------------------------------------------------------------
-# LAM / MPI flavour
-# ---------------------------------------------------------------------------
-
-
-def _lam_universe(proc):
-    """(origin_conn, node list) of the running universe."""
-    from repro.systems.lam.tools import LamError, _connect_origin, _tool
-
-    conn = yield from _connect_origin(proc)
-    reply = yield from _tool(conn, {"cmd": "nodes"})
-    return conn, reply.get("nodes", [])
+def mpi_farm_main(proc):
+    """``mpi_farm <tasks> <cpu_per_task>`` over the running LAM universe."""
+    code = yield from _farm_master(proc, LAM)
+    return code
 
 
 def mpirun_main(proc):
@@ -186,44 +188,10 @@ def mpirun_main(proc):
     if len(proc.argv) < 3:
         return 1
     count = int(proc.argv[1])
-    task_argv = proc.argv[2:]
-    from repro.systems.lam.tools import LamError
-
-    try:
-        conn, _nodes = yield from _lam_universe(proc)
-        from repro.systems.lam.tools import _tool
-
-        reply = yield from _tool(
-            conn, {"cmd": "spawn", "argv": task_argv, "count": count}
-        )
-    except LamError:
+    placed = yield from _place(proc, LAM, proc.argv[2:], count)
+    if placed is None:
         return 1
-    conn.close()
-    placed = reply.get("tasks", [])
     return 0 if sum(1 for p in placed if p.get("pid")) == count else 1
-
-
-def _lam_spawner(proc, worker_argv):
-    """One worker per universe node, via the mpirun machinery."""
-    from repro.systems.lam.tools import LamError, _tool
-
-    try:
-        conn, nodes = yield from _lam_universe(proc)
-        reply = yield from _tool(
-            conn,
-            {"cmd": "spawn", "argv": worker_argv, "count": len(nodes)},
-        )
-    except LamError:
-        return 0
-    conn.close()
-    placed = reply.get("tasks", [])
-    return sum(1 for p in placed if p.get("pid") is not None)
-
-
-def mpi_farm_main(proc):
-    """``mpi_farm <tasks> <cpu_per_task>`` over the running LAM universe."""
-    code = yield from _farm_master(proc, _lam_spawner)
-    return code
 
 
 def install_taskfarm(directory) -> None:
