@@ -41,18 +41,19 @@ the four control layers, and the heartbeat path (``broker.daemon`` plus
 change is invisible to the simulation on that workload.  Exit status 1
 when the two ``sim_digest``s differ, or a run fails or is not ``correct``.
 
-    python3 benchmarks/pairs.py --workload churn-1024 --base HEAD~1 --census [--seed N]
-    make bench-pairs W=churn-1024 BASE=HEAD~1 CENSUS=1 [SEED=N]
+    python3 benchmarks/pairs.py --workload churn-1024 --base HEAD~1 --census [--seed N] [--machines M]
+    make bench-pairs W=churn-1024 BASE=HEAD~1 CENSUS=1 [SEED=N] [M=M]
 
-``--census`` asks what the churn cell (1024 machines, as in ``churn-1024``)
-makes the host's cyclic collector do, in a fresh process per side: the
-collections, full collections and seconds in the collector over 3 simulated
-minutes, against the cell's wall time (host measurements); then, exact on any
-host, what generation 0 holds after 1.9 simulated seconds of steady state with
-the collector off (born in that window, still alive, re-walked by every young
-collection), the live ``Connection`` and ``deque`` objects, the registry's
-updates against its series points, and the live ``OSProcess`` and ``Store``
-objects with the mean bytes each retains (itself plus the containers it owns).
+``--census`` asks what the churn cell (``--machines``, default 1024 as in
+``churn-1024``) makes the host's cyclic collector do, in a fresh process per
+side: the collections, full collections and seconds in the collector over 3
+simulated minutes, against the cell's wall time (host measurements), and the
+objects those collections freed; then, exact on any host, what generation 0
+holds after 1.9 simulated seconds of steady state with the collector off (born
+in that window, still alive, re-walked by every young collection), the live
+``Connection`` and ``deque`` objects, the registry's updates against its series
+points, and the live ``OSProcess`` and ``Store`` objects with the mean bytes
+each retains (itself plus the containers it owns).
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def facts(parent: Dict[str, Any], change: Dict[str, Any]) -> int:
     return status
 
 
-#: The census cell: ``churn-1024``'s cluster size.
+#: The default census cell: ``churn-1024``'s cluster size.
 CENSUS_MACHINES = 1024
 #: Simulated seconds the churn cell needs before every machine is granted and
 #: the first arrival placed: from here on each period looks alike.
@@ -218,7 +219,7 @@ def retained_bytes(obj: Any) -> int:
     )
 
 
-def census(side: str, seed: int) -> None:
+def census(side: str, seed: int, machines: int) -> None:
     """Print what the churn cell makes the collector do (see the module
     docstring), each line led by ``side``.  The ``repro`` it measures is
     whichever ``PYTHONPATH`` names: :func:`census_side` runs it per side."""
@@ -228,7 +229,7 @@ def census(side: str, seed: int) -> None:
     from repro.sim.stores import Store
 
     def cell():
-        cluster = Cluster(ClusterSpec.uniform(CENSUS_MACHINES, seed=seed))
+        cluster = Cluster(ClusterSpec.uniform(machines, seed=seed))
         service = cluster.start_broker()
         service.wait_ready()
         return cluster, service
@@ -242,6 +243,7 @@ def census(side: str, seed: int) -> None:
             spent["gc_s"] += time.perf_counter() - spent["started"]
             spent["collections"] += 1
             spent["full"] += info["generation"] == 2
+            spent["freed"] += info["collected"]
 
     cluster, service = cell()
     gc.collect()
@@ -250,8 +252,9 @@ def census(side: str, seed: int) -> None:
     WORKLOADS["churn"](cluster, service, 180.0)
     wall = time.perf_counter() - begin
     gc.callbacks.remove(hook)
-    print(f"{side}: 3 sim-min cell {wall:.2f} s wall, "
-          f"{spent['collections']} collections ({spent['full']} full), "
+    print(f"{side}: {machines}-machine 3 sim-min cell {wall:.2f} s wall, "
+          f"{spent['collections']} collections ({spent['full']} full) "
+          f"freeing {spent['freed']} objects, "
           f"{spent['gc_s']:.2f} s in the collector ({spent['gc_s'] / wall:.1%})")
 
     cluster, service = cell()
@@ -266,7 +269,7 @@ def census(side: str, seed: int) -> None:
     gc.enable()
     total = sum(young.values())
     print(f"{side}: {total} tracked objects born in {WINDOW_SIM_S:g} sim-s and "
-          f"still alive ({total / CENSUS_MACHINES:.2f} per machine): "
+          f"still alive ({total / machines:.2f} per machine): "
           + ", ".join(f"{n} {t}" for t, n in young.most_common(8)))
     live = Counter(type(o).__name__ for o in everything)
     stats = cluster.network.metrics.self_stats()
@@ -280,11 +283,12 @@ def census(side: str, seed: int) -> None:
           f"series points; retained {', '.join(held)}")
 
 
-def census_side(side: str, root: Path, seed: int) -> None:
+def census_side(side: str, root: Path, seed: int, machines: int) -> None:
     """:func:`census` in a fresh process on ``root``'s ``repro``."""
     path = os.pathsep.join((str(root / "src"), str(ROOT / "benchmarks")))
     done = subprocess.run(
-        [sys.executable, "-c", f"import pairs; pairs.census({side!r}, {seed})"],
+        [sys.executable, "-c",
+         f"import pairs; pairs.census({side!r}, {seed}, {machines})"],
         cwd=root, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
@@ -315,6 +319,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--seed", type=int,
         help="seed of the --facts or --census runs (default: pair 1's)",
     )
+    parser.add_argument(
+        "--machines", type=int,
+        help=f"size of the --census cell (default {CENSUS_MACHINES})",
+    )
     args = parser.parse_args(argv)
     if args.pairs < MIN_PAIRS:
         parser.error(f"the claim rule needs at least {MIN_PAIRS} pairs")
@@ -322,6 +330,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--seed goes with --facts or --census; pairs draw their own")
     if args.census and args.workload != "churn-1024":
         parser.error("--census measures the churn cell: --workload churn-1024")
+    if args.machines is not None and not args.census:
+        parser.error("--machines sizes the --census cell")
+    machines = CENSUS_MACHINES if args.machines is None else args.machines
+    if machines < 1:
+        parser.error("--machines must be at least 1")
 
     base_sha = git("rev-parse", args.base).decode().strip()
     with tempfile.TemporaryDirectory(prefix="rbbench-base-") as tmp:
@@ -343,9 +356,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed = seeds[0] if args.seed is None else args.seed
         if args.census:
             print(f"census workload={args.workload} base={base_sha[:7]} "
-                  f"change={ROOT} seed={seed}")
+                  f"change={ROOT} seed={seed} machines={machines}")
             for side, root in (("parent", base), ("change", ROOT)):
-                census_side(side, root, seed)
+                census_side(side, root, seed, machines)
             return 0
         if args.facts:
             print(f"facts workload={args.workload} base={base_sha[:7]} "

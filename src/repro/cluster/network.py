@@ -107,6 +107,8 @@ class Connection:
         #: EOF behind them if the peer closed before they were read.
         self._buffer: Optional[Deque[object]] = None
         self._reader: Optional[Event] = None
+        #: The other end; ``None`` before establishment and once both ends
+        #: have closed (see :meth:`close`).
         self.peer: Optional["Connection"] = None
         self.closed_local = False
         #: The peer closed and nothing it sent is left unread.
@@ -117,8 +119,11 @@ class Connection:
         self._deadline: Optional[Timeout] = None
         #: Callback list shared by the delivery timer of every message sent
         #: *to* this endpoint (the dispatch loop reads it, nothing mutates
-        #: it), like ``ProcessorSharingQueue._timer_callbacks``.
-        self._deliver_callbacks = [self._deliver]
+        #: it), like ``ProcessorSharingQueue._timer_callbacks``; ``None``
+        #: once both ends have closed.
+        self._deliver_callbacks: Optional[List[Callable[[Event], None]]] = [
+            self._deliver
+        ]
 
     # -- data transfer -----------------------------------------------------
 
@@ -241,7 +246,14 @@ class Connection:
             resume_subscribers(waiter, timer.callbacks, get)
 
     def close(self) -> None:
-        """Half-close from this side; the peer sees EOF after latency."""
+        """Half-close from this side; the peer sees EOF after latency.
+
+        The second close of a pair unlinks both ends (``peer`` and the
+        delivery callback list, each a reference cycle), so a finished pair
+        is freed by reference counting.  The EOF timer has captured the
+        peer already, and a delivery timer in flight keeps the list it was
+        given: a late message still lands on a closed end and is counted.
+        """
         if self.closed_local:
             return
         self.closed_local = True
@@ -249,6 +261,9 @@ class Connection:
         if peer is not None:
             timer = self.env.timeout(self.network.latency)
             timer.add_callback(lambda _ev: peer._deliver_eof())
+            if peer.closed_local:
+                self.peer = peer.peer = None
+                self._deliver_callbacks = peer._deliver_callbacks = None
 
     def _deliver_eof(self) -> None:
         if self._buffer:
@@ -354,9 +369,10 @@ class Network:
         #: by every send and connect once attached.  None = healthy network.
         self.faults = None
         #: Client-side endpoint of every connection ever established (each
-        #: knows its peer); pruned of fully-closed pairs on each sever sweep
-        #: and — amortized — as new connections are established, so a
-        #: long-running service does not retain every socket it ever opened.
+        #: knows its peer); pruned of pairs closed at both ends (``peer`` is
+        #: None) on each sever sweep and — amortized — as new connections
+        #: are established, so a long-running service does not retain every
+        #: socket it ever opened.
         self._connections: List[Connection] = []
         self._prune_connections_at = 1024
         #: Run-wide observability: the span tracer and metrics registry every
@@ -456,12 +472,7 @@ class Network:
         establishments, while the list itself stays O(N) instead of growing
         with every connection the run ever made."""
         self._connections = [
-            conn
-            for conn in self._connections
-            if not (
-                conn.closed_local
-                and (conn.peer is None or conn.peer.closed_local)
-            )
+            conn for conn in self._connections if conn.peer is not None
         ]
         self._prune_connections_at = max(1024, 2 * len(self._connections))
 
@@ -479,10 +490,10 @@ class Network:
         live: List[Connection] = []
         for conn in self._connections:
             peer = conn.peer
-            if conn.closed_local and (peer is None or peer.closed_local):
-                continue  # both ends gone: forget the pair
+            if peer is None:
+                continue  # both ends closed: forget the pair
             live.append(conn)
-            if peer is not None and predicate(conn.host, peer.host):
+            if predicate(conn.host, peer.host):
                 conn.close()
                 peer.close()
                 severed += 1

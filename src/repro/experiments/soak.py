@@ -219,13 +219,12 @@ def run_soak(
     if restarts:
         env.process(_restarts(), name="soak-restarts")
 
-    # Drive to drain with periodic housekeeping.  The simulation's object
-    # graph is cyclic (events <-> callbacks <-> processes), so finished
-    # work becomes *collectable* garbage, not freed memory; a long-running
-    # service must collect it or watch RSS grow with the trace.  The
-    # collect is wall-side only — it cannot move a single simulated event —
-    # and memory is sampled right after it, so the flatness gate measures
-    # live retention, not GC scheduling luck.
+    # Drive to drain.  Finished work is freed by reference counting: a
+    # connection pair unlinks itself at its second close, and the one cycle
+    # left is a crashed broker incarnation.  So only a metered run collects,
+    # right before each sample, to keep the flatness gate a measure of live
+    # retention, not of collector scheduling luck.  The collect is wall-side
+    # only — it cannot move a single simulated event.
     import gc
 
     tracemalloc = None
@@ -242,8 +241,8 @@ def run_soak(
     while env.now < deadline and done["completed"] < submissions:
         env.run(until=min(env.now + 5.0, deadline))
         if done["completed"] >= next_mark:
-            gc.collect()
             if tracemalloc is not None:
+                gc.collect()
                 report_samples.append(
                     (done["completed"], tracemalloc.get_traced_memory()[0])
                 )

@@ -5,6 +5,10 @@ Small traces here; the 3,000-submission run is the ``soak`` gate of
 drives 6,000.
 """
 
+import gc
+from types import MethodType
+
+from repro.cluster.network import Connection
 from repro.experiments import run_soak
 
 
@@ -40,11 +44,40 @@ def test_small_soak_drains_with_a_mid_trace_restart(checked):
 def test_soak_is_deterministic_across_runs():
     a = run_soak(seed=7, machines=6, submissions=80, restarts=1)
     # Metering must not perturb the simulation: the second run samples
-    # memory, the first does not, and every deterministic field still agrees.
+    # memory, and collects before each of its eight samples; the first
+    # neither samples nor collects.  Every deterministic field still agrees.
     b = run_soak(seed=7, machines=6, submissions=80, restarts=1,
                  memory_checkpoints=8)
     assert _deterministic_fields(a) == _deterministic_fields(b)
     assert b.memory_samples and not a.memory_samples
+
+
+def test_a_soak_leaves_no_connection_for_the_cyclic_collector():
+    """Every connection a drained soak closed at both ends was freed by
+    reference counting: collecting at each checkpoint, with the collector
+    otherwise off, finds no ``Connection`` and none of its bound methods.
+    300 submissions open well over the 1,024 connections after which the
+    network first forgets closed pairs; a shorter trace still holds them
+    all, so a cycle among them could not show."""
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        report = run_soak(seed=7, machines=6, submissions=300, restarts=0,
+                          progress=lambda _done, _total: gc.collect())
+        assert report.drained
+        connections = sum(isinstance(obj, Connection) for obj in gc.garbage)
+        methods = sum(
+            isinstance(obj, MethodType) and isinstance(obj.__self__, Connection)
+            for obj in gc.garbage
+        )
+        assert (connections, methods) == (0, 0)
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[:]
+        if was_enabled:
+            gc.enable()
 
 
 def test_soak_without_journal_still_drains():

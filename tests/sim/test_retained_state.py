@@ -262,6 +262,54 @@ def test_a_cancelled_deadline_timer_is_not_reused():
     assert env.heap_stats()["skipped_cancelled"] == 1
 
 
+# -- finished connections ------------------------------------------------------
+
+
+def test_a_pair_closed_at_both_ends_is_freed_by_reference_counting():
+    """Each end links the other (``peer``) and itself (its delivery callback
+    list holds its own bound ``_deliver``); the second close unlinks both,
+    so a finished pair never waits for the cyclic collector.  A message
+    still in flight when the pair closes keeps the list it was sent with
+    and is counted as a dropped send."""
+
+    def connections():
+        return sum(isinstance(obj, Connection) for obj in gc.get_objects())
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = connections()
+        env, near, far = make_wire()
+        seen = []
+
+        def reader():
+            seen.append((yield near.recv_or_deadline(1.0)))  # ping, t=0.25
+            seen.append((yield near.recv_or_deadline(1.0)))  # silence, t=1.25
+            near.send("pong")
+            near.close()
+
+        def writer():
+            far.send("ping")
+            seen.append((yield far.recv()))  # pong, t=1.5
+            far.send("late")  # in flight to a closed end
+            far.close()
+
+        env.process(reader())
+        env.process(writer())
+        env.run()
+        assert seen == ["ping", EXPIRED, "pong"]
+        assert near._pending_recv is not None  # the timed-out receive, failed
+        assert near.peer is None and far.peer is None
+        assert near.network.metrics.counter("net.dropped_sends").value == 1
+        assert connections() == before + 2
+        del near, far
+        assert connections() == before
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # -- finished bursts ----------------------------------------------------------------
 
 
