@@ -27,7 +27,7 @@ gates:  ## [G=name]: every exact-fact gate (or one) against BENCH_gates.json, on
 rbbench-smoke:  ## self-test of the rbbench harness (outside tier-1 testpaths), about a minute
 	python -m pytest -q benchmarks/rbbench
 
-bench-pairs:  ## W=<workload> BASE=<rev> [N=10]: paired rbbench runs of BASE and this checkout, claim-rule verdict per metric; FACTS=1 [SEED=n]: one traced run per side, the exact facts that differ, exit 1 on unequal sim_digest; CENSUS=1 [SEED=n] [M=machines] (W=churn-1024): the host's cyclic collector on the churn cell, per side
+bench-pairs:  ## W=<workload> BASE=<rev> [N=10]: paired rbbench runs of BASE and this checkout, claim-rule verdict per metric; FACTS=1 [SEED=n]: one traced run per side, the exact facts that differ, exit 1 on unequal sim_digest; CENSUS=1 [SEED=n]: the host's cyclic collector, per side: on the churn cell ([M=machines], W=churn-1024), or what one repetition of any other workload leaves it, by type
 	python benchmarks/pairs.py --workload $(W) --base $(BASE) $(if $(FACTS),--facts $(if $(SEED),--seed $(SEED)),$(if $(CENSUS),--census $(if $(SEED),--seed $(SEED)) $(if $(M),--machines $(M)),--pairs $(or $(N),10)))
 
 slo:  ## churn workload under a health monitor; fails on any violated SLO

@@ -44,16 +44,20 @@ when the two ``sim_digest``s differ, or a run fails or is not ``correct``.
     python3 benchmarks/pairs.py --workload churn-1024 --base HEAD~1 --census [--seed N] [--machines M]
     make bench-pairs W=churn-1024 BASE=HEAD~1 CENSUS=1 [SEED=N] [M=M]
 
-``--census`` asks what the churn cell (``--machines``, default 1024 as in
-``churn-1024``) makes the host's cyclic collector do, in a fresh process per
-side: the collections, full collections and seconds in the collector over 3
-simulated minutes, against the cell's wall time (host measurements), and the
-objects those collections freed; then, exact on any host, what generation 0
-holds after 1.9 simulated seconds of steady state with the collector off (born
-in that window, still alive, re-walked by every young collection), the live
-``Connection`` and ``deque`` objects, the registry's updates against its series
-points, and the live ``OSProcess`` and ``Store`` objects with the mean bytes
-each retains (itself plus the containers it owns).
+``--census`` asks what a workload makes the host's cyclic collector do, in a
+fresh process per side.  For ``churn-1024`` it runs the churn cell
+(``--machines``, default 1024): the collections, full collections and seconds
+in the collector over 3 simulated minutes, against the cell's wall time (host
+measurements), and the objects those collections freed; then, exact on any
+host, what generation 0 holds after 1.9 simulated seconds of steady state with
+the collector off (born in that window, still alive, re-walked by every young
+collection), the live ``Connection`` and ``deque`` objects, the registry's
+updates against its series points, and the live ``OSProcess`` and ``Store``
+objects with the mean bytes each retains (itself plus the containers it owns).
+For any other workload it runs one repetition with the collector off, collects
+before each experiment call and at the end, and prints how many objects the
+collector freed, and how many of those were a :data:`CENSUS_TYPES` each: exact
+on any host, and what reference counting left to the collector.
 """
 
 from __future__ import annotations
@@ -283,12 +287,66 @@ def census(side: str, seed: int, machines: int) -> None:
           f"series points; retained {', '.join(held)}")
 
 
-def census_side(side: str, root: Path, seed: int, machines: int) -> None:
-    """:func:`census` in a fresh process on ``root``'s ``repro``."""
-    path = os.pathsep.join((str(root / "src"), str(ROOT / "benchmarks")))
+#: The types :func:`census_runs` counts among the objects the collector freed.
+CENSUS_TYPES = (
+    "Cluster", "Environment", "Machine", "OSProcess", "Process", "Connection",
+    "Span",
+)
+#: The experiment functions an rbbench repetition calls.
+EXPERIMENTS = (
+    "run_chaos", "run_soak", "run_table1", "run_table2", "run_table3",
+    "run_fig7", "run_utilization",
+)
+
+
+def census_runs(side: str, workload: str, seed: int) -> None:
+    """Print what one repetition of ``workload`` leaves to the collector (see
+    the module docstring), led by ``side``."""
+    import workloads
+    from timing import Stopwatch
+
+    freed: Counter = Counter()
+
+    def collect() -> None:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        freed.update(type(obj).__name__ for obj in gc.garbage)
+        gc.set_debug(0)
+        del gc.garbage[:]
+        gc.collect()
+
+    def collecting_first(fn):
+        def call(*args, **kwargs):
+            collect()  # what the previous call left, its cluster included
+            return fn(*args, **kwargs)
+        return call
+
+    for name in EXPERIMENTS:
+        setattr(workloads, name, collecting_first(getattr(workloads, name)))
+    gc.collect()
+    gc.disable()
+    workloads.WORKLOADS[workload](seed, False, Stopwatch(), Stopwatch())
+    collect()
+    gc.enable()
+    print(f"{side}: one {workload} repetition leaves {sum(freed.values())} "
+          "objects to the collector, of them "
+          + ", ".join(f"{freed[name]} {name}" for name in CENSUS_TYPES))
+
+
+def census_side(side: str, root: Path, workload: str, seed: int,
+                machines: int) -> None:
+    """:func:`census` (``churn-1024``) or :func:`census_runs` in a fresh
+    process on ``root``'s ``repro``."""
+    path = os.pathsep.join(
+        (str(root / "src"), str(ROOT / "benchmarks"),
+         str(ROOT / "benchmarks" / "rbbench"))
+    )
+    call = (
+        f"census({side!r}, {seed}, {machines})" if workload == "churn-1024"
+        else f"census_runs({side!r}, {workload!r}, {seed})"
+    )
     done = subprocess.run(
-        [sys.executable, "-c",
-         f"import pairs; pairs.census({side!r}, {seed}, {machines})"],
+        [sys.executable, "-c", f"import pairs; pairs.{call}"],
         cwd=root, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
@@ -312,8 +370,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--census", action="store_true",
-        help="the host's cyclic collector on the churn cell, one run per side "
-             "(--workload churn-1024)",
+        help="the host's cyclic collector, per side: on the churn cell "
+             "(churn-1024), or what one repetition leaves it",
     )
     parser.add_argument(
         "--seed", type=int,
@@ -328,10 +386,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"the claim rule needs at least {MIN_PAIRS} pairs")
     if args.seed is not None and not (args.facts or args.census):
         parser.error("--seed goes with --facts or --census; pairs draw their own")
-    if args.census and args.workload != "churn-1024":
-        parser.error("--census measures the churn cell: --workload churn-1024")
-    if args.machines is not None and not args.census:
-        parser.error("--machines sizes the --census cell")
+    if args.machines is not None and not (
+        args.census and args.workload == "churn-1024"
+    ):
+        parser.error("--machines sizes the churn-1024 --census cell")
     machines = CENSUS_MACHINES if args.machines is None else args.machines
     if machines < 1:
         parser.error("--machines must be at least 1")
@@ -355,10 +413,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ]
         seed = seeds[0] if args.seed is None else args.seed
         if args.census:
+            size = f" machines={machines}" if args.workload == "churn-1024" else ""
             print(f"census workload={args.workload} base={base_sha[:7]} "
-                  f"change={ROOT} seed={seed} machines={machines}")
+                  f"change={ROOT} seed={seed}{size}")
             for side, root in (("parent", base), ("change", ROOT)):
-                census_side(side, root, seed, machines)
+                census_side(side, root, args.workload, seed, machines)
             return 0
         if args.facts:
             print(f"facts workload={args.workload} base={base_sha[:7]} "

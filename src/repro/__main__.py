@@ -17,7 +17,9 @@ Commands
     scenario (:data:`repro.experiments.chaos.SCENARIOS`) adds a broker
     restart, a durable journal, a warm standby or federated shards.  A seed
     range or ``all`` sweeps: one JSONL line per red run, then the red rate
-    per scenario and per rule.
+    per scenario and per rule.  A run past the kernel-event budget
+    (:data:`repro.experiments.chaos.EVENT_BUDGET`) is ``stalled``, not
+    waited for.
 ``sweep [--workers N]``
     Fan a deterministic (seed x cluster-size x workload) simulation grid
     across worker processes; merged results are byte-identical for any

@@ -761,6 +761,9 @@ def subapp_main(proc):
         try:
             yield proc.env.any_of(wait_set)
         except ConnectionClosed:
+            # The failed receive holds the exception, whose traceback holds
+            # this frame: let go of it, or the three are a reference cycle.
+            del recv_ev, wait_set
             # The app (and so probably the job) is gone: reclaim the machine.
             if child.is_alive:
                 child.kill_tree(SIGKILL, sender=proc)

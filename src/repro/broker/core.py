@@ -104,12 +104,17 @@ def make_broker_main(service):
         proc.thread(ctl.leases.lease_sweeper(), name="lease-sweeper")
         if ctl.journal is not None:
             proc.thread(ctl.leases.journal_flusher(), name="journal-flusher")
-        while True:
-            try:
-                conn = yield listener.accept()
-            except ConnectionClosed:
-                return 0
-            proc.thread(ctl.serve(conn), name="broker-session")
+        try:
+            while True:
+                try:
+                    conn = yield listener.accept()
+                except ConnectionClosed:
+                    return 0
+                proc.thread(ctl.serve(conn), name="broker-session")
+        finally:
+            # The incarnation ends with its process (killed, or the run
+            # closed): unlink it, so reference counting frees it.
+            ctl.close()
 
     return rbroker_main
 
@@ -159,6 +164,12 @@ class _BrokerControl:
         self.federation = (
             Borrowing(self) if shard is not None and shard.count > 1 else None
         )
+
+    def close(self) -> None:
+        """Cut the components' back-pointers to this ended incarnation."""
+        for part in (self.leases, self.sessions, self.federation):
+            if part is not None:
+                part.core = None
 
     # -- instruments of the per-request and per-pass paths -------------------
     # Bound on first use rather than resolved by name at every write; first

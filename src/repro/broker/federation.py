@@ -157,6 +157,13 @@ class FederationService:
         for service in self.services:
             service.wait_ready()
 
+    def close(self) -> None:
+        """Cut the back-pointers of this federation and of every shard
+        service with their finished cluster (``Cluster.close``)."""
+        self.cluster = None
+        for service in self.services:
+            service.close()
+
     # -- submission (locality routing) -------------------------------------
 
     def submit(

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterator, List, Optional
@@ -52,7 +53,8 @@ class Violation:
 
     #: ``double_run``, ``unknown_job``, ``done_job``, ``double_allocation``,
     #: ``owner_ignored``, ``reservation``, ``lease_overdue`` or
-    #: ``job_unfinished``.
+    #: ``job_unfinished``; a verdict on a whole run is ``crashed``,
+    #: ``stalled`` or ``incomplete`` (``check_scenario``).
     rule: str
     detail: str
     time: float  # simulated time of the violating event
@@ -82,11 +84,18 @@ def _subapp_jobid(proc) -> Optional[int]:
     return None
 
 
+class Stalled(Exception):
+    """Raised out of a checked ``env.run`` past its kernel-event budget."""
+
+
 class Oracle:
     """The safety properties over one cluster's brokers and machines."""
 
     def __init__(self, cluster) -> None:
         self.cluster = cluster
+        #: True once the settle-time properties were checked as the cluster
+        #: closed (:func:`checked`): a closed cluster is not checked again.
+        self.closed = False
         cal = cluster.calibration
         #: Owner at the console: the daemon reports within one interval, and
         #: a silent machine is declared dead (and reclaimed) by the deadline.
@@ -346,7 +355,8 @@ class Watch:
         """The first violation of the run, settle-time properties included:
         call once the scenario has settled."""
         for oracle in self.oracles:
-            oracle.check_settled()
+            if not oracle.closed:
+                oracle.check_settled()
         return self.first
 
 
@@ -372,10 +382,14 @@ def run_by_steps(env, until=None, check: Callable[[], object] = lambda: None):
 
 
 @contextlib.contextmanager
-def checked() -> Iterator[Watch]:
+def checked(budget: Optional[int] = None) -> Iterator[Watch]:
     """Check every cluster built inside the block after every event: its
     ``env.run`` becomes :func:`run_by_steps` over its own :class:`Oracle`,
-    which stops checking at its first violation."""
+    which stops checking at its first violation.  With ``budget``, the
+    cluster's event past that many raises :class:`Stalled` instead.
+
+    A cluster closed inside the block (``Cluster.close``) is checked for
+    the settle-time properties first, while it is whole, and unhooked."""
     watch = Watch()
     build = Cluster.__init__
 
@@ -383,9 +397,21 @@ def checked() -> Iterator[Watch]:
         build(cluster, spec)
         oracle = Oracle(cluster)
         watch.oracles.append(oracle)
-        cluster.env.run = functools.partial(
-            run_by_steps, cluster.env, check=lambda: oracle.first or oracle.check()
-        )
+        env = cluster.env
+        events = itertools.count(1)
+
+        def check():
+            if budget is not None and next(events) > budget:
+                raise Stalled(f"still running after {budget} kernel events")
+            return oracle.first or oracle.check()
+
+        def settle() -> None:
+            oracle.check_settled()
+            oracle.closed = True
+            del env.run  # the partial holds the environment
+
+        env.run = functools.partial(run_by_steps, env, check=check)
+        cluster.close_hooks.append(settle)
 
     Cluster.__init__ = init
     try:

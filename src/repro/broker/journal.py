@@ -63,6 +63,7 @@ are always valid replay cut points (DESIGN.md §16).
 from __future__ import annotations
 
 import json
+import weakref
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -159,7 +160,8 @@ class BrokerJournal:
         self.directory = directory.rstrip("/")
         self.compact_bytes = compact_bytes
         self.keep_generations = max(2, keep_generations)
-        self._state: Optional[BrokerState] = None
+        #: The attached state, weakly: it holds this journal back.
+        self._state: Optional["weakref.ref[BrokerState]"] = None
         existing = self._generations()
         self.generation = existing[-1] if existing else 0
         self._wal_bytes = (
@@ -237,7 +239,7 @@ class BrokerJournal:
         always written: the successor broker must recover a strictly higher
         epoch than any it could have journalled.
         """
-        self._state = state
+        self._state = weakref.ref(state)
         state.journal = self
         self._epoch = epoch
         if compact:
@@ -324,7 +326,7 @@ class BrokerJournal:
             self._flushes_counter.inc()
             self._flushed_bytes_counter.inc(len(data))
         self._update_lag(now)
-        if self._state is not None and self._wal_bytes >= self.compact_bytes:
+        if self._wal_bytes >= self.compact_bytes:
             self._compact()
         if self.metrics is not None:
             self._bytes_gauge.set(self._disk_bytes)
@@ -448,10 +450,11 @@ class BrokerJournal:
     # -- compaction ----------------------------------------------------------
 
     def _compact(self) -> None:
-        if self._state is None:
+        state = self._state() if self._state is not None else None
+        if state is None:
             return
         generation = self.generation + 1
-        payload = _encode({"op": "snapshot", "state": snapshot_state(self._state)})
+        payload = _encode({"op": "snapshot", "state": snapshot_state(state)})
         self.fs.write(self._snap_path(generation), _frame(payload))
         # The fresh WAL opens with the current epoch record: the snapshot
         # carries only state, and a recovery must never see a *lower* epoch
@@ -464,7 +467,7 @@ class BrokerJournal:
                     {
                         "op": "epoch",
                         "epoch": self._epoch,
-                        "first_jobid": self._state._next_jobid,
+                        "first_jobid": state._next_jobid,
                     }
                 )
             )

@@ -11,6 +11,7 @@ fresh.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -107,9 +108,12 @@ class MachineRecord:
     #: Cached :meth:`snapshot_view` dict; invalidated whenever a view field
     #: changes (so eligibility checks stop rebuilding it per candidate).
     _view: Optional[Dict[str, Any]] = field(default=None, repr=False, compare=False)
-    #: Owning :class:`BrokerState`, for index maintenance.  ``None`` for
-    #: free-standing records (hand-built tests).
-    _state: Optional["BrokerState"] = field(default=None, repr=False, compare=False)
+    #: Weak reference to the owning :class:`BrokerState`, for index
+    #: maintenance: the state holds its records, so a strong one would be a
+    #: cycle.  ``None`` for free-standing records (hand-built tests).
+    _state: Optional["weakref.ref[BrokerState]"] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __setattr__(self, name: str, value: Any) -> None:
         if name in _TRACKED_FIELDS:
@@ -118,7 +122,8 @@ class MachineRecord:
             if old is not _UNSET and old != value:
                 if name in _VIEW_FIELDS:
                     object.__setattr__(self, "_view", None)
-                state = getattr(self, "_state", None)
+                owner = getattr(self, "_state", None)
+                state = owner() if owner is not None else None
                 if state is not None:
                     state._machine_field_changed(self, name, old, value)
         else:

@@ -329,9 +329,10 @@ class BrokerService:
 
     def _new_journal(self) -> BrokerJournal:
         """A journal on the broker machine's filesystem."""
+        env = self.env  # not self: this service holds its journal
         return BrokerJournal(
             fs=self.cluster.machines[self.broker_host].fs,
-            clock=lambda: self.env.now,
+            clock=lambda: env.now,
             metrics=self.metrics,
             compact_bytes=self.cluster.network.calibration.journal_compact_bytes,
         )
@@ -403,10 +404,10 @@ class BrokerService:
             self.log(event="recovery", source="reregistration", epoch=self.epoch)
             # Blind until the periphery re-reports: recovery latency is the
             # restart-to-ready gap.
+            latency = self.metrics.gauge("recovery.latency_seconds")
+            env = self.env  # not self: this service holds ``ready``
             self.ready.add_callback(
-                lambda ev: self.metrics.gauge("recovery.latency_seconds").set(
-                    self.env.now - restarted_at
-                )
+                lambda ev: latency.set(env.now - restarted_at)
             )
         if self.journal is not None and self.replicated:
             # A restarted incarnation is a new ship stream; a standby holding
@@ -571,6 +572,14 @@ class BrokerService:
             uid=uid,
             environ={"RB_BROKER_HOST": self.broker_host},
         )
+
+    def close(self) -> None:
+        """Cut this service's back-pointers with its finished cluster
+        (``Cluster.close``).  The state, the event log, the metrics and the
+        journal stay readable."""
+        self.cluster = None
+        self.rb_bin = None  # its program bodies close over this service
+        self.control = None  # closed with its broker process
 
     # -- introspection -------------------------------------------------------
 

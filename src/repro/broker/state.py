@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.broker.records import (
@@ -60,15 +61,16 @@ class _PendingQueue(list):
 
     def __init__(self, state: "BrokerState") -> None:
         super().__init__()
-        self._state = state
+        self._state = weakref.ref(state)  # weak: the state holds this queue
 
     def append(self, request: PendingRequest) -> None:  # type: ignore[override]
         super().append(request)
         request.queued = True
         request.dirty = True
-        self._state._order_cache = None
-        self._state._dirty_list.append(request)
-        journal = self._state.journal
+        state = self._state()
+        state._order_cache = None
+        state._dirty_list.append(request)
+        journal = state.journal
         if journal is not None:
             journal.record(
                 {
@@ -84,8 +86,9 @@ class _PendingQueue(list):
     def remove(self, request: PendingRequest) -> None:  # type: ignore[override]
         super().remove(request)
         request.queued = False
-        self._state._order_cache = None
-        journal = self._state.journal
+        state = self._state()
+        state._order_cache = None
+        journal = state.journal
         if journal is not None:
             journal.record(
                 {"op": "pend-", "reqid": request.reqid, "jobid": request.jobid}
@@ -374,7 +377,7 @@ class BrokerState:
         record = self.machines.get(host)
         if record is None:
             record = MachineRecord(host=host)
-            record._state = self
+            record._state = weakref.ref(self)
             self.machines[host] = record
             self._machine_rank[host] = next(self._ranks)
             self._refile(host, record, record.platform, None)

@@ -502,6 +502,33 @@ class Network:
             self.metrics.counter("net.severed_connections").inc(severed)
         return severed
 
+    def close(self) -> None:
+        """Tear the LAN down with its finished run (``Cluster.close``).
+
+        Unlinks every connection pair still open and forgets every bound
+        listener and the fault model, so no socket ties a reference cycle
+        through the network, and clears the frames of each crashed
+        process's traceback, which hold the process; the tracer, the
+        metrics registry and the crash records stay readable."""
+        for conn in self._connections:
+            for end in (conn, conn.peer):
+                if end is not None:
+                    end.peer = end._deliver_callbacks = None
+                    end._reader = end._pending_recv = end._deadline = None
+        self._connections = []
+        for listener in self._ports.values():
+            listener.owner = None
+            # A parked accept's completion closes over its listener.
+            listener._backlog._getters.clear()
+        self._ports.clear()
+        self.faults = None
+        if self.crashed:
+            import traceback  # only a crashed run pays for the module
+
+            for proc in self.crashed:
+                # What the crash was stays; what its frames held goes.
+                traceback.clear_frames(proc.exception.__traceback__)
+
     def __repr__(self) -> str:
         return (
             f"<Network {len(self.machines)} machines, "

@@ -16,7 +16,8 @@ to the PVM job (each grant requires revoking a Calypso worker first — the
 
 from __future__ import annotations
 
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.results import ExperimentTable
@@ -26,50 +27,52 @@ from repro.obs import grant_times
 DEFAULT_SIZES = [1, 2, 4, 8, 12, 16]
 
 
-def _cluster_for(k: int, seed: int):
+@contextmanager
+def _calypso_everywhere(seed: int) -> Iterator[Cluster]:
     """16 worker machines + the submitting host, Calypso everywhere."""
-    cluster = Cluster(ClusterSpec.uniform(17, seed=seed))
-    svc = cluster.start_broker()
-    svc.wait_ready()
-    calypso = svc.submit(
-        "n00",
-        ["calypso", "100000", "600.0", "16"],
-        rsl="+(adaptive)",
-        uid="cal",
-    )
-    deadline = cluster.now + 60.0
-    while cluster.now < deadline:
-        cluster.env.run(until=cluster.now + 0.5)
+    with Cluster(ClusterSpec.uniform(17, seed=seed)) as cluster:
+        svc = cluster.start_broker()
+        svc.wait_ready()
+        calypso = svc.submit(
+            "n00",
+            ["calypso", "100000", "600.0", "16"],
+            rsl="+(adaptive)",
+            uid="cal",
+        )
+        deadline = cluster.now + 60.0
+        while cluster.now < deadline:
+            cluster.env.run(until=cluster.now + 0.5)
+            record = calypso.job_record()
+            if record and svc.state.holding_count(record.jobid) == 16:
+                break
         record = calypso.job_record()
-        if record and svc.state.holding_count(record.jobid) == 16:
-            break
-    record = calypso.job_record()
-    assert svc.state.holding_count(record.jobid) == 16
-    return cluster, svc
+        assert svc.state.holding_count(record.jobid) == 16
+        yield cluster
 
 
 def measure_reallocation(k: int, seed: int = 0, trace=None) -> dict:
     """Time to pull ``k`` machines from Calypso for a fresh PVM job."""
-    cluster, svc = _cluster_for(k, seed)
-    pvm_handle = svc.submit("n00", ["pvm"], rsl='+(module="pvm")', uid="pat")
-    cluster.env.run(until=cluster.now + 3.0)
-    pvm_job = pvm_handle.job_record()
-    assert pvm_job is not None
+    with _calypso_everywhere(seed) as cluster:
+        svc = cluster.broker
+        pvm_handle = svc.submit("n00", ["pvm"], rsl='+(module="pvm")', uid="pat")
+        cluster.env.run(until=cluster.now + 3.0)
+        pvm_job = pvm_handle.job_record()
+        assert pvm_job is not None
 
-    t0 = cluster.now
-    add = cluster.run_command(
-        "n00", ["pvm", "add", *(["anylinux"] * k)], uid="pat"
-    )
-    cluster.env.run(until=add.terminated)
-    grants: List[float] = []
-    deadline = cluster.now + 10.0 + 5.0 * k
-    while len(grants) < k and cluster.now < deadline:
-        cluster.env.run(until=cluster.now + 0.25)
-        grants = grant_times(svc, pvm_job.jobid, since=t0)
-    assert len(grants) >= k, f"only {len(grants)} of {k} machines granted"
-    cluster.assert_no_crashes()
-    if trace is not None:
-        trace.add_cluster(cluster, label=f"fig7 k={k}")
+        t0 = cluster.now
+        add = cluster.run_command(
+            "n00", ["pvm", "add", *(["anylinux"] * k)], uid="pat"
+        )
+        cluster.env.run(until=add.terminated)
+        grants: List[float] = []
+        deadline = cluster.now + 10.0 + 5.0 * k
+        while len(grants) < k and cluster.now < deadline:
+            cluster.env.run(until=cluster.now + 0.25)
+            grants = grant_times(svc, pvm_job.jobid, since=t0)
+        assert len(grants) >= k, f"only {len(grants)} of {k} machines granted"
+        cluster.assert_no_crashes()
+        if trace is not None:
+            trace.add_cluster(cluster, label=f"fig7 k={k}")
     return {
         "k": k,
         "available_at": grants[k - 1],

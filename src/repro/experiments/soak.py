@@ -141,151 +141,152 @@ def run_soak(
         for i in range(n_private)
     ]
 
-    cluster = Cluster(ClusterSpec(machines=specs, seed=seed, bounded=True))
-    env = cluster.env
-    svc = cluster.start_broker(journal=journal)
-    svc.wait_ready()
-    monitor = HealthMonitor(svc).start()
+    with Cluster(ClusterSpec(machines=specs, seed=seed, bounded=True)) as cluster:
+        env = cluster.env
+        svc = cluster.start_broker(journal=journal)
+        svc.wait_ready()
+        monitor = HealthMonitor(svc).start()
 
-    # The arrival trace: Poisson with a diurnal rate, capped at exactly
-    # ``submissions`` jobs.  The horizon is sized for the worst case — a
-    # short trace spent entirely in the diurnal trough — because max_jobs
-    # is what actually ends the trace: a larger horizon never changes the
-    # first ``submissions`` arrivals, it only guarantees they exist.
-    horizon = DAY + 4.0 * submissions / base_rate
-    trace = trace_arrivals(
-        env,
-        horizon=horizon,
-        base_rate=base_rate,
-        peak_rate=peak_rate,
-        day=DAY,
-        min_seconds=MIN_SECONDS,
-        max_seconds=MAX_SECONDS,
-        max_jobs=submissions,
-    )
-    if len(trace) < submissions:
-        raise RuntimeError(
-            f"trace produced {len(trace)}/{submissions} arrivals; "
-            f"raise the horizon"
+        # The arrival trace: Poisson with a diurnal rate, capped at exactly
+        # ``submissions`` jobs.  The horizon is sized for the worst case — a
+        # short trace spent entirely in the diurnal trough — because max_jobs
+        # is what actually ends the trace: a larger horizon never changes the
+        # first ``submissions`` arrivals, it only guarantees they exist.
+        horizon = DAY + 4.0 * submissions / base_rate
+        trace = trace_arrivals(
+            env,
+            horizon=horizon,
+            base_rate=base_rate,
+            peak_rate=peak_rate,
+            day=DAY,
+            min_seconds=MIN_SECONDS,
+            max_seconds=MAX_SECONDS,
+            max_jobs=submissions,
         )
-    last_arrival = trace.arrivals[-1]
-
-    for host, windows in diurnal_owner_windows(
-        env,
-        [spec.name for spec in specs if spec.private_owner],
-        horizon=last_arrival,
-        day=DAY,
-    ):
-        env.process(
-            replay_owner_windows(env, cluster.machine(host), windows),
-            name=f"soak-owner@{host}",
-        )
-
-    done = {"completed": 0, "failed": 0}
-
-    def _on_exit(event) -> None:
-        done["completed"] += 1
-        if event.value != 0:
-            done["failed"] += 1
-
-    submit_hosts = ["n00"] + (["n01"] if n_public >= 1 else [])
-
-    def _submissions():
-        for i, (at, duration) in enumerate(trace.jobs()):
-            if at > env.now:
-                yield env.timeout(at - env.now)
-            handle = svc.submit(
-                submit_hosts[i % len(submit_hosts)],
-                ["rsh", "anylinux", "compute", f"{duration:g}"],
-                uid="soak",
+        if len(trace) < submissions:
+            raise RuntimeError(
+                f"trace produced {len(trace)}/{submissions} arrivals; "
+                f"raise the horizon"
             )
-            # Only the terminated hook survives; retaining 100k JobHandles
-            # (each pinning a span and a process) is exactly the leak the
-            # soak exists to rule out.
-            handle.proc.terminated.add_callback(_on_exit)
-            del handle
+        last_arrival = trace.arrivals[-1]
 
-    env.process(_submissions(), name="soak-arrivals")
+        for host, windows in diurnal_owner_windows(
+            env,
+            [spec.name for spec in specs if spec.private_owner],
+            horizon=last_arrival,
+            day=DAY,
+        ):
+            env.process(
+                replay_owner_windows(env, cluster.machine(host), windows),
+                name=f"soak-owner@{host}",
+            )
 
-    def _restarts():
-        for i in range(restarts):
-            target = last_arrival * (i + 1) / (restarts + 1)
-            if target > env.now:
-                yield env.timeout(target - env.now)
-            svc.crash_broker()
-            yield env.timeout(2.0)
-            svc.restart_broker()
+        done = {"completed": 0, "failed": 0}
 
-    if restarts:
-        env.process(_restarts(), name="soak-restarts")
+        def _on_exit(event) -> None:
+            done["completed"] += 1
+            if event.value != 0:
+                done["failed"] += 1
 
-    # Drive to drain.  Finished work is freed by reference counting: a
-    # connection pair unlinks itself at its second close, and the one cycle
-    # left is a crashed broker incarnation.  So only a metered run collects,
-    # right before each sample, to keep the flatness gate a measure of live
-    # retention, not of collector scheduling luck.  The collect is wall-side
-    # only — it cannot move a single simulated event.
-    import gc
+        submit_hosts = ["n00"] + (["n01"] if n_public >= 1 else [])
 
-    tracemalloc = None
-    if memory_checkpoints:
-        import tracemalloc as _tm
-
-        tracemalloc = _tm
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-    report_samples: List[Tuple[int, int]] = []
-    deadline = last_arrival + 600.0
-    stride = max(1, submissions // max(20, memory_checkpoints))
-    next_mark = stride
-    while env.now < deadline and done["completed"] < submissions:
-        env.run(until=min(env.now + 5.0, deadline))
-        if done["completed"] >= next_mark:
-            if tracemalloc is not None:
-                gc.collect()
-                report_samples.append(
-                    (done["completed"], tracemalloc.get_traced_memory()[0])
+        def _submissions():
+            for i, (at, duration) in enumerate(trace.jobs()):
+                if at > env.now:
+                    yield env.timeout(at - env.now)
+                handle = svc.submit(
+                    submit_hosts[i % len(submit_hosts)],
+                    ["rsh", "anylinux", "compute", f"{duration:g}"],
+                    uid="soak",
                 )
-            if progress is not None:
-                progress(done["completed"], submissions)
-            next_mark += stride
-    # Settle: let the lease sweeper expire anything a dead app stranded, so
-    # stuck_allocations measures leaks, not in-flight cleanup.
-    env.run(until=env.now + 2.0 * cluster.network.calibration.lease_ttl)
-    finished_at = env.now
-    cluster.assert_no_crashes()
+                # Only the terminated hook survives; retaining 100k JobHandles
+                # (each pinning a span and a process) is exactly the leak the
+                # soak exists to rule out.
+                handle.proc.terminated.add_callback(_on_exit)
+                del handle
 
-    health = monitor.report()
-    counters = svc.metrics
-    jstats = (
-        svc.journal.stats() if svc.journal is not None else {"enabled": False}
-    )
-    return SoakReport(
-        seed=seed,
-        machines=machines,
-        private_machines=n_private,
-        submissions=submissions,
-        completed=done["completed"],
-        failed=done["failed"],
-        restarts=restarts,
-        recoveries_from_journal=counters.counter(
-            "recovery.from_journal"
-        ).value,
-        recovery_conflicts=counters.counter("recovery.conflicts").value,
-        replayed_records=counters.counter("recovery.replayed_records").value,
-        journal_compactions=int(jstats.get("compactions", 0)),
-        journal_bytes=int(jstats.get("total_bytes", 0)),
-        stuck_allocations=health.stuck_allocations,
-        stuck_events=health.stuck_events,
-        journal_lag_events=health.journal_lag_events,
-        # Counters, not events_of(): the soak caps the event log, so the
-        # per-kind buckets stop counting at the cap.
-        revocations=int(counters.counter("broker.revokes").value),
-        grants=int(counters.counter("broker.grants").value),
-        finished_at=round(finished_at, 3),
-        health=health.to_dict(),
-        memory_samples=report_samples,
-    )
+        env.process(_submissions(), name="soak-arrivals")
+
+        def _restarts():
+            for i in range(restarts):
+                target = last_arrival * (i + 1) / (restarts + 1)
+                if target > env.now:
+                    yield env.timeout(target - env.now)
+                svc.crash_broker()
+                yield env.timeout(2.0)
+                svc.restart_broker()
+
+        if restarts:
+            env.process(_restarts(), name="soak-restarts")
+
+        # Drive to drain.  Finished work is freed by reference counting: a
+        # connection pair unlinks itself at its second close, a broker
+        # incarnation when its process ends, and the whole cluster at the
+        # end of this block.  So only a metered run collects, right before
+        # each sample, to keep the flatness gate a measure of live
+        # retention, not of collector scheduling luck.  The collect is
+        # wall-side only — it cannot move a single simulated event.
+        import gc
+
+        tracemalloc = None
+        if memory_checkpoints:
+            import tracemalloc as _tm
+
+            tracemalloc = _tm
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+        report_samples: List[Tuple[int, int]] = []
+        deadline = last_arrival + 600.0
+        stride = max(1, submissions // max(20, memory_checkpoints))
+        next_mark = stride
+        while env.now < deadline and done["completed"] < submissions:
+            env.run(until=min(env.now + 5.0, deadline))
+            if done["completed"] >= next_mark:
+                if tracemalloc is not None:
+                    gc.collect()
+                    report_samples.append(
+                        (done["completed"], tracemalloc.get_traced_memory()[0])
+                    )
+                if progress is not None:
+                    progress(done["completed"], submissions)
+                next_mark += stride
+        # Settle: let the lease sweeper expire anything a dead app stranded, so
+        # stuck_allocations measures leaks, not in-flight cleanup.
+        env.run(until=env.now + 2.0 * cluster.network.calibration.lease_ttl)
+        finished_at = env.now
+        cluster.assert_no_crashes()
+
+        health = monitor.report()
+        counters = svc.metrics
+        jstats = (
+            svc.journal.stats() if svc.journal is not None else {"enabled": False}
+        )
+        return SoakReport(
+            seed=seed,
+            machines=machines,
+            private_machines=n_private,
+            submissions=submissions,
+            completed=done["completed"],
+            failed=done["failed"],
+            restarts=restarts,
+            recoveries_from_journal=counters.counter(
+                "recovery.from_journal"
+            ).value,
+            recovery_conflicts=counters.counter("recovery.conflicts").value,
+            replayed_records=counters.counter("recovery.replayed_records").value,
+            journal_compactions=int(jstats.get("compactions", 0)),
+            journal_bytes=int(jstats.get("total_bytes", 0)),
+            stuck_allocations=health.stuck_allocations,
+            stuck_events=health.stuck_events,
+            journal_lag_events=health.journal_lag_events,
+            # Counters, not events_of(): the soak caps the event log, so the
+            # per-kind buckets stop counting at the cap.
+            revocations=int(counters.counter("broker.revokes").value),
+            grants=int(counters.counter("broker.grants").value),
+            finished_at=round(finished_at, 3),
+            health=health.to_dict(),
+            memory_samples=report_samples,
+        )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual run

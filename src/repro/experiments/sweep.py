@@ -132,14 +132,16 @@ def run_cell(
     from repro.cluster import Cluster, ClusterSpec
 
     driver = WORKLOADS[workload]
-    cluster = Cluster(ClusterSpec.uniform(machines, seed=seed, bounded=bounded))
-    service = cluster.start_broker()
-    service.wait_ready()
-    sim_start = cluster.now
-    wall_start = time.perf_counter()
-    driver(cluster, service, sim_minutes * 60.0)
-    wall = time.perf_counter() - wall_start
-    cluster.assert_no_crashes()
+    spec = ClusterSpec.uniform(machines, seed=seed, bounded=bounded)
+    with Cluster(spec) as cluster:
+        service = cluster.start_broker()
+        service.wait_ready()
+        sim_start = cluster.now
+        wall_start = time.perf_counter()
+        driver(cluster, service, sim_minutes * 60.0)
+        wall = time.perf_counter() - wall_start
+        cluster.assert_no_crashes()
+    # The results read the closed cluster (see Cluster.close).
 
     heap = cluster.env.heap_stats()
     tracer = cluster.network.tracer

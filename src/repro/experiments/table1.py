@@ -13,41 +13,45 @@ loop ≈ rsh-cost + 6.5 s in every row; rsh' overhead ≈ 0.3 s total.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.results import ExperimentTable
 
 
-def _fresh_cluster(seed: int, broker: bool) -> Cluster:
-    cluster = Cluster(ClusterSpec.uniform(2, seed=seed))
-    if broker:
-        cluster.start_broker()
-        cluster.broker.wait_ready()
-    return cluster
+@contextmanager
+def _fresh_cluster(seed: int, broker: bool) -> Iterator[Cluster]:
+    with Cluster(ClusterSpec.uniform(2, seed=seed)) as cluster:
+        if broker:
+            cluster.start_broker()
+            cluster.broker.wait_ready()
+        yield cluster
 
 
 def _measure_plain(seed: int, program: str, trace=None) -> float:
-    cluster = _fresh_cluster(seed, broker=False)
-    t0 = cluster.now
-    proc = cluster.run_command("n00", ["rsh", "n01", program])
-    cluster.env.run(until=proc.terminated)
-    assert proc.exit_code == 0, f"rsh n01 {program} failed"
-    cluster.assert_no_crashes()
-    if trace is not None:
-        trace.add_cluster(cluster, label=f"rsh n01 {program}")
-    return cluster.now - t0
+    with _fresh_cluster(seed, broker=False) as cluster:
+        t0 = cluster.now
+        proc = cluster.run_command("n00", ["rsh", "n01", program])
+        cluster.env.run(until=proc.terminated)
+        assert proc.exit_code == 0, f"rsh n01 {program} failed"
+        cluster.assert_no_crashes()
+        if trace is not None:
+            trace.add_cluster(cluster, label=f"rsh n01 {program}")
+        return cluster.now - t0
 
 
 def _measure_brokered(seed: int, target: str, program: str, trace=None) -> float:
-    cluster = _fresh_cluster(seed, broker=True)
-    svc = cluster.broker
-    t0 = cluster.now
-    handle = svc.submit("n00", ["rsh", target, program])
-    code = handle.wait()
-    assert code == 0, f"rsh' {target} {program} failed"
-    cluster.assert_no_crashes()
-    if trace is not None:
-        trace.add_cluster(cluster, label=f"rsh' {target} {program}")
-    return cluster.now - t0
+    with _fresh_cluster(seed, broker=True) as cluster:
+        svc = cluster.broker
+        t0 = cluster.now
+        handle = svc.submit("n00", ["rsh", target, program])
+        code = handle.wait()
+        assert code == 0, f"rsh' {target} {program} failed"
+        cluster.assert_no_crashes()
+        if trace is not None:
+            trace.add_cluster(cluster, label=f"rsh' {target} {program}")
+        return cluster.now - t0
 
 
 def run_table1(seed: int = 0, trace=None) -> ExperimentTable:

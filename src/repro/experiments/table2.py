@@ -17,6 +17,9 @@ Paper numbers: rsh null 0.3 s; rsh' anylinux null ≈ 1.3 s; rsh loop ≈
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.results import ExperimentTable
 
@@ -24,44 +27,45 @@ from repro.experiments.results import ExperimentTable
 _CALYPSO_ARGS = ["calypso", "100000", "30.0", "2"]
 
 
-def _cluster_with_calypso(seed: int):
-    cluster = Cluster(ClusterSpec.uniform(3, seed=seed))
-    svc = cluster.start_broker()
-    svc.wait_ready()
-    svc.submit("n00", list(_CALYPSO_ARGS), rsl="+(adaptive)", uid="cal")
-    # Let the Calypso job occupy n01 and n02.
-    deadline = cluster.now + 30.0
-    while cluster.now < deadline:
-        cluster.env.run(until=cluster.now + 0.5)
+@contextmanager
+def _cluster_with_calypso(seed: int) -> Iterator[Cluster]:
+    with Cluster(ClusterSpec.uniform(3, seed=seed)) as cluster:
+        svc = cluster.start_broker()
+        svc.wait_ready()
+        svc.submit("n00", list(_CALYPSO_ARGS), rsl="+(adaptive)", uid="cal")
+        # Let the Calypso job occupy n01 and n02.
+        deadline = cluster.now + 30.0
+        while cluster.now < deadline:
+            cluster.env.run(until=cluster.now + 0.5)
+            holdings = svc.holdings()
+            if holdings and len(next(iter(holdings.values()))) == 2:
+                break
         holdings = svc.holdings()
-        if holdings and len(next(iter(holdings.values()))) == 2:
-            break
-    holdings = svc.holdings()
-    assert holdings and len(next(iter(holdings.values()))) == 2, holdings
-    return cluster, svc
+        assert holdings and len(next(iter(holdings.values()))) == 2, holdings
+        yield cluster
 
 
 def _measure_plain(seed: int, program: str, trace=None) -> float:
-    cluster, _svc = _cluster_with_calypso(seed)
-    t0 = cluster.now
-    proc = cluster.run_command("n00", ["rsh", "n01", program])
-    cluster.env.run(until=proc.terminated)
-    assert proc.exit_code == 0
-    if trace is not None:
-        trace.add_cluster(cluster, label=f"rsh n01 {program}")
-    return cluster.now - t0
+    with _cluster_with_calypso(seed) as cluster:
+        t0 = cluster.now
+        proc = cluster.run_command("n00", ["rsh", "n01", program])
+        cluster.env.run(until=proc.terminated)
+        assert proc.exit_code == 0
+        if trace is not None:
+            trace.add_cluster(cluster, label=f"rsh n01 {program}")
+        return cluster.now - t0
 
 
 def _measure_brokered(seed: int, program: str, trace=None) -> float:
-    cluster, svc = _cluster_with_calypso(seed)
-    t0 = cluster.now
-    handle = svc.submit("n00", ["rsh", "anylinux", program])
-    code = handle.wait()
-    assert code == 0
-    cluster.assert_no_crashes()
-    if trace is not None:
-        trace.add_cluster(cluster, label=f"rsh' anylinux {program}")
-    return cluster.now - t0
+    with _cluster_with_calypso(seed) as cluster:
+        t0 = cluster.now
+        handle = cluster.broker.submit("n00", ["rsh", "anylinux", program])
+        code = handle.wait()
+        assert code == 0
+        cluster.assert_no_crashes()
+        if trace is not None:
+            trace.add_cluster(cluster, label=f"rsh' anylinux {program}")
+        return cluster.now - t0
 
 
 def run_table2(seed: int = 0, trace=None) -> ExperimentTable:

@@ -18,7 +18,8 @@ makes the asynchronous (module) growth measurable.
 
 from __future__ import annotations
 
-from typing import List
+from contextlib import contextmanager
+from typing import Iterator, List
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.results import ExperimentTable
@@ -26,12 +27,13 @@ from repro.experiments.results import ExperimentTable
 _SIZES = [1, 2, 3, 4]
 
 
-def _fresh(seed: int, broker: bool) -> Cluster:
-    cluster = Cluster(ClusterSpec.uniform(6, seed=seed))
-    if broker:
-        cluster.start_broker()
-        cluster.broker.wait_ready()
-    return cluster
+@contextmanager
+def _fresh(seed: int, broker: bool) -> Iterator[Cluster]:
+    with Cluster(ClusterSpec.uniform(6, seed=seed)) as cluster:
+        if broker:
+            cluster.start_broker()
+            cluster.broker.wait_ready()
+        yield cluster
 
 
 def _membership(cluster, status_file: str, uid: str) -> int:
@@ -117,19 +119,18 @@ def _row(label, boot_plain, boot_brokered, measure, seed: int, mode: str,
     way ``mode`` needs, then ``measure`` of growing it by k hosts."""
     times = []
     for k in _SIZES:
-        if mode == "rsh":
-            cluster = _fresh(seed, broker=False)
-            boot_plain(cluster)
-        else:
-            cluster = _fresh(seed, broker=True)
-            boot_brokered(cluster)
-        if mode == "anylinux":
-            hosts = ["anylinux"] * k
-        else:
-            hosts = [f"n{i:02d}" for i in range(1, k + 1)]
-        times.append(measure(cluster, hosts))
-        if trace is not None:
-            trace.add_cluster(cluster, label=f"{label} w/ {mode} k={k}")
+        with _fresh(seed, broker=mode != "rsh") as cluster:
+            if mode == "rsh":
+                boot_plain(cluster)
+            else:
+                boot_brokered(cluster)
+            if mode == "anylinux":
+                hosts = ["anylinux"] * k
+            else:
+                hosts = [f"n{i:02d}" for i in range(1, k + 1)]
+            times.append(measure(cluster, hosts))
+            if trace is not None:
+                trace.add_cluster(cluster, label=f"{label} w/ {mode} k={k}")
     return times
 
 

@@ -33,68 +33,68 @@ def run_utilization(
     ``trace`` may be a :class:`repro.obs.TraceCollector`; the run's cluster
     is then captured as one labelled trace group.
     """
-    cluster = Cluster(ClusterSpec.uniform(machines + 1, seed=seed))
-    svc = cluster.start_broker()
-    svc.wait_ready()
-    worker_hosts = [f"n{i:02d}" for i in range(1, machines + 1)]
+    with Cluster(ClusterSpec.uniform(machines + 1, seed=seed)) as cluster:
+        svc = cluster.start_broker()
+        svc.wait_ready()
+        worker_hosts = [f"n{i:02d}" for i in range(1, machines + 1)]
 
-    calypso = svc.submit(
-        "n00",
-        ["calypso", "1000000", "30.0", str(machines)],
-        rsl="+(adaptive)",
-        uid="cal",
-    )
-    # Let the adaptive job occupy all the worker machines.
-    deadline = cluster.now + 60.0
-    while cluster.now < deadline:
-        cluster.env.run(until=cluster.now + 0.5)
+        calypso = svc.submit(
+            "n00",
+            ["calypso", "1000000", "30.0", str(machines)],
+            rsl="+(adaptive)",
+            uid="cal",
+        )
+        # Let the adaptive job occupy all the worker machines.
+        deadline = cluster.now + 60.0
+        while cluster.now < deadline:
+            cluster.env.run(until=cluster.now + 0.5)
+            record = calypso.job_record()
+            if record and svc.state.holding_count(record.jobid) == machines:
+                break
         record = calypso.job_record()
-        if record and svc.state.holding_count(record.jobid) == machines:
-            break
-    record = calypso.job_record()
-    assert svc.state.holding_count(record.jobid) == machines
+        assert svc.state.holding_count(record.jobid) == machines
 
-    meter = UtilizationMeter(cluster, worker_hosts)
-    meter.start()
-    start = cluster.now
+        meter = UtilizationMeter(cluster, worker_hosts)
+        meter.start()
+        start = cluster.now
 
-    workload = periodic_sequential_jobs(
-        cluster.env, period=period, horizon=horizon
-    )
-    submitted = 0
+        workload = periodic_sequential_jobs(
+            cluster.env, period=period, horizon=horizon
+        )
+        submitted = 0
 
-    def submitter():
-        nonlocal submitted
-        for arrival, duration in workload.jobs():
-            now = cluster.env.now - start
-            if arrival > now:
-                yield cluster.env.timeout(arrival - now)
-            svc.submit(
-                "n00",
-                ["rsh", "anylinux", "compute", f"{duration:.3f}"],
-                uid=f"seq",
-            )
-            submitted += 1
+        def submitter():
+            nonlocal submitted
+            for arrival, duration in workload.jobs():
+                now = cluster.env.now - start
+                if arrival > now:
+                    yield cluster.env.timeout(arrival - now)
+                svc.submit(
+                    "n00",
+                    ["rsh", "anylinux", "compute", f"{duration:.3f}"],
+                    uid=f"seq",
+                )
+                submitted += 1
 
-    cluster.env.process(submitter())
-    cluster.env.run(until=start + horizon)
+        cluster.env.process(submitter())
+        cluster.env.run(until=start + horizon)
 
-    if trace is not None:
-        trace.add_cluster(cluster, label="utilization")
-    idleness = meter.idleness()
-    table = ExperimentTable(
-        title="Utilization of a dynamic environment (paper section 6.2)",
-        columns=["Metric", "Value"],
-    )
-    table.add("horizon (s)", horizon)
-    table.add("machines", machines)
-    table.add("sequential jobs submitted", submitted)
-    table.add("mean utilization", meter.utilization())
-    table.add("total detected idleness", idleness)
-    table.meta["idleness"] = idleness
-    table.meta["utilization_by_host"] = meter.utilization_by_host()
-    table.notes.append("paper: total detected idleness < 1% over five hours")
-    return table
+        if trace is not None:
+            trace.add_cluster(cluster, label="utilization")
+        idleness = meter.idleness()
+        table = ExperimentTable(
+            title="Utilization of a dynamic environment (paper section 6.2)",
+            columns=["Metric", "Value"],
+        )
+        table.add("horizon (s)", horizon)
+        table.add("machines", machines)
+        table.add("sequential jobs submitted", submitted)
+        table.add("mean utilization", meter.utilization())
+        table.add("total detected idleness", idleness)
+        table.meta["idleness"] = idleness
+        table.meta["utilization_by_host"] = meter.utilization_by_host()
+        table.notes.append("paper: total detected idleness < 1% over five hours")
+        return table
 
 
 if __name__ == "__main__":  # pragma: no cover - manual run

@@ -71,7 +71,6 @@ class NetworkFaults:
     """Active fault rules for one network (see module docstring)."""
 
     def __init__(self, network: "Network") -> None:
-        self.network = network
         self.env = network.env
         self._rng = self.env.rng.stream("faults.net")
         self._partitions: List[_PartitionRule] = []

@@ -53,7 +53,7 @@ class Counter:
         self.env = registry.env
         self.help = help
         self.value = 0.0
-        self._registry = registry
+        self.updates = 0
         self._series = registry._make_series()
         self._record = self._series.add
 
@@ -68,7 +68,7 @@ class Counter:
             raise ValueError(f"counter {self.name} cannot decrease")
         self.value += amount
         self._record(self.env.now, self.value)
-        self._registry.updates += 1
+        self.updates += 1
 
     def __repr__(self) -> str:
         return f"<Counter {self.name}={self.value}>"
@@ -84,7 +84,7 @@ class Gauge:
         self.env = registry.env
         self.help = help
         self.value = 0.0
-        self._registry = registry
+        self.updates = 0
         self._series = registry._make_series()
         self._record = self._series.add
 
@@ -97,7 +97,7 @@ class Gauge:
         """Set the gauge at the current simulated instant."""
         self.value = float(value)
         self._record(self.env.now, self.value)
-        self._registry.updates += 1
+        self.updates += 1
 
     def inc(self, amount: float = 1.0) -> None:
         """Adjust the gauge upward."""
@@ -126,7 +126,7 @@ class Histogram:
         self.name = name
         self.env = registry.env
         self.help = help
-        self._registry = registry
+        self.updates = 0
         #: ``(time, value)`` of every observation (``exact`` mode; stays
         #: empty in ``bounded`` mode).
         self.observations = SampleColumns()
@@ -145,7 +145,7 @@ class Histogram:
             self.observations.append(self.env.now, value)
         else:
             self.digest.observe(value)
-        self._registry.updates += 1
+        self.updates += 1
 
     @property
     def count(self) -> int:
@@ -183,9 +183,10 @@ class MetricsRegistry:
 
     ``mode`` selects the memory model (see the module docstring).
     ``series_resolution``/``series_capacity`` size the bounded-mode ring
-    buffers.  The registry self-meters with plain integers (``updates``)
-    rather than instruments, so observing observability costs nothing and
-    cannot recurse.
+    buffers.  The registry self-meters with plain integers (``updates``,
+    each instrument counting its own) rather than instruments, so
+    observing observability costs nothing and cannot recurse.  An
+    instrument does not hold its registry, which holds it.
     """
 
     def __init__(
@@ -203,8 +204,12 @@ class MetricsRegistry:
         self.mode = mode
         self.series_resolution = series_resolution
         self.series_capacity = series_capacity
-        self.updates = 0
         self._metrics: Dict[str, Any] = {}
+
+    @property
+    def updates(self) -> int:
+        """Writes to every instrument so far."""
+        return sum(metric.updates for metric in self._metrics.values())
 
     def _make_series(self):
         if self.mode == "exact":

@@ -70,7 +70,8 @@ class Span:
     """
 
     __slots__ = (
-        "tracer",
+        "env",
+        "_observers",
         "name",
         "trace_id",
         "span_id",
@@ -92,7 +93,10 @@ class Span:
         attrs: Optional[Dict[str, Any]],
         sampled: bool = True,
     ) -> None:
-        self.tracer = tracer
+        # The tracer's clock and observer list, not the tracer: the tracer
+        # holds its spans, and a span holding it back would be a cycle.
+        self.env = tracer.env
+        self._observers = tracer._observers
         self.name = name
         self.trace_id = trace_id
         self.span_id = span_id
@@ -114,7 +118,7 @@ class Span:
     @property
     def duration(self) -> float:
         """Elapsed simulated seconds (up to now if still open)."""
-        end = self.ended_at if self.ended_at is not None else self.tracer.env.now
+        end = self.ended_at if self.ended_at is not None else self.env.now
         return end - self.started_at
 
     @property
@@ -144,9 +148,9 @@ class Span:
         if attrs and self.sampled:
             self.attrs.update(attrs)
         if self.ended_at is None:
-            self.ended_at = self.tracer.env.now
-            if self.sampled and self.tracer._observers:
-                for observer in self.tracer._observers:
+            self.ended_at = self.env.now
+            if self.sampled and self._observers:
+                for observer in self._observers:
                     observer(self)
         return self
 

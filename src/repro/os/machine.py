@@ -157,6 +157,17 @@ class Machine:
         crash; system daemons must be restarted by whoever owns them)."""
         self.up = True
 
+    def close(self) -> None:
+        """Let go of the finished run (``Cluster.close``): every process in
+        the table drops what it held live, the table empties, and the
+        machine leaves its network, so no back-pointer ties a cycle."""
+        for proc in self.procs.values():
+            proc.close()
+        self.procs.clear()
+        self.path = []  # a broker's programs close over its service
+        self.network = None
+        self.cpu.close()
+
     # -- monitoring snapshot -------------------------------------------------
 
     def snapshot(self) -> dict:

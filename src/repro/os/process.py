@@ -154,8 +154,12 @@ class OSProcess:
                 parent.children.append(self)
             else:
                 parent.children = [self]
-        self._sim_process: Process = self.env.process(
-            self._run(body), name=f"{machine.name}:{self.argv[0]}#{self.pid}"
+        # Not env.process(): when the run is closed the process table finds
+        # this and the threads (sim_processes), so they need no registry.
+        self._sim_process = Process(
+            self.env,
+            self._run(body),
+            name=f"{machine.name}:{self.argv[0]}#{self.pid}",
         )
         self._sim_process.add_callback(self._on_sim_exit)
 
@@ -276,6 +280,22 @@ class OSProcess:
             node.parent = None
             node = parent
 
+    def sim_processes(self) -> Tuple[Process, ...]:
+        """The simulated processes running this process: its body and its
+        threads (finished ones included)."""
+        return (self._sim_process, *self._threads)
+
+    def close(self) -> None:
+        """Drop everything live with the finished run (``Cluster.close``):
+        threads, bursts, sockets and the process-tree links.  Unlike
+        :meth:`_finalize` nothing is closed or signalled — the simulation is
+        over — and what the process was (argv, status, exit code) stays
+        readable."""
+        self._threads = self._computes = EMPTY
+        self._listeners = self._connections = EMPTY
+        self.children = EMPTY
+        self.parent = None
+
     # -- syscalls for program bodies ---------------------------------------
 
     def sleep(self, seconds: float) -> Event:
@@ -377,7 +397,7 @@ class OSProcess:
         real thread taking down its process.
         """
         label = f"{self.machine.name}:{self.argv[0]}#{self.pid}/{name or 'thread'}"
-        thread = self.env.process(self._thread_body(generator), name=label)
+        thread = Process(self.env, self._thread_body(generator), name=label)
         threads = self._threads
         if not threads:
             self._threads = [thread]

@@ -14,6 +14,7 @@ of :meth:`Environment.run`.  DESIGN.md §15 records why there is one heap.
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections import deque
 from heapq import heappop
 from typing import Any, Deque, Generator, Iterable, List, Optional, Tuple
@@ -75,6 +76,14 @@ class Environment:
         self._skipped = 0
         self._compactions = 0
         self._heap_high_water = 0
+        #: The processes :meth:`process` started and that are not yet
+        #: freed, in creation order; weak, so a finished one still leaves
+        #: by reference counting.
+        self._processes: "weakref.WeakKeyDictionary[Process, None]" = (
+            weakref.WeakKeyDictionary()
+        )
+        #: What heap_stats() answers once close() has emptied the heap.
+        self._closed_stats: Optional[dict] = None
 
     # -- clock ---------------------------------------------------------------
 
@@ -196,8 +205,11 @@ class Environment:
         ``sim.*`` counters.
 
         All of them are functions of the simulation alone — two runs of one
-        seed agree on every number.
+        seed agree on every number.  After :meth:`close` they are the
+        counters as the run left them.
         """
+        if self._closed_stats is not None:
+            return dict(self._closed_stats)
         return {
             "pushes": self._eid,
             "processed": self._processed,
@@ -285,6 +297,30 @@ class Environment:
     def _stop_callback(event: Event) -> None:
         raise StopSimulation()
 
+    def close(self, processes: Iterable[Process] = ()) -> None:
+        """End the simulation for good, so that reference counting frees it.
+
+        Closes the generator of every live process among ``processes`` and
+        those :meth:`process` started (its ``finally`` blocks run; no
+        waiter hears of it), then drops every pending event, so nothing is
+        left to run.  The clock and :meth:`heap_stats` keep reading as the
+        run left them.  Idempotent.
+        """
+        if self._closed_stats is not None:
+            return
+        self._closed_stats = self.heap_stats()
+        for process in processes:
+            process.close()
+        started = self._processes
+        while started:
+            # A finally block may start a process: close that one too.
+            live = list(started)
+            started.clear()
+            for process in live:
+                process.close()
+        self._queue.clear()
+        self._immediate.clear()
+
     # -- factories ---------------------------------------------------------
 
     def event(self) -> Event:
@@ -297,7 +333,9 @@ class Environment:
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new simulated process driving ``generator``."""
-        return Process(self, generator, name=name)
+        process = Process(self, generator, name=name)
+        self._processes[process] = None
+        return process
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when every given event has succeeded."""

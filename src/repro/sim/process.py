@@ -19,7 +19,15 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.sim.events import NORMAL, PENDING, URGENT, Event, Timeout
+from repro.sim.events import (
+    NO_CALLBACKS,
+    NORMAL,
+    PENDING,
+    URGENT,
+    Event,
+    Timeout,
+    _Condition,
+)
 
 
 def _detach_waiter(target: Event, process: "Process") -> None:
@@ -115,7 +123,7 @@ class Process(Event):
     completion.  ``process.value`` is the generator's return value.
     """
 
-    __slots__ = ("generator", "_target", "name")
+    __slots__ = ("generator", "_target", "name", "__weakref__")
 
     def __init__(
         self,
@@ -163,6 +171,32 @@ class Process(Event):
         self._ok = True
         self._value = value
         self.env.schedule(self, delay=0.0, priority=NORMAL)
+
+    def close(self) -> None:
+        """Discard the process with its simulation (``Environment.close``).
+
+        The generator is closed where it stands, as :meth:`abort` does, but
+        nothing is scheduled and no subscriber is told: the process lets go
+        of the event it waited on and of its own callbacks, so neither ties
+        it into a reference cycle.  A no-op once the process has finished.
+        """
+        if not self.is_alive:
+            return
+        target = self._target
+        if target is not None:
+            _detach_waiter(target, self)
+            if (
+                isinstance(target, _Condition)
+                and target._waiter is None
+                and not target.callbacks
+            ):
+                # Abandoned: its sub-events would hold it in a cycle.
+                target._detach_pending(None)
+        self._target = None
+        self.generator.close()
+        self._ok = True
+        self._value = None
+        self.callbacks = NO_CALLBACKS
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant.

@@ -197,6 +197,12 @@ class ProcessorSharingQueue:
         self._busy_integral = 0.0
         self._accounting_start = self.env.now
 
+    def close(self) -> None:
+        """Drop the wake-up timer and its callback list (which holds this
+        queue's own bound method) with the finished run; the tasks and the
+        accounting stay readable."""
+        self._timer = self._spare_timer = self._timer_callbacks = None
+
     # -- engine -----------------------------------------------------------
 
     def _advance(self, hold_first: bool = False) -> Optional[Event]:

@@ -6,6 +6,7 @@ drives 6,000.
 """
 
 import gc
+from collections import Counter
 from types import MethodType
 
 from repro.cluster.network import Connection
@@ -53,12 +54,13 @@ def test_soak_is_deterministic_across_runs():
 
 
 def test_a_soak_leaves_no_connection_for_the_cyclic_collector():
-    """Every connection a drained soak closed at both ends was freed by
-    reference counting: collecting at each checkpoint, with the collector
-    otherwise off, finds no ``Connection`` and none of its bound methods.
-    300 submissions open well over the 1,024 connections after which the
-    network first forgets closed pairs; a shorter trace still holds them
-    all, so a cycle among them could not show."""
+    """Everything a drained soak made was freed by reference counting:
+    collecting at each checkpoint, with the collector otherwise off, finds
+    no ``Connection`` and none of its bound methods, and once the run has
+    closed its cluster, no object at all.  300 submissions open well over
+    the 1,024 connections after which the network first forgets closed
+    pairs; a shorter trace still holds them all, so a cycle among them
+    could not show."""
     was_enabled, flags = gc.isenabled(), gc.get_debug()
     gc.collect()
     gc.disable()
@@ -73,9 +75,12 @@ def test_a_soak_leaves_no_connection_for_the_cyclic_collector():
             for obj in gc.garbage
         )
         assert (connections, methods) == (0, 0)
+        gc.collect()
+        assert Counter(type(obj).__name__ for obj in gc.garbage) == {}
     finally:
         gc.set_debug(flags)
         del gc.garbage[:]
+        gc.collect()
         if was_enabled:
             gc.enable()
 

@@ -17,7 +17,7 @@ import pytest
 from repro.broker.invariants import Oracle, checked
 from repro.broker.records import AllocationState, PendingRequest
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
-from repro.experiments import run_chaos
+from repro.experiments import chaos, run_chaos
 from repro.experiments.chaos import SCENARIOS, check_scenario
 from repro.policy.default import DefaultPolicy
 from tests.broker.conftest import install_greedy
@@ -51,6 +51,26 @@ def test_red_set_of_seeds_0_to_39_is_known(scenario):
     known = [seed for pairs in KNOWN_RED.values() for name, seed in pairs
              if name == scenario]
     assert sorted(red) == sorted(known), red
+
+
+def test_a_run_past_its_event_budget_is_stalled(monkeypatch):
+    """A livelock is a verdict, not a hang: the run stops at its budget,
+    recorded like a crash (no table), and its cluster is closed."""
+    closed = []
+    build = Cluster.__init__
+
+    def init(cluster, spec):
+        build(cluster, spec)
+        closed.append(cluster)
+
+    monkeypatch.setattr(Cluster, "__init__", init)
+    monkeypatch.setattr(chaos, "EVENT_BUDGET", 500)
+    table, verdict = check_scenario("plain", 1)
+    assert table is None and verdict.rule == "stalled"
+    assert verdict.detail == "still running after 500 kernel events"
+    [cluster] = closed
+    # The first event past the budget is the one that stops the run.
+    assert cluster.closed and cluster.env.heap_stats()["processed"] == 501
 
 
 @pytest.mark.xfail(strict=True, reason=f"ROADMAP item 1, class {CLASS_A}")

@@ -12,13 +12,15 @@ callbacks, equals registration order.
 
 import gc
 import math
-from collections import deque
+from collections import Counter, deque
 from types import FunctionType
 
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.cluster.network import EXPIRED, Connection, Listener
+from repro.experiments import run_chaos, run_fig7, run_table1, run_table2, run_table3
+from repro.experiments.chaos import SCENARIOS, check_scenario
 from repro.experiments.sweep import WORKLOADS
 from repro.os.process import EMPTY, PRUNE_AT, OSProcess
 from repro.os.signals import SIGKILL
@@ -308,6 +310,96 @@ def test_a_pair_closed_at_both_ends_is_freed_by_reference_counting():
     finally:
         if was_enabled:
             gc.enable()
+
+
+# -- finished clusters ---------------------------------------------------------
+
+
+def _cyclic_garbage(run) -> Counter:
+    """The objects, by type, that the cyclic collector finds once ``run()``
+    has returned: with the collector off and saving all it would free, this
+    is everything reference counting did not free."""
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[:]
+        gc.collect()
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_a_finished_chaos_run_leaves_nothing_for_the_cyclic_collector(scenario):
+    """``run_chaos`` closes its cluster: every live process's generator and
+    every pending event go, and so does each back-pointer that closed a
+    cycle, so the whole cluster — machines, processes, connections, spans,
+    instruments, the broker and every incarnation of it — is freed by
+    reference counting the moment the run returns."""
+    assert _cyclic_garbage(lambda: run_chaos(1, **SCENARIOS[scenario])) == {}
+
+
+@pytest.mark.parametrize(
+    "scenario, seed, rule", [("journal", 1, None), ("plain", 4, "double_run")]
+)
+def test_a_checked_scenario_frees_the_oracles_cluster_too(scenario, seed, rule):
+    """The oracle checks the settle-time properties as the cluster closes
+    and unhooks its step loop, which held the environment: a green and a
+    red verdict alike leave nothing behind."""
+    verdicts = []
+    garbage = _cyclic_garbage(
+        lambda: verdicts.append(check_scenario(scenario, seed)[1])
+    )
+    assert [v and v.rule for v in verdicts] == [rule]
+    assert garbage == {}
+
+
+@pytest.mark.parametrize(
+    "runner", [run_table1, run_table2, run_table3, run_fig7],
+    ids=["table1", "table2", "table3", "fig7"],
+)
+def test_a_paper_run_leaves_nothing_for_the_cyclic_collector(runner):
+    """Each measurement closes the cluster it built, with the processes
+    still parked on a condition (the Calypso workers, the PVM daemons)."""
+    assert _cyclic_garbage(runner) == {}
+
+
+def _reads(cluster):
+    """What a run is read for after its runner returned: rbbench's fold."""
+    if cluster.federation is not None:
+        services = cluster.federation.services
+    else:
+        services = [cluster.broker]
+    return {
+        "heap": cluster.env.heap_stats(),
+        "now": cluster.now,
+        "metrics": cluster.network.metrics.snapshot(),
+        "spans": len(cluster.network.tracer.spans),
+        "scanned": [service.state.machines_scanned for service in services],
+    }
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_a_closed_cluster_reads_as_its_run_left_it(scenario, monkeypatch):
+    seen = []
+    build = Cluster.__init__
+
+    def init(cluster, spec):
+        build(cluster, spec)
+        cluster.close_hooks.append(lambda: seen.append((cluster, _reads(cluster))))
+
+    monkeypatch.setattr(Cluster, "__init__", init)
+    run_chaos(1, **SCENARIOS[scenario])
+    [(cluster, before)] = seen
+    assert cluster.closed and not cluster.env._queue and not cluster.env._processes
+    assert before["heap"]["pending"] > 0
+    assert _reads(cluster) == before
 
 
 # -- finished bursts ----------------------------------------------------------------

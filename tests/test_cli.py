@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.experiments import chaos
 
 
 def test_demo_runs(capsys):
@@ -40,6 +41,15 @@ def test_chaos_verdict_is_the_oracles(capsys):
     """Seed 4 completes every job, with a double run on n01."""
     assert main(["chaos", "--seed", "4"]) == 1
     assert "double_run at t=40.688300" in capsys.readouterr().out
+
+
+def test_chaos_past_its_event_budget_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(chaos, "EVENT_BUDGET", 500)
+    assert main(["chaos", "--seed", "1"]) == 1
+    assert "stalled at t=" in capsys.readouterr().out
+    assert main(["chaos", "--seed", "1-2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["rule"] for line in lines[:2]] == ["stalled"] * 2
 
 
 def test_chaos_sweep_prints_each_red_run(capsys):
