@@ -407,11 +407,7 @@ class _BrokerControl:
                     continue  # satisfied earlier in this very pass
                 if request.reserved_host is not None:
                     continue  # a machine is being reclaimed for this request
-                job = self.state.jobs.get(request.jobid)
-                if job is None or job.done:
-                    self.state.pending.remove(request)
-                    continue
-                if job.conn is None:
+                if self.state.jobs[request.jobid].conn is None:
                     continue  # orphaned session: hold, never grant
                 decision = self.policy.decide(self.state, request)
                 decisions.inc()
@@ -428,22 +424,37 @@ class _BrokerControl:
         return
         yield  # pragma: no cover - generator form for uniform call sites
 
-    def _grant(self, request: PendingRequest, host: str) -> None:
+    def _grant(self, request: PendingRequest, host: str, borrowed_from=None):
+        """Bind ``host`` to the request's job and tell the app.  A machine
+        ``borrowed_from`` a sibling shard is leased by its donor, who also
+        installed the grant on its daemon (DESIGN.md §17)."""
         job = self.state.job(request.jobid)
-        self.state.pending.remove(request)
-        self.reqids.pop((request.jobid, request.reqid), None)
+        now = self.proc.env.now
+        loan = {} if borrowed_from is None else {"borrowed_from": borrowed_from}
+        # Each kind of grant keeps its order of journal ops (a torn WAL tail
+        # is cut by bytes, so the order decides what a crash leaves).
+        if not loan:
+            self.state.pending.remove(request)
         self.state.allocate(
             host,
             request.jobid,
             firm=request.firm,
-            now=self.proc.env.now,
-            lease_expires_at=self.proc.env.now + self.cal.lease_ttl,
+            now=now,
+            lease_expires_at=float("inf") if loan else now + self.cal.lease_ttl,
         )
-        waited = self.proc.env.now - request.arrived_at
+        if loan:
+            # Its daemon reports to the donor: the grant is all it says here.
+            self.state.machines[host].touch(now)
+            self.state.pending.remove(request)
+        self.reqids.pop((request.jobid, request.reqid), None)
+        waited = now - request.arrived_at
         span = self.request_spans.pop((request.jobid, request.reqid), None)
         if span is not None:
-            span.end(outcome="granted", host=host, waited=waited)
+            span.end(outcome="granted", host=host, waited=waited, **loan)
         self._grants.inc()
+        if loan:
+            self.metrics.counter("federation.cross_shard_grants").inc()
+            self.service.federation_counters["cross_shard_grants"] += 1
         self._grant_wait.observe(waited)
         self._pending_requests.dec()
         self.service.log(
@@ -452,8 +463,9 @@ class _BrokerControl:
             reqid=request.reqid,
             host=host,
             waited=waited,
+            **loan,
         )
-        if self.fence is not None:
+        if self.fence is not None and not loan:
             # Install the grant on the hosting daemon, epoch-stamped, before
             # the app hears about it: a fenced (stale-epoch) incarnation is
             # rejected here and demotes before its grant can double-allocate,
@@ -584,12 +596,10 @@ class _BrokerControl:
             return
         claim = self.free(host).claimed_by
         self.service.log(event="released", host=host, jobid=job.jobid)
-        claimer = None if claim is None else self.state.jobs.get(claim.jobid)
         if (
-            claimer is not None
+            claim is not None
             and claim in self.state.pending
-            and not claimer.done
-            and claimer.conn is not None
+            and self.state.jobs[claim.jobid].conn is not None
             # The machine may have died between the revoke and the release
             # (its daemon connection dropped): only hand it over if it is
             # still known-good, otherwise leave the request queued for the

@@ -409,22 +409,20 @@ class Borrowing:
 
         With a live holder the machine is revoked from its app exactly
         like an owner reclaim; the release then travels the ordinary
-        return path.  With no live holder (orphaned or pruned job) the
+        return path.  With no live holder (an orphaned session) the
         borrowed record is dropped on the spot."""
         host = str(msg["host"])
         jobid = int(msg["jobid"])
         record = self.state.machines.get(host)
         if record is None or record.borrowed_from is None:
             return
+        # A borrowed record always holds its loan: it is created granted,
+        # and freeing it forgets it (``forget_loan``).
         allocation = record.allocation
-        job = self.state.jobs.get(jobid)
         if (
-            allocation is not None
-            and allocation.jobid == jobid
+            allocation.jobid == jobid
             and allocation.state is AllocationState.ACTIVE
-            and job is not None
-            and not job.done
-            and job.conn is not None
+            and (conn := self.state.jobs[jobid].conn) is not None
         ):
             self.service.log(
                 event="loan_recalled",
@@ -432,12 +430,9 @@ class Borrowing:
                 jobid=jobid,
                 from_shard=record.borrowed_from,
             )
-            protocol.try_send(job.conn, protocol.revoke(host))
+            protocol.try_send(conn, protocol.revoke(host))
             return
-        if allocation is not None:
-            self.core.free(host, outcome="loan_recalled")
-        else:
-            self.state.forget_machine(host)
+        self.core.free(host, outcome="loan_recalled")
         yield from self.core._schedule()
 
     def forget_loan(self, host, jobid, donor) -> None:
@@ -505,7 +500,6 @@ class Borrowing:
         return (
             request not in self.state.pending
             or request.reserved_host is not None
-            or job.done
             or job.conn is None
         )
 
@@ -625,7 +619,7 @@ class Borrowing:
         """Install a sibling's loan as the grant for ``request``.
 
         The borrowed machine joins this shard's table fully formed —
-        created, flagged ``borrowed_from``, allocated and touched with no
+        created, flagged ``borrowed_from``, granted and touched with no
         intervening yield — so no scheduler pass can ever see it idle and
         it never joins the general candidate pool.  Its lease is infinite
         on the borrower: renewal flows to the *donor* (the machine's
@@ -639,44 +633,11 @@ class Borrowing:
         host = str(reply["host"])
         if host in self.state.machines:
             return False  # never shadow a machine this shard already knows
-        now = self.proc.env.now
         record = self.state.add_machine(host)
         record.borrowed_from = int(reply.get("shard", -1))
         record.platform = reply.get("platform", "")
         record.kind = reply.get("kind", "public")
-        self.state.allocate(host, request.jobid, firm=request.firm, now=now)
-        record.touch(now)
-        self.state.pending.remove(request)
-        core.reqids.pop((request.jobid, request.reqid), None)
-        waited = now - request.arrived_at
-        span = core.request_spans.pop((request.jobid, request.reqid), None)
-        if span is not None:
-            span.end(
-                outcome="granted",
-                host=host,
-                waited=waited,
-                borrowed_from=record.borrowed_from,
-            )
-        core._grants.inc()
-        self.metrics.counter("federation.cross_shard_grants").inc()
-        self.service.federation_counters["cross_shard_grants"] += 1
-        core._grant_wait.observe(waited)
-        core._pending_requests.dec()
-        self.service.log(
-            event="grant",
-            jobid=request.jobid,
-            reqid=request.reqid,
-            host=host,
-            waited=waited,
-            borrowed_from=record.borrowed_from,
-        )
-        protocol.try_send(
-            job.conn,
-            protocol.attach_trace(
-                protocol.machine_grant(request.reqid, host),
-                span.context if span is not None else None,
-            ),
-        )
+        core._grant(request, host, borrowed_from=record.borrowed_from)
         return True
 
     def stats(self, leased, metric_value) -> dict:

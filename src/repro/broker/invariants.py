@@ -7,6 +7,8 @@ After every event (:meth:`Oracle.check`):
 * **no double run** — no machine runs live subapps of two jobs;
 * **no double booking** — no host is allocated on two shards (a loan's
   donor and borrower halves are one allocation);
+* **job soundness** — every ACTIVE or RECLAIMING allocation and every
+  pending request names a job its own shard holds, unfinished;
 * **owner priority** — a private machine whose owner is at the console
   holds no ACTIVE allocation past the reclaim bound;
 * **reservation** — a pending request reserved on a host is the claim of
@@ -14,10 +16,11 @@ After every event (:meth:`Oracle.check`):
   ``claimed_by`` is the request itself).
 
 On the books (:meth:`Oracle.check_books`), whenever no fault is being
-recovered from: every allocation's job is known and not finished.  Once a
-run has settled (:meth:`Oracle.check_settled`): the books, no allocation
-past its lease, and no ``app`` process left alive (every admitted job
-finished).
+recovered from: job soundness for the donor-side MIGRATING loans too,
+whose job lives on the borrowing shard; a loan can outlive its borrower's
+job until the loan's lease runs out.  Once a run has settled
+(:meth:`Oracle.check_settled`): the books, no allocation past its lease,
+and no ``app`` process left alive (every admitted job finished).
 
 It looks at the machines, not only at the broker's books: the double-run
 rule reads each process table through the daemon's own lease scan
@@ -120,24 +123,27 @@ class Oracle:
         return self._keep(
             self._double_run(services)
             or self._double_allocation(services)
+            or self._job_soundness(services)
             or self._owner_priority(services)
             or self._reservation(services)
         )
 
     def check_books(self) -> Optional[Violation]:
-        """Check that every allocation belongs to a live job and no host is
-        booked twice: true whenever no fault is being recovered from, and
-        always once a run settles."""
+        """Check that no host is booked twice and every allocation, loans
+        included, and every pending request belongs to a live job: true
+        whenever no fault is being recovered from, and always once a run
+        settles."""
         services = self.services()
         return self._keep(
-            self._double_allocation(services) or self._job_soundness(services)
+            self._double_allocation(services)
+            or self._job_soundness(services, loans=True)
         )
 
     def check_settled(self) -> Optional[Violation]:
         """Check the properties that hold once a run has settled."""
         services = self.services()
         return self._keep(
-            self._job_soundness(services)
+            self._job_soundness(services, loans=True)
             or self._stranded_leases(services)
             or self._unfinished_jobs(services)
         )
@@ -213,27 +219,35 @@ class Oracle:
             )
         return None
 
-    def _job_soundness(self, services) -> Optional[Violation]:
-        # Federated jobids are unique cluster-wide, and a loan's job lives
-        # on the borrowing shard: look every jobid up on all shards.
-        jobs = {}
-        for service in services:
-            jobs.update(service.state.jobs)
+    def _job_soundness(self, services, loans=False) -> Optional[Violation]:
+        """Every ACTIVE or RECLAIMING allocation and every pending request
+        names a job its own shard holds, unfinished; with ``loans``, so
+        does every donor-side MIGRATING loan, on any shard (a loan's job
+        lives on the borrower; federated jobids are unique)."""
+        everywhere = {}
+        for service in services if loans else ():
+            everywhere.update(service.state.jobs)
         for index, service in enumerate(services):
-            for record in service.state.machines.values():
+            jobs = service.state.jobs
+            named = []
+            for record in service.state.leased_records():
                 allocation = record.allocation
-                if allocation is None:
-                    continue
-                job = jobs.get(allocation.jobid)
+                if allocation.state is not AllocationState.MIGRATING:
+                    named.append((record.host, allocation.jobid, jobs))
+                elif loans:
+                    named.append((record.host, allocation.jobid, everywhere))
+            named += [(None, request.jobid, jobs) for request in service.state.pending]
+            for host, jobid, held in named:
+                job = held.get(jobid)
                 if job is None or job.done:
                     return self._violation(
                         services,
                         "unknown_job" if job is None else "done_job",
-                        f"{record.host} allocated to "
+                        f"{host + ' allocated to' if host else 'request of'} "
                         f"{'unknown' if job is None else 'finished'} job "
-                        f"{allocation.jobid} on shard {index}",
-                        host=record.host,
-                        jobid=allocation.jobid,
+                        f"{jobid} on shard {index}",
+                        host=host or service.broker_host,
+                        jobid=jobid,
                     )
         return None
 

@@ -293,9 +293,9 @@ class Leases:
         outside it, an unknown lease in a report is stale noise (e.g. a
         subapp the app is about to tear down), and a wrong adoption would
         merely block the host until the lease expired.  The lowest listed
-        jobid wins when several are named — a deterministic pick so two
-        same-seed runs reconstruct byte-identical state regardless of
-        daemon re-registration order."""
+        jobid is offered (deterministic, so same-seed runs rebuild the same
+        state in any re-registration order); ``state.adopt_allocation``
+        decides whether it is adopted."""
         leases = sorted(int(j) for j in leases)
         if not leases or self.proc.env.now >= self._recovery_until:
             return
@@ -430,8 +430,7 @@ class Leases:
                 record.host, allocation, outcome="machine_dead"
             )
         elif allocation is not None and allocation.state is AllocationState.ACTIVE:
-            victim = self.state.jobs.get(allocation.jobid)
-            if victim is not None and not victim.done and victim.conn is not None:
+            if self.state.jobs[allocation.jobid].conn is not None:
                 # Reclaim via the normal revocation path: the victim's subapp
                 # connection was severed by the failure, so the app releases
                 # as soon as it processes the revoke.
@@ -512,8 +511,7 @@ class Leases:
         if allocation.state is AllocationState.ACTIVE:
             return True
         if allocation.state is AllocationState.RECLAIMING:
-            victim = self.state.jobs.get(allocation.jobid)
-            return victim is None or victim.done or victim.conn is None
+            return self.state.jobs[allocation.jobid].conn is None
         if allocation.state is AllocationState.MIGRATING:
             # A loan renews from the machine's own daemon inventory (the
             # borrower's jobid appears once its subapp lands); expiry means
@@ -536,7 +534,6 @@ class Leases:
         self.service.log(
             event="lease_expired", host=record.host, jobid=allocation.jobid
         )
-        victim = self.state.jobs.get(allocation.jobid)
         if allocation.state is AllocationState.MIGRATING:
             # A leaked loan: reclaim the machine and recall the borrower.
             core.federation.end_loan(
@@ -544,16 +541,14 @@ class Leases:
             )
         elif (
             allocation.state is AllocationState.ACTIVE
-            and victim is not None
-            and not victim.done
-            and victim.conn is not None
+            and self.state.jobs[allocation.jobid].conn is not None
         ):
             # The holder is still attached: reclaim through the ordinary
             # revocation path so its substrate adapts gracefully.
             core._start_reclaim(record.host, claimed_by=None)
         else:
-            # Holder unknown or unreachable: nobody can release, free it;
-            # the pass below serves its claim (with this machine, usually).
+            # Holder unreachable: nobody can release, free it; the pass
+            # below serves its claim (with this machine, usually).
             core.free(record.host, outcome="lease_expired")
         span.end()
         yield from core._schedule()

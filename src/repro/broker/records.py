@@ -214,6 +214,11 @@ class JobRecord:
     def module(self) -> Optional[str]:
         return self.rsl.module
 
+    @property
+    def placeholder(self) -> bool:
+        """Held for an adopted lease until its app resumes: no home host."""
+        return not self.home_host
+
 
 @dataclass
 class PendingRequest:

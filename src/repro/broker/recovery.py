@@ -397,13 +397,14 @@ def apply_payloads(
 # -- the one recovery pipeline ----------------------------------------------
 
 
-def recover(service, state: BrokerState, witnessed: int, floor: int) -> None:
+def recover(service, state: BrokerState, witnessed: int, floor: int = 1) -> None:
     """Install ``state`` as the next broker incarnation of ``service``.
 
     The one pipeline of every restart (journal or blank) and promotion:
     the entry point has *recovered* ``state``; here it is *re-stamped* —
-    the epoch moves past the service's and ``witnessed``, the jobid counter
-    past ``floor`` and every known job, reports are cleared and leases
+    the epoch moves past the service's and ``witnessed``, the state takes
+    the service's jobid space and its counter moves past ``floor``, the
+    space's start and every known job, reports are cleared and leases
     re-stamped, the managed hosts re-added, borrowed records kept only while
     they hold a loan — and installed with a fresh ``ready``, attached to the
     service's journal (compacted).  The entry point then logs itself and
@@ -413,8 +414,10 @@ def recover(service, state: BrokerState, witnessed: int, floor: int) -> None:
     """
     now = service.env.now
     service.epoch = max(service.epoch, witnessed) + 1
+    state.jobid_space = service.jobid_space
     state._next_jobid = max(
-        state._next_jobid, floor, max(state.jobs, default=0) + 1
+        state._next_jobid, floor, service.jobid_space.start,
+        max(state.jobs, default=0) + 1,
     )
     restamp_recovered(state, now, service.cluster.calibration.lease_ttl)
     service.state = state

@@ -23,7 +23,7 @@ from repro.broker.replica import make_standby_main
 from repro.broker.rshprime import rshprime_main
 from repro.broker.tools import rbctl_main, rbstat_main, rbtop_main, rbtrace_main
 from repro.broker.records import JobRecord
-from repro.broker.state import BrokerState
+from repro.broker.state import ALL_JOBIDS, BrokerState
 from repro.obs.timeseries import SpanPhaseFolder
 from repro.os.process import OSProcess
 from repro.os.programs import ProgramDirectory
@@ -143,14 +143,15 @@ class BrokerService:
             managed_hosts if managed_hosts is not None else cluster.machines
         )
         self.broker_host = broker_host or self.managed_hosts[0]
-        #: First jobid this broker may issue.  Federated shards stride their
+        #: The jobids this broker issues.  Federated shards stride their
         #: jobid spaces a million apart so ids are globally unique without
         #: coordination (a daemon inventory or borrowed lease names its shard
         #: implicitly); shard 0 — and every standalone broker — starts at 1.
-        self._first_jobid = 1
+        self.jobid_space = ALL_JOBIDS
         if shard is not None and shard.count > 1:
-            self._first_jobid = 1 + shard.index * 1_000_000
-        self.state = BrokerState(first_jobid=self._first_jobid)
+            first = 1 + shard.index * 1_000_000
+            self.jobid_space = range(first, first + 1_000_000)
+        self.state = BrokerState(self.jobid_space.start, self.jobid_space)
         #: A bounded cluster (``ClusterSpec.bounded``) caps the event log
         #: and drops finished jobs from the state tables
         #: (:func:`core._finish_job`), so a service left running does not
@@ -359,7 +360,7 @@ class BrokerService:
             if self.journal is not None:
                 self.journal.discard_unflushed()
         restarted_at = self.env.now
-        floor = max(max(self.state.jobs, default=0) + 1, self._first_jobid)
+        floor = max(self.state.jobs, default=0) + 1
         loaded = None
         if self.journal is not None:
             self.journal.discard_unflushed()
@@ -444,7 +445,7 @@ class BrokerService:
         self.broker_host = self.standby_host
         self.fence_target = old_primary
         self.journal = self._new_journal()
-        recover(self, state, witnessed=witnessed, floor=self._first_jobid)
+        recover(self, state, witnessed=witnessed)
         self.metrics.counter("broker.promotions").inc()
         self.metrics.counter("recovery.from_standby").inc()
         self.metrics.gauge("recovery.latency_seconds").set(0.0)

@@ -119,7 +119,9 @@ class Sessions:
             epoch=self.epoch,
         )
         job = self.state.jobs.get(jobid)
-        if job is None:
+        if job is None or job.placeholder:
+            # Unknown, or held only for a lease adopted from a daemon
+            # inventory: the resume message says what the job is.
             job = self.state.adopt_job(
                 jobid=jobid,
                 user=msg["user"],
@@ -168,27 +170,20 @@ class Sessions:
                     jobid=jobid,
                 )
         for host in sorted(claimed):
+            record = self.state.machines.get(host)
+            existing = record.allocation if record is not None else None
+            if existing and existing.recovered and existing.jobid != jobid:
+                # A journal-recovered allocation against a live app's
+                # claim: the live side wins (the recovered holder may not
+                # even exist any more).
+                core.leases.drop_recovered(record, trusted=[jobid])
             adopted = self.state.adopt_allocation(
                 host, jobid, now=now, lease_expires_at=now + self.cal.lease_ttl
             )
             if adopted is None:
-                record = self.state.machines.get(host)
-                existing = record.allocation if record is not None else None
-                if existing is not None and existing.recovered:
-                    # A journal-recovered allocation against a live app's
-                    # claim: the live side wins (the recovered holder may
-                    # not even exist any more).
-                    core.leases.drop_recovered(record, trusted=[jobid])
-                    self.state.adopt_allocation(
-                        host,
-                        jobid,
-                        now=now,
-                        lease_expires_at=now + self.cal.lease_ttl,
-                    )
-                else:
-                    self.service.log(
-                        event="lease_conflict", host=host, leases=[jobid]
-                    )
+                self.service.log(
+                    event="lease_conflict", host=host, leases=[jobid]
+                )
         for allocation in self.state.allocations_of(jobid):
             if allocation.state is AllocationState.RECLAIMING:
                 # The revoke sent to the old session died with it: repeat it
@@ -256,6 +251,8 @@ class Sessions:
         kind = msg.get("type")
         if kind == "machine_request":
             yield self.proc.sleep(self.cal.broker_decision)
+            if job.done:
+                return  # finished meanwhile, by the session a resume opened
             request = PendingRequest(
                 reqid=msg["reqid"],
                 jobid=job.jobid,

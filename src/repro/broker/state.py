@@ -45,6 +45,9 @@ from repro.broker.records import (
 )
 from repro.rsl import parse_rsl, symbolic_matches
 
+#: The jobid space of a standalone broker: every id it could ever issue.
+ALL_JOBIDS = range(1, 2**63)
+
 #: MachineRecord fields that decide index membership: a change refiles the
 #: record (``last_report`` / ``last_seen`` only when their sign flips).
 _MEMBERSHIP_FIELDS = frozenset(
@@ -98,7 +101,7 @@ class _PendingQueue(list):
 class BrokerState:
     """All broker tables plus derived queries used by policies."""
 
-    def __init__(self, first_jobid: int = 1) -> None:
+    def __init__(self, first_jobid: int = 1, jobid_space: range = ALL_JOBIDS) -> None:
         self.machines: Dict[str, MachineRecord] = {}
         self.jobs: Dict[int, JobRecord] = {}
         self.pending: List[PendingRequest] = _PendingQueue(self)
@@ -107,6 +110,8 @@ class BrokerState:
         #: keep their original jobid, see :meth:`adopt_job`) never collide
         #: with fresh submissions.
         self._next_jobid = first_jobid
+        #: The jobids this broker issues; another is a sibling shard's.
+        self.jobid_space = jobid_space
         #: Machine records examined by eligibility/deny queries (coarse
         #: telemetry; the bench derives "policy scans per grant" from it).
         self.machines_scanned: int = 0
@@ -499,15 +504,17 @@ class BrokerState:
     def adopt_allocation(
         self, host: str, jobid: int, now: float, lease_expires_at: float
     ) -> Optional[Allocation]:
-        """Re-adopt a pre-crash grant reported by a daemon inventory or a
-        resuming app, idempotently and order-independently.
+        """Bind ``host`` to ``jobid`` outside a grant — a pre-crash holding
+        a daemon inventory or a resuming app testifies to — so that every
+        allocation names a job this state holds (DESIGN.md §11).
 
-        First claim wins and creates the allocation; a same-``jobid`` repeat
-        (the other reporter arriving later, in either order) only refreshes
-        the lease; a *different* jobid claiming an occupied host is rejected
-        (returns None — the caller logs the conflict, and the loser's claim
-        self-heals through lease expiry).  Unknown hosts are rejected too:
-        only managed machines can be adopted."""
+        A repeat for the host's own allocation only refreshes its lease, so
+        adoption is idempotent and order-independent.  Refused (None; the
+        caller logs the conflict): an unknown host, a host held by another
+        jobid, a finished job, and a jobid outside :attr:`jobid_space`.  An
+        unknown jobid of the own space gets a journaled placeholder job that
+        the app's ``resume`` fills in (only an inventory inside the recovery
+        window names one)."""
         record = self.machines.get(host)
         if record is None:
             return None
@@ -522,6 +529,11 @@ class BrokerState:
             if self.journal is not None:
                 self.journal.note_lease(host, existing.lease_expires_at)
             return existing
+        job = self.jobs.get(jobid)
+        if jobid not in self.jobid_space if job is None else job.done:
+            return None
+        if job is None:
+            self.adopt_job(jobid, user="", home_host="", rsl_text="", argv=[])
         return self.allocate(
             host, jobid, firm=False, now=now, lease_expires_at=lease_expires_at
         )

@@ -34,8 +34,7 @@ KNOWN_RED = {
         ("standby", 27), ("standby", 35), ("standby", 37),
     ],
     "B: loan returned before vacate": [("shards", 28)],
-    "C: lease adopted for a finished job": [("journal", 19), ("shards", 19)],
-    "D: reclaim of a lease adopted for a job not yet resumed": [("restart", 2)],
+    "C: recovered donor-side loan for a finished borrower job": [("shards", 19)],
 }
 
 
@@ -51,6 +50,20 @@ def test_red_set_of_seeds_0_to_39_is_known(scenario):
     known = [seed for pairs in KNOWN_RED.values() for name, seed in pairs
              if name == scenario]
     assert sorted(red) == sorted(known), red
+
+
+@pytest.mark.parametrize(
+    "scenario, seed",
+    [("restart", 67), ("journal", 47), ("shards", 73), ("shards", 376),
+     ("standby", 119)],
+)
+def test_adoption_keeps_the_books_past_seed_39(scenario, seed):
+    """Runs the broker's adoption rule turned green: a restart adopting a
+    lease before its job resumed, a finished job or a sibling shard's
+    jobid (``BrokerState.adopt_allocation``)."""
+    table, verdict = check_scenario(scenario, seed)
+    assert verdict is None, str(verdict)
+    assert table.meta["completed"] == table.meta["jobs"]
 
 
 def test_a_run_past_its_event_budget_is_stalled(monkeypatch):
