@@ -30,5 +30,5 @@ rbbench-smoke:  ## self-test of the rbbench harness (outside tier-1 testpaths), 
 bench-pairs:  ## W=<workload> BASE=<rev> [N=10]: paired rbbench runs of BASE and this checkout, claim-rule verdict per metric; FACTS=1 [SEED=n]: one traced run per side, the exact facts that differ, exit 1 on unequal sim_digest; CENSUS=1 [SEED=n]: the host's cyclic collector, per side: on the churn cell ([M=machines], W=churn-1024), or what one repetition of any other workload leaves it, by type
 	python benchmarks/pairs.py --workload $(W) --base $(BASE) $(if $(FACTS),--facts $(if $(SEED),--seed $(SEED)),$(if $(CENSUS),--census $(if $(SEED),--seed $(SEED)) $(if $(M),--machines $(M)),--pairs $(or $(N),10)))
 
-slo:  ## churn workload under a health monitor; fails on any violated SLO
+slo:  ## churn workload under a health monitor and the invariant oracle; fails on a violation or a missed SLO
 	python -m repro slo

@@ -25,9 +25,9 @@ Commands
     across worker processes; merged results are byte-identical for any
     worker count (see :mod:`repro.experiments.sweep`).
 ``slo [--minutes M]``
-    Run the churn workload under a health monitor and print the health and
-    SLO reports (grant-wait p95, zero stuck allocations); exits non-zero
-    on any violated objective.
+    Run the churn workload under a health monitor and the invariant oracle;
+    print the health report, the grant-wait p95 objective and the oracle's
+    verdict; exits non-zero on a missed objective or a violated invariant.
 ``soak [--submissions N]``
     Service-mode soak: the durable (journaled) broker under a large
     diurnal arrival trace with mid-run crash/restarts; exits non-zero
@@ -239,23 +239,29 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_slo(args) -> int:
+    from repro.broker.invariants import checked
     from repro.cluster import Cluster, ClusterSpec
     from repro.experiments.sweep import _drive_churn
     from repro.obs import HealthMonitor, evaluate_slos
 
-    cluster = Cluster(ClusterSpec.uniform(args.machines, seed=args.seed))
-    service = cluster.start_broker()
-    service.wait_ready()
-    monitor = HealthMonitor(service).start()
-    _drive_churn(cluster, service, args.minutes * 60.0)
+    with checked() as watch:
+        cluster = Cluster(ClusterSpec.uniform(args.machines, seed=args.seed))
+        service = cluster.start_broker()
+        service.wait_ready()
+        monitor = HealthMonitor(service).start()
+        _drive_churn(cluster, service, args.minutes * 60.0)
     cluster.assert_no_crashes()
-    report = monitor.report()
-    print(report.render())
-    slo = evaluate_slos(
-        service, report, grant_wait_p95=args.grant_wait_p95
-    )
+    print(monitor.report().render())
+    slo = evaluate_slos(service, grant_wait_p95=args.grant_wait_p95)
     print(slo.render())
-    return 0 if slo.passed else 1
+    # The churn cell stops mid-flight (its greedy master never finishes), so
+    # the verdict is the per-event one, not the settle-time one.
+    verdict = watch.first
+    if verdict is None:
+        print("invariants: held after every event")
+    else:
+        print(f"invariant violated: {verdict}")
+    return 0 if slo.passed and verdict is None else 1
 
 
 def _cmd_soak(args) -> int:
@@ -378,8 +384,8 @@ def main(argv=None) -> int:
 
     slo = sub.add_parser(
         "slo",
-        help="run the churn workload under a health monitor and evaluate "
-        "service-level objectives",
+        help="run the churn workload under a health monitor and the "
+        "invariant oracle and evaluate its service-level objective",
     )
     slo.add_argument(
         "--machines",

@@ -185,10 +185,6 @@ class _BrokerControl:
         return self.metrics.histogram("broker.grant_wait")
 
     @cached_property
-    def _pending_requests(self):
-        return self.metrics.gauge("broker.pending_requests")
-
-    @cached_property
     def _sched_passes(self):
         return self.metrics.counter("broker.sched_passes")
 
@@ -354,7 +350,7 @@ class _BrokerControl:
         if span is not None:
             span.end(outcome="denied")
         self.metrics.counter("broker.denials").inc()
-        self._pending_requests.dec()
+        self.service.count_pending()
         self.service.log(
             event="denied",
             jobid=job.jobid,
@@ -456,7 +452,7 @@ class _BrokerControl:
             self.metrics.counter("federation.cross_shard_grants").inc()
             self.service.federation_counters["cross_shard_grants"] += 1
         self._grant_wait.observe(waited)
-        self._pending_requests.dec()
+        self.service.count_pending()
         self.service.log(
             event="grant",
             jobid=request.jobid,
@@ -613,9 +609,9 @@ class _BrokerControl:
     def _finish_job(self, job, code):
         job.done = True
         self.state.drop_job_requests(job.jobid)
+        self.service.count_pending()
         for key in [k for k in self.request_spans if k[0] == job.jobid]:
             self.request_spans.pop(key).end(outcome="dropped")
-            self._pending_requests.dec()
         for key in [k for k in self.reqids if k[0] == job.jobid]:
             self.reqids.pop(key, None)
         for allocation in self.state.allocations_of(job.jobid):

@@ -46,8 +46,10 @@ class Allocation:
     lease_expires_at: float = float("inf")
     #: When RECLAIMING: the pending request that will receive this machine.
     claimed_by: Optional["PendingRequest"] = None
-    #: Instant the reclaim began (revoke sent); -1.0 while ACTIVE.  The
-    #: health monitor's stuck-allocation watchdog measures against this.
+    #: Instant the reclaim began (revoke sent); -1.0 while ACTIVE.  No
+    #: decision reads it, but the journal keeps it: dropping the ``since``
+    #: field would shorten the WAL's ``reclaim`` records and so move which
+    #: record a torn journal tail cuts.
     reclaiming_since: float = -1.0
     #: True while this allocation was rebuilt from the journal and no live
     #: daemon inventory has confirmed it yet.  Confirmation (the jobid in

@@ -421,6 +421,7 @@ def recover(service, state: BrokerState, witnessed: int, floor: int = 1) -> None
     )
     restamp_recovered(state, now, service.cluster.calibration.lease_ttl)
     service.state = state
+    service.count_pending()  # the recovered queue, not the dead one's
     for host in service.managed_hosts:
         state.add_machine(host)
     # Borrowed records (federation loans held from a sibling shard) never

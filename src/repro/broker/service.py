@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.broker.app import app_main, subapp_main
@@ -162,6 +163,9 @@ class BrokerService:
         self.events: Any = deque(maxlen=BOUNDED_EVENT_LOG) if bounded else []
         self._events_by_kind: Dict[str, Any] = {}
         self.logged = 0  # entries ever logged, however few a bounded log keeps
+        #: This shard's share of the ``broker.pending_requests`` gauge (the
+        #: registry is network-wide, so the gauge sums every shard's queue).
+        self._pending_counted = 0
         self.retain_done_jobs = not bounded
         #: Run-wide observability, shared with everything on this network.
         self.tracer = cluster.network.tracer
@@ -263,6 +267,20 @@ class BrokerService:
 
         self._boot()
 
+    def count_pending(self) -> None:
+        """Bring this shard's share of ``broker.pending_requests`` to the
+        length of its pending queue: called wherever the queue changes, and
+        by recovery, which installs a queue of its own.  Writes the gauge
+        only when the length moved."""
+        queued = len(self.state.pending)
+        if queued != self._pending_counted:
+            self._pending_gauge.inc(queued - self._pending_counted)
+            self._pending_counted = queued
+
+    @cached_property
+    def _pending_gauge(self):
+        return self.metrics.gauge("broker.pending_requests")
+
     # -- logging -----------------------------------------------------------
 
     def log(self, **entry: Any) -> None:
@@ -360,7 +378,9 @@ class BrokerService:
             if self.journal is not None:
                 self.journal.discard_unflushed()
         restarted_at = self.env.now
-        floor = max(self.state.jobs, default=0) + 1
+        # The dead incarnation's counter, not its job table: a bounded
+        # broker prunes finished jobs, whose ids must not be reissued.
+        floor = self.state._next_jobid
         loaded = None
         if self.journal is not None:
             self.journal.discard_unflushed()

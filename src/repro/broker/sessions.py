@@ -212,7 +212,7 @@ class Sessions:
                 firm=request.firm,
                 resubmitted=True,
             )
-            core._pending_requests.inc()
+            self.service.count_pending()
             self.service.log(
                 event="machine_request",
                 jobid=jobid,
@@ -271,7 +271,7 @@ class Sessions:
                 symbolic=request.symbolic,
                 firm=request.firm,
             )
-            core._pending_requests.inc()
+            self.service.count_pending()
             self.service.log(
                 event="machine_request",
                 jobid=job.jobid,

@@ -355,9 +355,6 @@ def run_chaos(
         table.add("machines allocated at end", stuck_allocations)
         table.add("health checks run", sum(r.checks for r in reports))
         table.add(
-            "stuck-allocation events", sum(r.stuck_events for r in reports)
-        )
-        table.add(
             "heartbeat-gap events",
             sum(r.heartbeat_gap_events for r in reports),
         )

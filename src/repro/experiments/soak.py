@@ -60,7 +60,6 @@ class SoakReport:
     journal_compactions: int
     journal_bytes: int
     stuck_allocations: int
-    stuck_events: int
     journal_lag_events: int
     revocations: int
     grants: int
@@ -95,7 +94,6 @@ class SoakReport:
             ),
             (
                 f"health: stuck={self.stuck_allocations} "
-                f"stuck_events={self.stuck_events} "
                 f"journal_lag_events={self.journal_lag_events}"
             ),
             f"grants={self.grants} revocations={self.revocations}",
@@ -277,7 +275,6 @@ def run_soak(
             journal_compactions=int(jstats.get("compactions", 0)),
             journal_bytes=int(jstats.get("total_bytes", 0)),
             stuck_allocations=health.stuck_allocations,
-            stuck_events=health.stuck_events,
             journal_lag_events=health.journal_lag_events,
             # Counters, not events_of(): the soak caps the event log, so the
             # per-kind buckets stop counting at the cap.

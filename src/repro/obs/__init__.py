@@ -34,7 +34,6 @@ from repro.obs.export import (
 from repro.obs.health import (
     HealthMonitor,
     HealthReport,
-    HealthThresholds,
     SLOReport,
     evaluate_slos,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "Gauge",
     "HealthMonitor",
     "HealthReport",
-    "HealthThresholds",
     "Histogram",
     "HistogramDigest",
     "MetricsRegistry",

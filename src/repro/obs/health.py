@@ -3,12 +3,9 @@
 The chaos experiment proved the broker *recovers*; this module watches it
 *while it runs*.  A :class:`HealthMonitor` is an ordinary simulation process
 ticking on the simulated clock, so its checks are deterministic facts of the
-run like everything else.  Each pass evaluates three watchdogs against live
-broker state:
+run like everything else.  Each pass evaluates four operational watchdogs
+against live broker state:
 
-* **stuck allocations** — a machine in RECLAIMING longer than the threshold
-  (the revoke went out, nobody released; the dual of the lease sweeper's
-  expiry, caught *before* the lease runs out);
 * **heartbeat gaps** — a tracked machine silent longer than the liveness
   deadline (the sweeper should have acted; a gap beyond it means detection
   itself is lagging);
@@ -21,37 +18,19 @@ broker state:
   ship-stream characters beyond the threshold (a slow, dead or partitioned
   standby: exactly the window a failover would lose).
 
+None of them is a safety verdict: whether the broker kept its guarantees
+is the invariant oracle's call alone (:mod:`repro.broker.invariants`).
 Anomalies are edge-triggered into ``health.*`` counters and the broker
 event log, and summarised in an end-of-run :class:`HealthReport` — which is
 also the single source of truth for the chaos table's ``stuck_allocations``.
-:func:`evaluate_slos` turns a report plus the grant-wait histogram into a
-pass/fail :class:`SLOReport` (the ``python -m repro slo`` command).
+:func:`evaluate_slos` turns the grant-wait histogram into a pass/fail
+:class:`SLOReport` (the ``python -m repro slo`` command).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-
-
-@dataclass
-class HealthThresholds:
-    """Watchdog thresholds; ``None`` fields derive from the calibration.
-
-    ``stuck_after`` defaults to the lease TTL (a reclaim outliving a whole
-    lease is stuck), ``heartbeat_gap`` to the liveness deadline,
-    ``queue_high`` to ``max(4, managed machines)``, ``journal_lag`` to
-    four flush intervals (a healthy flusher drains well within one), and
-    ``replication_lag`` to the calibration's ``replication_lag_chars``
-    (the in-flight ship window a healthy standby acks promptly).
-    """
-
-    check_interval: float = 5.0
-    stuck_after: Optional[float] = None
-    heartbeat_gap: Optional[float] = None
-    queue_high: Optional[int] = None
-    journal_lag: Optional[float] = None
-    replication_lag: Optional[int] = None
+from typing import Any, Dict, List
 
 
 @dataclass
@@ -67,7 +46,6 @@ class HealthReport:
     checks: int
     stuck_allocations: int
     allocated_hosts: List[str] = field(default_factory=list)
-    stuck_events: int = 0
     heartbeat_gap_events: int = 0
     max_heartbeat_gap: float = 0.0
     queue_breaches: int = 0
@@ -78,16 +56,6 @@ class HealthReport:
     replication_lag_events: int = 0
     max_replication_lag: int = 0
 
-    @property
-    def healthy(self) -> bool:
-        """No stuck-allocation anomalies were ever flagged.
-
-        Deliberately *not* ``stuck_allocations == 0``: machines held by a
-        still-running job at report time are normal for a mid-flight
-        snapshot; only drained runs (chaos) should insist the count is
-        zero, which they assert on ``stuck_allocations`` directly."""
-        return self.stuck_events == 0
-
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form (deterministic; safe to embed in merged docs)."""
         return {
@@ -95,7 +63,6 @@ class HealthReport:
             "checks": self.checks,
             "stuck_allocations": self.stuck_allocations,
             "allocated_hosts": list(self.allocated_hosts),
-            "stuck_events": self.stuck_events,
             "heartbeat_gap_events": self.heartbeat_gap_events,
             "max_heartbeat_gap": round(self.max_heartbeat_gap, 6),
             "queue_breaches": self.queue_breaches,
@@ -105,19 +72,14 @@ class HealthReport:
             "max_journal_lag": round(self.max_journal_lag, 6),
             "replication_lag_events": self.replication_lag_events,
             "max_replication_lag": self.max_replication_lag,
-            "healthy": self.healthy,
         }
 
     def render(self) -> str:
         """Human-readable health summary."""
-        verdict = "healthy" if self.healthy else "UNHEALTHY"
+        held = f" ({', '.join(self.allocated_hosts)})" if self.allocated_hosts else ""
         lines = [
-            f"== health @ t={self.time:.3f}s: {verdict} "
-            f"({self.checks} checks) ==",
-            (
-                f"stuck allocations: {self.stuck_allocations} "
-                f"(events: {self.stuck_events})"
-            ),
+            f"== health @ t={self.time:.3f}s ({self.checks} checks) ==",
+            f"allocated at end: {self.stuck_allocations}{held}",
             (
                 f"heartbeat gaps: {self.heartbeat_gap_events} "
                 f"(max gap: {self.max_heartbeat_gap:.3f}s)"
@@ -138,8 +100,6 @@ class HealthReport:
                 f"replication lag: {self.replication_lag_events} events "
                 f"(max lag: {self.max_replication_lag} chars)"
             )
-        if self.allocated_hosts:
-            lines.append("allocated at end: " + ", ".join(self.allocated_hosts))
         return "\n".join(lines) + "\n"
 
 
@@ -154,40 +114,24 @@ class HealthMonitor:
     monitor adds one timer event per interval and nothing else.
     """
 
-    def __init__(self, service: Any, thresholds: Optional[HealthThresholds] = None) -> None:
+    #: Seconds between watchdog passes (one timer event each).
+    check_interval = 5.0
+
+    def __init__(self, service: Any) -> None:
         self.service = service
         self.env = service.env
         self.metrics = service.metrics
         cal = service.cluster.network.calibration
-        given = thresholds or HealthThresholds()
-        self.check_interval = given.check_interval
-        self.stuck_after = (
-            given.stuck_after
-            if given.stuck_after is not None
-            else cal.lease_ttl
-        )
-        self.heartbeat_gap = (
-            given.heartbeat_gap
-            if given.heartbeat_gap is not None
-            else cal.liveness_deadline
-        )
-        self.queue_high = (
-            given.queue_high
-            if given.queue_high is not None
-            else max(4, len(service.managed_hosts))
-        )
-        self.journal_lag = (
-            given.journal_lag
-            if given.journal_lag is not None
-            else 4.0 * cal.journal_flush_interval
-        )
-        self.replication_lag = (
-            given.replication_lag
-            if given.replication_lag is not None
-            else cal.replication_lag_chars
-        )
+        # Thresholds, each derived from the calibration the broker acts on:
+        # a machine silent past the liveness deadline, a queue deeper than
+        # the managed hosts, journal records buffered for four flush
+        # intervals (a healthy flusher drains well within one), and the
+        # in-flight ship window a healthy standby acks promptly.
+        self.heartbeat_gap = cal.liveness_deadline
+        self.queue_high = max(4, len(service.managed_hosts))
+        self.journal_lag = 4.0 * cal.journal_flush_interval
+        self.replication_lag = cal.replication_lag_chars
         self.checks = 0
-        self.stuck_events = 0
         self.gap_events = 0
         self.queue_breaches = 0
         self.queue_high_watermark = 0
@@ -196,7 +140,6 @@ class HealthMonitor:
         self.max_journal_lag = 0.0
         self.replication_lag_events = 0
         self.max_replication_lag = 0
-        self._stuck_flagged: set = set()
         self._gap_flagged: set = set()
         self._queue_flagged = False
         self._journal_flagged = False
@@ -219,34 +162,11 @@ class HealthMonitor:
 
         Anomalies are edge-triggered: a condition increments its counter
         and logs once when it appears on a host, and re-arms only after
-        the host recovers — a machine stuck for ten intervals is one
+        the host recovers — a machine silent for ten intervals is one
         event, not ten."""
-        from repro.broker.records import AllocationState
-
         self.checks += 1
         now = self.env.now
         state = self.service.state
-
-        stuck_now: set = set()
-        for record in state.leased_records():
-            allocation = record.allocation
-            if (
-                allocation is not None
-                and allocation.state is AllocationState.RECLAIMING
-                and allocation.reclaiming_since >= 0.0
-                and now - allocation.reclaiming_since > self.stuck_after
-            ):
-                stuck_now.add(record.host)
-                if record.host not in self._stuck_flagged:
-                    self.stuck_events += 1
-                    self.metrics.counter("health.stuck_allocations").inc()
-                    self.service.log(
-                        event="health_stuck_allocation",
-                        host=record.host,
-                        jobid=allocation.jobid,
-                        reclaiming_for=now - allocation.reclaiming_since,
-                    )
-        self._stuck_flagged = stuck_now
 
         gaps_now: set = set()
         for record in state.tracked_records():
@@ -337,7 +257,6 @@ class HealthMonitor:
             checks=self.checks,
             stuck_allocations=len(allocated),
             allocated_hosts=allocated,
-            stuck_events=self.stuck_events,
             heartbeat_gap_events=self.gap_events,
             max_heartbeat_gap=self.max_heartbeat_gap,
             queue_breaches=self.queue_breaches,
@@ -399,54 +318,18 @@ class SLOReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_slos(
-    service: Any,
-    report: HealthReport,
-    grant_wait_p95: float = 30.0,
-    max_heartbeat_gap: Optional[float] = None,
-    drained: bool = False,
-) -> SLOReport:
-    """Evaluate the run's service-level objectives.
-
-    Objectives: 95th-percentile grant wait below ``grant_wait_p95`` (the
-    paper's allocation-latency claim as a bound), zero stuck-allocation
-    events, and — when ``max_heartbeat_gap`` is given — the worst observed
-    heartbeat gap below it.  ``drained`` adds a zero-leaked-allocations
-    objective; only meaningful when the run was given time to wind down
-    (machines held by a still-running job are not leaks).
-    """
-    wait = service.metrics.histogram("broker.grant_wait")
-    p95 = wait.percentile(0.95)
-    objectives = [
-        SLObjective(
-            name="grant_wait_p95_seconds",
-            actual=p95,
-            objective=grant_wait_p95,
-            ok=p95 <= grant_wait_p95,
-        ),
-        SLObjective(
-            name="stuck_allocation_events",
-            actual=float(report.stuck_events),
-            objective=0.0,
-            ok=report.stuck_events == 0,
-        ),
-    ]
-    if drained:
-        objectives.append(
+def evaluate_slos(service: Any, grant_wait_p95: float = 30.0) -> SLOReport:
+    """Evaluate the run's service-level objective: 95th-percentile grant
+    wait below ``grant_wait_p95`` (the paper's allocation-latency claim as
+    a bound)."""
+    p95 = service.metrics.histogram("broker.grant_wait").percentile(0.95)
+    return SLOReport(
+        objectives=[
             SLObjective(
-                name="stuck_allocations",
-                actual=float(report.stuck_allocations),
-                objective=0.0,
-                ok=report.stuck_allocations == 0,
+                name="grant_wait_p95_seconds",
+                actual=p95,
+                objective=grant_wait_p95,
+                ok=p95 <= grant_wait_p95,
             )
-        )
-    if max_heartbeat_gap is not None:
-        objectives.append(
-            SLObjective(
-                name="max_heartbeat_gap_seconds",
-                actual=report.max_heartbeat_gap,
-                objective=max_heartbeat_gap,
-                ok=report.max_heartbeat_gap <= max_heartbeat_gap,
-            )
-        )
-    return SLOReport(objectives=objectives)
+        ]
+    )

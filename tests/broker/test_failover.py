@@ -188,14 +188,14 @@ def test_rbstat_stats_renders_replication_block(standby_cluster):
 
 def test_replication_lag_watchdog_flags_a_dark_standby(standby_cluster):
     from repro.obs import HealthMonitor
-    from repro.obs.health import HealthThresholds
 
     cluster = standby_cluster
     svc = cluster.broker
     install_greedy(cluster)
-    monitor = HealthMonitor(
-        svc, HealthThresholds(check_interval=1.0, replication_lag=64)
-    ).start()
+    monitor = HealthMonitor(svc)
+    monitor.check_interval = 1.0
+    monitor.replication_lag = 64
+    monitor.start()
     svc.submit("n01", ["greedy", "2"], rsl="+(adaptive)")
     cluster.env.run(until=cluster.now + 5.0)
     assert monitor.replication_lag_events == 0

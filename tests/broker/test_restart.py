@@ -245,3 +245,32 @@ def test_wedged_grow_recovers_on_retry(cluster4):
     )
     assert svc.metrics.counter("app.module_script_timeouts").value == 1
     cluster4.assert_no_crashes()
+
+
+def test_blank_restart_of_a_bounded_broker_never_reissues_a_pruned_jobid():
+    """A bounded broker prunes finished jobs from its table; the restarted
+    incarnation's jobid counter starts past the dead one's, not past the
+    table's highest surviving id."""
+    from repro.cluster import Cluster, ClusterSpec
+
+    cluster = Cluster(ClusterSpec.uniform(4, seed=1, bounded=True))
+    svc = cluster.start_broker()
+    svc.wait_ready()
+    long = svc.submit("n00", ["rsh", "anylinux", "compute", "60"], uid="a")
+    short = svc.submit("n00", ["rsh", "anylinux", "compute", "1"], uid="b")
+    short.wait()
+    cluster.env.run(until=cluster.now + 2.0)
+    assert short.exit_code == 0
+    assert long.job_record().jobid == 1
+    assert sorted(svc.state.jobs) == [1]  # job 2 finished and was pruned
+
+    svc.crash_broker()
+    cluster.env.run(until=cluster.now + 2.0)
+    svc.restart_broker()
+    svc.wait_ready()
+    cluster.env.run(until=cluster.now + 5.0)
+    third = svc.submit("n00", ["rsh", "anylinux", "compute", "1"], uid="c")
+    cluster.env.run(until=cluster.now + 1.0)
+    assert third.job_record().jobid == 3
+    assert third.wait() == 0
+    cluster.assert_no_crashes()

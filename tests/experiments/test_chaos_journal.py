@@ -50,3 +50,16 @@ def test_journal_faults_change_nothing_about_job_outcomes(checked):
     assert rows["broker crashes injected"] == 2
     assert rows["recoveries from journal"] == 2
     assert checked.settled() is None
+
+
+def test_pending_gauge_counts_the_recovered_queue(checked):
+    """``broker.pending_requests`` is the pending queue's length, across a
+    journal recovery too: the recovered queue replaces the dead one's in
+    the count.  Seed 5 recovers queued requests, and a gauge that kept
+    counting the dead incarnation's ended at -2."""
+    run_chaos(seed=5, journal=True, broker_crashes=1)
+    cluster = checked.oracles[0].cluster
+    state = cluster.broker.state
+    gauge = cluster.network.metrics.gauge("broker.pending_requests")
+    assert cluster.broker.metrics.counter("recovery.from_journal").value >= 1
+    assert gauge.value == len(state.pending)
