@@ -17,6 +17,8 @@ its peer, the way a broken TCP connection eventually surfaces as a reset.
 The message path is two objects long: ``send`` makes the delivery timer the
 message rides on, ``recv`` the event its reader waits on, and the timer's
 dispatch triggers the one with the other (contract: :class:`Connection`).
+Every delivery timer shares one callback list, :data:`DELIVER`, and names
+its endpoint itself, so an endpoint holds no callback of its own.
 """
 
 from __future__ import annotations
@@ -54,6 +56,38 @@ class _Expired:
 
 EXPIRED = _Expired()
 
+#: What both ends of a dialled connection share and format their ``label``
+#: from: the dialling host, its pid, the dialled host and port.
+Dial = Tuple[str, int, str, int]
+
+
+class _Delivery(Timeout):
+    """The timer a message rides as its value to the endpoint ``to``."""
+
+    __slots__ = ("to",)
+
+
+def _deliver(timer: _Delivery) -> None:
+    """Dispatch of a delivery timer: its value arrives at ``timer.to``."""
+    conn = timer.to
+    if conn.closed_local:
+        # The in-flight message raced the local close: it vanishes, as
+        # with a TCP RST — but never invisibly.
+        conn.network.metrics.counter("net.dropped_sends").inc()
+    elif conn._reader is not None:
+        reader, conn._reader = conn._reader, None
+        reader.succeed(timer._value)
+    elif conn._buffer is None:
+        conn._buffer = deque((timer._value,))
+    else:
+        conn._buffer.append(timer._value)
+
+
+#: The callback list of every delivery timer, like
+#: ``ProcessorSharingQueue._timer_callbacks``: the dispatch loop only reads
+#: it, and nothing else ever sees a delivery timer.
+DELIVER: List[Callable[[_Delivery], None]] = [_deliver]
+
 
 class Connection:
     """One endpoint of a bidirectional message connection, and its mailbox.
@@ -82,7 +116,8 @@ class Connection:
     __slots__ = (
         "network",
         "env",
-        "label",
+        "_dial",
+        "_server",
         "host",
         "_buffer",
         "_reader",
@@ -91,15 +126,21 @@ class Connection:
         "closed_remote",
         "_pending_recv",
         "_deadline",
-        "_deliver_callbacks",
     )
 
     def __init__(
-        self, network: "Network", label: str, host: Optional[str] = None
+        self,
+        network: "Network",
+        dial: Dial,
+        host: Optional[str] = None,
+        server: bool = False,
     ) -> None:
         self.network = network
         self.env = network.env
-        self.label = label
+        #: The :data:`Dial` both ends share; ``server`` marks the accepting
+        #: end (see :attr:`label`).
+        self._dial = dial
+        self._server = server
         #: Name of the machine this endpoint lives on (used by the fault
         #: model to decide whether a partition cuts this connection).
         self.host = host
@@ -117,13 +158,14 @@ class Connection:
         #: (reused by the next one), and the timer its waiter is parked on.
         self._pending_recv: Optional[Event] = None
         self._deadline: Optional[Timeout] = None
-        #: Callback list shared by the delivery timer of every message sent
-        #: *to* this endpoint (the dispatch loop reads it, nothing mutates
-        #: it), like ``ProcessorSharingQueue._timer_callbacks``; ``None``
-        #: once both ends have closed.
-        self._deliver_callbacks: Optional[List[Callable[[Event], None]]] = [
-            self._deliver
-        ]
+
+    @property
+    def label(self) -> str:
+        """``host:pid->host:port`` of the dial, `` (server)`` on the
+        accepting end; formatted when read, since only diagnostics read
+        it."""
+        label = "%s:%d->%s:%d" % self._dial
+        return label + " (server)" if self._server else label
 
     # -- data transfer -----------------------------------------------------
 
@@ -152,22 +194,9 @@ class Connection:
                 return
             latency = faults.latency(latency)
         # The message rides the timeout as its value: no per-send closure.
-        timer = Timeout(self.env, latency, message)
-        timer.callbacks = peer._deliver_callbacks
-
-    def _deliver(self, timer: Event) -> None:
-        """Dispatch of a delivery timer: its value arrives at this endpoint."""
-        if self.closed_local:
-            # The in-flight message raced the local close: it vanishes, as
-            # with a TCP RST — but never invisibly.
-            self.network.metrics.counter("net.dropped_sends").inc()
-        elif self._reader is not None:
-            reader, self._reader = self._reader, None
-            reader.succeed(timer._value)
-        elif self._buffer is None:
-            self._buffer = deque((timer._value,))
-        else:
-            self._buffer.append(timer._value)
+        timer = _Delivery(self.env, latency, message)
+        timer.to = peer
+        timer.callbacks = DELIVER
 
     def recv(self) -> Event:
         """Event yielding the next message; fails with ConnectionClosed on EOF.
@@ -248,11 +277,11 @@ class Connection:
     def close(self) -> None:
         """Half-close from this side; the peer sees EOF after latency.
 
-        The second close of a pair unlinks both ends (``peer`` and the
-        delivery callback list, each a reference cycle), so a finished pair
-        is freed by reference counting.  The EOF timer has captured the
-        peer already, and a delivery timer in flight keeps the list it was
-        given: a late message still lands on a closed end and is counted.
+        The second close of a pair unlinks both ends' ``peer``, the one
+        reference cycle of a pair, so a finished pair is freed by reference
+        counting.  The EOF timer has captured the peer already, and a
+        delivery timer in flight names its endpoint: a late message still
+        lands on a closed end and is counted.
         """
         if self.closed_local:
             return
@@ -263,7 +292,6 @@ class Connection:
             timer.add_callback(lambda _ev: peer._deliver_eof())
             if peer.closed_local:
                 self.peer = peer.peer = None
-                self._deliver_callbacks = peer._deliver_callbacks = None
 
     def _deliver_eof(self) -> None:
         if self._buffer:
@@ -277,6 +305,28 @@ class Connection:
     def __repr__(self) -> str:
         state = "closed" if self.closed_local else "open"
         return f"<Connection {self.label} {state}>"
+
+
+class _Accept(Event):
+    """What :meth:`Listener.accept` returns: completed by the backlog get
+    it subscribes to, with no per-accept closure."""
+
+    __slots__ = ("listener",)
+
+    def _complete(self, get: Event) -> None:
+        listener = self.listener
+        item = get.value
+        if item is EOF:
+            listener._backlog.put_nowait(item)
+            self.fail(
+                ConnectionClosed(
+                    f"listener {listener.machine.name}:{listener.port} closed"
+                )
+            )
+        else:
+            if listener.owner is not None:
+                listener.owner.adopt_connection(item)
+            self.succeed(item)
 
 
 class Listener:
@@ -300,30 +350,15 @@ class Listener:
         """Event yielding the server-side :class:`Connection` of the next
         incoming connection; fails with ConnectionClosed once the listener
         is closed and drained."""
-        result = Event(self.network.env)
+        result = _Accept(self.network.env)
         result.defuse()  # an orphaned acceptor is not a simulation error
         if self.closed and not len(self._backlog):
             result.fail(
                 ConnectionClosed(f"accept on closed {self.machine.name}:{self.port}")
             )
             return result
-        get = self._backlog.get()
-
-        def _complete(ev: Event) -> None:
-            item = ev.value
-            if isinstance(item, _EOF):
-                self._backlog.put_nowait(item)
-                result.fail(
-                    ConnectionClosed(
-                        f"listener {self.machine.name}:{self.port} closed"
-                    )
-                )
-            else:
-                if self.owner is not None:
-                    self.owner.adopt_connection(item)
-                result.succeed(item)
-
-        get.add_callback(_complete)
+        result.listener = self
+        self._backlog.get().add_callback(result._complete)
         return result
 
     def close(self) -> None:
@@ -447,9 +482,9 @@ class Network:
             if listener is None or listener.closed:
                 result.fail(ConnectionRefused(f"{host}:{port}"))
                 return
-            label = f"{proc.machine.name}:{proc.pid}->{host}:{port}"
-            client = Connection(self, label, host=proc.machine.name)
-            server = Connection(self, label + " (server)", host=host)
+            dial = (proc.machine.name, proc.pid, host, port)
+            client = Connection(self, dial, host=proc.machine.name)
+            server = Connection(self, dial, host=host, server=True)
             client.peer = server
             server.peer = client
             self._connections.append(client)
@@ -458,7 +493,7 @@ class Network:
             proc.adopt_connection(client)
             listener._backlog.put_nowait(server)
             if self.trace is not None:
-                self.trace(f"connect {label} at {env.now:.6f}")
+                self.trace(f"connect {client.label} at {env.now:.6f}")
             result.succeed(client)
 
         env.timeout(self.latency).add_callback(_establish)
@@ -513,12 +548,12 @@ class Network:
         for conn in self._connections:
             for end in (conn, conn.peer):
                 if end is not None:
-                    end.peer = end._deliver_callbacks = None
+                    end.peer = None
                     end._reader = end._pending_recv = end._deadline = None
         self._connections = []
         for listener in self._ports.values():
             listener.owner = None
-            # A parked accept's completion closes over its listener.
+            # A parked accept's completion holds its listener.
             listener._backlog._getters.clear()
         self._ports.clear()
         self.faults = None

@@ -194,11 +194,13 @@ class Tracer:
         self.spans_started = 0
         self.spans_sampled_out = 0
         self._observers: List[Callable[[Span], None]] = []
+        # Query indexes, folded on query: the recall surface — trace
+        # viewers, experiment reductions, rbtrace's tree walk — answers from
+        # these in O(matches) instead of scanning every span ever recorded,
+        # and a run that never asks builds none.  ``_folded`` spans of
+        # ``spans`` are in them.
+        self._folded = 0
         self._by_id: Dict[int, Span] = {}
-        # Query indexes, maintained at append time (mirroring the broker's
-        # events_of index): the recall surface — trace viewers, experiment
-        # reductions, rbtrace's tree walk — answers from these in O(matches)
-        # instead of scanning every span ever recorded.
         self._by_name: Dict[str, List[Span]] = {}
         self._by_trace: Dict[int, List[Span]] = {}
         self._by_parent: Dict[int, List[Span]] = {}
@@ -239,35 +241,50 @@ class Tracer:
             self.spans_sampled_out += 1
             return span
         self.spans.append(span)
-        self._by_id[span.span_id] = span
-        self._by_name.setdefault(name, []).append(span)
-        self._by_trace.setdefault(trace_id, []).append(span)
-        if parent_id is None:
-            self._roots.append(span)
-        else:
-            self._by_parent.setdefault(parent_id, []).append(span)
         return span
 
     # -- queries -------------------------------------------------------------
 
+    def _fold(self) -> None:
+        """Add the spans started since the last query to the indexes."""
+        spans = self.spans
+        if self._folded == len(spans):
+            return
+        by_id, by_name = self._by_id, self._by_name
+        by_trace, by_parent = self._by_trace, self._by_parent
+        for span in spans[self._folded:]:
+            by_id[span.span_id] = span
+            by_name.setdefault(span.name, []).append(span)
+            by_trace.setdefault(span.trace_id, []).append(span)
+            if span.parent_id is None:
+                self._roots.append(span)
+            else:
+                by_parent.setdefault(span.parent_id, []).append(span)
+        self._folded = len(spans)
+
     def get(self, span_id: int) -> Optional[Span]:
         """The span with this id, if recorded."""
+        self._fold()
         return self._by_id.get(span_id)
 
     def spans_named(self, name: str) -> List[Span]:
         """All spans called ``name``, in start order."""
+        self._fold()
         return list(self._by_name.get(name, ()))
 
     def trace(self, trace_id: int) -> List[Span]:
         """All spans of one trace tree, in start order."""
+        self._fold()
         return list(self._by_trace.get(trace_id, ()))
 
     def roots(self) -> List[Span]:
         """Spans with no parent (one per trace), in start order."""
+        self._fold()
         return list(self._roots)
 
     def children_of(self, span: Span) -> List[Span]:
         """Direct children of ``span``, in start order."""
+        self._fold()
         return list(self._by_parent.get(span.span_id, ()))
 
     def self_stats(self) -> Dict[str, Any]:

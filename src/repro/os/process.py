@@ -83,9 +83,9 @@ class OSProcess:
     A process owns only what it uses.  Most of a cluster's processes never
     spawn, listen, compute or run a thread, so ``children`` and the CPU
     burst, listener, connection and thread containers are the shared
-    :data:`EMPTY` until first needed, and :attr:`daemonized` is made on
-    first access; at exit the process drops everything but ``children``,
-    which ``kill_tree`` still walks.
+    :data:`EMPTY` until first needed, and :attr:`terminated` and
+    :attr:`daemonized` are made on first access; at exit the process drops
+    everything but ``children``, which ``kill_tree`` still walks.
     """
 
     __slots__ = (
@@ -100,7 +100,7 @@ class OSProcess:
         "status",
         "exit_code",
         "exception",
-        "terminated",
+        "_terminated",
         "_daemonized",
         "_computes",
         "_listeners",
@@ -134,8 +134,7 @@ class OSProcess:
         self.status = ProcessStatus.RUNNING
         self.exit_code: Optional[int] = None
         self.exception: Optional[BaseException] = None
-        #: Event that fires with the exit code when the process terminates.
-        self.terminated: Event = Event(self.env)
+        self._terminated: Optional[Event] = None
         self._daemonized: Optional[Event] = None
         self._computes = EMPTY
         self._listeners = EMPTY
@@ -214,7 +213,7 @@ class OSProcess:
         return int(result)
 
     def _on_sim_exit(self, event: Event) -> None:
-        if self.terminated.triggered:
+        if self.exit_code is not None:
             # Already finalized (SIGKILL or a crashed thread aborted us);
             # the main generator completing afterwards is expected.
             return
@@ -369,6 +368,16 @@ class OSProcess:
     def wait(self, child: "OSProcess") -> Event:
         """Event that fires with ``child``'s exit code (waitpid)."""
         return child.terminated
+
+    @property
+    def terminated(self) -> Event:
+        """Event that fires with the exit code when the process terminates.
+        Made on first access: most processes are never waited on, and
+        :meth:`_finalize` makes it then if nobody asked."""
+        event = self._terminated
+        if event is None:
+            event = self._terminated = Event(self.env)
+        return event
 
     @property
     def daemonized(self) -> Event:

@@ -6,8 +6,12 @@ recording, disk stalls, torn writes, compaction, and generation pruning.
 Cluster-level recovery lives in ``test_journal_recovery.py``.
 """
 
+import json
+from collections import Counter
+
 import pytest
 
+from repro.broker import journal as journal_module
 from repro.broker.journal import BrokerJournal, parse_frames
 from repro.broker.recovery import snapshot_state
 from repro.broker.state import BrokerState
@@ -241,3 +245,24 @@ def test_stats_surface_generation_lag_and_stall():
     assert stats["stalled"] is True
     assert stats["pending_ops"] == 1
     assert stats["flush_lag"] == pytest.approx(3.0)
+
+
+def test_every_op_of_a_journaled_chaos_run_encodes_as_json_dumps(monkeypatch):
+    """The journal's one encoder writes the bytes ``json.dumps`` with the
+    journal's options writes, op for op: records, coalesced machine and
+    lease notes, snapshots, compaction openers and all."""
+    from repro.experiments import run_chaos
+    from repro.experiments.chaos import SCENARIOS
+
+    encode, ops = journal_module._encode, Counter()
+
+    def checked(op):
+        text = encode(op)
+        assert text == json.dumps(op, sort_keys=True, separators=(",", ":"))
+        ops[op["op"]] += 1
+        return text
+
+    monkeypatch.setattr(journal_module, "_encode", checked)
+    run_chaos(1, **SCENARIOS["journal"])
+    assert sum(ops.values()) > 100
+    assert {"epoch", "machine", "leases", "snapshot"} <= set(ops)

@@ -57,7 +57,7 @@ def test_eof_is_sticky_and_stays_behind_what_is_still_unread(wire):
 
     env.process(reader())
     env.run()
-    assert seen == ["last words"] + ["EOF on near"] * 3
+    assert seen == ["last words"] + ["EOF on near:0->far:0"] * 3
     assert near.closed_remote and list(near._buffer) == [EOF]
     assert env.now == 1.0  # every failure at once, none waited
 

@@ -18,8 +18,9 @@ def make_wire():
     env = Environment()
     network = Network(env)
     network.latency = 0.25
-    near = Connection(network, "near")
-    far = Connection(network, "far")
+    dial = ("near", 0, "far", 0)
+    near = Connection(network, dial)
+    far = Connection(network, dial, server=True)
     near.peer, far.peer = far, near
     return env, near, far
 

@@ -1,5 +1,9 @@
 """Network fault model: partitions, lossy windows, latency spikes, sever."""
 
+import random
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster.network import Network
@@ -205,3 +209,71 @@ def test_sever_closes_cross_cut_connections(rig):
     ticks = [m["i"] for _, m in log if m["type"] == "tick"]
     assert max(ticks) == 3
     assert network.metrics.counter("net.severed_connections").value == 1
+
+
+def test_rule_verdicts_match_a_brute_force_reference():
+    """Every verdict, and every ``faults.net`` draw, is what checking each
+    rule ever added against the clock on every query gives."""
+    rng = random.Random(11)
+    hosts = ["a", "b", "c", "d", None]
+    durations = [0.0, 0.1, 0.3, 1.0, 2.5, 10.0]
+    tested, reference = Environment(seed=3), Environment(seed=3)
+    faults = NetworkFaults(SimpleNamespace(env=tested))
+    draws = reference.rng.stream("faults.net")
+    partitions, links, drops, spikes = [], [], [], []
+    verdicts = Counter()
+
+    def expected(now, a, b, message):
+        cut = any(r.cuts(a, b) for r in partitions + links if r.until > now)
+        dropped = False
+        for rule in drops:
+            if rule.until > now and rule.matches(message):
+                if rule.probability >= 1.0 or (
+                    float(draws.uniform(0.0, 1.0)) < rule.probability
+                ):
+                    dropped = True
+                    break
+        latency = 0.25
+        for rule in spikes:
+            if rule.until > now:
+                latency *= rule.factor
+        return cut, dropped, latency
+
+    now = 0.0
+    for _ in range(3000):
+        now += rng.choice([0.0, 0.05, 0.1, 0.5])
+        tested.run(until=now)
+        reference.run(until=now)
+        roll = rng.random()
+        duration = rng.choice(durations)
+        if roll < 0.03:
+            hosts_cut = rng.sample(["a", "b", "c", "d"], rng.randint(1, 3))
+            partitions.append(faults.add_partition(hosts_cut, duration))
+        elif roll < 0.05:
+            links.append(faults.add_link_block(*rng.sample(hosts[:4], 2), duration))
+        elif roll < 0.08:
+            drops.append(faults.add_drop_rule(
+                duration,
+                probability=rng.choice([0.3, 0.7, 1.0]),
+                only_types=rng.choice([None, ("tick",), ("tock", "beat")]),
+            ))
+        elif roll < 0.10:
+            spikes.append(faults.add_latency_spike(duration, rng.choice([1.5, 3.0])))
+        else:
+            a, b = rng.choice(hosts), rng.choice(hosts)
+            message = {"type": rng.choice(["tick", "tock", "beat", "other"])}
+            got = (
+                faults.partitioned(a, b),
+                faults.should_drop(a, b, message),
+                faults.latency(0.25),
+            )
+            assert got == expected(now, a, b, message), now
+            verdicts.update(name for name, hit in zip(("cut", "drop"), got) if hit)
+    assert verdicts["cut"] > 100 and verdicts["drop"] > 100
+    assert faults._rng.uniform() == draws.uniform()  # as many draws
+    # Past every expiry, the queries drop every rule.
+    tested.run(until=now + 20.0)
+    assert not faults.partitioned("a", "b")
+    assert not faults.should_drop("a", "b", {"type": "tick"})
+    assert faults.latency(0.25) == 0.25
+    assert faults._partitions == faults._links == faults._drops == faults._spikes == []

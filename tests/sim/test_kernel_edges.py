@@ -340,8 +340,9 @@ def _every_dispatch_shape():
 
     # A process parked on a plain recv(): a message, then EOF, each handed
     # from the timer that carried it to the parked reader.
-    left = Connection(near.network, "left")
-    right = Connection(near.network, "right")
+    dial = ("left", 0, "right", 0)
+    left = Connection(near.network, dial)
+    right = Connection(near.network, dial, server=True)
     left.peer, right.peer = right, left
 
     def plain_reader():
@@ -390,7 +391,7 @@ def test_step_and_run_dispatch_identically():
         (3.25, "expired"),
         (3.25, "received tied"),
         (3.5, "handed over"),
-        (3.75, "handed EOF on left"),
+        (3.75, "handed EOF on left:0->right:0"),
         (4.5, "after the failure"),
     ]
     stats = by_run[3]

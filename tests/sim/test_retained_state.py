@@ -2,12 +2,14 @@
 
 A process parked on an event holds the event and nothing else: no callback
 list, no bound method, no fresh deadline timer per silent period, no
-finished CPU bursts.  A simulated OS process owns only the containers it
-has used, lets go of them at exit, and prunes its socket and thread lists
-amortisedly.  These tests pin that bookkeeping — every number here is a
-count of Python objects or an identity check, exact on any hardware —
-together with the ordering contract the waiter slot must keep: waiter, then
-callbacks, equals registration order.
+finished CPU bursts.  A simulated OS process owns only the containers and
+events it has used, lets go of them at exit, and prunes its socket and
+thread lists amortisedly; a connection owns no delivery callback, and a
+tracer builds its query indexes only when asked.  These tests pin that
+bookkeeping — every number here is a count of Python objects or an
+identity check, exact on any hardware — together with the ordering
+contract the waiter slot must keep: waiter, then callbacks, equals
+registration order.
 """
 
 import gc
@@ -18,10 +20,11 @@ from types import FunctionType
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
-from repro.cluster.network import EXPIRED, Connection, Listener
+from repro.cluster.network import DELIVER, EXPIRED, Connection, Listener
 from repro.experiments import run_chaos, run_fig7, run_table1, run_table2, run_table3
 from repro.experiments.chaos import SCENARIOS, check_scenario
 from repro.experiments.sweep import WORKLOADS
+from repro.obs.spans import Tracer
 from repro.os.process import EMPTY, PRUNE_AT, OSProcess
 from repro.os.signals import SIGKILL
 from repro.sim import Environment
@@ -33,6 +36,31 @@ from tests.cluster.test_recv_or_deadline import make_wire
 
 
 # -- the census ---------------------------------------------------------------
+
+
+def _settled_churn_objects(machines):
+    """Tracked objects a churn cell of ``machines`` holds once settled (40
+    sim-s: every machine granted, the first arrival placed)."""
+    gc.collect()
+    before = len(gc.get_objects())
+    cluster = _churn_cell(machines, 40.0)
+    gc.collect()
+    held = len(gc.get_objects()) - before
+    cluster.close()
+    return held
+
+
+def test_a_settled_churn_cell_tracks_few_objects_per_machine():
+    """What the cyclic collector walks per machine, net of the fixed cost
+    (broker, interpreter, modules): the difference between a 64- and a
+    32-machine cell, after a small cell has paid for every first use.  It
+    was 174.0 while every process made its exit event, every connection its
+    delivery callback and every span its index entries up front; 154.0
+    once they are made on first use."""
+    _settled_churn_objects(8)
+    small, large = _settled_churn_objects(32), _settled_churn_objects(64)
+    per_machine = (large - small) / 32
+    assert per_machine <= 155
 
 
 def test_steady_state_churn_cell_retains_few_objects_per_machine():
@@ -268,11 +296,10 @@ def test_a_cancelled_deadline_timer_is_not_reused():
 
 
 def test_a_pair_closed_at_both_ends_is_freed_by_reference_counting():
-    """Each end links the other (``peer``) and itself (its delivery callback
-    list holds its own bound ``_deliver``); the second close unlinks both,
+    """Each end links the other (``peer``); the second close unlinks both,
     so a finished pair never waits for the cyclic collector.  A message
-    still in flight when the pair closes keeps the list it was sent with
-    and is counted as a dropped send."""
+    still in flight when the pair closes names the end it was sent to and
+    is counted as a dropped send."""
 
     def connections():
         return sum(isinstance(obj, Connection) for obj in gc.get_objects())
@@ -310,6 +337,65 @@ def test_a_pair_closed_at_both_ends_is_freed_by_reference_counting():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_every_endpoint_shares_one_delivery_list():
+    """A delivery timer names its endpoint and carries the module's one
+    callback list: no endpoint holds a list or a bound method of its own."""
+    env, near, far = make_wire()
+    near.send("a")
+    far.send("b")
+    far.send("c")
+    timers = [entry[3] for entry in env._queue]
+    assert [timer.to for timer in timers] == [far, near, near]
+    assert all(timer.callbacks is DELIVER for timer in timers)
+    for end in (near, far):
+        assert not hasattr(end, "__dict__")
+        assert not [r for r in gc.get_referents(end) if isinstance(r, list)]
+    env.run()
+    assert near.recv().value == "b" and near.recv().value == "c"
+    assert far.recv().value == "a"
+
+
+# -- spans ---------------------------------------------------------------------
+
+
+def _index(tracer):
+    """Every query answer of ``tracer``, by query."""
+    spans = tracer.spans
+    return {
+        "get": {s.span_id: tracer.get(s.span_id) for s in spans},
+        "named": {s.name: tracer.spans_named(s.name) for s in spans},
+        "trace": {s.trace_id: tracer.trace(s.trace_id) for s in spans},
+        "children": {s.span_id: tracer.children_of(s) for s in spans},
+        "roots": tracer.roots(),
+    }
+
+
+def _rebuilt(tracer):
+    """A tracer holding the same spans, none of them folded yet."""
+    fresh = Tracer(tracer.env)
+    fresh.spans = list(tracer.spans)
+    return fresh
+
+
+def test_a_tracer_nobody_queries_builds_no_index():
+    """Spans are indexed when a query first needs them: a run that never
+    asks holds none, and a query after more spans arrived answers exactly
+    like indexes built in one go."""
+    cluster = _churn_cell(8, 10.0)
+    tracer = cluster.network.tracer
+    assert len(tracer.spans) > 20
+    assert tracer._folded == 0 and tracer._roots == []
+    assert tracer._by_id == tracer._by_name == tracer._by_trace == {}
+    assert tracer._by_parent == {}
+    first = _index(tracer)
+    assert first == _index(_rebuilt(tracer))
+    assert tracer._folded == len(tracer.spans)
+    cluster.env.run(until=cluster.now + 40.0)
+    assert tracer._folded < len(tracer.spans)
+    assert _index(tracer) == _index(_rebuilt(tracer))
+    assert first["roots"] == tracer.roots()[: len(first["roots"])]
 
 
 # -- finished clusters ---------------------------------------------------------
@@ -476,7 +562,32 @@ def test_a_process_that_uses_nothing_owns_nothing():
     assert not hasattr(proc, "__dict__")
     for slot in ("children", "_computes", "_listeners", "_connections", "_threads"):
         assert getattr(proc, slot) is EMPTY, slot
-    assert proc._daemonized is None
+    assert proc._terminated is None and proc._daemonized is None
+
+
+def test_an_unwaited_process_makes_its_exit_event_only_at_exit():
+    """Nobody asked for ``terminated`` before the exit, so it is made
+    then, and fires as it always did: one kernel event, the exit code."""
+    cluster, proc = _idle_process()
+    assert proc._terminated is None
+    processed = cluster.env.heap_stats()["processed"]
+    proc.signal(SIGKILL)
+    assert proc.exit_code == -9 and proc._terminated.triggered
+    seen = []
+    proc.terminated.add_callback(lambda ev: seen.append(ev.value))
+    cluster.env.run(until=cluster.now + 1.0)
+    assert seen == [-9] and proc.terminated.processed
+    # The exit event and the killed body's completion, nothing more.
+    assert cluster.env.heap_stats()["processed"] == processed + 2
+
+
+def test_a_waited_process_fires_the_event_it_handed_out():
+    cluster = Cluster(ClusterSpec.uniform(1))
+    cluster.system_bin.register("sleeper", _sleeper)
+    proc = cluster.run_command("n00", ["sleeper"])
+    waited = proc.terminated
+    cluster.env.run(until=waited)
+    assert proc.terminated is waited and waited.value == 0
 
 
 def test_daemonized_is_made_on_first_access_and_still_fires():
