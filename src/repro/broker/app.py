@@ -430,7 +430,7 @@ def _broker_reader(proc, st):
             waiter = st.waiters.pop(msg["reqid"], None)
             if waiter is not None:
                 waiter.succeed(None)
-        elif kind in ("revoke", "grow", "halt"):
+        elif kind in ("revoke", "halt"):
             st.inbox.put_nowait(msg)
 
 
@@ -506,9 +506,7 @@ def _handle_rsh_request(proc, st, conn, msg):
     if not _send_broker(
         st,
         protocol.attach_trace(
-            protocol.machine_request(
-                st.jobid, host, reqid, firm=st.firm, hint=msg.get("hint")
-            ),
+            protocol.machine_request(st.jobid, host, reqid, firm=st.firm),
             wait_span.context,
         ),
     ):

@@ -29,10 +29,10 @@ the rest through a few named methods over the shared state:
 * :class:`~.sessions.Sessions` — app submit, requests, orphaning, resume;
 * :class:`~.replica.Fence` — epoch fencing (standby or shards only);
 * :class:`~.replica.Shipper` — WAL shipping to a warm standby;
-* :class:`~.federation.Borrowing` — cross-shard borrowing (two or more
-  shards only), the core's one ``federation`` hook.
+* :class:`~.federation.Borrowing` — cross-shard borrowing (shards only),
+  the core's one ``federation`` hook.
 
-So a standalone broker is the one-shard, no-standby composition, and every
+So a standalone broker is the unsharded, no-standby composition, and every
 restart and promotion boots through :func:`~.recovery.recover`.  The
 scheduler is dirty-driven over the state's incremental indexes (DESIGN.md
 §12); the original evaluate-everything loop survives only as the test
@@ -138,7 +138,6 @@ class _BrokerControl:
         # capture theirs (ready, daemon-down events) the same way.
         self.epoch = service.epoch
         self.journal = service.journal
-        self.reqids = {}  # (jobid, reqid) -> PendingRequest (for dedupe)
         #: (symbolic, rsl source, home host) -> (satisfiable?, capability
         #: version).  A verdict is valid while the capability universe it
         #: was computed against is unchanged; a stale entry is recomputed in
@@ -151,7 +150,6 @@ class _BrokerControl:
         self.request_spans = {}  # (jobid, reqid) -> broker.request span
         self.reclaim_spans = {}  # host -> broker.reclaim span
         # -- the components this configuration uses --------------------------
-        shard = service.shard
         #: Epoch fencing: grants and renewals toward daemons carry epoch
         #: stamps (warm standby or shards).  None leaves the wire protocol
         #: byte-identical to the pre-standby broker.
@@ -159,11 +157,9 @@ class _BrokerControl:
         self.leases = Leases(self)
         self.sessions = Sessions(self)
         self.shipper = Shipper(self) if service.replicated else None
-        #: The federation hook: the borrow protocol, on a broker of two or
-        #: more shards; None on a standalone (or one-shard) broker.
-        self.federation = (
-            Borrowing(self) if shard is not None and shard.count > 1 else None
-        )
+        #: The federation hook: the borrow protocol on a shard; None on a
+        #: standalone broker.
+        self.federation = Borrowing(self) if service.shard is not None else None
 
     def close(self) -> None:
         """Cut the components' back-pointers to this ended incarnation."""
@@ -345,7 +341,6 @@ class _BrokerControl:
     def _deny_request(self, job, request) -> None:
         """Issue the denial for a conclusively unsatisfiable request."""
         self.state.pending.remove(request)
-        self.reqids.pop((job.jobid, request.reqid), None)
         span = self.request_spans.pop((job.jobid, request.reqid), None)
         if span is not None:
             span.end(outcome="denied")
@@ -442,7 +437,6 @@ class _BrokerControl:
             # Its daemon reports to the donor: the grant is all it says here.
             self.state.machines[host].touch(now)
             self.state.pending.remove(request)
-        self.reqids.pop((request.jobid, request.reqid), None)
         waited = now - request.arrived_at
         span = self.request_spans.pop((request.jobid, request.reqid), None)
         if span is not None:
@@ -612,8 +606,6 @@ class _BrokerControl:
         self.service.count_pending()
         for key in [k for k in self.request_spans if k[0] == job.jobid]:
             self.request_spans.pop(key).end(outcome="dropped")
-        for key in [k for k in self.reqids if k[0] == job.jobid]:
-            self.reqids.pop(key, None)
         for allocation in self.state.allocations_of(job.jobid):
             self.free(allocation.host, outcome="job_done")
         span = self.job_spans.pop(job.jobid, None)

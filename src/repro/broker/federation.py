@@ -12,31 +12,20 @@ multi-shard broker is built with.
 Submissions route by **locality**: a job submitted from a machine goes to
 the shard that manages that machine (structurally guaranteed — each shard's
 program directory shadows ``rsh`` only on its own slice, and apps get their
-shard's broker address in the environment).  Symbolic machine names carry a
-**hash hint** (``crc32(name) % shards``, computed by rsh' when
-``RB_FED_SHARDS`` is set) that seeds the borrow ring, so every shard
-forwards a given name toward the same sibling first.
+shard's broker address in the environment).  A borrowing shard starts its
+sibling ring at ``crc32(symbolic) % shards``, so every shard forwards a
+given symbolic name toward the same sibling first.
 
-A one-shard federation is the degenerate case the identity property test
-pins: a broker is built with :class:`Borrowing` only when
-``shard.count > 1``, so its timeline, traces and state fingerprints are
-byte-identical to a standalone :class:`BrokerService` on the same seed.
+A federation has at least two shards; one broker is
+:meth:`~repro.cluster.builder.Cluster.start_broker`, the unsharded
+(``shard is None``) :class:`BrokerService`.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
 
 from repro.broker import protocol
 from repro.broker.records import AllocationState
@@ -67,8 +56,11 @@ class ShardConfig:
 def shard_partitions(hosts: Sequence[str], shards: int) -> List[List[str]]:
     """Split ``hosts`` into ``shards`` contiguous slices: host ``i`` of
     ``count`` goes to shard ``i * shards // count``."""
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, not {shards}")
+    if shards < 2:
+        raise ValueError(
+            f"a federation has at least 2 shards, not {shards}: "
+            f"boot one broker with start_broker()"
+        )
     if shards > len(hosts):
         raise ValueError(
             f"cannot split {len(hosts)} machines into {shards} shards"
@@ -83,26 +75,14 @@ def shard_partitions(hosts: Sequence[str], shards: int) -> List[List[str]]:
 class FederationService:
     """Boot and drive a federation of broker shards on one cluster.
 
-    The harness-side twin of :class:`BrokerService` for multi-shard runs:
-    same submission/inspection surface, with routing by home host.  Tests
-    and experiments that drive a single service keep working — a
-    federation of one shard *is* a single service (``self.services[0]``)
-    with nothing federated switched on."""
+    The harness-side twin of :class:`BrokerService` for runs of two or
+    more shards: same submission/inspection surface, with routing by home
+    host.  Every machine of the cluster is managed by one shard."""
 
-    def __init__(
-        self,
-        cluster,
-        shards: int,
-        policy_factory: Optional[Callable[[], Any]] = None,
-        managed_hosts: Optional[Sequence[str]] = None,
-        journal: bool = False,
-    ) -> None:
+    def __init__(self, cluster, shards: int, journal: bool = False) -> None:
         self.cluster = cluster
         self.env = cluster.env
-        hosts = list(
-            managed_hosts if managed_hosts is not None else cluster.machines
-        )
-        self.partitions = shard_partitions(hosts, shards)
+        self.partitions = shard_partitions(list(cluster.machines), shards)
         broker_hosts = tuple(part[0] for part in self.partitions)
         #: Shard index for every managed host (locality routing).
         self._shard_of_host: Dict[str, int] = {}
@@ -121,7 +101,6 @@ class FederationService:
             self.services.append(
                 BrokerService(
                     cluster,
-                    policy=policy_factory() if policy_factory else None,
                     managed_hosts=part,
                     broker_host=part[0],
                     journal=journal,
@@ -206,7 +185,7 @@ class Borrowing:
     for it over the sibling ring and installs a lent machine as the grant;
     as *donor* it lends idle machines, keeps each loan leased and recalls it
     when the owner returns or the loan leaks.  The broker core reaches it
-    through its ``federation`` hook, which is None on a one-shard broker."""
+    through its ``federation`` hook, which is None on a standalone broker."""
 
     def __init__(self, core) -> None:
         self.core = core
@@ -472,7 +451,7 @@ class Borrowing:
                 pass
         conn.close()
 
-    def maybe_borrow(self, job, request, hint=None) -> None:
+    def maybe_borrow(self, job, request) -> None:
         """Federated variant of the deny decision: before giving up on a
         request the local shard cannot place, try to borrow a machine from
         the sibling shards.
@@ -484,8 +463,6 @@ class Borrowing:
         across all shards."""
         if request not in self.state.pending:
             return  # already granted (or reclaimed-for) by the local pass
-        if hint is not None:
-            request.shard_hint = int(hint) % self._shard.count
         key = (request.jobid, request.reqid)
         if key in self._borrowing:
             return
@@ -507,8 +484,8 @@ class Borrowing:
         """Borrow loop for one queued request.
 
         Runs while the request stays queued with no local prospect: each
-        round walks the sibling ring (starting at the request's locality
-        hint) until some shard lends a machine or all refuse.  Between
+        round walks the sibling ring (starting at the symbolic name's hash)
+        until some shard lends a machine or all refuse.  Between
         rounds it sleeps ``federation_borrow_retry`` — roughly one daemon
         report interval, so newly idle donor machines are visible by the
         next ask."""
@@ -543,9 +520,7 @@ class Borrowing:
         request unsatisfiable there even in the best case — and ``retry``
         otherwise (somebody was unreachable, silent, or merely busy)."""
         count = self._shard.count
-        start = request.shard_hint
-        if start is None or not 0 <= start < count:
-            start = zlib.crc32(request.symbolic.encode()) % count
+        start = zlib.crc32(request.symbolic.encode()) % count
         hopeless = True
         for step in range(count):
             shard = (start + step) % count

@@ -26,8 +26,6 @@ machine_grant           broker -> app            a machine is ready for the job
 machine_denied          broker -> app            request cannot be satisfied
 revoke                  broker -> app            take host away from this job
 released                app -> broker            host given back
-grow                    broker -> app            reserved (async offers
-                                                 currently ride machine_grant)
 job_done                app -> broker            job finished; free everything
 rsh_request             rsh' -> app              intercepted rsh
 rsh_exec                app -> rsh'              run via real rsh (maybe wrapped)
@@ -192,28 +190,15 @@ def resume_ack(jobid: int, epoch: int, ok: bool = True) -> Message:
     return {"type": "resume_ack", "jobid": jobid, "epoch": epoch, "ok": ok}
 
 
-def machine_request(
-    jobid: int,
-    symbolic: str,
-    reqid: int,
-    firm: bool,
-    hint: Optional[int] = None,
-) -> Message:
-    """App -> broker: the job wants one more machine.
-
-    ``hint`` is the federated routing hint (the shard index ``rshprime``
-    hashed the symbolic name to); the key is omitted entirely outside
-    federation so non-federated message bytes are unchanged."""
-    message = {
+def machine_request(jobid: int, symbolic: str, reqid: int, firm: bool) -> Message:
+    """App -> broker: the job wants one more machine."""
+    return {
         "type": "machine_request",
         "jobid": jobid,
         "symbolic": symbolic,
         "reqid": reqid,
         "firm": firm,
     }
-    if hint is not None:
-        message["hint"] = int(hint)
-    return message
 
 
 def machine_grant(reqid: int, host: str) -> Message:
@@ -234,14 +219,6 @@ def revoke(host: str) -> Message:
 def released(jobid: int, host: str) -> Message:
     """App -> broker: ``host`` has been given back."""
     return {"type": "released", "jobid": jobid, "host": host}
-
-
-def grow(reqid: int, host: str) -> Message:
-    """Broker -> app: asynchronous machine offer.  Reserved: the current
-    broker delivers late grants through ``machine_grant`` (the app routes a
-    grant with no waiter to its module-grow path), so this message is kept
-    only as a protocol extension point."""
-    return {"type": "grow", "reqid": reqid, "host": host}
 
 
 def job_done(jobid: int, code: Optional[int]) -> Message:
@@ -477,22 +454,9 @@ def halt() -> Message:
 # -- application layer -----------------------------------------------------
 
 
-def rsh_request(
-    host: str, argv: List[str], user: str, hint: Optional[int] = None
-) -> Message:
-    """rsh' -> app: an intercepted rsh (host may be symbolic).
-
-    ``hint`` carries the federated routing hint (see
-    :func:`machine_request`); the key is omitted outside federation."""
-    message = {
-        "type": "rsh_request",
-        "host": host,
-        "argv": list(argv),
-        "user": user,
-    }
-    if hint is not None:
-        message["hint"] = int(hint)
-    return message
+def rsh_request(host: str, argv: List[str], user: str) -> Message:
+    """rsh' -> app: an intercepted rsh (host may be symbolic)."""
+    return {"type": "rsh_request", "host": host, "argv": list(argv), "user": user}
 
 
 def rsh_exec(

@@ -239,8 +239,3 @@ class PendingRequest:
     dirty: bool = field(default=True, compare=False)
     #: Maintained by the state's pending queue; True while queued.
     queued: bool = field(default=False, compare=False)
-    #: Federated routing hint: the shard index ``rshprime`` hashed the
-    #: symbolic name to, used to pick which sibling to try first when
-    #: borrowing.  ``None`` outside federation (and on resumed sessions —
-    #: the borrower recomputes the same hash from ``symbolic``).
-    shard_hint: Optional[int] = field(default=None, compare=False)

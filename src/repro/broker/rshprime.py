@@ -23,8 +23,6 @@ real name, plain        passthrough to the real rsh
 
 from __future__ import annotations
 
-import zlib
-
 from repro.broker import protocol
 from repro.broker.modules import expect_marker_path
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
@@ -68,18 +66,9 @@ def rshprime_main(proc):
     except (ConnectionRefused, NoSuchHost):
         span.end(path="negotiated", error="app unreachable")
         return RshExit.ERROR
-    hint = None
-    shards = proc.environ.get("RB_FED_SHARDS")
-    if shards is not None and is_symbolic_hostname(host):
-        # Federated routing hint (DESIGN.md §17): a symbolic name hashes to
-        # a stable home shard, so every shard starts its borrow ring at the
-        # same sibling for a given name.  Absent outside federations so the
-        # wire bytes stay identical to a standalone broker's.
-        hint = zlib.crc32(host.encode()) % int(shards)
     conn.send(
         protocol.attach_trace(
-            protocol.rsh_request(host, command_argv, proc.uid, hint=hint),
-            span.context,
+            protocol.rsh_request(host, command_argv, proc.uid), span.context
         )
     )
     try:

@@ -136,9 +136,7 @@ class BrokerService:
         self.env = cluster.env
         self.policy = policy if policy is not None else DefaultPolicy()
         #: Federation membership (:class:`~repro.broker.federation.ShardConfig`)
-        #: or ``None`` for a standalone broker.  A one-shard federation keeps
-        #: ``shard.count == 1`` and every federation behaviour gated off, so
-        #: it is byte-identical to a standalone broker.
+        #: or ``None`` for a standalone broker.
         self.shard = shard
         self.managed_hosts: List[str] = list(
             managed_hosts if managed_hosts is not None else cluster.machines
@@ -149,7 +147,7 @@ class BrokerService:
         #: coordination (a daemon inventory or borrowed lease names its shard
         #: implicitly); shard 0 — and every standalone broker — starts at 1.
         self.jobid_space = ALL_JOBIDS
-        if shard is not None and shard.count > 1:
+        if shard is not None:
             first = 1 + shard.index * 1_000_000
             self.jobid_space = range(first, first + 1_000_000)
         self.state = BrokerState(self.jobid_space.start, self.jobid_space)
@@ -193,12 +191,10 @@ class BrokerService:
         self.replicated = standby_host is not None
         #: True when grants and renewals carry epoch stamps that daemons
         #: witness-check: under replication (a promoted standby must fence
-        #: the ex-primary) and in any multi-shard federation (a cross-shard
-        #: grant installs on the donor's daemon under the donor's epoch, so
-        #: a stale shard incarnation is fenced exactly as a stale primary).
-        self.fencing = self.replicated or (
-            shard is not None and shard.count > 1
-        )
+        #: the ex-primary) and on every shard (a cross-shard grant installs
+        #: on the donor's daemon under the donor's epoch, so a stale shard
+        #: incarnation is fenced exactly as a stale primary).
+        self.fencing = self.replicated or shard is not None
         #: Cross-shard traffic counters (the ``stats`` federation block).
         #: Service-level, not metrics-registry, because the registry is
         #: shared network-wide and these are per-shard; surviving broker
@@ -491,11 +487,6 @@ class BrokerService:
         ]
         if alternates:
             environ["RB_BROKER_STANDBY"] = alternates[0]
-        if self.shard is not None and self.shard.count > 1:
-            # rsh' hashes symbolic names to a shard index when this is set
-            # (the federated routing hint); absent otherwise so standalone
-            # and one-shard messages stay byte-identical.
-            environ["RB_FED_SHARDS"] = str(self.shard.count)
         return environ
 
     def _require_broker(self, action: str) -> None:

@@ -191,34 +191,15 @@ class Sessions:
                 protocol.try_send(conn, protocol.revoke(allocation.host))
         for entry in msg.get("pending", ()):
             reqid = int(entry["reqid"])
-            if (jobid, reqid) in core.reqids:
+            # Not state.pending: that dedupe turns shards seed 10 red (ROADMAP 11).
+            if (jobid, reqid) in core.request_spans:
                 continue  # still queued from this very incarnation
-            request = PendingRequest(
-                reqid=reqid,
-                jobid=jobid,
-                symbolic=entry["symbolic"],
-                firm=bool(entry["firm"]),
-                arrived_at=now,
-            )
-            self.state.pending.append(request)
-            core.reqids[(jobid, reqid)] = request
-            core.request_spans[(jobid, reqid)] = self.tracer.start(
-                "broker.request",
-                parent=core.job_spans.get(jobid),
-                actor="rbroker",
-                jobid=jobid,
-                reqid=reqid,
-                symbolic=request.symbolic,
-                firm=request.firm,
-                resubmitted=True,
-            )
-            self.service.count_pending()
-            self.service.log(
-                event="machine_request",
-                jobid=jobid,
-                reqid=reqid,
-                symbolic=request.symbolic,
-                firm=request.firm,
+            self._queue_request(
+                job,
+                reqid,
+                entry["symbolic"],
+                bool(entry["firm"]),
+                core.job_spans.get(jobid),
                 resubmitted=True,
             )
         self.metrics.counter("sessions.resumed").inc()
@@ -246,6 +227,38 @@ class Sessions:
                     core.federation.maybe_borrow(job, request)
         yield from self._session_loop(job, conn)
 
+    def _queue_request(self, job, reqid, symbolic, firm, parent, **resubmitted):
+        """Queue one machine request of ``job``: the pending entry, its
+        ``broker.request`` span, the pending gauge and the log entry."""
+        request = PendingRequest(
+            reqid=reqid,
+            jobid=job.jobid,
+            symbolic=symbolic,
+            firm=firm,
+            arrived_at=self.proc.env.now,
+        )
+        self.state.pending.append(request)
+        self.core.request_spans[(job.jobid, reqid)] = self.tracer.start(
+            "broker.request",
+            parent=parent,
+            actor="rbroker",
+            jobid=job.jobid,
+            reqid=reqid,
+            symbolic=symbolic,
+            firm=firm,
+            **resubmitted,
+        )
+        self.service.count_pending()
+        self.service.log(
+            event="machine_request",
+            jobid=job.jobid,
+            reqid=reqid,
+            symbolic=symbolic,
+            firm=firm,
+            **resubmitted,
+        )
+        return request
+
     def _app_message(self, job, msg):
         core = self.core
         kind = msg.get("type")
@@ -253,31 +266,12 @@ class Sessions:
             yield self.proc.sleep(self.cal.broker_decision)
             if job.done:
                 return  # finished meanwhile, by the session a resume opened
-            request = PendingRequest(
-                reqid=msg["reqid"],
-                jobid=job.jobid,
-                symbolic=msg["symbolic"],
-                firm=bool(msg["firm"]),
-                arrived_at=self.proc.env.now,
-            )
-            self.state.pending.append(request)
-            core.reqids[(job.jobid, request.reqid)] = request
-            core.request_spans[(job.jobid, request.reqid)] = self.tracer.start(
-                "broker.request",
-                parent=protocol.trace_of(msg) or core.job_spans.get(job.jobid),
-                actor="rbroker",
-                jobid=job.jobid,
-                reqid=request.reqid,
-                symbolic=request.symbolic,
-                firm=request.firm,
-            )
-            self.service.count_pending()
-            self.service.log(
-                event="machine_request",
-                jobid=job.jobid,
-                reqid=request.reqid,
-                symbolic=request.symbolic,
-                firm=request.firm,
+            request = self._queue_request(
+                job,
+                msg["reqid"],
+                msg["symbolic"],
+                bool(msg["firm"]),
+                protocol.trace_of(msg) or core.job_spans.get(job.jobid),
             )
             yield from core._schedule()
             if core.federation is None:
@@ -286,7 +280,7 @@ class Sessions:
                 # Federated deny semantics: before giving up, ask the
                 # sibling shards (the borrow loop issues the denial itself
                 # once unsatisfiability is conclusive federation-wide).
-                core.federation.maybe_borrow(job, request, hint=msg.get("hint"))
+                core.federation.maybe_borrow(job, request)
         elif kind == "released":
             yield from core._on_released(job, msg["host"])
         elif kind == "job_done":

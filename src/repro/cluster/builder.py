@@ -231,34 +231,17 @@ class Cluster:
         )
         return self.broker
 
-    def start_federation(
-        self,
-        shards: int,
-        policy_factory=None,
-        managed_hosts=None,
-        journal=False,
-    ):
+    def start_federation(self, shards: int, journal=False):
         """Boot a federated broker control plane over this cluster; see
         :class:`repro.broker.federation.FederationService`.
 
-        The machines partition into ``shards`` contiguous slices, each run
-        by its own broker; shards borrow machines from each other through
-        lease migration.  ``shards=1`` degenerates to a single broker with
-        every federated behaviour switched off."""
+        The machines partition into ``shards`` (two or more) contiguous
+        slices, each run by its own broker; shards borrow machines from
+        each other through lease migration.  One broker is
+        :meth:`start_broker`."""
         from repro.broker.federation import FederationService
 
-        federation = FederationService(
-            self,
-            shards=shards,
-            policy_factory=policy_factory,
-            managed_hosts=managed_hosts,
-            journal=journal,
-        )
-        if shards == 1:
-            # The degenerate federation *is* a broker; keep the standalone
-            # handle pointing at it so tools and tests need no special case.
-            self.broker = federation.services[0]
-        return federation
+        return FederationService(self, shards=shards, journal=journal)
 
     def __enter__(self) -> "Cluster":
         return self

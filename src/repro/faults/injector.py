@@ -125,7 +125,7 @@ class FaultInjector:
                 self.network.sever(self.faults.partitioned)
         elif kind == "shard_link_partition":
             federation = self.cluster.federation
-            if federation is not None and federation.shards > 1:
+            if federation is not None:
                 a, b = fault.shards
                 host_a = federation.broker_host_of(a % federation.shards)
                 host_b = federation.broker_host_of(b % federation.shards)

@@ -19,9 +19,8 @@ def test_shard_partitions_contiguous_and_validated():
     parts = shard_partitions(hosts, 4)
     assert [len(p) for p in parts] == [3, 2, 3, 2]
     assert [h for part in parts for h in part] == hosts
-    assert shard_partitions(hosts, 1) == [hosts]
     with pytest.raises(ValueError):
-        shard_partitions(hosts, 0)
+        shard_partitions(hosts, 1)
     with pytest.raises(ValueError):
         shard_partitions(hosts, 11)
 
@@ -196,3 +195,108 @@ def test_stats_rpc_and_rbstat_render_federation_block():
     assert "cross_grants=" in rendered
     # A standalone broker's snapshot renders no federation block at all.
     assert "federation" not in format_stats({"federation": {"enabled": False}})
+
+
+def test_one_shard_federation_is_refused():
+    cluster = Cluster(ClusterSpec.uniform(4, seed=1))
+    with pytest.raises(ValueError, match="start_broker"):
+        cluster.start_federation(shards=1)
+    assert cluster.federation is None and cluster.broker is None
+
+
+def _spy_borrow_asks(monkeypatch):
+    """Record every borrow request a shard sends, as (asking shard, asked
+    shard, symbolic name, simulated time)."""
+    from repro.broker.federation import Borrowing
+
+    asked = []
+    original = Borrowing._borrow_rpc
+
+    def spy(self, shard, job, request):
+        asked.append(
+            (self.service.shard.index, shard, request.symbolic, self.proc.env.now)
+        )
+        return (yield from original(self, shard, job, request))
+
+    monkeypatch.setattr(Borrowing, "_borrow_rpc", spy)
+    return asked
+
+
+def _fill(federation, hosts, seconds):
+    """Submit one ``seconds``-long job from each of ``hosts``, in order, and
+    let them be granted.  A job is never granted the machine it was
+    submitted from."""
+    handles = []
+    for host in hosts:
+        argv = ["rsh", "anylinux", "compute", str(seconds)]
+        handles.append(federation.submit(host, argv, uid="f"))
+        federation.env.run(until=federation.env.now + 2.0)
+    return handles
+
+
+@pytest.mark.parametrize(
+    "home, symbolic, first",
+    [
+        # crc32("anyhost") % 3 == 2 and crc32("anylinux") % 3 == 0 ...
+        ("n03", "anyhost", 2),
+        ("n03", "anylinux", 0),
+        # ... and a shard never asks itself: shard 0 starts past its own slot.
+        ("n00", "anylinux", 1),
+    ],
+)
+def test_three_shard_borrow_starts_at_the_name_hash(monkeypatch, home, symbolic, first):
+    asked = _spy_borrow_asks(monkeypatch)
+    cluster = Cluster(ClusterSpec.uniform(9, seed=4))
+    federation = cluster.start_federation(shards=3)
+    federation.wait_ready()
+    mine = federation.shard_of(home)
+    # Both machines the home shard could grant a job from ``home`` are
+    # busy, so the request must cross.
+    fillers = _fill(federation, [home, home], 40)
+    handle = federation.submit(home, ["rsh", symbolic, "compute", "5"], uid="x")
+    cluster.env.run(until=cluster.now + 30.0)
+    ours = [(shard, name) for index, shard, name, _ in asked if index == mine]
+    assert ours and ours[0] == (first, symbolic)
+    stats = federation.federation_stats()
+    assert stats[mine]["cross_shard_grants"] == 1
+    assert stats[first]["loans_out"] == 1
+    cluster.env.run(until=cluster.now + 120.0)
+    assert handle.exit_code == 0
+    assert all(f.exit_code == 0 for f in fillers)
+    cluster.assert_no_crashes()
+
+
+def test_resumed_request_borrows_from_the_name_hash_first(monkeypatch):
+    asked = _spy_borrow_asks(monkeypatch)
+    cluster = Cluster(ClusterSpec.uniform(9, seed=4))
+    # Durable, so the restarted shard still knows its fillers' leases are
+    # firm and the request waits for a machine instead of preempting one.
+    federation = cluster.start_federation(shards=3, journal=True)
+    federation.wait_ready()
+    # Every machine of every shard is busy: no sibling can lend, so the
+    # request stays queued on shard 1 across its broker's restart.
+    fillers = []
+    for first, second, _ in federation.partitions:
+        fillers += _fill(federation, [first, first, second], 60)
+    assert not [a for a in asked if a[2] == "anylinux"]
+    handle = federation.submit("n03", ["rsh", "anyhost", "compute", "5"], uid="x")
+    cluster.env.run(until=cluster.now + 10.0)
+    assert [(s, n) for i, s, n, _ in asked if i == 1][:1] == [(2, "anyhost")]
+    borrower = federation.services[1]
+    borrower.crash_broker()
+    cluster.env.run(until=cluster.now + 2.0)
+    restarted = cluster.now
+    borrower.restart_broker()
+    cluster.env.run(until=cluster.now + 15.0)
+    resubmitted = [
+        entry
+        for entry in borrower.events_of("machine_request")
+        if entry.get("resubmitted") and entry["symbolic"] == "anyhost"
+    ]
+    assert len(resubmitted) == 1
+    after = [(s, n) for i, s, n, t in asked if i == 1 and t > restarted]
+    assert after and after[0] == (2, "anyhost")
+    cluster.env.run(until=cluster.now + 200.0)
+    assert handle.exit_code == 0
+    assert all(f.exit_code == 0 for f in fillers)
+    cluster.assert_no_crashes()

@@ -52,7 +52,6 @@ def test_protocol_messages_carry_type():
         protocol.machine_denied(2, "no"),
         protocol.revoke("h"),
         protocol.released(1, "h"),
-        protocol.grow(2, "h"),
         protocol.job_done(1, 0),
         protocol.rsh_request("h", ["cmd"], "u"),
         protocol.rsh_exec("h", True, "tok"),
