@@ -77,6 +77,8 @@ def rshprime_main(proc):
         span.end(path="negotiated", error="app hung up")
         return RshExit.ERROR
     conn.close()
+    # This frame lives as long as the remote command: it keeps no socket.
+    del conn
 
     if reply.get("type") != "rsh_exec":
         # rsh_fail: module phase I, or denial.

@@ -17,8 +17,9 @@ its peer, the way a broken TCP connection eventually surfaces as a reset.
 The message path is two objects long: ``send`` makes the delivery timer the
 message rides on, ``recv`` the event its reader waits on, and the timer's
 dispatch triggers the one with the other (contract: :class:`Connection`).
-Every delivery timer shares one callback list, :data:`DELIVER`, and names
-its endpoint itself, so an endpoint holds no callback of its own.
+Every delivery timer shares one callback list, :data:`DELIVER` (every EOF
+timer :data:`DELIVER_EOF`), and names its endpoint itself, so an endpoint
+holds no callback of its own.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ Dial = Tuple[str, int, str, int]
 
 
 class _Delivery(Timeout):
-    """The timer a message rides as its value to the endpoint ``to``."""
+    """The timer a message rides as its value to the endpoint ``to``, or
+    that carries the peer's EOF there (:data:`DELIVER_EOF`)."""
 
     __slots__ = ("to",)
 
@@ -83,10 +85,25 @@ def _deliver(timer: _Delivery) -> None:
         conn._buffer.append(timer._value)
 
 
+def _deliver_eof(timer: _Delivery) -> None:
+    """Dispatch of an EOF timer: the peer's close arrives at ``timer.to``."""
+    conn = timer.to
+    if conn._buffer:
+        conn._buffer.append(EOF)  # behind what is still unread
+        return
+    conn.closed_remote = True
+    if conn._reader is not None:
+        reader, conn._reader = conn._reader, None
+        reader.fail(ConnectionClosed(f"EOF on {conn.label}"))
+
+
 #: The callback list of every delivery timer, like
 #: ``ProcessorSharingQueue._timer_callbacks``: the dispatch loop only reads
 #: it, and nothing else ever sees a delivery timer.
 DELIVER: List[Callable[[_Delivery], None]] = [_deliver]
+
+#: The callback list of every EOF timer :meth:`Connection.close` makes.
+DELIVER_EOF: List[Callable[[_Delivery], None]] = [_deliver_eof]
 
 
 class Connection:
@@ -95,11 +112,16 @@ class Connection:
     * **One reader.**  ``_reader`` holds the one pending receive; a second
       :meth:`recv` while it is pending raises ``RuntimeError``.  A reader
       whose process died stays in the slot and swallows the next message.
-    * **Nothing on an idle socket.**  ``_buffer`` is ``None`` until a
-      message arrives with nobody receiving, and a deque from then on.  A
-      parked reader implies an empty buffer.
+    * **Nothing on an idle socket.**  ``_buffer`` is ``None`` whenever no
+      message waits: a message that arrives with nobody receiving makes the
+      deque, and the receive that drains it drops it again.  A parked reader
+      implies ``_buffer is None``.
     * **One allocation per message and side**: the delivery ``Timeout`` the
       message rides as its value, and the one-shot event ``recv`` returns.
+      A close costs one timer too, the EOF it carries to the peer; message
+      and EOF timers name their endpoint and share a module callback list
+      (:data:`DELIVER`, :data:`DELIVER_EOF`), so an endpoint owns no
+      callback.
     * **The reader is queued, not run.**  A message or EOF that finds a
       reader parked triggers it (``succeed``/``fail``): the receiver runs as
       a kernel event of its own, behind everything already due that instant.
@@ -109,8 +131,10 @@ class Connection:
       what fault scenarios do after a broker restart — measured and dropped
       twice (CHANGES.md PR 12, PR 19; DESIGN.md §10).
     * **EOF is sticky.**  It queues behind whatever is still unread; once a
-      receive reaches it (or it arrives at an empty mailbox)
-      ``closed_remote`` is set and every receive fails from then on.
+      receive reaches it (or it arrives at a drained mailbox)
+      ``closed_remote`` is set and every receive fails from then on.  An
+      EOF a receive has reached stays queued; it is the one entry that
+      never leaves the buffer.
     """
 
     __slots__ = (
@@ -145,7 +169,8 @@ class Connection:
         #: model to decide whether a partition cuts this connection).
         self.host = host
         #: Messages that arrived with nobody receiving, oldest first, and
-        #: EOF behind them if the peer closed before they were read.
+        #: EOF behind them if the peer closed before they were read; ``None``
+        #: when there are none.
         self._buffer: Optional[Deque[object]] = None
         self._reader: Optional[Event] = None
         #: The other end; ``None`` before establishment and once both ends
@@ -214,6 +239,8 @@ class Connection:
             event.fail(ConnectionClosed(f"EOF on {self.label}"))
         elif buffer:
             event.succeed(buffer.popleft())
+            if not buffer:
+                self._buffer = None  # drained: an idle socket holds no deque
         else:
             self._reader = event
         return event
@@ -279,28 +306,20 @@ class Connection:
 
         The second close of a pair unlinks both ends' ``peer``, the one
         reference cycle of a pair, so a finished pair is freed by reference
-        counting.  The EOF timer has captured the peer already, and a
-        delivery timer in flight names its endpoint: a late message still
-        lands on a closed end and is counted.
+        counting.  The EOF timer names the peer already, and a delivery
+        timer in flight names its endpoint: a late message still lands on
+        a closed end and is counted.
         """
         if self.closed_local:
             return
         self.closed_local = True
         peer = self.peer
         if peer is not None:
-            timer = self.env.timeout(self.network.latency)
-            timer.add_callback(lambda _ev: peer._deliver_eof())
+            timer = _Delivery(self.env, self.network.latency)
+            timer.to = peer
+            timer.callbacks = DELIVER_EOF
             if peer.closed_local:
                 self.peer = peer.peer = None
-
-    def _deliver_eof(self) -> None:
-        if self._buffer:
-            self._buffer.append(EOF)  # behind what is still unread
-            return
-        self.closed_remote = True
-        if self._reader is not None:
-            reader, self._reader = self._reader, None
-            reader.fail(ConnectionClosed(f"EOF on {self.label}"))
 
     def __repr__(self) -> str:
         state = "closed" if self.closed_local else "open"

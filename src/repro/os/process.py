@@ -42,8 +42,30 @@ EMPTY: Tuple[()] = ()
 #: A connection or thread list is first pruned of finished entries when it
 #: reaches this length, and after each prune when it reaches twice what the
 #: prune kept: amortised O(1) per entry, and never more than twice what was
-#: live at the last prune.
-PRUNE_AT = 32
+#: live at the last prune.  Two: a finished entry leaves as soon as a second
+#: one joins it.
+PRUNE_AT = 2
+
+
+def _track(entries, entry, prune_at, live):
+    """``entries`` with ``entry`` appended, and the length of the next
+    prune: at ``prune_at`` entries the list becomes ``live(entries)``, its
+    unfinished entries (see :data:`PRUNE_AT`)."""
+    if not entries:
+        return [entry], prune_at
+    entries.append(entry)
+    if len(entries) >= prune_at:
+        entries = live(entries)
+        prune_at = max(PRUNE_AT, 2 * len(entries))
+    return entries, prune_at
+
+
+def _running(threads):
+    return [thread for thread in threads if thread.is_alive]
+
+
+def _open(connections):
+    return [conn for conn in connections if not conn.closed_local]
 
 
 class ProcessStatus(enum.Enum):
@@ -281,7 +303,7 @@ class OSProcess:
 
     def sim_processes(self) -> Tuple[Process, ...]:
         """The simulated processes running this process: its body and its
-        threads (finished ones included)."""
+        threads (finished ones too, until a prune drops them)."""
         return (self._sim_process, *self._threads)
 
     def close(self) -> None:
@@ -407,17 +429,11 @@ class OSProcess:
         """
         label = f"{self.machine.name}:{self.argv[0]}#{self.pid}/{name or 'thread'}"
         thread = Process(self.env, self._thread_body(generator), name=label)
-        threads = self._threads
-        if not threads:
-            self._threads = [thread]
-            return thread
-        threads.append(thread)
-        if len(threads) >= self._prune_threads_at:
-            # Finished threads leave at the next prune instead of through a
-            # callback each: aborting a finished thread at death is a no-op.
-            live = [t for t in threads if t.is_alive]
-            self._threads = live
-            self._prune_threads_at = max(PRUNE_AT, 2 * len(live))
+        # Finished threads leave at the next prune instead of through a
+        # callback each: aborting a finished thread at death is a no-op.
+        self._threads, self._prune_threads_at = _track(
+            self._threads, thread, self._prune_threads_at, _running
+        )
         return thread
 
     def _thread_body(self, generator):
@@ -426,7 +442,7 @@ class OSProcess:
         except GeneratorExit:  # being aborted alongside the process
             raise
         except Interrupt:
-            return None  # process-level signal tore the thread down
+            result = None  # process-level signal tore the thread down
         except BaseException as exc:  # noqa: BLE001 - crash the process
             if self.is_alive:
                 self.exception = exc
@@ -437,6 +453,11 @@ class OSProcess:
                 self._sim_process.abort(1)
                 self._finalize(1)
             return None
+        threads = self._threads
+        if len(threads) == 1 and threads[0] is self.env.active_process:
+            # The only thread is done: a server of one session at a time
+            # (rshd) keeps no finished one until the next session joins.
+            self._threads = EMPTY
         return result
 
     # -- signals ---------------------------------------------------------------
@@ -506,15 +527,9 @@ class OSProcess:
         broker, the daemons) would otherwise pin every connection it ever
         served until death, growing a service-mode run's memory with its
         whole history."""
-        connections = self._connections
-        if not connections:
-            self._connections = [conn]
-            return
-        connections.append(conn)
-        if len(connections) >= self._prune_connections_at:
-            live = [c for c in connections if not c.closed_local]
-            self._connections = live
-            self._prune_connections_at = max(PRUNE_AT, 2 * len(live))
+        self._connections, self._prune_connections_at = _track(
+            self._connections, conn, self._prune_connections_at, _open
+        )
 
     # -- files -------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """A ``Connection`` is its own mailbox: one reader slot, one lazy buffer.
 
 The endpoint holds ``_reader`` (the one pending receive) and ``_buffer``
-(``None`` until a message has to wait, then a deque; EOF queues in it only
-behind messages still unread).  Every case the ``Store`` it replaced used to
+(``None`` whenever no message waits: a message that has to wait makes the
+deque, the receive that drains it drops it; EOF queues in it only behind
+messages still unread).  Every case the ``Store`` it replaced used to
 arbitrate is spelled out here, on a bare wire with 0.25 s latency.
 """
 
@@ -34,8 +35,8 @@ def test_messages_buffered_before_any_reader_come_out_in_order(wire):
     at(env, 1.0, lambda: far.send("live"))  # sent at 2.0
     env.run()
     assert seen == [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0), ("live", 2.25)]
-    # The deque is kept once made; the endpoint is drained all the same.
-    assert near._reader is None and not near._buffer
+    # The receive that drained the deque dropped it.
+    assert near._reader is None and near._buffer is None
 
 
 def test_eof_is_sticky_and_stays_behind_what_is_still_unread(wire):
@@ -60,6 +61,58 @@ def test_eof_is_sticky_and_stays_behind_what_is_still_unread(wire):
     assert seen == ["last words"] + ["EOF on near:0->far:0"] * 3
     assert near.closed_remote and list(near._buffer) == [EOF]
     assert env.now == 1.0  # every failure at once, none waited
+
+
+def test_a_later_message_with_no_reader_makes_the_deque_again(wire):
+    env, near, far = wire
+    far.send(0)
+    env.run(until=1.0)
+    first = near.recv()
+    assert first.value == 0 and near._buffer is None
+    far.send(1)
+    far.send(2)
+    env.run(until=2.0)
+    assert list(near._buffer) == [1, 2]
+    seen = []
+
+    def reader():
+        for _ in range(3):
+            seen.append((yield near.recv()))
+
+    env.process(reader())
+    at(env, 2.0, lambda: far.send(3))
+    env.run()
+    assert seen == [1, 2, 3] and near._buffer is None
+
+
+def test_eof_behind_unread_messages_surfaces_after_them(wire):
+    env, near, far = wire
+    for message in ("a", "b"):
+        far.send(message)
+    far.close()
+    env.run(until=1.0)
+    assert list(near._buffer) == ["a", "b", EOF]
+    assert near.recv().value == "a" and list(near._buffer) == ["b", EOF]
+    assert near.recv().value == "b" and list(near._buffer) == [EOF]
+    assert not near.closed_remote
+    failed = near.recv()
+    env.run()
+    assert not failed.ok and isinstance(failed.value, ConnectionClosed)
+    assert near.closed_remote
+
+
+def test_eof_at_a_drained_endpoint_sets_closed_remote(wire):
+    env, near, far = wire
+    far.send("only")
+    env.run(until=1.0)
+    assert near.recv().value == "only" and near._buffer is None
+    far.close()
+    env.run()
+    # Nobody is reading: EOF is the flag alone, no deque is made for it.
+    assert near.closed_remote and near._buffer is None and near._reader is None
+    failed = near.recv()
+    env.run()
+    assert not failed.ok and isinstance(failed.value, ConnectionClosed)
 
 
 def test_eof_reaches_a_parked_reader_and_every_later_one(wire):

@@ -4,23 +4,30 @@ A process parked on an event holds the event and nothing else: no callback
 list, no bound method, no fresh deadline timer per silent period, no
 finished CPU bursts.  A simulated OS process owns only the containers and
 events it has used, lets go of them at exit, and prunes its socket and
-thread lists amortisedly; a connection owns no delivery callback, and a
-tracer builds its query indexes only when asked.  These tests pin that
-bookkeeping — every number here is a count of Python objects or an
-identity check, exact on any hardware — together with the ordering
-contract the waiter slot must keep: waiter, then callbacks, equals
-registration order.
+thread lists from their second entry; a connection owns no delivery or EOF
+callback and no deque once drained, and a tracer builds its query indexes
+only when asked.  These tests pin that bookkeeping — every number here is
+a count of Python objects or an identity check, exact on any hardware —
+together with the ordering contract the waiter slot must keep: waiter,
+then callbacks, equals registration order.
 """
 
 import gc
 import math
 from collections import Counter, deque
-from types import FunctionType
+from types import FunctionType, GeneratorType
 
 import pytest
 
+from repro.broker.rshprime import rshprime_main
 from repro.cluster import Cluster, ClusterSpec
-from repro.cluster.network import DELIVER, EXPIRED, Connection, Listener
+from repro.cluster.network import (
+    DELIVER,
+    DELIVER_EOF,
+    EXPIRED,
+    Connection,
+    Listener,
+)
 from repro.experiments import run_chaos, run_fig7, run_table1, run_table2, run_table3
 from repro.experiments.chaos import SCENARIOS, check_scenario
 from repro.experiments.sweep import WORKLOADS
@@ -56,11 +63,49 @@ def test_a_settled_churn_cell_tracks_few_objects_per_machine():
     32-machine cell, after a small cell has paid for every first use.  It
     was 174.0 while every process made its exit event, every connection its
     delivery callback and every span its index entries up front; 154.0
-    once they are made on first use."""
+    once they are made on first use; 150.0 once a drained mailbox drops
+    its deque, a finished session leaves rshd and rsh' drops its
+    negotiation socket."""
     _settled_churn_objects(8)
     small, large = _settled_churn_objects(32), _settled_churn_objects(64)
     per_machine = (large - small) / 32
-    assert per_machine <= 155
+    assert per_machine <= 151
+
+
+def test_a_settled_churn_cell_keeps_no_finished_session_mailbox_or_socket():
+    """Finished work leaves the heap when it finishes.  In the settled
+    64-machine cell no rshd holds a finished session thread (each kept
+    the one that started its daemon), no endpoint holds an empty deque
+    (each broker-side daemon session kept the one its hello made) and no
+    rsh' frame holds the socket it negotiated on and closed."""
+    cluster = _churn_cell(64, 40.0)
+    gc.collect()
+    live = gc.get_objects()
+    rshds = [o for o in live if isinstance(o, OSProcess) and o.name == "rshd"]
+    connections = [obj for obj in live if isinstance(obj, Connection)]
+    frames = [
+        obj.gi_frame
+        for obj in live
+        if isinstance(obj, GeneratorType)
+        and obj.gi_code is rshprime_main.__code__
+    ]
+    del live
+    assert cluster.env.now > 40.0 and len(rshds) == 64 and len(frames) >= 32
+    finished = [t.name for proc in rshds for t in proc._threads if not t.is_alive]
+    assert finished == []
+    drained = [
+        conn.label
+        for conn in connections
+        if conn._buffer is not None and not conn._buffer
+    ]
+    assert drained == []
+    closed = [
+        frame.f_locals["conn"].label
+        for frame in frames
+        if isinstance(frame.f_locals.get("conn"), Connection)
+        and frame.f_locals["conn"].closed_local
+    ]
+    assert closed == []
 
 
 def test_steady_state_churn_cell_retains_few_objects_per_machine():
@@ -89,10 +134,11 @@ def test_steady_state_churn_cell_retains_few_objects_per_machine():
 
 
 def test_idle_sockets_own_no_queue_objects():
-    """A connection pays for a deque only once a message has had to wait
-    (here: each daemon's hello, in before the broker's handler was up).
-    The hundreds of rsh sockets the churn opens and closes never do, and
-    neither does EOF arriving at a drained endpoint."""
+    """A connection pays for a deque only while a message waits (here:
+    each daemon's hello, in before the broker's handler was up, until the
+    handler reads it).  The hundreds of rsh sockets the churn opens and
+    closes never do, and neither does EOF arriving at a drained endpoint:
+    only an endpoint holding an unread message or EOF owns one."""
 
     def count_deques():
         return sum(isinstance(obj, deque) for obj in gc.get_objects())
@@ -110,8 +156,9 @@ def test_idle_sockets_own_no_queue_objects():
     connections = [obj for obj in live if isinstance(obj, Connection)]
     stores = sum(isinstance(obj, Store) for obj in live)
     del live
-    buffered = sum(conn._buffer is not None for conn in connections)
-    assert buffered <= machines + 1
+    holding = [conn for conn in connections if conn._buffer is not None]
+    assert all(conn._buffer for conn in holding)
+    buffered = len(holding)
     assert buffered * 8 <= len(connections)
     # A store owns at most two deques (items and putters, both made on
     # demand) and the kernel one, its immediates.
@@ -355,6 +402,21 @@ def test_every_endpoint_shares_one_delivery_list():
     env.run()
     assert near.recv().value == "b" and near.recv().value == "c"
     assert far.recv().value == "a"
+
+
+def test_every_close_shares_one_eof_list():
+    """A close makes one timer, as it always did; the timer names the peer
+    and carries the module's EOF list, so a close allocates no closure and
+    no list."""
+    env, near, far = make_wire()
+    far.close()
+    near.close()
+    timers = [entry[3] for entry in sorted(env._queue)]
+    assert [timer.to for timer in timers] == [near, far]
+    assert all(timer.callbacks is DELIVER_EOF for timer in timers)
+    assert near.peer is None and far.peer is None
+    env.run()
+    assert near.closed_remote and far.closed_remote
 
 
 # -- spans ---------------------------------------------------------------------
@@ -675,6 +737,29 @@ def test_an_acceptor_of_short_threads_holds_at_most_twice_its_live_ones():
     assert proc.exit_code == 0 and len(held) == 10_000
     assert max(held) <= 2 * max(live)
     assert proc._threads is EMPTY
+
+
+def test_a_server_of_one_session_at_a_time_holds_no_finished_one():
+    """rshd's pattern: a session ends before the next one starts.  The
+    thread list goes back to :data:`EMPTY` as each one finishes."""
+    cluster = Cluster(ClusterSpec.uniform(1))
+    held = []
+
+    def session(proc):
+        yield proc.sleep(1.0)
+
+    def server(proc):
+        for _ in range(3):
+            proc.thread(session(proc), name="session")
+            held.append(len(proc._threads))
+            yield proc.sleep(2.0)
+            held.append(proc._threads)
+        yield proc.sleep(1.0)
+
+    cluster.system_bin.register("server", server)
+    proc = cluster.run_command("n00", ["server"])
+    cluster.env.run(until=proc.terminated)
+    assert proc.exit_code == 0 and held == [1, EMPTY] * 3
 
 
 def _churn_cell(machines, seconds, **broker):
