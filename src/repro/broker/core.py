@@ -477,25 +477,7 @@ class _BrokerControl:
         record = self.state.machine(host)
         allocation = record.allocation
         assert allocation is not None and allocation.state is AllocationState.ACTIVE
-        allocation.state = AllocationState.RECLAIMING
-        allocation.reclaiming_since = self.proc.env.now
-        allocation.claimed_by = claimed_by
-        if claimed_by is not None:
-            claimed_by.reserved_host = host
-        journal = self.state.journal
-        if journal is not None:
-            journal.record(
-                {
-                    "op": "reclaim",
-                    "host": host,
-                    "since": allocation.reclaiming_since,
-                    "claim": (
-                        [claimed_by.jobid, claimed_by.reqid]
-                        if claimed_by is not None
-                        else None
-                    ),
-                }
-            )
+        allocation.reclaim(self.proc.env.now, claimed_by, self.state.journal)
         victim = self.state.job(allocation.jobid)
         # Parent the reclaim under whatever demanded it: the claiming
         # request's span, or the victim's own job span on owner reclaims.
@@ -548,11 +530,11 @@ class _BrokerControl:
 
     def free(self, host: str, outcome=None):
         """Return ``host``, which must hold an allocation, to the pool: the
-        one transition behind every release path (DESIGN.md §11, "Freeing
-        a machine").  Releases the allocation, ends the host's reclaim span
-        (bare and timed when ``outcome`` is None, the victim's graceful
-        release), un-reserves its claim and finishes the federation half.
-        Returns the released allocation."""
+        one caller of the release transition (DESIGN.md §11, "Allocation
+        lifecycle").  Releases the allocation (which un-reserves its
+        claim), ends the host's reclaim span (bare and timed when
+        ``outcome`` is None, the victim's graceful release) and finishes
+        the federation half.  Returns the released allocation."""
         donor = self.state.machines[host].borrowed_from
         allocation = self.state.release(host)
         reclaim = self.reclaim_spans.pop(host, None)
@@ -564,8 +546,6 @@ class _BrokerControl:
                 )
             else:
                 reclaim.end(outcome=outcome)
-        if allocation.claimed_by is not None:
-            allocation.claimed_by.reserved_host = None
         if donor is not None:
             self.federation.forget_loan(host, allocation.jobid, donor)
         elif allocation.state is AllocationState.MIGRATING:

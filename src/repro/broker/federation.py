@@ -279,18 +279,7 @@ class Borrowing:
             now=now,
             lease_expires_at=now + self.cal.lease_ttl,
         )
-        allocation.state = AllocationState.MIGRATING
-        allocation.loaned_to = borrower
-        journal = self.state.journal
-        if journal is not None:
-            journal.record(
-                {
-                    "op": "loan",
-                    "host": record.host,
-                    "jobid": jobid,
-                    "to": borrower,
-                }
-            )
+        allocation.loan(borrower, self.state.journal)
         self.service.federation_counters["loans_out"] += 1
         self.metrics.counter("federation.loans_out").inc()
         self.service.log(

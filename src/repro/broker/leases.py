@@ -231,11 +231,7 @@ class Leases:
     def _renew_lease(self, record, allocation) -> None:
         """Push the allocation's lease one TTL out: the machine's inventory
         lists its job."""
-        allocation.lease_expires_at = self.proc.env.now + self.cal.lease_ttl
-        allocation.recovered = False  # a live inventory confirms it
-        journal = self.state.journal
-        if journal is not None:
-            journal.note_lease(record.host, allocation.lease_expires_at)
+        allocation.renew(self.proc.env.now + self.cal.lease_ttl, self.state.journal)
         if self.core.fence is not None:
             # Echo the renewal with our epoch stamp: a daemon holding a
             # higher witness fences us before the stale lease can matter.
@@ -260,10 +256,8 @@ class Leases:
         if allocation is None or not allocation.recovered:
             return
         if allocation.jobid in set(int(j) for j in leases):
-            allocation.recovered = False
-            allocation.lease_expires_at = max(
-                allocation.lease_expires_at,
-                self.proc.env.now + self.cal.lease_ttl,
+            allocation.confirm_recovered(
+                self.proc.env.now + self.cal.lease_ttl, confirmed=True
             )
             return
         if allocation.state is AllocationState.MIGRATING:
@@ -466,6 +460,7 @@ class Leases:
         ttl = self.cal.lease_ttl
         while True:
             now = self.proc.env.now
+            jobs = self.state.jobs
             due = None
             expired = []
             leased = self.state.leased_records()
@@ -474,11 +469,12 @@ class Leases:
                 allocation = record.allocation
                 if allocation is None or record.dead:
                     continue  # the liveness path owns dead machines
-                if self._lease_overdue(record, now):
+                deadline = allocation.deadline(now, jobs)
+                if deadline is None:
                     expired.append(record)
-                elif allocation.lease_expires_at != float("inf"):
-                    if due is None or allocation.lease_expires_at < due:
-                        due = allocation.lease_expires_at
+                elif deadline != float("inf"):
+                    if due is None or deadline < due:
+                        due = deadline
             for record in expired:
                 if not self._lease_overdue(record, self.proc.env.now):
                     continue  # renewed or resolved while expiring the others
@@ -498,26 +494,14 @@ class Leases:
                 timer.cancel()
 
     def _lease_overdue(self, record, now) -> bool:
-        """Whether the machine's lease has run out with nobody to renew it.
-
-        An ACTIVE allocation past its expiry is always overdue.  A
-        RECLAIMING one is overdue only when its victim has no live session:
-        the revoke went (or would go) into the void, so nobody will ever
-        send the release — without this the machine would stay RECLAIMING
-        forever, invisible to both sweepers."""
+        """Whether the machine's lease has run out with nobody to renew it
+        (:meth:`Allocation.deadline`; without the RECLAIMING case a machine
+        whose victim died mid-handover would stay RECLAIMING forever)."""
         allocation = record.allocation
-        if allocation is None or allocation.lease_expires_at > now:
-            return False
-        if allocation.state is AllocationState.ACTIVE:
-            return True
-        if allocation.state is AllocationState.RECLAIMING:
-            return self.state.jobs[allocation.jobid].conn is None
-        if allocation.state is AllocationState.MIGRATING:
-            # A loan renews from the machine's own daemon inventory (the
-            # borrower's jobid appears once its subapp lands); expiry means
-            # the loan leaked and the donor takes the machine back.
-            return True
-        return False
+        return (
+            allocation is not None
+            and allocation.deadline(now, self.state.jobs) is None
+        )
 
     def _expire_lease(self, record):
         core = self.core

@@ -1,11 +1,20 @@
 """The broker's records: one machine, one job, one allocation, one request.
 
 Plain dataclasses that :class:`~repro.broker.state.BrokerState` files into
-its tables and indexes.  The one piece of behaviour here is the
-:class:`MachineRecord` ``__setattr__`` hook, which reports every change of a
-tracked field to the owning state, so code (and tests) that mutate record
-fields directly — ``record.console_active = True`` — keep its indexes
-fresh.
+its tables and indexes, with two pieces of behaviour:
+
+* :class:`Allocation` owns its lifecycle (DESIGN.md §11, "Allocation
+  lifecycle").  Grant, reclaim, renew, confirm-recovered, adopt, loan and
+  release are its methods; each sets the allocation's fields and writes
+  its journal op to the journal it is handed.  Replay hands ``None``, so
+  the broker and journal replay run the same transitions, and no other
+  module assigns a lifecycle field (``tests/broker/test_lifecycle.py``
+  checks that).  :meth:`Allocation.deadline` is the lease sweeper's one
+  answer for when a lease is due.
+* The :class:`MachineRecord` ``__setattr__`` hook reports every change of
+  a tracked field to the owning state, so code (and tests) that mutate
+  record fields directly — ``record.console_active = True`` — keep its
+  indexes fresh.
 """
 
 from __future__ import annotations
@@ -61,6 +70,160 @@ class Allocation:
     #: the machine leased (daemon heartbeats renew against the borrower's
     #: jobid) but excludes it from its own scheduling until the loan ends.
     loaned_to: Optional[int] = field(default=None, compare=False)
+
+    # -- the lifecycle: each transition writes its op to ``journal``, which
+    # is None during replay (DESIGN.md §11, "Allocation lifecycle") --------
+
+    @classmethod
+    def grant(cls, record: MachineRecord, jobid: int, firm: bool, now: float,
+              expires: float, journal: Any) -> Allocation:
+        """Bind ``record``'s free machine to ``jobid``, leased until
+        ``expires``.  Journals ``alloc``.  The caller orders the grant's
+        other ops around it (a torn WAL tail is cut by bytes): a request's
+        grant is ``pend-`` then ``alloc``, a borrowed machine's ``alloc``,
+        the record touch, then ``pend-``, the donor's loan ``alloc`` then
+        ``loan``."""
+        if record.allocation is not None:
+            raise RuntimeError(
+                f"{record.host} already allocated to job {record.allocation.jobid}"
+            )
+        allocation = cls(
+            record.host, jobid, firm, granted_at=now, lease_expires_at=expires
+        )
+        record.allocation = allocation
+        if journal is not None:
+            journal.record(
+                {
+                    "op": "alloc",
+                    "host": record.host,
+                    "jobid": jobid,
+                    "firm": firm,
+                    "granted": now,
+                    "expires": expires,
+                }
+            )
+        return allocation
+
+    def reclaim(self, now: float, claim: Optional[PendingRequest],
+                journal: Any) -> None:
+        """ACTIVE → RECLAIMING: revoked at ``now`` for the request ``claim``
+        (reserved on this host), or for nobody.  Journals ``reclaim``."""
+        self.state = AllocationState.RECLAIMING
+        self.reclaiming_since = now
+        self.claimed_by = claim
+        if claim is not None:
+            claim.reserved_host = self.host
+        if journal is not None:
+            journal.record(
+                {
+                    "op": "reclaim",
+                    "host": self.host,
+                    "since": now,
+                    "claim": None if claim is None else [claim.jobid, claim.reqid],
+                }
+            )
+
+    def renew(self, expires: float, journal: Any) -> None:
+        """Move the lease to ``expires``, confirmed (any state: a graceful
+        shutdown still renews).  Notes ``leases``."""
+        self.lease_expires_at = expires
+        self.recovered = False
+        if journal is not None:
+            journal.note_lease(self.host, expires)
+
+    def confirm_recovered(self, until: float, confirmed: bool) -> None:
+        """Extend the lease to at least ``until`` and set whether a live
+        inventory confirmed this journal-rebuilt allocation: False is every
+        recovery's re-stamp, True an inventory's agreement.  Quirk: no
+        ``leases`` note, so the agreement's extension is durable only once
+        a renewal notes the host (the re-stamp is compacted right away)."""
+        self.recovered = not confirmed
+        self.lease_expires_at = max(self.lease_expires_at, until)
+
+    @classmethod
+    def adopt(cls, record: MachineRecord, jobid: int, now: float, expires: float,
+              journal: Any) -> Allocation:
+        """Bind ``record``'s machine to ``jobid`` on a daemon inventory's or
+        a resuming app's testimony (``BrokerState.adopt_allocation``
+        decides whether).  A repeat refreshes the holding: its lease moves
+        to at least ``expires`` with a ``leases`` note, unlike
+        :meth:`confirm_recovered`.  A free machine is granted ``firm=False``
+        whatever the job's RSL: ROADMAP item 2(b) lands here."""
+        held = record.allocation
+        if held is None:
+            return cls.grant(record, jobid, False, now, expires, journal)
+        held.renew(max(held.lease_expires_at, expires), journal)
+        return held
+
+    def loan(self, borrower: Optional[int], journal: Any) -> None:
+        """Donor side of a cross-shard borrow, right after the grant:
+        MIGRATING to shard ``borrower``, out of this shard's scheduling
+        until the loan ends.  Journals ``loan``."""
+        self.state = AllocationState.MIGRATING
+        self.loaned_to = borrower
+        if journal is not None:
+            journal.record(
+                {"op": "loan", "host": self.host, "jobid": self.jobid, "to": borrower}
+            )
+
+    def release(self, record: MachineRecord, journal: Any) -> None:
+        """Unbind ``record``'s machine and un-reserve the claim of a reclaim
+        in flight.  Journals ``release``."""
+        record.allocation = None
+        if self.claimed_by is not None:
+            self.claimed_by.reserved_host = None
+        if journal is not None:
+            journal.record({"op": "release", "host": self.host})
+
+    def deadline(self, now: float, jobs: Dict[int, JobRecord]) -> Optional[float]:
+        """The lease sweeper's one answer: None once overdue (the lease ran
+        out with nobody to renew it), else when to look again (``inf``:
+        unleased).  A RECLAIMING allocation is overdue only when its victim
+        has no session: nobody will ever send the release."""
+        expires = self.lease_expires_at
+        if expires > now or (
+            self.state is AllocationState.RECLAIMING
+            # ROADMAP 1(a): the victim is attached, so not overdue, yet the
+            # deadline is the passed lease: the sweeper re-arms 1 µs out.
+            and jobs[self.jobid].conn is not None
+        ):
+            return expires
+        return None
+
+    def to_doc(self) -> Dict[str, Any]:
+        """The durable document (snapshot order)."""
+        claim = self.claimed_by
+        return {
+            "host": self.host,
+            "jobid": self.jobid,
+            "firm": self.firm,
+            "astate": self.state.value,
+            "granted": self.granted_at,
+            "expires": self.lease_expires_at,
+            "since": self.reclaiming_since,
+            "claim": None if claim is None else [claim.jobid, claim.reqid],
+            "loan": self.loaned_to,
+        }
+
+    @classmethod
+    def from_doc(cls, record: MachineRecord, doc: Dict[str, Any],
+                 claim: Optional[PendingRequest] = None) -> Allocation:
+        """Rebuild on ``record`` from :meth:`to_doc`'s document or an
+        ``alloc`` op, through the transitions; ``claim`` is the request the
+        document's ``claim`` names."""
+        allocation = cls.grant(
+            record,
+            int(doc["jobid"]),
+            bool(doc["firm"]),
+            float(doc["granted"]),
+            float(doc["expires"]),
+            None,
+        )
+        if doc.get("astate") == AllocationState.RECLAIMING.value:
+            allocation.reclaim(float(doc.get("since", -1.0)), claim, None)
+        elif doc.get("astate") == AllocationState.MIGRATING.value:
+            allocation.loan(doc.get("loan"), None)
+        return allocation
 
 
 #: MachineRecord fields that feed the RSL / symbolic matching view (and so

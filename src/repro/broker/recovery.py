@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
-from repro.broker.records import AllocationState, MachineRecord, PendingRequest
+from repro.broker.records import Allocation, MachineRecord, PendingRequest
 from repro.broker.state import BrokerState
 
 
@@ -45,27 +45,6 @@ def machine_op(record: MachineRecord) -> Dict[str, Any]:
 
 def snapshot_state(state: BrokerState) -> Dict[str, Any]:
     """Serialise the durable contract of ``state`` for a snapshot record."""
-    allocations = []
-    for host in state.machines:
-        allocation = state.machines[host].allocation
-        if allocation is None:
-            continue
-        claim = None
-        if allocation.claimed_by is not None:
-            claim = [allocation.claimed_by.jobid, allocation.claimed_by.reqid]
-        allocations.append(
-            {
-                "host": allocation.host,
-                "jobid": allocation.jobid,
-                "firm": allocation.firm,
-                "astate": allocation.state.value,
-                "granted": allocation.granted_at,
-                "expires": allocation.lease_expires_at,
-                "since": allocation.reclaiming_since,
-                "claim": claim,
-                "loan": allocation.loaned_to,
-            }
-        )
     return {
         "next_jobid": state._next_jobid,
         "machines": [machine_op(r) for r in state.machines.values()],
@@ -92,7 +71,11 @@ def snapshot_state(state: BrokerState) -> Dict[str, Any]:
             }
             for r in state.pending
         ],
-        "allocations": allocations,
+        "allocations": [
+            record.allocation.to_doc()
+            for record in state.machines.values()
+            if record.allocation is not None
+        ],
     }
 
 
@@ -104,57 +87,15 @@ def state_fingerprint(state: BrokerState) -> Dict[str, Any]:
     allocations (including reclaim progress and claims), the pending queue
     in order, and the jobid counter.  Volatile details — connections, index
     internals, exact ``last_report`` instants — are deliberately outside
-    the contract.
+    the contract.  It is :func:`snapshot_state`'s document, keyed.
     """
+    doc = snapshot_state(state)
     return {
-        "next_jobid": state._next_jobid,
-        "machines": {
-            host: machine_op(record)
-            for host, record in state.machines.items()
-        },
-        "jobs": {
-            job.jobid: {
-                "user": job.user,
-                "home": job.home_host,
-                "rsl": job.rsl.source,
-                "argv": list(job.argv),
-                "adaptive": job.adaptive,
-                "done": job.done,
-            }
-            for job in state.jobs.values()
-        },
-        "allocations": {
-            record.host: {
-                "jobid": record.allocation.jobid,
-                "firm": record.allocation.firm,
-                "astate": record.allocation.state.value,
-                "granted": record.allocation.granted_at,
-                "expires": record.allocation.lease_expires_at,
-                "since": record.allocation.reclaiming_since,
-                "claim": (
-                    None
-                    if record.allocation.claimed_by is None
-                    else [
-                        record.allocation.claimed_by.jobid,
-                        record.allocation.claimed_by.reqid,
-                    ]
-                ),
-                "loan": record.allocation.loaned_to,
-            }
-            for record in state.machines.values()
-            if record.allocation is not None
-        },
-        "pending": [
-            {
-                "reqid": r.reqid,
-                "jobid": r.jobid,
-                "symbolic": r.symbolic,
-                "firm": r.firm,
-                "arrived": r.arrived_at,
-                "reserved": r.reserved_host,
-            }
-            for r in state.pending
-        ],
+        "next_jobid": doc["next_jobid"],
+        "machines": {op["host"]: op for op in doc["machines"]},
+        "jobs": {job.pop("jobid"): job for job in doc["jobs"]},
+        "allocations": {entry["host"]: entry for entry in doc["allocations"]},
+        "pending": doc["pending"],
     }
 
 
@@ -172,12 +113,8 @@ def restamp_recovered(state: BrokerState, now: float, lease_ttl: float) -> None:
             record.last_report = -1.0
         if record.last_seen >= 0.0 and not record.dead:
             record.last_seen = now
-        allocation = record.allocation
-        if allocation is not None:
-            allocation.recovered = True
-            allocation.lease_expires_at = max(
-                allocation.lease_expires_at, now + lease_ttl
-            )
+        if record.allocation is not None:
+            record.allocation.confirm_recovered(now + lease_ttl, confirmed=False)
     state.mark_all_pending_dirty()
 
 
@@ -221,24 +158,26 @@ def _apply_machine_op(state: BrokerState, op: Dict[str, Any]) -> None:
     record.borrowed_from = op.get("borrowed")
 
 
-def _link_claim(state: BrokerState, allocation: Any, jobid: int, reqid: int) -> None:
+def _held(state: BrokerState, host: str) -> Optional[Allocation]:
+    record = state.machines.get(host)
+    return record.allocation if record is not None else None
+
+
+def _claimant(state: BrokerState, claim: Any) -> Optional[PendingRequest]:
+    """The request a replayed ``claim`` ([jobid, reqid] or None) names."""
+    if not claim:
+        return None
+    jobid, reqid = claim
     for request in state.pending:
         if request.jobid == jobid and request.reqid == reqid:
-            allocation.claimed_by = request
-            request.reserved_host = allocation.host
-            return
+            return request
     # The claimant is no longer pending (satisfied elsewhere, or its
     # job's requests were dropped) while the reclaim it demanded is
     # still in flight.  The live state keeps that dangling reference,
     # so replay carries the claim on a detached request rather than
     # silently forgetting who asked.
-    allocation.claimed_by = PendingRequest(
-        reqid=reqid,
-        jobid=jobid,
-        symbolic="",
-        firm=False,
-        arrived_at=-1.0,
-        reserved_host=allocation.host,
+    return PendingRequest(
+        reqid=reqid, jobid=jobid, symbolic="", firm=False, arrived_at=-1.0
     )
 
 
@@ -271,24 +210,11 @@ def apply_snapshot(
         )
         state.pending.append(request)
     for entry in doc.get("allocations", ()):
-        host = entry["host"]
-        state.add_machine(host)
-        allocation = state.allocate(
-            host,
-            int(entry["jobid"]),
-            bool(entry["firm"]),
-            now=float(entry["granted"]),
-            lease_expires_at=float(entry["expires"]),
+        Allocation.from_doc(
+            state.add_machine(entry["host"]),
+            entry,
+            _claimant(state, entry.get("claim")),
         )
-        if entry.get("astate") == AllocationState.RECLAIMING.value:
-            allocation.state = AllocationState.RECLAIMING
-            allocation.reclaiming_since = float(entry.get("since", -1.0))
-        elif entry.get("astate") == AllocationState.MIGRATING.value:
-            allocation.state = AllocationState.MIGRATING
-            allocation.loaned_to = entry.get("loan")
-        claim = entry.get("claim")
-        if claim:
-            _link_claim(state, allocation, claim[0], claim[1])
 
 
 def apply_op(state: BrokerState, op: Dict[str, Any], info: RecoveryInfo) -> None:
@@ -316,30 +242,16 @@ def apply_op(state: BrokerState, op: Dict[str, Any], info: RecoveryInfo) -> None
             if job is not None:
                 job.done = True
     elif kind == "alloc":
-        state.add_machine(op["host"])
-        state.allocate(
-            op["host"],
-            int(op["jobid"]),
-            bool(op["firm"]),
-            now=float(op["granted"]),
-            lease_expires_at=float(op["expires"]),
-        )
+        Allocation.from_doc(state.add_machine(op["host"]), op)
     elif kind == "release":
         record = state.machines.get(op["host"])
-        if record is not None:
-            released = record.allocation
-            record.allocation = None
-            if released is not None and released.claimed_by is not None:
-                released.claimed_by.reserved_host = None
+        if record is not None and record.allocation is not None:
+            record.allocation.release(record, None)
     elif kind == "reclaim":
-        record = state.machines.get(op["host"])
-        allocation = record.allocation if record is not None else None
+        allocation = _held(state, op["host"])
         if allocation is not None:
-            allocation.state = AllocationState.RECLAIMING
-            allocation.reclaiming_since = float(op["since"])
-            claim = op.get("claim")
-            if claim:
-                _link_claim(state, allocation, claim[0], claim[1])
+            claim = _claimant(state, op.get("claim"))
+            allocation.reclaim(float(op["since"]), claim, None)
     elif kind == "pend+":
         state.pending.append(
             PendingRequest(
@@ -357,18 +269,16 @@ def apply_op(state: BrokerState, op: Dict[str, Any], info: RecoveryInfo) -> None
                 break
     elif kind == "leases":
         for host, expires in op["leases"].items():
-            record = state.machines.get(host)
-            if record is not None and record.allocation is not None:
-                record.allocation.lease_expires_at = float(expires)
+            allocation = _held(state, host)
+            if allocation is not None:
+                allocation.renew(float(expires), None)
     elif kind == "loan":
         # Donor side of a cross-shard borrow: the machine stays allocated
         # (to the borrower's jobid, leased as usual) but is marked out on
         # loan so the recovered donor excludes it from its own scheduling.
-        record = state.machines.get(op["host"])
-        allocation = record.allocation if record is not None else None
+        allocation = _held(state, op["host"])
         if allocation is not None:
-            allocation.state = AllocationState.MIGRATING
-            allocation.loaned_to = op.get("to")
+            allocation.loan(op.get("to"), None)
     elif kind == "forget":
         # Borrower side of a loan ending: the borrowed record vanishes.
         state.forget_machine(op["host"])

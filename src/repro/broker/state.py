@@ -477,29 +477,11 @@ class BrokerState:
         now: float,
         lease_expires_at: float = float("inf"),
     ) -> Allocation:
-        """Bind ``host`` to ``jobid`` (the machine must be free)."""
-        record = self.machines[host]
-        if record.allocation is not None:
-            raise RuntimeError(
-                f"{host} already allocated to job {record.allocation.jobid}"
-            )
-        allocation = Allocation(
-            host=host, jobid=jobid, firm=firm, granted_at=now,
-            lease_expires_at=lease_expires_at,
+        """Bind ``host`` to ``jobid`` (the machine must be free): the grant
+        transition, :meth:`Allocation.grant`."""
+        return Allocation.grant(
+            self.machines[host], jobid, firm, now, lease_expires_at, self.journal
         )
-        record.allocation = allocation
-        if self.journal is not None:
-            self.journal.record(
-                {
-                    "op": "alloc",
-                    "host": host,
-                    "jobid": jobid,
-                    "firm": firm,
-                    "granted": now,
-                    "expires": lease_expires_at,
-                }
-            )
-        return allocation
 
     def adopt_allocation(
         self, host: str, jobid: int, now: float, lease_expires_at: float
@@ -508,43 +490,34 @@ class BrokerState:
         a daemon inventory or a resuming app testifies to — so that every
         allocation names a job this state holds (DESIGN.md §11).
 
-        A repeat for the host's own allocation only refreshes its lease, so
-        adoption is idempotent and order-independent.  Refused (None; the
-        caller logs the conflict): an unknown host, a host held by another
-        jobid, a finished job, and a jobid outside :attr:`jobid_space`.  An
-        unknown jobid of the own space gets a journaled placeholder job that
-        the app's ``resume`` fills in (only an inventory inside the recovery
-        window names one)."""
+        Refused (None; the caller logs the conflict): an unknown host, a
+        host held by another jobid, and, for a free host, a finished job
+        and a jobid outside :attr:`jobid_space`.  An unknown jobid of the
+        own space gets a journaled placeholder job that the app's
+        ``resume`` fills in (only an inventory inside the recovery window
+        names one).  The rest is :meth:`Allocation.adopt`: a repeat only
+        refreshes the lease, so adoption is idempotent and
+        order-independent."""
         record = self.machines.get(host)
         if record is None:
             return None
-        existing = record.allocation
-        if existing is not None:
-            if existing.jobid != jobid:
+        if record.allocation is None:
+            job = self.jobs.get(jobid)
+            if jobid not in self.jobid_space if job is None else job.done:
                 return None
-            existing.lease_expires_at = max(
-                existing.lease_expires_at, lease_expires_at
-            )
-            existing.recovered = False
-            if self.journal is not None:
-                self.journal.note_lease(host, existing.lease_expires_at)
-            return existing
-        job = self.jobs.get(jobid)
-        if jobid not in self.jobid_space if job is None else job.done:
+            if job is None:
+                self.adopt_job(jobid, user="", home_host="", rsl_text="", argv=[])
+        elif record.allocation.jobid != jobid:
             return None
-        if job is None:
-            self.adopt_job(jobid, user="", home_host="", rsl_text="", argv=[])
-        return self.allocate(
-            host, jobid, firm=False, now=now, lease_expires_at=lease_expires_at
-        )
+        return Allocation.adopt(record, jobid, now, lease_expires_at, self.journal)
 
     def release(self, host: str) -> Optional[Allocation]:
-        """Unbind ``host``; returns the allocation it held, if any."""
+        """Unbind ``host`` (:meth:`Allocation.release`); returns the
+        allocation it held, if any."""
         record = self.machines[host]
         allocation = record.allocation
-        record.allocation = None
-        if allocation is not None and self.journal is not None:
-            self.journal.record({"op": "release", "host": host})
+        if allocation is not None:
+            allocation.release(record, self.journal)
         return allocation
 
     # -- queries used by policies --------------------------------------------

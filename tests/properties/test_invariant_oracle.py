@@ -15,7 +15,7 @@ import hashlib
 import pytest
 
 from repro.broker.invariants import Oracle, checked
-from repro.broker.records import AllocationState, PendingRequest
+from repro.broker.records import PendingRequest
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
 from repro.experiments import chaos, run_chaos
 from repro.experiments.chaos import SCENARIOS, check_scenario
@@ -203,10 +203,10 @@ def test_reservation_on_a_host_not_reclaimed_for_it_is_flagged():
     state.pending.append(request)
     oracle = Oracle(cluster)
     assert oracle.check().rule == "reservation"  # n01 is still ACTIVE
-    allocation.state = AllocationState.RECLAIMING
-    allocation.claimed_by = request
+    allocation.reclaim(cluster.now, request, journal=None)
     assert oracle.check() is None
-    state.release("n01")  # freed without un-reserving the claim
+    # Unbound past the release transition, which would un-reserve the claim.
+    state.machines["n01"].allocation = None
     violation = oracle.check()
     assert violation.rule == "reservation" and "n01" in violation.detail
 

@@ -1,8 +1,9 @@
 """Property: snapshot+replay rebuilds the durable contract field-for-field.
 
 A randomized sequence of the exact mutations the broker journals — machine
-view changes, job registration and completion, pending-queue churn, grants,
-releases, reclaims, lease renewals — is driven through a journalled
+view changes, job registration and completion, pending-queue churn, and the
+allocation lifecycle's own transitions (grants, releases, reclaims, lease
+renewals through adoption) — is driven through a journalled
 :class:`BrokerState` (with compaction forced often, so most runs cross
 several snapshot generations).  Replaying the disk image must then produce
 a state whose :func:`state_fingerprint` equals the live one's exactly.
@@ -68,11 +69,8 @@ def _random_ops(state, journal, clock, rng, steps, reqid=None):
                 lease_expires_at=clock.now + rng.uniform(10.0, 60.0),
             )
         elif choice < 0.55 and held:
-            # Release drops any claim on the machine (core.py's free,
-            # mirrored — bare state.release leaves that to its caller).
-            released = state.release(rng.choice(held))
-            if released is not None and released.claimed_by is not None:
-                released.claimed_by.reserved_host = None
+            # The release transition also un-reserves any claim on the host.
+            state.release(rng.choice(held))
         elif choice < 0.65 and state.jobs:
             state.pending.append(
                 PendingRequest(
@@ -86,8 +84,7 @@ def _random_ops(state, journal, clock, rng, steps, reqid=None):
         elif choice < 0.72 and state.pending:
             state.pending.remove(rng.choice(list(state.pending)))
         elif choice < 0.80 and held:
-            # Reclaim, optionally claimed by a pending request (core.py's
-            # _start_reclaim, mirrored: mutate then journal the same op).
+            # Reclaim, optionally claimed by a pending request.
             host = rng.choice(held)
             allocation = state.machines[host].allocation
             if allocation.state is AllocationState.ACTIVE:
@@ -99,23 +96,7 @@ def _random_ops(state, journal, clock, rng, steps, reqid=None):
                     if claimants and rng.random() < 0.6
                     else None
                 )
-                allocation.state = AllocationState.RECLAIMING
-                allocation.reclaiming_since = clock.now
-                allocation.claimed_by = claimed_by
-                if claimed_by is not None:
-                    claimed_by.reserved_host = host
-                journal.record(
-                    {
-                        "op": "reclaim",
-                        "host": host,
-                        "since": allocation.reclaiming_since,
-                        "claim": (
-                            [claimed_by.jobid, claimed_by.reqid]
-                            if claimed_by is not None
-                            else None
-                        ),
-                    }
-                )
+                allocation.reclaim(clock.now, claimed_by, journal)
         elif choice < 0.88 and held:
             # Lease renewal through the re-adoption path (note_lease).
             host = rng.choice(held)
