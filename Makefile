@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: test lint check chaos gates rbbench-smoke bench-pairs slo
+.PHONY: test lint check chaos gates rbbench-smoke bench-pairs slo loc
 
 test:  ## tier-1 test suite
 	python -m pytest -q tests
@@ -32,3 +32,8 @@ bench-pairs:  ## W=<workload> BASE=<rev> [N=10]: paired rbbench runs of BASE and
 
 slo:  ## churn workload under a health monitor and the invariant oracle; fails on a violation or a missed SLO
 	python -m repro slo
+
+loc:  ## *.py line counts of src/, of benchmarks/ outside rbbench/, and of benchmarks/rbbench/
+	@echo "src                   $$(find src -name '*.py' -exec cat {} + | wc -l)"
+	@echo "benchmarks - rbbench  $$(find benchmarks -path benchmarks/rbbench -prune -o -name '*.py' -exec cat {} + | wc -l)"
+	@echo "benchmarks/rbbench    $$(find benchmarks/rbbench -name '*.py' -exec cat {} + | wc -l)"

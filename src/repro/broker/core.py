@@ -257,11 +257,7 @@ class _BrokerControl:
         if self.service.replicated:
             # A promoted incarnation has no standby of its own (shipping
             # off), but its fencing/promotion counters still belong here.
-            ship = (
-                journal.ship_stats()
-                if journal is not None and journal.ship_enabled
-                else {"enabled": False}
-            )
+            ship = journal.ship_stats() if journal.ship_enabled else {"enabled": False}
             replication = {
                 **ship,
                 "sessions": metric_value("ship.sessions"),

@@ -55,9 +55,11 @@ Shipping
 With a warm standby configured, every character that reaches a WAL (flushes
 and compaction openers alike) is also accounted to a **ship stream** —
 identified by the primary incarnation's epoch, offset in characters — and
-retained until the standby acknowledges it, so the ship server can resend
-the tail on reconnect.  Appends are whole frames, so acknowledged offsets
-are always valid replay cut points (DESIGN.md §16).
+retained, one chunk per append, until the standby acknowledges it, so the
+ship server can resend the tail on reconnect.  Appends are whole frames and
+the standby acks whole chunks, so a resumable offset is a chunk boundary and
+a valid replay cut point.  :func:`read_snapshot` reads the standby's
+persisted snapshot as well as this journal's (DESIGN.md §16).
 """
 
 from __future__ import annotations
@@ -125,6 +127,27 @@ def parse_frames(data: str) -> Tuple[List[str], int, int]:
         payloads.append(payload)
         pos += _HEADER_CHARS + length
     return payloads, torn, corrupt
+
+
+def read_snapshot(fs: Any, path: str) -> Optional[Dict[str, Any]]:
+    """The framed ``{"op": "snapshot", "state": {...}, ...}`` document at
+    ``path``, or None when the file is missing, torn or corrupt."""
+    if not fs.exists(path):
+        return None
+    payloads, _torn, _corrupt = parse_frames(fs.read(path))
+    if not payloads:
+        return None
+    try:
+        doc = json.loads(payloads[0])
+    except ValueError:
+        return None
+    if (
+        not isinstance(doc, dict)
+        or doc.get("op") != "snapshot"
+        or not isinstance(doc.get("state"), dict)
+    ):
+        return None
+    return doc
 
 
 class BrokerJournal:
@@ -370,7 +393,7 @@ class BrokerJournal:
 
     # -- WAL shipping ---------------------------------------------------------
 
-    def enable_shipping(self, stream: int, kick: Optional[Callable[[], None]] = None) -> None:
+    def enable_shipping(self, stream: int) -> None:
         """Start accounting appends as a ship stream identified by ``stream``
         (the enabling incarnation's epoch).  Offsets restart at zero: a new
         incarnation is a new stream, and a standby holding an old stream id
@@ -380,7 +403,7 @@ class BrokerJournal:
         self.flushed_offset = 0
         self.acked_offset = 0
         self._ship_chunks = []
-        self._ship_kick = kick
+        self._ship_kick = None
 
     def set_ship_kick(self, kick: Optional[Callable[[], None]]) -> None:
         """Install (or clear) the new-data wakeup for the ship server."""
@@ -412,12 +435,9 @@ class BrokerJournal:
 
     def ship_pending(self, from_offset: int) -> Optional[List[Tuple[int, str]]]:
         """Retained chunks covering the stream from ``from_offset`` on, or
-        None when the stream cannot be resumed there (the tail was trimmed
-        past it) and the standby needs a snapshot baseline.
-
-        Acks land on chunk boundaries, so a resumable ``from_offset`` is
-        always one too; a mid-chunk offset is sliced defensively (frames
-        would still align — chunks are whole frames)."""
+        None when the stream cannot be resumed there and the standby needs
+        a snapshot baseline: the tail was trimmed past it, or it is not a
+        chunk boundary (the standby acks whole chunks, so it always is)."""
         if from_offset >= self.flushed_offset:
             return []
         chunks = [
@@ -425,11 +445,8 @@ class BrokerJournal:
             for start, data in self._ship_chunks
             if start + len(data) > from_offset
         ]
-        if not chunks or chunks[0][0] > from_offset:
+        if not chunks or chunks[0][0] != from_offset:
             return None
-        start, data = chunks[0]
-        if start < from_offset:
-            chunks[0] = (from_offset, data[from_offset - start :])
         return chunks
 
     def ship_lag(self) -> int:
@@ -511,22 +528,6 @@ class BrokerJournal:
 
     # -- recovery ------------------------------------------------------------
 
-    def _load_snapshot(self, generation: int) -> Optional[Dict[str, Any]]:
-        path = self._snap_path(generation)
-        if not self.fs.exists(path):
-            return None
-        payloads, _torn, _corrupt = parse_frames(self.fs.read(path))
-        if not payloads:
-            return None
-        try:
-            doc = json.loads(payloads[0])
-        except ValueError:
-            return None
-        if not isinstance(doc, dict) or doc.get("op") != "snapshot":
-            return None
-        state = doc.get("state")
-        return state if isinstance(state, dict) else None
-
     def load_state(self) -> Optional[Tuple[BrokerState, RecoveryInfo]]:
         """Pure snapshot+replay: rebuild a state from disk, or None when
         nothing recoverable exists.
@@ -549,9 +550,9 @@ class BrokerJournal:
             if generation == 0:
                 base_generation = 0
                 break
-            snapshot = self._load_snapshot(generation)
+            snapshot = read_snapshot(self.fs, self._snap_path(generation))
             if snapshot is not None:
-                base_state = snapshot
+                base_state = snapshot["state"]
                 base_generation = generation
                 info.snapshot_used = True
                 break

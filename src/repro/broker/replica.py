@@ -31,12 +31,11 @@ promoted broker's ``fence_notice``) is what keeps it safe.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any, Dict
 
 from repro.broker import protocol
-from repro.broker.journal import _frame, parse_frames
+from repro.broker.journal import _encode, _frame, parse_frames, read_snapshot
 from repro.broker.leases import keep_respawned
 from repro.broker.recovery import (
     RecoveryInfo,
@@ -52,9 +51,9 @@ from repro.os.retry import connect_with_backoff
 from repro.os.signals import SIGKILL
 
 #: The standby's local persistence (its machine's filesystem, so it
-#: survives process death): the stream id it holds, the stream offset of
-#: its snapshot baseline, the framed baseline snapshot, and every shipped
-#: frame accepted since.
+#: survives process death): ``snap``, the framed baseline snapshot with
+#: the stream id it belongs to and the stream offset it was cut at, and
+#: ``wal``, every shipped frame accepted since.
 _DIR = "/var/rbstandby"
 
 
@@ -169,7 +168,7 @@ class Shipper:
             if witnessed > self.epoch:
                 self.fence.demote(witnessed=witnessed, source="fence_notice")
             return
-        if kind != "ship_hello" or journal is None or not journal.ship_enabled:
+        if kind != "ship_hello" or not journal.ship_enabled:
             conn.close()
             return
         self._ship_conn = conn
@@ -209,20 +208,14 @@ class Shipper:
         try:
             while True:
                 msg = yield conn.recv()
-                mtype = msg.get("type")
                 if self._ship_conn is not conn:
                     return  # superseded by a fresh session
-                if mtype == "ship_ack":
-                    if int(msg.get("stream", -1)) == journal.ship_stream:
-                        journal.note_ship_ack(int(msg.get("acked", 0)))
-                        self._drain()
-                elif mtype == "fence_notice":
-                    witnessed = int(msg.get("epoch", 0))
-                    if witnessed > self.epoch:
-                        self.fence.demote(
-                            witnessed=witnessed, source="fence_notice"
-                        )
-                        return
+                if (
+                    msg.get("type") == "ship_ack"
+                    and int(msg.get("stream", -1)) == journal.ship_stream
+                ):
+                    journal.note_ship_ack(int(msg.get("acked", 0)))
+                    self._drain()
         except ConnectionClosed:
             pass
         conn.close()
@@ -242,7 +235,7 @@ class Shipper:
         window."""
         conn = self._ship_conn
         journal = self.journal
-        if conn is None or journal is None:
+        if conn is None:
             return
         while self._ship_sent < journal.flushed_offset:
             if (
@@ -276,6 +269,15 @@ class Shipper:
                 )
 
 
+def _running_here(proc, program: str) -> bool:
+    """True if a live ``program`` process other than ``proc`` runs on
+    ``proc``'s machine."""
+    return any(
+        p is not proc and p.is_alive and p.argv and p.argv[0] == program
+        for p in proc.machine.procs.values()
+    )
+
+
 def _broker_running_here(proc, service) -> bool:
     """True when this machine already hosts the live broker.
 
@@ -285,23 +287,9 @@ def _broker_running_here(proc, service) -> bool:
     now runs.  That replica must never promote its stale shadow on top of
     it; it bows out instead.
     """
-    if service.broker_host == proc.machine.name:
-        return True
-    for p in proc.machine.procs.values():
-        if p is not proc and p.is_alive and p.argv and p.argv[0] == "rbroker":
-            return True
-    return False
-
-
-def _another_standby_running(proc) -> bool:
-    """True if a different live rbstandby already runs on this machine
-    (the keeper respawns eagerly after a connection loss, like rbdaemon's)."""
-    for p in proc.machine.procs.values():
-        if p is proc:
-            continue
-        if p.is_alive and p.argv and p.argv[0] == "rbstandby":
-            return True
-    return False
+    return service.broker_host == proc.machine.name or _running_here(
+        proc, "rbroker"
+    )
 
 
 class _Replica:
@@ -327,35 +315,17 @@ class _Replica:
 
     # -- local persistence ---------------------------------------------------
 
-    def _read_int(self, name: str) -> int:
-        path = f"{_DIR}/{name}"
-        if not self.fs.exists(path):
-            return 0
-        try:
-            return int(self.fs.read(path).strip())
-        except ValueError:
-            return 0
-
     def _load(self) -> None:
         """Rebuild the shadow from local persistence (a respawned standby
-        resumes the stream instead of re-baselining)."""
-        self.stream = self._read_int("stream")
-        self.base = self._read_int("base")
-        snap_path = f"{_DIR}/snap"
-        if self.fs.exists(snap_path):
-            payloads, _torn, _corrupt = parse_frames(self.fs.read(snap_path))
-            if payloads:
-                try:
-                    doc = json.loads(payloads[0])
-                except ValueError:
-                    doc = None
-                if isinstance(doc, dict) and isinstance(
-                    doc.get("state"), dict
-                ):
-                    apply_snapshot(self.state, doc["state"], self.info)
-                    self.witnessed = max(
-                        self.witnessed, int(doc.get("epoch", 0))
-                    )
+        resumes the stream instead of re-baselining).  Without a readable
+        snapshot the shadow holds stream 0, which no primary ships, so the
+        first hello re-baselines."""
+        doc = read_snapshot(self.fs, f"{_DIR}/snap")
+        if doc is None:
+            return
+        self.stream = int(doc.get("stream", 0))
+        self.base = int(doc.get("base", 0))
+        apply_snapshot(self.state, doc["state"], self.info)
         applied = 0
         wal_path = f"{_DIR}/wal"
         if self.fs.exists(wal_path):
@@ -364,7 +334,9 @@ class _Replica:
             apply_payloads(self.state, payloads, self.info)
             applied = len(data)
         self.acked = self.base + applied
-        self.witnessed = max(self.witnessed, self.info.epoch, self.stream)
+        self.witnessed = max(
+            int(doc.get("epoch", 0)), self.info.epoch, self.stream
+        )
 
     # -- stream ingestion ----------------------------------------------------
 
@@ -380,33 +352,32 @@ class _Replica:
         doc = msg.get("state")
         if isinstance(doc, dict):
             apply_snapshot(self.state, doc, self.info)
-        payload = json.dumps(
-            {"op": "snapshot", "epoch": epoch, "state": doc},
-            sort_keys=True,
-            separators=(",", ":"),
+        payload = _encode(
+            {
+                "op": "snapshot",
+                "epoch": epoch,
+                "stream": self.stream,
+                "base": self.base,
+                "state": doc,
+            }
         )
-        self.fs.write(f"{_DIR}/stream", str(self.stream))
-        self.fs.write(f"{_DIR}/base", str(self.base))
         self.fs.write(f"{_DIR}/snap", _frame(payload))
         self.fs.write(f"{_DIR}/wal", "")
         self.metrics.counter("standby.snapshots").inc()
 
     def accept_frame(self, msg: Dict[str, Any]) -> bool:
         """Persist and apply one shipped chunk; False means the stream is
-        out of sync here (wrong stream or a gap) and the session must
-        restart with a fresh hello."""
-        if int(msg.get("stream", -1)) != self.stream:
+        out of sync here (wrong stream, or a chunk that does not start where
+        the shadow ends) and the session must restart with a fresh hello.
+        The primary ships each session from the offset its hello or
+        snapshot named, so only a chunk lost or reordered in transit
+        desyncs it."""
+        if (
+            int(msg.get("stream", -1)) != self.stream
+            or int(msg.get("offset", 0)) != self.acked
+        ):
             return False
-        offset = int(msg.get("offset", 0))
         data = msg.get("data", "")
-        if offset > self.acked:
-            return False  # gap: an ack raced a resend boundary
-        if offset + len(data) <= self.acked:
-            return True  # pure duplicate of an already-applied chunk
-        if offset < self.acked:
-            # Overlap from a resend; acks land on chunk boundaries, so the
-            # trim point is frame-aligned.
-            data = data[self.acked - offset :]
         payloads, _torn, _corrupt = parse_frames(data)
         before = self.info.records
         apply_payloads(self.state, payloads, self.info)
@@ -437,7 +408,9 @@ def make_standby_main(service):
             host=proc.machine.name,
         )
         yield proc.sleep(cal.daemon_startup)
-        if _another_standby_running(proc):
+        # The keeper respawns eagerly after a connection loss, like
+        # rbdaemon's: a second replica on this machine bows out.
+        if _running_here(proc, "rbstandby"):
             boot.end(outcome="duplicate")
             return 0
         if _broker_running_here(proc, service):

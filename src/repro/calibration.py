@@ -89,17 +89,10 @@ class Calibration:
     #: land near the paper's ~1.2 s.
     pvm_console: float = 1.05
 
-    #: Extra per-host cost of the pvm module path beyond an explicit-name
-    #: add.  Paper: "approximately 1.2 seconds overhead for PVM".
-    #: (This is an *emergent* number in the simulator: failed attempt +
-    #: console open/add/quit; the constant here only documents the target.)
-    pvm_anylinux_overhead_target: float = 1.2
-
     #: LAM daemon startup; LAM's lamgrow is a heavier protocol than PVM's
     #: console add (paper: "1.4 seconds for LAM programs").
     lamd_slave_startup: float = 0.80
     lam_console: float = 1.30
-    lam_anylinux_overhead_target: float = 1.4
 
     #: Calypso worker process startup (worker registers with master).
     calypso_worker_startup: float = 0.06
@@ -204,13 +197,10 @@ class Calibration:
     #: Bound (characters) on shipped-but-unacknowledged WAL data in flight to
     #: the standby.  The primary stops shipping (retaining the tail for
     #: resend) once this much is outstanding, so a slow or partitioned
-    #: standby backpressures the ship channel instead of growing it.
+    #: standby backpressures the ship channel instead of growing it.  The
+    #: health monitor flags ``health.replication_lag`` past one full window:
+    #: the channel is stalled, not merely busy.
     ship_window_chars: int = 8192
-
-    #: Replication lag (characters of flushed-but-unacked WAL) beyond which
-    #: the health monitor flags ``health.replication_lag``.  One full ship
-    #: window of lag means the channel is stalled, not merely busy.
-    replication_lag_chars: int = 8192
 
     #: Deadline on one cross-shard borrow RPC (connect + request + reply).
     #: Partitioned sends drop silently on this LAN, so the borrower arms a

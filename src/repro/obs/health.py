@@ -130,7 +130,7 @@ class HealthMonitor:
         self.heartbeat_gap = cal.liveness_deadline
         self.queue_high = max(4, len(service.managed_hosts))
         self.journal_lag = 4.0 * cal.journal_flush_interval
-        self.replication_lag = cal.replication_lag_chars
+        self.replication_lag = cal.ship_window_chars
         self.checks = 0
         self.gap_events = 0
         self.queue_breaches = 0

@@ -1,6 +1,6 @@
 """Properties of the WAL ship stream (DESIGN.md §16).
 
-Two families:
+Three families:
 
 * **Frame decoding is total** — :func:`parse_frames` is fed corrupted,
   truncated, duplicated and garbage-spliced inputs (a torn disk, a buggy
@@ -12,12 +12,16 @@ Two families:
   reproduces the primary's :func:`state_fingerprint` at *every* flush
   point, across compactions, for any ack cut point.  This is the invariant
   that makes a promoted standby's state trustworthy.
+* **Replica persistence** — a replica rebuilt from its machine's disk holds
+  what the live one held, and an unreadable snapshot re-baselines.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from repro.broker import protocol
 from repro.broker.journal import BrokerJournal, _frame, parse_frames
 from repro.broker.recovery import (
     RecoveryInfo,
@@ -26,8 +30,11 @@ from repro.broker.recovery import (
     snapshot_state,
     state_fingerprint,
 )
+from repro.broker.replica import _DIR, _Replica
 from repro.broker.state import BrokerState
+from repro.obs.metrics import MetricsRegistry
 from repro.os.filesystem import Filesystem
+from repro.sim import Environment
 from tests.properties.test_journal_replay import HOSTS, Clock, _random_ops
 
 
@@ -175,3 +182,75 @@ def test_resend_after_partial_ack_converges(seed):
         assert torn == 0 and corrupt == 0
         apply_payloads(shadow, payloads, info)
     assert state_fingerprint(shadow) == state_fingerprint(state)
+
+
+def _replica_at(fs):
+    """A replica over ``fs``: what ``rbstandby`` builds at boot."""
+    network = SimpleNamespace(metrics=MetricsRegistry(Environment()))
+    return _Replica(SimpleNamespace(machine=SimpleNamespace(fs=fs, network=network)))
+
+
+def _shipped_replica(seed):
+    """A replica baselined mid-stream and fed the frames after it, acking
+    each one, as ``rbstandby`` does; returns (replica, journal, fs)."""
+    rng = random.Random(7000 + seed)
+    clock = Clock()
+    journal = BrokerJournal(Filesystem(), clock, compact_bytes=1200)
+    state = BrokerState()
+    for host in HOSTS:
+        state.add_machine(host)
+    journal.attach(state, epoch=2)
+    journal.enable_shipping(stream=2)
+    reqid = iter(range(1, 10_000))
+    _random_ops(state, journal, clock, rng, steps=10, reqid=reqid)
+    journal.flush(force=True)
+    fs = Filesystem()
+    replica = _replica_at(fs)
+    assert (replica.stream, replica.acked) == (0, 0)
+    replica.accept_snapshot(
+        protocol.ship_snapshot(
+            journal.ship_stream, journal.flushed_offset, snapshot_state(state), 2
+        )
+    )
+    for _ in range(4):
+        sent = replica.acked
+        _random_ops(state, journal, clock, rng, steps=10, reqid=reqid)
+        journal.flush(force=True)
+        for start, data in journal.ship_pending(sent):
+            assert replica.accept_frame(protocol.ship_frame(2, start, data))
+        journal.note_ship_ack(replica.acked)
+    assert replica.acked == journal.flushed_offset
+    assert state_fingerprint(replica.state) == state_fingerprint(state)
+    return replica, journal, fs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_respawned_replica_resumes_from_its_disk(seed):
+    """A replica rebuilt from its machine's disk (a killed standby's
+    respawn) holds exactly what the live shadow held, so its hello resumes
+    the stream instead of asking for a snapshot."""
+    live, journal, fs = _shipped_replica(seed)
+    assert live.base > 0  # baselined mid-stream, not at offset 0
+    fresh = _replica_at(fs)
+    for field in ("stream", "base", "acked", "witnessed"):
+        assert getattr(fresh, field) == getattr(live, field), field
+    assert state_fingerprint(fresh.state) == state_fingerprint(live.state)
+    assert journal.ship_pending(fresh.acked) == []
+
+
+@pytest.mark.parametrize("damage", ["missing", "torn"])
+def test_unreadable_replica_snapshot_rebaselines(damage):
+    """A missing or torn ``snap`` reads as stream 0, which no primary
+    ships, so the respawned replica's hello re-baselines from a snapshot.
+    No injected fault damages the standby's disk today; this pins what a
+    respawn would do if one did."""
+    _live, journal, fs = _shipped_replica(0)
+    path = f"{_DIR}/snap"
+    if damage == "missing":
+        fs.unlink(path)
+    else:
+        fs.write(path, fs.read(path)[:-1])
+    fresh = _replica_at(fs)
+    assert (fresh.stream, fresh.base, fresh.acked) == (0, 0, 0)
+    assert fresh.stream != journal.ship_stream
+    assert state_fingerprint(fresh.state) == state_fingerprint(BrokerState())

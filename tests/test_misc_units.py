@@ -38,6 +38,29 @@ def test_calibration_values_positive():
         assert value > 0, name
 
 
+def test_every_calibration_field_is_read():
+    """A knob nothing reads only documents a number: each field must be
+    read, as an attribute or by name, by a module outside calibration.py."""
+    import ast
+    import dataclasses
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    used = set()
+    for path in root.rglob("*.py"):
+        if path == root / "calibration.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    unread = [f.name for f in dataclasses.fields(Calibration) if f.name not in used]
+    assert not unread, f"Calibration fields nothing reads: {unread}"
+
+
 # -- protocol ---------------------------------------------------------------
 
 
