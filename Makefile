@@ -33,7 +33,10 @@ bench-pairs:  ## W=<workload> BASE=<rev> [N=10]: paired rbbench runs of BASE and
 slo:  ## churn workload under a health monitor and the invariant oracle; fails on a violation or a missed SLO
 	python -m repro slo
 
-loc:  ## *.py line counts of src/, of benchmarks/ outside rbbench/, and of benchmarks/rbbench/
+loc:  ## *.py line counts of src/, of benchmarks/ outside rbbench/, and of benchmarks/rbbench/; kB of DESIGN.md, CHANGES.md and README.md
 	@echo "src                   $$(find src -name '*.py' -exec cat {} + | wc -l)"
 	@echo "benchmarks - rbbench  $$(find benchmarks -path benchmarks/rbbench -prune -o -name '*.py' -exec cat {} + | wc -l)"
 	@echo "benchmarks/rbbench    $$(find benchmarks/rbbench -name '*.py' -exec cat {} + | wc -l)"
+	@for doc in DESIGN.md CHANGES.md README.md; do \
+		wc -c < $$doc | awk -v doc=$$doc '{printf "%-21s %.1f kB\n", doc, $$1 / 1000}'; \
+	done

@@ -718,7 +718,11 @@ def _handle_subapp_gone(st, host):
 
 
 def subapp_main(proc):
-    """Program body: ``argv = ["subapp", app_host, app_port, token]``."""
+    """Program body: ``argv = ["subapp", app_host, app_port, token, jobid]``.
+
+    The jobid is for the machine's daemon, which reads it from the process
+    table (:func:`repro.broker.daemon.subapp_jobid`); the subapp itself
+    needs only the first four fields."""
     if len(proc.argv) < 4:
         return 1
     app_host, app_port, token = (

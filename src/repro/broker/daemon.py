@@ -38,8 +38,10 @@ Two additions beyond the paper support broker crash recovery:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from typing import Optional
 
 from repro.cluster import ports
 from repro.cluster.network import EXPIRED
@@ -51,6 +53,20 @@ from repro.broker import protocol
 #: machine has witnessed, persisted so it survives daemon restarts (it must —
 #: a respawned daemon that forgot the epoch would accept a stale ex-primary).
 EPOCH_WITNESS_PATH = "/var/rb_epoch"
+
+#: A beacon's wire size less its timestamp: beacons differ only in their
+#: timestamp, so a beacon sent at ``t`` is ``BEACON_BASE + stamp_bytes(t)``
+#: bytes.
+BEACON_BASE = len(json.dumps(protocol.daemon_beacon(0.0))) - len("0.0")
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def stamp_bytes(time) -> int:
+    """The JSON length of a timestamp: JSON writes an int or a finite float
+    exactly as ``repr`` does.  Daemons report in phase, so consecutive
+    messages share their timestamp and the one cached length serves nearly
+    all of them."""
+    return len(repr(time))
 
 
 def witnessed_epoch(machine) -> int:
@@ -73,43 +89,35 @@ def witness_epoch(machine, epoch: int) -> int:
     return current
 
 
+def subapp_jobid(proc) -> Optional[int]:
+    """The jobid a live subapp serves, or None for any other process.
+
+    Wrapped execs start ``subapp app_host app_port token jobid``, so the
+    jobid is the argv's fifth field.  A process table is outside input, so
+    a malformed argv reads as no job.
+    """
+    argv = proc.argv
+    if not (len(argv) >= 5 and argv[0] == "subapp" and proc.is_alive):
+        return None
+    try:
+        return int(argv[4])
+    except ValueError:
+        return None
+
+
 def leased_jobids(proc):
     """The machine's lease inventory: sorted jobids with a live subapp here.
 
-    Wrapped execs put the jobid in the subapp's argv (``subapp app_host
-    app_port token jobid``) precisely so this scan needs nothing but the
-    process table — the daemon keeps no state of its own to lose.  Its
-    report loop caches the result per process-table version, which is
-    derived state: recomputed from the table, never the source of truth.
-    This function itself always scans (the invariant oracle and the
-    ``grant_install`` audit read it).
+    The subapp's argv names its job (:func:`subapp_jobid`) precisely so
+    this scan needs nothing but the process table — the daemon keeps no
+    state of its own to lose.  Its report loop caches the result per
+    process-table version, which is derived state: recomputed from the
+    table, never the source of truth.  This function itself always scans
+    (the invariant oracle and the ``grant_install`` audit read it).
     """
-    jobids = set()
-    for p in proc.machine.procs.values():
-        if not (p.is_alive and p.argv and p.argv[0] == "subapp"):
-            continue
-        if len(p.argv) < 5:
-            continue  # pre-lease wire format: no jobid to report
-        try:
-            jobids.add(int(p.argv[4]))
-        except ValueError:
-            continue
+    jobids = set(map(subapp_jobid, proc.machine.running("subapp")))
+    jobids.discard(None)
     return sorted(jobids)
-
-
-def _another_daemon_running(proc) -> bool:
-    """True if a different live rbdaemon already watches this machine.
-
-    After a broker restart the keeper rsh-spawns a fresh daemon while the
-    old one is busy re-registering; whichever boots second bows out so the
-    broker never sees two sessions for one host.
-    """
-    for p in proc.machine.procs.values():
-        if p is proc:
-            continue
-        if p.is_alive and p.argv and p.argv[0] == "rbdaemon":
-            return True
-    return False
 
 
 class ReportSizer:
@@ -119,7 +127,7 @@ class ReportSizer:
     JSON writes an int or a finite float exactly as ``repr`` does, so two
     reports of one shape differ in size only by their timestamps' reprs:
     the first of a shape is measured with ``json.dumps`` and the rest are
-    ``base + len(repr(time))``.  The caller names the shape with any
+    ``base + stamp_bytes(time)``.  The caller names the shape with any
     ``==``-comparable key other than None that changes whenever anything
     but the timestamp does.
     """
@@ -133,7 +141,7 @@ class ReportSizer:
     def size(self, shape, message) -> int:
         """``len(json.dumps(message))`` for a :func:`protocol.daemon_report`
         whose shape is ``shape``."""
-        stamp = len(repr(message["snapshot"]["time"]))
+        stamp = stamp_bytes(message["snapshot"]["time"])
         if shape != self._shape:
             self._base = len(json.dumps(message)) - stamp
         # Keep the newest of equal shapes: it shares its parts with the
@@ -190,7 +198,10 @@ def rbdaemon_main(proc):
         host=proc.machine.name,
     )
     yield proc.sleep(cal.daemon_startup)
-    if _another_daemon_running(proc):
+    # After a broker restart the keeper rsh-spawns a fresh daemon while the
+    # old one is busy re-registering; whichever boots second bows out so
+    # the broker never sees two sessions for one host.
+    if any(p is not proc for p in machine.running("rbdaemon")):
         boot.end(outcome="duplicate")
         return 0
     try:
@@ -218,10 +229,6 @@ def rbdaemon_main(proc):
     full_every = max(1, cal.daemon_full_report_every)
     interval = cal.daemon_report_interval
     env = proc.env
-    # Beacons differ only in their timestamp; size one once and reuse it.
-    # A known undercount the pinned byte counts rest on: a real timestamp's
-    # repr is up to 15 chars longer than "0.0" (DESIGN.md §12).
-    beacon_bytes = len(json.dumps(protocol.daemon_beacon(0.0)))
     sizer = ReportSizer()
     # The lease inventory as of process-table version ``inventory_version``
     # (a process's status changes only as it leaves the table, which bumps
@@ -252,7 +259,7 @@ def rbdaemon_main(proc):
                 if probe == last_probe and cycles_since_full < full_every:
                     conn.send(protocol.daemon_beacon(now))
                     beacons.inc()
-                    report_bytes.inc(beacon_bytes)
+                    report_bytes.inc(BEACON_BASE + stamp_bytes(now))
                     cycles_since_full += 1
                 else:
                     if probe[1] != inventory_version:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.broker.daemon import leased_jobids
+from repro.broker.daemon import leased_jobids, subapp_jobid
 from repro.broker.records import AllocationState
 from repro.cluster.builder import Cluster
 from repro.obs.spans import TRACE_ENVIRON_KEY, parse_context
@@ -77,14 +77,6 @@ class Violation:
 def _trace_of(proc) -> Optional[int]:
     context = parse_context(proc.environ.get(TRACE_ENVIRON_KEY))
     return context["trace_id"] if context is not None else None
-
-
-def _subapp_jobid(proc) -> Optional[int]:
-    """The jobid a live subapp serves (the argv field the daemon reads)."""
-    argv = proc.argv
-    if proc.is_alive and len(argv) >= 5 and argv[0] == "subapp":
-        return int(argv[4]) if argv[4].isdigit() else None
-    return None
 
 
 class Stalled(Exception):
@@ -186,7 +178,7 @@ class Oracle:
             # The intruder is the job of the newest subapp on the machine.
             intruder = [
                 jobid
-                for jobid in map(_subapp_jobid, machine.procs.values())
+                for jobid in map(subapp_jobid, machine.procs.values())
                 if jobid is not None
             ][-1]
             return self._violation(
@@ -323,16 +315,15 @@ class Oracle:
 
     def _unfinished_jobs(self, services) -> Optional[Violation]:
         for machine in self.cluster.machines.values():
-            for proc in machine.procs.values():
-                if proc.is_alive and proc.argv and proc.argv[0] == "app":
-                    return self._violation(
-                        services,
-                        "job_unfinished",
-                        f"app {proc.argv[1:]!r} of {proc.uid} on "
-                        f"{machine.name} never finished",
-                        host=machine.name,
-                        trace_id=_trace_of(proc),
-                    )
+            for proc in machine.running("app"):
+                return self._violation(
+                    services,
+                    "job_unfinished",
+                    f"app {proc.argv[1:]!r} of {proc.uid} on "
+                    f"{machine.name} never finished",
+                    host=machine.name,
+                    trace_id=_trace_of(proc),
+                )
         return None
 
 

@@ -467,9 +467,11 @@ def rsh_exec(
 ) -> Message:
     """App -> rsh': proceed to ``target`` (wrapped in a subapp if ``wrap``).
 
-    ``jobid`` rides along on wrapped execs so the subapp's argv names the
-    job it belongs to — which is what lets the machine's monitoring daemon
-    inventory leases by scanning the process table."""
+    A wrapped exec names its ``token`` and ``jobid``: the jobid becomes the
+    subapp's last argv field, which is what lets the machine's monitoring
+    daemon inventory leases by scanning the process table."""
+    if wrap and (token is None or jobid is None):
+        raise ValueError("a wrapped exec names its token and jobid")
     return {
         "type": "rsh_exec",
         "target": target,

@@ -269,15 +269,6 @@ class Shipper:
                 )
 
 
-def _running_here(proc, program: str) -> bool:
-    """True if a live ``program`` process other than ``proc`` runs on
-    ``proc``'s machine."""
-    return any(
-        p is not proc and p.is_alive and p.argv and p.argv[0] == program
-        for p in proc.machine.procs.values()
-    )
-
-
 def _broker_running_here(proc, service) -> bool:
     """True when this machine already hosts the live broker.
 
@@ -287,8 +278,8 @@ def _broker_running_here(proc, service) -> bool:
     now runs.  That replica must never promote its stale shadow on top of
     it; it bows out instead.
     """
-    return service.broker_host == proc.machine.name or _running_here(
-        proc, "rbroker"
+    return service.broker_host == proc.machine.name or any(
+        p is not proc for p in proc.machine.running("rbroker")
     )
 
 
@@ -410,7 +401,7 @@ def make_standby_main(service):
         yield proc.sleep(cal.daemon_startup)
         # The keeper respawns eagerly after a connection loss, like
         # rbdaemon's: a second replica on this machine bows out.
-        if _running_here(proc, "rbstandby"):
+        if any(p is not proc for p in proc.machine.running("rbstandby")):
             boot.end(outcome="duplicate")
             return 0
         if _broker_running_here(proc, service):

@@ -86,11 +86,15 @@ def rshprime_main(proc):
         return RshExit.ERROR
     target = reply["target"]
     if reply.get("wrap"):
-        remote_argv = ["subapp", app_host, str(app_port), reply["token"]]
-        if reply.get("jobid") is not None:
-            # The jobid in the subapp's argv is what lets the target
-            # machine's daemon inventory leases from its process table.
-            remote_argv.append(str(reply["jobid"]))
+        # The jobid in the subapp's argv is what lets the target machine's
+        # daemon inventory leases from its process table.
+        remote_argv = [
+            "subapp",
+            app_host,
+            str(app_port),
+            reply["token"],
+            str(reply["jobid"]),
+        ]
     else:
         remote_argv = command_argv
     code = yield from remote_exec(proc, target, remote_argv)

@@ -33,6 +33,7 @@ import os
 
 from repro.broker import protocol
 from repro.cluster import ports
+from repro.obs.metrics import render_lines
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
 
 #: Where rbstat drops its report (home-relative; ``RB_STAT_FILE`` overrides).
@@ -111,21 +112,6 @@ def format_status(summary: dict) -> str:
         )
     lines.append(f"pending requests: {summary.get('pending', 0)}")
     return "\n".join(lines) + "\n"
-
-
-def _render_snapshot(snapshot: dict) -> str:
-    """Render a metrics snapshot dict the way the registry renders itself."""
-    lines = []
-    for name, info in snapshot.items():
-        if info["kind"] == "histogram":
-            lines.append(
-                f"{name}: n={info['count']} total={info['total']:.3f} "
-                f"mean={info['mean']:.3f} p50={info['p50']:.3f} "
-                f"p95={info['p95']:.3f}"
-            )
-        else:
-            lines.append(f"{name}: {info['value']:g}")
-    return "\n".join(lines)
 
 
 def format_stats(stats: dict) -> str:
@@ -251,7 +237,7 @@ def format_stats(stats: dict) -> str:
     snapshot = stats.get("metrics", {})
     if snapshot:
         lines.append("== metrics ==")
-        lines.append(_render_snapshot(snapshot))
+        lines.extend(render_lines(snapshot))
     return "\n".join(lines) + "\n"
 
 

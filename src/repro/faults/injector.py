@@ -162,28 +162,26 @@ class FaultInjector:
         machine = self.cluster.machines.get(broker.standby_host)
         if machine is None or not machine.up:
             return 0
-        killed = 0
-        for proc in list(machine.procs.values()):
-            if proc.is_alive and proc.argv and proc.argv[0] == "rbstandby":
-                proc.signal(SIGKILL)
-                killed += 1
-        return killed
+        return _kill_all(machine, "rbstandby")
 
     def _kill_daemons(self, host: str) -> int:
         machine = self.cluster.machines.get(host)
         if machine is None or not machine.up:
             return 0
-        killed = 0
-        for proc in list(machine.procs.values()):
-            if proc.is_alive and proc.argv and proc.argv[0] == "rbdaemon":
-                proc.signal(SIGKILL)
-                killed += 1
-        return killed
+        return _kill_all(machine, "rbdaemon")
 
     def __repr__(self) -> str:
         return (
             f"<FaultInjector {len(self.injected)}/{len(self.plan)} injected>"
         )
+
+
+def _kill_all(machine, program: str) -> int:
+    """SIGKILL every live ``program`` process on ``machine``; the count."""
+    victims = machine.running(program)
+    for proc in victims:
+        proc.signal(SIGKILL)
+    return len(victims)
 
 
 def _jsonable(value):

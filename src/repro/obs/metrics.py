@@ -296,16 +296,24 @@ class MetricsRegistry:
     def render(self) -> str:
         """Human-readable rendering (what ``rbtop`` writes)."""
         lines = [f"== metrics @ t={self.env.now:.3f}s =="]
-        for name, info in self.snapshot().items():
-            if info["kind"] == "histogram":
-                lines.append(
-                    f"{name}: n={info['count']} total={info['total']:.3f} "
-                    f"mean={info['mean']:.3f} p50={info['p50']:.3f} "
-                    f"p95={info['p95']:.3f}"
-                )
-            else:
-                lines.append(f"{name}: {info['value']:g}")
+        lines.extend(render_lines(self.snapshot()))
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
         return f"<MetricsRegistry mode={self.mode} metrics={len(self._metrics)}>"
+
+
+def render_lines(snapshot: dict) -> List[str]:
+    """One line per instrument of a :meth:`MetricsRegistry.snapshot`: the
+    registry's own rendering and the metrics block of ``rbstat --stats``."""
+    lines = []
+    for name, info in snapshot.items():
+        if info["kind"] == "histogram":
+            lines.append(
+                f"{name}: n={info['count']} total={info['total']:.3f} "
+                f"mean={info['mean']:.3f} p50={info['p50']:.3f} "
+                f"p95={info['p95']:.3f}"
+            )
+        else:
+            lines.append(f"{name}: {info['value']:g}")
+    return lines

@@ -128,6 +128,15 @@ class Machine:
         if self.procs.pop(proc.pid, None) is not None:
             self.proc_table_version += 1
 
+    def running(self, program: str) -> List["OSProcess"]:
+        """The live processes whose ``argv[0]`` is ``program``, in
+        process-table order (a list, so the caller may kill them)."""
+        return [
+            p
+            for p in self.procs.values()
+            if p.argv and p.argv[0] == program and p.is_alive
+        ]
+
     # -- failure --------------------------------------------------------------
 
     def crash(self) -> int:

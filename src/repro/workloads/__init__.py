@@ -11,8 +11,6 @@ from repro.workloads.programs import (
     spin_main,
 )
 from repro.workloads.arrivals import (
-    ArrivalTrace,
-    SequentialJobTrace,
     diurnal_owner_windows,
     diurnal_rate,
     periodic_sequential_jobs,
@@ -21,8 +19,6 @@ from repro.workloads.arrivals import (
 )
 
 __all__ = [
-    "ArrivalTrace",
-    "SequentialJobTrace",
     "compute_main",
     "diurnal_owner_windows",
     "diurnal_rate",

@@ -25,11 +25,9 @@ from typing import List, Sequence, Tuple
 
 
 @dataclass
-class SequentialJobTrace:
+class ArrivalTrace:
     """A generated arrival trace: one (arrival_time, cpu_seconds) per job."""
 
-    period: float
-    horizon: float
     arrivals: List[float] = field(default_factory=list)
     durations: List[float] = field(default_factory=list)
 
@@ -48,7 +46,7 @@ def periodic_sequential_jobs(
     min_minutes: float = 1.0,
     max_minutes: float = 10.0,
     stream: str = "utilization-arrivals",
-) -> SequentialJobTrace:
+) -> ArrivalTrace:
     """Build the paper's §6.2 trace: arrivals every ``period`` seconds over
     ``horizon``, each with duration uniform in [min, max] minutes."""
     if period <= 0:
@@ -56,7 +54,7 @@ def periodic_sequential_jobs(
     if max_minutes < min_minutes:
         raise ValueError("max_minutes < min_minutes")
     rng = env.rng.stream(stream)
-    trace = SequentialJobTrace(period=period, horizon=horizon)
+    trace = ArrivalTrace()
     t = period
     while t < horizon:
         trace.arrivals.append(t)
@@ -65,26 +63,6 @@ def periodic_sequential_jobs(
         )
         t += period
     return trace
-
-
-@dataclass
-class ArrivalTrace:
-    """A soak arrival trace: one (arrival_time, cpu_seconds) per submission.
-
-    ``rate(t)`` is recorded so post-mortems can plot demand against the
-    grants the broker actually made."""
-
-    horizon: float
-    day: float
-    arrivals: List[float] = field(default_factory=list)
-    durations: List[float] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.arrivals)
-
-    def jobs(self):
-        """Iterate (arrival_time, cpu_seconds) pairs."""
-        return zip(self.arrivals, self.durations)
 
 
 def diurnal_rate(t: float, base_rate: float, peak_rate: float, day: float) -> float:
@@ -124,7 +102,7 @@ def trace_arrivals(
     if max_seconds < min_seconds:
         raise ValueError("max_seconds < min_seconds")
     rng = env.rng.stream(stream)
-    trace = ArrivalTrace(horizon=horizon, day=day)
+    trace = ArrivalTrace()
     t = 0.0
     while True:
         t += float(rng.exponential(1.0 / peak_rate))

@@ -181,11 +181,12 @@ def test_full_reports_carry_a_fresh_inventory(cluster4, monkeypatch):
     """Every full report's lease list equals a fresh process-table scan at
     send time, through a grant, a revoke, a SIGKILLed subapp and a machine
     crash + boot; and ``rbdaemon.report_bytes`` equals the serialised size
-    of those reports plus the beacons'."""
+    of every report and beacon sent."""
     svc = cluster4.broker
     install_greedy(cluster4)
     sent = []
     report = protocol.daemon_report
+    beacon = protocol.daemon_beacon
 
     def checked_report(snapshot, leases=None):
         machine = cluster4.machine(snapshot["host"])
@@ -195,7 +196,13 @@ def test_full_reports_carry_a_fresh_inventory(cluster4, monkeypatch):
         sent.append(message)
         return message
 
+    def recorded_beacon(time):
+        message = beacon(time)
+        sent.append(message)
+        return message
+
     monkeypatch.setattr(protocol, "daemon_report", checked_report)
+    monkeypatch.setattr(protocol, "daemon_beacon", recorded_beacon)
     bytes_before = _counter(cluster4, "rbdaemon.report_bytes")
     beacons_before = _counter(cluster4, "rbdaemon.beacons")
 
@@ -225,20 +232,25 @@ def test_full_reports_carry_a_fresh_inventory(cluster4, monkeypatch):
     machine.logged_in.discard("ann")
     machine.logged_in.add("barbara")
     cluster4.env.run(until=cluster4.now + 12.0)
-    assert any(m["snapshot"]["logged_in"] == ["barbara"] for m in sent)
+    assert any(
+        m["snapshot"]["logged_in"] == ["barbara"] for m in sent if "snapshot" in m
+    )
 
     host = svc.holdings()[job.jobid][0]
     cluster4.crash_machine(host, reboot_after=5.0)
     cluster4.env.run(until=cluster4.now + 30.0)
     assert svc.events_of("machine_rejoin")
 
-    assert any(m["leases"] for m in sent)
-    assert any(not m["leases"] for m in sent)
-    beacon_bytes = len(json.dumps(protocol.daemon_beacon(0.0)))
-    beacons = _counter(cluster4, "rbdaemon.beacons") - beacons_before
-    assert _counter(cluster4, "rbdaemon.report_bytes") - bytes_before == (
-        sum(len(json.dumps(m)) for m in sent) + beacons * beacon_bytes
+    fulls = [m for m in sent if not m.get("delta")]
+    assert any(m["leases"] for m in fulls)
+    assert any(not m["leases"] for m in fulls)
+    assert _counter(cluster4, "rbdaemon.report_bytes") - bytes_before == sum(
+        len(json.dumps(m)) for m in sent
     )
+    beacons = [m for m in sent if m.get("delta")]
+    assert len(beacons) == _counter(cluster4, "rbdaemon.beacons") - beacons_before
+    # Beacon timestamps vary in length, so each is sized, not assumed.
+    assert len({len(json.dumps(m)) for m in beacons}) > 1
     cluster4.assert_no_crashes()
 
 

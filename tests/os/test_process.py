@@ -95,6 +95,23 @@ def test_process_registered_then_removed_from_table(rig):
     assert proc.pid not in machine.procs
 
 
+def test_running_lists_the_live_processes_of_one_program(rig):
+    env, machine, directory = rig
+
+    def sleeper(proc):
+        yield proc.sleep(10.0)
+        return 0
+
+    directory.register("job")(sleeper)
+    directory.register("other")(sleeper)
+    first, _, second = (start(machine, [argv]) for argv in ("job", "other", "job"))
+    env.run(until=1.0)
+    assert machine.running("job") == [first, second]
+    first.signal(SIGKILL)
+    assert machine.running("job") == [second]
+    assert machine.running("nothing") == []
+
+
 def test_spawn_inherits_environment_copy(rig):
     env, machine, directory = rig
     seen = {}

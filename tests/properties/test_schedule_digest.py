@@ -2,11 +2,12 @@
 
 ``schedule_digest`` hashes the broker event log, every span (ids, times,
 attrs) and the metrics snapshot of a cluster, and nothing derived from
-``env.heap_stats()``.  The hex values below were captured at the commit
-*before* the kernel learned to fuse events (one heap entry per CPU burst,
-one per heartbeat wait), so they are the behavioural contract of every such
-change: a kernel that dispatches fewer events for the same schedule keeps
-them, one that shifts a grant, a report or a span by a float ulp does not.
+``env.heap_stats()``.  The hex values below are the behavioural contract
+of every kernel change: a kernel that dispatches fewer events for the same
+schedule keeps them, one that shifts a grant, a report or a span by a float
+ulp does not.  Each was captured before the kernel learned to fuse events
+(one heap entry per CPU burst, one per heartbeat wait) and has moved only
+for the reasons its comment gives.
 """
 
 import hashlib
@@ -19,21 +20,32 @@ from repro.experiments import run_cell, run_chaos, run_table2
 from repro.experiments.soak import run_soak
 from repro.experiments.sweep import schedule_digest
 
-#: Captured at the parent of the event-fusion change.  Do not repin to make
-#: a kernel change pass: a moved pin is a changed schedule.
+#: Do not repin to make a kernel change pass: a moved pin is a changed
+#: schedule.
+#:
+#: Every pin moved once when each beacon became sized by its own timestamp
+#: (``daemon.BEACON_BASE + daemon.stamp_bytes(t)``, 53 B for every beacon
+#: before): only ``rbdaemon.report_bytes`` rose, as each comment says, and
+#: with that counter left out of the metrics snapshot each digest equals
+#: the one it replaced.
 PINS = {
-    # Repinned once, when ``gracespin`` became one open-ended burst: a revoked
-    # worker now holds the CPU until it exits, so three probes (one per
-    # revoke) report load 1 where they saw 0 — rbdaemon.beacons 3,124 ->
-    # 3,127, full_reports 908 -> 905, report_bytes 365,129 -> 364,631; event
-    # log, spans and every other metric equal (the ticking program is the
-    # oracle in test_open_ended_burst.py).
-    "churn-64": "6dea141056a71a2a1fe4e47ad0c6083c2e4ad8d54dd95205798a96b72a111a3c",
-    "chaos-journal": "e7fc09db61b5c37fca8fdab094973bb086527c9fb06beceb0cc4f08ae3d340fd",
-    "chaos-standby": "8836d2608a9dd946b867d0d8dc50a0239d9f45d18f7ccce9a47ee4d21ae9c84b",
-    "chaos-shards": "b1fb72abb51e1b708b1862bd0978bdf07b8f5bafe21cb4d3af1f3c55cc79f2d4",
-    "soak-12": "8dc48a54fea859fe8e026ba2d95e70b1602a4165c24a7b24b842c51a7401836f",
-    "table2": "d755c5a13ccfae593b38412fe1312d506589c59eaf4c23338e2590a06649e2ac",
+    # Repinned once before that, when ``gracespin`` became one open-ended
+    # burst: a revoked worker now holds the CPU until it exits, so three
+    # probes (one per revoke) report load 1 where they saw 0 —
+    # rbdaemon.beacons 3,124 -> 3,127, full_reports 908 -> 905; event log,
+    # spans and every other metric equal (the ticking program is the oracle
+    # in test_open_ended_burst.py).  report_bytes 364,631 -> 384,051.
+    "churn-64": "fdf447845db14111b57513e56faa58ccdb5db72476c4d1eb12f7dea82cda97f7",
+    # report_bytes 24,682 -> 26,295.
+    "chaos-journal": "6cb356025a0925635cbf27dddd26a4425491d4f391ace50d258367ba5f66ec49",
+    # report_bytes 25,371 -> 27,260.
+    "chaos-standby": "ab6480226ca3f8c722ffc840f35342fe9066da1edb0c85f4cd89a0e2d9fb75c9",
+    # report_bytes 26,586 -> 28,211.
+    "chaos-shards": "adddc93fa42466deb708164e1efe7c16ecca62a80c57ffe9853c5bb29f4e5071",
+    # report_bytes 275,888 -> 291,565.
+    "soak-12": "ad74966e3cb1fc47cc5dde42eabe67d1193f5a67d9932202b69e1ab5dfb0f85d",
+    # report_bytes 6,683 -> 6,863.
+    "table2": "09ba19205445950156ddc563ef6da52379c197b6fda818239ec272f2d6c890a7",
 }
 
 

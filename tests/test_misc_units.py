@@ -77,7 +77,7 @@ def test_protocol_messages_carry_type():
         protocol.released(1, "h"),
         protocol.job_done(1, 0),
         protocol.rsh_request("h", ["cmd"], "u"),
-        protocol.rsh_exec("h", True, "tok"),
+        protocol.rsh_exec("h", True, "tok", 1),
         protocol.rsh_fail("r"),
         protocol.subapp_hello("tok", "h", 3),
         protocol.subapp_run(["cmd"]),
@@ -93,6 +93,12 @@ def test_protocol_messages_carry_type():
     types = [m["type"] for m in samples]
     assert all(types)
     assert len(set(types)) == len(types)  # all distinct
+
+
+def test_a_wrapped_exec_names_its_token_and_jobid():
+    with pytest.raises(ValueError):
+        protocol.rsh_exec("h", True, "tok")
+    assert protocol.rsh_exec("h", False)["jobid"] is None
 
 
 def test_protocol_copies_argv():
