@@ -116,27 +116,51 @@ def _churn(machines: int, bounded: bool = False) -> Dict[str, Any]:
     return cell["result"]
 
 
+#: The lazy-deletion heap's high-water mark tracks the live population, not
+#: total event churn: under this many entries per machine on the churn cell.
+HEAP_ENTRIES_PER_MACHINE = 50
+
+
+def _heap_over_budget(machines: int, high_water: int) -> List[str]:
+    if high_water < HEAP_ENTRIES_PER_MACHINE * machines:
+        return []
+    return [
+        f"{machines} machines: heap high-water {high_water} is not under "
+        f"{HEAP_ENTRIES_PER_MACHINE} entries per machine"
+    ]
+
+
 @gate
 def kernel() -> Tuple[Facts, List[str]]:
-    """The kernel's own counters on the 32-machine churn cell."""
+    """The kernel's own counters on the 32-machine churn cell, and the heap
+    high-water of the 1,024- and 4,096-machine cells."""
     heap = _churn(32)["heap"]
-    return {
+    facts = {
         "events_processed": heap["processed"],
         "heap_high_water": heap["heap_high_water"],
-    }, []
+    }
+    broken: List[str] = []
+    for machines in (1024, 4096):
+        high_water = _churn(machines)["heap"]["heap_high_water"]
+        facts[f"heap_high_water_{machines}"] = high_water
+        broken += _heap_over_budget(machines, high_water)
+    return facts, broken
 
 
 @gate
 def broker() -> Tuple[Facts, List[str]]:
-    """The broker's control-plane counters on the 256-machine churn cell."""
+    """The broker's control-plane counters on the 256-machine churn cell,
+    and its heap high-water."""
     result = _churn(256)
     metrics = result["metrics"]
 
     def counter(name: str) -> int:
         return int(metrics.get(name, {}).get("value", 0))
 
+    high_water = result["heap"]["heap_high_water"]
     return {
         "events_processed": result["heap"]["processed"],
+        "heap_high_water": high_water,
         "grants": result["grants"],
         "policy_decisions": counter("broker.policy_decisions"),
         "sched_passes": counter("broker.sched_passes"),
@@ -145,7 +169,7 @@ def broker() -> Tuple[Facts, List[str]]:
         "daemon_full_reports": counter("rbdaemon.full_reports"),
         "daemon_beacons": counter("rbdaemon.beacons"),
         "daemon_report_bytes": counter("rbdaemon.report_bytes"),
-    }, []
+    }, _heap_over_budget(256, high_water)
 
 
 @gate

@@ -69,9 +69,12 @@ def try_send(conn, message: Message) -> bool:
 
 
 def attach_trace(message: Message, context: Optional[Dict[str, int]]) -> Message:
-    """Attach a span context to ``message`` (no-op on None); returns it."""
+    """Attach a span context to ``message`` (no-op on None); returns it.
+
+    The context is stored as given, not copied: ``Span.context`` builds a
+    fresh dict, and no receiver mutates a message's ``"trace"``."""
     if context:
-        message["trace"] = dict(context)
+        message["trace"] = context
     return message
 
 

@@ -1,8 +1,9 @@
 """Experiment harnesses regenerating every table and figure of the paper.
 
 Each module exposes a ``run_*`` function returning a structured result with
-the same rows/series the paper reports, plus ``main()``-style formatting
-helpers used by the benchmark suite and the examples.
+the same rows/series the paper reports.  The steps they share — a fresh
+cluster, Calypso occupying machines, one timed ``rsh``/``rsh'`` — are
+:mod:`repro.experiments._paper`.
 
 ================  =========================================================
 module            paper artefact

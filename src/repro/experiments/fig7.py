@@ -16,10 +16,9 @@ to the PVM job (each grant requires revoking a Calypso worker first — the
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
-from repro.cluster import Cluster, ClusterSpec
+from repro.experiments._paper import occupy, paper_cluster, record
 from repro.experiments.results import ExperimentTable
 from repro.obs import grant_times
 
@@ -27,33 +26,12 @@ from repro.obs import grant_times
 DEFAULT_SIZES = [1, 2, 4, 8, 12, 16]
 
 
-@contextmanager
-def _calypso_everywhere(seed: int) -> Iterator[Cluster]:
-    """16 worker machines + the submitting host, Calypso everywhere."""
-    with Cluster(ClusterSpec.uniform(17, seed=seed)) as cluster:
-        svc = cluster.start_broker()
-        svc.wait_ready()
-        calypso = svc.submit(
-            "n00",
-            ["calypso", "100000", "600.0", "16"],
-            rsl="+(adaptive)",
-            uid="cal",
-        )
-        deadline = cluster.now + 60.0
-        while cluster.now < deadline:
-            cluster.env.run(until=cluster.now + 0.5)
-            record = calypso.job_record()
-            if record and svc.state.holding_count(record.jobid) == 16:
-                break
-        record = calypso.job_record()
-        assert svc.state.holding_count(record.jobid) == 16
-        yield cluster
-
-
 def measure_reallocation(k: int, seed: int = 0, trace=None) -> dict:
     """Time to pull ``k`` machines from Calypso for a fresh PVM job."""
-    with _calypso_everywhere(seed) as cluster:
+    # 16 worker machines + the submitting host, Calypso everywhere.
+    with paper_cluster(17, seed, broker=True) as cluster:
         svc = cluster.broker
+        occupy(cluster, svc, ["calypso", "100000", "600.0", "16"], 16, 60.0)
         pvm_handle = svc.submit("n00", ["pvm"], rsl='+(module="pvm")', uid="pat")
         cluster.env.run(until=cluster.now + 3.0)
         pvm_job = pvm_handle.job_record()
@@ -70,9 +48,7 @@ def measure_reallocation(k: int, seed: int = 0, trace=None) -> dict:
             cluster.env.run(until=cluster.now + 0.25)
             grants = grant_times(svc, pvm_job.jobid, since=t0)
         assert len(grants) >= k, f"only {len(grants)} of {k} machines granted"
-        cluster.assert_no_crashes()
-        if trace is not None:
-            trace.add_cluster(cluster, label=f"fig7 k={k}")
+        record(cluster, f"fig7 k={k}", trace)
     return {
         "k": k,
         "available_at": grants[k - 1],
@@ -106,7 +82,3 @@ def run_fig7(
         "linearly to the full testbed"
     )
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover - manual run
-    print(run_fig7())

@@ -13,15 +13,14 @@ any order.  The *merged* document contains only simulation-derived facts
 (event counts, span counts, metric snapshots) — never wall-clock — and is
 serialized canonically (sorted keys, fixed run order), so a serial run and
 a ``--workers N`` run of the same grid produce byte-identical output.
-Measured performance (wall seconds, events/sec) travels separately, in the
-per-cell ``perf`` block, which only the printed summary reads.
+Nothing here reads the host clock: wall time is rbbench's
+(``benchmarks/rbbench``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 #: Cell key order used everywhere: grid expansion, merge order, reports.
@@ -122,10 +121,8 @@ def run_cell(
     sim_minutes: float,
     bounded: bool = False,
 ) -> Dict[str, Any]:
-    """Run one simulation cell; returns deterministic results + measured perf.
-
-    The ``result`` block is a pure function of the parameters; ``perf`` is
-    wall-clock measurement and must never enter a merged document.
+    """Run one simulation cell; its ``result`` block is a pure function of
+    the parameters.
 
     ``bounded`` runs the cell on a ``ClusterSpec.bounded`` cluster.
     """
@@ -137,9 +134,7 @@ def run_cell(
         service = cluster.start_broker()
         service.wait_ready()
         sim_start = cluster.now
-        wall_start = time.perf_counter()
         driver(cluster, service, sim_minutes * 60.0)
-        wall = time.perf_counter() - wall_start
         cluster.assert_no_crashes()
     # The results read the closed cluster (see Cluster.close).
 
@@ -173,20 +168,7 @@ def run_cell(
         # kernel changes, where "heap" above legitimately moves.
         "schedule_digest": schedule_digest(cluster, service),
     }
-    heap_ops = heap["pushes"] + heap["processed"] + heap["skipped_cancelled"]
-    return {
-        "workload": workload,
-        "machines": machines,
-        "seed": seed,
-        "result": result,
-        "perf": {
-            "wall_seconds": wall,
-            "wall_per_sim_minute": wall / max(sim_minutes, 1e-9),
-            "events_per_second": heap["processed"] / max(wall, 1e-9),
-            "heap_ops_per_second": heap_ops / max(wall, 1e-9),
-            "spans_per_second": len(tracer.spans) / max(wall, 1e-9),
-        },
-    }
+    return {"workload": workload, "machines": machines, "seed": seed, "result": result}
 
 
 def _run_cell_packed(packed: Tuple) -> Dict[str, Any]:
@@ -240,23 +222,9 @@ def run_sweep(
 def merge_results(
     cells: Iterable[Dict[str, Any]], sim_minutes: float
 ) -> Dict[str, Any]:
-    """Fold cell outputs into the canonical merged document.
-
-    Strips every measured-perf field; the digest fingerprints the
-    simulation-derived content so two runs can be compared at a glance.
-    """
-    runs = [
-        {
-            "workload": cell["workload"],
-            "machines": cell["machines"],
-            "seed": cell["seed"],
-            "result": cell["result"],
-        }
-        for cell in sorted(
-            cells,
-            key=lambda c: (c["workload"], c["machines"], c["seed"]),
-        )
-    ]
+    """Fold cell outputs into the canonical merged document; the digest
+    fingerprints it so two runs can be compared at a glance."""
+    runs = sorted(cells, key=lambda c: (c["workload"], c["machines"], c["seed"]))
     body = {
         "grid": {
             "workloads": sorted({r["workload"] for r in runs}),
@@ -279,15 +247,13 @@ def format_sweep(cells: Sequence[Dict[str, Any]]) -> str:
     """Human-readable sweep summary (one line per cell)."""
     lines = [
         f"{'workload':<12} {'machines':>8} {'seed':>5} {'events':>9} "
-        f"{'spans':>7} {'grants':>7} {'wall s':>8} {'ev/s':>9}"
+        f"{'spans':>7} {'grants':>7}"
     ]
     for cell in cells:
-        result, perf = cell["result"], cell["perf"]
+        result = cell["result"]
         lines.append(
             f"{cell['workload']:<12} {cell['machines']:>8} "
             f"{cell['seed']:>5} {result['heap']['processed']:>9} "
-            f"{result['spans']:>7} {result['grants']:>7} "
-            f"{perf['wall_seconds']:>8.2f} "
-            f"{perf['events_per_second']:>9.0f}"
+            f"{result['spans']:>7} {result['grants']:>7}"
         )
     return "\n".join(lines)

@@ -13,45 +13,8 @@ loop ≈ rsh-cost + 6.5 s in every row; rsh' overhead ≈ 0.3 s total.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
-from repro.cluster import Cluster, ClusterSpec
+from repro.experiments._paper import paper_cluster, time_rsh, time_submit
 from repro.experiments.results import ExperimentTable
-
-
-@contextmanager
-def _fresh_cluster(seed: int, broker: bool) -> Iterator[Cluster]:
-    with Cluster(ClusterSpec.uniform(2, seed=seed)) as cluster:
-        if broker:
-            cluster.start_broker()
-            cluster.broker.wait_ready()
-        yield cluster
-
-
-def _measure_plain(seed: int, program: str, trace=None) -> float:
-    with _fresh_cluster(seed, broker=False) as cluster:
-        t0 = cluster.now
-        proc = cluster.run_command("n00", ["rsh", "n01", program])
-        cluster.env.run(until=proc.terminated)
-        assert proc.exit_code == 0, f"rsh n01 {program} failed"
-        cluster.assert_no_crashes()
-        if trace is not None:
-            trace.add_cluster(cluster, label=f"rsh n01 {program}")
-        return cluster.now - t0
-
-
-def _measure_brokered(seed: int, target: str, program: str, trace=None) -> float:
-    with _fresh_cluster(seed, broker=True) as cluster:
-        svc = cluster.broker
-        t0 = cluster.now
-        handle = svc.submit("n00", ["rsh", target, program])
-        code = handle.wait()
-        assert code == 0, f"rsh' {target} {program} failed"
-        cluster.assert_no_crashes()
-        if trace is not None:
-            trace.add_cluster(cluster, label=f"rsh' {target} {program}")
-        return cluster.now - t0
 
 
 def run_table1(seed: int = 0, trace=None) -> ExperimentTable:
@@ -64,16 +27,13 @@ def run_table1(seed: int = 0, trace=None) -> ExperimentTable:
         title="Table 1: Performance of rsh' (seconds)",
         columns=["Operation", "Time (s)"],
     )
-    table.add("rsh n01 null", _measure_plain(seed, "null", trace))
-    table.add("rsh' n01 null", _measure_brokered(seed, "n01", "null", trace))
-    table.add(
-        "rsh' anylinux null", _measure_brokered(seed, "anylinux", "null", trace)
-    )
-    table.add("rsh n01 loop", _measure_plain(seed, "loop", trace))
-    table.add("rsh' n01 loop", _measure_brokered(seed, "n01", "loop", trace))
-    table.add(
-        "rsh' anylinux loop", _measure_brokered(seed, "anylinux", "loop", trace)
-    )
+    for program in ("null", "loop"):
+        with paper_cluster(2, seed, broker=False) as cluster:
+            table.add(f"rsh n01 {program}", time_rsh(cluster, "n01", program, trace))
+        for target in ("n01", "anylinux"):
+            with paper_cluster(2, seed, broker=True) as cluster:
+                seconds = time_submit(cluster, target, program, trace)
+            table.add(f"rsh' {target} {program}", seconds)
     table.notes.append(
         "paper: null 0.3 / 0.6 / 0.6; loop = null + ~6.5 in each row"
     )
@@ -81,7 +41,3 @@ def run_table1(seed: int = 0, trace=None) -> ExperimentTable:
         table.value("rsh' n01 null") - table.value("rsh n01 null")
     )
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover - manual run
-    print(run_table1())

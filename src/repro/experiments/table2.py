@@ -17,55 +17,11 @@ Paper numbers: rsh null 0.3 s; rsh' anylinux null ≈ 1.3 s; rsh loop ≈
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
-from repro.cluster import Cluster, ClusterSpec
+from repro.experiments._paper import occupy, paper_cluster, time_rsh, time_submit
 from repro.experiments.results import ExperimentTable
 
 #: Enough steps that the Calypso job outlives every measured operation.
 _CALYPSO_ARGS = ["calypso", "100000", "30.0", "2"]
-
-
-@contextmanager
-def _cluster_with_calypso(seed: int) -> Iterator[Cluster]:
-    with Cluster(ClusterSpec.uniform(3, seed=seed)) as cluster:
-        svc = cluster.start_broker()
-        svc.wait_ready()
-        svc.submit("n00", list(_CALYPSO_ARGS), rsl="+(adaptive)", uid="cal")
-        # Let the Calypso job occupy n01 and n02.
-        deadline = cluster.now + 30.0
-        while cluster.now < deadline:
-            cluster.env.run(until=cluster.now + 0.5)
-            holdings = svc.holdings()
-            if holdings and len(next(iter(holdings.values()))) == 2:
-                break
-        holdings = svc.holdings()
-        assert holdings and len(next(iter(holdings.values()))) == 2, holdings
-        yield cluster
-
-
-def _measure_plain(seed: int, program: str, trace=None) -> float:
-    with _cluster_with_calypso(seed) as cluster:
-        t0 = cluster.now
-        proc = cluster.run_command("n00", ["rsh", "n01", program])
-        cluster.env.run(until=proc.terminated)
-        assert proc.exit_code == 0
-        if trace is not None:
-            trace.add_cluster(cluster, label=f"rsh n01 {program}")
-        return cluster.now - t0
-
-
-def _measure_brokered(seed: int, program: str, trace=None) -> float:
-    with _cluster_with_calypso(seed) as cluster:
-        t0 = cluster.now
-        handle = cluster.broker.submit("n00", ["rsh", "anylinux", program])
-        code = handle.wait()
-        assert code == 0
-        cluster.assert_no_crashes()
-        if trace is not None:
-            trace.add_cluster(cluster, label=f"rsh' anylinux {program}")
-        return cluster.now - t0
 
 
 def run_table2(seed: int = 0, trace=None) -> ExperimentTable:
@@ -78,10 +34,15 @@ def run_table2(seed: int = 0, trace=None) -> ExperimentTable:
         title="Table 2: Performance of reallocation (seconds)",
         columns=["Operation", "Time (s)"],
     )
-    table.add("rsh n01 null", _measure_plain(seed, "null", trace))
-    table.add("rsh' anylinux null", _measure_brokered(seed, "null", trace))
-    table.add("rsh n01 loop", _measure_plain(seed, "loop", trace))
-    table.add("rsh' anylinux loop", _measure_brokered(seed, "loop", trace))
+    for program in ("null", "loop"):
+        # Each measurement: a fresh cluster, Calypso on n01 and n02.
+        with paper_cluster(3, seed, broker=True) as cluster:
+            occupy(cluster, cluster.broker, list(_CALYPSO_ARGS), 2, 30.0)
+            table.add(f"rsh n01 {program}", time_rsh(cluster, "n01", program, trace))
+        with paper_cluster(3, seed, broker=True) as cluster:
+            occupy(cluster, cluster.broker, list(_CALYPSO_ARGS), 2, 30.0)
+            seconds = time_submit(cluster, "anylinux", program, trace)
+        table.add(f"rsh' anylinux {program}", seconds)
     table.notes.append(
         "paper: null 0.3 vs ~1.3; loop shares the CPU under plain rsh but "
         "runs on a cleared machine after reallocation"
@@ -93,7 +54,3 @@ def run_table2(seed: int = 0, trace=None) -> ExperimentTable:
         table.value("rsh n01 loop") > table.value("rsh' anylinux loop")
     )
     return table
-
-
-if __name__ == "__main__":  # pragma: no cover - manual run
-    print(run_table2())

@@ -15,7 +15,7 @@ processor-sharing CPUs of the eight worker machines.
 
 from __future__ import annotations
 
-from repro.cluster import Cluster, ClusterSpec
+from repro.experiments._paper import occupy, paper_cluster, record
 from repro.experiments.results import ExperimentTable
 from repro.metrics.utilization import UtilizationMeter
 from repro.workloads.arrivals import periodic_sequential_jobs
@@ -33,26 +33,12 @@ def run_utilization(
     ``trace`` may be a :class:`repro.obs.TraceCollector`; the run's cluster
     is then captured as one labelled trace group.
     """
-    with Cluster(ClusterSpec.uniform(machines + 1, seed=seed)) as cluster:
-        svc = cluster.start_broker()
-        svc.wait_ready()
+    with paper_cluster(machines + 1, seed, broker=True) as cluster:
+        svc = cluster.broker
         worker_hosts = [f"n{i:02d}" for i in range(1, machines + 1)]
-
-        calypso = svc.submit(
-            "n00",
-            ["calypso", "1000000", "30.0", str(machines)],
-            rsl="+(adaptive)",
-            uid="cal",
-        )
         # Let the adaptive job occupy all the worker machines.
-        deadline = cluster.now + 60.0
-        while cluster.now < deadline:
-            cluster.env.run(until=cluster.now + 0.5)
-            record = calypso.job_record()
-            if record and svc.state.holding_count(record.jobid) == machines:
-                break
-        record = calypso.job_record()
-        assert svc.state.holding_count(record.jobid) == machines
+        argv = ["calypso", "1000000", "30.0", str(machines)]
+        occupy(cluster, svc, argv, machines, 60.0)
 
         meter = UtilizationMeter(cluster, worker_hosts)
         meter.start()
@@ -72,15 +58,14 @@ def run_utilization(
                 svc.submit(
                     "n00",
                     ["rsh", "anylinux", "compute", f"{duration:.3f}"],
-                    uid=f"seq",
+                    uid="seq",
                 )
                 submitted += 1
 
         cluster.env.process(submitter())
         cluster.env.run(until=start + horizon)
 
-        if trace is not None:
-            trace.add_cluster(cluster, label="utilization")
+        record(cluster, "utilization", trace)
         idleness = meter.idleness()
         table = ExperimentTable(
             title="Utilization of a dynamic environment (paper section 6.2)",
@@ -95,7 +80,3 @@ def run_utilization(
         table.meta["utilization_by_host"] = meter.utilization_by_host()
         table.notes.append("paper: total detected idleness < 1% over five hours")
         return table
-
-
-if __name__ == "__main__":  # pragma: no cover - manual run
-    print(run_utilization())
