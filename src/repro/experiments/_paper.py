@@ -54,13 +54,13 @@ def record(cluster: Cluster, label: str, trace=None) -> None:
         trace.add_cluster(cluster, label=label)
 
 
-def time_rsh(cluster: Cluster, host: str, program: str, trace=None) -> float:
-    """Seconds for a plain ``rsh host program`` issued on n00."""
+def time_rsh(cluster: Cluster, program: str, trace=None) -> float:
+    """Seconds for a plain ``rsh n01 program`` issued on n00."""
     t0 = cluster.now
-    proc = cluster.run_command("n00", ["rsh", host, program])
+    proc = cluster.run_command("n00", ["rsh", "n01", program])
     cluster.env.run(until=proc.terminated)
-    assert proc.exit_code == 0, f"rsh {host} {program} failed"
-    record(cluster, f"rsh {host} {program}", trace)
+    assert proc.exit_code == 0, f"rsh n01 {program} failed"
+    record(cluster, f"rsh n01 {program}", trace)
     return cluster.now - t0
 
 

@@ -29,7 +29,7 @@ def run_table1(seed: int = 0, trace=None) -> ExperimentTable:
     )
     for program in ("null", "loop"):
         with paper_cluster(2, seed, broker=False) as cluster:
-            table.add(f"rsh n01 {program}", time_rsh(cluster, "n01", program, trace))
+            table.add(f"rsh n01 {program}", time_rsh(cluster, program, trace))
         for target in ("n01", "anylinux"):
             with paper_cluster(2, seed, broker=True) as cluster:
                 seconds = time_submit(cluster, target, program, trace)

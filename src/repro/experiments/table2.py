@@ -38,7 +38,7 @@ def run_table2(seed: int = 0, trace=None) -> ExperimentTable:
         # Each measurement: a fresh cluster, Calypso on n01 and n02.
         with paper_cluster(3, seed, broker=True) as cluster:
             occupy(cluster, cluster.broker, list(_CALYPSO_ARGS), 2, 30.0)
-            table.add(f"rsh n01 {program}", time_rsh(cluster, "n01", program, trace))
+            table.add(f"rsh n01 {program}", time_rsh(cluster, program, trace))
         with paper_cluster(3, seed, broker=True) as cluster:
             occupy(cluster, cluster.broker, list(_CALYPSO_ARGS), 2, 30.0)
             seconds = time_submit(cluster, "anylinux", program, trace)
