@@ -33,10 +33,17 @@ bench-pairs:  ## W=<workload> BASE=<rev> [N=10]: paired rbbench runs of BASE and
 slo:  ## churn workload under a health monitor and the invariant oracle; fails on a violation or a missed SLO
 	python -m repro slo
 
-loc:  ## *.py line counts of src/, of benchmarks/ outside rbbench/, and of benchmarks/rbbench/; kB of DESIGN.md, CHANGES.md and README.md
+# The subsystem-mention regexes of tests/broker/test_seams.py (which checks
+# that they are these).
+STANDBY_WORDS := standby|\bship|replica|promot
+SHARD_WORDS := shard|federat|borrow|loan|migrating
+
+loc:  ## *.py line counts of src/, of benchmarks/ outside rbbench/, and of benchmarks/rbbench/; src/ lines naming the standby outside replica.py and the federation outside federation.py; kB of DESIGN.md, CHANGES.md and README.md
 	@echo "src                   $$(find src -name '*.py' -exec cat {} + | wc -l)"
 	@echo "benchmarks - rbbench  $$(find benchmarks -path benchmarks/rbbench -prune -o -name '*.py' -exec cat {} + | wc -l)"
 	@echo "benchmarks/rbbench    $$(find benchmarks/rbbench -name '*.py' -exec cat {} + | wc -l)"
+	@echo "standby mentions      $$(find src -name '*.py' ! -name replica.py -exec grep -ciHE '$(STANDBY_WORDS)' {} + | awk -F: '{n += $$NF} END {print n}') lines outside broker/replica.py"
+	@echo "shard mentions        $$(find src -name '*.py' ! -name federation.py -exec grep -ciHE '$(SHARD_WORDS)' {} + | awk -F: '{n += $$NF} END {print n}') lines outside broker/federation.py"
 	@for doc in DESIGN.md CHANGES.md README.md; do \
 		wc -c < $$doc | awk -v doc=$$doc '{printf "%-21s %.1f kB\n", doc, $$1 / 1000}'; \
 	done

@@ -21,22 +21,22 @@ program code.
 
 Components (DESIGN.md §11): :class:`_BrokerControl` is one incarnation's
 scheduler and composition root; every other concern is a component that
-owns its fields, exists only when the configuration uses it, and talks to
-the rest through a few named methods over the shared state:
+owns its fields and talks to the rest through a few named methods over the
+shared state:
 
 * :class:`~.leases.Leases` — daemons, liveness and lease sweeps, lease
   ingest and the reconciliation of recovered leases;
 * :class:`~.sessions.Sessions` — app submit, requests, orphaning, resume;
-* :class:`~.replica.Fence` — epoch fencing (standby or shards only);
-* :class:`~.replica.Shipper` — WAL shipping to a warm standby;
-* :class:`~.federation.Borrowing` — cross-shard borrowing (shards only),
-  the core's one ``federation`` hook.
+* :class:`~.leases.Fence` — the epoch stamp and the demotion it can force;
+* ``peers`` — the seam: one :class:`~.leases.Peer` part per subsystem that
+  talks to other broker processes, called at fixed points and never asked
+  which subsystem it is.
 
-So a standalone broker is the unsharded, no-standby composition, and every
-restart and promotion boots through :func:`~.recovery.recover`.  The
-scheduler is dirty-driven over the state's incremental indexes (DESIGN.md
-§12); the original evaluate-everything loop survives only as the test
-oracle ``tests/broker/reference.py``.
+A standalone broker's peers are no-ops and its fence never stamps, and
+every incarnation after the first boots through :func:`~.recovery.recover`.
+The scheduler is dirty-driven over the state's incremental indexes
+(DESIGN.md §12); the original evaluate-everything loop survives only as the
+test oracle ``tests/broker/reference.py``.
 """
 
 from __future__ import annotations
@@ -44,11 +44,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from repro.broker import protocol
-from repro.broker.federation import Borrowing
-from repro.broker.leases import Leases
-from repro.broker.replica import Fence, Shipper
+from repro.broker.leases import Fence, Leases, serve_sessions
 from repro.broker.sessions import Sessions
-from repro.broker.records import AllocationState, PendingRequest
+from repro.broker.records import CORE_STATES, AllocationState, PendingRequest
 from repro.cluster import ports
 from repro.obs.timeseries import windowed_rate
 from repro.os.errors import ConnectionClosed
@@ -73,31 +71,8 @@ def make_broker_main(service):
                 lambda ev: recover.end() if not recover.finished else None
             )
         listener = proc.listen(ports.BROKER)
-        if ctl.shipper is not None:
-            # Warm-standby replication (DESIGN.md §16): serve the WAL ship
-            # stream, heartbeat it, keep the standby process alive, and —
-            # on a promoted incarnation — fence the ex-primary.
-            ship_listener = proc.listen(ports.SHIP)
-            proc.thread(ctl.shipper.acceptor(ship_listener), name="ship-acceptor")
-            proc.thread(ctl.shipper.heartbeater(), name="ship-heartbeater")
-            if service.standby_host != proc.machine.name:
-                proc.thread(
-                    ctl.shipper.standby_keeper(service.standby_host),
-                    name="standby-keeper",
-                )
-            if (
-                service.fence_target
-                and service.fence_target != proc.machine.name
-            ):
-                proc.thread(ctl.fence.fencer(service.fence_target), name="fencer")
-        if ctl.federation is not None:
-            # Federation (DESIGN.md §17): serve sibling shards' borrow
-            # requests on the federation port.
-            fed_listener = proc.listen(ports.FEDERATION)
-            proc.thread(
-                ctl.federation.acceptor(fed_listener),
-                name="federation-acceptor",
-            )
+        for peer in ctl.peers:
+            peer.start()
         for host in service.managed_hosts:
             proc.thread(ctl.leases.daemon_keeper(host), name=f"daemon-keeper-{host}")
         proc.thread(ctl.leases.liveness_sweeper(), name="liveness-sweeper")
@@ -105,12 +80,8 @@ def make_broker_main(service):
         if ctl.journal is not None:
             proc.thread(ctl.leases.journal_flusher(), name="journal-flusher")
         try:
-            while True:
-                try:
-                    conn = yield listener.accept()
-                except ConnectionClosed:
-                    return 0
-                proc.thread(ctl.serve(conn), name="broker-session")
+            yield from serve_sessions(proc, listener, ctl.serve, "broker-session")
+            return 0
         finally:
             # The incarnation ends with its process (killed, or the run
             # closed): unlink it, so reference counting frees it.
@@ -130,11 +101,11 @@ class _BrokerControl:
         self.cal = proc.machine.network.calibration
         self.tracer = service.tracer
         self.metrics = service.metrics
-        # Captured per-incarnation, NOT read through the service: after a
-        # standby promotion the service points at the *new* incarnation's
-        # state/journal/epoch/events, and a partitioned ex-primary that kept
-        # running must keep serving its own — that split is exactly what the
-        # fencing protocol exists to resolve (DESIGN.md §16).  Components
+        # Captured per-incarnation, NOT read through the service: once a
+        # peer subsystem boots another incarnation the service points at
+        # the *new* one's state/journal/epoch/events, and an old one that
+        # kept running must keep serving its own — that split is exactly
+        # what fencing exists to resolve (DESIGN.md §16).  Components
         # capture theirs (ready, daemon-down events) the same way.
         self.epoch = service.epoch
         self.journal = service.journal
@@ -149,23 +120,17 @@ class _BrokerControl:
         self.job_spans = {}  # jobid -> broker.job span
         self.request_spans = {}  # (jobid, reqid) -> broker.request span
         self.reclaim_spans = {}  # host -> broker.reclaim span
-        # -- the components this configuration uses --------------------------
-        #: Epoch fencing: grants and renewals toward daemons carry epoch
-        #: stamps (warm standby or shards).  None leaves the wire protocol
-        #: byte-identical to the pre-standby broker.
-        self.fence = Fence(self) if service.fencing else None
+        # -- the components -------------------------------------------------
+        self.fence = Fence(self, stamped=any(p.fences for p in service.peers))
+        #: This incarnation's part of each peer subsystem, in boot order.
+        self.peers = tuple(peer.attach(self) for peer in service.peers)
         self.leases = Leases(self)
         self.sessions = Sessions(self)
-        self.shipper = Shipper(self) if service.replicated else None
-        #: The federation hook: the borrow protocol on a shard; None on a
-        #: standalone broker.
-        self.federation = Borrowing(self) if service.shard is not None else None
 
     def close(self) -> None:
         """Cut the components' back-pointers to this ended incarnation."""
-        for part in (self.leases, self.sessions, self.federation):
-            if part is not None:
-                part.core = None
+        for part in (self.leases, self.sessions, *self.peers):
+            part.core = None
 
     # -- instruments of the per-request and per-pass paths -------------------
     # Bound on first use rather than resolved by name at every write; first
@@ -254,23 +219,7 @@ class _BrokerControl:
             "conflicts": metric_value("recovery.conflicts"),
             "latency_seconds": metric_value("recovery.latency_seconds"),
         }
-        if self.service.replicated:
-            # A promoted incarnation has no standby of its own (shipping
-            # off), but its fencing/promotion counters still belong here.
-            ship = journal.ship_stats() if journal.ship_enabled else {"enabled": False}
-            replication = {
-                **ship,
-                "sessions": metric_value("ship.sessions"),
-                "frames": metric_value("ship.frames"),
-                "snapshots": metric_value("ship.snapshots"),
-                "resends": metric_value("ship.resends"),
-                "promotions": metric_value("broker.promotions"),
-                "demotions": metric_value("broker.demotions"),
-                "fencing_rejections": metric_value("fencing.rejections"),
-                "double_grants": metric_value("fencing.double_grants"),
-            }
-        else:
-            replication = {"enabled": False}
+        peers = {peer.key: peer.stats(leased, metric_value) for peer in self.peers}
         heap = self.proc.env.heap_stats()
         kernel = {
             "events_processed": heap["processed"],
@@ -280,12 +229,7 @@ class _BrokerControl:
             "time": now,
             "kernel": kernel,
             "journal": journal.stats() if journal is not None else {"enabled": False},
-            "replication": replication,
-            "federation": (
-                {"enabled": False}
-                if self.federation is None
-                else self.federation.stats(leased, metric_value)
-            ),
+            **peers,
             "recovery": recovery,
             "epoch": self.epoch,
             "pending": len(state.pending),
@@ -411,36 +355,35 @@ class _BrokerControl:
         return
         yield  # pragma: no cover - generator form for uniform call sites
 
-    def _grant(self, request: PendingRequest, host: str, borrowed_from=None):
-        """Bind ``host`` to the request's job and tell the app.  A machine
-        ``borrowed_from`` a sibling shard is leased by its donor, who also
-        installed the grant on its daemon (DESIGN.md §17)."""
-        job = self.state.job(request.jobid)
+    def _grant(self, request: PendingRequest, host: str):
+        """Bind ``host`` to the request's job and tell the app."""
         now = self.proc.env.now
-        loan = {} if borrowed_from is None else {"borrowed_from": borrowed_from}
         # Each kind of grant keeps its order of journal ops (a torn WAL tail
         # is cut by bytes, so the order decides what a crash leaves).
-        if not loan:
-            self.state.pending.remove(request)
+        self.state.pending.remove(request)
         self.state.allocate(
             host,
             request.jobid,
             firm=request.firm,
             now=now,
-            lease_expires_at=float("inf") if loan else now + self.cal.lease_ttl,
+            lease_expires_at=now + self.cal.lease_ttl,
         )
-        if loan:
-            # Its daemon reports to the donor: the grant is all it says here.
-            self.state.machines[host].touch(now)
-            self.state.pending.remove(request)
+        self.announce_grant(request, host, now, install=self.fence.stamped)
+
+    def announce_grant(self, request, host, now, install=False, count=None,
+                       **fields):
+        """The step every grant ends with, the core's and a peer's alike:
+        end the request span, count, log and tell the app.  ``count``
+        counts a peer's kind of grant, right after ``broker.grants``;
+        ``fields`` join the span end and the log entry."""
+        job = self.state.job(request.jobid)
         waited = now - request.arrived_at
         span = self.request_spans.pop((request.jobid, request.reqid), None)
         if span is not None:
-            span.end(outcome="granted", host=host, waited=waited, **loan)
+            span.end(outcome="granted", host=host, waited=waited, **fields)
         self._grants.inc()
-        if loan:
-            self.metrics.counter("federation.cross_shard_grants").inc()
-            self.service.federation_counters["cross_shard_grants"] += 1
+        if count is not None:
+            count()
         self._grant_wait.observe(waited)
         self.service.count_pending()
         self.service.log(
@@ -449,9 +392,9 @@ class _BrokerControl:
             reqid=request.reqid,
             host=host,
             waited=waited,
-            **loan,
+            **fields,
         )
-        if self.fence is not None and not loan:
+        if install:
             # Install the grant on the hosting daemon, epoch-stamped, before
             # the app hears about it: a fenced (stale-epoch) incarnation is
             # rejected here and demotes before its grant can double-allocate,
@@ -504,34 +447,28 @@ class _BrokerControl:
             )
 
     def _owner_priority(self, record) -> None:
-        """Revoke an allocation when the machine's owner is at the console."""
+        """Revoke an allocation when the machine's owner is at the console;
+        one in a peer's state is the peers' to recall."""
         allocation = record.allocation
-        if (
-            record.console_active
-            and allocation is not None
-            and allocation.state is AllocationState.ACTIVE
-            and self.policy.reclaim_on_owner_return(self.state, record)
-        ):
-            self.service.log(
-                event="owner_reclaim", host=record.host, jobid=allocation.jobid
-            )
-            self._start_reclaim(record.host, claimed_by=None)
-        elif (
-            record.console_active
-            and allocation is not None
-            and allocation.state is AllocationState.MIGRATING
-        ):
-            # Owner back on a loaned machine (donor side).
-            self.federation.recall(record)
+        if not record.console_active or allocation is None:
+            return
+        if allocation.state is AllocationState.ACTIVE:
+            if self.policy.reclaim_on_owner_return(self.state, record):
+                self.service.log(
+                    event="owner_reclaim", host=record.host, jobid=allocation.jobid
+                )
+                self._start_reclaim(record.host, claimed_by=None)
+        elif allocation.state not in CORE_STATES:
+            for peer in self.peers:
+                peer.owner_returned(record)
 
     def free(self, host: str, outcome=None):
         """Return ``host``, which must hold an allocation, to the pool: the
         one caller of the release transition (DESIGN.md §11, "Allocation
         lifecycle").  Releases the allocation (which un-reserves its
         claim), ends the host's reclaim span (bare and timed when
-        ``outcome`` is None, the victim's graceful release) and finishes
-        the federation half.  Returns the released allocation."""
-        donor = self.state.machines[host].borrowed_from
+        ``outcome`` is None, the victim's graceful release) and tells the
+        peers.  Returns the released allocation."""
         allocation = self.state.release(host)
         reclaim = self.reclaim_spans.pop(host, None)
         if reclaim is not None:
@@ -542,10 +479,8 @@ class _BrokerControl:
                 )
             else:
                 reclaim.end(outcome=outcome)
-        if donor is not None:
-            self.federation.forget_loan(host, allocation.jobid, donor)
-        elif allocation.state is AllocationState.MIGRATING:
-            self.federation._recalled.discard(host)
+        for peer in self.peers:
+            peer.freed(host, allocation)
         return allocation
 
     def _on_released(self, job, host: str):
@@ -554,13 +489,13 @@ class _BrokerControl:
             return
         if record.allocation.jobid != job.jobid:
             return  # stale release from a previous holder
-        if record.borrowed_from is not None:
-            # Returning a loan: the record leaves this shard's table
-            # entirely (the donor resumes scheduling over the machine).
-            self.free(host)
+        claim = self.free(host).claimed_by
+        if self.state.machines.get(host) is not record:
+            # A peer took the record out of the table with its allocation
+            # (DESIGN.md §17): nothing is handed over, and the release is
+            # the peer's to log.
             yield from self._schedule()
             return
-        claim = self.free(host).claimed_by
         self.service.log(event="released", host=host, jobid=job.jobid)
         if (
             claim is not None

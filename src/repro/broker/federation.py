@@ -6,8 +6,14 @@ contiguous slices of the machine list — and runs one full
 schedules only its own machines with flat per-shard decision cost; a shard
 that cannot satisfy a request *borrows* a machine from a sibling through
 the lease-migration protocol of :class:`Borrowing` (``borrow_request`` /
-``borrow_reply`` / ``borrow_release`` / ``borrow_recall``), the component a
-multi-shard broker is built with.
+``borrow_reply`` / ``borrow_release`` / ``borrow_recall``).
+
+A broker's membership is one :class:`Shard`, the seam object
+(:class:`~repro.broker.leases.Peer`) its service builds; each incarnation
+attaches a :class:`Borrowing`, and the broker core reaches the protocol only
+through the seam's methods.  The federation's half of the invariant oracle
+(:func:`shard_books`) and its fault kind (:class:`ShardLinkPartition`) live
+here too.
 
 Submissions route by **locality**: a job submitted from a machine goes to
 the shard that manages that machine (structurally guaranteed — each shard's
@@ -25,15 +31,19 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.broker import protocol
-from repro.broker.records import AllocationState
+from repro.broker.leases import Peer, serve_sessions
+from repro.broker.records import AllocationState, JobRecord, PendingRequest
+from repro.broker.state import ALL_JOBIDS
 from repro.cluster import ports
 from repro.cluster.network import EXPIRED
 from repro.os.errors import ConnectionClosed, ConnectionRefused, NoSuchHost
+from repro.rsl import parse_rsl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.broker.invariants import Violation
     from repro.broker.service import BrokerService, JobHandle
 
 
@@ -178,40 +188,113 @@ class FederationService:
         return blocks
 
 
-class Borrowing:
-    """Cross-shard lease borrowing (DESIGN.md §17), both sides of a loan.
+class Shard(Peer):
+    """A broker's membership in a federation, behind the seam (DESIGN.md
+    §11, §17): the no-op :class:`Peer` of a standalone broker without a
+    ``shard`` (:class:`ShardConfig`).  It strides the jobid space and
+    holds the shard's traffic counters."""
+
+    key = "federation"
+
+    def __init__(self, config: Optional[ShardConfig]) -> None:
+        self.config = config
+        self.fences = config is not None
+        #: The jobids this broker issues: shard spaces are strided a
+        #: million apart, so ids are globally unique without coordination
+        #: (an inventory or borrowed lease names its shard implicitly);
+        #: shard 0, like every standalone broker, starts at 1.
+        self.jobid_space = ALL_JOBIDS
+        if config is not None:
+            first = 1 + config.index * 1_000_000
+            self.jobid_space = range(first, first + 1_000_000)
+        #: Cross-shard traffic counters (the ``stats`` federation block):
+        #: per shard, where the registry is network-wide, and kept across
+        #: broker restarts (they count the shard, not the process).
+        self.counters: Dict[str, int] = dict.fromkeys(
+            ("forwards", "cross_shard_grants", "loans_out", "loan_refusals",
+             "recalls", "returns"),
+            0,
+        )
+
+    def attach(self, core) -> Peer:
+        """A :class:`Borrowing` for the incarnation."""
+        if self.config is None:
+            return self
+        return Borrowing(core, self)
+
+    def recovered(self, state, now: float) -> None:
+        """Borrowed records never re-report here; one without an
+        allocation lost its release-side forget to the crash (the
+        pre-attach forget never journals, and the compacting snapshot
+        after recovery excludes it)."""
+        if self.config is None:
+            return
+        for host in sorted(
+            host
+            for host, rec in state.machines.items()
+            if rec.borrowed_from is not None
+        ):
+            record = state.machines[host]
+            if record.allocation is not None:
+                record.touch(now)
+            else:
+                state.forget_machine(host)
+
+
+class Borrowing(Peer):
+    """Cross-shard lease borrowing (DESIGN.md §17), both sides of a loan:
+    one incarnation's part of its :class:`Shard`.
 
     As *borrower* a shard that cannot place a request runs one borrow loop
     for it over the sibling ring and installs a lent machine as the grant;
     as *donor* it lends idle machines, keeps each loan leased and recalls it
-    when the owner returns or the loan leaks.  The broker core reaches it
-    through its ``federation`` hook, which is None on a standalone broker."""
+    when the owner returns or the loan leaks."""
 
-    def __init__(self, core) -> None:
+    key = Shard.key
+
+    def __init__(self, core, shard: Shard) -> None:
         self.core = core
         self.proc = core.proc
         self.state = core.state
         self.cal = core.cal
         self.metrics = core.metrics
         self.service = core.service
-        #: This broker's shard assignment.
-        self._shard = core.service.shard
+        #: The service's membership, and its shard assignment.
+        self.shard = shard
+        self._shard = shard.config
         #: (jobid, reqid) pairs with a live borrow loop, so one queued
         #: request never runs two concurrent loops.
         self._borrowing = set()
         #: Loaned-out hosts whose borrower already got a recall notice.
         self._recalled = set()
 
-    # -- donor side ------------------------------------------------------------
+    # -- the seam ----------------------------------------------------------
 
-    def acceptor(self, listener):
-        """Accept sibling shards' sessions on the federation port."""
-        while True:
-            try:
-                conn = yield listener.accept()
-            except ConnectionClosed:
-                return
-            self.proc.thread(self._serve(conn), name="federation-session")
+    def start(self) -> None:
+        """Serve sibling shards' borrow requests on the federation port."""
+        listener = self.proc.listen(ports.FEDERATION)
+        self.proc.thread(
+            serve_sessions(self.proc, listener, self._serve, "federation-session"),
+            name="federation-acceptor",
+        )
+
+    def resumed(self, job) -> None:
+        """Requeued requests lost their borrow loops with the old
+        incarnation (or never had one): restart them."""
+        for request in list(self.state.pending):
+            if request.jobid == job.jobid:
+                self.unplaced(job, request)
+
+    def freed(self, host, allocation) -> None:
+        """The federation half of ``free``: a borrowed record leaves the
+        table and goes back to its donor; a loan forgets its recall."""
+        donor = self.state.machines[host].borrowed_from
+        if donor is not None:
+            self.forget_loan(host, allocation.jobid, donor)
+        elif allocation.state is AllocationState.MIGRATING:
+            self._recalled.discard(host)
+
+    # -- donor side ------------------------------------------------------------
 
     def _serve(self, conn):
         """Serve one sibling session: a borrow request (replied to on the
@@ -249,20 +332,22 @@ class Borrowing:
         symbolic = msg["symbolic"]
         rsl_text = msg.get("rsl", "")
         adaptive = bool(msg.get("adaptive"))
+        # The borrower's job, as a foreign (job, request) pair: no home host
+        # to exclude, its RSL and adaptivity verbatim.  Only an idle machine
+        # is ever lent: a donor never preempts its own jobs for a sibling.
+        foreign = _foreign(symbolic, rsl_text, adaptive)
         record = (
-            None
-            if self.core.fence.demoted
-            else self.state.best_idle_for_loan(symbolic, rsl_text, adaptive)
+            None if self.core.fence.demoted else self.state._best_idle_for(*foreign)
         )
         if record is None:
-            self.service.federation_counters["loan_refusals"] += 1
+            self.shard.counters["loan_refusals"] += 1
             self.metrics.counter("federation.loan_refusals").inc()
             protocol.try_send(
                 conn,
                 protocol.borrow_reply(
                     ok=False,
-                    satisfiable=self.state.loan_satisfiable(
-                        symbolic, rsl_text, adaptive
+                    satisfiable=self.state.satisfiable_somewhere(
+                        symbolic, foreign[0]
                     ),
                     reported=self.state.all_reported(
                         self.service.managed_hosts
@@ -280,7 +365,7 @@ class Borrowing:
             lease_expires_at=now + self.cal.lease_ttl,
         )
         allocation.loan(borrower, self.state.journal)
-        self.service.federation_counters["loans_out"] += 1
+        self.shard.counters["loans_out"] += 1
         self.metrics.counter("federation.loans_out").inc()
         self.service.log(
             event="loan_out", host=record.host, jobid=jobid, to_shard=borrower
@@ -323,7 +408,7 @@ class Borrowing:
         )
         yield from self.core._schedule()
 
-    def recall(self, record) -> None:
+    def owner_returned(self, record) -> None:
         """Donor side: the owner is back at a loaned machine — recall the
         loan gracefully.  The donor does NOT release here: the loan ends
         through the borrower's release (or lease expiry as the backstop),
@@ -332,7 +417,7 @@ class Borrowing:
             return
         allocation = record.allocation
         self._recalled.add(record.host)
-        self.service.federation_counters["recalls"] += 1
+        self.shard.counters["recalls"] += 1
         self.metrics.counter("federation.recalls").inc()
         self.service.log(
             event="loan_recall",
@@ -348,7 +433,7 @@ class Borrowing:
             name=f"loan-recall-{record.host}",
         )
 
-    def end_loan(self, host, allocation, outcome) -> None:
+    def lost(self, host, allocation, outcome) -> None:
         """Donor side: a loan ended without the borrower's release (lease
         leak or machine death): free the machine and send the borrower a
         best-effort recall so it drops its side too."""
@@ -408,7 +493,7 @@ class Borrowing:
         donor a best-effort return notice (a partitioned donor misses it
         and reclaims the loan through lease expiry instead)."""
         self.state.forget_machine(host)
-        self.service.federation_counters["returns"] += 1
+        self.shard.counters["returns"] += 1
         self.metrics.counter("federation.returns").inc()
         self.service.log(
             event="loan_returned", host=host, jobid=jobid, to_shard=donor
@@ -420,27 +505,31 @@ class Borrowing:
             name=f"borrow-return-{host}",
         )
 
-    def _notify(self, shard, message):
-        """Dial one sibling shard's federation port and deliver a one-way
-        notice, best-effort: a partitioned or down sibling misses it and
-        the loan self-heals through lease expiry instead."""
+    def _notify(self, shard, message, failures="federation.notify_failures"):
+        """Dial one sibling shard's federation port, send ``message`` and
+        hold until the sibling answers or closes (its handler is done), so
+        nothing is torn down in flight; the timer bounds a peer partitioned
+        mid-session.  Returns the answer, None when there is none.  A
+        one-way notice is best-effort: a partitioned or down sibling misses
+        it (counted in ``failures``) and the loan self-heals through lease
+        expiry instead."""
         host = self._shard.broker_hosts[shard]
         try:
             conn = yield self.proc.connect(host, ports.FEDERATION)
         except (ConnectionRefused, NoSuchHost):
-            self.metrics.counter("federation.notify_failures").inc()
-            return
+            if failures is not None:
+                self.metrics.counter(failures).inc()
+            return None
+        answer = None
         if protocol.try_send(conn, message):
-            # Hold until the sibling closes (its handler is done) so the
-            # notice is never torn down in flight; the timer bounds a peer
-            # partitioned mid-session.
             try:
-                yield conn.recv_or_deadline(self.cal.federation_rpc_timeout)
+                answer = yield conn.recv_or_deadline(self.cal.federation_rpc_timeout)
             except ConnectionClosed:
                 pass
         conn.close()
+        return None if answer is EXPIRED else answer
 
-    def maybe_borrow(self, job, request) -> None:
+    def unplaced(self, job, request) -> bool:
         """Federated variant of the deny decision: before giving up on a
         request the local shard cannot place, try to borrow a machine from
         the sibling shards.
@@ -451,15 +540,16 @@ class Borrowing:
         federation keeps the single-broker deny semantics stretched
         across all shards."""
         if request not in self.state.pending:
-            return  # already granted (or reclaimed-for) by the local pass
+            return True  # already granted (or reclaimed-for) by the local pass
         key = (request.jobid, request.reqid)
         if key in self._borrowing:
-            return
+            return True
         self._borrowing.add(key)
         self.proc.thread(
             self._borrow_for(job, request),
             name=f"borrow-{request.jobid}-{request.reqid}",
         )
+        return True
 
     def _resolved(self, job, request) -> bool:
         """Whether a request no longer needs a borrowed machine."""
@@ -546,16 +636,10 @@ class Borrowing:
         """One borrow request/reply exchange with a sibling; None when the
         sibling is unreachable, silent past the RPC deadline, or answered
         garbage."""
-        host = self._shard.broker_hosts[shard]
-        self.service.federation_counters["forwards"] += 1
+        self.shard.counters["forwards"] += 1
         self.metrics.counter("federation.forwards").inc()
-        try:
-            conn = yield self.proc.connect(host, ports.FEDERATION)
-        except (ConnectionRefused, NoSuchHost):
-            return None
-        reply = None
-        if protocol.try_send(
-            conn,
+        reply = yield from self._notify(
+            shard,
             protocol.borrow_request(
                 self._shard.index,
                 request.jobid,
@@ -565,16 +649,8 @@ class Borrowing:
                 request.firm,
                 request.reqid,
             ),
-        ):
-            try:
-                answer = yield conn.recv_or_deadline(
-                    self.cal.federation_rpc_timeout
-                )
-                if answer is not EXPIRED:
-                    reply = answer
-            except ConnectionClosed:
-                pass
-        conn.close()
+            failures=None,
+        )
         if reply is not None and reply.get("type") != "borrow_reply":
             return None
         return reply
@@ -601,8 +677,22 @@ class Borrowing:
         record.borrowed_from = int(reply.get("shard", -1))
         record.platform = reply.get("platform", "")
         record.kind = reply.get("kind", "public")
-        core._grant(request, host, borrowed_from=record.borrowed_from)
+        # The borrowed grant: ``alloc`` (leased by the donor, so infinite
+        # here), the touch (its daemon reports to the donor: the grant is
+        # all it says here), ``pend-``, then the core's announce step.
+        now = self.proc.env.now
+        self.state.allocate(host, request.jobid, firm=request.firm, now=now)
+        record.touch(now)
+        self.state.pending.remove(request)
+        core.announce_grant(
+            request, host, now, count=self._count_grant,
+            borrowed_from=record.borrowed_from,
+        )
         return True
+
+    def _count_grant(self) -> None:
+        self.metrics.counter("federation.cross_shard_grants").inc()
+        self.shard.counters["cross_shard_grants"] += 1
 
     def stats(self, leased, metric_value) -> dict:
         """The ``stats`` RPC's federation block."""
@@ -626,5 +716,123 @@ class Borrowing:
             "loaned_machines": loaned,
             "fencing_rejections": metric_value("fencing.rejections"),
             "double_grants": metric_value("fencing.double_grants"),
-            **self.service.federation_counters,
+            **self.shard.counters,
         }
+
+
+def _foreign(symbolic: str, rsl_text: str, adaptive: bool):
+    """A sibling's request as a transient (job, request) pair, registered
+    in no state's jobs or pending queue."""
+    job = JobRecord(
+        jobid=-1, user="federation", home_host="",
+        rsl=parse_rsl(rsl_text or ""), argv=[], adaptive=bool(adaptive),
+    )
+    return job, PendingRequest(
+        reqid=-1, jobid=-1, symbolic=symbolic, firm=False, arrived_at=0.0
+    )
+
+
+# -- the federation's half of the invariant oracle -----------------------------
+
+
+def shard_books(oracle, services, loans: bool = False) -> Optional["Violation"]:
+    """The federation's half of the oracle (:mod:`repro.broker.invariants`):
+    no host is booked on two shards — a loan's donor and borrower halves
+    are one booking — and, with ``loans``, every donor-side MIGRATING loan
+    names a job some shard holds, unfinished (a loan's job lives on the
+    borrower; federated jobids are unique)."""
+    holders: Dict[str, list] = {}
+    for index, service in enumerate(services):
+        for record in service.state.machines.values():
+            if record.allocation is not None:
+                holders.setdefault(record.host, []).append(
+                    (index, record.allocation, record.borrowed_from)
+                )
+    for host, held in holders.items():
+        if len(held) == 1 or _is_loan_pair(held):
+            continue
+        return oracle._violation(
+            services,
+            "double_allocation",
+            f"{host} allocated on shards "
+            f"{[(index, a.jobid, a.state.value) for index, a, _ in held]}",
+            host=host,
+            jobid=held[-1][1].jobid,
+        )
+    if not loans:
+        return None
+    everywhere = {}
+    for service in services:
+        everywhere.update(service.state.jobs)
+    for index, service in enumerate(services):
+        for record in service.state.leased_records():
+            allocation = record.allocation
+            if allocation.state is not AllocationState.MIGRATING:
+                continue
+            job = everywhere.get(allocation.jobid)
+            if job is None or job.done:
+                return oracle._violation(
+                    services,
+                    "unknown_job" if job is None else "done_job",
+                    f"{record.host} allocated to "
+                    f"{'unknown' if job is None else 'finished'} job "
+                    f"{allocation.jobid} on shard {index}",
+                    host=record.host,
+                    jobid=allocation.jobid,
+                )
+    return None
+
+
+def _is_loan_pair(held) -> bool:
+    """Whether two holders of one host are the halves of one loan: the
+    donor's MIGRATING allocation and the borrower's borrowed record."""
+    if len(held) != 2 or held[0][1].jobid != held[1][1].jobid:
+        return False
+    (a, first, a_from), (b, second, b_from) = held
+    return any(
+        loan.state is AllocationState.MIGRATING
+        and loan.loaned_to == borrower
+        and borrowed_from == donor
+        for donor, loan, borrower, borrowed_from in (
+            (a, first, b, b_from),
+            (b, second, a, a_from),
+        )
+    )
+
+
+# -- the federation's fault kind (``repro.faults`` exports it) ---------------
+
+
+@dataclass(frozen=True)
+class ShardLinkPartition:
+    """Cut just the link between two federated shards' brokers for
+    ``duration`` seconds.
+
+    Every machine stays reachable from its own shard — only the
+    borrow/loan control traffic between ``shards[0]`` and ``shards[1]``
+    goes dark.  Borrow RPCs across the cut fail fast or time out (the
+    borrower walks on around the ring), loan-return notices are lost (the
+    donor reclaims via lease expiry), and no machine may ever end up
+    grantable on both sides.  No-op without a multi-shard federation."""
+
+    at: float
+    duration: float = 12.0
+    shards: Tuple[int, int] = (0, 1)
+
+    kind = "shard_link_partition"
+
+    def inject(self, injector) -> None:
+        """The injector arm: block the two brokers' link and sever what
+        crosses it."""
+        federation = injector.cluster.federation
+        if federation is None:
+            return
+        a, b = self.shards
+        host_a = federation.broker_host_of(a % federation.shards)
+        host_b = federation.broker_host_of(b % federation.shards)
+        if host_a != host_b:
+            # Cut only the broker↔broker link: every machine keeps its own
+            # shard's daemons and apps; just the borrow/loan control
+            # traffic between these two shards goes dark.
+            injector.faults.add_link_block(host_a, host_b, self.duration)
+            injector.network.sever(injector.faults.partitioned)

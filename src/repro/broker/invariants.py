@@ -6,7 +6,8 @@ After every event (:meth:`Oracle.check`):
 
 * **no double run** — no machine runs live subapps of two jobs;
 * **no double booking** — no host is allocated on two shards (a loan's
-  donor and borrower halves are one allocation);
+  donor and borrower halves are one allocation): the federation's half of
+  the oracle, :func:`~repro.broker.federation.shard_books`;
 * **job soundness** — every ACTIVE or RECLAIMING allocation and every
   pending request names a job its own shard holds, unfinished;
 * **owner priority** — a private machine whose owner is at the console
@@ -16,9 +17,9 @@ After every event (:meth:`Oracle.check`):
   ``claimed_by`` is the request itself).
 
 On the books (:meth:`Oracle.check_books`), whenever no fault is being
-recovered from: job soundness for the donor-side MIGRATING loans too,
-whose job lives on the borrowing shard; a loan can outlive its borrower's
-job until the loan's lease runs out.  Once a run has settled
+recovered from: job soundness for the donor-side MIGRATING loans too
+(``shard_books`` again), whose job lives on the borrowing shard; a loan can
+outlive its borrower's job until the loan's lease runs out.  Once a run has settled
 (:meth:`Oracle.check_settled`): the books, no allocation past its lease,
 and no ``app`` process left alive (every admitted job finished).
 
@@ -43,7 +44,8 @@ from types import SimpleNamespace
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.broker.daemon import leased_jobids, subapp_jobid
-from repro.broker.records import AllocationState
+from repro.broker.federation import shard_books
+from repro.broker.records import CORE_STATES, AllocationState
 from repro.cluster.builder import Cluster
 from repro.obs.spans import TRACE_ENVIRON_KEY, parse_context
 from repro.os.machine import MachineKind
@@ -114,7 +116,7 @@ class Oracle:
         services = self.services()
         return self._keep(
             self._double_run(services)
-            or self._double_allocation(services)
+            or shard_books(self, services)
             or self._job_soundness(services)
             or self._owner_priority(services)
             or self._reservation(services)
@@ -127,15 +129,16 @@ class Oracle:
         settles."""
         services = self.services()
         return self._keep(
-            self._double_allocation(services)
-            or self._job_soundness(services, loans=True)
+            shard_books(self, services, loans=True)
+            or self._job_soundness(services)
         )
 
     def check_settled(self) -> Optional[Violation]:
         """Check the properties that hold once a run has settled."""
         services = self.services()
         return self._keep(
-            self._job_soundness(services, loans=True)
+            self._job_soundness(services)
+            or shard_books(self, services, loans=True)
             or self._stranded_leases(services)
             or self._unfinished_jobs(services)
         )
@@ -190,47 +193,19 @@ class Oracle:
             )
         return None
 
-    def _double_allocation(self, services) -> Optional[Violation]:
-        holders: Dict[str, list] = {}
-        for index, service in enumerate(services):
-            for record in service.state.machines.values():
-                if record.allocation is not None:
-                    holders.setdefault(record.host, []).append(
-                        (index, record.allocation, record.borrowed_from)
-                    )
-        for host, held in holders.items():
-            if len(held) == 1 or _is_loan_pair(held):
-                continue
-            return self._violation(
-                services,
-                "double_allocation",
-                f"{host} allocated on shards "
-                f"{[(index, a.jobid, a.state.value) for index, a, _ in held]}",
-                host=host,
-                jobid=held[-1][1].jobid,
-            )
-        return None
-
-    def _job_soundness(self, services, loans=False) -> Optional[Violation]:
+    def _job_soundness(self, services) -> Optional[Violation]:
         """Every ACTIVE or RECLAIMING allocation and every pending request
-        names a job its own shard holds, unfinished; with ``loans``, so
-        does every donor-side MIGRATING loan, on any shard (a loan's job
-        lives on the borrower; federated jobids are unique)."""
-        everywhere = {}
-        for service in services if loans else ():
-            everywhere.update(service.state.jobs)
+        names a job its own shard holds, unfinished."""
         for index, service in enumerate(services):
             jobs = service.state.jobs
-            named = []
-            for record in service.state.leased_records():
-                allocation = record.allocation
-                if allocation.state is not AllocationState.MIGRATING:
-                    named.append((record.host, allocation.jobid, jobs))
-                elif loans:
-                    named.append((record.host, allocation.jobid, everywhere))
-            named += [(None, request.jobid, jobs) for request in service.state.pending]
-            for host, jobid, held in named:
-                job = held.get(jobid)
+            named = [
+                (record.host, record.allocation.jobid)
+                for record in service.state.leased_records()
+                if record.allocation.state in CORE_STATES
+            ]
+            named += [(None, request.jobid) for request in service.state.pending]
+            for host, jobid in named:
+                job = jobs.get(jobid)
                 if job is None or job.done:
                     return self._violation(
                         services,
@@ -325,23 +300,6 @@ class Oracle:
                     trace_id=_trace_of(proc),
                 )
         return None
-
-
-def _is_loan_pair(held) -> bool:
-    """Whether two holders of one host are the halves of one loan: the
-    donor's MIGRATING allocation and the borrower's borrowed record."""
-    if len(held) != 2 or held[0][1].jobid != held[1][1].jobid:
-        return False
-    (a, first, a_from), (b, second, b_from) = held
-    return any(
-        loan.state is AllocationState.MIGRATING
-        and loan.loaned_to == borrower
-        and borrowed_from == donor
-        for donor, loan, borrower, borrowed_from in (
-            (a, first, b, b_from),
-            (b, second, a, a_from),
-        )
-    )
 
 
 class Watch:

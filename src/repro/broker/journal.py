@@ -50,16 +50,10 @@ Replay — rebuilding a state from a snapshot and the WAL — is
 :mod:`repro.broker.recovery`'s; :meth:`BrokerJournal.load_state` reads the
 files and hands their records to it.
 
-Shipping
---------
-With a warm standby configured, every character that reaches a WAL (flushes
-and compaction openers alike) is also accounted to a **ship stream** —
-identified by the primary incarnation's epoch, offset in characters — and
-retained, one chunk per append, until the standby acknowledges it, so the
-ship server can resend the tail on reconnect.  Appends are whole frames and
-the standby acks whole chunks, so a resumable offset is a chunk boundary and
-a valid replay cut point.  :func:`read_snapshot` reads the standby's
-persisted snapshot as well as this journal's (DESIGN.md §16).
+Every string that reaches a WAL (flushes and compaction openers alike) is
+also handed to one append hook, :attr:`BrokerJournal.on_append`: whole
+frames, so every append ends on a valid replay cut point.  A subsystem that
+streams the WAL elsewhere installs itself there (DESIGN.md §16).
 """
 
 from __future__ import annotations
@@ -85,6 +79,10 @@ _HEADER_CHARS = 16
 #: The one encoder behind every journal payload (``json.dumps`` with these
 #: options builds a fresh ``JSONEncoder`` per call).
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _no_append(data: str) -> None:
+    """The append hook of a journal nothing streams."""
 
 
 def _frame(payload: str) -> str:
@@ -210,22 +208,9 @@ class BrokerJournal:
         self.records_written = 0
         self.flushes = 0
         self.compactions = 0
-        #: WAL shipping to a warm standby.  The ship *stream* is the
-        #: concatenation of every character physically appended to a WAL
-        #: after :meth:`enable_shipping` (flushes and compaction openers
-        #: alike), identified by the enabling incarnation's epoch.  Offsets
-        #: are characters of that stream; every append is whole frames, so
-        #: chunk boundaries are always valid replay cut points.
-        self.ship_enabled = False
-        self.ship_stream = 0
-        self.flushed_offset = 0
-        self.acked_offset = 0
-        #: Flushed-but-unacked chunks ``(offset, data)``, retained for
-        #: resend on standby reconnect; trimmed as acks arrive.
-        self._ship_chunks: List[Tuple[int, str]] = []
-        #: Kick callable: invoked (if set) after each append so the ship
-        #: server wakes and drains new data within its in-flight window.
-        self._ship_kick: Optional[Callable[[], None]] = None
+        #: Called with every string appended to a WAL, right after it
+        #: reaches the file (see the module docstring).
+        self.on_append: Callable[[str], None] = _no_append
 
     # -- paths and generations ----------------------------------------------
 
@@ -294,7 +279,7 @@ class BrokerJournal:
             self._oldest_pending = self.clock()
 
     def note_forget(self, host: str) -> None:
-        """Durably forget a machine (a borrowed record whose loan ended).
+        """Durably forget a machine record (``BrokerState.forget_machine``).
 
         Any coalesced notes still pending for the host are dropped first:
         ``flush`` drains notes into the same append as structural ops, so a
@@ -343,7 +328,7 @@ class BrokerJournal:
         self.fs.append(self._wal_path(self.generation), data)
         self._wal_bytes += len(data)
         self._disk_bytes += len(data)
-        self._ship_append(data)
+        self.on_append(data)
         self.flushes += 1
         if self.metrics is not None:
             self._flushes_counter.inc()
@@ -391,79 +376,6 @@ class BrokerJournal:
         self._oldest_pending = -1.0
         self._stall_until = -1.0
 
-    # -- WAL shipping ---------------------------------------------------------
-
-    def enable_shipping(self, stream: int) -> None:
-        """Start accounting appends as a ship stream identified by ``stream``
-        (the enabling incarnation's epoch).  Offsets restart at zero: a new
-        incarnation is a new stream, and a standby holding an old stream id
-        re-baselines from a snapshot."""
-        self.ship_enabled = True
-        self.ship_stream = stream
-        self.flushed_offset = 0
-        self.acked_offset = 0
-        self._ship_chunks = []
-        self._ship_kick = None
-
-    def set_ship_kick(self, kick: Optional[Callable[[], None]]) -> None:
-        """Install (or clear) the new-data wakeup for the ship server."""
-        self._ship_kick = kick
-
-    def _ship_append(self, data: str) -> None:
-        if not self.ship_enabled or not data:
-            return
-        self._ship_chunks.append((self.flushed_offset, data))
-        self.flushed_offset += len(data)
-        if self.metrics is not None:
-            self.metrics.gauge("journal.ship_lag").set(self.ship_lag())
-        if self._ship_kick is not None:
-            self._ship_kick()
-
-    def note_ship_ack(self, offset: int) -> None:
-        """The standby has durably applied the stream up to ``offset``;
-        trim the retained resend tail."""
-        if offset <= self.acked_offset:
-            return
-        self.acked_offset = min(offset, self.flushed_offset)
-        self._ship_chunks = [
-            (start, data)
-            for start, data in self._ship_chunks
-            if start + len(data) > self.acked_offset
-        ]
-        if self.metrics is not None:
-            self.metrics.gauge("journal.ship_lag").set(self.ship_lag())
-
-    def ship_pending(self, from_offset: int) -> Optional[List[Tuple[int, str]]]:
-        """Retained chunks covering the stream from ``from_offset`` on, or
-        None when the stream cannot be resumed there and the standby needs
-        a snapshot baseline: the tail was trimmed past it, or it is not a
-        chunk boundary (the standby acks whole chunks, so it always is)."""
-        if from_offset >= self.flushed_offset:
-            return []
-        chunks = [
-            (start, data)
-            for start, data in self._ship_chunks
-            if start + len(data) > from_offset
-        ]
-        if not chunks or chunks[0][0] != from_offset:
-            return None
-        return chunks
-
-    def ship_lag(self) -> int:
-        """Characters flushed but not yet acknowledged by the standby."""
-        return max(0, self.flushed_offset - self.acked_offset)
-
-    def ship_stats(self) -> Dict[str, Any]:
-        """Replication-side view for the ``stats`` RPC."""
-        return {
-            "enabled": self.ship_enabled,
-            "stream": self.ship_stream,
-            "flushed_offset": self.flushed_offset,
-            "acked_offset": self.acked_offset,
-            "lag_chars": self.ship_lag(),
-            "retained_chars": sum(len(data) for _start, data in self._ship_chunks),
-        }
-
     # -- compaction ----------------------------------------------------------
 
     def _compact(self) -> None:
@@ -489,7 +401,7 @@ class BrokerJournal:
                 )
             )
         self.fs.write(self._wal_path(generation), opener)
-        self._ship_append(opener)
+        self.on_append(opener)
         self.generation = generation
         self._wal_bytes = len(opener)
         floor = generation - self.keep_generations

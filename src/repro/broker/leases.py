@@ -13,18 +13,24 @@ holds the two failure detectors the reports feed:
 Daemon inventories are also what a recovered broker reconciles against:
 they confirm or drop each journal-recovered lease, and inside a restarted
 incarnation's recovery window they seed adoptions.
+
+Beside the daemon sessions live the two things every subsystem that talks
+to other broker processes shares: :class:`Fence`, the epoch stamp on what
+this incarnation tells its daemons and the demotion a higher epoch forces,
+and :class:`Peer`, the seam such a subsystem sits behind.
 """
 
 from __future__ import annotations
 
 from repro.broker import protocol
-from repro.broker.records import AllocationState
+from repro.broker.records import CORE_STATES, AllocationState
 from repro.os.errors import ConnectionClosed
+from repro.os.signals import SIGKILL
 
 
 def keep_respawned(owner, host, argv, arm, restarts, event):
-    """The keeper discipline of daemons and the warm standby: rsh-spawn
-    ``argv`` on ``host`` and respawn it whenever its session drops.
+    """The keeper discipline: rsh-spawn ``argv`` on ``host`` and respawn
+    it whenever its session drops.
 
     ``arm(host, down)`` files each incarnation's down event where the
     session serving its connection triggers it: the *connection* is the
@@ -51,6 +57,114 @@ def keep_respawned(owner, host, argv, arm, restarts, event):
         owner.service.log(event=event, host=host)
 
 
+def serve_sessions(proc, listener, serve, name):
+    """Serve each connection ``listener`` accepts in a thread of its own,
+    ``serve(conn)`` named ``name``, until the listener closes."""
+    while True:
+        try:
+            conn = yield listener.accept()
+        except ConnectionClosed:
+            return
+        proc.thread(serve(conn), name=name)
+
+
+class Fence:
+    """Epoch fencing of one broker incarnation (DESIGN.md §16).
+
+    With ``stamped`` — set when a peer subsystem is configured, since only
+    another broker process can hold a higher epoch — the incarnation
+    stamps its epoch on daemon sessions, grant installs and lease
+    renewals; a daemon that has witnessed a higher one answers
+    ``fence_reject``, and :meth:`demote` stops the incarnation."""
+
+    def __init__(self, core, stamped: bool) -> None:
+        self.proc = core.proc
+        self.metrics = core.metrics
+        self.service = core.service
+        self.epoch = core.epoch
+        self.stamped = stamped
+        #: Set once this incarnation is fenced; all grants stop.
+        self.demoted = False
+
+    def demote(self, witnessed, source, host=None) -> None:
+        """Fenced: a higher epoch exists, so this incarnation must stop
+        granting *now*.  Process death is the simplest correct way — every
+        session, sweeper and keeper dies with it, and grants already sent
+        are bounded by their leases."""
+        if self.demoted:
+            return
+        self.demoted = True
+        self.metrics.counter("broker.demotions").inc()
+        self.service.log(
+            event="broker_demoted",
+            epoch=self.epoch,
+            witnessed=witnessed,
+            source=source,
+            host=host,
+        )
+        self.proc.signal(SIGKILL)
+
+
+class Peer:
+    """The seam (DESIGN.md §11): a subsystem that talks to other broker
+    processes, as the broker core sees it.
+
+    The service builds one per subsystem, configured or not, in boot order
+    (``service.peers``); each incarnation :meth:`attach`-es a part, and the
+    core calls the rest on that part at fixed points, never asking which
+    subsystem answers.  Each method here is the no-op of a subsystem that
+    is not configured, whose part is itself.
+    """
+
+    #: The key of the block :meth:`stats` fills in the ``stats`` RPC.
+    key = ""
+    #: True when configured: the incarnation's :class:`Fence` stamps.
+    fences = False
+    #: The incarnation a part belongs to; the core cuts it when it ends.
+    core = None
+
+    # -- called by the service harness and recovery, on the subsystem ------
+
+    def attach(self, core) -> "Peer":
+        """Incarnation ``core``'s part, built before its components."""
+        return self
+
+    def opened(self, journal) -> None:
+        """The service's ``journal`` (None without one) starts a history:
+        at the first boot, and after each restart's recovery."""
+
+    def recovered(self, state, now: float) -> None:
+        """``state`` is being installed, its managed machines re-added."""
+
+    # -- called by the broker core, on an incarnation's part ----------------
+
+    def start(self) -> None:
+        """Boot, right after the broker port opens: listeners, threads."""
+
+    def stats(self, leased, metric_value) -> dict:
+        """This subsystem's block of the ``stats`` RPC."""
+        return {"enabled": False}
+
+    def unplaced(self, job, request) -> bool:
+        """A new request the scheduling pass left queued; True takes over
+        its deny decision."""
+        return False
+
+    def resumed(self, job) -> None:
+        """``job``'s session resumed and its requests were requeued."""
+
+    def freed(self, host, allocation) -> None:
+        """``free`` released ``allocation``, which ``host`` held."""
+
+    def owner_returned(self, record) -> None:
+        """The owner is back at ``record``'s machine, whose allocation is
+        in a state outside :data:`~repro.broker.records.CORE_STATES`."""
+
+    def lost(self, host, allocation, outcome) -> None:
+        """Such an allocation's machine died (``machine_dead``) or its
+        lease ran out (``lease_expired``)."""
+
+
 class Leases:
     """Daemon sessions, machine liveness and grant leases."""
 
@@ -64,6 +178,8 @@ class Leases:
         self.metrics = core.metrics
         self.service = service
         self.epoch = core.epoch
+        self.fence = core.fence
+        self.peers = core.peers
         # Per-incarnation, captured at boot like the core's handles.
         self._ready = service.ready
         self._daemon_down = service._daemon_down
@@ -91,9 +207,9 @@ class Leases:
     def daemon_keeper(self, host):
         """Spawn the daemon on ``host`` and respawn it whenever it dies.
 
-        The daemon argv carries every well-known broker address (primary
-        plus standby, when one is configured) so a daemon spawned before a
-        failover finds whichever incarnation is alive afterwards.
+        The daemon argv carries every well-known broker address
+        (``service.broker_addresses``), so a daemon spawned before another
+        incarnation takes over finds whichever one is alive afterwards.
         """
         return keep_respawned(
             self, host, ("rbdaemon", *self._addresses),
@@ -114,7 +230,7 @@ class Leases:
         fold every report into the machine's record until the link drops."""
         host = hello["host"]
         core = self.core
-        fence = core.fence
+        fence = self.fence
         record = self.state.add_machine(host)
         if hello.get("resumed"):
             self.metrics.counter("broker.daemon_reregistrations").inc()
@@ -126,7 +242,7 @@ class Leases:
         self._reconcile_recovered(record, hello.get("leases", ()))
         self._adopt_from_inventory(record, hello.get("leases", ()))
         self._daemon_conns[host] = conn
-        if fence is not None:
+        if fence.stamped:
             # Stamp the session with this incarnation's epoch; a daemon that
             # has witnessed a higher one answers with fence_reject, which
             # demotes us (DESIGN.md §16).
@@ -232,7 +348,7 @@ class Leases:
         """Push the allocation's lease one TTL out: the machine's inventory
         lists its job."""
         allocation.renew(self.proc.env.now + self.cal.lease_ttl, self.state.journal)
-        if self.core.fence is not None:
+        if self.fence.stamped:
             # Echo the renewal with our epoch stamp: a daemon holding a
             # higher witness fences us before the stale lease can matter.
             daemon = self._daemon_conns.get(record.host)
@@ -260,12 +376,11 @@ class Leases:
                 self.proc.env.now + self.cal.lease_ttl, confirmed=True
             )
             return
-        if allocation.state is AllocationState.MIGRATING:
-            # A recovered loan: its confirming signal — the borrower's
-            # subapp in this inventory — may legitimately lag the crash
-            # (the borrower's rsh could still be in flight), so never drop
-            # it on disagreement; lease expiry bounds a loan that truly
-            # died with the previous incarnation.
+        if allocation.state not in CORE_STATES:
+            # A peer's allocation: its confirming signal may legitimately
+            # lag the crash, so it is never dropped on disagreement; lease
+            # expiry bounds one that truly died with the previous
+            # incarnation.
             return
         self.drop_recovered(record, trusted=sorted(int(j) for j in leases))
 
@@ -346,24 +461,9 @@ class Leases:
         while True:
             # One pass both collects the already-overdue machines and finds
             # the earliest future deadline to arm the next wake at.
-            now = self.proc.env.now
-            due = None
-            overdue = []
             tracked = self.state.tracked_records()
             self.metrics.counter("broker.sweep_scans").inc(len(tracked))
-            for record in tracked:
-                if record.dead or record.last_seen < 0.0:
-                    continue  # already handled / never heard from at all
-                if record.borrowed_from is not None:
-                    # A borrowed machine's daemon reports to its donor
-                    # shard; the donor's sweepers own its liveness.
-                    continue
-                if now - record.last_seen > deadline:
-                    overdue.append(record)
-                else:
-                    candidate = record.last_seen + deadline
-                    if due is None or candidate < due:
-                        due = candidate
+            overdue, due = self.state.silent(tracked, self.proc.env.now, deadline)
             for record in overdue:
                 if record.dead or record.last_seen < 0.0:
                     continue  # a report raced in while marking the others
@@ -414,15 +514,9 @@ class Leases:
             event="machine_dead", host=record.host, silent_for=silence
         )
         allocation = record.allocation
-        if (
-            allocation is not None
-            and allocation.state is AllocationState.MIGRATING
-        ):
-            # A loaned machine died: free it donor-side and recall the
-            # borrower (whose app sees the severed subapp regardless).
-            self.core.federation.end_loan(
-                record.host, allocation, outcome="machine_dead"
-            )
+        if allocation is not None and allocation.state not in CORE_STATES:
+            for peer in self.peers:
+                peer.lost(record.host, allocation, outcome="machine_dead")
         elif allocation is not None and allocation.state is AllocationState.ACTIVE:
             if self.state.jobs[allocation.jobid].conn is not None:
                 # Reclaim via the normal revocation path: the victim's subapp
@@ -518,11 +612,9 @@ class Leases:
         self.service.log(
             event="lease_expired", host=record.host, jobid=allocation.jobid
         )
-        if allocation.state is AllocationState.MIGRATING:
-            # A leaked loan: reclaim the machine and recall the borrower.
-            core.federation.end_loan(
-                record.host, allocation, outcome="lease_expired"
-            )
+        if allocation.state not in CORE_STATES:
+            for peer in self.peers:
+                peer.lost(record.host, allocation, outcome="lease_expired")
         elif (
             allocation.state is AllocationState.ACTIVE
             and self.state.jobs[allocation.jobid].conn is not None

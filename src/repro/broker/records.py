@@ -4,10 +4,12 @@ Plain dataclasses that :class:`~repro.broker.state.BrokerState` files into
 its tables and indexes, with two pieces of behaviour:
 
 * :class:`Allocation` owns its lifecycle (DESIGN.md §11, "Allocation
-  lifecycle").  Grant, reclaim, renew, confirm-recovered, adopt, loan and
-  release are its methods; each sets the allocation's fields and writes
-  its journal op to the journal it is handed.  Replay hands ``None``, so
-  the broker and journal replay run the same transitions, and no other
+  lifecycle").  Each transition is one of its methods — grant, reclaim,
+  renew, confirm-recovered, adopt and release, and the one a peer
+  subsystem drives (DESIGN.md §17) — and each sets the allocation's
+  fields and writes its journal op to the journal it is handed.  Replay
+  hands ``None``, so the broker and journal replay run the same
+  transitions, and no other
   module assigns a lifecycle field (``tests/broker/test_lifecycle.py``
   checks that).  :meth:`Allocation.deadline` is the lease sweeper's one
   answer for when a lease is due.
@@ -35,7 +37,12 @@ class AllocationState(enum.Enum):
 
     ACTIVE = "active"  # granted; the job may occupy it
     RECLAIMING = "reclaiming"  # revoke sent, waiting for release
-    MIGRATING = "migrating"  # loaned to a sibling broker shard (donor side)
+    MIGRATING = "migrating"  # a peer subsystem's (DESIGN.md §17)
+
+
+#: The states the broker core drives.  An allocation in any other state is
+#: a peer subsystem's: the core hands it to its peers (DESIGN.md §11).
+CORE_STATES = frozenset({AllocationState.ACTIVE, AllocationState.RECLAIMING})
 
 
 @dataclass
@@ -65,10 +72,10 @@ class Allocation:
     #: the daemon's lease list) clears it; a disagreeing inventory resolves
     #: toward the live side and counts a ``recovery.conflicts``.
     recovered: bool = field(default=False, compare=False)
-    #: When MIGRATING: index of the sibling broker shard this machine has
-    #: been loaned to.  ``None`` for ordinary allocations.  The donor keeps
-    #: the machine leased (daemon heartbeats renew against the borrower's
-    #: jobid) but excludes it from its own scheduling until the loan ends.
+    #: When MIGRATING: the peer broker the machine is held for (DESIGN.md
+    #: §17); ``None`` otherwise.  The machine stays leased here (daemon
+    #: heartbeats renew against the holder's jobid) but out of this
+    #: broker's scheduling until the allocation is released.
     loaned_to: Optional[int] = field(default=None, compare=False)
 
     # -- the lifecycle: each transition writes its op to ``journal``, which
@@ -80,9 +87,8 @@ class Allocation:
         """Bind ``record``'s free machine to ``jobid``, leased until
         ``expires``.  Journals ``alloc``.  The caller orders the grant's
         other ops around it (a torn WAL tail is cut by bytes): a request's
-        grant is ``pend-`` then ``alloc``, a borrowed machine's ``alloc``,
-        the record touch, then ``pend-``, the donor's loan ``alloc`` then
-        ``loan``."""
+        grant is ``pend-`` then ``alloc``, and a peer subsystem orders the
+        grants it makes in its own module (DESIGN.md §17)."""
         if record.allocation is not None:
             raise RuntimeError(
                 f"{record.host} already allocated to job {record.allocation.jobid}"
@@ -155,15 +161,15 @@ class Allocation:
         held.renew(max(held.lease_expires_at, expires), journal)
         return held
 
-    def loan(self, borrower: Optional[int], journal: Any) -> None:
-        """Donor side of a cross-shard borrow, right after the grant:
-        MIGRATING to shard ``borrower``, out of this shard's scheduling
-        until the loan ends.  Journals ``loan``."""
+    def loan(self, to: Optional[int], journal: Any) -> None:
+        """The peer subsystem's transition (DESIGN.md §17), right after
+        the grant: MIGRATING, held for peer broker ``to`` and out of this
+        broker's scheduling until released.  Journals ``"loan"``."""
         self.state = AllocationState.MIGRATING
-        self.loaned_to = borrower
+        self.loaned_to = to
         if journal is not None:
             journal.record(
-                {"op": "loan", "host": self.host, "jobid": self.jobid, "to": borrower}
+                {"op": "loan", "host": self.host, "jobid": self.jobid, "to": to}
             )
 
     def release(self, record: MachineRecord, journal: Any) -> None:
@@ -264,11 +270,11 @@ class MachineRecord:
     #: the machine always changes its process table, which forces the daemon
     #: to send a full report, so the stored list is never stale.
     leases: Tuple[int, ...] = field(default=(), compare=False)
-    #: Index of the sibling broker shard this record was borrowed from, or
-    #: ``None`` for a machine this broker owns.  Deliberately *not* a tracked
-    #: field: a borrowed record is created fully formed (allocated before it
-    #: could ever enter an idle bucket) and is excluded from every
-    #: eligibility query, so no index needs to observe the flag.
+    #: The peer broker whose machine this record is (DESIGN.md §17), or
+    #: ``None`` for a machine this broker owns.  Deliberately *not* a
+    #: tracked field: such a record is created fully formed (allocated
+    #: before it could ever enter an idle bucket) and is excluded from
+    #: every eligibility query, so no index needs to observe it.
     borrowed_from: Optional[int] = field(default=None, compare=False)
     #: Cached :meth:`snapshot_view` dict; invalidated whenever a view field
     #: changes (so eligibility checks stop rebuilding it per candidate).

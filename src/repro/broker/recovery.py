@@ -4,14 +4,14 @@ The replay half of the write-ahead journal (DESIGN.md §14): the durable
 projection of a state (:func:`snapshot_state`, :func:`state_fingerprint`),
 and the ``apply_*`` functions that rebuild one from a snapshot document and
 a run of journal ops.  Journal recovery (:meth:`~repro.broker.journal
-.BrokerJournal.load_state`) and the warm standby's shadow state
-(:mod:`repro.broker.replica`, which applies shipped frames without owning a
-journal) both replay through them.
+.BrokerJournal.load_state`) replays through them, and so does anything that
+applies a streamed WAL without owning a journal (DESIGN.md §16).
 
 Then the one recovery pipeline, :func:`recover` — recover, re-stamp,
-reconcile — behind its three entry points in
-:class:`~repro.broker.service.BrokerService`: a journal restart, a blank
-restart (rebuilt from daemon re-registration), and a standby promotion.
+reconcile — behind every entry point: a journal restart and a blank
+restart (rebuilt from daemon re-registration) in
+:class:`~repro.broker.service.BrokerService`, and the incarnation a peer
+subsystem boots (DESIGN.md §16).
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ class RecoveryInfo:
     wal_files: List[int] = field(default_factory=list)
 
 
-# -- replay (module-level: shared by recovery and the warm standby's shadow
-# state, which applies shipped frames without owning a journal) --------------
+# -- replay (module-level: shared by recovery and by anything that applies a
+# streamed WAL without owning a journal) -------------------------------------
 
 
 def _apply_machine_op(state: BrokerState, op: Dict[str, Any]) -> None:
@@ -273,14 +273,11 @@ def apply_op(state: BrokerState, op: Dict[str, Any], info: RecoveryInfo) -> None
             if allocation is not None:
                 allocation.renew(float(expires), None)
     elif kind == "loan":
-        # Donor side of a cross-shard borrow: the machine stays allocated
-        # (to the borrower's jobid, leased as usual) but is marked out on
-        # loan so the recovered donor excludes it from its own scheduling.
+        # The peer subsystem's transition (DESIGN.md §17).
         allocation = _held(state, op["host"])
         if allocation is not None:
             allocation.loan(op.get("to"), None)
     elif kind == "forget":
-        # Borrower side of a loan ending: the borrowed record vanishes.
         state.forget_machine(op["host"])
     # Unknown ops (a newer writer) are ignored: forward-compatible replay.
 
@@ -288,7 +285,7 @@ def apply_op(state: BrokerState, op: Dict[str, Any], info: RecoveryInfo) -> None
 def apply_payloads(
     state: BrokerState, payloads: List[str], info: RecoveryInfo
 ) -> None:
-    """Apply a run of framed payloads (shipped or replayed) to ``state``,
+    """Apply a run of framed payloads (streamed or replayed) to ``state``,
     with the same skip-on-inconsistency policy as WAL replay."""
     for payload in payloads:
         try:
@@ -310,42 +307,32 @@ def apply_payloads(
 def recover(service, state: BrokerState, witnessed: int, floor: int = 1) -> None:
     """Install ``state`` as the next broker incarnation of ``service``.
 
-    The one pipeline of every restart (journal or blank) and promotion:
-    the entry point has *recovered* ``state``; here it is *re-stamped* —
-    the epoch moves past the service's and ``witnessed``, the state takes
-    the service's jobid space and its counter moves past ``floor``, the
-    space's start and every known job, reports are cleared and leases
-    re-stamped, the managed hosts re-added, borrowed records kept only while
-    they hold a loan — and installed with a fresh ``ready``, attached to the
-    service's journal (compacted).  The entry point then logs itself and
+    The one pipeline of every incarnation after the first: the entry
+    point has *recovered* ``state``; here it is *re-stamped* — the epoch
+    moves past the service's and ``witnessed``, the state takes the
+    service's jobid space and its counter moves past ``floor``, the space's
+    start and every known job, reports are cleared and leases re-stamped,
+    the managed hosts re-added, each peer's :meth:`~repro.broker.leases
+    .Peer.recovered` run — and installed with a fresh ``ready``, attached
+    to the service's journal (compacted).  The entry point then logs itself and
     boots the broker, whose first work is to *reconcile*: daemon
     inventories confirm or drop recovered leases, resuming apps reclaim
     their holdings.
     """
     now = service.env.now
     service.epoch = max(service.epoch, witnessed) + 1
-    state.jobid_space = service.jobid_space
+    space = service.state.jobid_space
+    state.jobid_space = space
     state._next_jobid = max(
-        state._next_jobid, floor, service.jobid_space.start,
-        max(state.jobs, default=0) + 1,
+        state._next_jobid, floor, space.start, max(state.jobs, default=0) + 1
     )
     restamp_recovered(state, now, service.cluster.calibration.lease_ttl)
     service.state = state
     service.count_pending()  # the recovered queue, not the dead one's
     for host in service.managed_hosts:
         state.add_machine(host)
-    # Borrowed records (federation loans held from a sibling shard) never
-    # re-report here; one without an allocation lost its release-side
-    # forget to the crash (the pre-attach forget never journals, and the
-    # compacting snapshot below excludes it).
-    for host in sorted(
-        host for host, rec in state.machines.items() if rec.borrowed_from is not None
-    ):
-        record = state.machines[host]
-        if record.allocation is not None:
-            record.touch(now)
-        else:
-            state.forget_machine(host)
+    for peer in service.peers:
+        peer.recovered(state, now)
     service.ready = service.env.event()
     service.control = None
     service._daemon_down = {}

@@ -1,17 +1,20 @@
-"""Warm-standby replication and fencing (DESIGN.md §16).
+"""Warm-standby replication (DESIGN.md §16).
 
-The primary broker's side is two components: :class:`Shipper` serves the
-WAL ship stream to the standby (and keeps the standby process alive), and
-:class:`Fence` stops a broker incarnation the moment it learns that a
-higher epoch exists — built whenever grants carry epoch stamps (with a
-standby, and in any multi-shard federation).
+The subsystem is one :class:`WarmStandby`, the seam object
+(:class:`~repro.broker.leases.Peer`) a service builds from its
+``standby_host``: it owns the WAL **ship stream** (:class:`ShipStream`, the
+journal's append hook) and :meth:`WarmStandby.promote`, and each broker
+incarnation attaches a :class:`Shipper` that serves the stream, keeps the
+standby process alive and — on a promoted incarnation — fences the
+ex-primary.  The standby's fault kinds (:class:`StandbyCrash`,
+:class:`ShipLinkPartition`) live here too, with their injector arms.
 
 ``rbstandby``, the replica itself, is started on the configured standby
 machine by the shipper's keeper (via plain rsh, unprivileged, exactly like
-``rbdaemon``).  It dials the
-primary's ship port, subscribes to the WAL stream with the offset it has
-durably applied, and maintains a **shadow** :class:`BrokerState` by applying
-shipped frames with the same replay code journal recovery uses.  Everything
+``rbdaemon``).  It dials the primary's ship port, subscribes to the WAL
+stream with the offset it has durably applied, and maintains a **shadow**
+:class:`BrokerState` by applying shipped frames with the same replay code
+journal recovery uses.  Everything
 it applies is also persisted to its own machine's filesystem first, so a
 killed-and-respawned standby resumes the stream from where it left off
 instead of re-baselining.
@@ -20,27 +23,29 @@ Primary death is detected by silence: the primary heartbeats the ship
 connection every ``standby_heartbeat_interval``; when nothing (heartbeat,
 frame, or successful redial) has been heard for
 ``standby_promotion_deadline``, the standby promotes itself via
-:meth:`~repro.broker.service.BrokerService.promote_standby` — the shadow
-state becomes live under a bumped epoch, a fresh broker incarnation boots on
-this machine (the well-known secondary address daemons and apps alternate
-toward), and the ex-primary is fenced by epoch.  A partition of just the
-ship link looks identical to primary death from here, so a *false* promotion
-is possible by design; fencing (stale-epoch rejection by daemons plus the
-promoted broker's ``fence_notice``) is what keeps it safe.
+:meth:`WarmStandby.promote` — the shadow state becomes live under a bumped
+epoch, a fresh broker incarnation boots on this machine (the well-known
+secondary address daemons and apps alternate toward), and the ex-primary is
+fenced by epoch.  A partition of just the ship link looks identical to
+primary death from here, so a *false* promotion is possible by design;
+fencing (stale-epoch rejection by daemons plus the promoted broker's
+``fence_notice``) is what keeps it safe.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.broker import protocol
 from repro.broker.journal import _encode, _frame, parse_frames, read_snapshot
-from repro.broker.leases import keep_respawned
+from repro.broker.leases import Peer, keep_respawned, serve_sessions
 from repro.broker.recovery import (
     RecoveryInfo,
     apply_payloads,
     apply_snapshot,
+    recover,
     snapshot_state,
 )
 from repro.broker.state import BrokerState
@@ -57,34 +62,258 @@ from repro.os.signals import SIGKILL
 _DIR = "/var/rbstandby"
 
 
-class Fence:
-    """Epoch fencing of one broker incarnation."""
+class WarmStandby(Peer):
+    """A broker's warm standby, behind the seam (DESIGN.md §11, §16):
+    the no-op :class:`Peer` without a ``standby_host``.  Configured, it
+    adds the standby machine to the well-known broker addresses and
+    installs ``rbstandby`` there."""
 
-    def __init__(self, core) -> None:
+    key = "replication"
+
+    def __init__(self, service, host: Optional[str]) -> None:
+        self.service = service
+        #: The standby machine; None when no standby is configured.
+        self.host = host
+        self.fences = host is not None
+        #: The ex-primary a freshly promoted incarnation must fence (by a
+        #: ``fence_notice`` on its ship port); None until a promotion.
+        self.fence_target: Optional[str] = None
+        if host is None:
+            return
+        if host == service.broker_host:
+            raise ValueError("standby_host must differ from broker_host")
+        if host not in service.cluster.machines:
+            raise ValueError(f"unknown standby_host {host!r}")
+        service.broker_addresses.append(host)
+        service.rb_bin.register("rbstandby", make_standby_main(self))
+        machine = service.cluster.machines[host]
+        if service.rb_bin not in machine.path:
+            machine.path = [service.rb_bin] + list(machine.path)
+
+    def attach(self, core) -> Peer:
+        """A :class:`Shipper` for the incarnation."""
+        if self.host is None:
+            return self
+        return Shipper(core, self)
+
+    def opened(self, journal) -> None:
+        """A fresh :class:`ShipStream` on the journal: a new incarnation is
+        a new stream, and a standby holding the old one re-baselines from a
+        snapshot.  After a restart's recovery, whose compaction opener and
+        epoch record still reach the old stream."""
+        if self.host is None:
+            return
+        if journal is None:
+            raise ValueError(
+                "a warm standby replicates the WAL: standby_host requires "
+                "journal=True"
+            )
+        ShipStream(journal, self.service.epoch)
+
+    def promote(self, state: BrokerState, witnessed: int, applied_records: int,
+                acked_offset: int):
+        """Fail over to the standby (called by ``rbstandby`` when the
+        primary goes silent past the promotion deadline, DESIGN.md §16).
+
+        The shipped shadow ``state`` becomes the service's live state under
+        a strictly higher epoch than any the standby witnessed, through the
+        same recovery pipeline as a restart.  The fresh incarnation boots
+        *on the standby machine* — the well-known secondary address every
+        daemon and app alternates toward — with a fresh journal there that
+        nothing streams, and fences the ex-primary by epoch: daemons reject
+        its stale-stamped grants and renewals, and the promoted broker
+        sends it a ``fence_notice`` for when no daemon is left to.
+        """
+        service = self.service
+        old_primary = service.broker_host
+        service.broker_host = self.host
+        self.fence_target = old_primary
+        service.journal = service._new_journal()
+        recover(service, state, witnessed=witnessed)
+        service.metrics.counter("broker.promotions").inc()
+        service.metrics.counter("recovery.from_standby").inc()
+        service.metrics.gauge("recovery.latency_seconds").set(0.0)
+        service.log(
+            event="broker_promoted",
+            epoch=service.epoch,
+            host=service.broker_host,
+            from_host=old_primary,
+            witnessed=witnessed,
+            applied_records=applied_records,
+            acked_offset=acked_offset,
+            jobs=len(state.jobs),
+            leases=len(state.leased_records()),
+            pending=len(state.pending),
+        )
+        return service._boot()
+
+
+class ShipStream:
+    """The WAL ship stream of one journal, installed as its append hook:
+    every string appended after it opened, identified by the opening
+    incarnation's epoch, offset in characters.  Appends are whole frames,
+    so chunk boundaries are valid replay cut points; chunks are retained
+    until the standby acks them, for resend on reconnect."""
+
+    def __init__(self, journal, stream: int) -> None:
+        self.metrics = journal.metrics
+        #: The stream id: the epoch of the incarnation that opened it.
+        self.id = stream
+        self.flushed_offset = 0
+        self.acked_offset = 0
+        #: Flushed-but-unacked chunks ``(offset, data)``, retained for
+        #: resend on standby reconnect; trimmed as acks arrive.
+        self._chunks: List[Tuple[int, str]] = []
+        #: Invoked (if set) after each append so the ship server wakes and
+        #: drains new data within its in-flight window.
+        self._kick: Optional[Callable[[], None]] = None
+        journal.on_append = self.append
+
+    def append(self, data: str) -> None:
+        """The journal's append hook."""
+        if not data:
+            return
+        self._chunks.append((self.flushed_offset, data))
+        self.flushed_offset += len(data)
+        if self.metrics is not None:
+            self.metrics.gauge("journal.ship_lag").set(self.lag())
+        if self._kick is not None:
+            self._kick()
+
+    def set_kick(self, kick: Optional[Callable[[], None]]) -> None:
+        """Install (or clear) the new-data wakeup for the ship server."""
+        self._kick = kick
+
+    def note_ack(self, offset: int) -> None:
+        """The standby has durably applied the stream up to ``offset``;
+        trim the retained resend tail."""
+        if offset <= self.acked_offset:
+            return
+        self.acked_offset = min(offset, self.flushed_offset)
+        self._chunks = [
+            (start, data)
+            for start, data in self._chunks
+            if start + len(data) > self.acked_offset
+        ]
+        if self.metrics is not None:
+            self.metrics.gauge("journal.ship_lag").set(self.lag())
+
+    def pending(self, from_offset: int) -> Optional[List[Tuple[int, str]]]:
+        """Retained chunks covering the stream from ``from_offset`` on, or
+        None when the stream cannot be resumed there and the standby needs
+        a snapshot baseline: the tail was trimmed past it, or it is not a
+        chunk boundary (the standby acks whole chunks, so it always is)."""
+        if from_offset >= self.flushed_offset:
+            return []
+        chunks = [
+            (start, data)
+            for start, data in self._chunks
+            if start + len(data) > from_offset
+        ]
+        if not chunks or chunks[0][0] != from_offset:
+            return None
+        return chunks
+
+    def lag(self) -> int:
+        """Characters flushed but not yet acknowledged by the standby."""
+        return max(0, self.flushed_offset - self.acked_offset)
+
+    def stats(self) -> Dict[str, Any]:
+        """The stream's part of the ``replication`` stats block."""
+        return {
+            "enabled": True,
+            "stream": self.id,
+            "flushed_offset": self.flushed_offset,
+            "acked_offset": self.acked_offset,
+            "lag_chars": self.lag(),
+            "retained_chars": sum(len(data) for _start, data in self._chunks),
+        }
+
+
+def ship_stream(journal) -> Optional[ShipStream]:
+    """The ship stream ``journal`` feeds, or None: nothing streams it (no
+    standby, or a promoted incarnation's fresh journal)."""
+    stream = getattr(journal.on_append, "__self__", None)
+    return stream if isinstance(stream, ShipStream) else None
+
+
+class Shipper(Peer):
+    """One incarnation's part of the warm standby: the primary's end of
+    WAL shipping, one ship session at a time."""
+
+    key = WarmStandby.key
+
+    def __init__(self, core, standby: WarmStandby) -> None:
         self.proc = core.proc
+        self.state = core.state
+        self.cal = core.cal
         self.metrics = core.metrics
         self.service = core.service
         self.epoch = core.epoch
-        #: Set once this incarnation is fenced; all grants stop.
-        self.demoted = False
+        self.journal = core.journal
+        self.fence = core.fence
+        self.standby = standby
+        #: The stream this incarnation's journal feeds (None on a promoted
+        #: incarnation: it has no standby of its own).
+        self.stream = ship_stream(core.journal)
+        #: The live ship session to the standby (None when disconnected).
+        self._ship_conn = None
+        #: Stream offset shipped on the current session.
+        self._ship_sent = 0
+        #: Triggered when the ship session drops (wakes the standby keeper).
+        self._standby_down = None
 
-    def demote(self, witnessed, source, host=None) -> None:
-        """Fenced: a higher epoch exists, so this incarnation must stop
-        granting *now*.  Process death is the simplest correct way — every
-        session, sweeper and keeper dies with it, and grants already sent
-        are bounded by their leases."""
-        if self.demoted:
-            return
-        self.demoted = True
-        self.metrics.counter("broker.demotions").inc()
-        self.service.log(
-            event="broker_demoted",
-            epoch=self.epoch,
-            witnessed=witnessed,
-            source=source,
-            host=host,
+    def start(self) -> None:
+        """Serve the ship stream, heartbeat it, keep the standby process
+        alive, and — on a promoted incarnation — fence the ex-primary.
+        Deliberately, a promoted incarnation (no standby of its own) still
+        listens and beats an empty session, about 210 kernel events per
+        simulated minute: stopping it moves the ``chaos-standby`` pin, so
+        it waits for a change of its own (ROADMAP item 11)."""
+        proc = self.proc
+        here = proc.machine.name
+        # Ship-port sessions: the standby's hello, or a promoted peer's
+        # fence notice.
+        listener = proc.listen(ports.SHIP)
+        proc.thread(
+            serve_sessions(proc, listener, self._serve, "ship-session"),
+            name="ship-acceptor",
         )
-        self.proc.signal(SIGKILL)
+        proc.thread(self.heartbeater(), name="ship-heartbeater")
+        if self.standby.host != here:
+            proc.thread(self.standby_keeper(self.standby.host), name="standby-keeper")
+        target = self.standby.fence_target
+        if target and target != here:
+            proc.thread(self.fencer(target), name="fencer")
+
+    def stats(self, leased, metric_value) -> dict:
+        """The ``replication`` block.  A promoted incarnation has no standby
+        of its own (no stream), but its fencing and promotion counters
+        still belong here."""
+        ship = self.stream.stats() if self.stream is not None else {"enabled": False}
+        return {
+            **ship,
+            "sessions": metric_value("ship.sessions"),
+            "frames": metric_value("ship.frames"),
+            "snapshots": metric_value("ship.snapshots"),
+            "resends": metric_value("ship.resends"),
+            "promotions": metric_value("broker.promotions"),
+            "demotions": metric_value("broker.demotions"),
+            "fencing_rejections": metric_value("fencing.rejections"),
+            "double_grants": metric_value("fencing.double_grants"),
+        }
+
+    def standby_keeper(self, host):
+        """Spawn the warm standby on ``host`` and respawn it whenever its
+        ship session drops (the same keeper discipline as daemons)."""
+
+        def arm(_host, down):
+            self._standby_down = down
+
+        return keep_respawned(
+            self, host, ("rbstandby", self.proc.machine.name), arm,
+            "broker.standby_restarts", "standby_restart",
+        )
 
     def fencer(self, target):
         """Chase the ex-primary with a fence notice (promoted incarnations
@@ -107,52 +336,11 @@ class Fence:
             pass
         conn.close()
 
-
-class Shipper:
-    """The primary's end of WAL shipping: one ship session at a time."""
-
-    def __init__(self, core) -> None:
-        self.proc = core.proc
-        self.state = core.state
-        self.cal = core.cal
-        self.metrics = core.metrics
-        self.service = core.service
-        self.epoch = core.epoch
-        self.journal = core.journal
-        self.fence = core.fence
-        #: The live ship session to the standby (None when disconnected).
-        self._ship_conn = None
-        #: Stream offset shipped on the current session.
-        self._ship_sent = 0
-        #: Triggered when the ship session drops (wakes the standby keeper).
-        self._standby_down = None
-
-    def standby_keeper(self, host):
-        """Spawn the warm standby on ``host`` and respawn it whenever its
-        ship session drops (the same keeper discipline as daemons)."""
-
-        def arm(_host, down):
-            self._standby_down = down
-
-        return keep_respawned(
-            self, host, ("rbstandby", self.proc.machine.name), arm,
-            "broker.standby_restarts", "standby_restart",
-        )
-
-    def acceptor(self, listener):
-        """Accept ship-port sessions (the standby's hello, or a promoted
-        peer's fence notice)."""
-        while True:
-            try:
-                conn = yield listener.accept()
-            except ConnectionClosed:
-                return
-            self.proc.thread(self._serve(conn), name="ship-session")
-
     def _serve(self, conn):
         """Serve one ship session: resume or re-baseline the stream, then
         drain frames as the journal flushes and trim on acks."""
         journal = self.journal
+        stream = self.stream
         try:
             first = yield conn.recv()
         except ConnectionClosed:
@@ -168,42 +356,42 @@ class Shipper:
             if witnessed > self.epoch:
                 self.fence.demote(witnessed=witnessed, source="fence_notice")
             return
-        if kind != "ship_hello" or not journal.ship_enabled:
+        if kind != "ship_hello" or stream is None:
             conn.close()
             return
         self._ship_conn = conn
         self.metrics.counter("ship.sessions").inc()
         acked = int(first.get("acked", 0))
         resumable = (
-            int(first.get("stream", -1)) == journal.ship_stream
-            and acked <= journal.flushed_offset
-            and journal.ship_pending(acked) is not None
+            int(first.get("stream", -1)) == stream.id
+            and acked <= stream.flushed_offset
+            and stream.pending(acked) is not None
         )
         if resumable:
             # The standby holds a prefix of this very stream: trim to its
             # ack and resend whatever it missed.
-            journal.note_ship_ack(acked)
+            stream.note_ack(acked)
             self._ship_sent = acked
-            if journal.flushed_offset > acked:
+            if stream.flushed_offset > acked:
                 self.metrics.counter("ship.resends").inc()
         else:
             # Different stream (a new incarnation) or a gap past the
             # retained window: re-baseline with a full-state snapshot at
             # the current flushed offset.
             journal.flush(force=True)
-            self._ship_sent = journal.flushed_offset
-            journal.note_ship_ack(self._ship_sent)
+            self._ship_sent = stream.flushed_offset
+            stream.note_ack(self._ship_sent)
             self.metrics.counter("ship.snapshots").inc()
             protocol.try_send(
                 conn,
                 protocol.ship_snapshot(
-                    journal.ship_stream,
+                    stream.id,
                     self._ship_sent,
                     snapshot_state(self.state),
                     self.epoch,
                 ),
             )
-        journal.set_ship_kick(self._drain)
+        stream.set_kick(self._drain)
         self._drain()
         try:
             while True:
@@ -212,16 +400,16 @@ class Shipper:
                     return  # superseded by a fresh session
                 if (
                     msg.get("type") == "ship_ack"
-                    and int(msg.get("stream", -1)) == journal.ship_stream
+                    and int(msg.get("stream", -1)) == stream.id
                 ):
-                    journal.note_ship_ack(int(msg.get("acked", 0)))
+                    stream.note_ack(int(msg.get("acked", 0)))
                     self._drain()
         except ConnectionClosed:
             pass
         conn.close()
         if self._ship_conn is conn:
             self._ship_conn = None
-            journal.set_ship_kick(None)
+            stream.set_kick(None)
             # Wake the standby keeper so it respawns the replica (which
             # resumes from its locally persisted offset).
             down = self._standby_down
@@ -234,22 +422,22 @@ class Shipper:
         the standby parses each one independently), bounded by the in-flight
         window."""
         conn = self._ship_conn
-        journal = self.journal
+        stream = self.stream
         if conn is None:
             return
-        while self._ship_sent < journal.flushed_offset:
+        while self._ship_sent < stream.flushed_offset:
             if (
-                self._ship_sent - journal.acked_offset
+                self._ship_sent - stream.acked_offset
                 >= self.cal.ship_window_chars
             ):
                 self.metrics.counter("ship.window_stalls").inc()
                 return  # window full: the next ack re-kicks the drain
-            pending = journal.ship_pending(self._ship_sent)
+            pending = stream.pending(self._ship_sent)
             if not pending:
                 return
             start, data = pending[0]
             if not protocol.try_send(
-                conn, protocol.ship_frame(journal.ship_stream, start, data)
+                conn, protocol.ship_frame(stream.id, start, data)
             ):
                 return
             self._ship_sent = start + len(data)
@@ -382,8 +570,9 @@ class _Replica:
         return True
 
 
-def make_standby_main(service):
-    """Bind the ``rbstandby`` program body to its service harness."""
+def make_standby_main(standby: WarmStandby):
+    """Bind the ``rbstandby`` program body to its :class:`WarmStandby`."""
+    service = standby.service
 
     def rbstandby_main(proc):
         """Program body: ``argv = ["rbstandby", primary_host]``."""
@@ -432,7 +621,7 @@ def make_standby_main(service):
                 acked=replica.acked,
                 silent_for=round(proc.env.now - last_heard, 6),
             )
-            service.promote_standby(
+            standby.promote(
                 replica.state,
                 witnessed=replica.witnessed,
                 applied_records=replica.info.records,
@@ -509,3 +698,66 @@ def make_standby_main(service):
                 last_heard = proc.env.now
 
     return rbstandby_main
+
+
+# -- the standby's fault kinds (``repro.faults`` exports them) ---------------
+
+
+def _standby_of(cluster) -> Optional[WarmStandby]:
+    """The configured standby of the cluster's broker (the first of its
+    peers), or None."""
+    standby = cluster.broker.peers[0] if cluster.broker is not None else None
+    return standby if standby is not None and standby.host is not None else None
+
+
+@dataclass(frozen=True)
+class StandbyCrash:
+    """SIGKILL the warm-standby replica process at ``at``.
+
+    Not host-targeted: the service harness knows where its standby lives.
+    The primary's standby keeper notices the dropped ship session and
+    respawns it; the respawned replica resumes the stream from its locally
+    persisted offset.  No-op on a cluster without a configured standby."""
+
+    at: float
+
+    kind = "standby_crash"
+
+    def inject(self, injector) -> None:
+        """The injector arm: SIGKILL every ``rbstandby`` on the standby's
+        machine, if it is up."""
+        standby = _standby_of(injector.cluster)
+        if standby is None:
+            return
+        machine = injector.cluster.machines.get(standby.host)
+        if machine is None or not machine.up:
+            return
+        for proc in machine.running("rbstandby"):
+            proc.signal(SIGKILL)
+
+
+@dataclass(frozen=True)
+class ShipLinkPartition:
+    """Cut just the primary↔standby link for ``duration`` seconds.
+
+    The nastiest failure in the warm-standby design: both brokers stay up
+    and both stay reachable from the daemons, but the ship stream (and its
+    heartbeats) goes dark — so the standby promotes *falsely* and the
+    epoch-fencing protocol must resolve the resulting split brain.  No-op
+    without a configured standby."""
+
+    at: float
+    duration: float = 12.0
+
+    kind = "ship_link_partition"
+
+    def inject(self, injector) -> None:
+        """The injector arm: block the link and sever what crosses it."""
+        if _standby_of(injector.cluster) is None:
+            return
+        # Cut the link between the two *well-known* addresses, not the
+        # current broker host — after a promotion both roles sit on the
+        # standby address and the cut is inert.
+        a, b = injector.cluster.broker.broker_addresses[:2]
+        injector.faults.add_link_block(a, b, self.duration)
+        injector.network.sever(injector.faults.partitioned)

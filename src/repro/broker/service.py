@@ -18,13 +18,14 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.broker.app import app_main, subapp_main
 from repro.broker.core import make_broker_main
 from repro.broker.daemon import rbdaemon_main
+from repro.broker.federation import Shard
 from repro.broker.journal import BrokerJournal
 from repro.broker.recovery import recover
-from repro.broker.replica import make_standby_main
+from repro.broker.replica import WarmStandby
 from repro.broker.rshprime import rshprime_main
 from repro.broker.tools import rbctl_main, rbstat_main, rbtop_main, rbtrace_main
 from repro.broker.records import JobRecord
-from repro.broker.state import ALL_JOBIDS, BrokerState
+from repro.broker.state import BrokerState
 from repro.obs.timeseries import SpanPhaseFolder
 from repro.os.process import OSProcess
 from repro.os.programs import ProgramDirectory
@@ -142,15 +143,6 @@ class BrokerService:
             managed_hosts if managed_hosts is not None else cluster.machines
         )
         self.broker_host = broker_host or self.managed_hosts[0]
-        #: The jobids this broker issues.  Federated shards stride their
-        #: jobid spaces a million apart so ids are globally unique without
-        #: coordination (a daemon inventory or borrowed lease names its shard
-        #: implicitly); shard 0 — and every standalone broker — starts at 1.
-        self.jobid_space = ALL_JOBIDS
-        if shard is not None:
-            first = 1 + shard.index * 1_000_000
-            self.jobid_space = range(first, first + 1_000_000)
-        self.state = BrokerState(self.jobid_space.start, self.jobid_space)
         #: A bounded cluster (``ClusterSpec.bounded``) caps the event log
         #: and drops finished jobs from the state tables
         #: (:func:`core._finish_job`), so a service left running does not
@@ -178,47 +170,13 @@ class BrokerService:
         self.control = None
         self._daemon_down: Dict[str, Any] = {}
         #: Broker incarnation number; bumped by :meth:`restart_broker` and
-        #: :meth:`promote_standby`.  Apps resume their sessions by
-        #: (jobid, epoch).
+        #: by every incarnation a peer subsystem boots.  Apps resume their
+        #: sessions by (jobid, epoch).
         self.epoch = 1
-        #: Warm standby (DESIGN.md §16): with ``standby_host`` set, the
-        #: primary ships flushed WAL frames to an ``rbstandby`` process
-        #: there, grants and lease renewals carry epoch stamps (fencing),
-        #: and the standby promotes itself on primary death.
-        self.standby_host = standby_host
-        #: True when a warm standby replicates this broker's WAL (gates the
-        #: ship listener, heartbeats and the promotion machinery).
-        self.replicated = standby_host is not None
-        #: True when grants and renewals carry epoch stamps that daemons
-        #: witness-check: under replication (a promoted standby must fence
-        #: the ex-primary) and on every shard (a cross-shard grant installs
-        #: on the donor's daemon under the donor's epoch, so a stale shard
-        #: incarnation is fenced exactly as a stale primary).
-        self.fencing = self.replicated or shard is not None
-        #: Cross-shard traffic counters (the ``stats`` federation block).
-        #: Service-level, not metrics-registry, because the registry is
-        #: shared network-wide and these are per-shard; surviving broker
-        #: restarts is intentional (they count the shard, not the process).
-        self.federation_counters: Dict[str, int] = {
-            "forwards": 0,
-            "cross_shard_grants": 0,
-            "loans_out": 0,
-            "loan_refusals": 0,
-            "recalls": 0,
-            "returns": 0,
-        }
-        #: The well-known broker addresses, in dial order — stable across a
-        #: promotion so every daemon and app can alternate between them.
+        #: The well-known broker addresses, in dial order — stable when
+        #: another incarnation takes over, so every daemon and app can
+        #: alternate between them.
         self.broker_addresses: List[str] = [self.broker_host]
-        if standby_host is not None:
-            if standby_host == self.broker_host:
-                raise ValueError("standby_host must differ from broker_host")
-            if standby_host not in cluster.machines:
-                raise ValueError(f"unknown standby_host {standby_host!r}")
-            self.broker_addresses.append(standby_host)
-        #: Ex-primary host a freshly promoted incarnation must fence (via
-        #: ``fence_notice`` on the ship port); None until a promotion.
-        self.fence_target: Optional[str] = None
 
         # The broker's program directory, shadowing the system's rsh.
         self.rb_bin = ProgramDirectory("rb")
@@ -227,11 +185,20 @@ class BrokerService:
         self.rb_bin.register("subapp", subapp_main)
         self.rb_bin.register("rbdaemon", rbdaemon_main)
         self.rb_bin.register("rbroker", make_broker_main(self))
-        self.rb_bin.register("rbstandby", make_standby_main(self))
         self.rb_bin.register("rbstat", rbstat_main)
         self.rb_bin.register("rbctl", rbctl_main)
         self.rb_bin.register("rbtrace", rbtrace_main)
         self.rb_bin.register("rbtop", rbtop_main)
+
+        #: The subsystems that talk to other broker processes, behind the
+        #: seam (:class:`~repro.broker.leases.Peer`, DESIGN.md §11), in
+        #: boot order: the warm standby (§16) and the shard's federation
+        #: (§17), each built whether configured or not.
+        federation = Shard(shard)
+        self.peers = (WarmStandby(self, standby_host), federation)
+        self.state = BrokerState(
+            federation.jobid_space.start, federation.jobid_space
+        )
 
         for host in self.managed_hosts:
             machine = cluster.machines[host]
@@ -240,12 +207,6 @@ class BrokerService:
         broker_machine = cluster.machines[self.broker_host]
         if self.rb_bin not in broker_machine.path:
             broker_machine.path = [self.rb_bin] + list(broker_machine.path)
-        if self.standby_host is not None:
-            standby_machine = cluster.machines[self.standby_host]
-            if self.rb_bin not in standby_machine.path:
-                standby_machine.path = [self.rb_bin] + list(
-                    standby_machine.path
-                )
 
         #: Durable write-ahead journal (DESIGN.md §14), off by default so
         #: the seed's in-memory-only behaviour is untouched.
@@ -253,13 +214,8 @@ class BrokerService:
         if journal:
             self.journal = self._new_journal()
             self.journal.attach(self.state, epoch=self.epoch)
-            if self.replicated:
-                self.journal.enable_shipping(stream=self.epoch)
-        if self.replicated and self.journal is None:
-            raise ValueError(
-                "a warm standby replicates the WAL: standby_host requires "
-                "journal=True"
-            )
+        for peer in self.peers:
+            peer.opened(self.journal)
 
         self._boot()
 
@@ -426,57 +382,10 @@ class BrokerService:
             self.ready.add_callback(
                 lambda ev: latency.set(env.now - restarted_at)
             )
-        if self.journal is not None and self.replicated:
-            # A restarted incarnation is a new ship stream; a standby holding
-            # the old one re-baselines from a snapshot.
-            self.journal.enable_shipping(stream=self.epoch)
+        for peer in self.peers:
+            peer.opened(self.journal)
         self.metrics.counter("broker.restarts").inc()
         self.log(event="broker_restart", epoch=self.epoch)
-        return self._boot()
-
-    def promote_standby(
-        self,
-        state: BrokerState,
-        witnessed: int,
-        applied_records: int = 0,
-        acked_offset: int = 0,
-    ) -> OSProcess:
-        """Fail over to the warm standby (called by ``rbstandby`` when the
-        primary goes silent past the promotion deadline, DESIGN.md §16).
-
-        The shipped shadow ``state`` becomes the service's live state under
-        a strictly higher epoch than any the standby witnessed, through the
-        same recovery pipeline as a restart (leases re-stamped and marked
-        recovered, reports cleared so nothing is granted until daemons
-        re-prove liveness).  The fresh broker incarnation boots *on the
-        standby machine* — the well-known secondary address every daemon
-        and app alternates toward — with a fresh journal there, and fences
-        the ex-primary by epoch: daemons reject its stale-stamped grants and
-        renewals, and the promoted broker sends it a ``fence_notice`` for
-        the case where no daemon is left to do the rejecting.
-        """
-        if self.standby_host is None:
-            raise ValueError("promote_standby needs a configured standby")
-        old_primary = self.broker_host
-        self.broker_host = self.standby_host
-        self.fence_target = old_primary
-        self.journal = self._new_journal()
-        recover(self, state, witnessed=witnessed)
-        self.metrics.counter("broker.promotions").inc()
-        self.metrics.counter("recovery.from_standby").inc()
-        self.metrics.gauge("recovery.latency_seconds").set(0.0)
-        self.log(
-            event="broker_promoted",
-            epoch=self.epoch,
-            host=self.broker_host,
-            from_host=old_primary,
-            witnessed=witnessed,
-            applied_records=applied_records,
-            acked_offset=acked_offset,
-            jobs=len(state.jobs),
-            leases=len(state.leased_records()),
-            pending=len(state.pending),
-        )
         return self._boot()
 
     def _app_environ(self) -> Dict[str, str]:
@@ -592,6 +501,7 @@ class BrokerService:
         self.cluster = None
         self.rb_bin = None  # its program bodies close over this service
         self.control = None  # closed with its broker process
+        self.peers = ()  # they point back at this service
 
     # -- introspection -------------------------------------------------------
 

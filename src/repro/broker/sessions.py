@@ -191,7 +191,7 @@ class Sessions:
                 protocol.try_send(conn, protocol.revoke(allocation.host))
         for entry in msg.get("pending", ()):
             reqid = int(entry["reqid"])
-            # Not state.pending: that dedupe turns shards seed 10 red (ROADMAP 11).
+            # Not state.pending: that dedupe turns a chaos seed red (ROADMAP 11).
             if (jobid, reqid) in core.request_spans:
                 continue  # still queued from this very incarnation
             self._queue_request(
@@ -219,12 +219,8 @@ class Sessions:
         # deliverable again they must be re-examined.
         self.state.mark_job_requests_dirty(jobid)
         yield from core._schedule()
-        if core.federation is not None:
-            # Requeued requests lost their borrow loops with the old
-            # incarnation (or never had one): restart them.
-            for request in list(self.state.pending):
-                if request.jobid == jobid:
-                    core.federation.maybe_borrow(job, request)
+        for peer in core.peers:
+            peer.resumed(job)
         yield from self._session_loop(job, conn)
 
     def _queue_request(self, job, reqid, symbolic, firm, parent, **resubmitted):
@@ -274,13 +270,8 @@ class Sessions:
                 protocol.trace_of(msg) or core.job_spans.get(job.jobid),
             )
             yield from core._schedule()
-            if core.federation is None:
+            if not any(peer.unplaced(job, request) for peer in core.peers):
                 core._deny_if_unsatisfiable(job, request)
-            else:
-                # Federated deny semantics: before giving up, ask the
-                # sibling shards (the borrow loop issues the denial itself
-                # once unsatisfiability is conclusive federation-wide).
-                core.federation.maybe_borrow(job, request)
         elif kind == "released":
             yield from core._on_released(job, msg["host"])
         elif kind == "job_done":

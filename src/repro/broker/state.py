@@ -110,7 +110,7 @@ class BrokerState:
         #: keep their original jobid, see :meth:`adopt_job`) never collide
         #: with fresh submissions.
         self._next_jobid = first_jobid
-        #: The jobids this broker issues; another is a sibling shard's.
+        #: The jobids this broker issues; any other is another broker's.
         self.jobid_space = jobid_space
         #: Machine records examined by eligibility/deny queries (coarse
         #: telemetry; the bench derives "policy scans per grant" from it).
@@ -325,6 +325,29 @@ class BrokerState:
         once and not already declared dead."""
         return list(self._tracked.values())
 
+    def silent(
+        self, tracked: List[MachineRecord], now: float, deadline: float
+    ) -> Tuple[List[MachineRecord], Optional[float]]:
+        """One pass of the liveness sweeper over ``tracked``: the records
+        silent for more than ``deadline`` at ``now``, and the earliest
+        instant another could be (None while none reports).  A peer's
+        machine (DESIGN.md §17) reports to its own broker, which watches
+        its liveness, so it is passed over."""
+        due = None
+        overdue = []
+        for record in tracked:
+            if record.dead or record.last_seen < 0.0:
+                continue  # already handled / never heard from at all
+            if record.borrowed_from is not None:
+                continue
+            if now - record.last_seen > deadline:
+                overdue.append(record)
+            else:
+                candidate = record.last_seen + deadline
+                if due is None or candidate < due:
+                    due = candidate
+        return overdue, due
+
     def leased_records(self) -> List[MachineRecord]:
         """Machines the lease sweeper must examine: holding any allocation."""
         return list(self._leased.values())
@@ -528,9 +551,8 @@ class BrokerState:
         """Per-request eligibility filters not captured by the index
         partition (home host, full RSL constraints, private/adaptive)."""
         if record.borrowed_from is not None:
-            # A borrowed machine serves exactly the request it was borrowed
-            # for; it never joins this broker's general candidate pool (the
-            # donor still schedules over it once the loan ends).
+            # A peer's machine (DESIGN.md §17) serves exactly the request it
+            # came for and never joins this broker's candidate pool.
             return False
         if record.host == job.home_host:
             # The job already runs on its home machine; growing means
@@ -586,9 +608,8 @@ class BrokerState:
     def _best_idle_for(
         self, job: JobRecord, request: PendingRequest
     ) -> Optional[MachineRecord]:
-        """Heap-walk behind :meth:`best_idle`, shared with the federation
-        donor path (which evaluates a *foreign* job that has no entry in
-        :attr:`jobs`)."""
+        """Heap-walk behind :meth:`best_idle`, for a ``job`` that may have
+        no entry in :attr:`jobs` (a peer's, DESIGN.md §17)."""
         pairs = self._matching_buckets(self._idle_by_platform, request.symbolic)
         if not pairs:
             return None
@@ -621,45 +642,12 @@ class BrokerState:
             heapq.heappush(self._idle_heap[platform], entry)
         return result
 
-    def _loan_probe(
-        self, symbolic: str, rsl_text: str, adaptive: bool
-    ) -> Tuple[JobRecord, PendingRequest]:
-        """Transient (job, request) pair modelling a *foreign* job for the
-        federation donor path: no home host to exclude, the borrower's RSL
-        and adaptivity carried over verbatim.  Never registered in
-        :attr:`jobs` or :attr:`pending`."""
-        job = JobRecord(
-            jobid=-1, user="federation", home_host="",
-            rsl=parse_rsl(rsl_text or ""), argv=[], adaptive=bool(adaptive),
-        )
-        request = PendingRequest(
-            reqid=-1, jobid=-1, symbolic=symbolic, firm=False, arrived_at=0.0
-        )
-        return job, request
-
-    def best_idle_for_loan(
-        self, symbolic: str, rsl_text: str, adaptive: bool
-    ) -> Optional[MachineRecord]:
-        """The machine this broker would lend a sibling shard for
-        ``(symbolic, rsl)``: its own :meth:`best_idle` choice for an
-        equivalent foreign request.  Only idle machines are ever lent —
-        a donor never preempts its own jobs for a sibling."""
-        job, request = self._loan_probe(symbolic, rsl_text, adaptive)
-        return self._best_idle_for(job, request)
-
-    def loan_satisfiable(self, symbolic: str, rsl_text: str, adaptive: bool) -> bool:
-        """Could any reported machine here *ever* satisfy a sibling's
-        ``(symbolic, rsl)``?  Drives the borrower's deny decision: a request
-        is hopeless only once every shard answers False."""
-        job, _ = self._loan_probe(symbolic, rsl_text, adaptive)
-        return self.satisfiable_somewhere(symbolic, job)
-
     def forget_machine(self, host: str) -> None:
-        """Remove a *borrowed* record entirely (the loan ended).
+        """Remove ``host``'s record entirely: the inverse of
+        :meth:`add_machine`, journalled as ``forget``.
 
-        Detaches the record from the hook, then refiles it as gone: borrowed
-        records never enter idle buckets (allocated at creation), so the
-        idle heap needs no repair beyond its usual lazy deletion."""
+        Detaches the record from the hook, then refiles it as gone; a stale
+        idle-heap entry is dropped by the heap's usual lazy deletion."""
         record = self.machines.pop(host, None)
         if record is None:
             return

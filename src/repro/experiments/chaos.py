@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 from repro.cluster import Cluster, ClusterSpec
 from repro.experiments.results import ExperimentTable
 from repro.faults import FaultInjector, FaultPlan
-from repro.faults.plan import BrokerCrash, ShipLinkPartition, StandbyCrash
+from repro.faults.plan import BrokerCrash
 from repro.obs import HealthMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -171,6 +171,8 @@ def run_chaos(
             shard_link_partitions=1 if fed else 0,
         )
         if standby:
+            from repro.broker.replica import ShipLinkPartition, StandbyCrash
+
             # Drawn *after* every generate() draw, so the machine-level
             # schedule is byte-identical to the non-standby run of this seed.
             # The sequence is deliberate: kill the standby first (keeper

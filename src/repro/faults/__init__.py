@@ -15,6 +15,7 @@ from named :class:`~repro.sim.rng.SimRandom` streams, a chaos run is a pure
 function of its seed: same seed, same faults, byte-identical trace.
 """
 
+from repro.faults import plan
 from repro.faults.injector import FaultInjector
 from repro.faults.netfaults import NetworkFaults, install
 from repro.faults.plan import (
@@ -29,10 +30,13 @@ from repro.faults.plan import (
     MachineCrash,
     MessageDrop,
     Partition,
-    ShardLinkPartition,
-    ShipLinkPartition,
-    StandbyCrash,
 )
+
+
+def __getattr__(name: str):
+    # The subsystems' fault kinds, from the broker on first use (plan.py).
+    return getattr(plan, name)
+
 
 __all__ = [
     "BrokerCrash",

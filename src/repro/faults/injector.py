@@ -18,12 +18,10 @@ performs each fault at its scheduled instant:
 * ``journal_torn_write`` / ``disk_stall`` — truncates the tail of the
   broker journal's newest WAL file / freezes journal flushes for a window
   (no-ops when the broker runs without a journal);
-* ``standby_crash`` / ``ship_link_partition`` — SIGKILLs the warm-standby
-  replica / blocks just the primary↔standby link (the false-promotion
-  split-brain scenario); both no-ops without a configured standby;
-* ``shard_link_partition`` — blocks just the link between two federated
-  shards' brokers (borrow RPCs and loan notices go dark; loans across the
-  cut self-heal through lease expiry); a no-op without a federation.
+* any other kind — a subsystem's own fault (``standby_crash``,
+  ``ship_link_partition``, ``shard_link_partition``) — carries its arm as
+  its ``inject(injector)`` method, beside the subsystem it targets
+  (:mod:`repro.broker.replica`, :mod:`repro.broker.federation`).
 
 Every injection opens and ends an observability span (``fault.<kind>``) and
 bumps ``faults.injected`` plus a per-kind counter, so a chaos run's trace
@@ -112,29 +110,6 @@ class FaultInjector:
             service = self._broker_service(getattr(fault, "shard", 0))
             if service is not None:
                 service.restart_broker()
-        elif kind == "standby_crash":
-            self._kill_standby()
-        elif kind == "ship_link_partition":
-            broker = self.cluster.broker
-            if broker is not None and broker.standby_host is not None:
-                # Cut the link between the two *well-known* addresses, not
-                # the current broker host — after a promotion both roles sit
-                # on the standby address and the cut is inert.
-                a, b = broker.broker_addresses[0], broker.broker_addresses[1]
-                self.faults.add_link_block(a, b, fault.duration)
-                self.network.sever(self.faults.partitioned)
-        elif kind == "shard_link_partition":
-            federation = self.cluster.federation
-            if federation is not None:
-                a, b = fault.shards
-                host_a = federation.broker_host_of(a % federation.shards)
-                host_b = federation.broker_host_of(b % federation.shards)
-                if host_a != host_b:
-                    # Cut only the broker↔broker link: every machine keeps
-                    # its own shard's daemons and apps; just the borrow/loan
-                    # control traffic between these two shards goes dark.
-                    self.faults.add_link_block(host_a, host_b, fault.duration)
-                    self.network.sever(self.faults.partitioned)
         elif kind == "journal_torn_write":
             broker = self.cluster.broker
             if broker is not None and broker.journal is not None:
@@ -143,8 +118,8 @@ class FaultInjector:
             broker = self.cluster.broker
             if broker is not None and broker.journal is not None:
                 broker.journal.stall(fault.duration)
-        else:  # pragma: no cover - plan types are closed
-            raise ValueError(f"unknown fault kind {kind!r}")
+        else:
+            fault.inject(self)
 
     def _broker_service(self, shard: int):
         """The broker service a shard-indexed fault targets: the federated
@@ -154,15 +129,6 @@ class FaultInjector:
         if federation is not None:
             return federation.services[shard % federation.shards]
         return self.cluster.broker
-
-    def _kill_standby(self) -> int:
-        broker = self.cluster.broker
-        if broker is None or broker.standby_host is None:
-            return 0
-        machine = self.cluster.machines.get(broker.standby_host)
-        if machine is None or not machine.up:
-            return 0
-        return _kill_all(machine, "rbstandby")
 
     def _kill_daemons(self, host: str) -> int:
         machine = self.cluster.machines.get(host)

@@ -40,12 +40,30 @@ DiskStall           the broker's journal device stops accepting flushes for
 ``BrokerCrash`` and ``BrokerRestart`` carry a ``shard`` index (default 0):
 against a federation they target that shard's broker, against a standalone
 broker the index is ignored, so existing plans replay unchanged.
+
+A subsystem's own fault kinds live beside it, each with its injector arm
+(an ``inject(injector)`` method): ``StandbyCrash`` and ``ShipLinkPartition``
+in :mod:`repro.broker.replica`, ``ShardLinkPartition`` in
+:mod:`repro.broker.federation`.  This module and :mod:`repro.faults` export
+them with the rest, imported on first use: a fault schedule imports no
+broker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
+
+
+def __getattr__(name: str):
+    # The fault kinds that live beside their subsystem, on first use.
+    if name in ("StandbyCrash", "ShipLinkPartition"):
+        from repro.broker import replica as beside
+    elif name == "ShardLinkPartition":
+        from repro.broker import federation as beside
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(beside, name)
 
 
 @dataclass(frozen=True)
@@ -140,55 +158,6 @@ class BrokerRestart:
 
 
 @dataclass(frozen=True)
-class StandbyCrash:
-    """SIGKILL the warm-standby replica process at ``at``.
-
-    Not host-targeted: the service harness knows where its standby lives.
-    The primary's standby keeper notices the dropped ship session and
-    respawns it; the respawned replica resumes the stream from its locally
-    persisted offset.  No-op on a cluster without a configured standby."""
-
-    at: float
-
-    kind = "standby_crash"
-
-
-@dataclass(frozen=True)
-class ShipLinkPartition:
-    """Cut just the primary↔standby link for ``duration`` seconds.
-
-    The nastiest failure in the warm-standby design: both brokers stay up
-    and both stay reachable from the daemons, but the ship stream (and its
-    heartbeats) goes dark — so the standby promotes *falsely* and the
-    epoch-fencing protocol must resolve the resulting split brain.  No-op
-    without a configured standby."""
-
-    at: float
-    duration: float = 12.0
-
-    kind = "ship_link_partition"
-
-
-@dataclass(frozen=True)
-class ShardLinkPartition:
-    """Cut just the link between two federated shards' brokers for
-    ``duration`` seconds.
-
-    Every machine stays reachable from its own shard — only the
-    borrow/loan control traffic between ``shards[0]`` and ``shards[1]``
-    goes dark.  Borrow RPCs across the cut fail fast or time out (the
-    borrower walks on around the ring), loan-return notices are lost (the
-    donor reclaims via lease expiry), and no machine may ever end up
-    grantable on both sides.  No-op without a multi-shard federation."""
-
-    at: float
-    duration: float = 12.0
-    shards: Tuple[int, int] = (0, 1)
-
-    kind = "shard_link_partition"
-
-
-@dataclass(frozen=True)
 class JournalTornWrite:
     """Drop the last ``drop_chars`` characters of the broker journal's
     newest WAL file at ``at`` — the on-disk shadow of an append that was
@@ -216,6 +185,8 @@ class DiskStall:
     kind = "disk_stall"
 
 
+#: The fault kinds defined here; the subsystems' own (``StandbyCrash``,
+#: ``ShipLinkPartition``, ``ShardLinkPartition``) are faults too.
 Fault = Union[
     MachineCrash,
     DaemonKill,
@@ -224,9 +195,6 @@ Fault = Union[
     LatencySpike,
     BrokerCrash,
     BrokerRestart,
-    StandbyCrash,
-    ShipLinkPartition,
-    ShardLinkPartition,
     JournalTornWrite,
     DiskStall,
 ]
@@ -355,6 +323,8 @@ class FaultPlan:
             plan.add(DiskStall(at=when(), duration=6.0))
         # Federation faults draw last of all (the same stability rule again:
         # zero-count plans reproduce pre-federation schedules byte-for-byte).
+        if shard_link_partitions:
+            from repro.broker.federation import ShardLinkPartition
         for _ in range(shard_link_partitions):
             plan.add(ShardLinkPartition(at=when(), duration=12.0, shards=(0, 1)))
         return plan

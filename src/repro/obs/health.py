@@ -223,10 +223,16 @@ class HealthMonitor:
 
         # Replication lag (the warm-standby watchdog): flushed ship-stream
         # characters the standby has not acknowledged.  A promoted broker's
-        # fresh journal has shipping off, so the watchdog follows failovers
+        # fresh journal feeds no stream, so the watchdog follows failovers
         # transparently (and is inert entirely without a standby).
-        if journal is not None and journal.ship_enabled:
-            ship_lag = journal.ship_lag()
+        stream = None
+        if journal is not None:
+            # Imported here: the broker imports this package.
+            from repro.broker.replica import ship_stream
+
+            stream = ship_stream(journal)
+        if stream is not None:
+            ship_lag = stream.lag()
             if ship_lag > self.max_replication_lag:
                 self.max_replication_lag = ship_lag
             if ship_lag > self.replication_lag:
@@ -236,8 +242,8 @@ class HealthMonitor:
                     self.service.log(
                         event="health_replication_lag",
                         lag_chars=ship_lag,
-                        acked_offset=journal.acked_offset,
-                        flushed_offset=journal.flushed_offset,
+                        acked_offset=stream.acked_offset,
+                        flushed_offset=stream.flushed_offset,
                     )
                 self._replication_flagged = True
             else:

@@ -34,6 +34,15 @@ def mixed_cluster():
     return cluster
 
 
+def recalled(service):
+    """The loaned hosts whose borrower ``service``'s live incarnation has
+    sent a recall (its :class:`~repro.broker.federation.Borrowing` part)."""
+    from repro.broker.federation import Borrowing
+
+    (lending,) = [p for p in service.control.peers if isinstance(p, Borrowing)]
+    return lending._recalled
+
+
 def install_greedy(cluster):
     """Register the greedy/gracespin churn pair (now lives in
     :mod:`repro.workloads.programs`; kept as a shim for the broker tests)."""

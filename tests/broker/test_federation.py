@@ -12,6 +12,7 @@ import pytest
 
 from repro.broker.federation import shard_partitions
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
+from tests.broker.conftest import recalled
 
 
 def test_shard_partitions_contiguous_and_validated():
@@ -119,7 +120,7 @@ def test_loan_recall_on_owner_return(frees):
     for freed in returned:
         assert freed.outcome is None
         freed.assert_clean(spanned=False)
-    assert "p00" not in donor.control.federation._recalled
+    assert "p00" not in recalled(donor)
     cluster.env.run(until=600.0)
     assert handle.exit_code == 0
     cluster.assert_no_crashes()

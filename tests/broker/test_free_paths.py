@@ -15,7 +15,7 @@ the same assertions there: app release after a revoke
 from repro.broker.records import AllocationState
 from repro.cluster import Cluster, ClusterSpec, MachineSpec
 from repro.os.signals import SIGKILL
-from tests.broker.conftest import install_greedy
+from tests.broker.conftest import install_greedy, recalled
 
 
 def _until(cluster, condition, limit=60.0):
@@ -154,7 +154,7 @@ def test_loan_ended_by_the_donor(frees):
     borrower.crash_broker()
     cluster.machine("p00").console_active = True
     cluster.env.run(until=cluster.now + 3.0)
-    assert "p00" in donor.control.federation._recalled
+    assert "p00" in recalled(donor)
     cluster.crash_machine("p00", reboot_after=None)
     cluster.env.run(until=cluster.now + 10.0)
 
@@ -163,7 +163,7 @@ def test_loan_ended_by_the_donor(frees):
     freed = _freed(frees, "p00", "machine_dead")
     assert freed.control is donor.control
     freed.assert_clean(spanned=False)
-    assert "p00" not in donor.control.federation._recalled
+    assert "p00" not in recalled(donor)
     assert donor.state.machine("p00").allocation is None
 
 
@@ -186,4 +186,4 @@ def test_loan_recalled_with_no_holder(frees):
     assert returned.control is donor.control
     returned.assert_clean(spanned=False)
     assert donor.state.machine("p00").allocation is None
-    assert "p00" not in donor.control.federation._recalled
+    assert "p00" not in recalled(donor)

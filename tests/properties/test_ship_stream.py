@@ -7,8 +7,9 @@ Three families:
   resend, a hostile peer) and must never raise; it stops cleanly at the
   first unreadable frame, and a pure truncation decodes to an exact prefix
   of the original payloads.
-* **Ship-stream equivalence** — a fake standby consuming the primary
-  journal's shipped chunks (acking as it goes, exactly like ``rbstandby``)
+* **Ship-stream equivalence** — a fake standby consuming the chunks the
+  primary journal's :class:`~repro.broker.replica.ShipStream` retains
+  (acking as it goes, exactly like ``rbstandby``)
   reproduces the primary's :func:`state_fingerprint` at *every* flush
   point, across compactions, for any ack cut point.  This is the invariant
   that makes a promoted standby's state trustworthy.
@@ -30,7 +31,7 @@ from repro.broker.recovery import (
     snapshot_state,
     state_fingerprint,
 )
-from repro.broker.replica import _DIR, _Replica
+from repro.broker.replica import _DIR, ShipStream, _Replica
 from repro.broker.state import BrokerState
 from repro.obs.metrics import MetricsRegistry
 from repro.os.filesystem import Filesystem
@@ -114,7 +115,7 @@ def test_shipped_stream_reproduces_primary_fingerprint(seed):
     for host in HOSTS:
         state.add_machine(host)
     journal.attach(state, epoch=1)
-    journal.enable_shipping(stream=1)
+    stream = ShipStream(journal, 1)
 
     # The standby baselines from the snapshot the ship server sends at
     # hello (offset 0 of the stream), then applies frames on top.
@@ -126,7 +127,7 @@ def test_shipped_stream_reproduces_primary_fingerprint(seed):
     for _ in range(8):
         _random_ops(state, journal, clock, rng, steps=12, reqid=reqid)
         journal.flush(force=True)
-        pending = journal.ship_pending(consumed)
+        pending = stream.pending(consumed)
         assert pending is not None  # nothing acked was ever trimmed early
         for start, data in pending:
             assert start == consumed  # chunk starts are valid cut points
@@ -134,9 +135,9 @@ def test_shipped_stream_reproduces_primary_fingerprint(seed):
             assert torn == 0 and corrupt == 0  # chunks are whole frames
             apply_payloads(shadow, payloads, info)
             consumed += len(data)
-            journal.note_ship_ack(consumed)
-        assert consumed == journal.flushed_offset
-        assert journal.ship_lag() == 0
+            stream.note_ack(consumed)
+        assert consumed == stream.flushed_offset
+        assert stream.lag() == 0
         # The standby's shadow at the acked offset is the primary's state
         # at the flush that produced it, field for field.
         assert state_fingerprint(shadow) == state_fingerprint(state)
@@ -155,14 +156,14 @@ def test_resend_after_partial_ack_converges(seed):
     for host in HOSTS:
         state.add_machine(host)
     journal.attach(state, epoch=1)
-    journal.enable_shipping(stream=1)
+    stream = ShipStream(journal, 1)
 
     shadow = BrokerState()
     info = RecoveryInfo()
     apply_snapshot(shadow, snapshot_state(state), info)
     _random_ops(state, journal, clock, rng, steps=30)
     journal.flush(force=True)
-    chunks = journal.ship_pending(0)
+    chunks = stream.pending(0)
     assert chunks
 
     # Apply and ack only a prefix of the chunks ("the connection died").
@@ -171,10 +172,10 @@ def test_resend_after_partial_ack_converges(seed):
         payloads, _, _ = parse_frames(data)
         apply_payloads(shadow, payloads, info)
         acked = start + len(data)
-    journal.note_ship_ack(acked)
+    stream.note_ack(acked)
 
     # Reconnect: the primary resends everything from the acked offset.
-    resend = journal.ship_pending(acked)
+    resend = stream.pending(acked)
     assert resend is not None
     for start, data in resend:
         assert start >= acked
@@ -192,7 +193,7 @@ def _replica_at(fs):
 
 def _shipped_replica(seed):
     """A replica baselined mid-stream and fed the frames after it, acking
-    each one, as ``rbstandby`` does; returns (replica, journal, fs)."""
+    each one, as ``rbstandby`` does; returns (replica, stream, fs)."""
     rng = random.Random(7000 + seed)
     clock = Clock()
     journal = BrokerJournal(Filesystem(), clock, compact_bytes=1200)
@@ -200,7 +201,7 @@ def _shipped_replica(seed):
     for host in HOSTS:
         state.add_machine(host)
     journal.attach(state, epoch=2)
-    journal.enable_shipping(stream=2)
+    stream = ShipStream(journal, 2)
     reqid = iter(range(1, 10_000))
     _random_ops(state, journal, clock, rng, steps=10, reqid=reqid)
     journal.flush(force=True)
@@ -209,19 +210,19 @@ def _shipped_replica(seed):
     assert (replica.stream, replica.acked) == (0, 0)
     replica.accept_snapshot(
         protocol.ship_snapshot(
-            journal.ship_stream, journal.flushed_offset, snapshot_state(state), 2
+            stream.id, stream.flushed_offset, snapshot_state(state), 2
         )
     )
     for _ in range(4):
         sent = replica.acked
         _random_ops(state, journal, clock, rng, steps=10, reqid=reqid)
         journal.flush(force=True)
-        for start, data in journal.ship_pending(sent):
+        for start, data in stream.pending(sent):
             assert replica.accept_frame(protocol.ship_frame(2, start, data))
-        journal.note_ship_ack(replica.acked)
-    assert replica.acked == journal.flushed_offset
+        stream.note_ack(replica.acked)
+    assert replica.acked == stream.flushed_offset
     assert state_fingerprint(replica.state) == state_fingerprint(state)
-    return replica, journal, fs
+    return replica, stream, fs
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -229,13 +230,13 @@ def test_respawned_replica_resumes_from_its_disk(seed):
     """A replica rebuilt from its machine's disk (a killed standby's
     respawn) holds exactly what the live shadow held, so its hello resumes
     the stream instead of asking for a snapshot."""
-    live, journal, fs = _shipped_replica(seed)
+    live, stream, fs = _shipped_replica(seed)
     assert live.base > 0  # baselined mid-stream, not at offset 0
     fresh = _replica_at(fs)
     for field in ("stream", "base", "acked", "witnessed"):
         assert getattr(fresh, field) == getattr(live, field), field
     assert state_fingerprint(fresh.state) == state_fingerprint(live.state)
-    assert journal.ship_pending(fresh.acked) == []
+    assert stream.pending(fresh.acked) == []
 
 
 @pytest.mark.parametrize("damage", ["missing", "torn"])
@@ -244,7 +245,7 @@ def test_unreadable_replica_snapshot_rebaselines(damage):
     ships, so the respawned replica's hello re-baselines from a snapshot.
     No injected fault damages the standby's disk today; this pins what a
     respawn would do if one did."""
-    _live, journal, fs = _shipped_replica(0)
+    _live, stream, fs = _shipped_replica(0)
     path = f"{_DIR}/snap"
     if damage == "missing":
         fs.unlink(path)
@@ -252,5 +253,5 @@ def test_unreadable_replica_snapshot_rebaselines(damage):
         fs.write(path, fs.read(path)[:-1])
     fresh = _replica_at(fs)
     assert (fresh.stream, fresh.base, fresh.acked) == (0, 0, 0)
-    assert fresh.stream != journal.ship_stream
+    assert fresh.stream != stream.id
     assert state_fingerprint(fresh.state) == state_fingerprint(BrokerState())
